@@ -54,7 +54,6 @@ from .monoidal import (
 from .cones import (
     ConeRecognitionData,
     DirectSumWitness,
-    Protosplitting,
     coequalizer_protosplit_pair,
     cokernel_protosplit,
     cone_as_cokernel,
@@ -80,15 +79,18 @@ from .ell import (
 from .dgcat import (
     CauchyData,
     DGModule,
-    DGModuleLeft,
     Elt,
     FiniteDGCategory,
     ModuleTransform,
     coend_tensor,
+    direct_sum_modules,
     g_retraction_from_cauchy,
+    module_from_complex,
     module_presentation,
+    representable,
     representable_cauchy_data,
     solve_cauchy_counit,
+    suspend_module,
     verify_cauchy_data,
     verify_protosplit_quotient,
     weighted_colimit,

@@ -12,7 +12,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from . import complexes as _complexes
 from . import cones as _cones
@@ -21,9 +21,7 @@ from . import totals as _totals
 from .complexes import (
     ChainMap,
     Complex,
-    HomSpace,
     Proto,
-    chain_map_basis,
     compose,
     d_hom,
     direct_sum_complexes,
@@ -45,23 +43,21 @@ from .cones import (
     recognize_cone,
 )
 from .dgcat import (
+    LEFT,
+    RIGHT,
     CauchyData,
-    DGModuleLeft,
     coend_tensor,
     dg_subcategory_of_complexes,
-    direct_sum_left_modules,
-    direct_sum_right_modules,
+    direct_sum_modules,
     Elt,
     exterior_g_category,
     g_retraction_from_cauchy,
     group_like_category,
-    left_module_from_complex,
+    module_from_complex,
+    representable,
     representable_cauchy_data,
-    representable_left,
-    representable_right,
     solve_cauchy_counit,
-    suspend_left_module,
-    suspend_right_module,
+    suspend_module,
     trivial_weight,
     two_object_graded_category,
     unit_dg_category,
@@ -108,6 +104,13 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d}: {self.name}{msg}"
 
 
+def _check(ok, msg: str = "") -> None:
+    """Raise AssertionError(msg) unless ok; unlike `assert`, it also runs
+    under python -O."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _run(number: int, name: str, fn: Callable[[], None]) -> CriterionResult:
     try:
         fn()
@@ -131,15 +134,15 @@ def criterion_1_snf(seed: int) -> CriterionResult:
         for _ in range(200):
             m = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), -5, 5)
             s = smith_normal_form(m)
-            assert s.U @ m @ s.V == s.D, "U M V != D"
-            assert determinant(s.U) in (1, -1), "U not unimodular"
-            assert determinant(s.V) in (1, -1), "V not unimodular"
+            _check(s.U @ m @ s.V == s.D, "U M V != D")
+            _check(determinant(s.U) in (1, -1), "U not unimodular")
+            _check(determinant(s.V) in (1, -1), "V not unimodular")
             diag = s.diagonal
             nonzero = [d for d in diag if d]
-            assert all(d >= 0 for d in diag), "negative invariant factor"
-            assert list(diag[: len(nonzero)]) == nonzero, "zeros precede nonzeros"
+            _check(all(d >= 0 for d in diag), "negative invariant factor")
+            _check(list(diag[: len(nonzero)]) == nonzero, "zeros precede nonzeros")
             for a, b in zip(nonzero, nonzero[1:]):
-                assert b % a == 0, "divisibility chain broken"
+                _check(b % a == 0, "divisibility chain broken")
 
     return _run(1, "Smith normal form contract on 200 random matrices", check)
 
@@ -148,23 +151,23 @@ def criterion_2_chain_axioms(seed: int) -> CriterionResult:
     def check():
         rng = random.Random(seed + 1)
 
-        def assert_square_zero(cx: Complex, what: str):
+        def check_square_zero(cx: Complex, what: str):
             for n in cx.degrees():
-                assert (cx.diff(n) @ cx.diff(n + 1)).is_zero(), f"d^2 != 0 on {what}"
+                _check((cx.diff(n) @ cx.diff(n + 1)).is_zero(), f"d^2 != 0 on {what}")
 
         for _ in range(12):
             a, b = rand_complex(rng), rand_complex(rng)
-            assert_square_zero(a, "complex")
-            assert_square_zero(hom_complex(a, b), "hom complex")
-            assert_square_zero(tensor(a, b), "tensor")
+            check_square_zero(a, "complex")
+            check_square_zero(hom_complex(a, b), "hom complex")
+            check_square_zero(tensor(a, b), "tensor")
             f = rand_chain_map(rng, a, b)
-            assert_square_zero(mapping_cone(f).cone, "cone")
-            assert_square_zero(total_complex(rand_double_complex(rng)), "total complex")
+            check_square_zero(mapping_cone(f).cone, "cone")
+            check_square_zero(total_complex(rand_double_complex(rng)), "total complex")
         for cat in (exterior_g_category(1), two_object_graded_category(1)):
             for k in cat.objects:
-                res = coend_tensor(representable_right(cat, k),
-                                   representable_left(cat, k))
-                assert res.presented.verify_differential(), "coend differential fails"
+                res = coend_tensor(representable(cat, k, RIGHT),
+                                   representable(cat, k, LEFT))
+                _check(res.presented.verify_differential(), "coend differential fails")
         count = 0
         while count < 100:
             a, b, c = rand_complex(rng), rand_complex(rng), rand_complex(rng)
@@ -173,7 +176,7 @@ def criterion_2_chain_axioms(seed: int) -> CriterionResult:
             sign = -1 if g.degree % 2 else 1
             lhs = d_hom(compose(g, f))
             rhs = compose(d_hom(g), f) + sign * compose(g, d_hom(f))
-            assert lhs == rhs, "Leibniz law fails"
+            _check(lhs == rhs, "Leibniz law fails")
             count += 1
 
     return _run(2, "chain axioms: d^2 = 0 everywhere; Leibniz on 100 proto pairs", check)
@@ -183,15 +186,15 @@ def criterion_3_homology(seed: int) -> CriterionResult:
     def check():
         rng = random.Random(seed + 2)
         h = homology_H(_m2())
-        assert h.at(0) == FPAbGroup.canonical(0, [2]), "H_0(M2) != Z/2"
-        assert h.support() == [0], "M2 has extra homology"
+        _check(h.at(0) == FPAbGroup.canonical(0, [2]), "H_0(M2) != Z/2")
+        _check(h.support() == [0], "M2 has extra homology")
         for _ in range(20):
             a = rand_complex(rng)
-            assert homology_H(mc1(a).cone).is_trivial(), "cone of identity not acyclic"
+            _check(homology_H(mc1(a).cone).is_trivial(), "cone of identity not acyclic")
         for _ in range(20):
             a = rand_complex(rng)
-            assert homology_H(suspension(a)) == homology_H(a).shifted(1), \
-                "suspension does not shift homology"
+            _check(homology_H(suspension(a)) == homology_H(a).shifted(1),
+                   "suspension does not shift homology")
 
     return _run(3, "homology fixtures: M2, acyclic identity cones, shift law", check)
 
@@ -202,20 +205,20 @@ def criterion_4_monoidal(seed: int) -> CriterionResult:
         for _ in range(50):
             a, b = rand_complex(rng, bricks=2), rand_complex(rng, bricks=2)
             s1, s2 = symmetry(a, b), symmetry(b, a)
-            assert compose(s2, s1) == identity_map(tensor(a, b)), "sigma^2 != 1"
+            _check(compose(s2, s1) == identity_map(tensor(a, b)), "sigma^2 != 1")
             f = rand_proto(rng, a, b, rng.randint(0, 2))
             g = rand_proto(rng, b, a, rng.randint(0, 2))
             sign = -1 if (f.degree * g.degree) % 2 else 1
             lhs = compose(symmetry(b, a), tensor_proto(f, g))
             rhs = sign * compose(tensor_proto(g, f), symmetry(a, b))
-            assert lhs == rhs, "Koszul naturality sign fails"
+            _check(lhs == rhs, "Koszul naturality sign fails")
             fwd, bwd = sten_iso(a, b)
-            assert compose(bwd, fwd) == identity_map(fwd.source), "sten iso not split"
-            assert compose(fwd, bwd) == identity_map(fwd.target), "sten iso not split"
+            _check(compose(bwd, fwd) == identity_map(fwd.source), "sten iso not split")
+            _check(compose(fwd, bwd) == identity_map(fwd.target), "sten iso not split")
             isos = sten_hom_isos(a, b)
             for name, (ff, gg) in isos.items():
-                assert compose(gg, ff) == identity_map(ff.source), f"hom iso {name}"
-                assert compose(ff, gg) == identity_map(ff.target), f"hom iso {name}"
+                _check(compose(gg, ff) == identity_map(ff.source), f"hom iso {name}")
+                _check(compose(ff, gg) == identity_map(ff.target), f"hom iso {name}")
 
     return _run(4, "monoidal identities: symmetry, Koszul naturality, shift isos", check)
 
@@ -224,11 +227,11 @@ def criterion_5_duality(seed: int) -> CriterionResult:
     def check():
         t0 = time.time()
         w = verify_duality_LR()
-        assert w.triangle_left and w.triangle_right, "triangle identities fail"
+        _check(w.triangle_left and w.triangle_right, "triangle identities fail")
         iso, inv = decompose_LZ_tensor()
-        assert compose(inv, iso) == identity_map(iso.source), "decomposition not split"
-        assert compose(iso, inv) == identity_map(iso.target), "decomposition not split"
-        assert time.time() - t0 < 1.0, "solver exceeded 1 s"
+        _check(compose(inv, iso) == identity_map(iso.source), "decomposition not split")
+        _check(compose(iso, inv) == identity_map(iso.target), "decomposition not split")
+        _check(time.time() - t0 < 1.0, "solver exceeded 1 s")
 
     return _run(5, "duality unit/counit and free-cover tensor decomposition", check)
 
@@ -241,8 +244,8 @@ def criterion_6_cones(seed: int) -> CriterionResult:
             f = rand_chain_map(rng, a, b)
             u = rand_proto(rng, suspension(a, 1), b, 0)
             h = cone_homotopy_iso(f, u)
-            assert compose(h.inverse, h.iso) == identity_map(h.iso.source)
-            assert compose(h.iso, h.inverse) == identity_map(h.iso.target)
+            _check(compose(h.inverse, h.iso) == identity_map(h.iso.source))
+            _check(compose(h.iso, h.inverse) == identity_map(h.iso.target))
         for _ in range(20):
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
@@ -259,12 +262,12 @@ def criterion_6_cones(seed: int) -> CriterionResult:
                 Proto(suspension(a, 1), res.cone, 0, j_comps),
                 Proto(res.cone, b, 0, q_comps))
             rec = recognize_cone(data)
-            assert rec.map == f, "recognition does not recover f"
-            assert compose(rec.inverse, rec.iso) == identity_map(rec.iso.source)
+            _check(rec.map == f, "recognition does not recover f")
+            _check(compose(rec.inverse, rec.iso) == identity_map(rec.iso.source))
             cyl = cylinder_factorization(f)
-            assert cyl.recognition_data().check() == [], "cylinder witnesses fail"
-            assert homology_H(cyl.middle) == homology_H(b), \
-                "middle term has wrong homology"
+            _check(cyl.recognition_data().check() == [], "cylinder witnesses fail")
+            _check(homology_H(cyl.middle) == homology_H(b),
+                   "middle term has wrong homology")
 
     return _run(6, "cone propositions: homotopy isos, recognition, cylinder", check)
 
@@ -279,18 +282,18 @@ def criterion_7_protosplit_cokernels(seed: int) -> CriterionResult:
             f = injs[0]
             t = compose(identity_map(a), projs[0])
             res = cokernel_protosplit(f, t)  # universal property runs inside
-            assert compose(res.w, f).is_zero(), "w f != 0"
-            assert compose(res.w, res.s) == identity_map(res.quotient), "w s != 1"
-            assert compose(res.s, res.w) == res.idempotent, "s w != 1 - f t"
+            _check(compose(res.w, f).is_zero(), "w f != 0")
+            _check(compose(res.w, res.s) == identity_map(res.quotient), "w s != 1")
+            _check(compose(res.s, res.w) == res.idempotent, "s w != 1 - f t")
             for n in res.quotient.degrees():
                 sq = res.quotient.diff(n - 1) @ res.quotient.diff(n)
-                assert sq.is_zero(), "(d^C)^2 != 0"
+                _check(sq.is_zero(), "(d^C)^2 != 0")
         lz = functor_L(K0)
         slz = suspension(lz, -1)
         f = ChainMap(slz, lz, 0, {-1: IntMatrix.from_rows([[1]])})
         t = Proto(lz, slz, 0, {-1: IntMatrix.from_rows([[1]])})
         res = cokernel_protosplit(f, t)
-        assert res.quotient == K0, "shifted free-cover example cokernel is not Z"
+        _check(res.quotient == K0, "shifted free-cover example cokernel is not Z")
 
     return _run(7, "protosplit cokernels: equations, universal property, Z example", check)
 
@@ -300,12 +303,12 @@ def criterion_8_ell_equivalence(seed: int) -> CriterionResult:
         rng = random.Random(seed + 6)
         for m in range(-6, 7):
             for n in range(-6, 7):
-                assert yoneda_rank_check(m, n), f"hom table fails at ({m},{n})"
+                _check(yoneda_rank_check(m, n), f"hom table fails at ({m},{n})")
         for _ in range(100):
             a = rand_complex(rng)
-            assert decode(encode(a)) == a, "decode o encode != id"
+            _check(decode(encode(a)) == a, "decode o encode != id")
             f = encode(a)
-            assert encode(decode(f)) == f, "encode o decode != id"
+            _check(encode(decode(f)) == f, "encode o decode != id")
 
     return _run(8, "index-category equivalence: hom table and 100 round trips", check)
 
@@ -317,21 +320,21 @@ def criterion_9_coend_colimit(seed: int) -> CriterionResult:
                     dg_subcategory_of_complexes({"Z": K0, "LZ": functor_L(K0)})]
         for cat in fixtures:
             for k in cat.objects:
-                m = representable_right(cat, k)
+                m = representable(cat, k, RIGHT)
                 for k2 in cat.objects:
-                    n_mod = representable_left(cat, k2)
+                    n_mod = representable(cat, k2, LEFT)
                     res = coend_tensor(m, n_mod)
                     want = n_mod.value(k)
                     for deg in want.degrees():
-                        assert res.presented.group(deg) == FPAbGroup.free(want.rank(deg)), \
-                            f"co-Yoneda fails at {k},{k2} degree {deg}"
+                        _check(res.presented.group(deg) == FPAbGroup.free(want.rank(deg)),
+                               f"co-Yoneda fails at {k},{k2} degree {deg}")
         cat = unit_dg_category()
         for a in (K0, functor_L(K0), _m2()):
-            wc = weighted_colimit(trivial_weight(cat), left_module_from_complex(cat, a))
-            assert wc.colimit.carrier == a.carrier, "tensor-case colimit has wrong ranks"
-            assert homology_H(wc.colimit) == homology_H(a), "tensor-case homology differs"
-            assert wc.defining_iso_verified([K0, suspension(K0, 1)]), \
-                "defining isomorphism fails"
+            wc = weighted_colimit(trivial_weight(cat), module_from_complex(cat, a, LEFT))
+            _check(wc.colimit.carrier == a.carrier, "tensor-case colimit has wrong ranks")
+            _check(homology_H(wc.colimit) == homology_H(a), "tensor-case homology differs")
+            _check(wc.defining_iso_verified([K0, suspension(K0, 1)]),
+                   "defining isomorphism fails")
 
     return _run(9, "coends: co-Yoneda on all fixture objects; unit-weight colimit", check)
 
@@ -343,26 +346,26 @@ def _g_case_fixtures():
         for k in cat.objects:
             out.append(representable_cauchy_data(cat, k))
     ext = exterior_g_category(1)
-    m1 = representable_right(ext, "*")
-    n1 = representable_left(ext, "*")
-    sm = suspend_right_module(m1, 1)
-    sn = suspend_left_module(n1, -1)
+    m1 = representable(ext, "*", RIGHT)
+    n1 = representable(ext, "*", LEFT)
+    sm = suspend_module(m1, 1)
+    sn = suspend_module(n1, -1)
 
     def unit_at(cx, deg, idx):
         return Elt(cx, deg, tuple(1 if i == idx else 0 for i in range(cx.rank(deg))))
 
     cd_shift = solve_cauchy_counit(sm, sn, [("*", unit_at(sm.value("*"), 1, 0),
                                              unit_at(sn.value("*"), -1, 0))])
-    assert cd_shift is not None, "no counit for the shifted representable"
+    _check(cd_shift is not None, "no counit for the shifted representable")
     out.append(cd_shift)
-    mm = direct_sum_right_modules(m1, sm)
-    nn = direct_sum_left_modules(n1, sn)
+    mm = direct_sum_modules(m1, sm)
+    nn = direct_sum_modules(n1, sn)
     x1 = unit_at(mm.value("*"), 0, 0)
     y1 = unit_at(nn.value("*"), 0, 0)
     x2 = unit_at(mm.value("*"), 1, m1.value("*").rank(1))
     y2 = unit_at(nn.value("*"), -1, n1.value("*").rank(-1))
     cd_sum = solve_cauchy_counit(mm, nn, [("*", x1, y1), ("*", x2, y2)])
-    assert cd_sum is not None, "no counit for the 2-term sum"
+    _check(cd_sum is not None, "no counit for the 2-term sum")
     out.append(cd_sum)
     return out
 
@@ -375,7 +378,7 @@ def criterion_10_cauchy(seed: int) -> CriterionResult:
         for cat in fixtures:
             for k in cat.objects:
                 cd = representable_cauchy_data(cat, k)
-                assert verify_cauchy_data(cd).ok, f"snake fails for representable {k}"
+                _check(verify_cauchy_data(cd).ok, f"snake fails for representable {k}")
 
         cd = representable_cauchy_data(exterior_g_category(1), "*")
         mutations = {
@@ -389,14 +392,14 @@ def criterion_10_cauchy(seed: int) -> CriterionResult:
         }
         for name, eps in mutations.items():
             rep = verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, eps))
-            assert not rep.ok, f"mutation {name} not detected"
-            assert rep.witness, f"mutation {name} has no witness"
+            _check(not rep.ok, f"mutation {name} not detected")
+            _check(rep.witness, f"mutation {name} has no witness")
 
         for cd in _g_case_fixtures():
             ret = g_retraction_from_cauchy(cd)
-            assert ret.composite_is_identity, "xhat o tau != 1"
-            assert ret.tau.naturality_failures() == [], "tau not natural"
-            assert ret.xhat.naturality_failures() == [], "xhat not natural"
+            _check(ret.composite_is_identity, "xhat o tau != 1")
+            _check(ret.tau.naturality_failures() == [], "tau not natural")
+            _check(ret.xhat.naturality_failures() == [], "xhat not natural")
 
     return _run(10, "Cauchy data: representables pass, mutations fail, retractions", check)
 
@@ -408,29 +411,29 @@ def criterion_11_totalization(seed: int) -> CriterionResult:
             a = rand_double_complex(rng)
             tot = total_complex(a)
             for n in tot.degrees():
-                assert (tot.diff(n) @ tot.diff(n + 1)).is_zero(), "Tot d^2 != 0"
-                assert tot.rank(n) == sum(a.entry_rank(m, n - m)
-                                          for m in a.column_degrees()), "rank count"
+                _check((tot.diff(n) @ tot.diff(n + 1)).is_zero(), "Tot d^2 != 0")
+                _check(tot.rank(n) == sum(a.entry_rank(m, n - m) for m in a.column_degrees()),
+                       "rank count")
         col = make_complex({1: 1, 0: 1}, {1: [[1]]})
         fixtures = [embed_i(rand_complex(rng)),
                     DoubleComplex({1: col, 0: col}, {1: identity_map(col)})]
         fixtures += [rand_double_complex(rng) for _ in range(6)]
         for a in fixtures:
             cmp = tot_via_weighted_colimit(a)
-            assert compose(cmp.inverse, cmp.iso) == identity_map(cmp.colimit), \
-                "comparison not split"
-            assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot), \
-                "comparison not split"
+            _check(compose(cmp.inverse, cmp.iso) == identity_map(cmp.colimit),
+                   "comparison not split")
+            _check(compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot),
+                   "comparison not split")
         checked = 0
         while checked < 20:
             a = rand_double_complex(rng)
             x = rand_complex(rng)
-            assert tot_adjunction_check(a, x), "graded adjunction fails"
+            _check(tot_adjunction_check(a, x), "graded adjunction fails")
             checked += 1
         for _ in range(5):
             x = rand_complex(rng)
-            assert total_complex(embed_i(x)) == x, "tot(i X) != X"
-            assert tot_adjunction_check(embed_i(x), x), "adjunction at embedded column"
+            _check(total_complex(embed_i(x)) == x, "tot(i X) != X")
+            _check(tot_adjunction_check(embed_i(x), x), "adjunction at embedded column")
 
     return _run(11, "totalization: d^2, comparison iso, graded adjunction", check)
 
@@ -468,7 +471,7 @@ def _sign_battery_fails() -> bool:
 
 def criterion_12_mutation_sensitivity(seed: int) -> CriterionResult:
     def check():
-        assert not _sign_battery_fails(), "battery fails before mutation"
+        _check(not _sign_battery_fails(), "battery fails before mutation")
         flips = [
             (_monoidal, "_tensor_sign", lambda p: 1),
             (_complexes, "_hom_sign", lambda n: 1),
@@ -477,8 +480,8 @@ def criterion_12_mutation_sensitivity(seed: int) -> CriterionResult:
         ]
         for module, name, flat in flips:
             with _patched(module, name, flat):
-                assert _sign_battery_fails(), f"flipping {name} goes undetected"
-        assert not _sign_battery_fails(), "battery fails after restore"
+                _check(_sign_battery_fails(), f"flipping {name} goes undetected")
+        _check(not _sign_battery_fails(), "battery fails after restore")
 
     return _run(12, "mutation sensitivity of the four sign conventions", check)
 

@@ -24,6 +24,7 @@ from .complexes import (
 )
 from .cones import NotProtosplit, cokernel_protosplit, mapping_cone
 from .dgcat import (
+    TorsionInPresentation,
     cauchy_naturality_failures,
     verify_cauchy_data,
     weighted_colimit,
@@ -31,7 +32,6 @@ from .dgcat import (
 from .jsonio import InputError
 from .monoidal import tensor
 from .totals import SupportExceedsWindow, tot_via_weighted_colimit, total_complex
-from .zlinalg import FPAbGroup
 
 
 def _emit(args, payload: dict, text_lines: List[str]):
@@ -49,6 +49,12 @@ def _homology_report(cx) -> dict:
 
 def _ranks(cx) -> dict:
     return {str(n): cx.rank(n) for n in cx.degrees()}
+
+
+def _require_valid(what: str, failures: List[str]):
+    """Reject a loaded category or module that breaks its axioms."""
+    if failures:
+        raise InputError(f"{what}: {failures[0]}")
 
 
 def cmd_homology(args) -> int:
@@ -131,7 +137,8 @@ def cmd_tot(args) -> int:
             cmp = tot_via_weighted_colimit(a, window=args.window)
         except SupportExceedsWindow as exc:
             raise InputError(str(exc))
-        ok = (cmp.iso @ cmp.inverse) == identity_map(cmp.tot)
+        ok = ((cmp.iso @ cmp.inverse) == identity_map(cmp.tot)
+              and (cmp.inverse @ cmp.iso) == identity_map(cmp.colimit))
         payload["colim_comparison"] = ok
         lines.append(f"colim comparison iso: {'ok' if ok else 'FAIL'}")
         if not ok:
@@ -145,9 +152,17 @@ def cmd_tot(args) -> int:
 
 def cmd_colim(args) -> int:
     cat = jsonio.category_from_json(jsonio.load(args.category))
+    _require_valid("category", cat.validate())
     weight = jsonio.right_module_from_json(jsonio.load(args.weight), cat)
+    _require_valid("weight", weight.validate())
     diagram = jsonio.left_module_from_json(jsonio.load(args.diagram), cat)
-    wc = weighted_colimit(weight, diagram)
+    _require_valid("diagram", diagram.validate())
+    try:
+        wc = weighted_colimit(weight, diagram)
+    except TorsionInPresentation as exc:
+        witness = f"coend has torsion, so no free colimit: {exc.describe()}"
+        _emit(args, {"verified": False, "witness": witness}, [f"FAIL: {witness}"])
+        return 1
     if args.out:
         jsonio.dump(jsonio.complex_to_json(wc.colimit), args.out)
     _emit(args, {"ranks": _ranks(wc.colimit), "homology": _homology_report(wc.colimit)},
@@ -157,6 +172,9 @@ def cmd_colim(args) -> int:
 
 def cmd_verify_cauchy(args) -> int:
     cd = jsonio.cauchy_data_from_json(jsonio.load(args.data))
+    _require_valid("category", cd.m.base.validate())
+    _require_valid("M", cd.m.validate())
+    _require_valid("N", cd.n.validate())
     report = verify_cauchy_data(cd)
     naturality = cauchy_naturality_failures(cd) if args.naturality else []
     ok = report.ok and not naturality

@@ -16,7 +16,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .zlinalg import (
     FPAbGroup,
@@ -616,23 +616,6 @@ def chain_map_basis(source: Complex, target: Complex, degree: int = 0) -> List[P
     return [hs.from_vector(degree, k.col(j)) for j in range(k.cols)]
 
 
-def proto_map_matrix(
-    hs_from: HomSpace,
-    n_from: int,
-    hs_to: HomSpace,
-    n_to: int,
-    fn: Callable[[Proto], Proto],
-) -> IntMatrix:
-    """Matrix, in flat hom coordinates, of a linear map between proto groups."""
-    cols = []
-    for e in hs_from.basis(n_from):
-        img = fn(e)
-        cols.append(hs_to.to_vector(img))
-    rows = hs_to.dim(n_to)
-    return IntMatrix(rows, len(cols),
-                     (cols[j][i] for i in range(rows) for j in range(len(cols))))
-
-
 # -- adjunction transposes -------------------------------------------------
 
 
@@ -792,42 +775,39 @@ def canonical_presentation(a: Complex, probes: Optional[List[Tuple[str, Complex]
         probes = default_probe_family(a)
     names = [name for name, _ in probes]
     coeq_ok = fork
+    # a coequalizer of (beta, gamma) is a cokernel of beta - gamma
+    fork_difference = beta - gamma
     for _, t in probes:
-        if not _verify_coequalizer(alpha, beta, gamma, a, lu, lulu, t):
+        if not factors_uniquely(fork_difference, alpha, t):
             coeq_ok = False
             break
     return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma, fork, coeq_ok, names)
 
 
-def _verify_coequalizer(alpha, beta, gamma, a, lu, lulu, t: Complex) -> bool:
-    """Every chain map LU A -> T equalizing (beta, gamma) factors uniquely
-    through alpha."""
-    basis = chain_map_basis(lu, t, 0)
+def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
+    """Every chain map g: B -> T with g o k = 0 factors uniquely through
+    w: B -> C, i.e. w is a cokernel of k: K -> B as seen from T."""
+    basis = chain_map_basis(w.source, t, 0)
     if not basis:
         return True
-    hs_lulu_t = HomSpace(lulu, t)
-    cols = [hs_lulu_t.to_vector(compose(h, beta) - compose(h, gamma)) for h in basis]
-    rows = hs_lulu_t.dim(0)
-    m = IntMatrix(rows, len(cols), (cols[j][i] for i in range(rows) for j in range(len(cols))))
-    fork_coeffs = kernel_basis(m)
+    hs_kt = HomSpace(k.source, t)
+    killers = kernel_basis(IntMatrix.from_cols(
+        [hs_kt.to_vector(compose(g, k)) for g in basis], hs_kt.dim(0)))
 
-    factor_basis = chain_map_basis(a, t, 0)
-    hs_lu_t = HomSpace(lu, t)
-    fcols = [hs_lu_t.to_vector(compose(h, alpha)) for h in factor_basis]
-    frows = hs_lu_t.dim(0)
-    fm = IntMatrix(frows, len(fcols), (fcols[j][i] for i in range(frows) for j in range(len(fcols))))
+    factor_basis = chain_map_basis(w.target, t, 0)
+    hs_bt = HomSpace(w.source, t)
+    fm = IntMatrix.from_cols([hs_bt.to_vector(compose(h, w)) for h in factor_basis],
+                             hs_bt.dim(0))
 
-    # uniqueness: nothing composes with alpha to zero
-    if fcols and kernel_basis(fm).cols:
+    # uniqueness: nothing composes with w to zero
+    if factor_basis and kernel_basis(fm).cols:
         return False
 
-    for jj in range(fork_coeffs.cols):
-        coeffs = fork_coeffs.col(jj)
-        vec = [0] * hs_lu_t.dim(0)
-        for c, h in zip(coeffs, basis):
+    for jj in range(killers.cols):
+        vec = [0] * hs_bt.dim(0)
+        for c, g in zip(killers.col(jj), basis):
             if c:
-                hv = hs_lu_t.to_vector(h)
-                vec = [x + c * y for x, y in zip(vec, hv)]
+                vec = [x + c * y for x, y in zip(vec, hs_bt.to_vector(g))]
         if solve_matrix(fm, IntMatrix.column(vec)) is None:
             return False
     return True

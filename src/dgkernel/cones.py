@@ -16,27 +16,23 @@ from .complexes import (
     ChainMap,
     Complex,
     GradedObject,
-    HomSpace,
     NotAChainMap,
     Proto,
-    chain_map_basis,
     compose,
     d_hom,
     direct_sum_complexes,
+    factors_uniquely,
     forget_U,
     functor_L,
     identity_map,
     suspension,
-    suspension_map,
     unit_complex,
 )
 from .zlinalg import (
     IntMatrix,
     block_matrix,
     inverse_unimodular,
-    kernel_basis,
     smith_normal_form,
-    solve_matrix,
 )
 
 
@@ -353,23 +349,11 @@ def idempotent_of(f: ChainMap, t: Proto) -> Proto:
     if not is_protosplitting(f, t):
         raise NotProtosplit("f o t o f != f")
     e = identity_map(f.target) - compose(f, t)
-    assert compose(e, e) == e
-    assert compose(e, f).is_zero()
+    if compose(e, e) != e:
+        raise AssertionError("e o e != e")
+    if not compose(e, f).is_zero():
+        raise AssertionError("e o f != 0")
     return e
-
-
-@dataclass
-class Protosplitting:
-    f: ChainMap
-    t: Proto
-
-    def __post_init__(self):
-        if not is_protosplitting(self.f, self.t):
-            raise NotProtosplit("f o t o f != f")
-
-    @property
-    def idempotent(self) -> Proto:
-        return identity_map(self.f.target) - compose(self.f, self.t)
 
 
 def _split_idempotent_matrix(e: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
@@ -390,14 +374,11 @@ def _split_idempotent_matrix(e: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     return section, retraction
 
 
-def split_idempotent(e: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
-    """Split a chain idempotent: returns (P, r: A -> P, s: P -> A) with
-    s r = e and r s = 1_P."""
+def _split_degreewise(e: Proto) -> Tuple[Complex, Dict[int, IntMatrix], Dict[int, IntMatrix]]:
+    """Split the degree-0 idempotent e of A degree by degree: the complex
+    P on the images, with the retraction A -> P and section P -> A
+    components (the differential of P is r d s)."""
     a = e.source
-    if e.target != a or e.degree != 0:
-        raise NotIdempotent("expected a degree-0 endomorphism")
-    if compose(e, e) != e:
-        raise NotIdempotent("e o e != e")
     sections, retractions, ranks = {}, {}, {}
     for n in a.degrees():
         if a.rank(n) == 0:
@@ -411,9 +392,23 @@ def split_idempotent(e: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
         if ranks.get(n) and ranks.get(n - 1):
             diffs[n] = retractions[n - 1] @ a.diff(n) @ sections[n]
     p = Complex(GradedObject(ranks), diffs)
-    r = ChainMap(a, p, 0, {n: m for n, m in retractions.items() if m.rows})
-    s = ChainMap(p, a, 0, {n: m for n, m in sections.items() if m.cols})
-    assert compose(s, r) == e and compose(r, s) == identity_map(p)
+    return (p, {n: m for n, m in retractions.items() if m.rows},
+            {n: m for n, m in sections.items() if m.cols})
+
+
+def split_idempotent(e: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
+    """Split a chain idempotent: returns (P, r: A -> P, s: P -> A) with
+    s r = e and r s = 1_P."""
+    a = e.source
+    if e.target != a or e.degree != 0:
+        raise NotIdempotent("expected a degree-0 endomorphism")
+    if compose(e, e) != e:
+        raise NotIdempotent("e o e != e")
+    p, r_comps, s_comps = _split_degreewise(e)
+    r = ChainMap(a, p, 0, r_comps)
+    s = ChainMap(p, a, 0, s_comps)
+    if compose(s, r) != e or compose(r, s) != identity_map(p):
+        raise AssertionError("idempotent splitting fails s r = e, r s = 1")
     return p, r, s
 
 
@@ -438,65 +433,25 @@ def cokernel_protosplit(f: ChainMap, t: Proto,
         raise NotProtosplit("f o t o f != f")
     a, b = f.source, f.target
     e = identity_map(b) - compose(f, t)
+    c, w_comps, s_comps = _split_degreewise(e)
+    w = ChainMap(b, c, 0, w_comps)
+    s = Proto(c, b, 0, s_comps)
 
-    sections, retractions, ranks = {}, {}, {}
-    for n in b.degrees():
-        if b.rank(n) == 0:
-            ranks[n] = 0
-            continue
-        sec, ret = _split_idempotent_matrix(e.comp(n))
-        sections[n], retractions[n] = sec, ret
-        ranks[n] = sec.cols
-    diffs = {}
-    for n in b.degrees():
-        if ranks.get(n) and ranks.get(n - 1):
-            diffs[n] = retractions[n - 1] @ b.diff(n) @ sections[n]
-    c = Complex(GradedObject(ranks), diffs)
-    w = ChainMap(b, c, 0, {n: m for n, m in retractions.items() if m.rows})
-    s = Proto(c, b, 0, {n: m for n, m in sections.items() if m.cols})
-
-    assert compose(w, f).is_zero()
-    assert compose(w, s) == identity_map(c)
-    assert compose(s, w) == e
+    if not compose(w, f).is_zero():
+        raise AssertionError("w o f != 0")
+    if compose(w, s) != identity_map(c):
+        raise AssertionError("w o s != 1")
+    if compose(s, w) != e:
+        raise AssertionError("s o w != e")
 
     if verify_universal:
         if probes is None:
             probes = [a, b, suspension(b, 1), suspension(b, -1),
                       unit_complex(), functor_L(unit_complex())]
         for target in probes:
-            _verify_cokernel_universal(f, w, target)
+            if not factors_uniquely(f, w, target):
+                raise AssertionError("a map killing f does not factor uniquely through w")
     return ProtosplitCokernel(c, w, s, e)
-
-
-def _verify_cokernel_universal(f: ChainMap, w: ChainMap, target: Complex):
-    """Chain maps g: B -> T with g f = 0 factor uniquely through w."""
-    b = f.target
-    c = w.target
-    basis = chain_map_basis(b, target, 0)
-    if not basis:
-        return
-    hs_at = HomSpace(f.source, target)
-    cols = [hs_at.to_vector(compose(g, f)) for g in basis]
-    rows = hs_at.dim(0)
-    m = IntMatrix(rows, len(cols), (cols[j][i] for i in range(rows) for j in range(len(cols))))
-    killers = kernel_basis(m)
-
-    factor_basis = chain_map_basis(c, target, 0)
-    hs_bt = HomSpace(b, target)
-    fcols = [hs_bt.to_vector(compose(h, w)) for h in factor_basis]
-    frows = hs_bt.dim(0)
-    fm = IntMatrix(frows, len(fcols), (fcols[j][i] for i in range(frows) for j in range(len(fcols))))
-    if fcols and kernel_basis(fm).cols:
-        raise AssertionError("factorization through the cokernel is not unique")
-    for jj in range(killers.cols):
-        coeffs = killers.col(jj)
-        vec = [0] * hs_bt.dim(0)
-        for cc, g in zip(coeffs, basis):
-            if cc:
-                gv = hs_bt.to_vector(g)
-                vec = [x + cc * y for x, y in zip(vec, gv)]
-        if solve_matrix(fm, IntMatrix.column(vec)) is None:
-            raise AssertionError("a map killing f does not factor through w")
 
 
 def coequalizer_protosplit_pair(u: ChainMap, v: ChainMap, t: Proto,
@@ -569,8 +524,8 @@ def mc1_iso_LU(a: Complex) -> Mc1LUIso:
         ])
     iso = ChainMap(cone, lua, 0, iso_comps)
     inverse = ChainMap(lua, cone, 0, inv_comps)
-    assert compose(inverse, iso) == identity_map(cone)
-    assert compose(iso, inverse) == identity_map(lua)
+    if compose(inverse, iso) != identity_map(cone) or compose(iso, inverse) != identity_map(lua):
+        raise AssertionError("Mc 1 = LU comparison is not invertible")
     return Mc1LUIso(iso, inverse)
 
 
@@ -646,6 +601,7 @@ def cone_as_cokernel(f: ChainMap) -> ConeAsCokernel:
     comparison_inv_proto = compose(result.w, cyl.j_prime)
     comparison_inv = ChainMap(conef.cone, result.quotient, 0,
                               comparison_inv_proto.comps(), _trusted=True)
-    assert compose(comparison, comparison_inv) == identity_map(conef.cone)
-    assert compose(comparison_inv, comparison) == identity_map(result.quotient)
+    if compose(comparison, comparison_inv) != identity_map(conef.cone) or \
+       compose(comparison_inv, comparison) != identity_map(result.quotient):
+        raise AssertionError("cokernel-to-cone comparison is not invertible")
     return ConeAsCokernel(result.quotient, result.w, comparison, comparison_inv)

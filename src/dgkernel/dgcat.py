@@ -3,29 +3,36 @@ them, coend tensor products, weighted colimits, and Cauchy-data
 verification.
 
 Composition and module actions are stored as degree-0 chain maps out of
-tensor complexes, so every axiom is a matrix identity; the elementwise
-right action carries the crossing sign, y . f = (-1)^{|y||f|} act(y (x) f),
-which makes representable modules literal composition tables and
-reproduces z . (g o f) = (-1)^{nm} (z . g) . f.
+tensor complexes, so every axiom is a matrix identity.  One class,
+`DGModule`, serves both sides; its `side` says where the hom factor sits:
+
+* a right module M has actions M V (x) hom(U,V) -> M U (weights, and the
+  M of Cauchy data);
+* a left module N has actions hom(U,V) (x) N U -> N V (diagrams, and the
+  N of Cauchy data).
+
+The elementwise right action carries the crossing sign,
+y . f = (-1)^{|y||f|} act(y (x) f), which makes representable modules
+literal composition tables and reproduces z . (g o f) = (-1)^{nm} (z . g) . f;
+on the left nothing crosses, so f . x = act(f (x) x).  Suspension follows
+the same rule: only on the left does the shift pass the hom factor and
+pick up (-1)^{k|f|}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
     Complex,
     GradedGroups,
-    GradedObject,
     HomSpace,
     Proto,
-    chain_map_basis,
     compose,
     d_hom,
     direct_sum_complexes,
-    hom_complex,
     identity_map,
     suspension,
     unit_complex,
@@ -43,6 +50,18 @@ from .zlinalg import (
 
 class CauchyDataInvalid(ValueError):
     pass
+
+
+class TorsionInPresentation(ValueError):
+    """A presented complex with torsion has no free model; `torsion` maps
+    each degree with torsion to its group."""
+
+    def __init__(self, torsion: Mapping[int, FPAbGroup]):
+        self.torsion = dict(torsion)
+        super().__init__(f"presentation has torsion ({self.describe()}); no free model")
+
+    def describe(self) -> str:
+        return "; ".join(f"degree {n}: {g.describe()}" for n, g in sorted(self.torsion.items()))
 
 
 @dataclass(frozen=True)
@@ -131,9 +150,6 @@ class FiniteDGCategory:
         if table is None:
             return Elt(target, n, (0,) * target.rank(n))
         return Elt(target, n, table.comp(n).apply(pair))
-
-    def d_elt(self, x: Elt) -> Elt:
-        return x.boundary()
 
     def validate(self) -> List[str]:
         """Check d^2, chain-map composition (Leibniz), associativity, units."""
@@ -307,9 +323,7 @@ def dg_subcategory_of_complexes(named: Mapping[str, Complex]) -> FiniteDGCategor
                         u = hs_xy.from_vector(
                             t.right_degree, _unit_vec(hs_xy.dim(t.right_degree), t.right_index))
                         cols.append(hs_xz.to_vector(compose(v, u)))
-                    rows = hs_xz.dim(n)
-                    comps[n] = IntMatrix(rows, len(cols),
-                                         (cols[j][i] for i in range(rows) for j in range(len(cols))))
+                    comps[n] = IntMatrix.from_cols(cols, hs_xz.dim(n))
                 tables[(x, y, z)] = ChainMap(ts.complex, hs_xz.complex, 0, comps)
     ids = {x: Elt(homs[(x, x)], 0, spaces[(x, x)].to_vector(identity_map(named[x])))
            for x in names}
@@ -350,211 +364,166 @@ def ell_op_window_category(window: int) -> FiniteDGCategory:
 # -- modules -------------------------------------------------------------
 
 
+RIGHT, LEFT = "right", "left"
+
+
+def action_domain(side: str, hom: Complex, value: Complex) -> TensorSpace:
+    """The tensor complex an action reads: value (x) hom on the right
+    side, hom (x) value on the left."""
+    return TensorSpace(value, hom) if side == RIGHT else TensorSpace(hom, value)
+
+
 class DGModule:
-    """Right module: values with actions M V (x) hom(U,V) -> M U."""
+    """A module over a DG-category, acting from one side.
 
-    def __init__(self, base: FiniteDGCategory, values: Mapping, actions: Mapping):
+    side "right": actions M V (x) hom(U,V) -> M U;
+    side "left":  actions hom(U,V) (x) N U -> N V.
+    `act` and `dot` take their two elements in tensor order.
+    """
+
+    def __init__(self, base: FiniteDGCategory, values: Mapping, actions: Mapping,
+                 side: str = RIGHT):
+        if side not in (RIGHT, LEFT):
+            raise ValueError(f"module side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
         self.base = base
         self.values = dict(values)
         self.actions = dict(actions)
+        self.side = side
         self._ts: Dict[Tuple, TensorSpace] = {}
 
     def value(self, x) -> Complex:
         return self.values.get(x, Complex.zero())
 
+    def ends(self, u, v) -> Tuple:
+        """(object acted on, object acted into) by hom(U,V)."""
+        return (v, u) if self.side == RIGHT else (u, v)
+
     def action_space(self, u, v) -> TensorSpace:
         if (u, v) not in self._ts:
-            self._ts[(u, v)] = TensorSpace(self.value(v), self.base.hom(u, v))
+            src, _ = self.ends(u, v)
+            self._ts[(u, v)] = action_domain(self.side, self.base.hom(u, v), self.value(src))
         return self._ts[(u, v)]
 
-    def act(self, u, v, y: Elt, f: Elt) -> Elt:
-        """Tensor-level action (no sign)."""
+    def act(self, u, v, a: Elt, b: Elt) -> Elt:
+        """Tensor-level action on a (x) b (no sign)."""
         ts = self.action_space(u, v)
-        pair = ts.embed_pair(y.degree, y.vec, f.degree, f.vec)
-        n = y.degree + f.degree
-        target = self.value(u)
+        pair = ts.embed_pair(a.degree, a.vec, b.degree, b.vec)
+        n = a.degree + b.degree
+        target = self.value(self.ends(u, v)[1])
         table = self.actions.get((u, v))
         if table is None:
             return Elt(target, n, (0,) * target.rank(n))
         return Elt(target, n, table.comp(n).apply(pair))
 
-    def dot(self, u, v, y: Elt, f: Elt) -> Elt:
-        """Elementwise action y . f = (-1)^{|y||f|} act(y (x) f)."""
-        sign = -1 if (y.degree * f.degree) % 2 else 1
-        return sign * self.act(u, v, y, f)
+    def act_by(self, u, v, f: Elt, x: Elt) -> Elt:
+        """f in hom(U,V) acting on x from the module's side (no sign)."""
+        return self.act(u, v, x, f) if self.side == RIGHT else self.act(u, v, f, x)
 
-    def validate(self) -> List[str]:
-        failures = []
-        for v in self.base.objects:
-            mv = self.value(v)
-            if mv.is_zero():
-                continue
-            for y in all_basis_elts(mv):
-                if self.act(v, v, y, self.base.identity(v)) != y:
-                    failures.append(f"unit law fails on value({v})")
-                    break
-        for w in self.base.objects:
-            for v in self.base.objects:
-                for u in self.base.objects:
-                    if self.value(w).is_zero() or self.base.hom(v, w).is_zero() \
-                       or self.base.hom(u, v).is_zero():
-                        continue
-                    for z in all_basis_elts(self.value(w)):
-                        for g in all_basis_elts(self.base.hom(v, w)):
-                            zg = self.act(v, w, z, g)
-                            for f in all_basis_elts(self.base.hom(u, v)):
-                                gf = self.base.compose_elts(u, v, w, g, f)
-                                if self.act(u, w, z, gf) != self.act(u, v, zg, f):
-                                    failures.append(
-                                        f"action associativity fails at ({u},{v},{w})")
-        return failures
-
-
-class DGModuleLeft:
-    """Left module: values with actions hom(U,V) (x) N U -> N V."""
-
-    def __init__(self, base: FiniteDGCategory, values: Mapping, actions: Mapping):
-        self.base = base
-        self.values = dict(values)
-        self.actions = dict(actions)
-        self._ts: Dict[Tuple, TensorSpace] = {}
-
-    def value(self, x) -> Complex:
-        return self.values.get(x, Complex.zero())
-
-    def action_space(self, u, v) -> TensorSpace:
-        if (u, v) not in self._ts:
-            self._ts[(u, v)] = TensorSpace(self.base.hom(u, v), self.value(u))
-        return self._ts[(u, v)]
-
-    def act(self, u, v, f: Elt, x: Elt) -> Elt:
-        ts = self.action_space(u, v)
-        pair = ts.embed_pair(f.degree, f.vec, x.degree, x.vec)
-        n = f.degree + x.degree
-        target = self.value(v)
-        table = self.actions.get((u, v))
-        if table is None:
-            return Elt(target, n, (0,) * target.rank(n))
-        return Elt(target, n, table.comp(n).apply(pair))
-
-    def dot(self, u, v, f: Elt, x: Elt) -> Elt:
-        """f . x; no crossing, hence no sign."""
-        return self.act(u, v, f, x)
+    def dot(self, u, v, a: Elt, b: Elt) -> Elt:
+        """Elementwise action: y . f = (-1)^{|y||f|} act(y (x) f) on the
+        right, where the element crosses the hom factor; f . x = act(f (x) x)
+        on the left."""
+        if self.side == RIGHT and (a.degree * b.degree) % 2:
+            return -1 * self.act(u, v, a, b)
+        return self.act(u, v, a, b)
 
     def action_proto(self, u, v, f: Elt) -> Proto:
-        """The proto N U -> N V given by f . (-), for fixed f."""
-        nu, nv = self.value(u), self.value(v)
+        """For fixed f in hom(U,V), the proto of degree |f| given by the
+        elementwise action of f: N U -> N V on the left, M V -> M U on
+        the right."""
+        src_obj, tgt_obj = self.ends(u, v)
+        src, tgt = self.value(src_obj), self.value(tgt_obj)
         comps = {}
-        for r in nu.degrees():
-            if nu.rank(r) == 0 or nv.rank(r + f.degree) == 0:
+        for r in src.degrees():
+            if src.rank(r) == 0 or tgt.rank(r + f.degree) == 0:
                 continue
-            cols = [self.act(u, v, f, x).vec for x in basis_elts(nu, r)]
-            comps[r] = IntMatrix(nv.rank(r + f.degree), len(cols),
-                                 (cols[j][i] for i in range(nv.rank(r + f.degree))
-                                  for j in range(len(cols))))
-        return Proto(nu, nv, f.degree, comps)
+            if self.side == RIGHT:
+                cols = [self.dot(u, v, x, f).vec for x in basis_elts(src, r)]
+            else:
+                cols = [self.dot(u, v, f, x).vec for x in basis_elts(src, r)]
+            comps[r] = IntMatrix.from_cols(cols, tgt.rank(r + f.degree))
+        return Proto(src, tgt, f.degree, comps)
 
     def validate(self) -> List[str]:
+        """Unit law and associativity of the action on basis elements."""
         failures = []
-        for u in self.base.objects:
-            nu = self.value(u)
-            if nu.is_zero():
+        base = self.base
+        for x_obj in base.objects:
+            mx = self.value(x_obj)
+            if mx.is_zero():
                 continue
-            for x in all_basis_elts(nu):
-                if self.act(u, u, self.base.identity(u), x) != x:
-                    failures.append(f"unit law fails on value({u})")
+            for x in all_basis_elts(mx):
+                if self.act_by(x_obj, x_obj, base.identity(x_obj), x) != x:
+                    failures.append(f"unit law fails on value({x_obj})")
                     break
-        for u in self.base.objects:
-            for v in self.base.objects:
-                for w in self.base.objects:
-                    if self.value(u).is_zero() or self.base.hom(u, v).is_zero() \
-                       or self.base.hom(v, w).is_zero():
+        for u in base.objects:
+            for v in base.objects:
+                for w in base.objects:
+                    src, _ = self.ends(u, w)
+                    if self.value(src).is_zero() or base.hom(u, v).is_zero() \
+                       or base.hom(v, w).is_zero():
                         continue
-                    for g in all_basis_elts(self.base.hom(v, w)):
-                        for f in all_basis_elts(self.base.hom(u, v)):
-                            gf = self.base.compose_elts(u, v, w, g, f)
-                            for x in all_basis_elts(self.value(u)):
-                                if self.act(u, w, gf, x) != \
-                                   self.act(v, w, g, self.act(u, v, f, x)):
+                    for g in all_basis_elts(base.hom(v, w)):
+                        for f in all_basis_elts(base.hom(u, v)):
+                            gf = base.compose_elts(u, v, w, g, f)
+                            for x in all_basis_elts(self.value(src)):
+                                if self.side == RIGHT:     # x.(g o f) = (x.g).f
+                                    twice = self.act_by(u, v, f, self.act_by(v, w, g, x))
+                                else:                      # (g o f).x = g.(f.x)
+                                    twice = self.act_by(v, w, g, self.act_by(u, v, f, x))
+                                if self.act_by(u, w, gf, x) != twice:
                                     failures.append(
-                                        f"left associativity fails at ({u},{v},{w})")
+                                        f"{self.side} action associativity fails "
+                                        f"at ({u},{v},{w})")
         return failures
 
 
-def representable_right(cat: FiniteDGCategory, k) -> DGModule:
-    """hom(-, k) with action the composition tables."""
-    values = {x: cat.hom(x, k) for x in cat.objects}
+def representable(cat: FiniteDGCategory, k, side: str) -> DGModule:
+    """hom(-, k) on the right, hom(k, -) on the left, with action the
+    composition tables."""
+    right = side == RIGHT
+    values = {x: cat.hom(x, k) if right else cat.hom(k, x) for x in cat.objects}
     actions = {}
     for u in cat.objects:
         for v in cat.objects:
-            table = cat.compose_table.get((u, v, k))
+            table = cat.compose_table.get((u, v, k) if right else (k, u, v))
             if table is not None:
                 actions[(u, v)] = table
-    return DGModule(cat, values, actions)
+    return DGModule(cat, values, actions, side)
 
 
-def representable_left(cat: FiniteDGCategory, k) -> DGModuleLeft:
-    """hom(k, -) with action the composition tables."""
-    values = {x: cat.hom(k, x) for x in cat.objects}
-    actions = {}
-    for u in cat.objects:
-        for v in cat.objects:
-            table = cat.compose_table.get((k, u, v))
-            if table is not None:
-                actions[(u, v)] = table
-    return DGModuleLeft(cat, values, actions)
-
-
-def suspend_right_module(m: DGModule, k: int) -> DGModule:
-    """Shift every value by k; actions are reindexed (no signs, matching
-    the identity-shaped S(A (x) B) = SA (x) B identification)."""
+def suspend_module(m: DGModule, k: int) -> DGModule:
+    """Shift every value by k and reindex the actions.  On the right no
+    sign appears (the identity-shaped S(A (x) B) = SA (x) B); on the left
+    the shift crosses the hom factor and picks up (-1)^{k |f|}."""
     values = {x: suspension(m.value(x), k) for x in m.values}
     actions = {}
     for (u, v), table in m.actions.items():
+        src, tgt = m.ends(u, v)
         ts_old = m.action_space(u, v)
-        ts_new = TensorSpace(values[v], m.base.hom(u, v))
+        ts_new = action_domain(m.side, m.base.hom(u, v), values[src])
         comps = {}
         for n in ts_new.complex.degrees():
+            old_n = n - k
             cols = []
             for t in ts_new.basis(n):
-                old_n = n - k
-                old_col = ts_old.slot_at(old_n, t.left_degree - k, t.left_index, t.right_index)
-                col = table.comp(old_n).col(old_col)
-                cols.append(col)
-            rows = values[u].rank(n)
-            comps[n] = IntMatrix(rows, len(cols),
-                                 (cols[j][i] for i in range(rows) for j in range(len(cols))))
-        actions[(u, v)] = ChainMap(ts_new.complex, values[u], 0, comps)
-    return DGModule(m.base, values, actions)
+                # p: left degree of the same basis element before the shift
+                if m.side == RIGHT:
+                    p, sign = t.left_degree - k, 1
+                else:
+                    p, sign = t.left_degree, -1 if (k * t.left_degree) % 2 else 1
+                col = table.comp(old_n).col(ts_old.slot_at(old_n, p, t.left_index, t.right_index))
+                cols.append(col if sign == 1 else tuple(-x for x in col))
+            comps[n] = IntMatrix.from_cols(cols, values[tgt].rank(n))
+        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    return DGModule(m.base, values, actions, m.side)
 
 
-def suspend_left_module(n_mod: DGModuleLeft, k: int) -> DGModuleLeft:
-    """Shift every value by k; the hom factor sits on the left, so the
-    reindexing crosses it and picks up the sign (-1)^{k |f|}."""
-    values = {x: suspension(n_mod.value(x), k) for x in n_mod.values}
-    actions = {}
-    for (u, v), table in n_mod.actions.items():
-        ts_old = n_mod.action_space(u, v)
-        ts_new = TensorSpace(n_mod.base.hom(u, v), values[u])
-        comps = {}
-        for n in ts_new.complex.degrees():
-            cols = []
-            for t in ts_new.basis(n):
-                old_n = n - k
-                sign = -1 if (k * t.left_degree) % 2 else 1
-                old_col = ts_old.slot_at(old_n, t.left_degree, t.left_index, t.right_index)
-                col = tuple(sign * x for x in table.comp(old_n).col(old_col))
-                cols.append(col)
-            rows = values[v].rank(n)
-            comps[n] = IntMatrix(rows, len(cols),
-                                 (cols[j][i] for i in range(rows) for j in range(len(cols))))
-        actions[(u, v)] = ChainMap(ts_new.complex, values[v], 0, comps)
-    return DGModuleLeft(n_mod.base, values, actions)
-
-
-def direct_sum_right_modules(m1: DGModule, m2: DGModule) -> DGModule:
-    """Blockwise direct sum of right modules over the same base."""
-    base = m1.base
+def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
+    """Blockwise direct sum of modules on the same side over the same base."""
+    if m1.side != m2.side:
+        raise ValueError("direct sum of a right and a left module")
+    base, side = m1.base, m1.side
     values = {}
     for x in base.objects:
         total, _, _ = direct_sum_complexes([m1.value(x), m2.value(x)])
@@ -562,71 +531,36 @@ def direct_sum_right_modules(m1: DGModule, m2: DGModule) -> DGModule:
     actions = {}
     for u in base.objects:
         for v in base.objects:
-            if base.hom(u, v).is_zero() or values[v].is_zero():
+            hom = base.hom(u, v)
+            src, tgt = m1.ends(u, v)
+            if hom.is_zero() or values[src].is_zero():
                 continue
-            ts_new = TensorSpace(values[v], base.hom(u, v))
+            ts_new = action_domain(side, hom, values[src])
             comps = {}
             for n in ts_new.complex.degrees():
-                rows = values[u].rank(n)
+                rows = values[tgt].rank(n)
                 cols = ts_new.dim(n)
                 out = [[0] * cols for _ in range(rows)]
                 for c, t in enumerate(ts_new.basis(n)):
-                    p = t.left_degree
-                    r1 = m1.value(v).rank(p)
-                    if t.left_index < r1:
-                        part, idx, off_fn = m1, t.left_index, lambda deg: 0
-                    else:
-                        part, idx = m2, t.left_index - r1
-                        off_fn = lambda deg: m1.value(u).rank(deg)
-                    y = Elt(part.value(v), p, _unit_vec(part.value(v).rank(p), idx))
-                    f = Elt(base.hom(u, v), t.right_degree,
-                            _unit_vec(base.hom(u, v).rank(t.right_degree), t.right_index))
-                    img = part.act(u, v, y, f)
-                    off = off_fn(img.degree)
-                    for i, x in enumerate(img.vec):
-                        if x:
-                            out[off + i][c] = x
-                comps[n] = IntMatrix.from_rows(out, cols)
-            actions[(u, v)] = ChainMap(ts_new.complex, values[u], 0, comps)
-    return DGModule(base, values, actions)
-
-
-def direct_sum_left_modules(n1: DGModuleLeft, n2: DGModuleLeft) -> DGModuleLeft:
-    """Blockwise direct sum of left modules over the same base."""
-    base = n1.base
-    values = {}
-    for x in base.objects:
-        total, _, _ = direct_sum_complexes([n1.value(x), n2.value(x)])
-        values[x] = total
-    actions = {}
-    for u in base.objects:
-        for v in base.objects:
-            if base.hom(u, v).is_zero() or values[u].is_zero():
-                continue
-            ts_new = TensorSpace(base.hom(u, v), values[u])
-            comps = {}
-            for n in ts_new.complex.degrees():
-                rows = values[v].rank(n)
-                cols = ts_new.dim(n)
-                out = [[0] * cols for _ in range(rows)]
-                for c, t in enumerate(ts_new.basis(n)):
-                    q = t.right_degree
-                    r1 = n1.value(u).rank(q)
-                    if t.right_index < r1:
-                        part, idx = n1, t.right_index
-                    else:
-                        part, idx = n2, t.right_index - r1
-                    f = Elt(base.hom(u, v), t.left_degree,
-                            _unit_vec(base.hom(u, v).rank(t.left_degree), t.left_index))
-                    x = Elt(part.value(u), q, _unit_vec(part.value(u).rank(q), idx))
-                    img = part.act(u, v, f, x)
-                    off = 0 if part is n1 else n1.value(v).rank(img.degree)
+                    if side == RIGHT:    # basis of M V (x) hom(U,V)
+                        deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
+                                                  t.right_degree, t.right_index)
+                    else:                # basis of hom(U,V) (x) N U
+                        f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
+                                                  t.right_degree, t.right_index)
+                    r1 = m1.value(src).rank(deg)
+                    first = idx < r1
+                    part, idx = (m1, idx) if first else (m2, idx - r1)
+                    x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
+                    f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
+                    img = part.act_by(u, v, f, x)
+                    off = 0 if first else m1.value(tgt).rank(img.degree)
                     for i, val in enumerate(img.vec):
                         if val:
                             out[off + i][c] = val
                 comps[n] = IntMatrix.from_rows(out, cols)
-            actions[(u, v)] = ChainMap(ts_new.complex, values[v], 0, comps)
-    return DGModuleLeft(base, values, actions)
+            actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    return DGModule(base, values, actions, side)
 
 
 @dataclass
@@ -684,12 +618,6 @@ class ModuleTransform:
             comps[x] = compose(self.component(x), other.component(x))
         return ModuleTransform(other.source, self.target,
                                self.degree + other.degree, comps)
-
-    def is_identity(self) -> bool:
-        for x in self.source.base.objects:
-            if self.component(x) != identity_map(self.source.value(x)):
-                return False
-        return True
 
 
 # -- coends -------------------------------------------------------------
@@ -760,21 +688,25 @@ class PresentedComplex:
                         return False
         return True
 
-    def is_degreewise_free(self) -> bool:
-        return all(g.is_free() for g in self.groups.values())
-
     def free_model(self) -> Complex:
         """A free complex carried by the canonical generators; only valid
         when the presentation is degreewise torsion-free."""
-        if not self.is_degreewise_free():
-            raise ValueError("presentation has torsion; no free model")
+        torsion = {n: g for n, g in self.groups.items() if not g.is_free()}
+        if torsion:
+            raise TorsionInPresentation(torsion)
         ranks = {n: g.free_rank for n, g in self.groups.items()}
         diffs = {n: m for n, m in self.diffs.items()}
         return Complex.from_ranks(ranks, diffs)
 
 
-def coend_tensor(m: DGModule, n_mod: DGModuleLeft) -> "CoendResult":
+def _require_dual_sides(m: DGModule, n_mod: DGModule):
+    if m.side != RIGHT or n_mod.side != LEFT:
+        raise ValueError(f"expected a right and a left module, got {m.side} and {n_mod.side}")
+
+
+def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
     """M (x)_C N: quotient of the sum of M U (x) N U by the two actions."""
+    _require_dual_sides(m, n_mod)
     base = m.base
     objs = [x for x in base.objects if not (m.value(x).is_zero() or n_mod.value(x).is_zero())]
     summands = [tensor(m.value(x), n_mod.value(x)) for x in objs]
@@ -825,7 +757,7 @@ def coend_tensor(m: DGModule, n_mod: DGModuleLeft) -> "CoendResult":
 
 class CoendResult:
     def __init__(self, presented: PresentedComplex, m: DGModule,
-                 n_mod: DGModuleLeft, injections):
+                 n_mod: DGModule, injections):
         self.presented = presented
         self.m = m
         self.n = n_mod
@@ -858,10 +790,10 @@ class WeightedColimit:
     """colim(M, F) = M (x)_C F with the universal cocone.
 
     The colimit complex is the free model of the coend presentation
-    (raises if torsion appears; every shipped fixture is torsion-free).
+    (raises TorsionInPresentation if torsion appears).
     """
 
-    def __init__(self, m: DGModule, f: DGModuleLeft):
+    def __init__(self, m: DGModule, f: DGModule):
         self.m = m
         self.f = f
         self.coend = coend_tensor(m, f)
@@ -877,13 +809,10 @@ class WeightedColimit:
                 continue
             n = r + y.degree
             cols = [self.coend.class_of(u, y, x) for x in basis_elts(fu, r)]
-            rows = self.colimit.rank(n)
-            comps[r] = IntMatrix(rows, len(cols),
-                                 (cols[j][i] for i in range(rows) for j in range(len(cols))))
+            comps[r] = IntMatrix.from_cols(cols, self.colimit.rank(n))
         return Proto(fu, self.colimit, y.degree, comps)
 
-    def defining_iso_verified(self, probes: Sequence[Complex],
-                              max_checks: int = 10 ** 6) -> bool:
+    def defining_iso_verified(self, probes: Sequence[Complex]) -> bool:
         for t in probes:
             if not _verify_weighted_colimit_iso(self, t):
                 return False
@@ -938,17 +867,14 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                     comp_cols.setdefault(y.degree, []).append(hs_out.to_vector(img))
                 comps = {}
                 for tdeg, cc in comp_cols.items():
-                    rows = hs_out.dim(tdeg + n)
-                    comps[tdeg] = IntMatrix(rows, len(cc),
-                                            (cc[j][i] for i in range(rows) for j in range(len(cc))))
+                    comps[tdeg] = IntMatrix.from_cols(cc, hs_out.dim(tdeg + n))
                 theta_u = Proto(mu, hs_out.complex, n, comps)
                 tv = hs_theta.to_vector(theta_u)
                 off = offs[u]
                 for i, x in enumerate(tv):
                     vec[off + i] = x
             cols.append(tuple(vec))
-        return IntMatrix(total if cols else 0, len(cols),
-                         (cols[j][i] for i in range(total) for j in range(len(cols)))), offs, total
+        return IntMatrix.from_cols(cols, total if cols else 0), offs, total
 
     def naturality_matrix(n):
         """Rows: protonaturality constraints on the stacked theta vector."""
@@ -1032,7 +958,7 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
     return True
 
 
-def weighted_colimit(m: DGModule, f: DGModuleLeft) -> WeightedColimit:
+def weighted_colimit(m: DGModule, f: DGModule) -> WeightedColimit:
     return WeightedColimit(m, f)
 
 
@@ -1056,7 +982,7 @@ def trivial_weight(cat: FiniteDGCategory) -> DGModule:
     return DGModule(cat, {star: k0}, {(star, star): act})
 
 
-def left_module_from_complex(cat: FiniteDGCategory, a: Complex) -> DGModuleLeft:
+def module_from_complex(cat: FiniteDGCategory, a: Complex, side: str) -> DGModule:
     """Over a one-object category with hom Z: a single complex."""
     if len(cat.objects) != 1:
         raise ValueError("needs a one-object category")
@@ -1064,30 +990,13 @@ def left_module_from_complex(cat: FiniteDGCategory, a: Complex) -> DGModuleLeft:
     hom = cat.hom(star, star)
     if hom != unit_complex():
         raise ValueError("hom must be Z in degree 0")
-    ts = TensorSpace(hom, a)
+    ts = action_domain(side, hom, a)
     comps = {}
     for n in ts.complex.degrees():
         if ts.dim(n) and a.rank(n):
             comps[n] = IntMatrix.identity(a.rank(n))
     act = ChainMap(ts.complex, a, 0, comps)
-    return DGModuleLeft(cat, {star: a}, {(star, star): act})
-
-
-def right_module_from_complex(cat: FiniteDGCategory, a: Complex) -> DGModule:
-    """Over a one-object category with hom Z: a single complex."""
-    if len(cat.objects) != 1:
-        raise ValueError("needs a one-object category")
-    star = cat.objects[0]
-    hom = cat.hom(star, star)
-    if hom != unit_complex():
-        raise ValueError("hom must be Z in degree 0")
-    ts = TensorSpace(a, hom)
-    comps = {}
-    for n in ts.complex.degrees():
-        if ts.dim(n) and a.rank(n):
-            comps[n] = IntMatrix.identity(a.rank(n))
-    act = ChainMap(ts.complex, a, 0, comps)
-    return DGModule(cat, {star: a}, {(star, star): act})
+    return DGModule(cat, {star: a}, {(star, star): act}, side)
 
 
 # -- Cauchy data ----------------------------------------------------------
@@ -1099,9 +1008,12 @@ class CauchyData:
     eps_{U,V}: N U (x) M V -> hom(V, U)."""
 
     m: DGModule
-    n: DGModuleLeft
+    n: DGModule
     eta: List[Tuple[object, Elt, Elt]]
     eps: Dict[Tuple, ChainMap]
+
+    def __post_init__(self):
+        _require_dual_sides(self.m, self.n)
 
     def eps_space(self, u, v) -> TensorSpace:
         return TensorSpace(self.n.value(u), self.m.value(v))
@@ -1221,8 +1133,8 @@ def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
 def representable_cauchy_data(cat: FiniteDGCategory, k) -> CauchyData:
     """The convergent-module witness: M = hom(-,k), N = hom(k,-),
     eta = 1_k (x) 1_k, eps = composition."""
-    m = representable_right(cat, k)
-    n_mod = representable_left(cat, k)
+    m = representable(cat, k, RIGHT)
+    n_mod = representable(cat, k, LEFT)
     one = cat.identity(k)
     eps = {}
     for u in cat.objects:
@@ -1260,11 +1172,11 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
         raise CauchyDataInvalid("snake identity fails")
 
     terms = [(e_obj, x.degree) for (e_obj, x, _) in cd.eta]
-    summands = [suspend_right_module(representable_right(base, e), mdeg)
+    summands = [suspend_module(representable(base, e, RIGHT), mdeg)
                 for (e, mdeg) in terms]
     total = summands[0]
     for s in summands[1:]:
-        total = direct_sum_right_modules(total, s)
+        total = direct_sum_modules(total, s)
 
     def offset(x_obj, degree, i):
         return sum(summands[j].value(x_obj).rank(degree) for j in range(i))
@@ -1285,9 +1197,7 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
                         for idx, val in enumerate(f.vec):
                             vec[off + idx] = val
                     cols.append(tuple(vec))
-                tau_c[r] = IntMatrix(tx.rank(r), len(cols),
-                                     (cols[j][i] for i in range(tx.rank(r))
-                                      for j in range(len(cols))))
+                tau_c[r] = IntMatrix.from_cols(cols, tx.rank(r))
         for r in tx.degrees():
             if tx.rank(r) and mx.rank(r):
                 cols = []
@@ -1299,9 +1209,7 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
                         # representable: the (-1)^{m|f|} twist cancels the
                         # currying sign, leaving the bare action.
                         cols.append(cd.m.act(x_obj, e_obj, x_i, f).vec)
-                xhat_c[r] = IntMatrix(mx.rank(r), len(cols),
-                                      (cols[j][i] for i in range(mx.rank(r))
-                                       for j in range(len(cols))))
+                xhat_c[r] = IntMatrix.from_cols(cols, mx.rank(r))
         tau_comps[x_obj] = Proto(mx, tx, 0, tau_c)
         xhat_comps[x_obj] = Proto(tx, mx, 0, xhat_c)
 
@@ -1423,9 +1331,7 @@ def module_presentation(m: DGModule,
                 for idx, f in enumerate(basis_elts(hom_xb, fdeg)):
                     cols.append(m.dot(x_obj, b_obj, g, f).vec)
                     labels.append((j, fdeg, idx))
-            gamma = IntMatrix(mx.rank(r), len(cols),
-                              (cols[j][i] for i in range(mx.rank(r))
-                               for j in range(len(cols))))
+            gamma = IntMatrix.from_cols(cols, mx.rank(r))
             cells.append(PresentationCell(
                 x_obj, r, gamma, labels, kernel_basis(gamma), cokernel(gamma).group))
     return ModulePresentation(generators, cells)
@@ -1434,7 +1340,7 @@ def module_presentation(m: DGModule,
 # -- solving for Cauchy counits ----------------------------------------------
 
 
-def solve_cauchy_counit(m: DGModule, n_mod: DGModuleLeft,
+def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
                         eta: List[Tuple[object, Elt, Elt]]) -> Optional[CauchyData]:
     """Solve the snake identity and both DG-naturality conditions for the
     counit eps, by exact integer linear algebra over its matrix entries.

@@ -10,19 +10,17 @@ this convention down bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from .complexes import (
     ChainMap,
     Complex,
-    HomSpace,
-    Proto,
     chain_map_basis,
     functor_L,
     suspension,
     unit_complex,
 )
-from .zlinalg import IntMatrix, ShapeMismatch, kernel_basis
+from .zlinalg import IntMatrix, ShapeMismatch
 
 
 class NotComposable(ValueError):

@@ -1,18 +1,15 @@
 """JSON serialization for every exchange format.
 
 All integers are written as decimal strings so consumers with 64-bit
-integer types never overflow.  Degree keys are decimal strings.  See
-README for the schemas.
+integer types never overflow.  Degree keys are decimal strings.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping
 
 from .complexes import ChainMap, Complex, Proto
-from .dgcat import CauchyData, DGModule, DGModuleLeft, Elt, FiniteDGCategory
-from .ell import EllModule
+from .dgcat import LEFT, RIGHT, CauchyData, DGModule, Elt, FiniteDGCategory, action_domain
 from .monoidal import TensorSpace
 from .totals import DoubleComplex
 from .zlinalg import IntMatrix
@@ -98,44 +95,6 @@ def proto_from_json(obj, chain_map: bool = False) -> Proto:
         return Proto(source, target, degree, comps)
     except Exception as exc:
         raise InputError(f"invalid protomorphism: {exc}")
-
-
-def ell_module_to_json(f: EllModule) -> dict:
-    degrees = sorted(f.values) if f.values else []
-    lo = degrees[0] if degrees else 0
-    hi = degrees[-1] if degrees else -1
-    return {
-        "lo": lo,
-        "hi": hi,
-        "ranks": [f.value_rank(n) for n in range(lo, hi + 1)],
-        "action": {str(m): matrix_to_json(mat) for m, mat in sorted(f.action.items())},
-    }
-
-
-def ell_module_from_json(obj) -> EllModule:
-    lo = _int(_require(obj, "lo"), "lo")
-    ranks_list = _require(obj, "ranks", list)
-    values = {lo + i: _int(r, "ranks") for i, r in enumerate(ranks_list)}
-    action = {_int(m, "action key"): matrix_from_json(mat)
-              for m, mat in obj.get("action", {}).items()}
-    try:
-        return EllModule(values, action)
-    except Exception as exc:
-        raise InputError(f"invalid module: {exc}")
-
-
-def cochain_view(obj: dict) -> dict:
-    """Re-index a serialized complex with superscripts: A^n = A_{-n}."""
-    lo, hi = _int(_require(obj, "lo"), "lo"), _int(_require(obj, "hi"), "hi")
-    ranks = _require(obj, "ranks", list)
-    out = {
-        "lo": -hi,
-        "hi": -lo,
-        "ranks": list(reversed(ranks)),
-        "codiffs": {str(-_int(k, "diffs key") + 1): v
-                    for k, v in obj.get("diffs", {}).items()},
-    }
-    return out
 
 
 def double_complex_to_json(a: DoubleComplex) -> dict:
@@ -224,7 +183,9 @@ def category_from_json(obj) -> FiniteDGCategory:
     return FiniteDGCategory(objects, homs, tables, identities)
 
 
-def right_module_to_json(m: DGModule) -> dict:
+def module_to_json(m: DGModule) -> dict:
+    """Values and action tables; the side is not stored, the reader is
+    told which side it reads."""
     return {
         "values": {str(x): complex_to_json(c) for x, c in sorted(
             m.values.items(), key=lambda kv: str(kv[0]))},
@@ -235,47 +196,38 @@ def right_module_to_json(m: DGModule) -> dict:
     }
 
 
+def _read_module(obj, cat: FiniteDGCategory, side: str) -> DGModule:
+    values = {str(x): complex_from_json(c)
+              for x, c in _require(obj, "values", dict).items()}
+    module = DGModule(cat, values, {}, side)
+    for key, comps in obj.get("actions", {}).items():
+        parts = key.split("->")
+        if len(parts) != 2:
+            raise InputError(f"actions key {key!r}: expected 'U->V'")
+        u, v = parts
+        src, tgt = module.ends(u, v)
+        space = action_domain(side, cat.hom(u, v), module.value(src)).complex
+        mats = {_int(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
+        try:
+            module.actions[(u, v)] = ChainMap(space, module.value(tgt), 0, mats)
+        except Exception as exc:
+            raise InputError(f"action {key}: {exc}")
+    return module
+
+
 def right_module_from_json(obj, cat: FiniteDGCategory) -> DGModule:
-    values = {str(x): complex_from_json(c)
-              for x, c in _require(obj, "values", dict).items()}
-    actions = {}
-    for key, comps in obj.get("actions", {}).items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f"actions key {key!r}: expected 'U->V'")
-        u, v = parts
-        src = TensorSpace(values.get(v, Complex.zero()), cat.hom(u, v)).complex
-        mats = {_int(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
-        try:
-            actions[(u, v)] = ChainMap(src, values.get(u, Complex.zero()), 0, mats)
-        except Exception as exc:
-            raise InputError(f"action {key}: {exc}")
-    return DGModule(cat, values, actions)
+    return _read_module(obj, cat, RIGHT)
 
 
-def left_module_from_json(obj, cat: FiniteDGCategory) -> DGModuleLeft:
-    values = {str(x): complex_from_json(c)
-              for x, c in _require(obj, "values", dict).items()}
-    actions = {}
-    for key, comps in obj.get("actions", {}).items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f"actions key {key!r}: expected 'U->V'")
-        u, v = parts
-        src = TensorSpace(cat.hom(u, v), values.get(u, Complex.zero())).complex
-        mats = {_int(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
-        try:
-            actions[(u, v)] = ChainMap(src, values.get(v, Complex.zero()), 0, mats)
-        except Exception as exc:
-            raise InputError(f"action {key}: {exc}")
-    return DGModuleLeft(cat, values, actions)
+def left_module_from_json(obj, cat: FiniteDGCategory) -> DGModule:
+    return _read_module(obj, cat, LEFT)
 
 
 def cauchy_data_to_json(cd: CauchyData) -> dict:
     return {
         "category": category_to_json(cd.m.base),
-        "M": right_module_to_json(cd.m),
-        "N": right_module_to_json(cd.n),   # same value/action shape
+        "M": module_to_json(cd.m),
+        "N": module_to_json(cd.n),
         "eta": [{"object": str(e), "x": _elt_to_json(x), "y": _elt_to_json(y)}
                 for (e, x, y) in cd.eta],
         "eps": {f"{u}->{v}": {str(n): matrix_to_json(mat)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import (
     ChainMap,
@@ -26,12 +26,11 @@ from .complexes import (
     direct_sum_complexes,
     functor_L,
     functor_R,
-    hom_complex,
     identity_map,
     suspension,
     unit_complex,
 )
-from .zlinalg import IntMatrix, ShapeMismatch, kernel_basis, solve_matrix
+from .zlinalg import IntMatrix, ShapeMismatch, solve_matrix
 
 
 class SearchFailed(RuntimeError):
@@ -426,8 +425,7 @@ def _search_iso(src: Complex, tgt: Complex, box: int = 1) -> Tuple[ChainMap, Cha
             continue
         f = _combo(fwd_basis, coeffs)
         cols = [hs_src.to_vector(compose(g, f)) for g in bwd_basis]
-        rows = hs_src.dim(0)
-        m = IntMatrix(rows, len(cols), (cols[j][i] for i in range(rows) for j in range(len(cols))))
+        m = IntMatrix.from_cols(cols, hs_src.dim(0))
         sol = solve_matrix(m, IntMatrix.column(id_src))
         if sol is None:
             continue

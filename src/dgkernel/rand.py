@@ -10,7 +10,7 @@ while producing dense matrices and interesting homology.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from .complexes import (
     ChainMap,
@@ -19,7 +19,6 @@ from .complexes import (
     Proto,
     chain_map_basis,
     direct_sum_complexes,
-    suspension,
 )
 from .zlinalg import IntMatrix, inverse_unimodular
 
@@ -97,10 +96,6 @@ def rand_chain_map(rng: random.Random, source: Complex, target: Complex,
         if c:
             out = out + c * b
     return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
-
-
-def rand_endo_chain_map(rng: random.Random, a: Complex) -> ChainMap:
-    return rand_chain_map(rng, a, a)
 
 
 def rand_double_complex(rng: random.Random, max_cols: int = 3):

@@ -18,7 +18,6 @@ from .complexes import (
     GradedObject,
     HomSpace,
     Proto,
-    chain_map_basis,
     compose,
     d_hom,
     identity_map,
@@ -28,9 +27,8 @@ from .complexes import (
     functor_L,
 )
 from .dgcat import (
+    LEFT,
     DGModule,
-    DGModuleLeft,
-    Elt,
     FiniteDGCategory,
     ell_op_window_category,
     weighted_colimit,
@@ -297,7 +295,7 @@ def weight_J(window: int) -> Tuple[FiniteDGCategory, DGModule]:
     return cat, DGModule(cat, values, actions)
 
 
-def double_complex_as_left_module(cat: FiniteDGCategory, a: DoubleComplex) -> DGModuleLeft:
+def double_complex_as_left_module(cat: FiniteDGCategory, a: DoubleComplex) -> DGModule:
     """A double complex as a diagram over the window category: the
     generator m -> m-1 acts by delta_m."""
     values = {m: a.column(m) for m in cat.objects}
@@ -312,7 +310,7 @@ def double_complex_as_left_module(cat: FiniteDGCategory, a: DoubleComplex) -> DG
             comps = {n: delta.comp(n) for n in values[u].degrees()
                      if values[u].rank(n) and values[v].rank(n)}
         actions[(u, v)] = ChainMap(ts.complex, values[v], 0, comps)
-    return DGModuleLeft(cat, values, actions)
+    return DGModule(cat, values, actions, LEFT)
 
 
 def _triangular_sign(m: int) -> int:

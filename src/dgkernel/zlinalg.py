@@ -53,6 +53,13 @@ class IntMatrix:
         return cls(rows, width, flat)
 
     @classmethod
+    def from_cols(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        if any(len(c) != rows for c in cols):
+            raise ShapeMismatch(f"columns must have length {rows}")
+        return cls(rows, len(cols), (c[i] for i in range(rows) for c in cols))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -451,8 +458,7 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
         if x is None:
             return None
         cols.append(x)
-    return IntMatrix(m.cols, b.cols,
-                     (cols[j][i] for i in range(m.cols) for j in range(b.cols)))
+    return IntMatrix.from_cols(cols, m.cols)
 
 
 def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -578,13 +584,3 @@ def cokernel(m: IntMatrix) -> CokernelData:
     section = inverse_unimodular(s.U).select_cols(torsion_rows + free_rows)
     return CokernelData(group, projection, section)
 
-
-def image_saturation_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of im(m) viewed inside Z^rows (not saturated)."""
-    s = smith_normal_form(m)
-    uinv = inverse_unimodular(s.U)
-    cols = []
-    for i in range(s.rank):
-        cols.append(tuple(uinv[r, i] * s.D[i, i] for r in range(m.rows)))
-    return IntMatrix(m.rows, len(cols),
-                     (cols[j][i] for i in range(m.rows) for j in range(len(cols))))

@@ -3,6 +3,12 @@
 Each test prints its pass/fail line (run pytest with -s to see them all).
 """
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dgkernel.acceptance import ALL_CRITERIA, run_all
@@ -22,3 +28,42 @@ def test_suite_is_deterministic():
     lines1 = [r.line() for r in run_all(SEED)]
     lines2 = [r.line() for r in run_all(SEED)]
     assert lines1 == lines2
+
+
+BROKEN_SNF_UNDER_O = """
+import sys
+from dgkernel import acceptance, zlinalg
+
+real = zlinalg.smith_normal_form
+
+def broken(m):
+    s = real(m)
+    return zlinalg.SmithDecomposition(s.U, s.D.scale(2), s.V, m)
+
+print("optimize", sys.flags.optimize)
+print(acceptance.criterion_1_snf(20260809).line())
+acceptance.smith_normal_form = broken
+print(acceptance.criterion_1_snf(20260809).line())
+"""
+
+
+def test_criterion_fails_on_broken_snf_under_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", BROKEN_SNF_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("[PASS] criterion  1")
+    assert lines[2].startswith("[FAIL] criterion  1") and "U M V != D" in lines[2]
+
+
+def test_package_has_no_assert_statements():
+    import dgkernel
+
+    offenders = []
+    for path in sorted(Path(dgkernel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

@@ -7,6 +7,7 @@ from dgkernel import jsonio
 from dgkernel.cli import main
 from dgkernel.complexes import (
     ChainMap,
+    Complex,
     Proto,
     functor_L,
     identity_map,
@@ -15,13 +16,19 @@ from dgkernel.complexes import (
     unit_complex,
 )
 from dgkernel.dgcat import (
+    LEFT,
+    DGModule,
     exterior_g_category,
-    left_module_from_complex,
+    group_like_category,
+    module_from_complex,
+    representable,
     representable_cauchy_data,
     trivial_weight,
     unit_dg_category,
 )
-from dgkernel.jsonio import right_module_to_json
+from dgkernel.monoidal import TensorSpace
+from dgkernel.totals import TotComparison
+from dgkernel.jsonio import module_to_json
 from dgkernel.rand import rand_double_complex
 from dgkernel.zlinalg import IntMatrix
 
@@ -64,9 +71,30 @@ def files(tmp_path):
     write("ext_bad.json", badcat)
     unit = unit_dg_category()
     write("unit_cat.json", jsonio.category_to_json(unit))
-    write("weight.json", right_module_to_json(trivial_weight(unit)))
-    write("diagram.json", right_module_to_json(
-        left_module_from_complex(unit, M2)))
+    write("weight.json", module_to_json(trivial_weight(unit)))
+    write("diagram.json", module_to_json(
+        module_from_complex(unit, M2, LEFT)))
+    # g o g = 2: the trivial weight breaks associativity, 1.(g o g) != (1.g).g
+    c2 = group_like_category(2)
+    write("c2.json", jsonio.category_to_json(c2))
+    write("c2_weight.json", module_to_json(trivial_weight(c2)))
+    write("c2_diagram.json", module_to_json(representable(c2, "*", LEFT)))
+    # Z- (x)_{Z[C2]} Z+ = Z/2: lawful modules, torsion coend
+    c1 = group_like_category(1)
+    k0 = unit_complex()
+    hom = c1.hom("*", "*")
+    z_minus = DGModule(c1, {"*": k0}, {("*", "*"): ChainMap(
+        TensorSpace(k0, hom).complex, k0, 0, {0: IntMatrix.from_rows([[1, -1]])})})
+    z_plus = DGModule(c1, {"*": k0}, {("*", "*"): ChainMap(
+        TensorSpace(hom, k0).complex, k0, 0, {0: IntMatrix.from_rows([[1, 1]])})}, LEFT)
+    write("c1.json", jsonio.category_to_json(c1))
+    write("z_minus.json", module_to_json(z_minus))
+    write("z_plus.json", module_to_json(z_plus))
+    bad_m = jsonio.cauchy_data_to_json(representable_cauchy_data(ext, "*"))
+    for comps in bad_m["M"]["actions"].values():
+        for mat in comps.values():
+            mat["data"] = [str(2 * int(x)) for x in mat["data"]]
+    write("cauchy_bad_m.json", bad_m)
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -117,6 +145,43 @@ class TestVerbs:
                      "--weight", files["weight.json"],
                      "--diagram", files["diagram.json"]]) == 0
         assert "colimit ranks" in capsys.readouterr().out
+
+    def test_colim_rejects_unlawful_weight(self, files, capsys):
+        assert main(["colim", "--category", files["c2.json"],
+                     "--weight", files["c2_weight.json"],
+                     "--diagram", files["c2_diagram.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: weight: " in captured.err
+        assert "associativity" in captured.err
+
+    def test_colim_reports_torsion_coend(self, files, capsys):
+        assert main(["colim", "--category", files["c1.json"],
+                     "--weight", files["z_minus.json"],
+                     "--diagram", files["z_plus.json"]]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert main(["--json", "colim", "--category", files["c1.json"],
+                     "--weight", files["z_minus.json"],
+                     "--diagram", files["z_plus.json"]]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] is False
+        assert "degree 0: Z/2" in payload["witness"]
+
+    def test_tot_compare_checks_both_composites(self, files, capsys, monkeypatch):
+        # iso: Z^2 -> Z and inverse: Z -> Z^2 with iso o inverse = 1 only
+        colim, tot = Complex.concentrated(0, 2), Complex.concentrated(0, 1)
+        iso = ChainMap(colim, tot, 0, {0: IntMatrix.from_rows([[1, 0]])})
+        inverse = ChainMap(tot, colim, 0, {0: IntMatrix.from_rows([[1], [0]])})
+        monkeypatch.setattr("dgkernel.cli.tot_via_weighted_colimit",
+                            lambda a, window=None: TotComparison(colim, tot, iso, inverse, 1))
+        assert main(["tot", files["dc.json"], "--compare-colim"]) == 1
+        assert "comparison iso: FAIL" in capsys.readouterr().out
+
+    def test_verify_cauchy_rejects_unlawful_module(self, files, capsys):
+        assert main(["verify-cauchy", files["cauchy_bad_m.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: M: " in captured.err
 
     def test_verify_cauchy_pass_and_fail(self, files, capsys):
         assert main(["verify-cauchy", files["cauchy.json"], "--naturality"]) == 0

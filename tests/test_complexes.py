@@ -20,6 +20,7 @@ from dgkernel.complexes import (
     cycles_Z,
     d_hom,
     direct_sum_complexes,
+    factors_uniquely,
     forget_U,
     functor_L,
     functor_R,
@@ -307,6 +308,16 @@ class TestCanonicalPresentation:
         for _ in range(3):
             a = rand_complex(rng, bricks=2)
             assert canonical_presentation(a).coequalizer_verified
+
+    def test_factors_uniquely_detects_both_failures(self):
+        zero_to_k0 = ChainMap(Complex.zero(), K0, 0, {})
+        # id_Z kills 0 -> Z but does not factor through Z -> 0
+        to_zero = ChainMap(K0, Complex.zero(), 0, {})
+        assert not factors_uniquely(zero_to_k0, to_zero, K0)
+        # through Z -> Z + Z a factorization exists but is not unique
+        zz, injs, _ = direct_sum_complexes([K0, K0])
+        assert not factors_uniquely(zero_to_k0, injs[0], K0)
+        assert factors_uniquely(zero_to_k0, identity_map(K0), K0)
 
     def test_counit_is_chain_map(self):
         rng = random.Random(15)

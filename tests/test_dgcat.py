@@ -19,8 +19,9 @@ from dgkernel.complexes import (
 from dgkernel.dgcat import (
     CauchyData,
     CauchyDataInvalid,
+    LEFT,
+    RIGHT,
     DGModule,
-    DGModuleLeft,
     Elt,
     ModuleTransform,
     all_basis_elts,
@@ -28,22 +29,18 @@ from dgkernel.dgcat import (
     cauchy_naturality_failures,
     coend_tensor,
     dg_subcategory_of_complexes,
-    direct_sum_left_modules,
-    direct_sum_right_modules,
+    direct_sum_modules,
     ell_op_window_category,
     exterior_g_category,
     g_retraction_from_cauchy,
     group_like_category,
-    left_module_from_complex,
+    module_from_complex,
     module_presentation,
     one_object_category,
+    representable,
     representable_cauchy_data,
-    representable_left,
-    representable_right,
-    right_module_from_complex,
     solve_cauchy_counit,
-    suspend_left_module,
-    suspend_right_module,
+    suspend_module,
     trivial_weight,
     two_object_graded_category,
     unit_dg_category,
@@ -117,25 +114,36 @@ class TestModules:
     def test_representables_lawful(self, cats):
         for name, cat in cats.items():
             for k in cat.objects:
-                assert representable_right(cat, k).validate() == [], (name, k)
-                assert representable_left(cat, k).validate() == [], (name, k)
+                assert representable(cat, k, RIGHT).validate() == [], (name, k)
+                assert representable(cat, k, LEFT).validate() == [], (name, k)
 
     def test_suspension_and_sum_lawful(self, cats):
         ext = cats["ext"]
-        m = representable_right(ext, "*")
-        sm = suspend_right_module(m, 1)
+        m = representable(ext, "*", RIGHT)
+        sm = suspend_module(m, 1)
         assert sm.validate() == []
-        assert direct_sum_right_modules(m, sm).validate() == []
-        n = representable_left(ext, "*")
-        assert suspend_left_module(n, -1).validate() == []
-        assert direct_sum_left_modules(n, suspend_left_module(n, -1)).validate() == []
+        assert direct_sum_modules(m, sm).validate() == []
+        n = representable(ext, "*", LEFT)
+        assert suspend_module(n, -1).validate() == []
+        assert direct_sum_modules(n, suspend_module(n, -1)).validate() == []
+
+    def test_action_proto_is_the_elementwise_action(self, cats):
+        cat = cats["ext"]
+        for side in (RIGHT, LEFT):
+            m = suspend_module(representable(cat, "*", side), 1)
+            src = m.value("*")
+            for f in all_basis_elts(cat.hom("*", "*")):
+                p = m.action_proto("*", "*", f)
+                for x in all_basis_elts(src):
+                    want = m.dot("*", "*", x, f) if side == RIGHT else m.dot("*", "*", f, x)
+                    assert p.comp(x.degree).apply(x.vec) == want.vec
 
     def test_paper_sign_rule_for_dot(self, cats):
         # z . (g o f) = (-1)^{|g||f|} (z . g) . f on all basis triples
         for name in ("ext", "sub"):
             cat = cats[name]
             for k in cat.objects:
-                m = representable_right(cat, k)
+                m = representable(cat, k, RIGHT)
                 for w in cat.objects:
                     for v in cat.objects:
                         for u in cat.objects:
@@ -156,17 +164,17 @@ class TestModules:
 class TestCoend:
     def test_unit_category_trivial_coend(self):
         cat = unit_dg_category()
-        res = coend_tensor(representable_right(cat, "*"),
-                           representable_left(cat, "*"))
+        res = coend_tensor(representable(cat, "*", RIGHT),
+                           representable(cat, "*", LEFT))
         assert res.presented.group(0) == FPAbGroup.free(1)
         assert res.presented.verify_differential()
 
     def test_co_yoneda_on_all_fixtures(self, cats):
         for name, cat in cats.items():
             for k in cat.objects:
-                m = representable_right(cat, k)
+                m = representable(cat, k, RIGHT)
                 for k2 in cat.objects:
-                    n = representable_left(cat, k2)
+                    n = representable(cat, k2, LEFT)
                     res = coend_tensor(m, n)
                     want = n.value(k)
                     for deg in want.degrees():
@@ -181,7 +189,7 @@ class TestCoend:
         twisted = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[2]])})
         zero = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[0]])})
         m = DGModule(cat, {"*": K0}, {("*", "*"): twisted})
-        n = DGModuleLeft(cat, {"*": K0}, {("*", "*"): zero})
+        n = DGModule(cat, {"*": K0}, {("*", "*"): zero}, LEFT)
         res = coend_tensor(m, n)
         assert res.presented.group(0) == FPAbGroup.canonical(0, [2])
 
@@ -194,15 +202,15 @@ class TestCoend:
         ts_n = TensorSpace(hom, K0)
         act_n = ChainMap(ts_n.complex, K0, 0, {0: IntMatrix.from_rows([[1, -2]])})
         m = DGModule(cat, {"*": K0}, {("*", "*"): act_m})
-        n = DGModuleLeft(cat, {"*": K0}, {("*", "*"): act_n})
+        n = DGModule(cat, {"*": K0}, {("*", "*"): act_n}, LEFT)
         assert m.validate() == [] and n.validate() == []
         res = coend_tensor(m, n)
         assert res.presented.group(0) == FPAbGroup.canonical(0, [4])
 
     def test_induced_differential_squares_to_zero(self):
         cat = dg_subcategory_of_complexes({"Z": K0, "M2": M2})
-        res = coend_tensor(representable_right(cat, "M2"),
-                           representable_left(cat, "Z"))
+        res = coend_tensor(representable(cat, "M2", RIGHT),
+                           representable(cat, "Z", LEFT))
         assert res.presented.verify_differential()
 
 
@@ -211,7 +219,7 @@ class TestWeightedColimit:
         cat = unit_dg_category()
         for a in (K0, LZ, M2):
             wc = weighted_colimit(trivial_weight(cat),
-                                  left_module_from_complex(cat, a))
+                                  module_from_complex(cat, a, LEFT))
             assert wc.colimit.carrier == a.carrier
             assert homology_H(wc.colimit) == homology_H(a)
             assert wc.defining_iso_verified([K0, suspension(K0, 1)])
@@ -220,9 +228,9 @@ class TestWeightedColimit:
         for name in ("T2", "ext"):
             cat = cats[name]
             for k in cat.objects:
-                m = representable_right(cat, k)
+                m = representable(cat, k, RIGHT)
                 for k2 in cat.objects:
-                    f = representable_left(cat, k2)
+                    f = representable(cat, k2, LEFT)
                     wc = weighted_colimit(m, f)
                     assert wc.colimit.carrier == f.value(k).carrier
                     assert wc.defining_iso_verified([K0])
@@ -230,7 +238,7 @@ class TestWeightedColimit:
     def test_zero_diagram(self):
         cat = unit_dg_category()
         wc = weighted_colimit(trivial_weight(cat),
-                              DGModuleLeft(cat, {"*": Complex.zero()}, {}))
+                              DGModule(cat, {"*": Complex.zero()}, {}, LEFT))
         assert wc.colimit.is_zero()
 
     def test_gamma_components_are_chain_maps(self):
@@ -238,7 +246,7 @@ class TestWeightedColimit:
 
         cat = unit_dg_category()
         wc = weighted_colimit(trivial_weight(cat),
-                              left_module_from_complex(cat, M2))
+                              module_from_complex(cat, M2, LEFT))
         y = unit_at(wc.m.value("*"), 0, 0)
         gamma = wc.gamma_proto("*", y)
         assert d_hom(gamma).is_zero()
@@ -256,7 +264,7 @@ class TestCauchyData:
     def test_vacuous_zero_module(self):
         cat = unit_dg_category()
         m = DGModule(cat, {"*": Complex.zero()}, {})
-        n = DGModuleLeft(cat, {"*": Complex.zero()}, {})
+        n = DGModule(cat, {"*": Complex.zero()}, {}, LEFT)
         assert verify_cauchy_data(CauchyData(m, n, [], {})).ok
 
     def test_sign_mutation_detected_with_witness(self, cats):
@@ -270,8 +278,8 @@ class TestCauchyData:
 
     def test_counit_solver_matches_representable(self, cats):
         cat = cats["ext"]
-        m = representable_right(cat, "*")
-        n = representable_left(cat, "*")
+        m = representable(cat, "*", RIGHT)
+        n = representable(cat, "*", LEFT)
         one = cat.identity("*")
         cd = solve_cauchy_counit(m, n, [("*", one, one)])
         assert cd is not None
@@ -280,8 +288,8 @@ class TestCauchyData:
 
     def test_counit_solver_shifted_representable(self, cats):
         cat = cats["ext"]
-        m = suspend_right_module(representable_right(cat, "*"), 1)
-        n = suspend_left_module(representable_left(cat, "*"), -1)
+        m = suspend_module(representable(cat, "*", RIGHT), 1)
+        n = suspend_module(representable(cat, "*", LEFT), -1)
         cd = solve_cauchy_counit(m, n, [("*", unit_at(m.value("*"), 1, 0),
                                          unit_at(n.value("*"), -1, 0))])
         assert cd is not None
@@ -290,12 +298,12 @@ class TestCauchyData:
 
 
 def two_term_cauchy_fixture(cat, obj):
-    m1 = representable_right(cat, obj)
-    n1 = representable_left(cat, obj)
-    sm = suspend_right_module(m1, 1)
-    sn = suspend_left_module(n1, -1)
-    mm = direct_sum_right_modules(m1, sm)
-    nn = direct_sum_left_modules(n1, sn)
+    m1 = representable(cat, obj, RIGHT)
+    n1 = representable(cat, obj, LEFT)
+    sm = suspend_module(m1, 1)
+    sn = suspend_module(n1, -1)
+    mm = direct_sum_modules(m1, sm)
+    nn = direct_sum_modules(n1, sn)
     x1 = unit_at(mm.value(obj), 0, 0)
     y1 = unit_at(nn.value(obj), 0, 0)
     x2 = unit_at(mm.value(obj), 1, m1.value(obj).rank(1))
@@ -364,7 +372,7 @@ class TestProtosplitQuotient:
         for name in ("I", "ext", "T2"):
             cat = cats[name]
             for k in cat.objects:
-                m = representable_right(cat, k)
+                m = representable(cat, k, RIGHT)
                 ident = ModuleTransform(m, m, 0, {
                     x: identity_map(m.value(x)) for x in cat.objects})
                 rep = verify_protosplit_quotient(m, k, ident, ident)
@@ -374,8 +382,8 @@ class TestProtosplitQuotient:
     def test_split_idempotent_recovered(self):
         sq, _, _ = direct_sum_complexes([K0, K0])
         cat = dg_subcategory_of_complexes({"Z": K0, "ZZ": sq})
-        m = representable_right(cat, "Z")
-        b = representable_right(cat, "ZZ")
+        m = representable(cat, "Z", RIGHT)
+        b = representable(cat, "ZZ", RIGHT)
         # inclusion and projection between Z and Z + Z inside the category
         hom_z_zz = cat.hom("Z", "ZZ")
         hom_zz_z = cat.hom("ZZ", "Z")
@@ -391,8 +399,8 @@ class TestProtosplitQuotient:
 
     def test_torsion_module_is_not_a_retract(self):
         cat = unit_dg_category()
-        m = right_module_from_complex(cat, M2)
-        rep_mod = representable_right(cat, "*")
+        m = module_from_complex(cat, M2, RIGHT)
+        rep_mod = representable(cat, "*", RIGHT)
         # all candidate sigma: degree-0 chain transformations M2 -> Z;
         # the only one is zero, so gamma' o sigma = 1 is unachievable
         candidates = chain_map_basis(M2, K0, 0)
@@ -408,7 +416,7 @@ class TestProtosplitQuotient:
 class TestModulePresentation:
     def test_representable_single_generators(self, cats):
         cat = cats["ext"]
-        m = representable_right(cat, "*")
+        m = representable(cat, "*", RIGHT)
         pres = module_presentation(m)
         assert pres.surjective
         assert pres.gamma_phi_is_zero()
@@ -426,8 +434,8 @@ class TestModulePresentation:
 
     def test_gamma_phi_zero_on_sums(self, cats):
         cat = cats["T2"]
-        m = direct_sum_right_modules(representable_right(cat, "a"),
-                                     representable_right(cat, "b"))
+        m = direct_sum_modules(representable(cat, "a", RIGHT),
+                               representable(cat, "b", RIGHT))
         pres = module_presentation(m)
         assert pres.surjective
         assert pres.gamma_phi_is_zero()

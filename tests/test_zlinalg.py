@@ -77,6 +77,20 @@ class TestIntMatrix:
             [[1, 0, 0], [0, 6, 7], [0, 8, 9]]
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda r: st.lists(
+        st.tuples(*[st.integers(-9, 9)] * r), max_size=4).map(lambda cols: (r, cols))))
+    def test_from_cols_places_each_column(self, shape):
+        rows, cols = shape
+        m = IntMatrix.from_cols(cols, rows)
+        assert m.shape == (rows, len(cols))
+        for j, c in enumerate(cols):
+            assert m.col(j) == c
+
+    def test_from_cols_rejects_ragged_columns(self):
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.from_cols([(1, 2), (3,)], 2)
+
     def test_determinant(self):
         assert determinant(IntMatrix.identity(4)) == 1
         assert determinant(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
