@@ -42,9 +42,12 @@ def _emit(args, payload: dict, text_lines: List[str]):
             print(line)
 
 
-def _homology_report(cx) -> dict:
-    groups = homology_H(cx)
+def _homology_report(groups) -> dict:
     return {f"H_{n}": groups.at(n).describe() for n in groups.support()}
+
+
+def _homology_lines(groups) -> List[str]:
+    return [f"H_{n} = {groups.at(n).describe()}" for n in groups.support()] or ["H = 0"]
 
 
 def _ranks(cx) -> dict:
@@ -60,8 +63,7 @@ def _require_valid(what: str, failures: List[str]):
 def cmd_homology(args) -> int:
     cx = jsonio.complex_from_json(jsonio.load(args.complex))
     groups = homology_H(cx)
-    lines = [f"H_{n} = {groups.at(n).describe()}" for n in groups.support()] or ["H = 0"]
-    _emit(args, {"homology": _homology_report(cx)}, lines)
+    _emit(args, {"homology": _homology_report(groups)}, _homology_lines(groups))
     return 0
 
 
@@ -99,9 +101,8 @@ def cmd_cone(args) -> int:
     if args.out:
         jsonio.dump(jsonio.complex_to_json(res.cone), args.out)
     groups = homology_H(res.cone)
-    lines = [f"cone ranks: {_ranks(res.cone)}"]
-    lines += [f"H_{n} = {groups.at(n).describe()}" for n in groups.support()] or ["H = 0"]
-    _emit(args, {"ranks": _ranks(res.cone), "homology": _homology_report(res.cone)}, lines)
+    lines = [f"cone ranks: {_ranks(res.cone)}"] + _homology_lines(groups)
+    _emit(args, {"ranks": _ranks(res.cone), "homology": _homology_report(groups)}, lines)
     return 0
 
 
@@ -120,7 +121,7 @@ def cmd_cokernel_protosplit(args) -> int:
     if args.out:
         jsonio.dump(jsonio.complex_to_json(res.quotient), args.out)
     _emit(args, {"verified": True, "ranks": _ranks(res.quotient),
-                 "homology": _homology_report(res.quotient)},
+                 "homology": _homology_report(homology_H(res.quotient))},
           [f"cokernel ranks: {_ranks(res.quotient)}", "universal property verified"])
     return 0
 
@@ -128,10 +129,9 @@ def cmd_cokernel_protosplit(args) -> int:
 def cmd_tot(args) -> int:
     a = jsonio.double_complex_from_json(jsonio.load(args.double_complex))
     tot = total_complex(a)
-    payload = {"ranks": _ranks(tot), "homology": _homology_report(tot)}
-    lines = [f"Tot ranks: {_ranks(tot)}"]
     groups = homology_H(tot)
-    lines += [f"H_{n} = {groups.at(n).describe()}" for n in groups.support()] or ["H = 0"]
+    payload = {"ranks": _ranks(tot), "homology": _homology_report(groups)}
+    lines = [f"Tot ranks: {_ranks(tot)}"] + _homology_lines(groups)
     if args.compare_colim:
         try:
             cmp = tot_via_weighted_colimit(a, window=args.window)
@@ -165,7 +165,8 @@ def cmd_colim(args) -> int:
         return 1
     if args.out:
         jsonio.dump(jsonio.complex_to_json(wc.colimit), args.out)
-    _emit(args, {"ranks": _ranks(wc.colimit), "homology": _homology_report(wc.colimit)},
+    _emit(args, {"ranks": _ranks(wc.colimit),
+                 "homology": _homology_report(homology_H(wc.colimit))},
           [f"colimit ranks: {_ranks(wc.colimit)}"])
     return 0
 

@@ -853,8 +853,14 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
             total += hs_theta.dim(n)
         return offs, total
 
+    gammas = {u: [(y, wc.gamma_proto(u, y)) for y in all_basis_elts(wc.m.value(u))]
+              for u in spaces}
+    phis = {}
+
     def phi_matrix(n):
         """Matrix of h |-> theta with theta_U(y) = h o gamma_U(y)."""
+        if n in phis:
+            return phis[n]
         offs, total = theta_offsets(n)
         cols = []
         for h in hs_lhs.basis(n):
@@ -862,8 +868,8 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
             for u, (hs_out, hs_theta) in spaces.items():
                 mu = wc.m.value(u)
                 comp_cols: Dict[int, List] = {}
-                for y in all_basis_elts(mu):
-                    img = compose(h, wc.gamma_proto(u, y))
+                for y, gamma in gammas[u]:
+                    img = compose(h, gamma)
                     comp_cols.setdefault(y.degree, []).append(hs_out.to_vector(img))
                 comps = {}
                 for tdeg, cc in comp_cols.items():
@@ -874,7 +880,8 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                 for i, x in enumerate(tv):
                     vec[off + i] = x
             cols.append(tuple(vec))
-        return IntMatrix.from_cols(cols, total if cols else 0), offs, total
+        phis[n] = IntMatrix.from_cols(cols, total if cols else 0), offs, total
+        return phis[n]
 
     def naturality_matrix(n):
         """Rows: protonaturality constraints on the stacked theta vector."""

@@ -26,7 +26,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative dimensions {rows}x{cols}")
-        e = tuple(int(x) for x in entries)
+        e = tuple(map(int, entries))
         if len(e) != rows * cols:
             raise ShapeMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(e)}"
@@ -276,23 +276,48 @@ class SmithDecomposition:
 
     D is canonical for M; U and V are not, and must never be compared
     across implementations.
+
+    :func:`smith_normal_form` computes D alone and records its row and
+    column operations; U and V are built from that record the first time
+    they are read, then kept, so a caller that reads only D never pays for
+    the transforms.  Explicit U and V may also be given.
     """
 
-    __slots__ = ("U", "D", "V", "source")
+    __slots__ = ("_U", "D", "_V", "source", "diagonal", "rank", "_row_ops", "_col_ops")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, source: IntMatrix):
-        self.U = U
+    def __init__(self, U: Optional[IntMatrix], D: IntMatrix, V: Optional[IntMatrix],
+                 source: IntMatrix):
+        self._U = U
         self.D = D
-        self.V = V
+        self._V = V
         self.source = source
+        self._row_ops = self._col_ops = None
+        self.diagonal = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
+        self.rank = sum(1 for d in self.diagonal if d != 0)
+
+    @classmethod
+    def _recorded(cls, D: IntMatrix, source: IntMatrix, row_ops: list, col_ops: list):
+        s = cls(None, D, None, source)
+        s._row_ops = row_ops
+        s._col_ops = col_ops
+        return s
 
     @property
-    def diagonal(self) -> tuple:
-        return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+    def U(self) -> IntMatrix:
+        if self._U is None:
+            n = self.D.rows
+            self._U = IntMatrix.from_rows(_replay(n, self._row_ops), n)
+            self._row_ops = None
+        return self._U
 
     @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+    def V(self) -> IntMatrix:
+        if self._V is None:
+            # A column operation on V is the same row operation on V^T.
+            n = self.D.cols
+            self._V = IntMatrix.from_rows(_replay(n, self._col_ops), n).transpose()
+            self._col_ops = None
+        return self._V
 
     @property
     def invariant_factors(self) -> tuple:
@@ -301,6 +326,26 @@ class SmithDecomposition:
 
     def __repr__(self) -> str:
         return f"SmithDecomposition(diagonal={list(self.diagonal)})"
+
+
+def _replay(n: int, ops: list) -> list:
+    """The n x n identity, as row lists, after the recorded row operations:
+    (dst, src, c) adds c * row src to row dst, (i, j) swaps two rows and
+    (k,) negates row k."""
+    t = [[0] * n for _ in range(n)]
+    for i in range(n):
+        t[i][i] = 1
+    for op in ops:
+        if len(op) == 3:
+            dst, src, c = op
+            t[dst] = [x + c * y for x, y in zip(t[dst], t[src])]
+        elif len(op) == 2:
+            i, j = op
+            t[i], t[j] = t[j], t[i]
+        else:
+            k = op[0]
+            t[k] = [-x for x in t[k]]
+    return t
 
 
 def _find_pivot(a, k, m, n):
@@ -325,38 +370,16 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Pivot rule: nonzero entry of least absolute value, ties broken by
     lowest (row, col); this makes the reduction deterministic.
+
+    The elimination runs on M alone and records each operation; U and V
+    are replayed from the record when first read (see SmithDecomposition).
+    At step k every row and column before k is already clear outside the
+    diagonal, so operations touch only the trailing submatrix.
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src  (applied to A and U alike)
-        ad, as_ = a[dst], a[src]
-        for j in range(cols):
-            ad[j] += c * as_[j]
-        ud, us = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += c * us[j]
-
-    def add_col(dst, src, c):
-        for i in range(rows):
-            a[i][dst] += c * a[i][src]
-        for i in range(cols):
-            v[i][dst] += c * v[i][src]
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            a[i1], a[i2] = a[i2], a[i1]
-            u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for r in a:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in v:
-                r[j1], r[j2] = r[j2], r[j1]
+    row_ops = []   # (dst, src, c): row_dst += c * row_src; (i, j): swap; (k,): negate
+    col_ops = []   # the same for columns, without negation
 
     for k in range(min(rows, cols)):
         while True:
@@ -364,22 +387,47 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             if piv is None:
                 break
             _, pi, pj = piv
-            swap_rows(k, pi)
-            swap_cols(k, pj)
-            pivot = a[k][k]
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                row_ops.append((k, pi))
+            if pj != k:
+                for i in range(k, rows):
+                    ai = a[i]
+                    ai[k], ai[pj] = ai[pj], ai[k]
+                col_ops.append((k, pj))
+            ak = a[k]
+            pivot = ak[k]
             clean = True
             for i in range(k + 1, rows):
-                if a[i][k]:
-                    add_row(i, k, -(a[i][k] // pivot))
-                    if a[i][k]:
+                ai = a[i]
+                if ai[k]:
+                    c = -(ai[k] // pivot)
+                    for j in range(k, cols):
+                        ai[j] += c * ak[j]
+                    row_ops.append((i, k, c))
+                    if ai[k]:
                         clean = False
+            # Each column operation adds a multiple of column k, which none
+            # of them changes, so all multipliers are known before any runs.
+            qs = []
             for j in range(k + 1, cols):
-                if a[k][j]:
-                    add_col(j, k, -(a[k][j] // pivot))
-                    if a[k][j]:
-                        clean = False
+                if ak[j]:
+                    c = -(ak[j] // pivot)
+                    qs.append((j, c))
+                    col_ops.append((j, k, c))
+            if qs:
+                for i in range(k, rows):
+                    ai = a[i]
+                    aik = ai[k]
+                    if aik:
+                        for j, c in qs:
+                            ai[j] += c * aik
+                if any(ak[j] for j, _ in qs):
+                    clean = False
             if not clean:
                 continue  # leftover remainders give a strictly smaller pivot
+            if pivot == 1 or pivot == -1:
+                break  # a unit divides everything
             # Pivot must divide the whole trailing submatrix so the
             # divisibility chain holds; drag an offending row up if not.
             bad_row = None
@@ -390,24 +438,20 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     break
             if bad_row is None:
                 break
-            add_row(k, bad_row, 1)
-        if _find_pivot(a, k, rows, cols) is None:
+            ab = a[bad_row]
+            for j in range(k, cols):
+                ak[j] += ab[j]
+            row_ops.append((k, bad_row, 1))
+        if piv is None:
             break
 
     # Normalize signs on the diagonal.
     for k in range(min(rows, cols)):
         if a[k][k] < 0:
-            for j in range(cols):
-                a[k][j] = -a[k][j]
-            for j in range(rows):
-                u[k][j] = -u[k][j]
+            a[k][k] = -a[k][k]
+            row_ops.append((k,))
 
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, rows),
-        IntMatrix.from_rows(a, cols),
-        IntMatrix.from_rows(v, cols),
-        m,
-    )
+    return SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), m, row_ops, col_ops)
 
 
 def rank(m: IntMatrix) -> int:
@@ -436,7 +480,7 @@ def solve_with(s: SmithDecomposition, b: Sequence[int]) -> Optional[tuple]:
     c = s.U.apply(b)
     d = s.diagonal
     r = s.rank
-    z = [0] * s.V.rows
+    z = [0] * s.source.cols
     for i, ci in enumerate(c):
         if i < r:
             if ci % d[i]:
@@ -448,17 +492,30 @@ def solve_with(s: SmithDecomposition, b: Sequence[int]) -> Optional[tuple]:
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with m @ X = b, or None; solved column by column."""
+    """Integer X with m @ X = b, or None; every column in one pass.
+
+    With U m V = D of rank r: m X = b has a solution iff the rows of
+    C = U b from r on vanish and row i < r is divisible by D[i, i]; then
+    X = V[:, :r] Z with Z[i] = C[i] / D[i, i].
+    """
     if b.rows != m.rows:
         raise ShapeMismatch("rhs row count mismatch")
     s = smith_normal_form(m)
-    cols = []
-    for j in range(b.cols):
-        x = solve_with(s, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntMatrix.from_cols(cols, m.cols)
+    w = b.cols
+    if not w:
+        return IntMatrix.zeros(m.cols, 0)
+    c = (s.U @ b).entries()
+    r = s.rank
+    if any(c[r * w:]):
+        return None
+    z = []
+    for i, d in enumerate(s.diagonal[:r]):
+        for x in c[i * w:(i + 1) * w]:
+            q, rem = divmod(x, d)
+            if rem:
+                return None
+            z.append(q)
+    return s.V.select_cols(range(r)) @ IntMatrix(r, w, z)
 
 
 def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -471,6 +528,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel of m."""
     s = smith_normal_form(m)
     r = s.rank
+    if r == m.cols:
+        return IntMatrix.zeros(m.cols, 0)
     return s.V.select_cols(range(r, m.cols))
 
 

@@ -30,6 +30,30 @@ def test_suite_is_deterministic():
     assert lines1 == lines2
 
 
+SUITE_SNF_CALLS = 4776   # pinned by the benchmark's traced self-check as well
+
+
+def test_suite_snf_call_count_is_pinned(monkeypatch):
+    # Modules import the function by name, so rebind it in every loaded
+    # dgkernel namespace, not on zlinalg alone.
+    from dgkernel import zlinalg
+
+    real = zlinalg.smith_normal_form
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "dgkernel" or name.startswith("dgkernel.")):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    assert all(r.passed for r in run_all(SEED))
+    assert len(calls) == SUITE_SNF_CALLS
+
+
 BROKEN_SNF_UNDER_O = """
 import sys
 from dgkernel import acceptance, zlinalg

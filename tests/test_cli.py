@@ -10,6 +10,7 @@ from dgkernel.complexes import (
     Complex,
     Proto,
     functor_L,
+    homology_H,
     identity_map,
     make_complex,
     suspension,
@@ -205,6 +206,48 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert "input error" in err
         assert "hi" in err  # names the offending field
+
+
+HOMOLOGY_VERBS = {
+    "homology": lambda f: ["homology", f["m2.json"]],
+    "cone --f": lambda f: ["cone", "--f", f["id_m2.json"]],
+    "cone --map-cone-of-identity": lambda f: ["cone", "--map-cone-of-identity", f["m2.json"]],
+    "tot": lambda f: ["tot", f["dc.json"], "--compare-colim"],
+    "cokernel-protosplit": lambda f: ["cokernel-protosplit", "--f", f["split_f.json"],
+                                      "--t", f["split_t.json"]],
+    "colim": lambda f: ["colim", "--category", f["unit_cat.json"],
+                        "--weight", f["weight.json"], "--diagram", f["diagram.json"]],
+}
+
+
+class TestHomologyOncePerReport:
+    @pytest.mark.parametrize("verb", sorted(HOMOLOGY_VERBS))
+    def test_one_homology_call_per_run(self, verb, files, capsys, monkeypatch):
+        calls = []
+
+        def counted(cx):
+            calls.append(cx)
+            return homology_H(cx)
+
+        argv = HOMOLOGY_VERBS[verb](files)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(["--json"] + argv) == 0
+        plain_json = capsys.readouterr().out
+        monkeypatch.setattr("dgkernel.cli.homology_H", counted)
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == plain
+        assert main(["--json"] + argv) == 0
+        assert len(calls) == 2
+        out = capsys.readouterr().out
+        assert out == plain_json
+        # the text lines and the JSON report come from the same groups
+        report = json.loads(out)["homology"]
+        lines = [ln for ln in plain.splitlines() if ln.startswith("H")]
+        if verb in ("homology", "tot") or verb.startswith("cone"):
+            assert lines != []
+            assert dict(ln.split(" = ") for ln in lines if ln != "H = 0") == report
 
 
 class TestDeterminism:

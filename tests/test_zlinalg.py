@@ -8,6 +8,7 @@ from dgkernel.zlinalg import (
     FPAbGroup,
     IntMatrix,
     ShapeMismatch,
+    SmithDecomposition,
     block_diagonal,
     block_matrix,
     cokernel,
@@ -19,7 +20,132 @@ from dgkernel.zlinalg import (
     solve,
     solve_left,
     solve_matrix,
+    solve_with,
 )
+
+
+def _reference_find_pivot(a, k, m, n):
+    # Nonzero entry of least absolute value in the trailing submatrix,
+    # ties broken by lowest (row, col).
+    best = None
+    for i in range(k, m):
+        ai = a[i]
+        for j in range(k, n):
+            v = ai[j]
+            if v:
+                av = abs(v)
+                if best is None or av < best[0]:
+                    best = (av, i, j)
+                    if av == 1:
+                        return best
+    return best
+
+
+def reference_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """The eager Smith normal form that updates U and V with every row and
+    column operation: the reference the recorded elimination must match
+    bit for bit."""
+    rows, cols = m.rows, m.cols
+    a = m.to_lists()
+    u = IntMatrix.identity(rows).to_lists()
+    v = IntMatrix.identity(cols).to_lists()
+
+    def add_row(dst, src, c):
+        # row_dst += c * row_src  (applied to A and U alike)
+        ad, as_ = a[dst], a[src]
+        for j in range(cols):
+            ad[j] += c * as_[j]
+        ud, us = u[dst], u[src]
+        for j in range(rows):
+            ud[j] += c * us[j]
+
+    def add_col(dst, src, c):
+        for i in range(rows):
+            a[i][dst] += c * a[i][src]
+        for i in range(cols):
+            v[i][dst] += c * v[i][src]
+
+    def swap_rows(i1, i2):
+        if i1 != i2:
+            a[i1], a[i2] = a[i2], a[i1]
+            u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        if j1 != j2:
+            for r in a:
+                r[j1], r[j2] = r[j2], r[j1]
+            for r in v:
+                r[j1], r[j2] = r[j2], r[j1]
+
+    for k in range(min(rows, cols)):
+        while True:
+            piv = _reference_find_pivot(a, k, rows, cols)
+            if piv is None:
+                break
+            _, pi, pj = piv
+            swap_rows(k, pi)
+            swap_cols(k, pj)
+            pivot = a[k][k]
+            clean = True
+            for i in range(k + 1, rows):
+                if a[i][k]:
+                    add_row(i, k, -(a[i][k] // pivot))
+                    if a[i][k]:
+                        clean = False
+            for j in range(k + 1, cols):
+                if a[k][j]:
+                    add_col(j, k, -(a[k][j] // pivot))
+                    if a[k][j]:
+                        clean = False
+            if not clean:
+                continue  # leftover remainders give a strictly smaller pivot
+            # Pivot must divide the whole trailing submatrix so the
+            # divisibility chain holds; drag an offending row up if not.
+            bad_row = None
+            for i in range(k + 1, rows):
+                ai = a[i]
+                if any(ai[j] % pivot for j in range(k + 1, cols)):
+                    bad_row = i
+                    break
+            if bad_row is None:
+                break
+            add_row(k, bad_row, 1)
+        if _reference_find_pivot(a, k, rows, cols) is None:
+            break
+
+    # Normalize signs on the diagonal.
+    for k in range(min(rows, cols)):
+        if a[k][k] < 0:
+            for j in range(cols):
+                a[k][j] = -a[k][j]
+            for j in range(rows):
+                u[k][j] = -u[k][j]
+
+    return SmithDecomposition(
+        IntMatrix.from_rows(u, rows),
+        IntMatrix.from_rows(a, cols),
+        IntMatrix.from_rows(v, cols),
+        m,
+    )
+
+
+@st.composite
+def int_matrices(draw, max_dim=6):
+    """Matrices up to max_dim x max_dim: dense, sparse, or of low rank (a
+    product through an inner dimension below both sides), so that zero
+    rows, zero columns, ties and non-unit pivots all occur."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["dense", "sparse", "low_rank"]))
+    if kind == "low_rank":
+        k = draw(st.integers(0, min(rows, cols)))
+        a = IntMatrix(rows, k, draw(st.lists(st.integers(-3, 3), min_size=rows * k,
+                                             max_size=rows * k)))
+        b = IntMatrix(k, cols, draw(st.lists(st.integers(-3, 3), min_size=k * cols,
+                                             max_size=k * cols)))
+        return a @ b
+    entries = st.integers(-12, 12) if kind == "dense" else st.sampled_from([0, 0, 0, 1, -2, 6])
+    return IntMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                               max_size=rows * cols)))
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -159,6 +285,67 @@ class TestSmithNormalForm:
         rng = random.Random(99)
         m = rand_matrix(rng, 6, 6, -50, 50)
         assert_snf_contract(m)
+
+
+class TestRecordedTransforms:
+    """The recorded elimination against the eager reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_bit_identical_to_eager_reference(self, m):
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        assert s.D == ref.D
+        assert s.diagonal == ref.diagonal and s.rank == ref.rank
+        assert s.U == ref.U
+        assert s.V == ref.V
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices())
+    def test_transforms_are_built_once(self, m):
+        s = smith_normal_form(m)
+        v, u = s.V, s.U
+        assert s.V is v and s.U is u
+        assert s.U @ m @ s.V == s.D
+
+    def test_dense_matrix_bit_identical(self):
+        m = rand_matrix(random.Random(40), 16, 16)
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        assert (s.U, s.D, s.V) == (ref.U, ref.D, ref.V)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(), st.integers(0, 3), st.booleans(), st.data())
+    def test_solve_matrix_matches_per_column_reference(self, m, width, solvable, data):
+        if solvable:
+            x0 = IntMatrix(m.cols, width, data.draw(st.lists(
+                st.integers(-4, 4), min_size=m.cols * width, max_size=m.cols * width)))
+            b = m @ x0
+        else:
+            b = IntMatrix(m.rows, width, data.draw(st.lists(
+                st.integers(-4, 4), min_size=m.rows * width, max_size=m.rows * width)))
+        ref = reference_smith_normal_form(m)
+        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        x = solve_matrix(m, b)
+        if any(c is None for c in cols):
+            assert x is None
+        else:
+            assert x == IntMatrix.from_cols(cols, m.cols)
+            assert m @ x == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_kernel_basis_matches_reference(self, m):
+        ref = reference_smith_normal_form(m)
+        k = kernel_basis(m)
+        assert k == ref.V.select_cols(range(ref.rank, m.cols))
+        assert k.shape == (m.cols, m.cols - ref.rank)
+
+    def test_full_column_rank_kernel_is_empty(self):
+        m = IntMatrix.from_rows([[2, 1], [0, 3], [5, 5]])
+        k = kernel_basis(m)
+        assert k.shape == (2, 0)
+        assert k == reference_smith_normal_form(m).V.select_cols(())
 
 
 class TestSolve:
