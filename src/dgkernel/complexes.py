@@ -803,14 +803,10 @@ def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
     if factor_basis and kernel_basis(fm).cols:
         return False
 
-    for jj in range(killers.cols):
-        vec = [0] * hs_bt.dim(0)
-        for c, g in zip(killers.col(jj), basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, hs_bt.to_vector(g))]
-        if solve_matrix(fm, IntMatrix.column(vec)) is None:
-            return False
-    return True
+    # column jj: the killer sum_g killers[g, jj] * g, in coordinates of hs_bt
+    kv = IntMatrix.from_cols([hs_bt.to_vector(g) for g in basis], hs_bt.dim(0)) @ killers
+    return all(solve_matrix(fm, IntMatrix.column(kv.col(jj))) is not None
+               for jj in range(killers.cols))
 
 
 # -- finite direct sums -----------------------------------------------------

@@ -7,6 +7,7 @@ integer types never overflow.  Degree keys are decimal strings.
 from __future__ import annotations
 
 import json
+import re
 
 from .complexes import ChainMap, Complex, Proto
 from .dgcat import LEFT, RIGHT, CauchyData, DGModule, Elt, FiniteDGCategory, action_domain
@@ -19,11 +20,20 @@ class InputError(ValueError):
     """Malformed input; the message names the offending field."""
 
 
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
+
+
 def _int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"field {field!r}: expected an integer, got {value!r}")
+    """A JSON integer or a decimal-integer string; a float or a bool would
+    be truncated or read as 0/1 by int(), so neither is accepted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"field {field!r}: expected an integer, got {value!r}")
 
 
 def _require(obj, field: str, kind=None):
@@ -43,6 +53,9 @@ def matrix_to_json(m: IntMatrix) -> dict:
 def matrix_from_json(obj) -> IntMatrix:
     rows = _int(_require(obj, "rows"), "rows")
     cols = _int(_require(obj, "cols"), "cols")
+    for field, n in (("rows", rows), ("cols", cols)):
+        if n < 0:
+            raise InputError(f"field {field!r}: expected a non-negative integer, got {n}")
     data = _require(obj, "data", list)
     if len(data) != rows * cols:
         raise InputError(f"field 'data': expected {rows * cols} entries, got {len(data)}")

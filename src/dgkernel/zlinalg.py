@@ -3,7 +3,9 @@
 Smith normal form, integer solving, kernels, cokernels, and finitely
 presented abelian groups.  Every morphism in the rest of the package is
 ultimately a dense matrix of arbitrary-precision Python integers, and
-every homological computation reduces to the routines here.
+every homological computation reduces to the routines here.  Smith normal
+form records its row and column operations; solving, kernels and inverses
+apply that record to their operand and never form the transforms U or V.
 
 Matrices are immutable; 0xN and Nx0 matrices are valid and behave as
 zero maps.
@@ -278,9 +280,10 @@ class SmithDecomposition:
     across implementations.
 
     :func:`smith_normal_form` computes D alone and records its row and
-    column operations; U and V are built from that record the first time
-    they are read, then kept, so a caller that reads only D never pays for
-    the transforms.  Explicit U and V may also be given.
+    column operations; :meth:`u_times` and :meth:`v_times` apply the record
+    to an operand, and the `U` and `V` properties apply it to the identity
+    once, on first read.  Explicit U and V may be given instead; then there
+    is no record and the two methods multiply by the matrices.
     """
 
     __slots__ = ("_U", "D", "_V", "source", "diagonal", "rank", "_row_ops", "_col_ops")
@@ -302,21 +305,29 @@ class SmithDecomposition:
         s._col_ops = col_ops
         return s
 
+    def u_times(self, b: IntMatrix) -> IntMatrix:
+        """U @ b: the row operations, in order, on the rows of b."""
+        if self._row_ops is None:
+            return self._U @ b
+        return _ops_applied(b, self._row_ops, self.D.rows)
+
+    def v_times(self, b: IntMatrix) -> IntMatrix:
+        """V @ b: the column operations, last first, as row operations on
+        the rows of b (V is I times one elementary matrix per operation)."""
+        if self._col_ops is None:
+            return self._V @ b
+        return _ops_applied(b, reversed(self._col_ops), self.D.cols)
+
     @property
     def U(self) -> IntMatrix:
         if self._U is None:
-            n = self.D.rows
-            self._U = IntMatrix.from_rows(_replay(n, self._row_ops), n)
-            self._row_ops = None
+            self._U = self.u_times(IntMatrix.identity(self.D.rows))
         return self._U
 
     @property
     def V(self) -> IntMatrix:
         if self._V is None:
-            # A column operation on V is the same row operation on V^T.
-            n = self.D.cols
-            self._V = IntMatrix.from_rows(_replay(n, self._col_ops), n).transpose()
-            self._col_ops = None
+            self._V = self.v_times(IntMatrix.identity(self.D.cols))
         return self._V
 
     @property
@@ -328,13 +339,12 @@ class SmithDecomposition:
         return f"SmithDecomposition(diagonal={list(self.diagonal)})"
 
 
-def _replay(n: int, ops: list) -> list:
-    """The n x n identity, as row lists, after the recorded row operations:
-    (dst, src, c) adds c * row src to row dst, (i, j) swaps two rows and
-    (k,) negates row k."""
-    t = [[0] * n for _ in range(n)]
-    for i in range(n):
-        t[i][i] = 1
+def _ops_applied(b: IntMatrix, ops, n: int) -> IntMatrix:
+    """b after recorded row operations on an n-row operand: (dst, src, c)
+    adds c * row src to row dst, (i, j) swaps two rows, (k,) negates row k."""
+    if b.rows != n:
+        raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
+    t = b.to_lists()
     for op in ops:
         if len(op) == 3:
             dst, src, c = op
@@ -343,9 +353,8 @@ def _replay(n: int, ops: list) -> list:
             i, j = op
             t[i], t[j] = t[j], t[i]
         else:
-            k = op[0]
-            t[k] = [-x for x in t[k]]
-    return t
+            t[op[0]] = [-x for x in t[op[0]]]
+    return IntMatrix.from_rows(t, b.cols)
 
 
 def _find_pivot(a, k, m, n):
@@ -371,15 +380,16 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     Pivot rule: nonzero entry of least absolute value, ties broken by
     lowest (row, col); this makes the reduction deterministic.
 
-    The elimination runs on M alone and records each operation; U and V
-    are replayed from the record when first read (see SmithDecomposition).
+    The elimination runs on M alone and records each operation; the
+    record is applied to whatever U or V multiplies, and to the identity
+    only when U or V itself is read (see SmithDecomposition).
     At step k every row and column before k is already clear outside the
     diagonal, so operations touch only the trailing submatrix.
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     row_ops = []   # (dst, src, c): row_dst += c * row_src; (i, j): swap; (k,): negate
-    col_ops = []   # the same for columns, without negation
+    col_ops = []   # col_dst += c * col_src as (src, dst, c), its row op on V @ b; (i, j): swap
 
     for k in range(min(rows, cols)):
         while True:
@@ -414,7 +424,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 if ak[j]:
                     c = -(ak[j] // pivot)
                     qs.append((j, c))
-                    col_ops.append((j, k, c))
+                    col_ops.append((k, j, c))
             if qs:
                 for i in range(k, rows):
                     ai = a[i]
@@ -465,7 +475,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     s = smith_normal_form(m)
     if s.D != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular")
-    return s.V @ s.U
+    return s.v_times(s.U)
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -477,34 +487,25 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 
 def solve_with(s: SmithDecomposition, b: Sequence[int]) -> Optional[tuple]:
     """Like :func:`solve` but reusing a precomputed decomposition."""
-    c = s.U.apply(b)
-    d = s.diagonal
-    r = s.rank
-    z = [0] * s.source.cols
-    for i, ci in enumerate(c):
-        if i < r:
-            if ci % d[i]:
-                return None
-            z[i] = ci // d[i]
-        elif ci:
-            return None
-    return s.V.apply(z)
+    x = _solve(s, IntMatrix.column(b))
+    return None if x is None else x.entries()
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with m @ X = b, or None; every column in one pass.
-
-    With U m V = D of rank r: m X = b has a solution iff the rows of
-    C = U b from r on vanish and row i < r is divisible by D[i, i]; then
-    X = V[:, :r] Z with Z[i] = C[i] / D[i, i].
-    """
+    """Integer X with m @ X = b, or None; every column in one pass."""
     if b.rows != m.rows:
         raise ShapeMismatch("rhs row count mismatch")
-    s = smith_normal_form(m)
-    w = b.cols
+    return _solve(smith_normal_form(m), b)
+
+
+def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
+    """With U m V = D of rank r: m X = b has a solution iff the rows of
+    C = U b from r on vanish and row i < r is divisible by D[i, i]; then
+    X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below."""
+    n, w = s.source.cols, b.cols
     if not w:
-        return IntMatrix.zeros(m.cols, 0)
-    c = (s.U @ b).entries()
+        return IntMatrix.zeros(n, 0)
+    c = s.u_times(b).entries()
     r = s.rank
     if any(c[r * w:]):
         return None
@@ -515,7 +516,8 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
             if rem:
                 return None
             z.append(q)
-    return s.V.select_cols(range(r)) @ IntMatrix(r, w, z)
+    z.extend([0] * ((n - r) * w))
+    return s.v_times(IntMatrix(n, w, z))
 
 
 def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -525,12 +527,14 @@ def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel of m."""
+    """Columns form a basis of the integer kernel of m: the last n - r
+    columns of V, i.e. V @ [0; I]."""
     s = smith_normal_form(m)
-    r = s.rank
-    if r == m.cols:
-        return IntMatrix.zeros(m.cols, 0)
-    return s.V.select_cols(range(r, m.cols))
+    n, r = m.cols, s.rank
+    if r == n:
+        return IntMatrix.zeros(n, 0)
+    return s.v_times(IntMatrix(n, n - r, (int(i - r == j) for i in range(n)
+                                          for j in range(n - r))))
 
 
 class FPAbGroup:

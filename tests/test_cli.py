@@ -207,6 +207,23 @@ class TestVerbs:
         assert "input error" in err
         assert "hi" in err  # names the offending field
 
+    @pytest.mark.parametrize("matrix, message", [
+        ({"rows": -1, "cols": -1, "data": ["0"]}, "field 'rows': expected a non-negative"),
+        ({"rows": 1, "cols": -2, "data": []}, "field 'cols': expected a non-negative"),
+        ({"rows": 1, "cols": 1, "data": [2.5]}, "field 'data': expected an integer, got 2.5"),
+        ({"rows": 1, "cols": 1, "data": ["2.5"]}, "field 'data': expected an integer"),
+        ({"rows": 1, "cols": 1, "data": [True]}, "field 'data': expected an integer, got True"),
+        ({"rows": 1.0, "cols": 1, "data": ["2"]}, "field 'rows': expected an integer"),
+    ])
+    def test_malformed_matrix_exits_two(self, files, capsys, matrix, message):
+        # d_1 = [[2.5]] used to be read as [[2]] and report H_0 = Z/2 with exit 0
+        bad = files["tmp"] + "/bad_matrix.json"
+        jsonio.dump({"lo": 0, "hi": 1, "ranks": [1, 1], "diffs": {"1": matrix}}, bad)
+        assert main(["homology", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+
 
 HOMOLOGY_VERBS = {
     "homology": lambda f: ["homology", f["m2.json"]],

@@ -319,6 +319,16 @@ class TestCanonicalPresentation:
         assert not factors_uniquely(zero_to_k0, injs[0], K0)
         assert factors_uniquely(zero_to_k0, identity_map(K0), K0)
 
+    def test_factors_uniquely_checks_every_killer(self):
+        # Both maps Z + Z -> Z kill 0 -> Z + Z, and only one of them factors
+        # through a projection: whichever killer comes first, each
+        # projection has one that fails.
+        zz, _, projs = direct_sum_complexes([K0, K0])
+        zero_to_zz = ChainMap(Complex.zero(), zz, 0, {})
+        for p in projs:
+            assert not factors_uniquely(zero_to_zz, p, K0)
+        assert factors_uniquely(zero_to_zz, identity_map(zz), K0)
+
     def test_counit_is_chain_map(self):
         rng = random.Random(15)
         a = rand_complex(rng)

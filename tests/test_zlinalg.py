@@ -1,8 +1,10 @@
+import contextlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dgkernel import zlinalg
 from dgkernel.zlinalg import (
     CokernelData,
     FPAbGroup,
@@ -346,6 +348,144 @@ class TestRecordedTransforms:
         k = kernel_basis(m)
         assert k.shape == (2, 0)
         assert k == reference_smith_normal_form(m).V.select_cols(())
+
+
+@contextlib.contextmanager
+def decompositions_made():
+    """Every decomposition smith_normal_form returns inside the block."""
+    made = []
+    real = zlinalg.smith_normal_form
+
+    def recording(m):
+        made.append(real(m))
+        return made[-1]
+
+    zlinalg.smith_normal_form = recording
+    try:
+        yield made
+    finally:
+        zlinalg.smith_normal_form = real
+
+
+def unbuilt(s: SmithDecomposition) -> bool:
+    return s._U is None and s._V is None
+
+
+@st.composite
+def unimodular_matrices(draw, max_dim=5):
+    """Products of elementary row operations, so the inverse exists."""
+    n = draw(st.integers(0, max_dim))
+    a = IntMatrix.identity(n).to_lists()
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        elif draw(st.booleans()):
+            a[i] = [-x for x in a[i]]
+    return IntMatrix.from_rows(a, n)
+
+
+FULL_RANK = IntMatrix.from_rows([[2, 1], [0, 3], [5, 5]])
+
+
+class TestAppliedRecord:
+    """Solvers, kernels and inverses apply the operation record to their
+    operand instead of building U or V, and agree with the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices(), st.integers(-3, 3))
+    @example(IntMatrix.zeros(3, 0), 1)
+    @example(IntMatrix.zeros(2, 3), 2)
+    @example(FULL_RANK, -1)
+    def test_u_times_and_v_times_equal_the_reference_products(self, m, c):
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        b = IntMatrix(m.rows, 2, [c * (i + 1) - j for i in range(m.rows) for j in range(2)])
+        y = IntMatrix(m.cols, 2, [c - i * j for i in range(m.cols) for j in range(2)])
+        assert s.u_times(b) == ref.U @ b
+        assert s.v_times(y) == ref.V @ y
+        assert unbuilt(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices(), st.integers(0, 3), st.booleans())
+    @example(IntMatrix.zeros(3, 0), 2, False)
+    @example(IntMatrix.zeros(2, 3), 1, True)
+    @example(IntMatrix.zeros(2, 3), 1, False)
+    @example(FULL_RANK, 2, True)
+    @example(FULL_RANK, 0, True)
+    def test_solve_matrix_equals_reference_unbuilt(self, m, width, solvable):
+        rng = random.Random(repr((m, width, solvable)))
+        if solvable:
+            b = m @ rand_matrix(rng, m.cols, width, -4, 4)
+        else:
+            b = rand_matrix(rng, m.rows, width, -4, 4)
+        ref = reference_smith_normal_form(m)
+        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        with decompositions_made() as made:
+            x = solve_matrix(m, b)
+        assert len(made) == 1 and unbuilt(made[0])
+        if any(col is None for col in cols):
+            assert x is None
+        else:
+            assert x == IntMatrix.from_cols(cols, m.cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    @example(IntMatrix.zeros(3, 0))
+    @example(IntMatrix.zeros(2, 3))
+    @example(FULL_RANK)
+    def test_solve_with_equals_reference_unbuilt(self, m):
+        rng = random.Random(repr(m))
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        for b in (m.apply([rng.randint(-4, 4) for _ in range(m.cols)]),
+                  [rng.randint(-4, 4) for _ in range(m.rows)]):
+            assert solve_with(s, b) == solve_with(ref, b)
+        assert unbuilt(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    @example(IntMatrix.zeros(3, 0))
+    @example(IntMatrix.zeros(2, 3))
+    @example(FULL_RANK)
+    @example(FULL_RANK.transpose())
+    def test_kernel_basis_equals_reference_unbuilt(self, m):
+        ref = reference_smith_normal_form(m)
+        with decompositions_made() as made:
+            k = kernel_basis(m)
+        assert len(made) == 1 and unbuilt(made[0])
+        assert k == ref.V.select_cols(range(ref.rank, m.cols))
+
+    @settings(max_examples=150, deadline=None)
+    @given(unimodular_matrices())
+    @example(IntMatrix.zeros(0, 0))
+    @example(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    def test_inverse_unimodular_equals_reference_without_v(self, m):
+        ref = reference_smith_normal_form(m)
+        with decompositions_made() as made:
+            inv = inverse_unimodular(m)
+        assert len(made) == 1 and made[0]._V is None
+        assert inv == ref.V @ ref.U
+        assert m @ inv == IntMatrix.identity(m.rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_explicit_decomposition_solves(self, m):
+        # No record: the explicit U and V are multiplied by as given.
+        ref = reference_smith_normal_form(m)
+        s = SmithDecomposition(ref.U, ref.D, ref.V, m)
+        rng = random.Random(repr(m))
+        x0 = [rng.randint(-4, 4) for _ in range(m.cols)]
+        x = solve_with(s, m.apply(x0))
+        assert x is not None and m.apply(x) == m.apply(x0)
+        assert x == solve_with(smith_normal_form(m), m.apply(x0))
+        if m.rows:
+            b = [0] * m.rows
+            b[0] = 1
+            assert (solve_with(s, b) is None) == (solve(m, b) is None)
+        assert s.u_times(IntMatrix.identity(m.rows)) == ref.U
+        assert s.v_times(IntMatrix.identity(m.cols)) == ref.V
 
 
 class TestSolve:
