@@ -111,7 +111,11 @@ def cmd_cokernel_protosplit(args) -> int:
     t = jsonio.proto_from_json(jsonio.load(args.t))
     probes = None
     if args.probe_depth is not None:
-        probes = [cx for _, cx in default_probe_family(f.target)[: args.probe_depth]]
+        family = default_probe_family(f.target)
+        if not 1 <= args.probe_depth <= len(family):
+            raise InputError(f"--probe-depth must be between 1 and {len(family)}, "
+                             f"got {args.probe_depth}")
+        probes = [cx for _, cx in family[: args.probe_depth]]
     try:
         res = cokernel_protosplit(f, t, probes=probes)
     except NotProtosplit as exc:
@@ -292,9 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

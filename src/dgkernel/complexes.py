@@ -22,6 +22,7 @@ from .zlinalg import (
     FPAbGroup,
     IntMatrix,
     ShapeMismatch,
+    block_diagonal,
     block_matrix,
     cokernel,
     kernel_basis,
@@ -123,9 +124,10 @@ class Complex:
                 stored[n] = m
         self._d = stored
         if not _validated:
-            for n in range(carrier.lo, carrier.hi + 1):
-                prod = self.diff(n) @ self.diff(n + 1)
-                if not prod.is_zero():
+            # a missing differential is zero, so only stored pairs can fail
+            for n in sorted(stored):
+                up = stored.get(n + 1)
+                if up is not None and not (stored[n] @ up).is_zero():
                     raise SquareZeroViolated(n + 1)
 
     # -- constructors ---------------------------------------------------
@@ -142,7 +144,9 @@ class Complex:
 
     @classmethod
     def zero(cls) -> "Complex":
-        return cls(GradedObject.zero(), {})
+        """The zero complex.  One instance is shared: a Complex is never
+        mutated after construction."""
+        return _ZERO_COMPLEX
 
     @classmethod
     def concentrated(cls, degree: int, rank: int = 1) -> "Complex":
@@ -151,7 +155,7 @@ class Complex:
     # -- structure ------------------------------------------------------
 
     def rank(self, n: int) -> int:
-        return self.carrier.rank(n)
+        return self.carrier._ranks.get(n, 0)
 
     @property
     def lo(self) -> int:
@@ -191,6 +195,9 @@ class Complex:
         return f"Complex(ranks={self.carrier.ranks()!r}, diffs={{{', '.join(f'{n}: ...' for n in sorted(self._d))}}})"
 
 
+_ZERO_COMPLEX = Complex(GradedObject.zero(), {})
+
+
 def make_complex(ranks: Mapping[int, int] | GradedObject, diffs: Mapping[int, object] | None = None) -> Complex:
     """Validated complex from ranks and boundary matrices.
 
@@ -215,15 +222,13 @@ class Proto:
     def __init__(self, source: Complex, target: Complex, degree: int, comps: Mapping[int, IntMatrix]):
         self.source = source
         self.target = target
-        self.degree = int(degree)
+        self.degree = n = int(degree)
         stored: Dict[int, IntMatrix] = {}
         for q, m in comps.items():
             q = int(q)
-            want = (target.rank(q + self.degree), source.rank(q))
-            if m.shape != want:
-                raise ShapeMismatch(
-                    f"component at {q} has shape {m.shape}, expected {want}"
-                )
+            if m.rows != target.rank(q + n) or m.cols != source.rank(q):
+                raise ShapeMismatch(f"component at {q} has shape {m.shape}, "
+                                    f"expected {(target.rank(q + n), source.rank(q))}")
             if m.rows and m.cols and not m.is_zero():
                 stored[q] = m
         self._c = stored
@@ -307,7 +312,7 @@ class ChainMap(Proto):
     def __init__(self, source, target, degree=0, comps=(), _trusted: bool = False):
         comps = comps if comps != () else {}
         super().__init__(source, target, degree, comps)
-        if not _trusted and not d_hom(Proto(source, target, degree, comps)).is_zero():
+        if not _trusted and not d_hom(self).is_zero():
             raise NotAChainMap(f"degree-{degree} proto is not a cycle")
 
     def __matmul__(self, other: Proto) -> Proto:
@@ -553,23 +558,25 @@ class HomSpace:
         sign = _hom_sign(n)
         out = [[0] * cols for _ in range(rows)]
         for q, r, c, off in summands:
-            dc = self.target.diff(q + n)   # C_{q+n} -> C_{q+n-1}
-            da = self.source.diff(q + 1)   # B_{q+1} -> B_q
-            for i in range(r):
+            if q in tgt_offset:
+                # d f_q: entry (i, j) goes to (i2, j) times dc[i2, i]
+                t_off, _, t_c = tgt_offset[q]
+                dc = self.target.diff(q + n)   # C_{q+n} -> C_{q+n-1}
+                for i in range(r):
+                    for i2, v in enumerate(dc.col(i)):
+                        if v:
+                            src, dst = off + i * c, t_off + i2 * t_c
+                            for j in range(c):
+                                out[dst + j][src + j] += v
+            if q + 1 in tgt_offset:
+                # f_q d: entry (i, j) goes to (i, j2) times -sign * da[j, j2]
+                t_off, _, t_c = tgt_offset[q + 1]
+                da = self.source.diff(q + 1)   # B_{q+1} -> B_q
                 for j in range(c):
-                    col = off + i * c + j
-                    if q in tgt_offset:
-                        t_off, t_r, t_c = tgt_offset[q]
-                        for i2 in range(t_r):
-                            v = dc[i2, i]
-                            if v:
-                                out[t_off + i2 * t_c + j][col] += v
-                    if q + 1 in tgt_offset:
-                        t_off, t_r, t_c = tgt_offset[q + 1]
-                        for j2 in range(t_c):
-                            v = da[j, j2]
-                            if v:
-                                out[t_off + i * t_c + j2][col] -= sign * v
+                    for j2, v in enumerate(da.row(j)):
+                        if v:
+                            for i in range(r):
+                                out[t_off + i * t_c + j2][off + i * c + j] -= sign * v
         return IntMatrix.from_rows(out, cols)
 
     def dim(self, n: int) -> int:
@@ -580,10 +587,7 @@ class HomSpace:
             raise ShapeMismatch("proto does not live in this hom space")
         vec = [0] * self.dim(f.degree)
         for q, r, c, off in self._summands.get(f.degree, []):
-            m = f.comp(q)
-            for i in range(r):
-                for j in range(c):
-                    vec[off + i * c + j] = m[i, j]
+            vec[off:off + r * c] = f.comp(q).entries()
         return tuple(vec)
 
     def from_vector(self, n: int, vec: Sequence[int]) -> Proto:
@@ -815,34 +819,26 @@ def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
 def direct_sum_complexes(summands: Sequence[Complex]) -> Tuple[Complex, List[ChainMap], List[ChainMap]]:
     """Block direct sum with injection and projection chain maps."""
     ranks: Dict[int, int] = {}
-    los = [s.lo for s in summands if not s.is_zero()]
-    his = [s.hi for s in summands if not s.is_zero()]
-    lo = min(los) if los else 0
-    hi = max(his) if his else -1
-    for n in range(lo, hi + 1):
-        ranks[n] = sum(s.rank(n) for s in summands)
-    diffs = {}
-    for n in range(lo, hi + 1):
-        if ranks.get(n) and ranks.get(n - 1, 0):
-            diffs[n] = block_matrix([
-                [s.diff(n) if i == j else IntMatrix.zeros(s.rank(n - 1), summands[j].rank(n))
-                 for j in range(len(summands))]
-                for i, s in enumerate(summands)
-            ])
-    total = Complex(GradedObject(ranks), diffs, _validated=True)
+    for s in summands:
+        for n in s.degrees():
+            ranks[n] = ranks.get(n, 0) + s.rank(n)
+    total = Complex(GradedObject(ranks), {
+        n: block_diagonal([s.diff(n) for s in summands])
+        for n in ranks if ranks[n] and ranks.get(n - 1)}, _validated=True)
+    # summand i sits in rows before .. before + r of the identity on the sum
+    identities = {n: IntMatrix.identity(r) for n, r in ranks.items() if r}
     injs, projs = [], []
-    for i, s in enumerate(summands):
+    before = dict.fromkeys(ranks, 0)
+    for s in summands:
         inj_comps, proj_comps = {}, {}
         for n in s.degrees():
-            if s.rank(n) == 0:
+            r = s.rank(n)
+            if r == 0:
                 continue
-            before = sum(summands[j].rank(n) for j in range(i))
-            blocks_in = [IntMatrix.zeros(summands[j].rank(n), s.rank(n)) for j in range(len(summands))]
-            blocks_in[i] = IntMatrix.identity(s.rank(n))
-            inj_comps[n] = block_matrix([[b] for b in blocks_in])
-            blocks_out = [IntMatrix.zeros(s.rank(n), summands[j].rank(n)) for j in range(len(summands))]
-            blocks_out[i] = IntMatrix.identity(s.rank(n))
-            proj_comps[n] = block_matrix([blocks_out])
+            block = range(before[n], before[n] + r)
+            inj_comps[n] = identities[n].select_cols(block)
+            proj_comps[n] = identities[n].select_rows(block)
+            before[n] += r
         injs.append(ChainMap(s, total, 0, inj_comps, _trusted=True))
         projs.append(ChainMap(total, s, 0, proj_comps, _trusted=True))
     return total, injs, projs

@@ -276,15 +276,22 @@ def cauchy_data_from_json(obj) -> CauchyData:
 
 def load(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror or exc})")
 
 
 def dump(obj: dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write ({exc.strerror or exc})")

@@ -129,29 +129,30 @@ class TensorSpace:
         rows = sum(size for (_, _, size, _) in self._blocks.get(n - 1, []))
         cols = sum(size for (_, _, size, _) in self._blocks.get(n, []))
         out = [[0] * cols for _ in range(rows)]
-        tgt = {p: (q, off) for (p, q, size, off) in self._blocks.get(n - 1, [])}
+        # a degree n-1 block with left degree p has right degree n-1-p
+        tgt = {p: off for (p, q, size, off) in self._blocks.get(n - 1, [])}
         for (p, q, size, off) in self._blocks.get(n, []):
             rl, rr = self.left.rank(p), self.right.rank(q)
-            da = self.left.diff(p)
-            db = self.right.diff(q)
-            sign = _tensor_sign(p)
-            for i in range(rl):
+            if p - 1 in tgt:
+                # da (x) b: entry (i, j) goes to (i2, j) times da[i2, i]
+                t_off = tgt[p - 1]
+                da = self.left.diff(p)
+                for i in range(rl):
+                    for i2, v in enumerate(da.col(i)):
+                        if v:
+                            src, dst = off + i * rr, t_off + i2 * rr
+                            for j in range(rr):
+                                out[dst + j][src + j] += v
+            if p in tgt:
+                # (-1)^p a (x) db: entry (i, j) goes to (i, j2) times db[j2, j]
+                t_off, t_rr = tgt[p], self.right.rank(q - 1)
+                db = self.right.diff(q)
+                sign = _tensor_sign(p)
                 for j in range(rr):
-                    col = off + i * rr + j
-                    if (p - 1) in tgt:
-                        _, t_off = tgt[p - 1]
-                        t_rr = self.right.rank(q)
-                        for i2 in range(da.rows):
-                            v = da[i2, i]
-                            if v:
-                                out[t_off + i2 * t_rr + j][col] += v
-                    if p in tgt and q - 1 == tgt[p][0]:
-                        _, t_off = tgt[p]
-                        t_rr = self.right.rank(q - 1)
-                        for j2 in range(db.rows):
-                            v = db[j2, j]
-                            if v:
-                                out[t_off + i * t_rr + j2][col] += sign * v
+                    for j2, v in enumerate(db.col(j)):
+                        if v:
+                            for i in range(rl):
+                                out[t_off + i * t_rr + j2][off + i * rr + j] += sign * v
         return IntMatrix.from_rows(out, cols)
 
 

@@ -34,7 +34,7 @@ from .dgcat import (
     weighted_colimit,
 )
 from .monoidal import TensorSpace
-from .zlinalg import IntMatrix, ShapeMismatch, inverse_unimodular
+from .zlinalg import IntMatrix, ShapeMismatch, block_matrix, inverse_unimodular
 
 
 class SupportExceedsWindow(ValueError):
@@ -108,6 +108,7 @@ class TotSpace:
         self.a = a
         ranks: Dict[int, int] = {}
         self._offsets: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._first_slot: Dict[Tuple[int, int], int] = {}   # (n, m) -> first slot of column m
         cols = a.column_degrees()
         if cols:
             lo = min(a.column(m).lo + m for m in cols)
@@ -119,6 +120,7 @@ class TotSpace:
                     r = a.entry_rank(m, n - m)
                     if r:
                         blocks.append((m, r, off))
+                        self._first_slot[(n, m)] = off
                         off += r
                 if blocks:
                     self._offsets[n] = blocks
@@ -134,34 +136,33 @@ class TotSpace:
         return self._offsets.get(n, [])
 
     def slot(self, n: int, m: int, i: int) -> int:
-        for (mm, r, off) in self._offsets.get(n, []):
-            if mm == m:
-                return off + i
-        raise ShapeMismatch(f"no column {m} contributes to Tot degree {n}")
+        off = self._first_slot.get((n, m))
+        if off is None:
+            raise ShapeMismatch(f"no column {m} contributes to Tot degree {n}")
+        return off + i
 
     def _differential(self, n: int) -> IntMatrix:
         rows = sum(r for (_, r, _) in self._offsets.get(n - 1, []))
         cols = sum(r for (_, r, _) in self._offsets.get(n, []))
         out = [[0] * cols for _ in range(rows)]
-        tgt = {m: off for (m, r, off) in self._offsets.get(n - 1, [])}
         for (m, r, off) in self._offsets.get(n, []):
             inner = n - m
-            delta = self.a.delta_map(m).comp(inner)     # A_{m,inner} -> A_{m-1,inner}
-            d_in = self.a.column(m).diff(inner)          # A_{m,inner} -> A_{m,inner-1}
-            sign = _tot_sign(m)
-            for j in range(r):
-                col = off + j
-                if m - 1 in tgt:
-                    for i in range(delta.rows):
-                        v = delta[i, j]
-                        if v:
-                            out[tgt[m - 1] + i][col] += v
-                if m in tgt:
-                    for i in range(d_in.rows):
-                        v = d_in[i, j]
-                        if v:
-                            out[tgt[m] + i][col] += sign * v
+            below = self._first_slot.get((n - 1, m - 1))
+            if below is not None:   # delta_m: A_{m,inner} -> A_{m-1,inner}
+                _add_block(out, below, off, self.a.delta_map(m).comp(inner), 1)
+            same = self._first_slot.get((n - 1, m))
+            if same is not None:    # d of column m: A_{m,inner} -> A_{m,inner-1}
+                _add_block(out, same, off, self.a.column(m).diff(inner), _tot_sign(m))
         return IntMatrix.from_rows(out, cols)
+
+
+def _add_block(out: List[List[int]], row_off: int, col_off: int, b: IntMatrix, sign: int):
+    """out[row_off + i][col_off + j] += sign * b[i, j] for every entry of b."""
+    for i in range(b.rows):
+        row = out[row_off + i]
+        for j, v in enumerate(b.row(i)):
+            if v:
+                row[col_off + j] += sign * v
 
 
 def total_complex(a: DoubleComplex) -> Complex:
@@ -371,8 +372,7 @@ def tot_via_weighted_colimit(a: DoubleComplex,
                 else:
                     # lower slot: push through delta_m into column m-1
                     delta = a.delta_map(m).comp(t.right_degree)
-                    for i in range(delta.rows):
-                        v = delta[i, t.right_index]
+                    for i, v in enumerate(delta.col(t.right_index)):
                         if v:
                             row = ts.slot(n, m - 1, i)
                             target_rows.append((row, _triangular_sign(m - 1) * v))
@@ -408,24 +408,14 @@ def _dg_hom_to_tot_proto(f: DGHomElement, x: Complex, ts: TotSpace) -> Proto:
     n = f.degree
     comps: Dict[int, IntMatrix] = {}
     for s in ts.complex.degrees():
-        rows = x.rank(s + n)
-        cols = ts.complex.rank(s)
-        if rows == 0 or cols == 0:
+        if x.rank(s + n) == 0 or ts.complex.rank(s) == 0:
             continue
-        out = [[0] * cols for _ in range(rows)]
-        for (m, r, off) in ts.blocks(s):
-            block = f.comp(0, m).comp(s - m)
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    v = block[i, j]
-                    if v:
-                        out[i][off + j] = v
-        comps[s] = IntMatrix.from_rows(out, cols)
+        # the blocks of Tot degree s sit side by side, in slot order
+        comps[s] = block_matrix([[f.comp(0, m).comp(s - m) for (m, _, _) in ts.blocks(s)]])
     return Proto(ts.complex, x, n, comps)
 
 
-def _tot_proto_to_dg_hom(h: Proto, a: DoubleComplex, x: Complex) -> DGHomElement:
-    ts = TotSpace(a)
+def _tot_proto_to_dg_hom(h: Proto, a: DoubleComplex, x: Complex, ts: TotSpace) -> DGHomElement:
     n = h.degree
     comps: Dict[Tuple[int, int], Proto] = {}
     for m in a.column_degrees():
@@ -433,15 +423,9 @@ def _tot_proto_to_dg_hom(h: Proto, a: DoubleComplex, x: Complex) -> DGHomElement
         sub: Dict[int, IntMatrix] = {}
         for t in am.degrees():
             s = m + t
-            if am.rank(t) == 0 or x.rank(s + n) == 0 or ts.complex.rank(s) == 0:
+            if am.rank(t) == 0 or x.rank(s + n) == 0:
                 continue
-            off = None
-            for (mm, r, o) in ts.blocks(s):
-                if mm == m:
-                    off = o
-                    break
-            if off is None:
-                continue
+            off = ts.slot(s, m, 0)
             sub[t] = h.comp(s).select_cols(range(off, off + am.rank(t)))
         p = Proto(am, x, n + m, sub)
         if not p.is_zero():
@@ -467,7 +451,7 @@ def tot_adjunction_check(a: DoubleComplex, x: Complex) -> bool:
             return False
         # round trips and differential correspondence on a basis
         for h in hs.basis(n):
-            f = _tot_proto_to_dg_hom(h, a, x)
+            f = _tot_proto_to_dg_hom(h, a, x, ts)
             back = _dg_hom_to_tot_proto(f, x, ts)
             if back != h:
                 return False
@@ -486,10 +470,10 @@ def tot_adjunction_natural_in_x(a: DoubleComplex, w: ChainMap) -> bool:
     hs = HomSpace(ts.complex, x)
     for n in range(hs.complex.lo, hs.complex.hi + 1):
         for h in hs.basis(n):
-            f = _tot_proto_to_dg_hom(h, a, x)
+            f = _tot_proto_to_dg_hom(h, a, x, ts)
             pushed = DGHomElement(a, embed_i(x2), n,
                                   {k: compose(w, p) for k, p in f.comps.items()})
-            direct = _tot_proto_to_dg_hom(compose(w, h), a, x2)
+            direct = _tot_proto_to_dg_hom(compose(w, h), a, x2, ts)
             if pushed != direct:
                 return False
     return True

@@ -13,6 +13,7 @@ zero maps.
 
 from __future__ import annotations
 
+from operator import add, index, neg, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -25,14 +26,19 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "_e")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+    def __init__(self, rows: int, cols: int, entries: Iterable[int], _trusted: bool = False):
+        # _trusted: entries is already a tuple of rows * cols Python ints (the
+        # result of arithmetic on IntMatrix operands), so it is kept as is.
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative dimensions {rows}x{cols}")
-        e = tuple(map(int, entries))
-        if len(e) != rows * cols:
-            raise ShapeMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(e)}"
-            )
+        if _trusted:
+            e = entries
+        else:
+            e = tuple(map(int, entries))
+            if len(e) != rows * cols:
+                raise ShapeMismatch(
+                    f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(e)}"
+                )
         self.rows = rows
         self.cols = cols
         self._e = e
@@ -63,11 +69,13 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols), _trusted=True)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        e = [0] * (n * n)
+        e[::n + 1] = [1] * n
+        return cls(n, n, tuple(e), _trusted=True)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -108,7 +116,7 @@ class IntMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._e)
+        return not any(self._e)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -121,17 +129,18 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, (a + b for a, b in zip(self._e, other._e)))
+        return IntMatrix(self.rows, self.cols, tuple(map(add, self._e, other._e)), _trusted=True)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, (a - b for a, b in zip(self._e, other._e)))
+        return IntMatrix(self.rows, self.cols, tuple(map(sub, self._e, other._e)), _trusted=True)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (-a for a in self._e))
+        return IntMatrix(self.rows, self.cols, tuple(map(neg, self._e)), _trusted=True)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (c * a for a in self._e))
+        c = index(c)   # an int scalar keeps every entry an int
+        return IntMatrix(self.rows, self.cols, tuple([c * a for a in self._e]), _trusted=True)
 
     def __rmul__(self, c: int) -> "IntMatrix":
         if not isinstance(c, int):
@@ -155,12 +164,12 @@ class IntMatrix:
                     rb = i * m
                     for j in range(m):
                         out[rb + j] += a * oe[ob + j]
-        return IntMatrix(n, m, out)
+        return IntMatrix(n, m, tuple(out), _trusted=True)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         (self._e[i * self.cols + j]
-                          for j in range(self.cols) for i in range(self.rows)))
+        c = self.cols
+        return IntMatrix(c, self.rows, tuple([x for j in range(c) for x in self._e[j::c]]),
+                         _trusted=True)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector, returned as a tuple."""
@@ -174,15 +183,17 @@ class IntMatrix:
     def select_rows(self, idx: Sequence[int]) -> "IntMatrix":
         flat = []
         for i in idx:
+            if not 0 <= i < self.rows:
+                raise ShapeMismatch(f"row {i} out of range for {self.rows} rows")
             flat.extend(self.row(i))
-        return IntMatrix(len(idx), self.cols, flat)
+        return IntMatrix(len(idx), self.cols, tuple(flat), _trusted=True)
 
     def select_cols(self, idx: Sequence[int]) -> "IntMatrix":
         flat = []
         for i in range(self.rows):
             r = self.row(i)
-            flat.extend(r[j] for j in idx)
-        return IntMatrix(self.rows, len(idx), flat)
+            flat.extend([r[j] for j in idx])
+        return IntMatrix(self.rows, len(idx), tuple(flat), _trusted=True)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -191,12 +202,12 @@ class IntMatrix:
         for i in range(self.rows):
             flat.extend(self.row(i))
             flat.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, flat)
+        return IntMatrix(self.rows, self.cols + other.cols, tuple(flat), _trusted=True)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack needs equal column counts")
-        return IntMatrix(self.rows + other.rows, self.cols, self._e + other._e)
+        return IntMatrix(self.rows + other.rows, self.cols, self._e + other._e, _trusted=True)
 
     # -- dunder housekeeping -------------------------------------------
 
@@ -233,17 +244,21 @@ def block_matrix(blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
         for i in range(r[0].rows):
             for b in r:
                 flat.extend(b.row(i))
-    return IntMatrix(sum(row_heights), sum(col_widths), flat)
+    return IntMatrix(sum(row_heights), sum(col_widths), tuple(flat), _trusted=True)
 
 
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    grid = []
-    for i, b in enumerate(blocks):
-        grid.append([
-            b if i == j else IntMatrix.zeros(b.rows, blocks[j].cols)
-            for j in range(len(blocks))
-        ])
-    return block_matrix(grid) if grid else IntMatrix.zeros(0, 0)
+    cols = sum(b.cols for b in blocks)
+    flat = []
+    left = 0
+    for b in blocks:
+        pad_left, pad_right = (0,) * left, (0,) * (cols - left - b.cols)
+        for i in range(b.rows):
+            flat += pad_left
+            flat += b.row(i)
+            flat += pad_right
+        left += b.cols
+    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(flat), _trusted=True)
 
 
 def determinant(m: IntMatrix) -> int:

@@ -207,6 +207,37 @@ class TestVerbs:
         assert "input error" in err
         assert "hi" in err  # names the offending field
 
+    @pytest.mark.parametrize("argv", [
+        lambda f: ["homology", f["tmp"]],                          # a directory
+        lambda f: ["homology", f["latin1.json"]],                  # not UTF-8
+        lambda f: ["tensor", f["m2.json"], f["m2.json"], "--out", f["tmp"]],
+    ], ids=["read-directory", "read-non-utf8", "write-directory"])
+    def test_unusable_paths_exit_two(self, files, capsys, argv):
+        files["latin1.json"] = files["tmp"] + "/latin1.json"
+        with open(files["latin1.json"], "wb") as fh:
+            fh.write(b'{"lo": 0, "hi": -1, "ranks": [], "diffs": {"\xe9": 1}}')
+        assert main(argv(files)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert argv(files)[-1] in captured.err   # names the path
+
+    @pytest.mark.parametrize("depth", [0, -1, 6])
+    def test_probe_depth_out_of_range_exits_two(self, files, capsys, depth):
+        # depth 0 used to check no probe and still report the property verified
+        argv = ["cokernel-protosplit", "--f", files["split_f.json"],
+                "--t", files["split_t.json"], "--probe-depth", str(depth)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--probe-depth" in captured.err
+
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_probe_depth_in_range(self, files, capsys, depth):
+        assert main(["cokernel-protosplit", "--f", files["split_f.json"],
+                     "--t", files["split_t.json"], "--probe-depth", str(depth)]) == 0
+        assert "universal property verified" in capsys.readouterr().out
+
     @pytest.mark.parametrize("matrix, message", [
         ({"rows": -1, "cols": -1, "data": ["0"]}, "field 'rows': expected a non-negative"),
         ({"rows": 1, "cols": -2, "data": []}, "field 'cols': expected a non-negative"),

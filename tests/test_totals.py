@@ -216,6 +216,26 @@ class TestTotAdjunction:
             assert total_complex(embed_i(x)) == x
             assert tot_adjunction_check(embed_i(x), x)
 
+    def test_one_tot_space_per_check(self, monkeypatch):
+        built = []
+        init = TotSpace.__init__
+
+        def counted(self, a):
+            built.append(a)
+            init(self, a)
+
+        monkeypatch.setattr(TotSpace, "__init__", counted)
+        rng = random.Random(16)
+        for _ in range(5):
+            a = rand_double_complex(rng)
+            x, x2 = rand_complex(rng), rand_complex(rng)
+            built.clear()
+            assert tot_adjunction_check(a, x)
+            assert len(built) == 1
+            built.clear()
+            assert tot_adjunction_natural_in_x(a, rand_chain_map(rng, x, x2))
+            assert len(built) == 1
+
     def test_naturality_in_x(self):
         rng = random.Random(15)
         for _ in range(5):

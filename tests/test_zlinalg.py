@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgkernel import zlinalg
+from dgkernel.complexes import Complex, GradedObject, SquareZeroViolated
 from dgkernel.zlinalg import (
     CokernelData,
     FPAbGroup,
@@ -219,11 +220,133 @@ class TestIntMatrix:
         with pytest.raises(ShapeMismatch):
             IntMatrix.from_cols([(1, 2), (3,)], 2)
 
+    def test_select_rows_rejects_out_of_range(self):
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for idx in ([2], [-1]):
+            with pytest.raises(ShapeMismatch):
+                m.select_rows(idx)
+
     def test_determinant(self):
         assert determinant(IntMatrix.identity(4)) == 1
         assert determinant(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
         assert determinant(IntMatrix.from_rows([[2, 4], [1, 2]])) == 0
         assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+
+
+def assert_same_build(m: IntMatrix, rows: int, cols: int, entries):
+    """m has the shape and the entry tuple of the validating build
+    IntMatrix(rows, cols, entries), and every entry is a Python int."""
+    ref = IntMatrix(rows, cols, entries)
+    assert (m.rows, m.cols, m.entries()) == (ref.rows, ref.cols, ref.entries())
+    assert type(m.entries()) is tuple
+    assert all(type(x) is int for x in m.entries())
+
+
+class TestTrustedBuilds:
+    """Results of IntMatrix arithmetic skip the validating constructor;
+    each must equal what the validating constructor builds from the
+    entries computed one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(5), st.data())
+    def test_elementwise_ops(self, a, data):
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=len(a.entries()),
+                               max_size=len(a.entries())).map(
+            lambda e: IntMatrix(a.rows, a.cols, e)))
+        c = data.draw(st.integers(-4, 4))
+        r, k = a.rows, a.cols
+        pairs = list(zip(a.entries(), b.entries()))
+        assert_same_build(a + b, r, k, [x + y for x, y in pairs])
+        assert_same_build(a - b, r, k, [x - y for x, y in pairs])
+        assert_same_build(-a, r, k, [-x for x in a.entries()])
+        assert_same_build(a.scale(c), r, k, [c * x for x in a.entries()])
+        assert_same_build(c * a, r, k, [c * x for x in a.entries()])
+        assert_same_build(a.transpose(), k, r, [a[i, j] for j in range(k) for i in range(r)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(5), st.integers(0, 5), st.data())
+    def test_product(self, a, m, data):
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols * m,
+                               max_size=a.cols * m).map(lambda e: IntMatrix(a.cols, m, e)))
+        assert_same_build(a @ b, a.rows, m,
+                          [sum(a[i, t] * b[t, j] for t in range(a.cols))
+                           for i in range(a.rows) for j in range(m)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(5), st.data())
+    def test_selections_and_stacks(self, a, data):
+        r, k = a.rows, a.cols
+        rows = data.draw(st.lists(st.integers(0, r - 1), max_size=6)) if r else []
+        cols = data.draw(st.lists(st.integers(0, k - 1), max_size=6)) if k else []
+        assert_same_build(a.select_rows(rows), len(rows), k,
+                          [a[i, j] for i in rows for j in range(k)])
+        assert_same_build(a.select_cols(cols), r, len(cols),
+                          [a[i, j] for i in range(r) for j in cols])
+        assert_same_build(a.hstack(a), r, 2 * k,
+                          [x for i in range(r) for x in a.row(i) + a.row(i)])
+        assert_same_build(a.vstack(a), 2 * r, k, a.entries() + a.entries())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6))
+    def test_zeros_and_identity(self, r, k):
+        assert_same_build(IntMatrix.zeros(r, k), r, k, [0] * (r * k))
+        assert_same_build(IntMatrix.identity(r), r, r,
+                          [int(i == j) for i in range(r) for j in range(r)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(int_matrices(3), max_size=4))
+    def test_block_builds(self, blocks):
+        # block_diagonal against its definition as a grid of zero blocks
+        total = sum(b.cols for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            rows += [[0] * left + list(b.row(i)) + [0] * (total - left - b.cols)
+                     for i in range(b.rows)]
+            left += b.cols
+        assert_same_build(block_diagonal(blocks), len(rows), total,
+                          [x for row in rows for x in row])
+        if blocks:
+            grid = [[b if i == j else IntMatrix.zeros(b.rows, c.cols)
+                     for j, c in enumerate(blocks)] for i, b in enumerate(blocks)]
+            assert_same_build(block_matrix(grid), len(rows), total,
+                              [x for row in rows for x in row])
+
+
+class TestZeroComplexAndSquareZero:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=4))
+    def test_shared_zero_equals_fresh_zero(self, degrees):
+        fresh = Complex(GradedObject({n: 0 for n in degrees}), {})
+        assert Complex.zero() is Complex.zero()
+        assert Complex.zero() == fresh
+        assert hash(Complex.zero()) == hash(fresh)
+        assert Complex.zero().is_zero() and Complex.zero().diffs() == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2, 2), st.lists(st.integers(0, 2), min_size=1, max_size=5),
+           st.data())
+    def test_square_zero_violation_reports_lowest_degree(self, lo, ranks, data):
+        r = {lo + i: k for i, k in enumerate(ranks)}
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+        diffs = {}
+        for n in range(lo + 1, lo + len(ranks)):
+            rows, cols = r[n - 1], r[n]
+            diffs[n] = IntMatrix(rows, cols, data.draw(st.lists(
+                entries, min_size=rows * cols, max_size=rows * cols)))
+        carrier = GradedObject(r)
+
+        def d(n):
+            return diffs.get(n) or IntMatrix.zeros(carrier.rank(n - 1), carrier.rank(n))
+
+        # reference: every product d_n d_{n+1} over the support, zero or not
+        expected = next((n + 1 for n in carrier.degrees() if not (d(n) @ d(n + 1)).is_zero()),
+                        None)
+        if expected is None:
+            Complex(carrier, diffs)
+        else:
+            with pytest.raises(SquareZeroViolated) as info:
+                Complex(carrier, diffs)
+            assert info.value.degree == expected
 
 
 class TestSmithNormalForm:
