@@ -260,14 +260,18 @@ class Proto:
 
     def __add__(self, other: "Proto") -> "Proto":
         self._compatible(other)
-        comps = {q: self.comp(q) + other.comp(q)
-                 for q in set(self._c) | set(other._c)}
+        comps = dict(self._c)
+        for q, m in other._c.items():
+            mine = comps.get(q)
+            comps[q] = m if mine is None else mine + m
         return Proto(self.source, self.target, self.degree, comps)
 
     def __sub__(self, other: "Proto") -> "Proto":
         self._compatible(other)
-        comps = {q: self.comp(q) - other.comp(q)
-                 for q in set(self._c) | set(other._c)}
+        comps = dict(self._c)
+        for q, m in other._c.items():
+            mine = comps.get(q)
+            comps[q] = -m if mine is None else mine - m
         return Proto(self.source, self.target, self.degree, comps)
 
     def __neg__(self) -> "Proto":
@@ -342,29 +346,38 @@ def identity_map(a: Complex) -> ChainMap:
 
 
 def d_hom(f: Proto) -> Proto:
-    """Hom-complex differential: (df)_q = d f_q - (-1)^n f_{q-1} d."""
+    """Hom-complex differential: (df)_q = d f_q - (-1)^n f_{q-1} d.
+
+    Only stored (nonzero) components and differentials are multiplied."""
     a, b, n = f.source, f.target, f.degree
     sign = _hom_sign(n)
+    db, da = b._d, a._d
     comps: Dict[int, IntMatrix] = {}
-    for q in range(a.lo, a.hi + 1):
-        if a.rank(q) == 0 or b.rank(q + n - 1) == 0:
-            continue
-        m = b.diff(q + n) @ f.comp(q) - sign * (f.comp(q - 1) @ a.diff(q))
-        comps[q] = m
+    for q, m in f._c.items():
+        d = db.get(q + n)
+        if d is not None:
+            comps[q] = d @ m
+    for q, m in f._c.items():
+        d = da.get(q + 1)
+        if d is not None:
+            # the -(-1)^n f_{q-1} d term of component q + 1
+            t = -(m @ d) if sign == 1 else m @ d
+            prev = comps.get(q + 1)
+            comps[q + 1] = t if prev is None else prev + t
     return Proto(a, b, n - 1, comps)
 
 
 def compose(g: Proto, f: Proto) -> Proto:
-    """g o f; degrees add."""
+    """g o f; degrees add.  Only pairs of stored components are multiplied."""
     if g.source != f.target:
         raise ShapeMismatch("compose: target of f differs from source of g")
+    gc, fd = g._c, f.degree
     comps: Dict[int, IntMatrix] = {}
-    for q in f.support():
-        if f.source.rank(q) == 0:
-            continue
-        m = g.comp(q + f.degree) @ f.comp(q)
-        comps[q] = m
-    return Proto(f.source, g.target, f.degree + g.degree, comps)
+    for q, m in f._c.items():
+        gm = gc.get(q + fd)
+        if gm is not None:
+            comps[q] = gm @ m
+    return Proto(f.source, g.target, fd + g.degree, comps)
 
 
 # -- shift and forgetful functors ---------------------------------------
@@ -607,6 +620,11 @@ class HomSpace:
             out.append(self.from_vector(n, vec))
         return out
 
+    def cycle_basis(self, n: int) -> List[Proto]:
+        """Z-basis of the degree-n cycles, i.e. of the degree-n chain maps."""
+        k = kernel_basis(self.complex.diff(n))
+        return [self.from_vector(n, k.col(j)) for j in range(k.cols)]
+
 
 def hom_complex(source: Complex, target: Complex) -> Complex:
     """The internal hom [B, C] as a complex (see HomSpace for the basis)."""
@@ -615,9 +633,7 @@ def hom_complex(source: Complex, target: Complex) -> Complex:
 
 def chain_map_basis(source: Complex, target: Complex, degree: int = 0) -> List[Proto]:
     """Z-basis of the group of degree-n chain maps source -> target."""
-    hs = HomSpace(source, target)
-    k = kernel_basis(hs.complex.diff(degree))
-    return [hs.from_vector(degree, k.col(j)) for j in range(k.cols)]
+    return HomSpace(source, target).cycle_basis(degree)
 
 
 # -- adjunction transposes -------------------------------------------------
@@ -791,7 +807,8 @@ def canonical_presentation(a: Complex, probes: Optional[List[Tuple[str, Complex]
 def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
     """Every chain map g: B -> T with g o k = 0 factors uniquely through
     w: B -> C, i.e. w is a cokernel of k: K -> B as seen from T."""
-    basis = chain_map_basis(w.source, t, 0)
+    hs_bt = HomSpace(w.source, t)
+    basis = hs_bt.cycle_basis(0)
     if not basis:
         return True
     hs_kt = HomSpace(k.source, t)
@@ -799,7 +816,6 @@ def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
         [hs_kt.to_vector(compose(g, k)) for g in basis], hs_kt.dim(0)))
 
     factor_basis = chain_map_basis(w.target, t, 0)
-    hs_bt = HomSpace(w.source, t)
     fm = IntMatrix.from_cols([hs_bt.to_vector(compose(h, w)) for h in factor_basis],
                              hs_bt.dim(0))
 
@@ -816,15 +832,21 @@ def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
 # -- finite direct sums -----------------------------------------------------
 
 
-def direct_sum_complexes(summands: Sequence[Complex]) -> Tuple[Complex, List[ChainMap], List[ChainMap]]:
-    """Block direct sum with injection and projection chain maps."""
+def direct_sum(summands: Sequence[Complex]) -> Complex:
+    """Block direct sum of complexes, summands in order."""
     ranks: Dict[int, int] = {}
     for s in summands:
         for n in s.degrees():
             ranks[n] = ranks.get(n, 0) + s.rank(n)
-    total = Complex(GradedObject(ranks), {
+    return Complex(GradedObject(ranks), {
         n: block_diagonal([s.diff(n) for s in summands])
         for n in ranks if ranks[n] and ranks.get(n - 1)}, _validated=True)
+
+
+def direct_sum_complexes(summands: Sequence[Complex]) -> Tuple[Complex, List[ChainMap], List[ChainMap]]:
+    """Block direct sum with injection and projection chain maps."""
+    total = direct_sum(summands)
+    ranks = total.carrier.ranks()
     # summand i sits in rows before .. before + r of the identity on the sum
     identities = {n: IntMatrix.identity(r) for n, r in ranks.items() if r}
     injs, projs = [], []

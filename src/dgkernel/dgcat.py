@@ -32,6 +32,7 @@ from .complexes import (
     Proto,
     compose,
     d_hom,
+    direct_sum,
     direct_sum_complexes,
     identity_map,
     suspension,
@@ -526,8 +527,7 @@ def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
     base, side = m1.base, m1.side
     values = {}
     for x in base.objects:
-        total, _, _ = direct_sum_complexes([m1.value(x), m2.value(x)])
-        values[x] = total
+        values[x] = direct_sum([m1.value(x), m2.value(x)])
     actions = {}
     for u in base.objects:
         for v in base.objects:
@@ -943,14 +943,10 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         # differentials correspond: Phi(d h) = d_theta(Phi h)
         phi_prev, offs_prev, total_prev = phi_matrix(n - 1)
         for idx, h in enumerate(hs_lhs.basis(n)):
-            dh = d_hom(h)
-            lhs_vec = [0] * total_prev
             if phi_prev.cols:
-                dv = hs_lhs.to_vector(dh)
-                for j, c in enumerate(dv):
-                    if c:
-                        for i in range(total_prev):
-                            lhs_vec[i] += c * phi_prev[i, j]
+                lhs_vec = list(phi_prev.apply(hs_lhs.to_vector(d_hom(h))))
+            else:
+                lhs_vec = [0] * total_prev
             col = phi.col(idx) if phi.cols else ()
             rhs_vec = [0] * total_prev
             for u, (hs_out, hs_theta) in spaces.items():
@@ -960,7 +956,7 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                 dv = hs_theta.to_vector(dth)
                 for i, x in enumerate(dv):
                     rhs_vec[offs_prev[u] + i] = x
-            if list(lhs_vec) != list(rhs_vec):
+            if lhs_vec != rhs_vec:
                 return False
     return True
 

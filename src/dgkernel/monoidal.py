@@ -23,7 +23,7 @@ from .complexes import (
     Proto,
     chain_map_basis,
     compose,
-    direct_sum_complexes,
+    direct_sum,
     functor_L,
     functor_R,
     identity_map,
@@ -174,9 +174,9 @@ def tensor_proto(f: Proto, g: Proto) -> Proto:
             continue
         out = [[0] * cols for _ in range(rows)]
         for (p, q, size, off) in src.blocks(n):
-            fp = f.comp(p)
-            gq = g.comp(q)
-            if fp.is_zero() or gq.is_zero():
+            fp = f._c.get(p)
+            gq = g._c.get(q)
+            if fp is None or gq is None:   # stored components are nonzero
                 continue
             sign = 1 if (g.degree * p) % 2 == 0 else -1
             rr_src = g.source.rank(q)
@@ -290,11 +290,11 @@ def associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
 
 def distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
     """(A + B) (x) C = (A (x) C) + (B (x) C) by basis reordering."""
-    ab, _, _ = direct_sum_complexes([a, b])
+    ab = direct_sum([a, b])
     src = TensorSpace(ab, c)
     ac = TensorSpace(a, c)
     bc = TensorSpace(b, c)
-    tgt, _, _ = direct_sum_complexes([ac.complex, bc.complex])
+    tgt = direct_sum([ac.complex, bc.complex])
 
     def fwd(n, flat):
         t = src.decompose(n, flat)
@@ -441,7 +441,7 @@ def decompose_LZ_tensor() -> Tuple[ChainMap, ChainMap]:
     """Mutually inverse chain maps L Z (x) L Z = L Z + S^-1 L Z."""
     lz = functor_L(unit_complex())
     src = tensor(lz, lz)
-    tgt, _, _ = direct_sum_complexes([lz, suspension(lz, -1)])
+    tgt = direct_sum([lz, suspension(lz, -1)])
     return _search_iso(src, tgt)
 
 

@@ -18,6 +18,7 @@ from .complexes import (
     GradedObject,
     Proto,
     chain_map_basis,
+    direct_sum,
     direct_sum_complexes,
 )
 from .zlinalg import IntMatrix, inverse_unimodular
@@ -65,7 +66,7 @@ def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3)
         else:
             k = rng.choice((0, 1, 1, 2, 2, 3, -1, -2))
             parts.append(Complex.from_ranks({deg + 1: 1, deg: 1}, {deg + 1: [[k]]}))
-    total, _, _ = direct_sum_complexes(parts)
+    total = direct_sum(parts)
     # conjugate by unimodular basis changes degreewise
     t = {n: rand_unimodular(rng, total.rank(n)) for n in total.degrees()}
     t_inv = {n: inverse_unimodular(m) for n, m in t.items()}

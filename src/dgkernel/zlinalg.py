@@ -6,6 +6,10 @@ ultimately a dense matrix of arbitrary-precision Python integers, and
 every homological computation reduces to the routines here.  Smith normal
 form records its row and column operations; solving, kernels and inverses
 apply that record to their operand and never form the transforms U or V.
+A matrix keeps its decomposition, so calling smith_normal_form again on
+the same object costs a lookup: calls are not factorizations.  Products
+skip zero entries of both operands, so a sparse product costs its nonzero
+terms, not rows x inner x cols.
 
 Matrices are immutable; 0xN and Nx0 matrices are valid and behave as
 zero maps.
@@ -13,7 +17,8 @@ zero maps.
 
 from __future__ import annotations
 
-from operator import add, index, neg, sub
+from itertools import compress
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -24,7 +29,9 @@ class ShapeMismatch(ValueError):
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
 
-    __slots__ = ("rows", "cols", "_e")
+    # _snf holds the matrix's SmithDecomposition once smith_normal_form has
+    # computed it; it is never set in __init__ and is read with getattr.
+    __slots__ = ("rows", "cols", "_e", "_snf")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int], _trusted: bool = False):
         # _trusted: entries is already a tuple of rows * cols Python ints (the
@@ -153,17 +160,28 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
         se, oe = self._e, other._e
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = se[base + t]
-                if a:
-                    ob = t * m
-                    rb = i * m
-                    for j in range(m):
-                        out[rb + j] += a * oe[ob + j]
+        if not (any(se) and any(oe)):
+            return IntMatrix.zeros(n, m)
+        # Sparse rows: each nonzero a[i, t] meets only the nonzero entries of
+        # row t of other, whose columns are listed once, on first use.
+        # compress() finds the nonzero positions of a row without a Python
+        # step per zero.
+        nonzero = [None] * k
+        ks, ms = range(k), range(m)
+        out = []
+        for i in range(0, n * k, k):
+            arow = se[i:i + k]
+            acc = [0] * m
+            for t in compress(ks, arow):
+                ob = t * m
+                js = nonzero[t]
+                if js is None:
+                    js = nonzero[t] = list(compress(ms, oe[ob:ob + m]))
+                a = arow[t]
+                for j in js:
+                    acc[j] += a * oe[ob + j]
+            out += acc
         return IntMatrix(n, m, tuple(out), _trusted=True)
 
     def transpose(self) -> "IntMatrix":
@@ -173,12 +191,13 @@ class IntMatrix:
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        return tuple(
-            sum(self._e[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        c = self.cols
+        if len(vec) != c:
+            raise ShapeMismatch(f"vector length {len(vec)} vs {c} columns")
+        if not c:
+            return (0,) * self.rows
+        e = self._e
+        return tuple([sum(map(mul, e[i:i + c], vec)) for i in range(0, self.rows * c, c)])
 
     def select_rows(self, idx: Sequence[int]) -> "IntMatrix":
         flat = []
@@ -189,6 +208,9 @@ class IntMatrix:
         return IntMatrix(len(idx), self.cols, tuple(flat), _trusted=True)
 
     def select_cols(self, idx: Sequence[int]) -> "IntMatrix":
+        for j in idx:
+            if not 0 <= j < self.cols:
+                raise ShapeMismatch(f"column {j} out of range for {self.cols} columns")
         flat = []
         for i in range(self.rows):
             r = self.row(i)
@@ -292,7 +314,8 @@ class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D in Smith normal form.
 
     D is canonical for M; U and V are not, and must never be compared
-    across implementations.
+    across implementations.  The decomposition keeps the shape of M, not M
+    itself, so that M can hold its decomposition without a reference cycle.
 
     :func:`smith_normal_form` computes D alone and records its row and
     column operations; :meth:`u_times` and :meth:`v_times` apply the record
@@ -301,21 +324,21 @@ class SmithDecomposition:
     is no record and the two methods multiply by the matrices.
     """
 
-    __slots__ = ("_U", "D", "_V", "source", "diagonal", "rank", "_row_ops", "_col_ops")
+    __slots__ = ("_U", "D", "_V", "shape", "diagonal", "rank", "_row_ops", "_col_ops")
 
     def __init__(self, U: Optional[IntMatrix], D: IntMatrix, V: Optional[IntMatrix],
                  source: IntMatrix):
         self._U = U
         self.D = D
         self._V = V
-        self.source = source
+        self.shape = source.shape
         self._row_ops = self._col_ops = None
         self.diagonal = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
         self.rank = sum(1 for d in self.diagonal if d != 0)
 
     @classmethod
-    def _recorded(cls, D: IntMatrix, source: IntMatrix, row_ops: list, col_ops: list):
-        s = cls(None, D, None, source)
+    def _recorded(cls, D: IntMatrix, row_ops: list, col_ops: list):
+        s = cls(None, D, None, D)   # D has the shape of its source
         s._row_ops = row_ops
         s._col_ops = col_ops
         return s
@@ -400,7 +423,15 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     only when U or V itself is read (see SmithDecomposition).
     At step k every row and column before k is already clear outside the
     diagonal, so operations touch only the trailing submatrix.
+
+    Each matrix is factored once: the decomposition is stored on m, and a
+    later call with the same object returns it (IntMatrix is immutable).
+    So the number of calls is not the number of factorizations; a call on
+    an equal but distinct matrix factors again.
     """
+    s = getattr(m, "_snf", None)
+    if s is not None:
+        return s
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     row_ops = []   # (dst, src, c): row_dst += c * row_src; (i, j): swap; (k,): negate
@@ -476,7 +507,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[k][k] = -a[k][k]
             row_ops.append((k,))
 
-    return SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), m, row_ops, col_ops)
+    s = m._snf = SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), row_ops, col_ops)
+    return s
 
 
 def rank(m: IntMatrix) -> int:
@@ -517,7 +549,7 @@ def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
     """With U m V = D of rank r: m X = b has a solution iff the rows of
     C = U b from r on vanish and row i < r is divisible by D[i, i]; then
     X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below."""
-    n, w = s.source.cols, b.cols
+    n, w = s.shape[1], b.cols
     if not w:
         return IntMatrix.zeros(n, 0)
     c = s.u_times(b).entries()

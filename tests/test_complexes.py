@@ -19,6 +19,7 @@ from dgkernel.complexes import (
     compose,
     cycles_Z,
     d_hom,
+    direct_sum,
     direct_sum_complexes,
     factors_uniquely,
     forget_U,
@@ -259,6 +260,62 @@ class TestCompose:
                                  0: IntMatrix.from_rows([[2]])})
 
 
+def reference_d_hom(f):
+    """The dense hom differential: every degree of the source, with the zero
+    blocks Proto.comp and Complex.diff build for missing components."""
+    a, b, n = f.source, f.target, f.degree
+    sign = -1 if n % 2 else 1
+    comps = {}
+    for q in range(a.lo, a.hi + 1):
+        if a.rank(q) == 0 or b.rank(q + n - 1) == 0:
+            continue
+        comps[q] = b.diff(q + n) @ f.comp(q) - sign * (f.comp(q - 1) @ a.diff(q))
+    return Proto(a, b, n - 1, comps)
+
+
+def reference_compose(g, f):
+    """The dense composite: g_{q+|f|} f_q over the whole support of f."""
+    comps = {}
+    for q in f.support():
+        if f.source.rank(q):
+            comps[q] = g.comp(q + f.degree) @ f.comp(q)
+    return Proto(f.source, g.target, f.degree + g.degree, comps)
+
+
+class TestStoredComponents:
+    """compose, d_hom, + and - touch stored components only; the results
+    equal the dense definitions, zero blocks included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-2, 3), st.integers(-2, 3),
+           st.sampled_from([(-2, 2), (0, 1), (0, 0)]))
+    def test_compose_and_d_hom_equal_the_dense_definitions(self, seed, p, q, span):
+        rng = random.Random(seed)
+        a, b, c = rand_complex(rng), rand_complex(rng), rand_complex(rng)
+        f = rand_proto(rng, a, b, p, *span)
+        g = rand_proto(rng, b, c, q, *span)
+        for h in (f, g, rand_chain_map(rng, a, b), identity_map(a), Proto.zero(a, b, p)):
+            dh = d_hom(h)
+            assert dh == reference_d_hom(h)
+            assert dh.degree == h.degree - 1
+        f2 = rand_proto(rng, a, b, p, *span)
+        for x, y in ((f, f2), (f, Proto.zero(a, b, p)), (Proto.zero(a, b, p), f)):
+            qs = set(x.support())
+            assert x + y == Proto(a, b, p, {s: x.comp(s) + y.comp(s) for s in qs})
+            assert x - y == Proto(a, b, p, {s: x.comp(s) - y.comp(s) for s in qs})
+        gf = compose(g, f)
+        assert gf == reference_compose(g, f)
+        assert gf.degree == p + q
+        assert compose(identity_map(b), f) == reference_compose(identity_map(b), f) == f
+
+    def test_zero_complexes_and_empty_protos(self):
+        z = Complex.zero()
+        f = Proto.zero(z, M2, 1)
+        assert d_hom(f) == reference_d_hom(f) and d_hom(f).is_zero()
+        g = Proto.zero(M2, z, -1)
+        assert compose(g, identity_map(M2)) == reference_compose(g, identity_map(M2))
+
+
 class TestAdjunctions:
     def test_LZ_represents_degree_zero(self):
         # chain maps LZ -> A correspond to elements of A_0
@@ -319,6 +376,20 @@ class TestCanonicalPresentation:
         assert not factors_uniquely(zero_to_k0, injs[0], K0)
         assert factors_uniquely(zero_to_k0, identity_map(K0), K0)
 
+    def test_factors_uniquely_builds_each_hom_space_once(self, monkeypatch):
+        built = []
+        init = HomSpace.__init__
+
+        def recording(self, source, target):
+            built.append((source, target))
+            init(self, source, target)
+
+        monkeypatch.setattr(HomSpace, "__init__", recording)
+        a = make_complex({1: 1, 0: 1}, {1: [[2]]})
+        cp = canonical_presentation(a, probes=[("A", a), ("LZ", LZ)])
+        assert cp.coequalizer_verified
+        assert built and len(built) == len(set(built))
+
     def test_factors_uniquely_checks_every_killer(self):
         # Both maps Z + Z -> Z kill 0 -> Z + Z, and only one of them factors
         # through a projection: whichever killer comes first, each
@@ -346,6 +417,17 @@ class TestDirectSum:
     def test_sum_with_zero(self):
         total, _, _ = direct_sum_complexes([M2, Complex.zero()])
         assert total == M2
+        assert direct_sum([M2, Complex.zero()]) == M2
+        assert direct_sum([]) == Complex.zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_direct_sum_is_the_total_of_direct_sum_complexes(self, seed, k):
+        rng = random.Random(seed)
+        parts = [rand_complex(rng, bricks=2) for _ in range(k)]
+        total, injs, projs = direct_sum_complexes(parts)
+        assert direct_sum(parts) == total
+        assert len(injs) == len(projs) == k
 
 
 class TestSuspensionMap:

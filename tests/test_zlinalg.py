@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import random
 
 import pytest
@@ -226,6 +227,14 @@ class TestIntMatrix:
             with pytest.raises(ShapeMismatch):
                 m.select_rows(idx)
 
+    def test_select_cols_rejects_out_of_range(self):
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for a, idx in ((m, [2]), (m, [-1]), (m, [0, -2]), (IntMatrix.zeros(0, 2), [5]),
+                       (IntMatrix.zeros(0, 2), [-1]), (IntMatrix.zeros(3, 0), [0])):
+            with pytest.raises(ShapeMismatch):
+                a.select_cols(idx)
+        assert IntMatrix.zeros(0, 2).select_cols([1, 0]).shape == (0, 2)
+
     def test_determinant(self):
         assert determinant(IntMatrix.identity(4)) == 1
         assert determinant(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
@@ -310,6 +319,131 @@ class TestTrustedBuilds:
                      for j, c in enumerate(blocks)] for i, b in enumerate(blocks)]
             assert_same_build(block_matrix(grid), len(rows), total,
                               [x for row in rows for x in row])
+
+
+def reference_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The dense product kernel the sparse-row kernel replaced: every
+    nonzero a[i, t] times every entry of row t of b."""
+    n, k, m = a.rows, a.cols, b.cols
+    out = [0] * (n * m)
+    se, oe = a.entries(), b.entries()
+    for i in range(n):
+        base = i * k
+        for t in range(k):
+            x = se[base + t]
+            if x:
+                ob = t * m
+                rb = i * m
+                for j in range(m):
+                    out[rb + j] += x * oe[ob + j]
+    return IntMatrix(n, m, out)
+
+
+def triple_loop_product(a: IntMatrix, b: IntMatrix) -> list:
+    return [sum(a[i, t] * b[t, j] for t in range(a.cols))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+@st.composite
+def operand(draw, rows, cols):
+    """A rows x cols matrix that is all zero, sparse, dense, or has big entries."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense", "big"]))
+    entries = {"zero": st.just(0), "sparse": st.sampled_from([0, 0, 0, 0, 1, -1, 3]),
+               "dense": st.integers(-9, 9), "big": st.integers(-2**70, 2**70)}[kind]
+    return IntMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                               max_size=rows * cols)))
+
+
+@st.composite
+def product_operands(draw, max_dim=6):
+    n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return draw(operand(n, k)), draw(operand(k, m))
+
+
+class TestSparseRowProduct:
+    """The sparse-row product kernel against the triple loop and against the
+    dense kernel it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(product_operands())
+    @example((IntMatrix.zeros(0, 4), IntMatrix.from_rows([[1, 2]] * 4)))
+    @example((IntMatrix.from_rows([[1, 2]] * 4), IntMatrix.zeros(2, 0)))
+    @example((IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 5)))
+    @example((IntMatrix.zeros(2, 3), IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])))
+    @example((IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.zeros(2, 3)))
+    def test_product_equals_the_triple_loop(self, ab):
+        a, b = ab
+        p = a @ b
+        assert_same_build(p, a.rows, b.cols, triple_loop_product(a, b))
+        assert p == reference_matmul(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands(), st.data())
+    def test_apply_equals_the_product_with_a_column(self, ab, data):
+        a, _ = ab
+        vec = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols, max_size=a.cols))
+        out = a.apply(vec)
+        assert type(out) is tuple
+        assert out == (a @ IntMatrix.column(vec)).entries()
+        assert out == tuple(sum(a[i, j] * vec[j] for j in range(a.cols))
+                            for i in range(a.rows))
+
+    def test_shape_mismatch_still_raises(self):
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(2, 3).apply((1, 2))
+
+
+def _reachable(root, limit=10_000):
+    """Objects reachable from root through the containers a decomposition
+    is made of (its slots, matrices, tuples and lists)."""
+    seen, todo = {}, [root]
+    while todo and len(seen) < limit:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
+        todo += [y for y in gc.get_referents(x)
+                 if isinstance(y, (IntMatrix, SmithDecomposition, tuple, list))]
+    return seen
+
+
+class TestFactorOnce:
+    """smith_normal_form factors each matrix object once and keeps the
+    decomposition on it, without a reference back to the matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_same_object_same_decomposition(self, m):
+        s = smith_normal_form(m)
+        assert smith_normal_form(m) is s
+        assert rank(m) == s.rank
+        twin = IntMatrix(m.rows, m.cols, m.entries())
+        t = smith_normal_form(twin)
+        assert t is not s and t.D == s.D
+        ref = reference_smith_normal_form(m)
+        assert (s.U, s.D, s.V) == (ref.U, ref.D, ref.V)
+        assert smith_normal_form(m) is s and s.U is smith_normal_form(m).U
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_matrices())
+    def test_decomposition_holds_no_reference_to_its_matrix(self, m):
+        s = smith_normal_form(m)
+        s.U, s.V   # the built transforms are held too
+        assert s.shape == m.shape
+        assert all(x is not m for x in _reachable(s).values())
+
+    def test_memo_reuse_changes_no_result(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            m = rand_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -3, 3)
+            b = rand_matrix(rng, m.rows, 2, -3, 3)
+            first = (kernel_basis(m), solve_matrix(m, b), cokernel(m).projection)
+            assert (kernel_basis(m), solve_matrix(m, b), cokernel(m).projection) == first
+            fresh = IntMatrix(m.rows, m.cols, m.entries())
+            assert (kernel_basis(fresh), solve_matrix(fresh, b),
+                    cokernel(fresh).projection) == first
 
 
 class TestZeroComplexAndSquareZero:
