@@ -590,7 +590,7 @@ class HomSpace:
                         if v:
                             for i in range(r):
                                 out[t_off + i * t_c + j2][off + i * c + j] -= sign * v
-        return IntMatrix.from_rows(out, cols)
+        return IntMatrix.from_rows(out, cols, _trusted=True)
 
     def dim(self, n: int) -> int:
         return self.complex.rank(n)

@@ -21,6 +21,7 @@ class InputError(ValueError):
 
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
+_DECIMAL_LIST = re.compile(r"[-+]?[0-9]+(?:,[-+]?[0-9]+)*")
 
 
 def _int(value, field: str) -> int:
@@ -59,6 +60,19 @@ def matrix_from_json(obj) -> IntMatrix:
     data = _require(obj, "data", list)
     if len(data) != rows * cols:
         raise InputError(f"field 'data': expected {rows * cols} entries, got {len(data)}")
+    # One pass when every entry is a decimal string: join them and match
+    # once; the comma count rules out an entry that holds a comma itself.
+    # Anything else, or a string too long for int(), takes the per-entry
+    # path, which raises the error naming the first bad entry.
+    try:
+        text = ",".join(data)
+    except TypeError:   # an entry is not a string
+        text = None
+    if text is not None and text.count(",") == len(data) - 1 and _DECIMAL_LIST.fullmatch(text):
+        try:
+            return IntMatrix(rows, cols, tuple(map(int, data)), _trusted=True)
+        except ValueError:
+            pass
     return IntMatrix(rows, cols, (_int(x, "data") for x in data))
 
 

@@ -153,7 +153,7 @@ class TensorSpace:
                         if v:
                             for i in range(rl):
                                 out[t_off + i * t_rr + j2][off + i * rr + j] += sign * v
-        return IntMatrix.from_rows(out, cols)
+        return IntMatrix.from_rows(out, cols, _trusted=True)
 
 
 def tensor(left: Complex, right: Complex) -> Complex:

@@ -7,7 +7,9 @@ every homological computation reduces to the routines here.  Smith normal
 form records its row and column operations; solving, kernels and inverses
 apply that record to their operand and never form the transforms U or V.
 A matrix keeps its decomposition, so calling smith_normal_form again on
-the same object costs a lookup: calls are not factorizations.  Products
+the same object costs a lookup: calls are not factorizations.  A kernel
+basis is born with its decomposition, derived from its parent's record
+(V^-1 k = [0; I]), so solving against it eliminates nothing.  Products
 skip zero entries of both operands, so a sparse product costs its nonzero
 terms, not rows x inner x cols.
 
@@ -17,7 +19,7 @@ zero maps.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
@@ -53,7 +55,11 @@ class IntMatrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows_list: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows_list: Sequence[Sequence[int]], cols: Optional[int] = None,
+                  _trusted: bool = False) -> "IntMatrix":
+        # _trusted: rows_list holds rows of Python ints, each cols long.
+        if _trusted:
+            return cls(len(rows_list), cols, tuple(chain.from_iterable(rows_list)), _trusted=True)
         rows = len(rows_list)
         if rows == 0:
             return cls(0, 0 if cols is None else cols, ())
@@ -354,7 +360,7 @@ class SmithDecomposition:
         the rows of b (V is I times one elementary matrix per operation)."""
         if self._col_ops is None:
             return self._V @ b
-        return _ops_applied(b, reversed(self._col_ops), self.D.cols)
+        return _ops_applied(b, self._col_ops, self.D.cols, backwards=True)
 
     @property
     def U(self) -> IntMatrix:
@@ -377,13 +383,16 @@ class SmithDecomposition:
         return f"SmithDecomposition(diagonal={list(self.diagonal)})"
 
 
-def _ops_applied(b: IntMatrix, ops, n: int) -> IntMatrix:
-    """b after recorded row operations on an n-row operand: (dst, src, c)
-    adds c * row src to row dst, (i, j) swaps two rows, (k,) negates row k."""
+def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> IntMatrix:
+    """b after recorded row operations on an n-row operand, last first if
+    backwards: (dst, src, c) adds c * row src to row dst, (i, j) swaps two
+    rows, (k,) negates row k.  An empty record returns b itself."""
     if b.rows != n:
         raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
+    if not ops:
+        return b
     t = b.to_lists()
-    for op in ops:
+    for op in reversed(ops) if backwards else ops:
         if len(op) == 3:
             dst, src, c = op
             t[dst] = [x + c * y for x, y in zip(t[dst], t[src])]
@@ -392,7 +401,7 @@ def _ops_applied(b: IntMatrix, ops, n: int) -> IntMatrix:
             t[i], t[j] = t[j], t[i]
         else:
             t[op[0]] = [-x for x in t[op[0]]]
-    return IntMatrix.from_rows(t, b.cols)
+    return IntMatrix.from_rows(t, b.cols, _trusted=True)
 
 
 def _find_pivot(a, k, m, n):
@@ -507,7 +516,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[k][k] = -a[k][k]
             row_ops.append((k,))
 
-    s = m._snf = SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), row_ops, col_ops)
+    s = m._snf = SmithDecomposition._recorded(IntMatrix.from_rows(a, cols, _trusted=True),
+                                              row_ops, col_ops)
     return s
 
 
@@ -548,12 +558,16 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
     """With U m V = D of rank r: m X = b has a solution iff the rows of
     C = U b from r on vanish and row i < r is divisible by D[i, i]; then
-    X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below."""
+    X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below.  When D
+    is the identity, Z is C itself."""
     n, w = s.shape[1], b.cols
     if not w:
         return IntMatrix.zeros(n, 0)
-    c = s.u_times(b).entries()
+    cm = s.u_times(b)
     r = s.rank
+    if r == n == b.rows and all(d == 1 for d in s.diagonal):
+        return s.v_times(cm)
+    c = cm.entries()
     if any(c[r * w:]):
         return None
     z = []
@@ -564,7 +578,7 @@ def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
                 return None
             z.append(q)
     z.extend([0] * ((n - r) * w))
-    return s.v_times(IntMatrix(n, w, z))
+    return s.v_times(IntMatrix(n, w, tuple(z), _trusted=True))
 
 
 def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -575,13 +589,29 @@ def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel of m: the last n - r
-    columns of V, i.e. V @ [0; I]."""
+    columns of V, i.e. k = V @ [0; I].
+
+    The basis carries its Smith decomposition, so smith_normal_form(k) is
+    a lookup: V^-1 k = [0; I], and swapping row i with row r + i brings
+    that to D = [I; 0].  U is V^-1 then those swaps, recorded as the
+    parent's column operations in forward order, each inverted, as row
+    operations; V is the identity.  A parent with explicit U and V and no
+    record leaves a nonempty k without a decomposition."""
     s = smith_normal_form(m)
     n, r = m.cols, s.rank
     if r == n:
-        return IntMatrix.zeros(n, 0)
-    return s.v_times(IntMatrix(n, n - r, (int(i - r == j) for i in range(n)
-                                          for j in range(n - r))))
+        k = IntMatrix.zeros(n, 0)
+        row_ops = []   # every U takes an n x 0 matrix to D
+    else:
+        k = s.v_times(IntMatrix.zeros(r, n - r).vstack(IntMatrix.identity(n - r)))
+        if s._col_ops is None:
+            return k
+        row_ops = [op if len(op) == 2 else (op[0], op[1], -op[2]) for op in s._col_ops]
+        if r:
+            row_ops += [(i, r + i) for i in range(n - r)]
+    k._snf = SmithDecomposition._recorded(
+        IntMatrix.identity(n - r).vstack(IntMatrix.zeros(r, n - r)), row_ops, [])
+    return k
 
 
 class FPAbGroup:

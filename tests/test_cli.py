@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dgkernel import jsonio
 from dgkernel.cli import main
@@ -254,6 +255,54 @@ class TestVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and message in captured.err
+
+
+def per_entry_read(obj) -> IntMatrix:
+    """The matrix read one entry at a time, as every entry was read before
+    the one-pass read of decimal strings."""
+    return IntMatrix(obj["rows"], obj["cols"], [jsonio._int(x, "data") for x in obj["data"]])
+
+
+DECIMAL_STRINGS = st.builds(str.__add__, st.sampled_from(["", "-", "+"]),
+                            st.text("0123456789", min_size=1, max_size=40))
+LONG_DIGITS = "9" * 5000   # more digits than int() converts
+
+
+@st.composite
+def matrix_objects(draw):
+    """A JSON matrix of decimal strings, or of strings and JSON integers."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([DECIMAL_STRINGS,
+                                  st.one_of(DECIMAL_STRINGS, st.integers(-10**30, 10**30))]))
+    data = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+class TestMatrixRead:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_objects())
+    @example({"rows": 1, "cols": 1, "data": ["9" * 4300]})
+    @example({"rows": 1, "cols": 2, "data": ["-007", "+0"]})
+    def test_one_pass_read_equals_per_entry_read(self, obj):
+        m = jsonio.matrix_from_json(obj)
+        assert m == per_entry_read(obj)
+        assert type(m.entries()) is tuple and all(type(x) is int for x in m.entries())
+
+    @pytest.mark.parametrize("data, bad", [
+        ([True], True), ([1.5], 1.5), ([" 1"], " 1"), (["1_0"], "1_0"),
+        (["\u0661"], "\u0661"), (["1,2"], "1,2"), ([""], ""), (["+"], "+"),
+        (["1", 2, "x", 4], "x"), (["1", "2", "3", "1,"], "1,"), (["7", "1,", "2"], "1,"),
+        ([LONG_DIGITS], LONG_DIGITS), (["1", "2", LONG_DIGITS, "x"], LONG_DIGITS),
+    ], ids=["true", "float", "space", "underscore", "arabic-indic", "comma", "empty",
+            "sign", "mixed", "trailing-comma", "comma-pair", "long", "long-then-bad"])
+    def test_bad_entries_keep_their_message(self, files, capsys, data, bad):
+        bad_path = files["tmp"] + "/bad_matrix.json"
+        jsonio.dump({"lo": 0, "hi": 1, "ranks": [len(data), 1],
+                     "diffs": {"1": {"rows": 1, "cols": len(data), "data": data}}}, bad_path)
+        assert main(["homology", bad_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: field 'data': expected an integer, got {bad!r}\n"
 
 
 HOMOLOGY_VERBS = {

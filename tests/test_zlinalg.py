@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgkernel import zlinalg
-from dgkernel.complexes import Complex, GradedObject, SquareZeroViolated
+from dgkernel.complexes import (Complex, GradedObject, HomSpace, SquareZeroViolated, d_hom,
+                                 homology_H, make_complex)
+from dgkernel.monoidal import TensorSpace
+from dgkernel.rand import rand_complex
 from dgkernel.zlinalg import (
     CokernelData,
     FPAbGroup,
@@ -319,6 +322,57 @@ class TestTrustedBuilds:
                      for j, c in enumerate(blocks)] for i, b in enumerate(blocks)]
             assert_same_build(block_matrix(grid), len(rows), total,
                               [x for row in rows for x in row])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.integers(0, 2**32 - 1))
+    @example(IntMatrix.zeros(3, 0), 0)
+    @example(IntMatrix.zeros(0, 3), 0)
+    def test_recorded_elimination_builds(self, m, seed):
+        # D, both applied records and the [0; I] operand of a kernel basis
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        assert_same_build(s.D, m.rows, m.cols, ref.D.entries())
+        rng = random.Random(seed)
+        b, y = rand_matrix(rng, m.rows, 2, -9, 9), rand_matrix(rng, m.cols, 2, -9, 9)
+        assert_same_build(s.u_times(b), m.rows, 2, triple_loop_product(ref.U, b))
+        assert_same_build(s.v_times(y), m.cols, 2, triple_loop_product(ref.V, y))
+        k = kernel_basis(m)
+        kernel_cols = range(ref.rank, m.cols)
+        assert_same_build(k, m.cols, len(kernel_cols),
+                          [ref.V[i, j] for i in range(m.cols) for j in kernel_cols])
+        d = smith_normal_form(k).D
+        assert_same_build(d, k.rows, k.cols,
+                          [int(i == j) for i in range(k.rows) for j in range(k.cols)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hom_and_tensor_differentials(self, seed):
+        # column t of each differential is d of basis element t, entry by entry
+        rng = random.Random(seed)
+        a, b = rand_complex(rng), rand_complex(rng)
+        hs = HomSpace(a, b)
+        for n, d in hs.complex.diffs().items():
+            cols = [hs.to_vector(d_hom(f)) for f in hs.basis(n)]
+            assert_same_build(d, hs.dim(n - 1), hs.dim(n),
+                              [c[i] for i in range(hs.dim(n - 1)) for c in cols])
+        ts = TensorSpace(a, b)
+        for n, d in ts.complex.diffs().items():
+            cols = []
+            for x in ts.basis(n):
+                p, q, i, j = x.left_degree, x.right_degree, x.left_index, x.right_index
+                unit_i = [int(t == i) for t in range(a.rank(p))]
+                unit_j = [int(t == j) for t in range(b.rank(q))]
+                col = [0] * ts.dim(n - 1)
+                terms = [(1, p - 1, a.diff(p).col(i), q, unit_j),
+                         (-1 if p % 2 else 1, p, unit_i, q - 1, b.diff(q).col(j))]
+                for sign, lp, xa, rq, xb in terms:
+                    if a.rank(lp) and b.rank(rq):
+                        for t, v in enumerate(ts.embed_pair(lp, xa, rq, xb)):
+                            col[t] += sign * v
+                cols.append(col)
+            assert_same_build(d, ts.dim(n - 1), ts.dim(n),
+                              [c[t] for t in range(ts.dim(n - 1)) for c in cols])
 
 
 def reference_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -743,6 +797,104 @@ class TestAppliedRecord:
             assert (solve_with(s, b) is None) == (solve(m, b) is None)
         assert s.u_times(IntMatrix.identity(m.rows)) == ref.U
         assert s.v_times(IntMatrix.identity(m.cols)) == ref.V
+
+
+def kernel_operands(k: IntMatrix, width: int, solvable: bool, seed: int) -> IntMatrix:
+    rng = random.Random(seed)
+    if solvable:
+        return k @ rand_matrix(rng, k.cols, width, -4, 4)
+    return rand_matrix(rng, k.rows, width, -4, 4)
+
+
+KERNEL_PARENTS = [IntMatrix.zeros(3, 4), IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0),
+                  IntMatrix.identity(3), FULL_RANK, FULL_RANK.transpose()]
+
+
+def parent_examples(*args):
+    """An explicit example per parent in KERNEL_PARENTS, with args after it."""
+    def add(test):
+        for m in KERNEL_PARENTS:
+            test = example(m, *args)(test)
+        return test
+    return add
+
+
+class TestKernelBasisDecomposition:
+    """A kernel basis carries a decomposition derived from its parent's
+    record; it must act as a fresh elimination of the same matrix would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    @parent_examples()
+    def test_derived_decomposition_is_a_smith_decomposition(self, m):
+        k = kernel_basis(m)
+        s = smith_normal_form(k)
+        assert smith_normal_form(k) is s
+        assert s.U @ k @ s.V == s.D
+        assert determinant(s.U) in (1, -1) and s.V == IntMatrix.identity(k.cols)
+        twin = IntMatrix(k.rows, k.cols, k.entries())
+        fresh = smith_normal_form(twin)
+        assert fresh is not s
+        assert (s.D, s.diagonal, s.rank) == (fresh.D, fresh.diagonal, fresh.rank)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @parent_examples(2, True, 0)
+    @parent_examples(2, False, 0)
+    def test_solving_against_a_kernel_equals_a_fresh_elimination(self, m, width, solvable, seed):
+        k = kernel_basis(m)
+        twin = IntMatrix(k.rows, k.cols, k.entries())
+        b = kernel_operands(k, width, solvable, seed)
+        with decompositions_made() as made:
+            x = solve_matrix(k, b)
+        assert made == [k._snf]   # a lookup, no elimination
+        assert x == solve_matrix(twin, b)
+        if solvable:
+            assert x is not None and k @ x == b
+        for j in range(width):
+            assert solve(k, b.col(j)) == solve(twin, b.col(j))
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @parent_examples(2, True, 0)
+    @parent_examples(2, False, 0)
+    def test_parent_with_explicit_transforms_gives_a_correct_kernel(self, m, width, solvable, seed):
+        # no record to derive from: the kernel is still V @ [0; I]
+        ref = reference_smith_normal_form(m)
+        parent = IntMatrix(m.rows, m.cols, m.entries())
+        parent._snf = SmithDecomposition(ref.U, ref.D, ref.V, parent)
+        k = kernel_basis(parent)
+        assert k == ref.V.select_cols(range(ref.rank, m.cols))
+        assert (m @ k).is_zero()
+        twin = IntMatrix(k.rows, k.cols, k.entries())
+        b = kernel_operands(k, width, solvable, seed)
+        assert solve_matrix(k, b) == solve_matrix(twin, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_homology_eliminates_each_differential_once(self, c0, extra, seed):
+        # Z^c1 -> Z^c0, dense, with a nonzero kernel in degree 1
+        c1 = c0 + extra
+        d = rand_matrix(random.Random(seed), c0, c1)
+        a = make_complex({1: c1, 0: c0}, {1: d.to_lists()})
+        calls = []
+        real = zlinalg.smith_normal_form
+
+        def recording(m):
+            calls.append((m, getattr(m, "_snf", None) is None))
+            return real(m)
+
+        zlinalg.smith_normal_form = recording
+        try:
+            h = homology_H(a)
+        finally:
+            zlinalg.smith_normal_form = real
+        assert len(calls) == 6   # kernel_basis, solve_matrix, FPAbGroup per degree
+        assert [fresh for m, fresh in calls if m == d] == [True, False]
+        kernels = [m for m, _ in calls[1::3]]
+        assert all(fresh is False for m, fresh in calls if any(m is k for k in kernels))
+        assert h.at(0) == cokernel(d).group
+        assert h.at(1) == FPAbGroup.free(c1 - rank(d))
 
 
 class TestSolve:
