@@ -16,7 +16,10 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .zlinalg import (
     FPAbGroup,
@@ -530,67 +533,119 @@ def homology_H(a: Complex) -> GradedGroups:
 # -- the internal hom ------------------------------------------------------
 
 
+class BlockLayout:
+    """Where each block of a stacked basis starts.
+
+    In each degree the blocks follow one another in the order they were
+    added.  A block is a rows x cols array of basis elements laid out
+    row-major, so element (i, j) of block ``key`` sits at
+    ``slot(n, key) + i * cols + j``.  Empty blocks take no room and are not
+    listed.  The degree may be any hashable label; a single stack uses 0.
+    """
+
+    __slots__ = ("_in_degree", "_where", "_dims")
+
+    def __init__(self):
+        self._in_degree: Dict[object, List[Tuple[object, int, int, int]]] = {}
+        self._where: Dict[Tuple[object, object], Tuple[int, int]] = {}   # -> (offset, cols)
+        self._dims: Dict[object, int] = {}
+
+    def add(self, n, key, rows: int, cols: int = 1) -> None:
+        if rows and cols:
+            off = self._dims.get(n, 0)
+            self._in_degree.setdefault(n, []).append((key, rows, cols, off))
+            self._where[(n, key)] = (off, cols)
+            self._dims[n] = off + rows * cols
+
+    def degrees(self):
+        """The degrees holding a block, in the order they were first used."""
+        return self._in_degree.keys()
+
+    def dim(self, n) -> int:
+        return self._dims.get(n, 0)
+
+    def dims(self) -> Dict[object, int]:
+        return dict(self._dims)
+
+    def blocks(self, n) -> List[Tuple[object, int, int, int]]:
+        """(key, rows, cols, offset) of each block of degree n, in order."""
+        return self._in_degree.get(n, [])
+
+    def slot(self, n, key, i: int = 0, j: int = 0) -> int:
+        """Flat index of element (i, j) of block ``key`` in degree n; the
+        block's first slot by default."""
+        where = self._where.get((n, key))
+        if where is None:
+            raise ShapeMismatch(f"no block {key!r} in degree {n}")
+        return where[0] + i * where[1] + j
+
+    def locate(self, n, flat: int) -> Tuple[object, int, int]:
+        """The inverse of slot: (key, i, j) of the flat index in degree n."""
+        if not 0 <= flat < self.dim(n):
+            raise IndexError(f"flat index {flat} out of range in degree {n}")
+        blocks = self._in_degree[n]
+        key, _, cols, off = blocks[bisect_right(blocks, flat, key=itemgetter(3)) - 1]
+        i, j = divmod(flat - off, cols)
+        return key, i, j
+
+
+def scatter_kron(out: List[List[int]], row_off: int, col_off: int,
+                 a: Union[IntMatrix, int], b: Union[IntMatrix, int] = 1, sign: int = 1) -> None:
+    """Add sign * (a (x) b) to the rows ``out`` with its corner at (row_off,
+    col_off): out[row_off + i*b.rows + k][col_off + j*b.cols + l] gains
+    sign * a[i, j] * b[k, l].  A factor given as an int k is the k x k
+    identity, so the default b = 1 places a itself.  Only nonzero entries
+    of a and b are visited."""
+    br, bc, b_nz = _nonzero_entries(b)
+    if not b_nz:
+        return
+    for i, j, x in _nonzero_entries(a)[2]:
+        x *= sign
+        r0, c0 = row_off + i * br, col_off + j * bc
+        for k, l, y in b_nz:
+            out[r0 + k][c0 + l] += x * y
+
+
+def _nonzero_entries(m: Union[IntMatrix, int]) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+    """rows, cols and the nonzero entries (i, j, m[i, j]) of m."""
+    if isinstance(m, int):
+        return m, m, [(t, t, 1) for t in range(m)]
+    e, c = m.entries(), m.cols
+    return m.rows, c, [(t // c, t % c, e[t]) for t in compress(range(len(e)), e)]
+
+
 class HomSpace:
     """Basis-indexed model of the internal hom [B, C].
 
-    Degree-n slots are triples (q, i, j) for the (i, j) entry of a
-    component B_q -> C_{q+n}, listed by ascending q, then row-major.
+    The degree-n basis is a BlockLayout with one block per source degree q,
+    by ascending q: the entries of a component B_q -> C_{q+n}, row-major.
     """
 
     def __init__(self, source: Complex, target: Complex):
         self.source = source
         self.target = target
-        self._summands: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        lo = target.lo - source.hi
-        hi = target.hi - source.lo
-        ranks: Dict[int, int] = {}
+        self.layout = lay = BlockLayout()
         if not (source.is_zero() or target.is_zero()):
-            for n in range(lo, hi + 1):
-                offset = 0
-                summands = []
+            for n in range(target.lo - source.hi, target.hi - source.lo + 1):
                 for q in source.degrees():
-                    rows, cols = target.rank(q + n), source.rank(q)
-                    if rows and cols:
-                        summands.append((q, rows, cols, offset))
-                        offset += rows * cols
-                if summands:
-                    self._summands[n] = summands
-                    ranks[n] = offset
-        diffs: Dict[int, IntMatrix] = {}
-        for n, summands in self._summands.items():
-            tgt = self._summands.get(n - 1, [])
-            if not tgt:
-                continue
-            diffs[n] = self._differential_matrix(n, summands, tgt)
-        self.complex = Complex(GradedObject(ranks), diffs)
+                    lay.add(n, q, target.rank(q + n), source.rank(q))
+        # f_q d acts on the row-major entries of f_q as 1 (x) d^T, d: B_{q+1} -> B_q
+        source_d_t = {q - 1: d.transpose() for q, d in source.diffs().items()}
+        diffs = {n: self._differential(n, source_d_t) for n in lay.degrees() if lay.dim(n - 1)}
+        self.complex = Complex(GradedObject(lay.dims()), diffs)
 
-    def _differential_matrix(self, n, summands, tgt_summands):
-        rows = sum(r * c for _, r, c, _ in tgt_summands)
-        cols = sum(r * c for _, r, c, _ in summands)
-        tgt_offset = {q: (off, r, c) for q, r, c, off in tgt_summands}
-        sign = _hom_sign(n)
-        out = [[0] * cols for _ in range(rows)]
-        for q, r, c, off in summands:
-            if q in tgt_offset:
-                # d f_q: entry (i, j) goes to (i2, j) times dc[i2, i]
-                t_off, _, t_c = tgt_offset[q]
-                dc = self.target.diff(q + n)   # C_{q+n} -> C_{q+n-1}
-                for i in range(r):
-                    for i2, v in enumerate(dc.col(i)):
-                        if v:
-                            src, dst = off + i * c, t_off + i2 * t_c
-                            for j in range(c):
-                                out[dst + j][src + j] += v
-            if q + 1 in tgt_offset:
-                # f_q d: entry (i, j) goes to (i, j2) times -sign * da[j, j2]
-                t_off, _, t_c = tgt_offset[q + 1]
-                da = self.source.diff(q + 1)   # B_{q+1} -> B_q
-                for j in range(c):
-                    for j2, v in enumerate(da.row(j)):
-                        if v:
-                            for i in range(r):
-                                out[t_off + i * t_c + j2][off + i * c + j] -= sign * v
-        return IntMatrix.from_rows(out, cols, _trusted=True)
+    def _differential(self, n: int, source_d_t: Dict[int, IntMatrix]) -> IntMatrix:
+        # (df)_q = d f_q - (-1)^n f_{q-1} d.  Only stored differentials are
+        # nonzero, and each one's target block exists.
+        lay, sign, target_d = self.layout, _hom_sign(n), self.target.diffs()
+        cols_n = lay.dim(n)
+        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
+        for q, rows, cols, off in lay.blocks(n):
+            if q + n in target_d:   # d f_q
+                scatter_kron(out, lay.slot(n - 1, q), off, target_d[q + n], cols)
+            if q in source_d_t:     # f_q d
+                scatter_kron(out, lay.slot(n - 1, q + 1), off, rows, source_d_t[q], -sign)
+        return IntMatrix.from_rows(out, cols_n, _trusted=True)
 
     def dim(self, n: int) -> int:
         return self.complex.rank(n)
@@ -599,16 +654,15 @@ class HomSpace:
         if f.source != self.source or f.target != self.target:
             raise ShapeMismatch("proto does not live in this hom space")
         vec = [0] * self.dim(f.degree)
-        for q, r, c, off in self._summands.get(f.degree, []):
-            vec[off:off + r * c] = f.comp(q).entries()
+        for q, rows, cols, off in self.layout.blocks(f.degree):
+            vec[off:off + rows * cols] = f.comp(q).entries()
         return tuple(vec)
 
     def from_vector(self, n: int, vec: Sequence[int]) -> Proto:
         if len(vec) != self.dim(n):
             raise ShapeMismatch(f"vector length {len(vec)} vs dim {self.dim(n)}")
-        comps = {}
-        for q, r, c, off in self._summands.get(n, []):
-            comps[q] = IntMatrix(r, c, vec[off : off + r * c])
+        comps = {q: IntMatrix(rows, cols, vec[off:off + rows * cols])
+                 for q, rows, cols, off in self.layout.blocks(n)}
         return Proto(self.source, self.target, n, comps)
 
     def basis(self, n: int) -> List[Proto]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
+    BlockLayout,
     ChainMap,
     Complex,
     GradedGroups,
@@ -35,6 +36,7 @@ from .complexes import (
     direct_sum,
     direct_sum_complexes,
     identity_map,
+    scatter_kron,
     suspension,
     unit_complex,
 )
@@ -716,7 +718,7 @@ def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
         p_total, p_injs = Complex.zero(), []
     inj_by_obj = dict(zip(objs, p_injs))
 
-    q_summands = []
+    q_parts = []
     q_maps = []
     for u in base.objects:
         for v in base.objects:
@@ -737,10 +739,10 @@ def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
                 lam_uv = compose(inj_by_obj[v],
                                  compose(tensor_proto(identity_map(m.value(v)), act_n),
                                          assoc_fwd))
-            q_summands.append(q_cx)
+            q_parts.append(q_cx)
             q_maps.append((rho_uv, lam_uv))
-    if q_summands:
-        q_total, _, q_projs = direct_sum_complexes(q_summands)
+    if q_parts:
+        q_total, _, q_projs = direct_sum_complexes(q_parts)
     else:
         q_total, q_projs = Complex.zero(), []
 
@@ -845,13 +847,10 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
             lhs_lo = min(lhs_lo, hs_theta.complex.lo - 1)
             lhs_hi = max(lhs_hi, hs_theta.complex.hi + 1)
 
-    def theta_offsets(n):
-        offs = {}
-        total = 0
+    theta = BlockLayout()   # the stacked theta vector: one block per object
+    for n in range(lhs_lo - 1, lhs_hi + 1):
         for u, (_, hs_theta) in spaces.items():
-            offs[u] = total
-            total += hs_theta.dim(n)
-        return offs, total
+            theta.add(n, u, hs_theta.dim(n))
 
     gammas = {u: [(y, wc.gamma_proto(u, y)) for y in all_basis_elts(wc.m.value(u))]
               for u in spaces}
@@ -861,11 +860,12 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         """Matrix of h |-> theta with theta_U(y) = h o gamma_U(y)."""
         if n in phis:
             return phis[n]
-        offs, total = theta_offsets(n)
+        total = theta.dim(n)
         cols = []
         for h in hs_lhs.basis(n):
             vec = [0] * total
-            for u, (hs_out, hs_theta) in spaces.items():
+            for u, size, _, off in theta.blocks(n):
+                hs_out, hs_theta = spaces[u]
                 mu = wc.m.value(u)
                 comp_cols: Dict[int, List] = {}
                 for y, gamma in gammas[u]:
@@ -875,17 +875,14 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                 for tdeg, cc in comp_cols.items():
                     comps[tdeg] = IntMatrix.from_cols(cc, hs_out.dim(tdeg + n))
                 theta_u = Proto(mu, hs_out.complex, n, comps)
-                tv = hs_theta.to_vector(theta_u)
-                off = offs[u]
-                for i, x in enumerate(tv):
-                    vec[off + i] = x
+                vec[off:off + size] = hs_theta.to_vector(theta_u)
             cols.append(tuple(vec))
-        phis[n] = IntMatrix.from_cols(cols, total if cols else 0), offs, total
+        phis[n] = IntMatrix.from_cols(cols, total if cols else 0)
         return phis[n]
 
     def naturality_matrix(n):
         """Rows: protonaturality constraints on the stacked theta vector."""
-        offs, total = theta_offsets(n)
+        total = theta.dim(n)
         rows: List[List[int]] = []
         for u in base.objects:
             for v in base.objects:
@@ -909,25 +906,27 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                         for k, e in enumerate(hs_theta_u.basis(n)):
                             img = Elt(hs_out_u.complex, out_deg,
                                       e.comp(yf.degree).apply(yf.vec))
+                            col = theta.slot(n, u, k)
                             for i, x in enumerate(img.vec):
                                 if x:
-                                    block[i][offs[u] + k] += x
+                                    block[i][col] += x
                         # RHS: sign * theta_V(y) o F(f) -- linear in theta_V slots
                         for k, e in enumerate(hs_theta_v.basis(n)):
                             th_vy = hs_out_v.from_vector(y.degree + n,
                                                           e.comp(y.degree).apply(y.vec))
                             img = compose(th_vy, act_f)
                             iv = hs_out_u.to_vector(img)
+                            col = theta.slot(n, v, k)
                             for i, x in enumerate(iv):
                                 if x:
-                                    block[i][offs[v] + k] -= sign * x
+                                    block[i][col] -= sign * x
                         rows.extend(block)
         if not rows:
             return IntMatrix.zeros(0, total)
         return IntMatrix.from_rows(rows, total)
 
     for n in range(lhs_lo, lhs_hi + 1):
-        phi, offs, total = phi_matrix(n)
+        phi = phi_matrix(n)
         nat = naturality_matrix(n)
         # injectivity
         if phi.cols and kernel_basis(phi).cols:
@@ -936,26 +935,26 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         if nat.rows and phi.cols and not (nat @ phi).is_zero():
             return False
         # surjectivity onto the solution space
-        sols = kernel_basis(nat) if nat.rows else IntMatrix.identity(total)
+        sols = kernel_basis(nat) if nat.rows else IntMatrix.identity(theta.dim(n))
         for j in range(sols.cols):
             if solve_matrix(phi, IntMatrix.column(sols.col(j))) is None:
                 return False
         # differentials correspond: Phi(d h) = d_theta(Phi h)
-        phi_prev, offs_prev, total_prev = phi_matrix(n - 1)
+        phi_prev = phi_matrix(n - 1)
         for idx, h in enumerate(hs_lhs.basis(n)):
             if phi_prev.cols:
                 lhs_vec = list(phi_prev.apply(hs_lhs.to_vector(d_hom(h))))
             else:
-                lhs_vec = [0] * total_prev
+                lhs_vec = [0] * theta.dim(n - 1)
             col = phi.col(idx) if phi.cols else ()
-            rhs_vec = [0] * total_prev
-            for u, (hs_out, hs_theta) in spaces.items():
-                seg = col[offs[u]: offs[u] + hs_theta.dim(n)]
-                th = hs_theta.from_vector(n, seg)
-                dth = d_hom(th)
-                dv = hs_theta.to_vector(dth)
-                for i, x in enumerate(dv):
-                    rhs_vec[offs_prev[u] + i] = x
+            rhs_vec = [0] * theta.dim(n - 1)
+            for u, size, _, off in theta.blocks(n):
+                hs_theta = spaces[u][1]
+                th = hs_theta.from_vector(n, col[off:off + size])
+                dv = hs_theta.to_vector(d_hom(th))
+                if dv:
+                    start = theta.slot(n - 1, u)
+                    rhs_vec[start:start + len(dv)] = dv
             if lhs_vec != rhs_vec:
                 return False
     return True
@@ -1181,13 +1180,14 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
     for s in summands[1:]:
         total = direct_sum_modules(total, s)
 
-    def offset(x_obj, degree, i):
-        return sum(summands[j].value(x_obj).rank(degree) for j in range(i))
-
     tau_comps, xhat_comps = {}, {}
     for x_obj in base.objects:
         mx = cd.m.value(x_obj)
         tx = total.value(x_obj)
+        stack = BlockLayout()   # tx degreewise: one block per summand
+        for i, s in enumerate(summands):
+            for r in s.value(x_obj).degrees():
+                stack.add(r, i, s.value(x_obj).rank(r))
         tau_c, xhat_c = {}, {}
         for r in mx.degrees():
             if mx.rank(r) and tx.rank(r):
@@ -1196,9 +1196,8 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
                     vec = [0] * tx.rank(r)
                     for i, (e_obj, x_i, y_i) in enumerate(cd.eta):
                         f = cd.eps_apply(e_obj, x_obj, y_i, u)
-                        off = offset(x_obj, r, i)
                         for idx, val in enumerate(f.vec):
-                            vec[off + idx] = val
+                            vec[stack.slot(r, i, idx)] = val
                     cols.append(tuple(vec))
                 tau_c[r] = IntMatrix.from_cols(cols, tx.rank(r))
         for r in tx.degrees():
@@ -1353,39 +1352,28 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     input).
     """
     base = m.base
-    keys = []
-    slots: Dict[Tuple, Tuple[int, TensorSpace, Complex]] = {}
-    total = 0
+    spaces: Dict[Tuple, Tuple[TensorSpace, Complex]] = {}
+    # the unknowns: one block per (u, v, d), the matrix of eps_{(u,v)} in degree d
+    entries = BlockLayout()
     for u in base.objects:
         for v in base.objects:
             nu, mv, target = n_mod.value(u), m.value(v), base.hom(v, u)
             if nu.is_zero() or mv.is_zero() or target.is_zero():
                 continue
             ts = TensorSpace(nu, mv)
-            count = 0
             for d in ts.complex.degrees():
-                count += target.rank(d) * ts.dim(d)
-            keys.append((u, v))
-            slots[(u, v)] = (total, ts, target)
-            total += count
-
-    def entry_index(u, v, d, out_i, in_k):
-        off, ts, target = slots[(u, v)]
-        for dd in ts.complex.degrees():
-            block = target.rank(dd) * ts.dim(dd)
-            if dd == d:
-                return off + out_i * ts.dim(dd) + in_k
-            off += block
-        raise KeyError
+                entries.add(0, (u, v, d), target.rank(d), ts.dim(d))
+            spaces[(u, v)] = (ts, target)
+    total = entries.dim(0)
 
     rows: List[List[int]] = []
     rhs: List[int] = []
 
     def eps_linear_coeffs(u, v, n_elt: Elt, m_elt: Elt):
         """Output-basis coefficients of eps(n (x) m) as linear forms."""
-        if (u, v) not in slots:
+        if (u, v) not in spaces:
             return None
-        _, ts, target = slots[(u, v)]
+        ts, target = spaces[(u, v)]
         d = n_elt.degree + m_elt.degree
         if target.rank(d) == 0 or ts.dim(d) == 0:
             return None
@@ -1402,14 +1390,11 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
             if got is None:
                 continue
             d, pair, target = got
+            pair_row = IntMatrix(1, len(pair), pair)
             for o, f in enumerate(basis_elts(target, d)):
-                img = post(f)
-                for k, pk in enumerate(pair):
-                    if pk:
-                        col = entry_index(u, v, d, o, k)
-                        for i, x in enumerate(img.vec):
-                            if x:
-                                block[i][col] += coeff * pk * x
+                # coeff * post(f)_i * pair_k lands on entry (o, k) of eps_d
+                scatter_kron(block, 0, entries.slot(0, (u, v, d), o),
+                             IntMatrix.column(post(f).vec), pair_row, coeff)
         rows.extend(block)
         rhs.extend(const.vec)
 
@@ -1476,34 +1461,21 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
                             ]
                             add_equation(terms, zero)
 
-    # chain-map property of each eps component: d o eps = eps o d_tensor
-    for (u, v) in keys:
-        off, ts, target = slots[(u, v)]
+    # chain-map property of each eps component: d o eps = eps o d_tensor,
+    # one block of rows per input basis element e_k
+    for (u, v), (ts, target) in spaces.items():
         for d in ts.complex.degrees():
-            dims_in = ts.dim(d)
-            rows_out = target.rank(d - 1)
-            if dims_in == 0:
-                continue
-            dmat = ts.complex.diff(d)
-            tmat = target.diff(d)
+            dims_in, dims_below = ts.dim(d), ts.dim(d - 1)
             for k in range(dims_in):
-                block = [[0] * total for _ in range(rows_out)]
-                # d(eps(e_k)): rows from entries at degree d
-                for o in range(target.rank(d)):
-                    col = entry_index(u, v, d, o, k)
-                    for i in range(rows_out):
-                        if tmat[i, o]:
-                            block[i][col] += tmat[i, o]
-                # eps(d e_k): entries at degree d-1
-                if ts.dim(d - 1):
-                    for kk in range(ts.dim(d - 1)):
-                        c = dmat[kk, k]
-                        if c:
-                            for o in range(target.rank(d - 1)):
-                                col = entry_index(u, v, d - 1, o, kk)
-                                block[o][col] -= c
+                block = [[0] * total for _ in range(target.rank(d - 1))]
+                if target.rank(d):   # d(eps(e_k)): column k of eps_d
+                    scatter_kron(block, 0, entries.slot(0, (u, v, d)), target.diff(d),
+                                 IntMatrix(1, dims_in, _unit_vec(dims_in, k)))
+                if block and dims_below:   # eps(d e_k): eps_{d-1} times column k of d
+                    scatter_kron(block, 0, entries.slot(0, (u, v, d - 1)), len(block),
+                                 IntMatrix(1, dims_below, ts.complex.diff(d).col(k)), -1)
                 rows.extend(block)
-                rhs.extend([0] * rows_out)
+                rhs.extend([0] * len(block))
 
     if not rows:
         return CauchyData(m, n_mod, list(eta), {})
@@ -1512,15 +1484,9 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     if sol is None:
         return None
     vec = sol.col(0)
-    eps: Dict[Tuple, ChainMap] = {}
-    for (u, v) in keys:
-        off, ts, target = slots[(u, v)]
-        comps = {}
-        pos = off
-        for d in ts.complex.degrees():
-            r, c = target.rank(d), ts.dim(d)
-            if r and c:
-                comps[d] = IntMatrix(r, c, vec[pos: pos + r * c])
-            pos += r * c
-        eps[(u, v)] = ChainMap(ts.complex, target, 0, comps)
+    comps: Dict[Tuple, Dict[int, IntMatrix]] = {key: {} for key in spaces}
+    for (u, v, d), rows_d, cols_d, off in entries.blocks(0):
+        comps[(u, v)][d] = IntMatrix(rows_d, cols_d, vec[off:off + rows_d * cols_d])
+    eps = {key: ChainMap(ts.complex, target, 0, comps[key])
+           for key, (ts, target) in spaces.items()}
     return CauchyData(m, n_mod, list(eta), eps)

@@ -20,6 +20,11 @@ class InputError(ValueError):
     """Malformed input; the message names the offending field."""
 
 
+# The largest rank, row count or column count an input may declare.  Every
+# computation allocates per basis element, so a larger one would exhaust
+# memory before any check could reject it.
+MAX_RANK = 4096
+
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 _DECIMAL_LIST = re.compile(r"[-+]?[0-9]+(?:,[-+]?[0-9]+)*")
 
@@ -35,6 +40,12 @@ def _int(value, field: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise InputError(f"field {field!r}: expected an integer, got {value!r}")
+
+
+def _at_most_max_rank(n: int, field: str) -> int:
+    if n > MAX_RANK:
+        raise InputError(f"field {field!r}: {n} exceeds the largest supported rank {MAX_RANK}")
+    return n
 
 
 def _require(obj, field: str, kind=None):
@@ -57,6 +68,7 @@ def matrix_from_json(obj) -> IntMatrix:
     for field, n in (("rows", rows), ("cols", cols)):
         if n < 0:
             raise InputError(f"field {field!r}: expected a non-negative integer, got {n}")
+        _at_most_max_rank(n, field)
     data = _require(obj, "data", list)
     if len(data) != rows * cols:
         raise InputError(f"field 'data': expected {rows * cols} entries, got {len(data)}")
@@ -91,7 +103,8 @@ def complex_from_json(obj) -> Complex:
     ranks_list = _require(obj, "ranks", list)
     if hi - lo + 1 != len(ranks_list) and not (hi < lo and not ranks_list):
         raise InputError(f"field 'ranks': expected {hi - lo + 1} entries")
-    ranks = {lo + i: _int(r, "ranks") for i, r in enumerate(ranks_list)}
+    ranks = {lo + i: _at_most_max_rank(_int(r, "ranks"), "ranks")
+             for i, r in enumerate(ranks_list)}
     diffs = {}
     for key, mat in _require(obj, "diffs", dict).items() if "diffs" in obj else []:
         diffs[_int(key, "diffs key")] = matrix_from_json(mat)

@@ -4,9 +4,10 @@ Tensor products with the Koszul sign convention, the symmetry, unit and
 associativity isomorphisms, the suspension-tensor identifications, and
 the solved-for duality and decomposition witnesses for L Z and R Z.
 
-Basis convention for (A (x) B)_n: summands A_p (x) B_q listed by
-ascending p, and within a summand the pair (i, j) is laid out with the
-left index major; all signs live in differentials, never in basis order.
+Basis convention for (A (x) B)_n: a complexes.BlockLayout with one block
+A_p (x) B_q per left degree p, by ascending p, and within a block the
+pair (i, j) is laid out with the left index major; all signs live in
+differentials, never in basis order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import product as iter_product
 from typing import Dict, List, Tuple
 
 from .complexes import (
+    BlockLayout,
     ChainMap,
     Complex,
     GradedObject,
@@ -27,6 +29,7 @@ from .complexes import (
     functor_L,
     functor_R,
     identity_map,
+    scatter_kron,
     suspension,
     unit_complex,
 )
@@ -54,62 +57,37 @@ class TensorBasisIndex:
 
 
 class TensorSpace:
-    """Basis-indexed model of A (x) B."""
+    """Basis-indexed model of A (x) B.
+
+    The degree-n basis is a BlockLayout with one block per left degree p,
+    by ascending p: the pairs (i, j) of A_p (x) B_{n-p}, left index major.
+    """
 
     def __init__(self, left: Complex, right: Complex):
         self.left = left
         self.right = right
-        self._blocks: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        ranks: Dict[int, int] = {}
+        self.layout = lay = BlockLayout()
         if not (left.is_zero() or right.is_zero()):
             for n in range(left.lo + right.lo, left.hi + right.hi + 1):
-                offset = 0
-                blocks = []
                 for p in left.degrees():
-                    q = n - p
-                    rl, rr = left.rank(p), right.rank(q)
-                    if rl and rr:
-                        blocks.append((p, q, rl * rr, offset))
-                        offset += rl * rr
-                if blocks:
-                    self._blocks[n] = blocks
-                    ranks[n] = offset
-        diffs: Dict[int, IntMatrix] = {}
-        for n in self._blocks:
-            m = self._differential(n)
-            if m.rows and m.cols:
-                diffs[n] = m
-        self.complex = Complex(GradedObject(ranks), diffs)
+                    lay.add(n, p, left.rank(p), right.rank(n - p))
+        diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
+        self.complex = Complex(GradedObject(lay.dims()), diffs)
 
     def dim(self, n: int) -> int:
         return self.complex.rank(n)
 
-    def blocks(self, n: int):
-        return self._blocks.get(n, [])
-
     def slot_at(self, n: int, p: int, i: int, j: int) -> int:
-        for (pp, qq, size, off) in self._blocks.get(n, []):
-            if pp == p:
-                rr = self.right.rank(qq)
-                return off + i * rr + j
-        raise ShapeMismatch(f"no summand at left degree {p} in tensor degree {n}")
+        return self.layout.slot(n, p, i, j)
 
     def basis(self, n: int) -> List[TensorBasisIndex]:
-        out = []
-        for (p, q, size, off) in self._blocks.get(n, []):
-            rl, rr = self.left.rank(p), self.right.rank(q)
-            for i in range(rl):
-                for j in range(rr):
-                    out.append(TensorBasisIndex(p, q, i, j))
-        return out
+        return [TensorBasisIndex(p, n - p, i, j)
+                for p, rows, cols, _ in self.layout.blocks(n)
+                for i in range(rows) for j in range(cols)]
 
     def decompose(self, n: int, flat: int) -> TensorBasisIndex:
-        for (p, q, size, off) in self._blocks.get(n, []):
-            if off <= flat < off + size:
-                rr = self.right.rank(q)
-                k = flat - off
-                return TensorBasisIndex(p, q, k // rr, k % rr)
-        raise IndexError(f"flat index {flat} out of range in degree {n}")
+        p, i, j = self.layout.locate(n, flat)
+        return TensorBasisIndex(p, n - p, i, j)
 
     def embed_pair(self, p: int, xa, q: int, xb) -> tuple:
         """Coordinates of (sum_i xa_i a_i) (x) (sum_j xb_j b_j) in degree p+q."""
@@ -126,34 +104,17 @@ class TensorSpace:
         return tuple(vec)
 
     def _differential(self, n: int) -> IntMatrix:
-        rows = sum(size for (_, _, size, _) in self._blocks.get(n - 1, []))
-        cols = sum(size for (_, _, size, _) in self._blocks.get(n, []))
-        out = [[0] * cols for _ in range(rows)]
-        # a degree n-1 block with left degree p has right degree n-1-p
-        tgt = {p: off for (p, q, size, off) in self._blocks.get(n - 1, [])}
-        for (p, q, size, off) in self._blocks.get(n, []):
-            rl, rr = self.left.rank(p), self.right.rank(q)
-            if p - 1 in tgt:
-                # da (x) b: entry (i, j) goes to (i2, j) times da[i2, i]
-                t_off = tgt[p - 1]
-                da = self.left.diff(p)
-                for i in range(rl):
-                    for i2, v in enumerate(da.col(i)):
-                        if v:
-                            src, dst = off + i * rr, t_off + i2 * rr
-                            for j in range(rr):
-                                out[dst + j][src + j] += v
-            if p in tgt:
-                # (-1)^p a (x) db: entry (i, j) goes to (i, j2) times db[j2, j]
-                t_off, t_rr = tgt[p], self.right.rank(q - 1)
-                db = self.right.diff(q)
-                sign = _tensor_sign(p)
-                for j in range(rr):
-                    for j2, v in enumerate(db.col(j)):
-                        if v:
-                            for i in range(rl):
-                                out[t_off + i * t_rr + j2][off + i * rr + j] += sign * v
-        return IntMatrix.from_rows(out, cols, _trusted=True)
+        # d(a (x) b) = da (x) b + (-1)^p a (x) db.  Only stored differentials
+        # are nonzero, and each one's target block exists.
+        lay, left_d, right_d = self.layout, self.left.diffs(), self.right.diffs()
+        cols_n = lay.dim(n)
+        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
+        for p, rl, rr, off in lay.blocks(n):
+            if p in left_d:
+                scatter_kron(out, lay.slot(n - 1, p - 1), off, left_d[p], rr)
+            if n - p in right_d:
+                scatter_kron(out, lay.slot(n - 1, p), off, rl, right_d[n - p], _tensor_sign(p))
+        return IntMatrix.from_rows(out, cols_n, _trusted=True)
 
 
 def tensor(left: Complex, right: Complex) -> Complex:
@@ -173,26 +134,14 @@ def tensor_proto(f: Proto, g: Proto) -> Proto:
         if not cols or not rows:
             continue
         out = [[0] * cols for _ in range(rows)]
-        for (p, q, size, off) in src.blocks(n):
+        for p, _, _, off in src.layout.blocks(n):
             fp = f._c.get(p)
-            gq = g._c.get(q)
+            gq = g._c.get(n - p)
             if fp is None or gq is None:   # stored components are nonzero
                 continue
-            sign = 1 if (g.degree * p) % 2 == 0 else -1
-            rr_src = g.source.rank(q)
-            for i2 in range(fp.rows):
-                for i in range(fp.cols):
-                    a = fp[i2, i]
-                    if not a:
-                        continue
-                    for j2 in range(gq.rows):
-                        for j in range(gq.cols):
-                            b = gq[j2, j]
-                            if b:
-                                row = tgt.slot_at(n + deg, p + f.degree, i2, j2)
-                                col = off + i * rr_src + j
-                                out[row][col] += sign * a * b
-        comps[n] = IntMatrix.from_rows(out, cols)
+            scatter_kron(out, tgt.layout.slot(n + deg, p + f.degree), off, fp, gq,
+                         -1 if (g.degree * p) % 2 else 1)
+        comps[n] = IntMatrix.from_rows(out, cols, _trusted=True)
     result = Proto(src.complex, tgt.complex, deg, comps)
     if isinstance(f, ChainMap) and isinstance(g, ChainMap):
         return ChainMap(result.source, result.target, deg, result.comps(), _trusted=True)
@@ -330,9 +279,7 @@ def sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
 
     def bwd(n, flat):
         t = ts_tgt.decompose(n, flat)
-        return ts_src.basis(n - 1).index(
-            TensorBasisIndex(t.left_degree - 1, t.right_degree, t.left_index, t.right_index)
-        ), 1
+        return ts_src.slot_at(n - 1, t.left_degree - 1, t.left_index, t.right_index), 1
 
     fwd_map = _slot_chain_map(src, ts_tgt.complex, fwd)
     bwd_map = _slot_chain_map(ts_tgt.complex, src, bwd)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .complexes import (
+    BlockLayout,
     ChainMap,
     Complex,
     GradedObject,
@@ -21,6 +22,7 @@ from .complexes import (
     compose,
     d_hom,
     identity_map,
+    scatter_kron,
     suspension,
     suspension_map,
     unit_complex,
@@ -101,68 +103,39 @@ def embed_i(x: Complex) -> DoubleComplex:
 
 
 class TotSpace:
-    """Basis bookkeeping for Tot A: slot (m, i) lists columns by
-    ascending m, entries of A_{m, n-m} in order."""
+    """Basis bookkeeping for Tot A: the degree-n basis is a BlockLayout
+    with one block per column m, by ascending m, holding the basis of
+    A_{m, n-m} in order."""
 
     def __init__(self, a: DoubleComplex):
         self.a = a
-        ranks: Dict[int, int] = {}
-        self._offsets: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._first_slot: Dict[Tuple[int, int], int] = {}   # (n, m) -> first slot of column m
+        self.layout = lay = BlockLayout()
         cols = a.column_degrees()
         if cols:
             lo = min(a.column(m).lo + m for m in cols)
             hi = max(a.column(m).hi + m for m in cols)
             for n in range(lo, hi + 1):
-                off = 0
-                blocks = []
                 for m in cols:
-                    r = a.entry_rank(m, n - m)
-                    if r:
-                        blocks.append((m, r, off))
-                        self._first_slot[(n, m)] = off
-                        off += r
-                if blocks:
-                    self._offsets[n] = blocks
-                    ranks[n] = off
-        diffs: Dict[int, IntMatrix] = {}
-        for n in self._offsets:
-            mat = self._differential(n)
-            if mat.rows and mat.cols:
-                diffs[n] = mat
-        self.complex = Complex(GradedObject(ranks), diffs)
-
-    def blocks(self, n: int):
-        return self._offsets.get(n, [])
+                    lay.add(n, m, a.entry_rank(m, n - m))
+        diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
+        self.complex = Complex(GradedObject(lay.dims()), diffs)
 
     def slot(self, n: int, m: int, i: int) -> int:
-        off = self._first_slot.get((n, m))
-        if off is None:
-            raise ShapeMismatch(f"no column {m} contributes to Tot degree {n}")
-        return off + i
+        return self.layout.slot(n, m, i)
 
     def _differential(self, n: int) -> IntMatrix:
-        rows = sum(r for (_, r, _) in self._offsets.get(n - 1, []))
-        cols = sum(r for (_, r, _) in self._offsets.get(n, []))
-        out = [[0] * cols for _ in range(rows)]
-        for (m, r, off) in self._offsets.get(n, []):
-            inner = n - m
-            below = self._first_slot.get((n - 1, m - 1))
-            if below is not None:   # delta_m: A_{m,inner} -> A_{m-1,inner}
-                _add_block(out, below, off, self.a.delta_map(m).comp(inner), 1)
-            same = self._first_slot.get((n - 1, m))
-            if same is not None:    # d of column m: A_{m,inner} -> A_{m,inner-1}
-                _add_block(out, same, off, self.a.column(m).diff(inner), _tot_sign(m))
-        return IntMatrix.from_rows(out, cols)
-
-
-def _add_block(out: List[List[int]], row_off: int, col_off: int, b: IntMatrix, sign: int):
-    """out[row_off + i][col_off + j] += sign * b[i, j] for every entry of b."""
-    for i in range(b.rows):
-        row = out[row_off + i]
-        for j, v in enumerate(b.row(i)):
-            if v:
-                row[col_off + j] += sign * v
+        # d(x) = delta(x) + (-1)^m d(x) for x in column m.  Only stored maps
+        # are nonzero, and each one's target block exists.
+        lay = self.layout
+        cols_n = lay.dim(n)
+        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
+        for m, _, _, off in lay.blocks(n):
+            delta, d = self.a.delta_map(m).comps(), self.a.column(m).diffs()
+            if n - m in delta:   # delta_m: A_{m,n-m} -> A_{m-1,n-m}
+                scatter_kron(out, lay.slot(n - 1, m - 1), off, delta[n - m])
+            if n - m in d:       # d of column m: A_{m,n-m} -> A_{m,n-m-1}
+                scatter_kron(out, lay.slot(n - 1, m), off, d[n - m], sign=_tot_sign(m))
+        return IntMatrix.from_rows(out, cols_n, _trusted=True)
 
 
 def total_complex(a: DoubleComplex) -> Complex:
@@ -361,8 +334,7 @@ def tot_via_weighted_colimit(a: DoubleComplex,
         t_space = wc.coend.tensor_space(m)
         inj = wc.coend.injection(m)
         for n in t_space.complex.degrees():
-            for t in t_space.basis(n):
-                col_local = t_space.slot_at(n, t.left_degree, t.left_index, t.right_index)
+            for col_local, t in enumerate(t_space.basis(n)):
                 amb_col = inj.comp(n).col(col_local)
                 target_rows: List[Tuple[int, int]] = []
                 if t.left_degree == m:
@@ -411,7 +383,8 @@ def _dg_hom_to_tot_proto(f: DGHomElement, x: Complex, ts: TotSpace) -> Proto:
         if x.rank(s + n) == 0 or ts.complex.rank(s) == 0:
             continue
         # the blocks of Tot degree s sit side by side, in slot order
-        comps[s] = block_matrix([[f.comp(0, m).comp(s - m) for (m, _, _) in ts.blocks(s)]])
+        comps[s] = block_matrix([[f.comp(0, m).comp(s - m)
+                                  for m, _, _, _ in ts.layout.blocks(s)]])
     return Proto(ts.complex, x, n, comps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -31,7 +32,7 @@ from dgkernel.dgcat import (
 from dgkernel.monoidal import TensorSpace
 from dgkernel.totals import TotComparison
 from dgkernel.jsonio import module_to_json
-from dgkernel.rand import rand_double_complex
+from dgkernel.rand import rand_complex, rand_double_complex
 from dgkernel.zlinalg import IntMatrix
 
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -257,6 +258,34 @@ class TestVerbs:
         assert captured.err.startswith("input error: ") and message in captured.err
 
 
+class TestInputCaps:
+    @pytest.mark.parametrize("payload, message", [
+        ({"lo": 0, "hi": 0, "ranks": ["1000000000"], "diffs": {}},
+         "field 'ranks': 1000000000 exceeds the largest supported rank 4096"),
+        ({"lo": 0, "hi": 1, "ranks": [1, 1],
+          "diffs": {"1": {"rows": 1000000000, "cols": 0, "data": []}}},
+         "field 'rows': 1000000000 exceeds the largest supported rank 4096"),
+        ({"lo": 0, "hi": 1, "ranks": [1, 1],
+          "diffs": {"1": {"rows": 0, "cols": 4097, "data": []}}},
+         "field 'cols': 4097 exceeds the largest supported rank 4096"),
+    ], ids=["rank", "rows", "cols"])
+    def test_oversized_input_exits_two(self, files, capsys, payload, message):
+        # a rank of 10^9 used to reach kernel_basis as a 10^9-column matrix
+        path = files["tmp"] + "/oversized.json"
+        jsonio.dump(payload, path)
+        assert main(["homology", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_cap_is_inclusive(self):
+        assert jsonio.MAX_RANK == 4096
+        m = jsonio.matrix_from_json({"rows": jsonio.MAX_RANK, "cols": 0, "data": []})
+        assert m.shape == (jsonio.MAX_RANK, 0)
+        cx = jsonio.complex_from_json({"lo": 0, "hi": 0, "ranks": [jsonio.MAX_RANK]})
+        assert cx.rank(0) == jsonio.MAX_RANK
+
+
 def per_entry_read(obj) -> IntMatrix:
     """The matrix read one entry at a time, as every entry was read before
     the one-pass read of decimal strings."""
@@ -363,3 +392,52 @@ class TestSuiteVerb:
         for k in range(1, 13):
             assert f"criterion {k:2d}" in out
         assert "FAIL" not in out
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestGoldenOutput:
+    """Pinned `--out` files: a reordered basis changes a written matrix even
+    where every rank, homology group and verdict stays the same."""
+
+    RAND = {f"r{s}.json": s for s in (0, 5, 6)}   # rand_complex seeds
+
+    DIGESTS = {
+        ("hom", "m2.json", "m2.json"):
+            "45a71558e424082260a3e6ec3b134ebca78302b7e03f042748b2a2ccbba8bcab",
+        ("hom", "r5.json", "r6.json"):
+            "23a2d8c61cd9859bd6a8f2d041f93eedf02affb40aa218c56b2a2d8e0805550c",
+        ("tensor", "r0.json", "r5.json"):
+            "86b421473bf16b84a43d301d070653d8a3784c27a0c966a6b0ee49a693b2bf9e",
+        ("tensor", "r5.json", "r6.json"):
+            "0917f53d0bfa81e133830e896ca5dea50007da87bd37682e1fb81eb4a824b3c7",
+        ("tot", "dc.json"):
+            "e8e7f0de9fa652f1f73e0a2413f2f6cb3873bdb6f49136bbfdb4d12175eb3132",
+        ("colim", "--category", "unit_cat.json", "--weight", "weight.json",
+         "--diagram", "diagram.json"):
+            "20d79317fe2dd7c0b5a31a36a028abe2ea566bcffa6bec3e59ba98bee0bfbdba",
+    }
+
+    def _run(self, files, capsys, argv) -> str:
+        for name, seed in self.RAND.items():
+            if name not in files:
+                files[name] = files["tmp"] + "/" + name
+                jsonio.dump(jsonio.complex_to_json(rand_complex(random.Random(seed))),
+                            files[name])
+        out = files["tmp"] + "/golden_out.json"
+        real = [files.get(a, a) for a in argv]
+        assert main(real + ["--out", out]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_tensor_m2_differential(self, files, capsys):
+        out = self._run(files, capsys, ["tensor", "m2.json", "m2.json"])
+        written = jsonio.load(out)
+        assert written["diffs"]["2"] == {"rows": 2, "cols": 1, "data": ["2", "-2"]}
+
+    @pytest.mark.parametrize("argv", sorted(DIGESTS), ids=lambda a: " ".join(a))
+    def test_out_file_digest(self, files, capsys, argv):
+        assert _sha256(self._run(files, capsys, list(argv))) == self.DIGESTS[argv]

@@ -1,0 +1,336 @@
+"""The one block layout against the bookkeeping it replaced.
+
+HomSpace, TensorSpace, TotSpace and tensor_proto each used to compute their
+own block offsets and scatter their own Kronecker blocks.  The reference_*
+functions below are those hand-rolled versions; the tests check that the
+shared BlockLayout and scatter_kron give the same offsets, slots, inverse
+lookups and matrices, entry by entry.
+"""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dgkernel.complexes import (
+    BlockLayout,
+    ChainMap,
+    HomSpace,
+    SquareZeroViolated,
+    hom_complex,
+    identity_map,
+    make_complex,
+    scatter_kron,
+    suspension,
+)
+from dgkernel.monoidal import TensorBasisIndex, TensorSpace, sten_iso, tensor, tensor_proto
+from dgkernel.rand import rand_complex, rand_double_complex, rand_matrix, rand_proto
+from dgkernel.totals import DoubleComplex, TotSpace, _tot_sign, total_complex
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def reference_hom_summands(source, target) -> dict:
+    """degree -> [(q, rows, cols, offset)]: one summand per source degree q."""
+    out = {}
+    if source.is_zero() or target.is_zero():
+        return out
+    for n in range(target.lo - source.hi, target.hi - source.lo + 1):
+        offset = 0
+        summands = []
+        for q in source.degrees():
+            rows, cols = target.rank(q + n), source.rank(q)
+            if rows and cols:
+                summands.append((q, rows, cols, offset))
+                offset += rows * cols
+        if summands:
+            out[n] = summands
+    return out
+
+
+def reference_tensor_blocks(left, right) -> dict:
+    """degree -> [(p, q, size, offset)]: one block per left degree p."""
+    out = {}
+    if left.is_zero() or right.is_zero():
+        return out
+    for n in range(left.lo + right.lo, left.hi + right.hi + 1):
+        offset = 0
+        blocks = []
+        for p in left.degrees():
+            q = n - p
+            rl, rr = left.rank(p), right.rank(q)
+            if rl and rr:
+                blocks.append((p, q, rl * rr, offset))
+                offset += rl * rr
+        if blocks:
+            out[n] = blocks
+    return out
+
+
+def reference_slot_at(blocks, right, n, p, i, j) -> int:
+    for (pp, qq, size, off) in blocks.get(n, []):
+        if pp == p:
+            return off + i * right.rank(qq) + j
+    raise ShapeMismatch(f"no summand at left degree {p} in tensor degree {n}")
+
+
+def reference_basis(blocks, left, right, n) -> list:
+    return [TensorBasisIndex(p, q, i, j) for (p, q, size, off) in blocks.get(n, [])
+            for i in range(left.rank(p)) for j in range(right.rank(q))]
+
+
+def reference_decompose(blocks, right, n, flat) -> TensorBasisIndex:
+    for (p, q, size, off) in blocks.get(n, []):
+        if off <= flat < off + size:
+            rr = right.rank(q)
+            k = flat - off
+            return TensorBasisIndex(p, q, k // rr, k % rr)
+    raise IndexError(f"flat index {flat} out of range in degree {n}")
+
+
+def reference_tot_offsets(a):
+    """(degree -> [(m, rank, offset)], (n, m) -> first slot of column m)."""
+    offsets, first_slot = {}, {}
+    cols = a.column_degrees()
+    if not cols:
+        return offsets, first_slot
+    lo = min(a.column(m).lo + m for m in cols)
+    hi = max(a.column(m).hi + m for m in cols)
+    for n in range(lo, hi + 1):
+        off = 0
+        blocks = []
+        for m in cols:
+            r = a.entry_rank(m, n - m)
+            if r:
+                blocks.append((m, r, off))
+                first_slot[(n, m)] = off
+                off += r
+        if blocks:
+            offsets[n] = blocks
+    return offsets, first_slot
+
+
+def reference_add_block(out, row_off, col_off, b: IntMatrix, sign: int):
+    for i in range(b.rows):
+        row = out[row_off + i]
+        for j, v in enumerate(b.row(i)):
+            if v:
+                row[col_off + j] += sign * v
+
+
+def reference_tot_differential(a, n) -> IntMatrix:
+    """d(x) = delta(x) + (-1)^m d(x) for x in column m, block by block."""
+    offsets, first_slot = reference_tot_offsets(a)
+    rows = sum(r for (_, r, _) in offsets.get(n - 1, []))
+    cols = sum(r for (_, r, _) in offsets.get(n, []))
+    out = [[0] * cols for _ in range(rows)]
+    for (m, r, off) in offsets.get(n, []):
+        inner = n - m
+        below = first_slot.get((n - 1, m - 1))
+        if below is not None:
+            reference_add_block(out, below, off, a.delta_map(m).comp(inner), 1)
+        same = first_slot.get((n - 1, m))
+        if same is not None:
+            reference_add_block(out, same, off, a.column(m).diff(inner), _tot_sign(m))
+    return IntMatrix.from_rows(out, cols)
+
+
+def reference_tensor_proto(f, g) -> dict:
+    """degree -> matrix of f (x) g, one entry at a time:
+    (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b)."""
+    src_blocks = reference_tensor_blocks(f.source, g.source)
+    tgt_blocks = reference_tensor_blocks(f.target, g.target)
+    deg = f.degree + g.degree
+    comps = {}
+    for n, blocks in src_blocks.items():
+        cols = sum(size for (_, _, size, _) in blocks)
+        rows = sum(size for (_, _, size, _) in tgt_blocks.get(n + deg, []))
+        if not cols or not rows:
+            continue
+        out = [[0] * cols for _ in range(rows)]
+        for (p, q, size, off) in blocks:
+            fp, gq = f.comp(p), g.comp(q)
+            sign = 1 if (g.degree * p) % 2 == 0 else -1
+            rr_src = g.source.rank(q)
+            for i2 in range(fp.rows):
+                for i in range(fp.cols):
+                    a = fp[i2, i]
+                    if not a:
+                        continue
+                    for j2 in range(gq.rows):
+                        for j in range(gq.cols):
+                            b = gq[j2, j]
+                            if b:
+                                row = reference_slot_at(tgt_blocks, g.target, n + deg,
+                                                        p + f.degree, i2, j2)
+                                out[row][off + i * rr_src + j] += sign * a * b
+        comps[n] = IntMatrix.from_rows(out, cols)
+    return comps
+
+
+def reference_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a (x) b from its definition, every entry of both factors."""
+    return IntMatrix.from_rows(
+        [[a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
+         for i in range(a.rows) for k in range(b.rows)], a.cols * b.cols)
+
+
+def assert_same_entries(m: IntMatrix, ref: IntMatrix):
+    assert (m.rows, m.cols, m.entries()) == (ref.rows, ref.cols, ref.entries())
+    assert all(type(x) is int for x in m.entries())
+
+
+class TestBlockLayout:
+    def test_slots_and_locate(self):
+        lay = BlockLayout()
+        lay.add(0, "a", 2, 3)
+        lay.add(0, "empty", 0, 5)
+        lay.add(0, "b", 1)
+        lay.add(1, "a", 4)
+        assert list(lay.degrees()) == [0, 1]
+        assert lay.dims() == {0: 7, 1: 4}
+        assert lay.blocks(0) == [("a", 2, 3, 0), ("b", 1, 1, 6)]
+        assert lay.blocks(5) == []
+        assert (lay.slot(0, "a", 1, 2), lay.slot(0, "b"), lay.slot(1, "a", 3)) == (5, 6, 3)
+        assert [lay.locate(0, k) for k in range(7)] == [
+            ("a", 0, 0), ("a", 0, 1), ("a", 0, 2), ("a", 1, 0), ("a", 1, 1), ("a", 1, 2),
+            ("b", 0, 0)]
+        with pytest.raises(ShapeMismatch):
+            lay.slot(0, "empty")
+        for n, flat in [(0, 7), (0, -1), (2, 0)]:
+            with pytest.raises(IndexError):
+                lay.locate(n, flat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
+    def test_scatter_kron_is_the_kronecker_product(self, seed, k1, k2, sign):
+        rng = random.Random(seed)
+        a = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), -2, 2)
+        b = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), -2, 2)
+        for fa, fb in [(a, b), (a, k2), (k1, b), (k1, k2), (a, 1)]:
+            ma = fa if isinstance(fa, IntMatrix) else IntMatrix.identity(fa)
+            mb = fb if isinstance(fb, IntMatrix) else IntMatrix.identity(fb)
+            ref = reference_kron(ma, mb)
+            out = [[7] * (ref.cols + 3) for _ in range(ref.rows + 2)]
+            scatter_kron(out, 2, 1, fa, fb, sign)
+            want = [[7] * (ref.cols + 3) for _ in range(ref.rows + 2)]
+            for r in range(ref.rows):
+                for c in range(ref.cols):
+                    want[2 + r][1 + c] += sign * ref[r, c]
+            assert out == want
+
+
+class TestSpacesAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_hom_offsets(self, seed):
+        rng = random.Random(seed)
+        a, b = rand_complex(rng), rand_complex(rng)
+        hs = HomSpace(a, b)
+        ref = reference_hom_summands(a, b)
+        assert {n: hs.layout.blocks(n) for n in hs.layout.degrees()} == ref
+        assert {n: r for n, r in hs.complex.carrier.ranks().items() if r} == {
+            n: sum(r * c for _, r, c, _ in s) for n, s in ref.items()}
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_tensor_slots_and_decompose(self, seed):
+        rng = random.Random(seed)
+        a, b = rand_complex(rng), rand_complex(rng)
+        ts = TensorSpace(a, b)
+        ref = reference_tensor_blocks(a, b)
+        assert {n: [(p, off) for p, _, _, off in ts.layout.blocks(n)]
+                for n in ts.layout.degrees()} == {
+            n: [(p, off) for p, _, _, off in blocks] for n, blocks in ref.items()}
+        for n in range(a.lo + b.lo - 1, a.hi + b.hi + 2):
+            for p in a.degrees():
+                for i, j in product(range(a.rank(p)), range(b.rank(n - p))):
+                    assert ts.slot_at(n, p, i, j) == reference_slot_at(ref, b, n, p, i, j)
+            basis = ts.basis(n)
+            assert basis == reference_basis(ref, a, b, n) and len(basis) == ts.dim(n)
+            for flat, t in enumerate(basis):
+                assert ts.decompose(n, flat) == reference_decompose(ref, b, n, flat) == t
+                assert ts.slot_at(n, t.left_degree, t.left_index, t.right_index) == flat
+            for flat in (-1, ts.dim(n)):
+                with pytest.raises(IndexError):
+                    ts.decompose(n, flat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_tot_slots(self, seed):
+        a = rand_double_complex(random.Random(seed))
+        ts = TotSpace(a)
+        offsets, first_slot = reference_tot_offsets(a)
+        assert {n: ts.layout.blocks(n) for n in ts.layout.degrees()} == {
+            n: [(m, r, 1, off) for m, r, off in blocks] for n, blocks in offsets.items()}
+        for n, blocks in offsets.items():
+            for m, r, _ in blocks:
+                for i in range(r):
+                    flat = ts.slot(n, m, i)
+                    assert flat == first_slot[(n, m)] + i
+                    assert ts.layout.locate(n, flat) == (m, i, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_tot_differential(self, seed):
+        a = rand_double_complex(random.Random(seed))
+        ts = TotSpace(a)
+        for n in range(ts.complex.lo, ts.complex.hi + 2):
+            assert_same_entries(ts.complex.diff(n), reference_tot_differential(a, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.integers(-2, 2), st.integers(-2, 2))
+    def test_tensor_proto(self, seed, deg_f, deg_g):
+        rng = random.Random(seed)
+        a, a2, b, b2 = (rand_complex(rng) for _ in range(4))
+        f, g = rand_proto(rng, a, a2, deg_f), rand_proto(rng, b, b2, deg_g)
+        got = tensor_proto(f, g)
+        ref = reference_tensor_proto(f, g)
+        for n, m in ref.items():
+            assert_same_entries(got.comp(n), m)
+        assert set(got.comps()) <= set(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS)
+    def test_sten_iso_backward_map(self, seed):
+        # the backward map used to search the whole degree basis for each slot
+        rng = random.Random(seed)
+        a, b = rand_complex(rng), rand_complex(rng)
+        sa = suspension(a, 1)
+        _, bwd = sten_iso(a, b)
+        ref_src, ref_tgt = reference_tensor_blocks(a, b), reference_tensor_blocks(sa, b)
+        for n in TensorSpace(sa, b).complex.degrees():
+            basis_below = reference_basis(ref_src, a, b, n - 1)
+            cols = len(reference_basis(ref_tgt, sa, b, n))
+            want = [[0] * cols for _ in basis_below]
+            for flat in range(cols):
+                t = reference_decompose(ref_tgt, b, n, flat)
+                want[basis_below.index(TensorBasisIndex(
+                    t.left_degree - 1, t.right_degree, t.left_index, t.right_index))][flat] = 1
+            assert_same_entries(bwd.comp(n), IntMatrix.from_rows(want, cols))
+
+
+def _battery_double_complex() -> DoubleComplex:
+    col = make_complex({1: 1, 0: 1}, {1: [[1]]})
+    return DoubleComplex({1: col, 0: col},
+                         {1: ChainMap(col, col, 0, identity_map(col).comps(), _trusted=True)})
+
+
+M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
+
+
+@pytest.mark.parametrize("name, build, degree", [
+    ("dgkernel.complexes._hom_sign", lambda: hom_complex(M2, M2), 1),
+    ("dgkernel.monoidal._tensor_sign", lambda: tensor(M2, M2), 2),
+    ("dgkernel.totals._tot_sign", lambda: total_complex(_battery_double_complex()), 2),
+], ids=["hom", "tensor", "tot"])
+def test_flipped_sign_breaks_its_own_builder(monkeypatch, name, build, degree):
+    # each sign is looked up when the differential is built, and each
+    # builder's Complex checks d o d = 0
+    build()
+    monkeypatch.setattr(name, lambda k: 1)
+    with pytest.raises(SquareZeroViolated) as raised:
+        build()
+    assert raised.value.degree == degree
