@@ -304,9 +304,6 @@ class Proto:
     def __repr__(self) -> str:
         return f"Proto(degree={self.degree}, comps at {sorted(self._c)})"
 
-    def is_chain_map(self) -> bool:
-        return d_hom(self).is_zero()
-
     def as_chain_map(self) -> "ChainMap":
         return ChainMap(self.source, self.target, self.degree, self._c)
 
@@ -680,6 +677,25 @@ class HomSpace:
         return [self.from_vector(n, k.col(j)) for j in range(k.cols)]
 
 
+def precomposition(g: Proto, hs_from: HomSpace, hs_to: HomSpace, n: int) -> IntMatrix:
+    """Matrix of h |-> h o g from [B, T]_n to [A, T]_{n+|g|}, for g: A -> B.
+
+    On row-major blocks vec(H G) = (1 (x) G^T) vec(H), so each stored
+    component g_q places one Kronecker block, from block q+|g| of h to block
+    q of h o g."""
+    if (hs_from.source != g.target or hs_to.source != g.source
+            or hs_from.target != hs_to.target):
+        raise ShapeMismatch("precomposition: hom spaces do not match g")
+    m, t = n + g.degree, hs_to.target
+    out = [[0] * hs_from.dim(n) for _ in range(hs_to.dim(m))]
+    for q, gq in g._c.items():
+        rank = t.rank(q + m)
+        if rank:
+            scatter_kron(out, hs_to.layout.slot(m, q), hs_from.layout.slot(n, q + g.degree),
+                         rank, gq.transpose())
+    return IntMatrix.from_rows(out, hs_from.dim(n), _trusted=True)
+
+
 def hom_complex(source: Complex, target: Complex) -> Complex:
     """The internal hom [B, C] as a complex (see HomSpace for the basis)."""
     return HomSpace(source, target).complex
@@ -701,6 +717,19 @@ class AdjunctionWitness:
         self.to_graded = to_graded
         self.verified = verified
         self.detail = detail
+
+
+def _round_trips(to_chain, to_graded, graded: HomSpace,
+                 chain_source: Complex, chain_target: Complex) -> AdjunctionWitness:
+    """Both transposes with the check that each round trip is the identity,
+    on the degree-0 basis of the graded side and on a basis of the chain
+    maps chain_source -> chain_target."""
+    detail = []
+    if any(to_graded(to_chain(g)) != g for g in graded.basis(0)):
+        detail.append("graded round trip failed")
+    if any(to_chain(to_graded(f)) != f for f in chain_map_basis(chain_source, chain_target, 0)):
+        detail.append("chain round trip failed")
+    return AdjunctionWitness(to_chain, to_graded, not detail, "; ".join(detail))
 
 
 def adjunction_iso_LU(x: Complex, a: Complex) -> AdjunctionWitness:
@@ -728,19 +757,7 @@ def adjunction_iso_LU(x: Complex, a: Complex) -> AdjunctionWitness:
             comps[n] = f.comp(n).select_cols(range(left, left + x.rank(n)))
         return Proto(x, ua, 0, comps)
 
-    ok = True
-    detail = []
-    for g in HomSpace(x, ua).basis(0):
-        if to_graded(to_chain(g)) != g:
-            ok = False
-            detail.append("graded round trip failed")
-            break
-    for f in chain_map_basis(lx, a, 0):
-        if to_chain(to_graded(f)) != f:
-            ok = False
-            detail.append("chain round trip failed")
-            break
-    return AdjunctionWitness(to_chain, to_graded, ok, "; ".join(detail))
+    return _round_trips(to_chain, to_graded, HomSpace(x, ua), lx, a)
 
 
 def adjunction_iso_UR(a: Complex, x: Complex) -> AdjunctionWitness:
@@ -767,19 +784,7 @@ def adjunction_iso_UR(a: Complex, x: Complex) -> AdjunctionWitness:
             comps[n] = f.comp(n).select_rows(range(x.rank(n)))
         return Proto(ua, x, 0, comps)
 
-    ok = True
-    detail = []
-    for g in HomSpace(ua, x).basis(0):
-        if to_graded(to_chain(g)) != g:
-            ok = False
-            detail.append("graded round trip failed")
-            break
-    for f in chain_map_basis(a, rx, 0):
-        if to_chain(to_graded(f)) != f:
-            ok = False
-            detail.append("chain round trip failed")
-            break
-    return AdjunctionWitness(to_chain, to_graded, ok, "; ".join(detail))
+    return _round_trips(to_chain, to_graded, HomSpace(ua, x), a, rx)
 
 
 # -- the canonical U-split presentation ------------------------------------
@@ -860,25 +865,29 @@ def canonical_presentation(a: Complex, probes: Optional[List[Tuple[str, Complex]
 
 def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:
     """Every chain map g: B -> T with g o k = 0 factors uniquely through
-    w: B -> C, i.e. w is a cokernel of k: K -> B as seen from T."""
+    w: B -> C, i.e. w is a cokernel of k: K -> B as seen from T.
+
+    In coordinates, with K_B and K_C the chain maps B -> T and C -> T (the
+    kernels of the degree-0 hom differentials) and P_k, P_w the
+    precompositions: the killers are K_B ker(P_k K_B), and each must be
+    P_w K_C x for exactly one x."""
     hs_bt = HomSpace(w.source, t)
-    basis = hs_bt.cycle_basis(0)
-    if not basis:
+    cycles_b = kernel_basis(hs_bt.complex.diff(0))
+    if not cycles_b.cols:
         return True
     hs_kt = HomSpace(k.source, t)
-    killers = kernel_basis(IntMatrix.from_cols(
-        [hs_kt.to_vector(compose(g, k)) for g in basis], hs_kt.dim(0)))
+    killers = kernel_basis(precomposition(k, hs_bt, hs_kt, 0) @ cycles_b)
 
-    factor_basis = chain_map_basis(w.target, t, 0)
-    fm = IntMatrix.from_cols([hs_bt.to_vector(compose(h, w)) for h in factor_basis],
-                             hs_bt.dim(0))
+    hs_ct = HomSpace(w.target, t)
+    cycles_c = kernel_basis(hs_ct.complex.diff(0))
+    fm = precomposition(w, hs_ct, hs_bt, 0) @ cycles_c
 
     # uniqueness: nothing composes with w to zero
-    if factor_basis and kernel_basis(fm).cols:
+    if cycles_c.cols and kernel_basis(fm).cols:
         return False
 
     # column jj: the killer sum_g killers[g, jj] * g, in coordinates of hs_bt
-    kv = IntMatrix.from_cols([hs_bt.to_vector(g) for g in basis], hs_bt.dim(0)) @ killers
+    kv = cycles_b @ killers
     return all(solve_matrix(fm, IntMatrix.column(kv.col(jj))) is not None
                for jj in range(killers.cols))
 

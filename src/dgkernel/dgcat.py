@@ -36,6 +36,7 @@ from .complexes import (
     direct_sum,
     direct_sum_complexes,
     identity_map,
+    precomposition,
     scatter_kron,
     suspension,
     unit_complex,
@@ -45,6 +46,7 @@ from .zlinalg import (
     FPAbGroup,
     IntMatrix,
     ShapeMismatch,
+    block_diagonal,
     cokernel,
     kernel_basis,
     solve_matrix,
@@ -587,9 +589,6 @@ class ModuleTransform:
         return Elt(tgt, y.degree + self.degree,
                    p.comp(y.degree).apply(y.vec))
 
-    def is_protonatural(self) -> bool:
-        return not self.naturality_failures()
-
     def naturality_failures(self) -> List[str]:
         """theta_U(y . f) = (-1)^{|f| deg} (theta_V y) . f on basis pairs."""
         out = []
@@ -834,8 +833,16 @@ def _theta_spaces(wc: WeightedColimit, t: Complex):
 
 
 def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
-    """The canonical map [colim, T] -> (protonatural M => [F-, T]) is a
-    degreewise group isomorphism commuting with the differentials."""
+    """The canonical map Phi: [colim, T] -> (protonatural M => [F-, T]),
+    theta_U(y) = h o gamma_U(y), is a degreewise group isomorphism commuting
+    with the differentials.  A degree-n theta is one vector with a block per
+    object U, in [M U, [F U, T]]_n.  Per degree, three matrix identities:
+
+    * phi_n, with rows precomposition(gamma_U(y)) at the slots of y, is injective;
+    * N_n phi_n = 0 and every solution of N_n theta = 0 is phi_n x, for N_n
+      with rows theta_U(y.f) - (-1)^{|f||y|} theta_V(y) o F(f);
+    * phi_{n-1} D_lhs(n) = D_theta(n) phi_n, for the hom differentials.
+    """
     base = wc.m.base
     spaces = _theta_spaces(wc, t)
     hs_lhs = HomSpace(wc.colimit, t)
@@ -857,27 +864,18 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
     phis = {}
 
     def phi_matrix(n):
-        """Matrix of h |-> theta with theta_U(y) = h o gamma_U(y)."""
+        """Matrix of h |-> theta: entry i of theta_U(y), for y the j-th basis
+        element of (M U)_q, is entry (i, j) of block q of theta_U."""
         if n in phis:
             return phis[n]
-        total = theta.dim(n)
-        cols = []
-        for h in hs_lhs.basis(n):
-            vec = [0] * total
-            for u, size, _, off in theta.blocks(n):
-                hs_out, hs_theta = spaces[u]
-                mu = wc.m.value(u)
-                comp_cols: Dict[int, List] = {}
-                for y, gamma in gammas[u]:
-                    img = compose(h, gamma)
-                    comp_cols.setdefault(y.degree, []).append(hs_out.to_vector(img))
-                comps = {}
-                for tdeg, cc in comp_cols.items():
-                    comps[tdeg] = IntMatrix.from_cols(cc, hs_out.dim(tdeg + n))
-                theta_u = Proto(mu, hs_out.complex, n, comps)
-                vec[off:off + size] = hs_theta.to_vector(theta_u)
-            cols.append(tuple(vec))
-        phis[n] = IntMatrix.from_cols(cols, total if cols else 0)
+        out = [[0] * hs_lhs.dim(n) for _ in range(theta.dim(n))]
+        for u, _, _, off in theta.blocks(n):
+            hs_out, hs_theta = spaces[u]
+            for y, gamma in gammas[u]:
+                if hs_out.dim(y.degree + n):
+                    scatter_kron(out, off + hs_theta.layout.slot(n, y.degree), 0,
+                                 precomposition(gamma, hs_lhs, hs_out, n), IntMatrix.column(y.vec))
+        phis[n] = IntMatrix.from_rows(out, hs_lhs.dim(n), _trusted=True)
         return phis[n]
 
     def naturality_matrix(n):
@@ -894,33 +892,24 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
                 hs_out_v, hs_theta_v = spaces[v]
                 for f in all_basis_elts(homuv):
                     act_f = wc.f.action_proto(u, v, f)
-                    for y in all_basis_elts(mv):
-                        sign = -1 if (f.degree * y.degree) % 2 else 1
-                        yf = wc.m.dot(u, v, y, f)
-                        out_deg = y.degree + f.degree + n
-                        dim_out = hs_out_u.dim(out_deg)
+                    for q in mv.degrees():
+                        dim_out = hs_out_u.dim(q + f.degree + n)
                         if dim_out == 0:
                             continue
-                        block = [[0] * total for _ in range(dim_out)]
-                        # LHS: theta_U(y.f) -- linear in theta_U slots
-                        for k, e in enumerate(hs_theta_u.basis(n)):
-                            img = Elt(hs_out_u.complex, out_deg,
-                                      e.comp(yf.degree).apply(yf.vec))
-                            col = theta.slot(n, u, k)
-                            for i, x in enumerate(img.vec):
-                                if x:
-                                    block[i][col] += x
-                        # RHS: sign * theta_V(y) o F(f) -- linear in theta_V slots
-                        for k, e in enumerate(hs_theta_v.basis(n)):
-                            th_vy = hs_out_v.from_vector(y.degree + n,
-                                                          e.comp(y.degree).apply(y.vec))
-                            img = compose(th_vy, act_f)
-                            iv = hs_out_u.to_vector(img)
-                            col = theta.slot(n, v, k)
-                            for i, x in enumerate(iv):
-                                if x:
-                                    block[i][col] -= sign * x
-                        rows.extend(block)
+                        # F(f)^*: [F V, T]_{q+n} -> [F U, T]_{q+|f|+n}
+                        pull = precomposition(act_f, hs_out_v, hs_out_u, q + n)
+                        sign = -1 if (f.degree * q) % 2 else 1
+                        for y in basis_elts(mv, q):
+                            yf = wc.m.dot(u, v, y, f)
+                            block = [[0] * total for _ in range(dim_out)]
+                            if not yf.is_zero():   # theta_U(y.f) = (1 (x) (y.f)^T) theta_U
+                                scatter_kron(block, 0,
+                                             theta.slot(n, u) + hs_theta_u.layout.slot(n, yf.degree),
+                                             dim_out, IntMatrix.from_rows([yf.vec]))
+                            if pull.cols:          # theta_V(y) o F(f) = (F(f)^* (x) y^T) theta_V
+                                scatter_kron(block, 0, theta.slot(n, v) + hs_theta_v.layout.slot(n, q),
+                                             pull, IntMatrix.from_rows([y.vec]), -sign)
+                            rows.extend(block)
         if not rows:
             return IntMatrix.zeros(0, total)
         return IntMatrix.from_rows(rows, total)
@@ -940,23 +929,9 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
             if solve_matrix(phi, IntMatrix.column(sols.col(j))) is None:
                 return False
         # differentials correspond: Phi(d h) = d_theta(Phi h)
-        phi_prev = phi_matrix(n - 1)
-        for idx, h in enumerate(hs_lhs.basis(n)):
-            if phi_prev.cols:
-                lhs_vec = list(phi_prev.apply(hs_lhs.to_vector(d_hom(h))))
-            else:
-                lhs_vec = [0] * theta.dim(n - 1)
-            col = phi.col(idx) if phi.cols else ()
-            rhs_vec = [0] * theta.dim(n - 1)
-            for u, size, _, off in theta.blocks(n):
-                hs_theta = spaces[u][1]
-                th = hs_theta.from_vector(n, col[off:off + size])
-                dv = hs_theta.to_vector(d_hom(th))
-                if dv:
-                    start = theta.slot(n - 1, u)
-                    rhs_vec[start:start + len(dv)] = dv
-            if lhs_vec != rhs_vec:
-                return False
+        d_theta = block_diagonal([hs_theta.complex.diff(n) for _, hs_theta in spaces.values()])
+        if phi_matrix(n - 1) @ hs_lhs.complex.diff(n) != d_theta @ phi:
+            return False
     return True
 
 

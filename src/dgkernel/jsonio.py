@@ -24,6 +24,11 @@ class InputError(ValueError):
 # computation allocates per basis element, so a larger one would exhaust
 # memory before any check could reject it.
 MAX_RANK = 4096
+# Every degree an input names, and every column of a double complex, lies in
+# [-MAX_DEGREE, MAX_DEGREE].  Complexes and totalizations walk every degree
+# between their lowest and highest one, so two keys far apart would make
+# them spin over the empty degrees in between.
+MAX_DEGREE = 1024
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 _DECIMAL_LIST = re.compile(r"[-+]?[0-9]+(?:,[-+]?[0-9]+)*")
@@ -45,6 +50,14 @@ def _int(value, field: str) -> int:
 def _at_most_max_rank(n: int, field: str) -> int:
     if n > MAX_RANK:
         raise InputError(f"field {field!r}: {n} exceeds the largest supported rank {MAX_RANK}")
+    return n
+
+
+def _degree(value, field: str) -> int:
+    n = _int(value, field)
+    if not -MAX_DEGREE <= n <= MAX_DEGREE:
+        raise InputError(f"field {field!r}: {n} is outside the supported degrees "
+                         f"[-{MAX_DEGREE}, {MAX_DEGREE}]")
     return n
 
 
@@ -98,8 +111,8 @@ def complex_to_json(a: Complex) -> dict:
 
 
 def complex_from_json(obj) -> Complex:
-    lo = _int(_require(obj, "lo"), "lo")
-    hi = _int(_require(obj, "hi"), "hi")
+    lo = _degree(_require(obj, "lo"), "lo")
+    hi = _degree(_require(obj, "hi"), "hi")
     ranks_list = _require(obj, "ranks", list)
     if hi - lo + 1 != len(ranks_list) and not (hi < lo and not ranks_list):
         raise InputError(f"field 'ranks': expected {hi - lo + 1} entries")
@@ -107,7 +120,7 @@ def complex_from_json(obj) -> Complex:
              for i, r in enumerate(ranks_list)}
     diffs = {}
     for key, mat in _require(obj, "diffs", dict).items() if "diffs" in obj else []:
-        diffs[_int(key, "diffs key")] = matrix_from_json(mat)
+        diffs[_degree(key, "diffs key")] = matrix_from_json(mat)
     try:
         return Complex.from_ranks(ranks, diffs)
     except Exception as exc:
@@ -126,8 +139,8 @@ def proto_to_json(p: Proto) -> dict:
 def proto_from_json(obj, chain_map: bool = False) -> Proto:
     source = complex_from_json(_require(obj, "source"))
     target = complex_from_json(_require(obj, "target"))
-    degree = _int(_require(obj, "degree"), "degree")
-    comps = {_int(q, "comps key"): matrix_from_json(m)
+    degree = _degree(_require(obj, "degree"), "degree")
+    comps = {_degree(q, "comps key"): matrix_from_json(m)
              for q, m in _require(obj, "comps", dict).items()}
     try:
         if chain_map:
@@ -147,14 +160,14 @@ def double_complex_to_json(a: DoubleComplex) -> dict:
 
 
 def double_complex_from_json(obj) -> DoubleComplex:
-    columns = {_int(m, "columns key"): complex_from_json(c)
+    columns = {_degree(m, "columns key"): complex_from_json(c)
                for m, c in _require(obj, "columns", dict).items()}
     delta = {}
     for m, comps in obj.get("delta", {}).items():
-        m = _int(m, "delta key")
+        m = _degree(m, "delta key")
         src = columns.get(m, Complex.zero())
         tgt = columns.get(m - 1, Complex.zero())
-        mats = {_int(q, "delta comp key"): matrix_from_json(v)
+        mats = {_degree(q, "delta comp key"): matrix_from_json(v)
                 for q, v in comps.items()}
         try:
             delta[m] = ChainMap(src, tgt, 0, mats)
@@ -171,7 +184,7 @@ def _elt_to_json(e: Elt) -> dict:
 
 
 def _elt_from_json(obj, cx: Complex) -> Elt:
-    degree = _int(_require(obj, "degree"), "degree")
+    degree = _degree(_require(obj, "degree"), "degree")
     vec = tuple(_int(x, "vec") for x in _require(obj, "vec", list))
     try:
         return Elt(cx, degree, vec)
@@ -210,7 +223,7 @@ def category_from_json(obj) -> FiniteDGCategory:
         src = TensorSpace(homs.get((b, c), Complex.zero()),
                           homs.get((a, b), Complex.zero())).complex
         tgt = homs.get((a, c), Complex.zero())
-        mats = {_int(n, "compose degree"): matrix_from_json(m) for n, m in comps.items()}
+        mats = {_degree(n, "compose degree"): matrix_from_json(m) for n, m in comps.items()}
         try:
             tables[(a, b, c)] = ChainMap(src, tgt, 0, mats)
         except Exception as exc:
@@ -247,7 +260,7 @@ def _read_module(obj, cat: FiniteDGCategory, side: str) -> DGModule:
         u, v = parts
         src, tgt = module.ends(u, v)
         space = action_domain(side, cat.hom(u, v), module.value(src)).complex
-        mats = {_int(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
+        mats = {_degree(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
         try:
             module.actions[(u, v)] = ChainMap(space, module.value(tgt), 0, mats)
         except Exception as exc:
@@ -293,7 +306,7 @@ def cauchy_data_from_json(obj) -> CauchyData:
             raise InputError(f"eps key {key!r}: expected 'U->V'")
         u, v = parts
         src = TensorSpace(n.value(u), m.value(v)).complex
-        mats = {_int(nn, "eps degree"): matrix_from_json(mm) for nn, mm in comps.items()}
+        mats = {_degree(nn, "eps degree"): matrix_from_json(mm) for nn, mm in comps.items()}
         try:
             eps[(u, v)] = ChainMap(src, cat.hom(v, u), 0, mats)
         except Exception as exc:

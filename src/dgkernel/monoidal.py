@@ -29,6 +29,7 @@ from .complexes import (
     functor_L,
     functor_R,
     identity_map,
+    precomposition,
     scatter_kron,
     suspension,
     unit_complex,
@@ -297,47 +298,25 @@ def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]
     hs_left = HomSpace(suspension(b, -1), c)
     hs_right = HomSpace(b, suspension(c, 1))
 
-    def left_fwd(n, flat):
-        f = hs.from_vector(n - 1, _unit(hs.dim(n - 1), flat))
-        g = Proto(hs_left.source, hs_left.target, n,
-                  {q - 1: m for q, m in f.comps().items()})
-        return _single_slot(hs_left, n, g), (-1 if n % 2 else 1)
+    # [S^-1 B, C] is precomposition with u: S^-1 B -> B, the identity on
+    # each group, of degree 1; its inverse has degree -1.
+    ids = {q: IntMatrix.identity(b.rank(q)) for q in b.degrees() if b.rank(q)}
+    u = Proto(hs_left.source, b, 1, {q - 1: m for q, m in ids.items()})
+    u_inv = Proto(b, hs_left.source, -1, ids)
+    left_fwd = {n: precomposition(u, hs, hs_left, n - 1).scale(-1 if n % 2 else 1)
+                for n in s_hom.degrees()}
+    left_bwd = {n: precomposition(u_inv, hs_left, hs, n).scale(-1 if n % 2 else 1)
+                for n in hs_left.complex.degrees()}
 
-    def left_bwd(n, flat):
-        g = hs_left.from_vector(n, _unit(hs_left.dim(n), flat))
-        f = Proto(b, c, n - 1, {q + 1: m for q, m in g.comps().items()})
-        return hs.to_vector(f).index(1), (-1 if n % 2 else 1)
-
-    def right_fwd(n, flat):
-        f = hs.from_vector(n - 1, _unit(hs.dim(n - 1), flat))
-        g = Proto(hs_right.source, hs_right.target, n, f.comps())
-        return _single_slot(hs_right, n, g), 1
-
-    def right_bwd(n, flat):
-        g = hs_right.from_vector(n, _unit(hs_right.dim(n), flat))
-        f = Proto(b, c, n - 1, g.comps())
-        return hs.to_vector(f).index(1), 1
-
+    # [B, SC]_n has the blocks of [B, C]_{n-1} in the same places, so the
+    # plain identification is the identity on coordinates.
+    same = {n: IntMatrix.identity(s_hom.rank(n)) for n in s_hom.degrees()}
     return {
-        "left": (_slot_chain_map(s_hom, hs_left.complex, left_fwd),
-                 _slot_chain_map(hs_left.complex, s_hom, left_bwd)),
-        "right": (_slot_chain_map(s_hom, hs_right.complex, right_fwd),
-                  _slot_chain_map(hs_right.complex, s_hom, right_bwd)),
+        "left": (ChainMap(s_hom, hs_left.complex, 0, left_fwd),
+                 ChainMap(hs_left.complex, s_hom, 0, left_bwd)),
+        "right": (ChainMap(s_hom, hs_right.complex, 0, same),
+                  ChainMap(hs_right.complex, s_hom, 0, same)),
     }
-
-
-def _unit(dim, k):
-    v = [0] * dim
-    v[k] = 1
-    return v
-
-
-def _single_slot(hs: HomSpace, n: int, p: Proto) -> int:
-    vec = hs.to_vector(p)
-    nz = [i for i, x in enumerate(vec) if x]
-    if len(nz) != 1 or vec[nz[0]] != 1:
-        raise RuntimeError("expected a unit vector")
-    return nz[0]
 
 
 # -- solved-for witnesses ---------------------------------------------------

@@ -35,40 +35,17 @@ SUITE_FACTORIZATIONS = 4587   # distinct decompositions returned; a kernel basis
                               # brings its own, derived without elimination
 
 
-def _recorded_snf(monkeypatch) -> list:
-    """Rebind smith_normal_form to a recorder and return the list of the
-    decompositions it returns, one per call.  Modules import the function by
-    name, so rebind it in every loaded dgkernel namespace, not on zlinalg
-    alone.  The list keeps every decomposition alive, so distinct ids count
-    factorizations."""
-    from dgkernel import zlinalg
-
-    real = zlinalg.smith_normal_form
-    made = []
-
-    def recorded(m):
-        made.append(real(m))
-        return made[-1]
-
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "dgkernel" or name.startswith("dgkernel.")):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, recorded)
-    return made
-
-
-def test_suite_snf_call_count_is_pinned(monkeypatch):
-    made = _recorded_snf(monkeypatch)
-    assert all(r.passed for r in run_all(SEED))
+def test_suite_snf_call_count_is_pinned(zlinalg_calls):
+    with zlinalg_calls("smith_normal_form") as made:
+        assert all(r.passed for r in run_all(SEED))
     assert len(made) == SUITE_SNF_CALLS
 
 
-def test_suite_factorization_count_is_pinned(monkeypatch):
+def test_suite_factorization_count_is_pinned(zlinalg_calls):
     # A repeat call on the same matrix object returns its stored
     # decomposition: calls stay pinned, factorizations are fewer.
-    made = _recorded_snf(monkeypatch)
-    assert all(r.passed for r in run_all(SEED))
+    with zlinalg_calls("smith_normal_form") as made:
+        assert all(r.passed for r in run_all(SEED))
     assert len({id(s) for s in made}) == SUITE_FACTORIZATIONS
 
 

@@ -278,6 +278,66 @@ class TestInputCaps:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
+    def test_far_apart_columns_exit_two_at_once(self, files, capsys):
+        # Tot walks every total degree between its lowest and highest
+        # column: columns 0 and 10^8 used to make it spin
+        one = jsonio.complex_to_json(unit_complex())
+        path = files["tmp"] + "/far.json"
+        jsonio.dump({"columns": {"0": one, "100000000": one}, "delta": {}}, path)
+        assert main(["tot", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'columns key': 100000000 is outside "
+                                "the supported degrees [-1024, 1024]\n")
+
+    @pytest.mark.parametrize("field, payload", [
+        ("lo", {"lo": -1025, "hi": -1025, "ranks": [1]}),
+        ("hi", {"lo": 0, "hi": 1025, "ranks": [1] * 1026}),
+        ("diffs key", {"lo": 0, "hi": 0, "ranks": [1],
+                       "diffs": {"5000": {"rows": 0, "cols": 0, "data": []}}}),
+    ])
+    def test_every_degree_field_is_capped(self, files, capsys, field, payload):
+        path = files["tmp"] + "/far_degree.json"
+        jsonio.dump(payload, path)
+        assert main(["homology", path]) == 2
+        assert f"field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, read", [
+        ("degree", lambda big: jsonio.proto_from_json(
+            dict(jsonio.proto_to_json(identity_map(M2)), degree=big))),
+        ("comps key", lambda big: jsonio.proto_from_json(
+            dict(jsonio.proto_to_json(identity_map(M2)),
+                 comps={big: {"rows": 0, "cols": 0, "data": []}}))),
+        ("delta key", lambda big: jsonio.double_complex_from_json(
+            {"columns": {}, "delta": {big: {}}})),
+        ("delta comp key", lambda big: jsonio.double_complex_from_json(
+            {"columns": {}, "delta": {"0": {big: {"rows": 0, "cols": 0, "data": []}}}})),
+        ("compose degree", lambda big: jsonio.category_from_json(
+            dict(jsonio.category_to_json(exterior_g_category(1)),
+                 compose={"*->*->*": {big: {"rows": 0, "cols": 0, "data": []}}}))),
+        ("action degree", lambda big: jsonio.left_module_from_json(
+            {"values": {}, "actions": {"*->*": {big: {}}}}, unit_dg_category())),
+        ("eps degree", lambda big: jsonio.cauchy_data_from_json(
+            dict(jsonio.cauchy_data_to_json(representable_cauchy_data(exterior_g_category(1), "*")),
+                 eps={"*->*": {big: {}}}))),
+    ])
+    def test_degree_keys_outside_the_cap_are_input_errors(self, field, read):
+        for big in ("1025", "-1025", "10000000000"):
+            with pytest.raises(jsonio.InputError, match=f"field {field!r}: {big} is outside"):
+                read(big)
+
+    def test_elt_degree_is_capped(self):
+        obj = jsonio.cauchy_data_to_json(representable_cauchy_data(exterior_g_category(1), "*"))
+        obj["eta"][0]["x"]["degree"] = 2000
+        with pytest.raises(jsonio.InputError, match="field 'degree': 2000 is outside"):
+            jsonio.cauchy_data_from_json(obj)
+
+    def test_degree_cap_is_inclusive(self):
+        assert jsonio.MAX_DEGREE == 1024
+        for n in (-jsonio.MAX_DEGREE, jsonio.MAX_DEGREE):
+            cx = jsonio.complex_from_json({"lo": n, "hi": n, "ranks": [1]})
+            assert cx.rank(n) == 1
+
     def test_cap_is_inclusive(self):
         assert jsonio.MAX_RANK == 4096
         m = jsonio.matrix_from_json({"rows": jsonio.MAX_RANK, "cols": 0, "data": []})
