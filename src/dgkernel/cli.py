@@ -10,6 +10,7 @@ Exit codes: 0 success/verified, 1 verification failure (with witness),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -131,6 +132,9 @@ def cmd_cokernel_protosplit(args) -> int:
 
 
 def cmd_tot(args) -> int:
+    top = jsonio.MAX_DEGREE + 1
+    if args.window is not None and not 1 <= args.window <= top:
+        raise InputError(f"--window must be between 1 and {top}, got {args.window}")
     a = jsonio.double_complex_from_json(jsonio.load(args.double_complex))
     tot = total_complex(a)
     groups = homology_H(tot)
@@ -140,7 +144,7 @@ def cmd_tot(args) -> int:
         try:
             cmp = tot_via_weighted_colimit(a, window=args.window)
         except SupportExceedsWindow as exc:
-            raise InputError(str(exc))
+            raise InputError(f"--window: {exc}")
         ok = ((cmp.iso @ cmp.inverse) == identity_map(cmp.tot)
               and (cmp.inverse @ cmp.iso) == identity_map(cmp.colimit))
         payload["colim_comparison"] = ok
@@ -290,9 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call rather than at import; each verb's cmd_*
+    # reads the module globals it uses when it runs
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -696,6 +696,24 @@ def precomposition(g: Proto, hs_from: HomSpace, hs_to: HomSpace, n: int) -> IntM
     return IntMatrix.from_rows(out, hs_from.dim(n), _trusted=True)
 
 
+def postcomposition(w: Proto, hs_from: HomSpace, hs_to: HomSpace, n: int) -> IntMatrix:
+    """Matrix of h |-> w o h from [A, X]_n to [A, Y]_{n+|w|}, for w: X -> Y.
+
+    On row-major blocks vec(W H) = (W (x) 1) vec(H), so each block q of h
+    meets the stored component w_{q+n} and places one Kronecker block, from
+    block q of h to block q of w o h."""
+    if (hs_from.target != w.source or hs_to.target != w.target
+            or hs_from.source != hs_to.source):
+        raise ShapeMismatch("postcomposition: hom spaces do not match w")
+    m = n + w.degree
+    out = [[0] * hs_from.dim(n) for _ in range(hs_to.dim(m))]
+    for q, _, cols, off in hs_from.layout.blocks(n):
+        wq = w._c.get(q + n)
+        if wq is not None:
+            scatter_kron(out, hs_to.layout.slot(m, q), off, wq, cols)
+    return IntMatrix.from_rows(out, hs_from.dim(n), _trusted=True)
+
+
 def hom_complex(source: Complex, target: Complex) -> Complex:
     """The internal hom [B, C] as a complex (see HomSpace for the basis)."""
     return HomSpace(source, target).complex

@@ -349,15 +349,13 @@ def ell_op_window_category(window: int) -> FiniteDGCategory:
     """
     k0 = unit_complex()
     objs = tuple(range(-window, window + 1))
-    homs = {}
-    for u in objs:
-        for v in objs:
-            if u - v in (0, 1):
-                homs[(u, v)] = k0
+    # only b in {a-1, a} and c in {b-1, b} can compose; ascending, so the
+    # tables keep the order of a scan over all objects
+    homs = {(u, v): k0 for u in objs for v in (u - 1, u) if v >= -window}
     tables = {}
     for a in objs:
-        for b in objs:
-            for c in objs:
+        for b in (a - 1, a):
+            for c in (b - 1, b):
                 if (a, b) in homs and (b, c) in homs and (a, c) in homs:
                     ts = TensorSpace(homs[(b, c)], homs[(a, b)])
                     tables[(a, b, c)] = ChainMap(ts.complex, homs[(a, c)], 0,

@@ -19,9 +19,12 @@ from .complexes import (
     GradedObject,
     HomSpace,
     Proto,
+    _nonzero_entries,
     compose,
     d_hom,
     identity_map,
+    postcomposition,
+    precomposition,
     scatter_kron,
     suspension,
     suspension_map,
@@ -36,7 +39,7 @@ from .dgcat import (
     weighted_colimit,
 )
 from .monoidal import TensorSpace
-from .zlinalg import IntMatrix, ShapeMismatch, block_matrix, inverse_unimodular
+from .zlinalg import IntMatrix, ShapeMismatch, inverse_unimodular
 
 
 class SupportExceedsWindow(ValueError):
@@ -312,8 +315,11 @@ def tot_via_weighted_colimit(a: DoubleComplex,
     cols = a.column_degrees()
     if window is None:
         window = (max(abs(m) for m in cols) + 1) if cols else 1
-    if cols and (min(cols) < -window or max(cols) > window):
-        raise SupportExceedsWindow(f"columns {cols} exceed window {window}")
+    # the lower slot of column m reaches object m - 1, so the lowest column
+    # needs an object below it
+    if cols and (min(cols) <= -window or max(cols) > window):
+        raise SupportExceedsWindow(f"columns {cols} do not fit window {window}: "
+                                   f"they must lie in [{1 - window}, {window}]")
     cat, j_mod = weight_J(window)
     a_mod = double_complex_as_left_module(cat, a)
     wc = weighted_colimit(j_mod, a_mod)
@@ -374,79 +380,103 @@ def tot_via_weighted_colimit(a: DoubleComplex,
 # -- the totalization adjunction ----------------------------------------------
 
 
-def _dg_hom_to_tot_proto(f: DGHomElement, x: Complex, ts: TotSpace) -> Proto:
-    """Identify a bottom-row DG hom element A -> iX with a proto
-    Tot A -> X (plain block assembly; no signs)."""
-    n = f.degree
-    comps: Dict[int, IntMatrix] = {}
-    for s in ts.complex.degrees():
-        if x.rank(s + n) == 0 or ts.complex.rank(s) == 0:
-            continue
-        # the blocks of Tot degree s sit side by side, in slot order
-        comps[s] = block_matrix([[f.comp(0, m).comp(s - m)
-                                  for m, _, _, _ in ts.layout.blocks(s)]])
-    return Proto(ts.complex, x, n, comps)
+class _TotHomSpaces:
+    """[Tot A, X] beside the bottom-row DG hom space DG-hom(A, iX).
+
+    A degree-n element of DG-hom(A, iX) is a family f_m in [A_m, X]_{n+m},
+    one per column; ``stack`` lays the column spaces out in a BlockLayout
+    keyed by m, by ascending m.  The columns of block s of [Tot A, X]_n are
+    the basis of Tot_s, which runs through the columns m in turn, so the
+    identification of the two spaces only relabels coordinates
+    (``relabelling``)."""
+
+    def __init__(self, ts: TotSpace, x: Complex):
+        self.ts = ts
+        self.tot = HomSpace(ts.complex, x)
+        self.cols = {m: HomSpace(ts.a.column(m), x) for m in ts.a.column_degrees()}
+        self.stack = stack = BlockLayout()
+        for m, hs_m in self.cols.items():
+            for k in hs_m.layout.degrees():
+                stack.add(k - m, m, hs_m.dim(k))
+
+    def relabelling(self, n: int) -> List[int]:
+        """Stack index of each coordinate of [Tot A, X]_n: entry (i, j) of
+        block s, with j in column block m of Tot_s at offset off, is entry
+        (i, j - off) of block s - m of [A_m, X]_{n+m}."""
+        out = [0] * self.tot.dim(n)
+        for s, rows, width, off_s in self.tot.layout.blocks(n):
+            for m, r, _, off in self.ts.layout.blocks(s):
+                base = self.stack.slot(n, m) + self.cols[m].layout.slot(n + m, s - m)
+                for i in range(rows):
+                    start = off_s + i * width + off
+                    out[start:start + r] = range(base + i * r, base + (i + 1) * r)
+        return out
+
+    def differential(self, n: int) -> List[List[int]]:
+        """The DG hom differential from degree n to n - 1 on the stack,
+        d(f)_m = d f_m - (-1)^n f_{m-1} o delta_m: the diagonal blocks are
+        the differentials of the [A_m, X], the off-diagonal ones -(-1)^n
+        times precomposition with delta_m."""
+        stack, sign_n = self.stack, -1 if n % 2 else 1
+        out = [[0] * stack.dim(n) for _ in range(stack.dim(n - 1))]
+        for m, _, _, off in stack.blocks(n):
+            d = self.cols[m].complex.diffs().get(n + m)
+            if d is not None:
+                scatter_kron(out, stack.slot(n - 1, m), off, d)
+        for m, delta in self.ts.a.delta.items():
+            k = n + m - 1
+            if self.cols[m - 1].dim(k) and self.cols[m].dim(k):
+                pre = precomposition(delta, self.cols[m - 1], self.cols[m], k)
+                scatter_kron(out, stack.slot(n - 1, m), stack.slot(n, m - 1), pre, sign=-sign_n)
+        return out
 
 
-def _tot_proto_to_dg_hom(h: Proto, a: DoubleComplex, x: Complex, ts: TotSpace) -> DGHomElement:
-    n = h.degree
-    comps: Dict[Tuple[int, int], Proto] = {}
-    for m in a.column_degrees():
-        am = a.column(m)
-        sub: Dict[int, IntMatrix] = {}
-        for t in am.degrees():
-            s = m + t
-            if am.rank(t) == 0 or x.rank(s + n) == 0:
-                continue
-            off = ts.slot(s, m, 0)
-            sub[t] = h.comp(s).select_cols(range(off, off + am.rank(t)))
-        p = Proto(am, x, n + m, sub)
-        if not p.is_zero():
-            comps[(0, m)] = p
-    return DGHomElement(a, embed_i(x), n, comps)
+def _relabelled(mat: IntMatrix, rows: List[int], cols: List[int]) -> List[List[int]]:
+    """mat with row i moved to rows[i] and column j to cols[j]."""
+    out = [[0] * len(cols) for _ in rows]
+    for i, j, v in _nonzero_entries(mat)[2]:
+        out[rows[i]][cols[j]] = v
+    return out
 
 
 def tot_adjunction_check(a: DoubleComplex, x: Complex) -> bool:
-    """Degreewise, DG-hom(A, iX) and [Tot A, X] are identified by block
-    reassembly, and the two differentials agree under the identification."""
+    """Degreewise, [Tot A, X]_n and DG-hom(A, iX)_n are identified by the
+    relabelling of coordinates (``_TotHomSpaces.relabelling``), which must
+    be a bijection; under it the hom differential of [Tot A, X] equals the
+    DG hom differential d(f)_m = d f_m - (-1)^n f_{m-1} o delta_m, the
+    matrix with diagonal blocks the differentials of the [A_m, X] and
+    off-diagonal blocks -(-1)^n times precomposition with delta_m."""
     ts = TotSpace(a)
-    ix = embed_i(x)
-    hs = HomSpace(ts.complex, x)
-    lo, hi = hs.complex.lo - 1, hs.complex.hi + 1
-    for n in range(lo, hi + 1):
-        # dimension agreement
-        dg_dim = 0
-        for m in a.column_degrees():
-            am = a.column(m)
-            for t in am.degrees():
-                dg_dim += am.rank(t) * x.rank(t + n + m)
-        if dg_dim != hs.dim(n):
+    sp = _TotHomSpaces(ts, x)
+    hs, stack = sp.tot, sp.stack
+    degrees = sorted(set(hs.layout.degrees()) | set(stack.degrees()))
+    perms: Dict[int, List[int]] = {}
+    for n in degrees:
+        perm = sp.relabelling(n)
+        if stack.dim(n) != len(perm) or sorted(perm) != list(range(len(perm))):
             return False
-        # round trips and differential correspondence on a basis
-        for h in hs.basis(n):
-            f = _tot_proto_to_dg_hom(h, a, x, ts)
-            back = _dg_hom_to_tot_proto(f, x, ts)
-            if back != h:
-                return False
-            lhs = _dg_hom_to_tot_proto(dg_hom_differential(f), x, ts)
-            rhs = d_hom(h)
-            if lhs != rhs:
-                return False
+        perms[n] = perm
+    for n in degrees:
+        if _relabelled(hs.complex.diff(n), perms.get(n - 1, []), perms[n]) != sp.differential(n):
+            return False
     return True
 
 
 def tot_adjunction_natural_in_x(a: DoubleComplex, w: ChainMap) -> bool:
-    """Postcomposition squares commute under the identification, for a
-    chain map w: X -> X'."""
+    """The identification commutes with postcomposition by a map w: X -> X':
+    under the relabellings of [Tot A, X] and [Tot A, X'], postcomposition
+    with w on [Tot A, X]_n equals the block diagonal of the
+    postcompositions with w on the [A_m, X]_{n+m}."""
     ts = TotSpace(a)
-    x, x2 = w.source, w.target
-    hs = HomSpace(ts.complex, x)
-    for n in range(hs.complex.lo, hs.complex.hi + 1):
-        for h in hs.basis(n):
-            f = _tot_proto_to_dg_hom(h, a, x, ts)
-            pushed = DGHomElement(a, embed_i(x2), n,
-                                  {k: compose(w, p) for k, p in f.comps.items()})
-            direct = _tot_proto_to_dg_hom(compose(w, h), a, x2, ts)
-            if pushed != direct:
-                return False
+    sp, sp2 = _TotHomSpaces(ts, w.source), _TotHomSpaces(ts, w.target)
+    k = w.degree
+    for n in sp.tot.layout.degrees():
+        post = postcomposition(w, sp.tot, sp2.tot, n)
+        dg = [[0] * sp.stack.dim(n) for _ in range(sp2.stack.dim(n + k))]
+        for m, _, _, off in sp.stack.blocks(n):
+            if sp2.cols[m].dim(n + m + k):
+                scatter_kron(dg, sp2.stack.slot(n + k, m), off,
+                             postcomposition(w, sp.cols[m], sp2.cols[m], n + m))
+        if _relabelled(post, sp2.relabelling(n + k), sp.relabelling(n)) != dg:
+            return False
     return True

@@ -77,6 +77,32 @@ def test_criterion_fails_on_broken_snf_under_python_O():
     assert lines[2].startswith("[FAIL] criterion  1") and "U M V != D" in lines[2]
 
 
+BROKEN_DELTA_SIGN_UNDER_O = """
+import sys
+from dgkernel import acceptance, totals
+
+real = totals.precomposition
+
+print("optimize", sys.flags.optimize)
+print(acceptance.criterion_11_totalization(20260809).line())
+totals.precomposition = lambda *args: -real(*args)
+print(acceptance.criterion_11_totalization(20260809).line())
+"""
+
+
+def test_criterion_fails_on_broken_delta_sign_under_python_O():
+    # the Tot adjunction check meets delta only through precomposition:
+    # negating it flips the sign of the delta term of the DG differential
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", BROKEN_DELTA_SIGN_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("[PASS] criterion 11")
+    assert lines[2].startswith("[FAIL] criterion 11") and "graded adjunction fails" in lines[2]
+
+
 def test_package_has_no_assert_statements():
     import dgkernel
 

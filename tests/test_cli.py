@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dgkernel import jsonio
+from dgkernel import cli, jsonio
 from dgkernel.cli import main
 from dgkernel.complexes import (
     ChainMap,
@@ -234,6 +238,41 @@ class TestVerbs:
         assert captured.out == ""
         assert "--probe-depth" in captured.err
 
+    @pytest.mark.parametrize("window", [-3, 0, 1026])
+    @pytest.mark.parametrize("dc", ["empty", "dc.json"])
+    def test_window_out_of_range_exits_two(self, files, capsys, window, dc):
+        # --window -3 used to exit 0 on an empty double complex, and on a
+        # non-empty one the error named the columns, not the flag
+        files["empty"] = files["tmp"] + "/empty_dc.json"
+        jsonio.dump({"columns": {}, "delta": {}}, files["empty"])
+        assert main(["tot", files[dc], "--compare-colim", "--window", str(window)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: --window must be between 1 and 1025, "
+                                f"got {window}\n")
+
+    @pytest.mark.parametrize("window", [2, 1025])
+    def test_window_in_range_reaches_the_comparison(self, files, capsys, monkeypatch, window):
+        seen = []
+        real = cli.tot_via_weighted_colimit
+
+        def recorded(a, window=None):
+            seen.append(window)
+            return real(a, window=2)
+
+        monkeypatch.setattr("dgkernel.cli.tot_via_weighted_colimit", recorded)
+        assert main(["tot", files["dc.json"], "--compare-colim", "--window", str(window)]) == 0
+        assert seen == [window]
+        assert "colim comparison iso: ok" in capsys.readouterr().out
+
+    def test_window_too_small_for_the_columns_exits_two(self, files, capsys):
+        # columns -1..1 need objects -2..1; window 1 used to end in a traceback
+        assert main(["tot", files["dc.json"], "--compare-colim", "--window", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: --window: columns [-1, 0, 1] do not fit "
+                                "window 1: they must lie in [0, 1]\n")
+
     @pytest.mark.parametrize("depth", [1, 5])
     def test_probe_depth_in_range(self, files, capsys, depth):
         assert main(["cokernel-protosplit", "--f", files["split_f.json"],
@@ -434,6 +473,58 @@ class TestHomologyOncePerReport:
         if verb in ("homology", "tot") or verb.startswith("cone"):
             assert lines != []
             assert dict(ln.split(" = ") for ln in lines if ln != "H = 0") == report
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _separate_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "dgkernel.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+
+
+class TestOneParserPerProcess:
+    SEQUENCE = [
+        lambda f: ["homology", f["m2.json"]],
+        lambda f: ["--json", "tot", f["dc.json"], "--compare-colim"],
+        lambda f: ["verify-category", f["ext_bad.json"]],
+        lambda f: ["cokernel-protosplit", "--f", f["split_f.json"],
+                   "--t", f["split_t.json"], "--probe-depth", "0"],
+        lambda f: ["--json", "hom", f["m2.json"], f["k0.json"]],
+        lambda f: ["homology", f["m2.json"]],
+    ]
+
+    def test_calls_in_one_process_match_separate_processes(self, files, capsys):
+        codes = []
+        for make in self.SEQUENCE:
+            argv = make(files)
+            code = main(argv)
+            captured = capsys.readouterr()
+            proc = _separate_process(argv)
+            assert (code, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 1, 2, 0, 0]
+
+    def test_bad_argument_still_exits_two(self, files, capsys):
+        assert main(["homology", files["m2.json"]]) == 0
+        for argv in (["tot", files["dc.json"], "--window", "abc"], ["no-such-verb"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: dgkernel" in capsys.readouterr().err
+        assert main(["homology", files["m2.json"]]) == 0
+        assert capsys.readouterr().out == "H_0 = Z/2\n"
+
+    def test_parser_is_built_on_first_call_not_at_import(self):
+        probe = ("import dgkernel.cli as c; print(c._parser.cache_info().currsize); "
+                 "c._parser(); print(c._parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out.split() == ["0", "1"]
+        assert cli._parser() is cli._parser()
 
 
 class TestDeterminism:

@@ -79,6 +79,25 @@ class TestCategoryValidation:
     def test_window_category_valid(self):
         assert ell_op_window_category(2).validate() == []
 
+    @pytest.mark.parametrize("window", range(7))
+    def test_window_category_equals_the_cubic_construction(self, window):
+        # the composition table used to be filled by a scan over every
+        # object triple; only neighbouring objects can compose
+        objs = tuple(range(-window, window + 1))
+        homs = [(u, v) for u in objs for v in objs if u - v in (0, 1)]
+        triples = [(a, b, c) for a in objs for b in objs for c in objs
+                   if (a, b) in homs and (b, c) in homs and (a, c) in homs]
+        cat = ell_op_window_category(window)
+        assert cat.objects == objs
+        assert list(cat.homs) == homs
+        assert all(h == K0 for h in cat.homs.values())
+        assert list(cat.compose_table) == triples
+        for (a, b, c), table in cat.compose_table.items():
+            assert table.source == TensorSpace(K0, K0).complex
+            assert table.target == K0
+            assert table.comps() == {0: IntMatrix.from_rows([[1]])}
+        assert cat.validate() == []
+
     def test_sub_dg_category_of_complexes_with_torsion_object(self):
         cat = dg_subcategory_of_complexes({"Z": K0, "M2": M2})
         assert cat.validate() == []

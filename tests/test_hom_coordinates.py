@@ -32,6 +32,7 @@ from dgkernel.complexes import (
     functor_L,
     identity_map,
     make_complex,
+    postcomposition,
     precomposition,
     suspension,
     unit_complex,
@@ -395,3 +396,26 @@ class TestPrecomposition:
             precomposition(g, HomSpace(K0, M2), HomSpace(M2, M2), 0)
         with pytest.raises(ShapeMismatch):
             precomposition(g, HomSpace(M2, M2), HomSpace(M2, K0), 0)
+
+
+class TestPostcomposition:
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.integers(-2, 2))
+    def test_matrix_of_postcomposition(self, seed, degree):
+        rng = random.Random(seed)
+        a, x, y = (rand_complex(rng, bricks=2) if rng.random() < 0.85 else Complex.zero()
+                   for _ in range(3))
+        w = rand_proto(rng, x, y, degree)
+        hs_from, hs_to = HomSpace(a, x), HomSpace(a, y)
+        for n in range(x.lo - a.hi - 1, x.hi - a.lo + 2):
+            p = postcomposition(w, hs_from, hs_to, n)
+            assert p.shape == (hs_to.dim(n + degree), hs_from.dim(n))
+            for j, h in enumerate(hs_from.basis(n)):
+                assert p.col(j) == hs_to.to_vector(compose(w, h))
+
+    def test_mismatched_spaces_raise(self):
+        w = identity_map(M2)
+        with pytest.raises(ShapeMismatch):
+            postcomposition(w, HomSpace(M2, K0), HomSpace(M2, M2), 0)
+        with pytest.raises(ShapeMismatch):
+            postcomposition(w, HomSpace(K0, M2), HomSpace(M2, M2), 0)

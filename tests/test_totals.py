@@ -1,13 +1,32 @@
+"""Double complexes, Tot, the totalization weight and the Tot adjunction.
+
+The Tot adjunction checks used to build one Proto per basis element of
+[Tot A, X]_n, carry it to a DG hom element and back, and compare
+differentials element by element.  They now compare matrices under a
+relabelling of coordinates.  The reference_* functions below are the
+per-basis versions; the tests check that both give the same verdicts and
+that the relabelling and the stacked DG differential are what the
+per-basis code computes.
+"""
+
 import random
+from typing import Dict, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dgkernel.totals as totals
 from dgkernel.complexes import (
+    ChainMap,
     Complex,
+    HomSpace,
+    Proto,
     compose,
+    d_hom,
     homology_H,
     identity_map,
     make_complex,
+    scatter_kron,
     suspension,
     unit_complex,
 )
@@ -17,6 +36,7 @@ from dgkernel.totals import (
     DoubleComplex,
     SupportExceedsWindow,
     TotSpace,
+    _TotHomSpaces,
     dg_compose,
     dg_hom_differential,
     dg_identity,
@@ -28,9 +48,10 @@ from dgkernel.totals import (
     total_complex,
     weight_J,
 )
-from dgkernel.zlinalg import IntMatrix, ShapeMismatch
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
 
 K0 = unit_complex()
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def rand_dg_hom(rng, a, b, n):
@@ -190,6 +211,14 @@ class TestTotViaColimit:
         with pytest.raises(SupportExceedsWindow):
             tot_via_weighted_colimit(DoubleComplex({3: K0}, {}), window=1)
 
+    def test_lowest_column_needs_an_object_below_it(self):
+        # the lower slot of column -1 reaches object -2: window 1 used to be
+        # accepted and then fail inside the comparison
+        with pytest.raises(SupportExceedsWindow, match=r"must lie in \[0, 1\]"):
+            tot_via_weighted_colimit(DoubleComplex({-1: K0}, {}), window=1)
+        cmp = tot_via_weighted_colimit(DoubleComplex({1: K0}, {}), window=1)
+        assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot)
+
 
 class TestTotAdjunction:
     def test_single_column_reduces_to_hom_identity(self):
@@ -243,3 +272,226 @@ class TestTotAdjunction:
             x, x2 = rand_complex(rng), rand_complex(rng)
             w = rand_chain_map(rng, x, x2)
             assert tot_adjunction_natural_in_x(a, w)
+
+
+# -- the Tot adjunction in coordinates ----------------------------------------
+
+
+def reference_dg_hom_to_tot_proto(f: DGHomElement, x: Complex, ts: TotSpace) -> Proto:
+    """Identify a bottom-row DG hom element A -> iX with a proto
+    Tot A -> X (plain block assembly; no signs)."""
+    n = f.degree
+    comps: Dict[int, IntMatrix] = {}
+    for s in ts.complex.degrees():
+        if x.rank(s + n) == 0 or ts.complex.rank(s) == 0:
+            continue
+        # the blocks of Tot degree s sit side by side, in slot order
+        comps[s] = block_matrix([[f.comp(0, m).comp(s - m)
+                                  for m, _, _, _ in ts.layout.blocks(s)]])
+    return Proto(ts.complex, x, n, comps)
+
+
+def reference_tot_proto_to_dg_hom(h: Proto, a: DoubleComplex, x: Complex, ts: TotSpace) -> DGHomElement:
+    n = h.degree
+    comps: Dict[Tuple[int, int], Proto] = {}
+    for m in a.column_degrees():
+        am = a.column(m)
+        sub: Dict[int, IntMatrix] = {}
+        for t in am.degrees():
+            s = m + t
+            if am.rank(t) == 0 or x.rank(s + n) == 0:
+                continue
+            off = ts.slot(s, m, 0)
+            sub[t] = h.comp(s).select_cols(range(off, off + am.rank(t)))
+        p = Proto(am, x, n + m, sub)
+        if not p.is_zero():
+            comps[(0, m)] = p
+    return DGHomElement(a, embed_i(x), n, comps)
+
+
+def reference_tot_adjunction_check(a: DoubleComplex, x: Complex) -> bool:
+    """Degreewise, DG-hom(A, iX) and [Tot A, X] are identified by block
+    reassembly, and the two differentials agree under the identification."""
+    ts = TotSpace(a)
+    ix = embed_i(x)
+    hs = HomSpace(ts.complex, x)
+    lo, hi = hs.complex.lo - 1, hs.complex.hi + 1
+    for n in range(lo, hi + 1):
+        # dimension agreement
+        dg_dim = 0
+        for m in a.column_degrees():
+            am = a.column(m)
+            for t in am.degrees():
+                dg_dim += am.rank(t) * x.rank(t + n + m)
+        if dg_dim != hs.dim(n):
+            return False
+        # round trips and differential correspondence on a basis
+        for h in hs.basis(n):
+            f = reference_tot_proto_to_dg_hom(h, a, x, ts)
+            back = reference_dg_hom_to_tot_proto(f, x, ts)
+            if back != h:
+                return False
+            lhs = reference_dg_hom_to_tot_proto(dg_hom_differential(f), x, ts)
+            rhs = d_hom(h)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def reference_tot_adjunction_natural_in_x(a: DoubleComplex, w: ChainMap) -> bool:
+    """Postcomposition squares commute under the identification, for a
+    chain map w: X -> X'."""
+    ts = TotSpace(a)
+    x, x2 = w.source, w.target
+    hs = HomSpace(ts.complex, x)
+    for n in range(hs.complex.lo, hs.complex.hi + 1):
+        for h in hs.basis(n):
+            f = reference_tot_proto_to_dg_hom(h, a, x, ts)
+            pushed = DGHomElement(a, embed_i(x2), n,
+                                  {k: compose(w, p) for k, p in f.comps.items()})
+            direct = reference_tot_proto_to_dg_hom(compose(w, h), a, x2, ts)
+            if pushed != direct:
+                return False
+    return True
+
+
+def _square(col: Complex) -> DoubleComplex:
+    """Two copies of col joined by the identity: a nonzero delta."""
+    return DoubleComplex({1: col, 0: col}, {1: identity_map(col)})
+
+
+def _draw(seed: int):
+    """(A, X, w: X -> X'): an embedded column i X, the identity square, or
+    a random double complex."""
+    rng = random.Random(seed)
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = rand_complex(rng)
+        a = embed_i(x)
+    elif kind == 1:
+        a, x = _square(rand_complex(rng)), rand_complex(rng)
+    else:
+        a, x = rand_double_complex(rng), rand_complex(rng)
+    return a, x, rand_chain_map(rng, x, rand_complex(rng))
+
+
+def _stack_vector(sp: _TotHomSpaces, f: DGHomElement) -> list:
+    """Coordinates of a bottom-row DG hom element in the column stack."""
+    vec = [0] * sp.stack.dim(f.degree)
+    for (_, m), p in f.comps.items():
+        off = sp.stack.slot(f.degree, m)
+        v = sp.cols[m].to_vector(p)
+        vec[off:off + len(v)] = v
+    return vec
+
+
+def _transposed_postcomposition(w, hs_from, hs_to, n):
+    """postcomposition with each block of h read column-major, i.e.
+    1 (x) W in place of W (x) 1."""
+    m = n + w.degree
+    out = [[0] * hs_from.dim(n) for _ in range(hs_to.dim(m))]
+    for q, _, cols, off in hs_from.layout.blocks(n):
+        wq = w.comps().get(q + n)
+        if wq is not None:
+            scatter_kron(out, hs_to.layout.slot(m, q), off, cols, wq)
+    return IntMatrix.from_rows(out, hs_from.dim(n))
+
+
+# nonzero delta, a target whose ranks differ from the column widths of Tot,
+# and a map w that is not a multiple of the identity
+MUTATION_COL = make_complex({1: 2, 0: 2}, {1: [[1, 2], [0, 0]]})
+MUTATION_X = make_complex({1: 3, 0: 2, -1: 1}, {})
+
+
+def _mutation_fixture():
+    a = _square(MUTATION_COL)
+    w = ChainMap(MUTATION_X, MUTATION_X, 0,
+                 {1: IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [2, 0, 1]]),
+                  0: IntMatrix.from_rows([[0, 1], [1, 0]]),
+                  -1: IntMatrix.from_rows([[3]])})
+    return a, MUTATION_X, w
+
+
+class TestTotAdjunctionCoordinates:
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_verdicts_equal_the_reference(self, seed):
+        a, x, w = _draw(seed)
+        assert tot_adjunction_check(a, x) == reference_tot_adjunction_check(a, x) is True
+        assert (tot_adjunction_natural_in_x(a, w)
+                == reference_tot_adjunction_natural_in_x(a, w) is True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS)
+    def test_relabelling_and_differential_are_the_reference_maps(self, seed):
+        # each basis element goes to the unit vector at its relabelled slot,
+        # and the column of the stack differential there is the per-basis
+        # DG hom differential
+        a, x, _ = _draw(seed)
+        ts = TotSpace(a)
+        sp = _TotHomSpaces(ts, x)
+        for n in sp.tot.layout.degrees():
+            perm = sp.relabelling(n)
+            dg = sp.differential(n)
+            for k, h in enumerate(sp.tot.basis(n)):
+                f = reference_tot_proto_to_dg_hom(h, a, x, ts)
+                unit = [0] * sp.stack.dim(n)
+                unit[perm[k]] = 1
+                assert _stack_vector(sp, f) == unit
+                assert _stack_vector(sp, dg_hom_differential(f)) == [row[perm[k]] for row in dg]
+
+    def test_fixtures_pass(self):
+        a, x, w = _mutation_fixture()
+        assert a.delta and tot_adjunction_check(a, x)
+        assert tot_adjunction_natural_in_x(a, w)
+        assert reference_tot_adjunction_natural_in_x(a, w)
+
+    def test_flipped_delta_sign_fails(self, monkeypatch):
+        real = totals.precomposition
+        monkeypatch.setattr(totals, "precomposition", lambda *args: -real(*args))
+        assert not tot_adjunction_check(*_mutation_fixture()[:2])
+
+    def test_dropped_delta_term_fails(self, monkeypatch):
+        real = totals.precomposition
+        monkeypatch.setattr(totals, "precomposition",
+                            lambda *args: IntMatrix.zeros(*real(*args).shape))
+        assert not tot_adjunction_check(*_mutation_fixture()[:2])
+
+    def test_swapped_slots_fail(self, monkeypatch):
+        real = _TotHomSpaces.relabelling
+
+        def swapped(self, n):
+            out = real(self, n)
+            if len(out) >= 2:
+                out[0], out[1] = out[1], out[0]
+            return out
+
+        monkeypatch.setattr(_TotHomSpaces, "relabelling", swapped)
+        assert not tot_adjunction_check(*_mutation_fixture()[:2])
+
+    def test_transposed_postcomposition_fails(self, monkeypatch):
+        a, _, w = _mutation_fixture()
+        monkeypatch.setattr(totals, "postcomposition", _transposed_postcomposition)
+        assert not tot_adjunction_natural_in_x(a, w)
+
+    def test_hom_spaces_built_once_per_call(self, monkeypatch):
+        built = []
+        init = HomSpace.__init__
+
+        def counted(self, source, target):
+            built.append(source)
+            init(self, source, target)
+
+        monkeypatch.setattr(HomSpace, "__init__", counted)
+        a, x, w = _mutation_fixture()
+        assert tot_adjunction_check(a, x)
+        assert len(built) == 1 + len(a.columns)
+        built.clear()
+        assert tot_adjunction_natural_in_x(a, w)
+        assert len(built) == 2 * (1 + len(a.columns))
+
+    def test_zero_target_and_zero_double_complex(self):
+        a = _square(MUTATION_COL)
+        assert tot_adjunction_check(a, Complex.zero())
+        assert tot_adjunction_check(DoubleComplex({}, {}), MUTATION_X)
+        assert tot_adjunction_natural_in_x(a, identity_map(Complex.zero()))
