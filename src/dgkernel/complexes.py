@@ -111,10 +111,11 @@ class GradedObject:
 class Complex:
     """Bounded chain complex of finitely generated free abelian groups."""
 
-    __slots__ = ("carrier", "_d")
+    __slots__ = ("carrier", "_d", "_zero_d")
 
     def __init__(self, carrier: GradedObject, diffs: Mapping[int, IntMatrix], _validated: bool = False):
         self.carrier = carrier
+        self._zero_d: Dict[int, IntMatrix] = {}
         stored: Dict[int, IntMatrix] = {}
         for n, m in diffs.items():
             n = int(n)
@@ -175,9 +176,13 @@ class Complex:
         return self.carrier.is_zero()
 
     def diff(self, n: int) -> IntMatrix:
+        """d_n; a zero d_n is not stored, and every read of it returns one
+        zero matrix, so what is known about it (its Smith form) is kept."""
         m = self._d.get(n)
         if m is None:
-            return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
+            m = self._zero_d.get(n)
+            if m is None:
+                m = self._zero_d[n] = IntMatrix.zeros(self.rank(n - 1), self.rank(n))
         return m
 
     def diffs(self) -> Dict[int, IntMatrix]:

@@ -34,14 +34,13 @@ from .complexes import (
     compose,
     d_hom,
     direct_sum,
-    direct_sum_complexes,
     identity_map,
     precomposition,
     scatter_kron,
     suspension,
     unit_complex,
 )
-from .monoidal import TensorSpace, associator, tensor, tensor_proto
+from .monoidal import TensorSpace, tensor_layout
 from .zlinalg import (
     FPAbGroup,
     IntMatrix,
@@ -132,9 +131,29 @@ class FiniteDGCategory:
         self.compose_table = dict(compose_table)
         self.identities = dict(identities)
         self._tensor_cache: Dict[Tuple, TensorSpace] = {}
+        self._nonzero_homs: Optional[List[Tuple[object, object, Complex]]] = None
+        self._homs_out: Dict[object, List[Tuple[object, Complex]]] = {}
 
     def hom(self, a, b) -> Complex:
         return self.homs.get((a, b), Complex.zero())
+
+    def nonzero_homs(self) -> List[Tuple[object, object, Complex]]:
+        """(a, b, hom(a, b)) for each nonzero hom between objects, in the
+        order a scan over a, then b, in object order meets them."""
+        if self._nonzero_homs is None:
+            where = {x: i for i, x in enumerate(self.objects)}
+            keys = sorted((k for k, h in self.homs.items()
+                           if k[0] in where and k[1] in where and not h.is_zero()),
+                          key=lambda k: (where[k[0]], where[k[1]]))
+            self._nonzero_homs = [(a, b, self.homs[(a, b)]) for a, b in keys]
+            for a, b, h in self._nonzero_homs:
+                self._homs_out.setdefault(a, []).append((b, h))
+        return self._nonzero_homs
+
+    def homs_out(self, a) -> List[Tuple[object, Complex]]:
+        """(b, hom(a, b)) for each nonzero hom out of a, in object order."""
+        self.nonzero_homs()
+        return self._homs_out.get(a, [])
 
     def pair_space(self, a, b, c) -> TensorSpace:
         key = (a, b, c)
@@ -183,36 +202,29 @@ class FiniteDGCategory:
                         failures.append(
                             f"Leibniz fails on hom({b},{c})_{v.degree} o hom({a},{b})_{u.degree}"
                         )
-        # associativity on basis triples
-        for a in self.objects:
-            for b in self.objects:
-                for c in self.objects:
-                    for dd in self.objects:
-                        if self.hom(a, b).is_zero() or self.hom(b, c).is_zero() \
-                           or self.hom(c, dd).is_zero():
-                            continue
-                        for w in all_basis_elts(self.hom(c, dd)):
-                            for v in all_basis_elts(self.hom(b, c)):
-                                for u in all_basis_elts(self.hom(a, b)):
-                                    lhs = self.compose_elts(
-                                        a, b, dd, self.compose_elts(b, c, dd, w, v), u)
-                                    rhs = self.compose_elts(
-                                        a, c, dd, w, self.compose_elts(a, b, c, v, u))
-                                    if lhs != rhs:
-                                        failures.append(
-                                            f"associativity fails at ({a},{b},{c},{dd})")
+        # associativity on basis triples of composable nonzero homs
+        for a, b, hab in self.nonzero_homs():
+            for c, hbc in self.homs_out(b):
+                for dd, hcd in self.homs_out(c):
+                    for w in all_basis_elts(hcd):
+                        for v in all_basis_elts(hbc):
+                            for u in all_basis_elts(hab):
+                                lhs = self.compose_elts(
+                                    a, b, dd, self.compose_elts(b, c, dd, w, v), u)
+                                rhs = self.compose_elts(
+                                    a, c, dd, w, self.compose_elts(a, b, c, v, u))
+                                if lhs != rhs:
+                                    failures.append(
+                                        f"associativity fails at ({a},{b},{c},{dd})")
         # units
-        for a in self.objects:
-            for b in self.objects:
-                if self.hom(a, b).is_zero():
-                    continue
-                if a not in self.identities or b not in self.identities:
-                    continue  # already reported above
-                for u in all_basis_elts(self.hom(a, b)):
-                    if self.compose_elts(a, b, b, self.identity(b), u) != u:
-                        failures.append(f"left unit fails on hom({a},{b})")
-                    if self.compose_elts(a, a, b, u, self.identity(a)) != u:
-                        failures.append(f"right unit fails on hom({a},{b})")
+        for a, b, hab in self.nonzero_homs():
+            if a not in self.identities or b not in self.identities:
+                continue  # already reported above
+            for u in all_basis_elts(hab):
+                if self.compose_elts(a, b, b, self.identity(b), u) != u:
+                    failures.append(f"left unit fails on hom({a},{b})")
+                if self.compose_elts(a, a, b, u, self.identity(a)) != u:
+                    failures.append(f"right unit fails on hom({a},{b})")
         return failures
 
 
@@ -459,25 +471,23 @@ class DGModule:
                 if self.act_by(x_obj, x_obj, base.identity(x_obj), x) != x:
                     failures.append(f"unit law fails on value({x_obj})")
                     break
-        for u in base.objects:
-            for v in base.objects:
-                for w in base.objects:
-                    src, _ = self.ends(u, w)
-                    if self.value(src).is_zero() or base.hom(u, v).is_zero() \
-                       or base.hom(v, w).is_zero():
-                        continue
-                    for g in all_basis_elts(base.hom(v, w)):
-                        for f in all_basis_elts(base.hom(u, v)):
-                            gf = base.compose_elts(u, v, w, g, f)
-                            for x in all_basis_elts(self.value(src)):
-                                if self.side == RIGHT:     # x.(g o f) = (x.g).f
-                                    twice = self.act_by(u, v, f, self.act_by(v, w, g, x))
-                                else:                      # (g o f).x = g.(f.x)
-                                    twice = self.act_by(v, w, g, self.act_by(u, v, f, x))
-                                if self.act_by(u, w, gf, x) != twice:
-                                    failures.append(
-                                        f"{self.side} action associativity fails "
-                                        f"at ({u},{v},{w})")
+        for u, v, huv in base.nonzero_homs():
+            for w, hvw in base.homs_out(v):
+                src, _ = self.ends(u, w)
+                if self.value(src).is_zero():
+                    continue
+                for g in all_basis_elts(hvw):
+                    for f in all_basis_elts(huv):
+                        gf = base.compose_elts(u, v, w, g, f)
+                        for x in all_basis_elts(self.value(src)):
+                            if self.side == RIGHT:     # x.(g o f) = (x.g).f
+                                twice = self.act_by(u, v, f, self.act_by(v, w, g, x))
+                            else:                      # (g o f).x = g.(f.x)
+                                twice = self.act_by(v, w, g, self.act_by(u, v, f, x))
+                            if self.act_by(u, w, gf, x) != twice:
+                                failures.append(
+                                    f"{self.side} action associativity fails "
+                                    f"at ({u},{v},{w})")
         return failures
 
 
@@ -623,18 +633,18 @@ class ModuleTransform:
 
 
 class PresentedComplex:
-    """Degreewise cokernel of a relation chain map R: Q -> P, with the
-    induced differential on canonical generators."""
+    """Degreewise cokernel of relations R_n: Q_n -> P_n, one matrix per degree
+    of the ambient P, with the induced differential on canonical generators."""
 
-    def __init__(self, ambient: Complex, relations: ChainMap):
+    def __init__(self, ambient: Complex, relations: Mapping[int, IntMatrix]):
         self.ambient = ambient
-        self.relations = relations
+        self.relations = dict(relations)
         self.groups: Dict[int, FPAbGroup] = {}
         self._proj: Dict[int, IntMatrix] = {}
         self._sect: Dict[int, IntMatrix] = {}
         self.diffs: Dict[int, IntMatrix] = {}
         for n in ambient.degrees():
-            cok = cokernel(relations.comp(n))
+            cok = cokernel(self.relations[n])
             self.groups[n] = cok.group
             self._proj[n] = cok.projection
             self._sect[n] = cok.section
@@ -704,64 +714,63 @@ def _require_dual_sides(m: DGModule, n_mod: DGModule):
 
 
 def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
-    """M (x)_C N: quotient of the sum of M U (x) N U by the two actions."""
+    """M (x)_C N: the sum P of M U (x) N U modulo R = rho - lambda: Q -> P,
+    for Q the sum of (M V (x) hom(U,V)) (x) N U over the nonzero homs.
+
+    P has a block per object with both values nonzero, in object order, laid
+    out as TensorSpace(M U, N U).  Q is a layout only: per hom, in
+    `nonzero_homs` order, a block per left degree pq of M V (x) hom, holding
+    (M V (x) hom)_pq x (N U)_s.  There rho = +act_M_pq (x) I_{(N U)_s}, into
+    block pq at U, and lambda = -I_{(M V)_p} (x) (act_N_{r+s} on the columns
+    of block r of hom (x) N U), into block p at V, for each block p of
+    (M V (x) hom)_pq and r = pq - p.  The actions have degree 0, so no Koszul
+    sign arises, and the associator needs no matrix: slot (i, k, j) of block
+    p already runs in the order of (M V)_p x (block r of hom (x) N U)."""
     _require_dual_sides(m, n_mod)
-    base = m.base
-    objs = [x for x in base.objects if not (m.value(x).is_zero() or n_mod.value(x).is_zero())]
-    summands = [tensor(m.value(x), n_mod.value(x)) for x in objs]
-    if summands:
-        p_total, p_injs, _ = direct_sum_complexes(summands)
-    else:
-        p_total, p_injs = Complex.zero(), []
-    inj_by_obj = dict(zip(objs, p_injs))
-
-    q_parts = []
-    q_maps = []
-    for u in base.objects:
-        for v in base.objects:
-            homuv = base.hom(u, v)
-            if homuv.is_zero() or m.value(v).is_zero() or n_mod.value(u).is_zero():
-                continue
-            mv_h = tensor(m.value(v), homuv)
-            q_cx = tensor(mv_h, n_mod.value(u))
-            act_m = m.actions.get((u, v))
-            rho_uv = None
-            if act_m is not None and u in inj_by_obj:
-                rho_uv = compose(inj_by_obj[u],
-                                 tensor_proto(act_m, identity_map(n_mod.value(u))))
-            act_n = n_mod.actions.get((u, v))
-            lam_uv = None
-            if act_n is not None and v in inj_by_obj:
-                assoc_fwd, _ = associator(m.value(v), homuv, n_mod.value(u))
-                lam_uv = compose(inj_by_obj[v],
-                                 compose(tensor_proto(identity_map(m.value(v)), act_n),
-                                         assoc_fwd))
-            q_parts.append(q_cx)
-            q_maps.append((rho_uv, lam_uv))
-    if q_parts:
-        q_total, _, q_projs = direct_sum_complexes(q_parts)
-    else:
-        q_total, q_projs = Complex.zero(), []
-
-    rel = Proto.zero(q_total, p_total, 0)
-    for (rho_uv, lam_uv), proj in zip(q_maps, q_projs):
-        if rho_uv is not None:
-            rel = rel + compose(rho_uv, proj)
-        if lam_uv is not None:
-            rel = rel - compose(lam_uv, proj)
-    relations = ChainMap(q_total, p_total, 0, rel.comps(), _trusted=True)
-    presented = PresentedComplex(p_total, relations)
-    return CoendResult(presented, m, n_mod, inj_by_obj)
+    spaces = {x: TensorSpace(m.value(x), n_mod.value(x)) for x in m.base.objects
+              if not (m.value(x).is_zero() or n_mod.value(x).is_zero())}
+    p_lay, q_lay, homs = BlockLayout(), BlockLayout(), {}
+    for x, ts in spaces.items():
+        for n in ts.layout.degrees():
+            p_lay.add(n, x, ts.dim(n))
+    for u, v, hom in m.base.nonzero_homs():
+        nu = n_mod.value(u)
+        if m.value(v).is_zero() or nu.is_zero():
+            continue
+        mv_h = m.action_space(u, v)
+        acts = [act.comps() if act is not None else {}
+                for act in (m.actions.get((u, v)), n_mod.actions.get((u, v)))]
+        homs[(u, v)] = (mv_h, tensor_layout(hom, nu), *acts)
+        for pq in mv_h.layout.degrees():
+            for s in nu.degrees():
+                q_lay.add(pq + s, (u, v, pq), mv_h.dim(pq), nu.rank(s))
+    ambient = direct_sum([ts.complex for ts in spaces.values()])
+    relations = {}
+    for n in ambient.degrees():
+        out = [[0] * q_lay.dim(n) for _ in range(p_lay.dim(n))]
+        for (u, v, pq), _, ns, off in q_lay.blocks(n):
+            mv_h, hn_lay, act_m, act_n = homs[(u, v)]
+            if pq in act_m:      # rho
+                scatter_kron(out, p_lay.slot(n, u) + spaces[u].layout.slot(n, pq), off,
+                             act_m[pq], ns)
+            for p, mv_p, hom_r, off_p in mv_h.layout.blocks(pq):     # lambda
+                if n - p in act_n:   # act_N_{r+s}, r + s = n - p
+                    first = hn_lay.slot(n - p, pq - p)
+                    scatter_kron(out, p_lay.slot(n, v) + spaces[v].layout.slot(n, p),
+                                 off + off_p * ns, mv_p,
+                                 act_n[n - p].select_cols(range(first, first + hom_r * ns)), -1)
+        relations[n] = IntMatrix.from_rows(out, q_lay.dim(n), _trusted=True)
+    return CoendResult(PresentedComplex(ambient, relations), m, n_mod, spaces, p_lay)
 
 
 class CoendResult:
-    def __init__(self, presented: PresentedComplex, m: DGModule,
-                 n_mod: DGModule, injections):
+    def __init__(self, presented: PresentedComplex, m: DGModule, n_mod: DGModule,
+                 spaces: Mapping[object, TensorSpace], layout: BlockLayout):
         self.presented = presented
         self.m = m
         self.n = n_mod
-        self._inj = injections
-        self._ts = {u: TensorSpace(m.value(u), n_mod.value(u)) for u in injections}
+        self._ts = spaces
+        self._layout = layout
 
     def graded_groups(self) -> GradedGroups:
         return self.presented.graded_groups()
@@ -769,16 +778,18 @@ class CoendResult:
     def tensor_space(self, u) -> TensorSpace:
         return self._ts[u]
 
-    def injection(self, u) -> ChainMap:
-        return self._inj[u]
+    def slot(self, u, n: int) -> int:
+        """The ambient slot of the summand at u's first basis element in degree n."""
+        return self._layout.slot(n, u)
 
     def class_of(self, u, y: Elt, x: Elt) -> tuple:
         """Coordinates, on the canonical generators, of [y (x) x] from
         the summand at u."""
-        ts = self._ts[u]
-        vec = ts.embed_pair(y.degree, y.vec, x.degree, x.vec)
+        vec = self._ts[u].embed_pair(y.degree, y.vec, x.degree, x.vec)
         n = y.degree + x.degree
-        amb = self._inj[u].comp(n).apply(vec)
+        amb = [0] * self.presented.ambient.rank(n)
+        off = self.slot(u, n) if vec else 0
+        amb[off:off + len(vec)] = vec
         return self.presented.project(n, amb)
 
 
@@ -876,38 +887,49 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         phis[n] = IntMatrix.from_rows(out, hs_lhs.dim(n), _trusted=True)
         return phis[n]
 
+    # per hom basis element f, once for every degree: F(f), the rows y^T
+    # and (y.f)^T by the degree q of y (None for y.f = 0), and F(f)^* by q + n
+    nat_terms = []
+    for u, v, homuv in base.nonzero_homs():
+        if u not in spaces or v not in spaces:
+            continue
+        mv = wc.m.value(v)
+        for f in all_basis_elts(homuv):
+            rows_by_q = {}
+            for q in mv.degrees():
+                rows_by_q[q] = []
+                for y in basis_elts(mv, q):
+                    yf = wc.m.dot(u, v, y, f)
+                    rows_by_q[q].append((IntMatrix.from_rows([y.vec]), yf.degree,
+                                         None if yf.is_zero() else IntMatrix.from_rows([yf.vec])))
+            nat_terms.append((u, v, f, wc.f.action_proto(u, v, f), rows_by_q, {}))
+
     def naturality_matrix(n):
         """Rows: protonaturality constraints on the stacked theta vector."""
         total = theta.dim(n)
         rows: List[List[int]] = []
-        for u in base.objects:
-            for v in base.objects:
-                homuv = base.hom(u, v)
-                mv = wc.m.value(v)
-                if homuv.is_zero() or mv.is_zero() or u not in spaces or v not in spaces:
+        for u, v, f, act_f, rows_by_q, pulls in nat_terms:
+            hs_out_u, hs_theta_u = spaces[u]
+            hs_out_v, hs_theta_v = spaces[v]
+            for q, y_rows in rows_by_q.items():
+                dim_out = hs_out_u.dim(q + f.degree + n)
+                if dim_out == 0:
                     continue
-                hs_out_u, hs_theta_u = spaces[u]
-                hs_out_v, hs_theta_v = spaces[v]
-                for f in all_basis_elts(homuv):
-                    act_f = wc.f.action_proto(u, v, f)
-                    for q in mv.degrees():
-                        dim_out = hs_out_u.dim(q + f.degree + n)
-                        if dim_out == 0:
-                            continue
-                        # F(f)^*: [F V, T]_{q+n} -> [F U, T]_{q+|f|+n}
-                        pull = precomposition(act_f, hs_out_v, hs_out_u, q + n)
-                        sign = -1 if (f.degree * q) % 2 else 1
-                        for y in basis_elts(mv, q):
-                            yf = wc.m.dot(u, v, y, f)
-                            block = [[0] * total for _ in range(dim_out)]
-                            if not yf.is_zero():   # theta_U(y.f) = (1 (x) (y.f)^T) theta_U
-                                scatter_kron(block, 0,
-                                             theta.slot(n, u) + hs_theta_u.layout.slot(n, yf.degree),
-                                             dim_out, IntMatrix.from_rows([yf.vec]))
-                            if pull.cols:          # theta_V(y) o F(f) = (F(f)^* (x) y^T) theta_V
-                                scatter_kron(block, 0, theta.slot(n, v) + hs_theta_v.layout.slot(n, q),
-                                             pull, IntMatrix.from_rows([y.vec]), -sign)
-                            rows.extend(block)
+                # F(f)^*: [F V, T]_{q+n} -> [F U, T]_{q+|f|+n}
+                if q + n not in pulls:
+                    pulls[q + n] = precomposition(act_f, hs_out_v, hs_out_u, q + n)
+                pull = pulls[q + n]
+                sign = -1 if (f.degree * q) % 2 else 1
+                for y_row, yf_degree, yf_row in y_rows:
+                    block = [[0] * total for _ in range(dim_out)]
+                    if yf_row is not None:   # theta_U(y.f) = (1 (x) (y.f)^T) theta_U
+                        scatter_kron(block, 0,
+                                     theta.slot(n, u) + hs_theta_u.layout.slot(n, yf_degree),
+                                     dim_out, yf_row)
+                    if pull.cols:            # theta_V(y) o F(f) = (F(f)^* (x) y^T) theta_V
+                        scatter_kron(block, 0, theta.slot(n, v) + hs_theta_v.layout.slot(n, q),
+                                     pull, y_row, -sign)
+                    rows.extend(block)
         if not rows:
             return IntMatrix.zeros(0, total)
         return IntMatrix.from_rows(rows, total)

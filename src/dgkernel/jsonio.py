@@ -29,6 +29,12 @@ MAX_RANK = 4096
 # between their lowest and highest one, so two keys far apart would make
 # them spin over the empty degrees in between.
 MAX_DEGREE = 1024
+# The most objects and hom entries a category may declare.  The category and
+# module checks and the coend visit the homs, not the pairs of objects, but
+# the Cauchy-data checks still visit every pair of objects, so the object
+# cap keeps those at about a million steps.
+MAX_OBJECTS = 1024
+MAX_HOMS = 4096
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 _DECIMAL_LIST = re.compile(r"[-+]?[0-9]+(?:,[-+]?[0-9]+)*")
@@ -51,6 +57,13 @@ def _at_most_max_rank(n: int, field: str) -> int:
     if n > MAX_RANK:
         raise InputError(f"field {field!r}: {n} exceeds the largest supported rank {MAX_RANK}")
     return n
+
+
+def _at_most_entries(items, cap: int, field: str):
+    if len(items) > cap:
+        raise InputError(f"field {field!r}: {len(items)} entries exceed the "
+                         f"largest supported count {cap}")
+    return items
 
 
 def _degree(value, field: str) -> int:
@@ -207,9 +220,15 @@ def category_to_json(cat: FiniteDGCategory) -> dict:
 
 
 def category_from_json(obj) -> FiniteDGCategory:
-    objects = [str(x) for x in _require(obj, "objects", list)]
+    objects = [str(x) for x in _at_most_entries(_require(obj, "objects", list),
+                                                MAX_OBJECTS, "objects")]
+    seen = set()
+    for x in objects:
+        if x in seen:
+            raise InputError(f"field 'objects': {x!r} is listed twice")
+        seen.add(x)
     homs = {}
-    for key, val in _require(obj, "homs", dict).items():
+    for key, val in _at_most_entries(_require(obj, "homs", dict), MAX_HOMS, "homs").items():
         parts = key.split("->")
         if len(parts) != 2:
             raise InputError(f"homs key {key!r}: expected 'A->B'")

@@ -57,6 +57,17 @@ class TensorBasisIndex:
     right_index: int
 
 
+def tensor_layout(left: Complex, right: Complex) -> BlockLayout:
+    """The basis of A (x) B without its differential: in degree n, one
+    block A_p x B_{n-p} per left degree p, by ascending p."""
+    lay = BlockLayout()
+    if not (left.is_zero() or right.is_zero()):
+        for n in range(left.lo + right.lo, left.hi + right.hi + 1):
+            for p in left.degrees():
+                lay.add(n, p, left.rank(p), right.rank(n - p))
+    return lay
+
+
 class TensorSpace:
     """Basis-indexed model of A (x) B.
 
@@ -67,11 +78,7 @@ class TensorSpace:
     def __init__(self, left: Complex, right: Complex):
         self.left = left
         self.right = right
-        self.layout = lay = BlockLayout()
-        if not (left.is_zero() or right.is_zero()):
-            for n in range(left.lo + right.lo, left.hi + right.hi + 1):
-                for p in left.degrees():
-                    lay.add(n, p, left.rank(p), right.rank(n - p))
+        self.layout = lay = tensor_layout(left, right)
         diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
         self.complex = Complex(GradedObject(lay.dims()), diffs)
 

@@ -338,10 +338,9 @@ def tot_via_weighted_colimit(a: DoubleComplex,
         if am.is_zero():
             continue
         t_space = wc.coend.tensor_space(m)
-        inj = wc.coend.injection(m)
         for n in t_space.complex.degrees():
             for col_local, t in enumerate(t_space.basis(n)):
-                amb_col = inj.comp(n).col(col_local)
+                amb_idx = wc.coend.slot(m, n) + col_local
                 target_rows: List[Tuple[int, int]] = []
                 if t.left_degree == m:
                     # unit slot: straight into column m
@@ -354,10 +353,8 @@ def tot_via_weighted_colimit(a: DoubleComplex,
                         if v:
                             row = ts.slot(n, m - 1, i)
                             target_rows.append((row, _triangular_sign(m - 1) * v))
-                for amb_idx, amb_val in enumerate(amb_col):
-                    if amb_val:
-                        for row, val in target_rows:
-                            phi_rows[n][row][amb_idx] += amb_val * val
+                for row, val in target_rows:
+                    phi_rows[n][row][amb_idx] += val
     phi = {n: IntMatrix.from_rows(rows, ambient.rank(n))
            for n, rows in phi_rows.items() if rows}
 

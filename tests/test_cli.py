@@ -377,6 +377,42 @@ class TestInputCaps:
             cx = jsonio.complex_from_json({"lo": n, "hi": n, "ranks": [1]})
             assert cx.rank(n) == 1
 
+    @pytest.mark.parametrize("field, cap", [("objects", 1024), ("homs", 4096)])
+    def test_category_entry_counts_are_capped(self, files, capsys, field, cap):
+        # the count is checked before any entry is read: these entries
+        # would not parse
+        obj = jsonio.category_to_json(exterior_g_category(1))
+        obj[field] = ([{}] * (cap + 1) if field == "objects"
+                      else {f"{i}->{i}": {} for i in range(cap + 1)})
+        path = files["tmp"] + "/many.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-category", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: field {field!r}: {cap + 1} entries exceed "
+                                f"the largest supported count {cap}\n")
+
+    def test_category_entry_caps_are_inclusive(self):
+        assert (jsonio.MAX_OBJECTS, jsonio.MAX_HOMS) == (1024, 4096)
+        k0 = jsonio.complex_to_json(unit_complex())
+        cat = jsonio.category_from_json({
+            "objects": [str(i) for i in range(jsonio.MAX_OBJECTS)],
+            "homs": {f"{i % jsonio.MAX_OBJECTS}->{i // jsonio.MAX_OBJECTS}": k0
+                     for i in range(jsonio.MAX_HOMS)},
+            "identities": {}})
+        assert len(cat.objects) == jsonio.MAX_OBJECTS
+        assert len(cat.homs) == jsonio.MAX_HOMS
+
+    def test_duplicate_objects_exit_two(self, files, capsys):
+        # every scan visits each object once; a repeated name used to be
+        # visited twice
+        obj = jsonio.category_to_json(exterior_g_category(1))
+        obj["objects"] = ["*", "*"]
+        path = files["tmp"] + "/twice.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-category", path]) == 2
+        assert capsys.readouterr().err == "input error: field 'objects': '*' is listed twice\n"
+
     def test_cap_is_inclusive(self):
         assert jsonio.MAX_RANK == 4096
         m = jsonio.matrix_from_json({"rows": jsonio.MAX_RANK, "cols": 0, "data": []})

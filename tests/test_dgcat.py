@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgkernel.complexes import (
     ChainMap,
@@ -28,6 +30,7 @@ from dgkernel.dgcat import (
     basis_elts,
     cauchy_naturality_failures,
     coend_tensor,
+    FiniteDGCategory,
     dg_subcategory_of_complexes,
     direct_sum_modules,
     ell_op_window_category,
@@ -48,8 +51,10 @@ from dgkernel.dgcat import (
     verify_protosplit_quotient,
     weighted_colimit,
 )
-from dgkernel.monoidal import TensorSpace
-from dgkernel.zlinalg import FPAbGroup, IntMatrix
+from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
+from dgkernel.rand import rand_double_complex
+from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, cokernel
 
 K0 = unit_complex()
 LZ = functor_L(K0)
@@ -69,6 +74,65 @@ def cats():
         "T2": two_object_graded_category(2),
         "sub": dg_subcategory_of_complexes({"Z": K0, "LZ": LZ}),
     }
+
+
+def reference_scan_failures(cat):
+    """The associativity and unit failures of `FiniteDGCategory.validate`,
+    found by the scan over every tuple of objects it made before it
+    iterated the nonzero homs."""
+    failures = []
+    for a, b, c, dd in itertools.product(cat.objects, repeat=4):
+        if cat.hom(a, b).is_zero() or cat.hom(b, c).is_zero() or cat.hom(c, dd).is_zero():
+            continue
+        for w in all_basis_elts(cat.hom(c, dd)):
+            for v in all_basis_elts(cat.hom(b, c)):
+                for u in all_basis_elts(cat.hom(a, b)):
+                    if cat.compose_elts(a, b, dd, cat.compose_elts(b, c, dd, w, v), u) != \
+                            cat.compose_elts(a, c, dd, w, cat.compose_elts(a, b, c, v, u)):
+                        failures.append(f"associativity fails at ({a},{b},{c},{dd})")
+    for a, b in itertools.product(cat.objects, repeat=2):
+        if cat.hom(a, b).is_zero() or a not in cat.identities or b not in cat.identities:
+            continue
+        for u in all_basis_elts(cat.hom(a, b)):
+            if cat.compose_elts(a, b, b, cat.identity(b), u) != u:
+                failures.append(f"left unit fails on hom({a},{b})")
+            if cat.compose_elts(a, a, b, u, cat.identity(a)) != u:
+                failures.append(f"right unit fails on hom({a},{b})")
+    return failures
+
+
+def reference_module_scan_failures(mod):
+    """The associativity failures of `DGModule.validate`, found by the scan
+    over every triple of objects."""
+    base, failures = mod.base, []
+    for u, v, w in itertools.product(base.objects, repeat=3):
+        src, _ = mod.ends(u, w)
+        if mod.value(src).is_zero() or base.hom(u, v).is_zero() or base.hom(v, w).is_zero():
+            continue
+        for g in all_basis_elts(base.hom(v, w)):
+            for f in all_basis_elts(base.hom(u, v)):
+                gf = base.compose_elts(u, v, w, g, f)
+                for x in all_basis_elts(mod.value(src)):
+                    twice = (mod.act_by(u, v, f, mod.act_by(v, w, g, x)) if mod.side == RIGHT
+                             else mod.act_by(v, w, g, mod.act_by(u, v, f, x)))
+                    if mod.act_by(u, w, gf, x) != twice:
+                        failures.append(f"{mod.side} action associativity fails at ({u},{v},{w})")
+    return failures
+
+
+def scaled(table, k):
+    return ChainMap(table.source, table.target, 0,
+                    {n: c.scale(k) for n, c in table.comps().items()})
+
+
+def broken_window_category(window):
+    """The window category with its objects listed last to first and two
+    composition tables doubled, so associativity and both unit laws fail."""
+    cat = ell_op_window_category(window)
+    tables = dict(cat.compose_table)
+    for key in [(1, 1, 0), (0, 0, 0)]:
+        tables[key] = scaled(tables[key], 2)
+    return FiniteDGCategory(cat.objects[::-1], cat.homs, tables, cat.identities)
 
 
 class TestCategoryValidation:
@@ -123,6 +187,13 @@ class TestCategoryValidation:
         failures = cat.validate()
         assert any("Leibniz" in f for f in failures)
 
+    def test_failures_are_reported_in_the_order_of_the_object_scan(self, cats):
+        for cat in list(cats.values()) + [broken_window_category(2)]:
+            failures = [f for f in cat.validate()
+                        if f.startswith(("associativity", "left unit", "right unit"))]
+            assert failures == reference_scan_failures(cat)
+        assert len(failures) == 6   # all from the broken window category
+
     def test_missing_identity_reported(self):
         cat = unit_dg_category()
         del cat.identities["*"]
@@ -130,6 +201,16 @@ class TestCategoryValidation:
 
 
 class TestModules:
+    def test_associativity_failures_follow_the_object_scan(self):
+        base = broken_window_category(2)
+        cat, j_mod = weight_J(2)
+        a_mod = double_complex_as_left_module(
+            cat, DoubleComplex({c: K0 for c in range(-2, 3)}, {}))
+        j_mod.actions[(1, 0)] = scaled(j_mod.actions[(1, 0)], 3)
+        for mod in (on_base(base, j_mod), on_base(base, a_mod)):
+            failures = [f for f in mod.validate() if "associativity" in f]
+            assert failures and failures == reference_module_scan_failures(mod)
+
     def test_representables_lawful(self, cats):
         for name, cat in cats.items():
             for k in cat.objects:
@@ -180,6 +261,142 @@ class TestModules:
                                         assert lhs == rhs
 
 
+def twisted_x2_pair():
+    """Non-unital x2 twist over the unit category: relations 2(y (x) x),
+    with a zero left action."""
+    cat = unit_dg_category()
+    ts_r = TensorSpace(K0, K0)
+    twisted = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[2]])})
+    zero = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[0]])})
+    return (DGModule(cat, {"*": K0}, {("*", "*"): twisted}),
+            DGModule(cat, {"*": K0}, {("*", "*"): zero}, LEFT))
+
+
+def lawful_x4_pair():
+    """g o g = 4: y.g = 2y and g.x = -2x are lawful; the coend is Z/4."""
+    cat = group_like_category(4)
+    hom = cat.hom("*", "*")
+    act_m = ChainMap(TensorSpace(K0, hom).complex, K0, 0, {0: IntMatrix.from_rows([[1, 2]])})
+    act_n = ChainMap(TensorSpace(hom, K0).complex, K0, 0, {0: IntMatrix.from_rows([[1, -2]])})
+    return (DGModule(cat, {"*": K0}, {("*", "*"): act_m}),
+            DGModule(cat, {"*": K0}, {("*", "*"): act_n}, LEFT))
+
+
+def reference_coend_relations(m, n_mod):
+    """The ambient P and the relation chain map R = rho - lambda: Q -> P of
+    M (x)_C N, built from Protos by a scan over every pair of objects: the
+    construction `coend_tensor` used before it wrote R in coordinates."""
+    base = m.base
+    objs = [x for x in base.objects if not (m.value(x).is_zero() or n_mod.value(x).is_zero())]
+    summands = [tensor(m.value(x), n_mod.value(x)) for x in objs]
+    if summands:
+        p_total, p_injs, _ = direct_sum_complexes(summands)
+    else:
+        p_total, p_injs = Complex.zero(), []
+    inj_by_obj = dict(zip(objs, p_injs))
+    q_parts, q_maps = [], []
+    for u in base.objects:
+        for v in base.objects:
+            homuv = base.hom(u, v)
+            if homuv.is_zero() or m.value(v).is_zero() or n_mod.value(u).is_zero():
+                continue
+            q_cx = tensor(tensor(m.value(v), homuv), n_mod.value(u))
+            act_m = m.actions.get((u, v))
+            rho_uv = None
+            if act_m is not None and u in inj_by_obj:
+                rho_uv = compose(inj_by_obj[u], tensor_proto(act_m, identity_map(n_mod.value(u))))
+            act_n = n_mod.actions.get((u, v))
+            lam_uv = None
+            if act_n is not None and v in inj_by_obj:
+                assoc_fwd, _ = associator(m.value(v), homuv, n_mod.value(u))
+                lam_uv = compose(inj_by_obj[v],
+                                 compose(tensor_proto(identity_map(m.value(v)), act_n), assoc_fwd))
+            q_parts.append(q_cx)
+            q_maps.append((rho_uv, lam_uv))
+    if q_parts:
+        q_total, _, q_projs = direct_sum_complexes(q_parts)
+    else:
+        q_total, q_projs = Complex.zero(), []
+    rel = Proto.zero(q_total, p_total, 0)
+    for (rho_uv, lam_uv), proj in zip(q_maps, q_projs):
+        if rho_uv is not None:
+            rel = rel + compose(rho_uv, proj)
+        if lam_uv is not None:
+            rel = rel - compose(lam_uv, proj)
+    return p_total, ChainMap(q_total, p_total, 0, rel.comps())
+
+
+def on_base(base, mod):
+    """The same values and actions over another category on the same objects."""
+    return DGModule(base, mod.values, mod.actions, mod.side)
+
+
+def with_zero_homs(m, n_mod):
+    """The pair over the same category with zero complexes stored as homs
+    wherever no hom was, and one hom to an object outside the category."""
+    cat = m.base
+    homs = {(u, v): Complex.zero() for u in cat.objects for v in cat.objects}
+    homs.update(cat.homs)
+    homs[(cat.objects[0], "outside")] = K0
+    base = FiniteDGCategory(cat.objects, homs, cat.compose_table, cat.identities)
+    return on_base(base, m), on_base(base, n_mod)
+
+
+def representable_pair_of(cat, k, k2):
+    return representable(cat, k, RIGHT), representable(cat, k2, LEFT)
+
+
+def fixed_window_pair(a, extra: int = 0):
+    """The weight of Tot and the double complex a over the smallest window
+    category that holds it, widened by extra."""
+    cols = a.column_degrees()
+    cat, j_mod = weight_J((max(abs(c) for c in cols) + 1 if cols else 1) + extra)
+    return j_mod, double_complex_as_left_module(cat, a)
+
+
+def representable_pair(draw):
+    cat = draw(st.sampled_from([exterior_g_category, two_object_graded_category]))(
+        draw(st.integers(0, 2)))
+    m, n = representable_pair_of(cat, draw(st.sampled_from(cat.objects)),
+                                 draw(st.sampled_from(cat.objects)))
+    if draw(st.booleans()):
+        n = direct_sum_modules(n, representable(cat, draw(st.sampled_from(cat.objects)), LEFT))
+    return suspend_module(m, draw(st.integers(-1, 1))), suspend_module(n, draw(st.integers(-1, 1)))
+
+
+def window_pair(draw):
+    """The weight of Tot and a random double complex over a window category;
+    most objects carry a zero value."""
+    return fixed_window_pair(rand_double_complex(random.Random(draw(st.integers(0, 2**32 - 1)))),
+                             draw(st.integers(0, 2)))
+
+
+def zero_value_pair(draw):
+    """A left module that is zero everywhere, or the empty double complex."""
+    if draw(st.booleans()):
+        return fixed_window_pair(DoubleComplex({}, {}), draw(st.integers(0, 2)))
+    cat = two_object_graded_category(draw(st.integers(0, 2)))
+    return representable(cat, draw(st.sampled_from(cat.objects)), RIGHT), DGModule(cat, {}, {}, LEFT)
+
+
+@st.composite
+def coend_inputs(draw):
+    kind = draw(st.sampled_from(["representable", "x2", "x4", "window", "zero value"]))
+    if kind == "representable":
+        m, n = representable_pair(draw)
+    elif kind == "x2":
+        m, n = twisted_x2_pair()
+    elif kind == "x4":
+        m, n = lawful_x4_pair()
+    elif kind == "window":
+        m, n = window_pair(draw)
+    else:
+        m, n = zero_value_pair(draw)
+    if draw(st.booleans()):
+        m, n = with_zero_homs(m, n)
+    return m, n
+
+
 class TestCoend:
     def test_unit_category_trivial_coend(self):
         cat = unit_dg_category()
@@ -202,26 +419,11 @@ class TestCoend:
                     assert res.presented.verify_differential()
 
     def test_twisted_action_gives_mod_two(self):
-        # non-unital x2 twist: relations 2(y (x) x) with zero left action
-        cat = unit_dg_category()
-        ts_r = TensorSpace(K0, K0)
-        twisted = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[2]])})
-        zero = ChainMap(ts_r.complex, K0, 0, {0: IntMatrix.from_rows([[0]])})
-        m = DGModule(cat, {"*": K0}, {("*", "*"): twisted})
-        n = DGModule(cat, {"*": K0}, {("*", "*"): zero}, LEFT)
-        res = coend_tensor(m, n)
+        res = coend_tensor(*twisted_x2_pair())
         assert res.presented.group(0) == FPAbGroup.canonical(0, [2])
 
     def test_lawful_torsion_coend(self):
-        # g o g = 4: y.g = 2y and g.x = -2x are lawful; coend is Z/4
-        cat = group_like_category(4)
-        hom = cat.hom("*", "*")
-        ts_m = TensorSpace(K0, hom)
-        act_m = ChainMap(ts_m.complex, K0, 0, {0: IntMatrix.from_rows([[1, 2]])})
-        ts_n = TensorSpace(hom, K0)
-        act_n = ChainMap(ts_n.complex, K0, 0, {0: IntMatrix.from_rows([[1, -2]])})
-        m = DGModule(cat, {"*": K0}, {("*", "*"): act_m})
-        n = DGModule(cat, {"*": K0}, {("*", "*"): act_n}, LEFT)
+        m, n = lawful_x4_pair()
         assert m.validate() == [] and n.validate() == []
         res = coend_tensor(m, n)
         assert res.presented.group(0) == FPAbGroup.canonical(0, [4])
@@ -231,6 +433,85 @@ class TestCoend:
         res = coend_tensor(representable(cat, "M2", RIGHT),
                            representable(cat, "Z", LEFT))
         assert res.presented.verify_differential()
+
+
+class TestCoendInCoordinates:
+    """`coend_tensor` writes each relation matrix in coordinates; the Proto
+    construction it replaced is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coend_inputs())
+    def test_relations_and_presentation_match_the_reference(self, zlinalg_calls, pair):
+        m, n = pair
+        with zlinalg_calls("smith_normal_form") as made_ref:
+            ambient, rel = reference_coend_relations(m, n)
+            ref = {d: cokernel(rel.comp(d)) for d in ambient.degrees()}
+        with zlinalg_calls("smith_normal_form") as made:
+            pres = coend_tensor(m, n).presented
+        assert pres.ambient == ambient
+        assert list(pres.relations) == list(ambient.degrees())
+        for d in ambient.degrees():
+            assert pres.relations[d] == rel.comp(d), d
+            assert pres.group(d) == ref[d].group
+            assert pres.projection(d) == ref[d].projection
+            assert pres.section(d) == ref[d].section
+        assert [args for _, args in made.operands] == [args for _, args in made_ref.operands]
+
+    @pytest.mark.parametrize("build", [
+        lambda: representable_pair_of(exterior_g_category(1), "*", "*"),
+        lambda: representable_pair_of(two_object_graded_category(1), "b", "a"),
+        twisted_x2_pair,
+        lawful_x4_pair,
+        lambda: fixed_window_pair(rand_double_complex(random.Random(5))),
+    ], ids=["ext", "T2", "x2", "x4", "window"])
+    def test_snf_calls_are_one_cokernel_per_ambient_degree(self, zlinalg_calls, build):
+        m, n = build()
+        with zlinalg_calls("smith_normal_form") as made_ref:
+            ambient, rel = reference_coend_relations(m, n)
+            for d in ambient.degrees():
+                cokernel(rel.comp(d))
+        with zlinalg_calls("smith_normal_form") as made:
+            pres = coend_tensor(m, n).presented
+        assert len(made) == len(made_ref)
+        assert [args for _, args in made.operands] == [args for _, args in made_ref.operands]
+        with zlinalg_calls("cokernel", "inverse_unimodular") as made:
+            coend_tensor(m, n)
+        assert [name for name, _ in made.operands] == \
+            ["cokernel", "inverse_unimodular"] * len(ambient.degrees())
+        # one relation matrix per degree, none shared: a shared zero matrix
+        # would turn later calls into lookups of its stored Smith form
+        assert len({id(r) for r in pres.relations.values()}) == len(ambient.degrees())
+
+    def test_hom_reads_grow_linearly_on_window_categories(self, monkeypatch):
+        # the relations used to be found by a scan over every pair of
+        # objects: (2w + 1)^2 reads of hom on the window w
+        real = FiniteDGCategory.hom
+        reads = []
+        for window in (4, 8, 16, 32):
+            cat, j_mod = weight_J(window)
+            a = DoubleComplex({c: K0 for c in range(1 - window, window + 1)}, {})
+            a_mod = double_complex_as_left_module(cat, a)
+            count = [0]
+
+            def counting(self, u, v):
+                count[0] += 1
+                return real(self, u, v)
+
+            monkeypatch.setattr(FiniteDGCategory, "hom", counting)
+            coend_tensor(j_mod, a_mod)
+            monkeypatch.setattr(FiniteDGCategory, "hom", real)
+            reads.append((len(cat.homs), count[0]))
+        assert [homs for homs, _ in reads] == [4 * w + 1 for w in (4, 8, 16, 32)]
+        assert all(0 < calls <= homs for homs, calls in reads)
+
+    def test_nonzero_homs_follow_the_scan_over_object_pairs(self, cats):
+        m, _ = with_zero_homs(*twisted_x2_pair())
+        for cat in list(cats.values()) + [m.base, ell_op_window_category(3)]:
+            scan = [(u, v, cat.hom(u, v)) for u in cat.objects for v in cat.objects
+                    if not cat.hom(u, v).is_zero()]
+            assert cat.nonzero_homs() == scan
+            for u in cat.objects:
+                assert cat.homs_out(u) == [(v, h) for a, v, h in scan if a == u]
 
 
 class TestWeightedColimit:
