@@ -96,10 +96,7 @@ from .dgcat import (
     weighted_colimit,
 )
 from .totals import (
-    DGHomElement,
     DoubleComplex,
-    dg_compose,
-    dg_hom_differential,
     embed_i,
     tot_adjunction_check,
     tot_via_weighted_colimit,

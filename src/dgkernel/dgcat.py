@@ -21,7 +21,7 @@ pick up (-1)^{k|f|}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -133,13 +133,15 @@ class FiniteDGCategory:
         self._tensor_cache: Dict[Tuple, TensorSpace] = {}
         self._nonzero_homs: Optional[List[Tuple[object, object, Complex]]] = None
         self._homs_out: Dict[object, List[Tuple[object, Complex]]] = {}
+        self._homs_in: Dict[object, List[Tuple[object, Complex]]] = {}
 
     def hom(self, a, b) -> Complex:
         return self.homs.get((a, b), Complex.zero())
 
     def nonzero_homs(self) -> List[Tuple[object, object, Complex]]:
         """(a, b, hom(a, b)) for each nonzero hom between objects, in the
-        order a scan over a, then b, in object order meets them."""
+        order a scan over a, then b, in object order meets them.  The
+        same pass files each under `homs_out(a)` and `homs_in(b)`."""
         if self._nonzero_homs is None:
             where = {x: i for i, x in enumerate(self.objects)}
             keys = sorted((k for k, h in self.homs.items()
@@ -148,12 +150,18 @@ class FiniteDGCategory:
             self._nonzero_homs = [(a, b, self.homs[(a, b)]) for a, b in keys]
             for a, b, h in self._nonzero_homs:
                 self._homs_out.setdefault(a, []).append((b, h))
+                self._homs_in.setdefault(b, []).append((a, h))
         return self._nonzero_homs
 
     def homs_out(self, a) -> List[Tuple[object, Complex]]:
         """(b, hom(a, b)) for each nonzero hom out of a, in object order."""
         self.nonzero_homs()
         return self._homs_out.get(a, [])
+
+    def homs_in(self, b) -> List[Tuple[object, Complex]]:
+        """(a, hom(a, b)) for each nonzero hom into b, in object order."""
+        self.nonzero_homs()
+        return self._homs_in.get(b, [])
 
     def pair_space(self, a, b, c) -> TensorSpace:
         key = (a, b, c)
@@ -362,16 +370,12 @@ def ell_op_window_category(window: int) -> FiniteDGCategory:
     k0 = unit_complex()
     objs = tuple(range(-window, window + 1))
     # only b in {a-1, a} and c in {b-1, b} can compose; ascending, so the
-    # tables keep the order of a scan over all objects
+    # tables keep the order of a scan over all objects.  Every hom is Z, so
+    # every composable triple shares the one table Z (x) Z -> Z.
     homs = {(u, v): k0 for u in objs for v in (u - 1, u) if v >= -window}
-    tables = {}
-    for a in objs:
-        for b in (a - 1, a):
-            for c in (b - 1, b):
-                if (a, b) in homs and (b, c) in homs and (a, c) in homs:
-                    ts = TensorSpace(homs[(b, c)], homs[(a, b)])
-                    tables[(a, b, c)] = ChainMap(ts.complex, homs[(a, c)], 0,
-                                                 {0: IntMatrix.from_rows([[1]])})
+    table = ChainMap(TensorSpace(k0, k0).complex, k0, 0, {0: IntMatrix.from_rows([[1]])})
+    tables = {(a, b, c): table for a in objs for b in (a - 1, a) for c in (b - 1, b)
+              if (a, b) in homs and (b, c) in homs and (a, c) in homs}
     ids = {u: Elt(k0, 0, (1,)) for u in objs}
     return FiniteDGCategory(objs, homs, tables, ids)
 
@@ -497,11 +501,10 @@ def representable(cat: FiniteDGCategory, k, side: str) -> DGModule:
     right = side == RIGHT
     values = {x: cat.hom(x, k) if right else cat.hom(k, x) for x in cat.objects}
     actions = {}
-    for u in cat.objects:
-        for v in cat.objects:
-            table = cat.compose_table.get((u, v, k) if right else (k, u, v))
-            if table is not None:
-                actions[(u, v)] = table
+    for u, v, _ in cat.nonzero_homs():
+        table = cat.compose_table.get((u, v, k) if right else (k, u, v))
+        if table is not None:
+            actions[(u, v)] = table
     return DGModule(cat, values, actions, side)
 
 
@@ -537,41 +540,36 @@ def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
     if m1.side != m2.side:
         raise ValueError("direct sum of a right and a left module")
     base, side = m1.base, m1.side
-    values = {}
-    for x in base.objects:
-        values[x] = direct_sum([m1.value(x), m2.value(x)])
+    values = {x: direct_sum([m1.value(x), m2.value(x)]) for x in base.objects}
     actions = {}
-    for u in base.objects:
-        for v in base.objects:
-            hom = base.hom(u, v)
-            src, tgt = m1.ends(u, v)
-            if hom.is_zero() or values[src].is_zero():
-                continue
-            ts_new = action_domain(side, hom, values[src])
-            comps = {}
-            for n in ts_new.complex.degrees():
-                rows = values[tgt].rank(n)
-                cols = ts_new.dim(n)
-                out = [[0] * cols for _ in range(rows)]
-                for c, t in enumerate(ts_new.basis(n)):
-                    if side == RIGHT:    # basis of M V (x) hom(U,V)
-                        deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
-                                                  t.right_degree, t.right_index)
-                    else:                # basis of hom(U,V) (x) N U
-                        f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
-                                                  t.right_degree, t.right_index)
-                    r1 = m1.value(src).rank(deg)
-                    first = idx < r1
-                    part, idx = (m1, idx) if first else (m2, idx - r1)
-                    x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
-                    f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
-                    img = part.act_by(u, v, f, x)
-                    off = 0 if first else m1.value(tgt).rank(img.degree)
-                    for i, val in enumerate(img.vec):
-                        if val:
-                            out[off + i][c] = val
-                comps[n] = IntMatrix.from_rows(out, cols)
-            actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    for u, v, hom in base.nonzero_homs():
+        src, tgt = m1.ends(u, v)
+        if values[src].is_zero():
+            continue
+        ts_new = action_domain(side, hom, values[src])
+        comps = {}
+        for n in ts_new.complex.degrees():
+            cols = ts_new.dim(n)
+            out = [[0] * cols for _ in range(values[tgt].rank(n))]
+            for c, t in enumerate(ts_new.basis(n)):
+                if side == RIGHT:    # basis of M V (x) hom(U,V)
+                    deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
+                                              t.right_degree, t.right_index)
+                else:                # basis of hom(U,V) (x) N U
+                    f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
+                                              t.right_degree, t.right_index)
+                r1 = m1.value(src).rank(deg)
+                first = idx < r1
+                part, idx = (m1, idx) if first else (m2, idx - r1)
+                x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
+                f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
+                img = part.act_by(u, v, f, x)
+                off = 0 if first else m1.value(tgt).rank(img.degree)
+                for i, val in enumerate(img.vec):
+                    if val:
+                        out[off + i][c] = val
+            comps[n] = IntMatrix.from_rows(out, cols)
+        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
     return DGModule(base, values, actions, side)
 
 
@@ -601,19 +599,17 @@ class ModuleTransform:
         """theta_U(y . f) = (-1)^{|f| deg} (theta_V y) . f on basis pairs."""
         out = []
         base = self.source.base
-        for u in base.objects:
-            for v in base.objects:
-                homuv = base.hom(u, v)
-                if homuv.is_zero() or self.source.value(v).is_zero():
-                    continue
-                for y in all_basis_elts(self.source.value(v)):
-                    for f in all_basis_elts(homuv):
-                        sign = -1 if (f.degree * self.degree) % 2 else 1
-                        lhs = self.apply(u, self.source.dot(u, v, y, f))
-                        rhs = sign * self.target.dot(u, v, self.apply(v, y), f)
-                        if lhs != rhs:
-                            out.append(f"naturality fails at ({u},{v}) on "
-                                       f"deg ({y.degree},{f.degree})")
+        for u, v, homuv in base.nonzero_homs():
+            if self.source.value(v).is_zero():
+                continue
+            for y in all_basis_elts(self.source.value(v)):
+                for f in all_basis_elts(homuv):
+                    sign = -1 if (f.degree * self.degree) % 2 else 1
+                    lhs = self.apply(u, self.source.dot(u, v, y, f))
+                    rhs = sign * self.target.dot(u, v, self.apply(v, y), f)
+                    if lhs != rhs:
+                        out.append(f"naturality fails at ({u},{v}) on "
+                                   f"deg ({y.degree},{f.degree})")
         return out
 
     def is_cycle(self) -> bool:
@@ -1008,12 +1004,16 @@ class CauchyData:
     n: DGModule
     eta: List[Tuple[object, Elt, Elt]]
     eps: Dict[Tuple, ChainMap]
+    _spaces: Dict[Tuple, TensorSpace] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         _require_dual_sides(self.m, self.n)
 
     def eps_space(self, u, v) -> TensorSpace:
-        return TensorSpace(self.n.value(u), self.m.value(v))
+        if (u, v) not in self._spaces:
+            self._spaces[(u, v)] = TensorSpace(self.n.value(u), self.m.value(v))
+        return self._spaces[(u, v)]
 
     def eps_apply(self, u, v, yn: Elt, xm: Elt) -> Elt:
         """eps_{U,V}(yn (x) xm) in hom(V, U)."""
@@ -1089,18 +1089,25 @@ def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
 
     In U: eps((g.n) (x) m) = g o eps(n (x) m).
     In V: eps(n (x) (m.f)) = (-1)^{|m||f|} eps(n (x) m) o f.
+
+    Only the pairs (u, v) that homs u -> u2 <- v or u <- v2 -> v reach are
+    visited, in object order: elsewhere both sides of every equation lie in
+    the zero groups hom(v, u2) and hom(v2, u).
     """
     out = []
     base = cd.m.base
+    where = {x: i for i, x in enumerate(base.objects)}
     for u in base.objects:
-        for v in base.objects:
-            nu, mv = cd.n.value(u), cd.m.value(v)
-            if nu.is_zero() or mv.is_zero():
+        nu = cd.n.value(u)
+        if nu.is_zero():
+            continue
+        reached = {v for u2, _ in base.homs_out(u) for v, _ in base.homs_in(u2)}
+        reached.update(v for v2, _ in base.homs_in(u) for v, _ in base.homs_out(v2))
+        for v in sorted(reached, key=where.__getitem__):
+            mv = cd.m.value(v)
+            if mv.is_zero():
                 continue
-            for u2 in base.objects:
-                homuu2 = base.hom(u, u2)
-                if homuu2.is_zero():
-                    continue
+            for u2, homuu2 in base.homs_out(u):
                 for g in all_basis_elts(homuu2):
                     for n_elt in all_basis_elts(nu):
                         gn = cd.n.dot(u, u2, g, n_elt)
@@ -1110,10 +1117,7 @@ def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
                                 v, u, u2, g, cd.eps_apply(u, v, n_elt, m_elt))
                             if lhs != rhs:
                                 out.append(f"eps naturality in U fails at ({u}->{u2},{v})")
-            for v2 in base.objects:
-                homv2v = base.hom(v2, v)
-                if homv2v.is_zero():
-                    continue
+            for v2, homv2v in base.homs_in(v):
                 for f in all_basis_elts(homv2v):
                     for n_elt in all_basis_elts(nu):
                         for m_elt in all_basis_elts(mv):
@@ -1134,8 +1138,8 @@ def representable_cauchy_data(cat: FiniteDGCategory, k) -> CauchyData:
     n_mod = representable(cat, k, LEFT)
     one = cat.identity(k)
     eps = {}
-    for u in cat.objects:
-        for v in cat.objects:
+    for u, _ in cat.homs_out(k):
+        for v, _ in cat.homs_in(k):
             table = cat.compose_table.get((v, k, u))
             if table is not None:
                 eps[(u, v)] = table
@@ -1351,9 +1355,9 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     # the unknowns: one block per (u, v, d), the matrix of eps_{(u,v)} in degree d
     entries = BlockLayout()
     for u in base.objects:
-        for v in base.objects:
-            nu, mv, target = n_mod.value(u), m.value(v), base.hom(v, u)
-            if nu.is_zero() or mv.is_zero() or target.is_zero():
+        for v, target in base.homs_in(u):
+            nu, mv = n_mod.value(u), m.value(v)
+            if nu.is_zero() or mv.is_zero():
                 continue
             ts = TensorSpace(nu, mv)
             for d in ts.complex.degrees():
@@ -1405,56 +1409,47 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
                                   m.act(x_obj, e_obj, x_i, f)))
                 add_equation(terms, u_elt)
 
-    # naturality in U: eps((g.n) (x) m) - g o eps(n (x) m) = 0
-    for u in base.objects:
-        for u2 in base.objects:
-            homuu2 = base.hom(u, u2)
-            if homuu2.is_zero():
+    # naturality in U: eps((g.n) (x) m) - g o eps(n (x) m) = 0 in hom(v, u2) != 0
+    for u, u2, homuu2 in base.nonzero_homs():
+        for v, tgt in base.homs_in(u2):
+            nu, mv = n_mod.value(u), m.value(v)
+            if nu.is_zero() or mv.is_zero():
                 continue
-            for v in base.objects:
-                nu, mv = n_mod.value(u), m.value(v)
-                if nu.is_zero() or mv.is_zero():
-                    continue
-                for g in all_basis_elts(homuu2):
-                    for n_elt in all_basis_elts(nu):
-                        gn = n_mod.dot(u, u2, g, n_elt)
-                        for m_elt in all_basis_elts(mv):
-                            tgt = base.hom(v, u2)
-                            deg = g.degree + n_elt.degree + m_elt.degree
-                            zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
-                            terms = [
-                                (1, u2, v, gn, m_elt, lambda f: f),
-                                (-1, u, v, n_elt, m_elt,
-                                 lambda f, g=g, v=v, u=u, u2=u2:
-                                 base.compose_elts(v, u, u2, g, f)),
-                            ]
-                            add_equation(terms, zero)
+            for g in all_basis_elts(homuu2):
+                for n_elt in all_basis_elts(nu):
+                    gn = n_mod.dot(u, u2, g, n_elt)
+                    for m_elt in all_basis_elts(mv):
+                        deg = g.degree + n_elt.degree + m_elt.degree
+                        zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
+                        terms = [
+                            (1, u2, v, gn, m_elt, lambda f: f),
+                            (-1, u, v, n_elt, m_elt,
+                             lambda f, g=g, v=v, u=u, u2=u2:
+                             base.compose_elts(v, u, u2, g, f)),
+                        ]
+                        add_equation(terms, zero)
 
     # naturality in V: eps(n (x) (m.f)) - (-1)^{|m||f|} eps(n (x) m) o f = 0
-    for v2 in base.objects:
-        for v in base.objects:
-            homv2v = base.hom(v2, v)
-            if homv2v.is_zero():
+    # in hom(v2, u) != 0
+    for v2, v, homv2v in base.nonzero_homs():
+        for u, tgt in base.homs_out(v2):
+            nu, mv = n_mod.value(u), m.value(v)
+            if nu.is_zero() or mv.is_zero():
                 continue
-            for u in base.objects:
-                nu, mv = n_mod.value(u), m.value(v)
-                if nu.is_zero() or mv.is_zero():
-                    continue
-                for f in all_basis_elts(homv2v):
-                    for n_elt in all_basis_elts(nu):
-                        for m_elt in all_basis_elts(mv):
-                            mf = m.dot(v2, v, m_elt, f)
-                            sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                            tgt = base.hom(v2, u)
-                            deg = n_elt.degree + m_elt.degree + f.degree
-                            zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
-                            terms = [
-                                (1, u, v2, n_elt, mf, lambda h: h),
-                                (-sign, u, v, n_elt, m_elt,
-                                 lambda h, f=f, v2=v2, v=v, u=u:
-                                 base.compose_elts(v2, v, u, h, f)),
-                            ]
-                            add_equation(terms, zero)
+            for f in all_basis_elts(homv2v):
+                for n_elt in all_basis_elts(nu):
+                    for m_elt in all_basis_elts(mv):
+                        mf = m.dot(v2, v, m_elt, f)
+                        sign = -1 if (m_elt.degree * f.degree) % 2 else 1
+                        deg = n_elt.degree + m_elt.degree + f.degree
+                        zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
+                        terms = [
+                            (1, u, v2, n_elt, mf, lambda h: h),
+                            (-sign, u, v, n_elt, m_elt,
+                             lambda h, f=f, v2=v2, v=v, u=u:
+                             base.compose_elts(v2, v, u, h, f)),
+                        ]
+                        add_equation(terms, zero)
 
     # chain-map property of each eps component: d o eps = eps o d_tensor,
     # one block of rows per input basis element e_k

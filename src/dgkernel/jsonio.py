@@ -29,10 +29,11 @@ MAX_RANK = 4096
 # between their lowest and highest one, so two keys far apart would make
 # them spin over the empty degrees in between.
 MAX_DEGREE = 1024
-# The most objects and hom entries a category may declare.  The category and
-# module checks and the coend visit the homs, not the pairs of objects, but
-# the Cauchy-data checks still visit every pair of objects, so the object
-# cap keeps those at about a million steps.
+# The most objects and hom entries a category may declare.  Every check of a
+# category, a module or Cauchy data, and the coend, visits the nonzero homs
+# (or composable pairs of them), not the pairs of objects, so its work grows
+# with the hom count; the object cap bounds the per-object loops and the
+# objects' share of memory.
 MAX_OBJECTS = 1024
 MAX_HOMS = 4096
 
@@ -72,6 +73,16 @@ def _degree(value, field: str) -> int:
         raise InputError(f"field {field!r}: {n} is outside the supported degrees "
                          f"[-{MAX_DEGREE}, {MAX_DEGREE}]")
     return n
+
+
+def _listed(names, objects, field: str, key: str):
+    """Every object a key names must be listed in 'objects': the checks and
+    constructions visit the listed objects only, so an unlisted one would be
+    skipped without a word."""
+    for x in names:
+        if x not in objects:
+            where = "" if x == key else f" in {key!r}"
+            raise InputError(f"field {field!r}: object {x!r}{where} is not listed in 'objects'")
 
 
 def _require(obj, field: str, kind=None):
@@ -232,12 +243,14 @@ def category_from_json(obj) -> FiniteDGCategory:
         parts = key.split("->")
         if len(parts) != 2:
             raise InputError(f"homs key {key!r}: expected 'A->B'")
+        _listed(parts, seen, "homs", key)
         homs[(parts[0], parts[1])] = complex_from_json(val)
     tables = {}
     for key, comps in obj.get("compose", {}).items():
         parts = key.split("->")
         if len(parts) != 3:
             raise InputError(f"compose key {key!r}: expected 'A->B->C'")
+        _listed(parts, seen, "compose", key)
         a, b, c = parts
         src = TensorSpace(homs.get((b, c), Complex.zero()),
                           homs.get((a, b), Complex.zero())).complex
@@ -269,13 +282,18 @@ def module_to_json(m: DGModule) -> dict:
 
 
 def _read_module(obj, cat: FiniteDGCategory, side: str) -> DGModule:
-    values = {str(x): complex_from_json(c)
-              for x, c in _require(obj, "values", dict).items()}
+    listed = set(cat.objects)
+    values = {}
+    for x, c in _require(obj, "values", dict).items():
+        x = str(x)
+        _listed([x], listed, "values", x)
+        values[x] = complex_from_json(c)
     module = DGModule(cat, values, {}, side)
     for key, comps in obj.get("actions", {}).items():
         parts = key.split("->")
         if len(parts) != 2:
             raise InputError(f"actions key {key!r}: expected 'U->V'")
+        _listed(parts, listed, "actions", key)
         u, v = parts
         src, tgt = module.ends(u, v)
         space = action_domain(side, cat.hom(u, v), module.value(src)).complex
@@ -312,9 +330,11 @@ def cauchy_data_from_json(obj) -> CauchyData:
     cat = category_from_json(_require(obj, "category"))
     m = right_module_from_json(_require(obj, "M"), cat)
     n = left_module_from_json(_require(obj, "N"), cat)
+    listed = set(cat.objects)
     eta = []
     for term in _require(obj, "eta", list):
         e = str(_require(term, "object"))
+        _listed([e], listed, "eta", e)
         x = _elt_from_json(_require(term, "x"), m.value(e))
         y = _elt_from_json(_require(term, "y"), n.value(e))
         eta.append((e, x, y))
@@ -323,6 +343,7 @@ def cauchy_data_from_json(obj) -> CauchyData:
         parts = key.split("->")
         if len(parts) != 2:
             raise InputError(f"eps key {key!r}: expected 'U->V'")
+        _listed(parts, listed, "eps", key)
         u, v = parts
         src = TensorSpace(n.value(u), m.value(v)).complex
         mats = {_degree(nn, "eps degree"): matrix_from_json(mm) for nn, mm in comps.items()}

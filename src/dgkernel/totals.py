@@ -1,10 +1,8 @@
 """Double complexes and totalization.
 
-Complexes of complexes with their hom calculus (differential and
-composition on doubly indexed families), the total complex with the
-alternating inner sign, the weight that computes totalization as a
-coend, and the graded adjunction between totalization and the
-single-column embedding.
+Complexes of complexes, the total complex with the alternating inner
+sign, the weight that computes totalization as a coend, and the graded
+adjunction between totalization and the single-column embedding.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .complexes import (
     Complex,
     GradedObject,
     HomSpace,
-    Proto,
     _nonzero_entries,
     compose,
     d_hom,
@@ -27,7 +24,6 @@ from .complexes import (
     precomposition,
     scatter_kron,
     suspension,
-    suspension_map,
     unit_complex,
     functor_L,
 )
@@ -146,129 +142,27 @@ def total_complex(a: DoubleComplex) -> Complex:
     return TotSpace(a).complex
 
 
-# -- the DG hom calculus ------------------------------------------------------
-
-
-@dataclass
-class DGHomElement:
-    """Degree-n family f_{p,q}: A_q -> B_p of protos of degree n - p + q,
-    finitely supported."""
-
-    source: DoubleComplex
-    target: DoubleComplex
-    degree: int
-    comps: Dict[Tuple[int, int], Proto]
-
-    def __post_init__(self):
-        cleaned = {}
-        for (p, q), f in self.comps.items():
-            if f.degree != self.degree - p + q:
-                raise ShapeMismatch(
-                    f"component ({p},{q}) has proto degree {f.degree}, "
-                    f"expected {self.degree - p + q}")
-            if f.source != self.source.column(q) or f.target != self.target.column(p):
-                raise ShapeMismatch(f"component ({p},{q}) joins the wrong columns")
-            if not f.is_zero():
-                cleaned[(p, q)] = f
-        self.comps = cleaned
-
-    def comp(self, p: int, q: int) -> Proto:
-        f = self.comps.get((p, q))
-        if f is None:
-            return Proto.zero(self.source.column(q), self.target.column(p),
-                              self.degree - p + q)
-        return f
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "DGHomElement") -> "DGHomElement":
-        if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
-            raise ShapeMismatch("elements not parallel")
-        keys = set(self.comps) | set(other.comps)
-        return DGHomElement(self.source, self.target, self.degree,
-                            {k: self.comp(*k) + other.comp(*k) for k in keys})
-
-    def __rmul__(self, c: int) -> "DGHomElement":
-        return DGHomElement(self.source, self.target, self.degree,
-                            {k: c * f for k, f in self.comps.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DGHomElement):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.degree == other.degree and self.comps == other.comps)
-
-
-def dg_identity(a: DoubleComplex) -> DGHomElement:
-    comps = {(m, m): identity_map(a.column(m)) for m in a.column_degrees()}
-    return DGHomElement(a, a, 0, comps)
-
-
-def dg_hom_differential(f: DGHomElement) -> DGHomElement:
-    """d(f)_{p,q} = (-1)^p d(f_{p,q}) + delta_p o f_{p+1,q}
-    - (-1)^n f_{p,q-1} o delta_q."""
-    a, b, n = f.source, f.target, f.degree
-    sign_n = -1 if n % 2 else 1
-    p_range = set()
-    for (p, q) in f.comps:
-        p_range.update([(p, q), (p - 1, q), (p, q + 1)])
-    for p in b.column_degrees():
-        for q in a.column_degrees():
-            p_range.add((p, q))
-    comps = {}
-    for (p, q) in p_range:
-        term = Proto.zero(a.column(q), b.column(p), n - 1 - p + q)
-        term = term + ((-1 if p % 2 else 1) * d_hom(f.comp(p, q)))
-        term = term + compose(b.delta_map(p + 1), f.comp(p + 1, q))
-        term = term - sign_n * compose(f.comp(p, q - 1), a.delta_map(q))
-        if not term.is_zero():
-            comps[(p, q)] = term
-    return DGHomElement(a, b, n - 1, comps)
-
-
-def dg_compose(g: DGHomElement, f: DGHomElement) -> DGHomElement:
-    """(g o f)_{p,q} = sum_r g_{p,r} o f_{r,q}."""
-    if g.source != f.target:
-        raise ShapeMismatch("dg_compose: middle double complexes differ")
-    comps: Dict[Tuple[int, int], Proto] = {}
-    for (p, r) in g.comps:
-        for (r2, q) in f.comps:
-            if r2 != r:
-                continue
-            term = compose(g.comp(p, r), f.comp(r, q))
-            if (p, q) in comps:
-                comps[(p, q)] = comps[(p, q)] + term
-            else:
-                comps[(p, q)] = term
-    return DGHomElement(f.source, g.target, g.degree + f.degree, comps)
-
-
 # -- the totalization weight --------------------------------------------------
 
 
 def weight_J(window: int) -> Tuple[FiniteDGCategory, DGModule]:
     """The weight computing Tot: over the window category, the value at m
-    is S^m L Z and the index-raising generator acts by the shifted
-    differential S^m d."""
+    is S^m L Z, one Z in each of the degrees m - 1 and m, and the
+    index-raising generator acts by the shifted differential S^m d.  Every
+    hom is Z, so there are two action shapes: u = v acts by the identity,
+    and u = v + 1 sends the degree-v slot of S^v L Z to the lower slot of
+    S^{v+1} L Z."""
     cat = ell_op_window_category(window)
-    lz = functor_L(unit_complex())
+    k0 = unit_complex()
+    lz = functor_L(k0)
     values = {m: suspension(lz, m) for m in cat.objects}
+    # hom(v, v) and hom(v + 1, v) both act on S^v L Z (x) Z
+    domains = {v: TensorSpace(values[v], k0).complex for v in cat.objects}
     actions = {}
     for (u, v) in cat.homs:
-        ts = TensorSpace(values[v], cat.hom(u, v))
-        if u == v:
-            comps = {n: IntMatrix.identity(values[v].rank(n))
-                     for n in values[v].degrees() if values[v].rank(n)}
-        else:
-            # u = v + 1: act by S^v(d): the degree-v slot maps to the lower
-            # slot of S^{v+1} L Z
-            codiff = suspension_map(
-                ChainMap(lz, suspension(lz, 1), 0,
-                         {0: IntMatrix.identity(1)}), v)
-            comps = {n: codiff.comp(n) for n in values[v].degrees()
-                     if values[v].rank(n) and values[u].rank(n)}
-        actions[(u, v)] = ChainMap(ts.complex, values[u], 0, comps)
+        degrees = (v - 1, v) if u == v else (v,)
+        actions[(u, v)] = ChainMap(domains[v], values[u], 0,
+                                   {n: IntMatrix.identity(1) for n in degrees})
     return cat, DGModule(cat, values, actions)
 
 
@@ -277,16 +171,10 @@ def double_complex_as_left_module(cat: FiniteDGCategory, a: DoubleComplex) -> DG
     generator m -> m-1 acts by delta_m."""
     values = {m: a.column(m) for m in cat.objects}
     actions = {}
-    for (u, v) in cat.homs:
-        ts = TensorSpace(cat.hom(u, v), values[u])
-        if u == v:
-            comps = {n: IntMatrix.identity(values[u].rank(n))
-                     for n in values[u].degrees() if values[u].rank(n)}
-        else:
-            delta = a.delta_map(u)      # u = v + 1: A_u -> A_v
-            comps = {n: delta.comp(n) for n in values[u].degrees()
-                     if values[u].rank(n) and values[v].rank(n)}
-        actions[(u, v)] = ChainMap(ts.complex, values[v], 0, comps)
+    for (u, v), hom in cat.homs.items():
+        act = identity_map(values[u]) if u == v else a.delta_map(u)   # u = v + 1: A_u -> A_v
+        actions[(u, v)] = ChainMap(TensorSpace(hom, values[u]).complex, values[v], 0,
+                                   act.comps())
     return DGModule(cat, values, actions, LEFT)
 
 
@@ -327,39 +215,28 @@ def tot_via_weighted_colimit(a: DoubleComplex,
     ts = TotSpace(a)
     tot = ts.complex
 
-    # Phi: ambient sum of S^m L Z (x) A_m -> Tot, constant on relation classes
+    # Phi: ambient sum of S^m L Z (x) A_m -> Tot, constant on relation
+    # classes.  Block p of the summand at m goes into column m for p = m and
+    # through delta_m (stored components only) into column m - 1 for p = m - 1.
     presented = wc.coend.presented
     ambient = presented.ambient
-    phi_rows: Dict[int, List[List[int]]] = {}
-    for n in ambient.degrees():
-        phi_rows[n] = [[0] * ambient.rank(n) for _ in range(tot.rank(n))]
-    for m in cat.objects:
-        am = a_mod.value(m)
-        if am.is_zero():
-            continue
-        t_space = wc.coend.tensor_space(m)
-        for n in t_space.complex.degrees():
-            for col_local, t in enumerate(t_space.basis(n)):
-                amb_idx = wc.coend.slot(m, n) + col_local
-                target_rows: List[Tuple[int, int]] = []
-                if t.left_degree == m:
-                    # unit slot: straight into column m
-                    row = ts.slot(n, m, t.right_index)
-                    target_rows.append((row, _triangular_sign(m)))
-                else:
-                    # lower slot: push through delta_m into column m-1
-                    delta = a.delta_map(m).comp(t.right_degree)
-                    for i, v in enumerate(delta.col(t.right_index)):
-                        if v:
-                            row = ts.slot(n, m - 1, i)
-                            target_rows.append((row, _triangular_sign(m - 1) * v))
-                for row, val in target_rows:
-                    phi_rows[n][row][amb_idx] += val
+    phi_rows = {n: [[0] * ambient.rank(n) for _ in range(tot.rank(n))]
+                for n in ambient.degrees()}
+    for m in cols:
+        lay, delta = wc.coend.tensor_space(m).layout, a.delta_map(m).comps()
+        for n in lay.degrees():
+            for p, _, width, off in lay.blocks(n):
+                col = wc.coend.slot(m, n) + off
+                if p == m:
+                    scatter_kron(phi_rows[n], ts.layout.slot(n, m), col, width,
+                                 sign=_triangular_sign(m))
+                elif n - p in delta:
+                    scatter_kron(phi_rows[n], ts.layout.slot(n, m - 1), col, delta[n - p],
+                                 sign=_triangular_sign(m - 1))
     phi = {n: IntMatrix.from_rows(rows, ambient.rank(n))
            for n, rows in phi_rows.items() if rows}
 
-    iso_comps = {}
-    inv_comps = {}
+    iso_comps, inv_comps = {}, {}
     for n in colim.degrees():
         if colim.rank(n) == 0:
             continue

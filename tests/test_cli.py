@@ -25,6 +25,7 @@ from dgkernel.complexes import (
 from dgkernel.dgcat import (
     LEFT,
     DGModule,
+    dg_subcategory_of_complexes,
     exterior_g_category,
     group_like_category,
     module_from_complex,
@@ -413,6 +414,49 @@ class TestInputCaps:
         assert main(["verify-category", path]) == 2
         assert capsys.readouterr().err == "input error: field 'objects': '*' is listed twice\n"
 
+    def test_hom_to_an_unlisted_object_exits_two(self, files, capsys):
+        # the category used to verify: every check visits the listed objects
+        # only, so the ghost hom was never looked at
+        obj = jsonio.category_to_json(unit_dg_category())
+        obj["homs"]["ghost->*"] = jsonio.complex_to_json(unit_complex())
+        path = files["tmp"] + "/ghost_cat.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-category", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'homs': object 'ghost' in 'ghost->*' "
+                                "is not listed in 'objects'\n")
+
+    def test_weight_value_at_an_unlisted_object_exits_two(self, files, capsys):
+        # the colimit used to be printed, with the ghost value left out
+        weight = jsonio.load(files["weight.json"])
+        weight["values"]["ghost"] = jsonio.complex_to_json(unit_complex())
+        path = files["tmp"] + "/ghost_weight.json"
+        jsonio.dump(weight, path)
+        assert main(["colim", "--category", files["unit_cat.json"], "--weight", path,
+                     "--diagram", files["diagram.json"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'values': object 'ghost' "
+                                "is not listed in 'objects'\n")
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("compose", lambda o: o["category"]["compose"].update({"*->ghost->*": {}})),
+        ("values", lambda o: o["M"]["values"].update({"ghost": o["M"]["values"]["*"]})),
+        ("actions", lambda o: o["N"]["actions"].update({"ghost->*": {}})),
+        ("eta", lambda o: o["eta"][0].update({"object": "ghost"})),
+        ("eps", lambda o: o["eps"].update({"*->ghost": {}})),
+    ])
+    def test_every_object_field_must_name_a_listed_object(self, field, mutate):
+        obj = jsonio.cauchy_data_to_json(representable_cauchy_data(exterior_g_category(1), "*"))
+        mutate(obj)
+        with pytest.raises(jsonio.InputError, match=f"field {field!r}: object 'ghost'"):
+            jsonio.cauchy_data_from_json(obj)
+
+    def test_listed_objects_read_as_before(self):
+        obj = jsonio.cauchy_data_to_json(representable_cauchy_data(exterior_g_category(1), "*"))
+        assert jsonio.cauchy_data_to_json(jsonio.cauchy_data_from_json(obj)) == obj
+
     def test_cap_is_inclusive(self):
         assert jsonio.MAX_RANK == 4096
         m = jsonio.matrix_from_json({"rows": jsonio.MAX_RANK, "cols": 0, "data": []})
@@ -619,6 +663,22 @@ class TestGoldenOutput:
         assert main(real + ["--out", out]) == 0
         capsys.readouterr()
         return out
+
+    # stdout of `--json verify-cauchy --naturality` on Cauchy data over a
+    # two-object DG-category whose eps lacks its LZ->LZ component: pins the
+    # order of the naturality failure list
+    NATURALITY_DIGEST = "d2e537412742091dbaaa5600ea02f5e4b16f6f4e07af71cec5d117888f48d472"
+
+    def test_naturality_failure_list_digest(self, files, capsys):
+        cat = dg_subcategory_of_complexes({"Z": unit_complex(), "LZ": functor_L(unit_complex())})
+        obj = jsonio.cauchy_data_to_json(representable_cauchy_data(cat, "Z"))
+        del obj["eps"]["LZ->LZ"]
+        path = files["tmp"] + "/cauchy_drop.json"
+        jsonio.dump(obj, path)
+        assert main(["--json", "verify-cauchy", path, "--naturality"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("eps naturality in") == 16
+        assert hashlib.sha256(out.encode()).hexdigest() == self.NATURALITY_DIGEST
 
     def test_tensor_m2_differential(self, files, capsys):
         out = self._run(files, capsys, ["tensor", "m2.json", "m2.json"])

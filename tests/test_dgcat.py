@@ -1,20 +1,26 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dgkernel.dgcat as dgcat
 from dgkernel.complexes import (
+    BlockLayout,
     ChainMap,
     Complex,
     Proto,
     chain_map_basis,
     compose,
+    direct_sum,
     direct_sum_complexes,
     functor_L,
     homology_H,
     identity_map,
     make_complex,
+    scatter_kron,
     suspension,
     unit_complex,
 )
@@ -26,6 +32,7 @@ from dgkernel.dgcat import (
     DGModule,
     Elt,
     ModuleTransform,
+    action_domain,
     all_basis_elts,
     basis_elts,
     cauchy_naturality_failures,
@@ -739,3 +746,506 @@ class TestModulePresentation:
         pres = module_presentation(m)
         assert pres.surjective
         assert pres.gamma_phi_is_zero()
+
+
+# -- iterating by the hom index ------------------------------------------------
+#
+# Every scan below used to run over each pair of objects and skip the pairs
+# without a nonzero hom; the package now iterates `nonzero_homs`, `homs_out`
+# and `homs_in`.  The reference_* functions are the pair scans, kept as
+# oracles: results, failure lists and the counit solver's linear system
+# must be the same, in the same order.
+
+
+def reference_representable(cat, k, side):
+    right = side == RIGHT
+    values = {x: cat.hom(x, k) if right else cat.hom(k, x) for x in cat.objects}
+    actions = {}
+    for u in cat.objects:
+        for v in cat.objects:
+            table = cat.compose_table.get((u, v, k) if right else (k, u, v))
+            if table is not None:
+                actions[(u, v)] = table
+    return DGModule(cat, values, actions, side)
+
+
+def reference_direct_sum_actions(m1, m2):
+    """The actions of direct_sum_modules(m1, m2), from the pair scan."""
+    base, side = m1.base, m1.side
+    values = {x: direct_sum([m1.value(x), m2.value(x)]) for x in base.objects}
+    actions = {}
+    for u in base.objects:
+        for v in base.objects:
+            hom = base.hom(u, v)
+            src, tgt = m1.ends(u, v)
+            if hom.is_zero() or values[src].is_zero():
+                continue
+            ts_new = action_domain(side, hom, values[src])
+            comps = {}
+            for n in ts_new.complex.degrees():
+                out = [[0] * ts_new.dim(n) for _ in range(values[tgt].rank(n))]
+                for c, t in enumerate(ts_new.basis(n)):
+                    if side == RIGHT:
+                        deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
+                                                  t.right_degree, t.right_index)
+                    else:
+                        f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
+                                                  t.right_degree, t.right_index)
+                    r1 = m1.value(src).rank(deg)
+                    first = idx < r1
+                    part, idx = (m1, idx) if first else (m2, idx - r1)
+                    x = unit_at(part.value(src), deg, idx)
+                    img = part.act_by(u, v, unit_at(hom, f_deg, f_idx), x)
+                    off = 0 if first else m1.value(tgt).rank(img.degree)
+                    for i, val in enumerate(img.vec):
+                        if val:
+                            out[off + i][c] = val
+                comps[n] = IntMatrix.from_rows(out, ts_new.dim(n))
+            actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    return actions
+
+
+def reference_transform_naturality_failures(tr):
+    out, base = [], tr.source.base
+    for u in base.objects:
+        for v in base.objects:
+            homuv = base.hom(u, v)
+            if homuv.is_zero() or tr.source.value(v).is_zero():
+                continue
+            for y in all_basis_elts(tr.source.value(v)):
+                for f in all_basis_elts(homuv):
+                    sign = -1 if (f.degree * tr.degree) % 2 else 1
+                    lhs = tr.apply(u, tr.source.dot(u, v, y, f))
+                    rhs = sign * tr.target.dot(u, v, tr.apply(v, y), f)
+                    if lhs != rhs:
+                        out.append(f"naturality fails at ({u},{v}) on "
+                                   f"deg ({y.degree},{f.degree})")
+    return out
+
+
+def reference_cauchy_naturality_failures(cd):
+    out, base = [], cd.m.base
+    for u in base.objects:
+        for v in base.objects:
+            nu, mv = cd.n.value(u), cd.m.value(v)
+            if nu.is_zero() or mv.is_zero():
+                continue
+            for u2 in base.objects:
+                homuu2 = base.hom(u, u2)
+                if homuu2.is_zero():
+                    continue
+                for g in all_basis_elts(homuu2):
+                    for n_elt in all_basis_elts(nu):
+                        gn = cd.n.dot(u, u2, g, n_elt)
+                        for m_elt in all_basis_elts(mv):
+                            lhs = cd.eps_apply(u2, v, gn, m_elt)
+                            rhs = base.compose_elts(
+                                v, u, u2, g, cd.eps_apply(u, v, n_elt, m_elt))
+                            if lhs != rhs:
+                                out.append(f"eps naturality in U fails at ({u}->{u2},{v})")
+            for v2 in base.objects:
+                homv2v = base.hom(v2, v)
+                if homv2v.is_zero():
+                    continue
+                for f in all_basis_elts(homv2v):
+                    for n_elt in all_basis_elts(nu):
+                        for m_elt in all_basis_elts(mv):
+                            mf = cd.m.dot(v2, v, m_elt, f)
+                            sign = -1 if (m_elt.degree * f.degree) % 2 else 1
+                            lhs = cd.eps_apply(u, v2, n_elt, mf)
+                            rhs = sign * base.compose_elts(
+                                v2, v, u, cd.eps_apply(u, v, n_elt, m_elt), f)
+                            if lhs != rhs:
+                                out.append(f"eps naturality in V fails at ({u},{v2}->{v})")
+    return out
+
+
+def reference_counit_eps(cat, k):
+    """The eps of representable_cauchy_data(cat, k), from the pair scan."""
+    eps = {}
+    for u in cat.objects:
+        for v in cat.objects:
+            table = cat.compose_table.get((v, k, u))
+            if table is not None:
+                eps[(u, v)] = table
+    return eps
+
+
+def reference_counit_system(m, n_mod, eta):
+    """The unknown layout (one (u, v, d) block per eps matrix) and the
+    linear system (rows, rhs) of solve_cauchy_counit, from the pair scans."""
+    base = m.base
+    spaces, entries = {}, BlockLayout()
+    for u in base.objects:
+        for v in base.objects:
+            nu, mv, target = n_mod.value(u), m.value(v), base.hom(v, u)
+            if nu.is_zero() or mv.is_zero() or target.is_zero():
+                continue
+            ts = TensorSpace(nu, mv)
+            for d in ts.complex.degrees():
+                entries.add(0, (u, v, d), target.rank(d), ts.dim(d))
+            spaces[(u, v)] = (ts, target)
+    total = entries.dim(0)
+    rows, rhs = [], []
+
+    def add_equation(lin_terms, const):
+        block = [[0] * total for _ in range(const.cx.rank(const.degree))]
+        for coeff, u, v, n_elt, m_elt, post in lin_terms:
+            if (u, v) not in spaces:
+                continue
+            ts, target = spaces[(u, v)]
+            d = n_elt.degree + m_elt.degree
+            if target.rank(d) == 0 or ts.dim(d) == 0:
+                continue
+            pair = ts.embed_pair(n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
+            for o, f in enumerate(basis_elts(target, d)):
+                scatter_kron(block, 0, entries.slot(0, (u, v, d), o),
+                             IntMatrix.column(post(f).vec), IntMatrix(1, len(pair), pair), coeff)
+        rows.extend(block)
+        rhs.extend(const.vec)
+
+    def zero(tgt, deg):
+        return Elt(tgt, deg, (0,) * tgt.rank(deg))
+
+    for x_obj in base.objects:
+        mx = m.value(x_obj)
+        for r in mx.degrees():
+            for u_elt in basis_elts(mx, r):
+                add_equation([(1, e_obj, x_obj, y_i, u_elt,
+                               lambda f, e_obj=e_obj, x_i=x_i, x_obj=x_obj:
+                               m.act(x_obj, e_obj, x_i, f))
+                              for (e_obj, x_i, y_i) in eta], u_elt)
+    for u, u2, v in itertools.product(base.objects, repeat=3):
+        homuu2, nu, mv = base.hom(u, u2), n_mod.value(u), m.value(v)
+        if homuu2.is_zero() or nu.is_zero() or mv.is_zero():
+            continue
+        for g in all_basis_elts(homuu2):
+            for n_elt in all_basis_elts(nu):
+                gn = n_mod.dot(u, u2, g, n_elt)
+                for m_elt in all_basis_elts(mv):
+                    add_equation([(1, u2, v, gn, m_elt, lambda f: f),
+                                  (-1, u, v, n_elt, m_elt,
+                                   lambda f, g=g, v=v, u=u, u2=u2: base.compose_elts(v, u, u2, g, f))],
+                                 zero(base.hom(v, u2), g.degree + n_elt.degree + m_elt.degree))
+    for v2, v, u in itertools.product(base.objects, repeat=3):
+        homv2v, nu, mv = base.hom(v2, v), n_mod.value(u), m.value(v)
+        if homv2v.is_zero() or nu.is_zero() or mv.is_zero():
+            continue
+        for f in all_basis_elts(homv2v):
+            for n_elt in all_basis_elts(nu):
+                for m_elt in all_basis_elts(mv):
+                    sign = -1 if (m_elt.degree * f.degree) % 2 else 1
+                    add_equation([(1, u, v2, n_elt, m.dot(v2, v, m_elt, f), lambda h: h),
+                                  (-sign, u, v, n_elt, m_elt,
+                                   lambda h, f=f, v2=v2, v=v, u=u: base.compose_elts(v2, v, u, h, f))],
+                                 zero(base.hom(v2, u), n_elt.degree + m_elt.degree + f.degree))
+    # the chain-map rows that follow do not depend on how the pairs were found
+    return [key for key, _, _, _ in entries.blocks(0)], total, rows, rhs
+
+
+def solve_against_the_reference(m, n_mod, eta):
+    """solve_cauchy_counit(m, n_mod, eta), checking that the system it
+    solves starts with the reference's rows and right-hand side on the
+    same unknowns; returns the result and the reference's unknowns."""
+    systems = []
+    real = dgcat.solve_matrix
+
+    def recorded(a, b):
+        systems.append((a, b))
+        return real(a, b)
+
+    dgcat.solve_matrix = recorded
+    try:
+        cd = solve_cauchy_counit(m, n_mod, eta)
+    finally:
+        dgcat.solve_matrix = real
+    keys, total, rows, rhs = reference_counit_system(m, n_mod, eta)
+    if not rows:
+        assert systems == []
+        return cd, keys
+    (a, b), = systems
+    assert a.cols == total
+    assert a.to_lists()[:len(rows)] == rows
+    assert list(b.col(0))[:len(rhs)] == rhs
+    return cd, keys
+
+
+def window_cats():
+    return [ell_op_window_category(w) for w in range(7)]
+
+
+def fixture_and_window_cats(cats):
+    return list(cats.values()) + window_cats()
+
+
+def scaled_at(tr, x, k):
+    comps = dict(tr.components)
+    comps[x] = k * tr.component(x)
+    return ModuleTransform(tr.source, tr.target, tr.degree, comps)
+
+
+def eps_variants(cd):
+    """eps with one component dropped, and with one entry of one component
+    changed: each breaks naturality somewhere (scaling all of eps would not)."""
+    for key, table in cd.eps.items():
+        yield {k: t for k, t in cd.eps.items() if k != key}
+        comps = table.comps()
+        n0 = min(comps)
+        entries = list(comps[n0].entries())
+        entries[0] += 1
+        comps[n0] = IntMatrix(comps[n0].rows, comps[n0].cols, entries)
+        yield {**cd.eps, key: Proto(table.source, table.target, 0, comps)}
+
+
+class TestHomIndex:
+    def test_homs_in_follow_the_scan_over_object_pairs(self, cats):
+        m, _ = with_zero_homs(*twisted_x2_pair())
+        for cat in fixture_and_window_cats(cats) + [m.base]:
+            scan = [(u, v, cat.hom(u, v)) for u in cat.objects for v in cat.objects
+                    if not cat.hom(u, v).is_zero()]
+            for v in cat.objects:
+                assert cat.homs_in(v) == [(u, h) for u, b, h in scan if b == v]
+        assert ell_op_window_category(1).homs_in("absent") == []
+
+    def test_representables_equal_the_reference(self, cats):
+        for cat in fixture_and_window_cats(cats):
+            for k in cat.objects:
+                for side in (RIGHT, LEFT):
+                    mod, ref = representable(cat, k, side), reference_representable(cat, k, side)
+                    assert mod.values == ref.values
+                    assert list(mod.actions.items()) == list(ref.actions.items())
+
+    def test_direct_sums_equal_the_reference(self, cats):
+        for cat in fixture_and_window_cats(cats):
+            for side in (RIGHT, LEFT):
+                m1 = representable(cat, cat.objects[0], side)
+                m2 = suspend_module(representable(cat, cat.objects[-1], side), 1)
+                got = direct_sum_modules(m1, m2)
+                want = reference_direct_sum_actions(m1, m2)
+                assert list(got.actions) == list(want)
+                assert all(got.actions[key] == act for key, act in want.items())
+
+    def test_transform_failures_equal_the_reference(self, cats):
+        seen = 0
+        for cat in fixture_and_window_cats(cats):
+            for k in cat.objects:
+                m = representable(cat, k, RIGHT)
+                ident = ModuleTransform(m, m, 0, {x: identity_map(m.value(x)) for x in cat.objects})
+                assert ident.naturality_failures() == []
+                for x in cat.objects:
+                    if m.value(x).is_zero():
+                        continue
+                    tr = scaled_at(ident, x, 2)
+                    got = tr.naturality_failures()
+                    assert got == reference_transform_naturality_failures(tr)
+                    seen += bool(got)
+        assert seen > 50
+
+    def test_counit_eps_equals_the_reference(self, cats):
+        for cat in fixture_and_window_cats(cats):
+            for k in cat.objects:
+                assert list(representable_cauchy_data(cat, k).eps.items()) == \
+                    list(reference_counit_eps(cat, k).items())
+
+    def test_cauchy_failures_equal_the_reference(self, cats):
+        seen = 0
+        for cat in fixture_and_window_cats(cats):
+            for k in cat.objects:
+                cd = representable_cauchy_data(cat, k)
+                assert cauchy_naturality_failures(cd) == []
+                for eps in eps_variants(cd):
+                    bad = CauchyData(cd.m, cd.n, cd.eta, eps)
+                    got = cauchy_naturality_failures(bad)
+                    assert got == reference_cauchy_naturality_failures(bad)
+                    seen += bool(got)
+        assert seen > 50
+
+    def test_counit_system_equals_the_reference(self, cats):
+        pairs = [(cat, k, c) for cat in fixture_and_window_cats(cats) for k in cat.objects
+                 for c in (1, 2)]
+        for cat, k, c in pairs:
+            m, n = representable(cat, k, RIGHT), representable(cat, k, LEFT)
+            one = cat.identity(k)
+            eta = [(k, c * one, one)]
+            cd, keys = solve_against_the_reference(m, n, eta)
+            if c == 1:
+                assert cd is not None and verify_cauchy_data(cd).ok
+                assert list(cd.eps) == list(dict.fromkeys((u, v) for u, v, _ in keys))
+            else:
+                assert cd is None
+
+
+class CountingTables(dict):
+    """Composition tables that count their lookups."""
+
+    def __init__(self, tables, count):
+        super().__init__(tables)
+        self.count = count
+
+    def get(self, key, default=None):
+        self.count[0] += 1
+        return super().get(key, default)
+
+
+def index_reads(monkeypatch, cat, run) -> int:
+    """Reads of hom, of the hom index and of the composition tables while
+    run() runs."""
+    count = [0]
+    for name in ("hom", "nonzero_homs", "homs_out", "homs_in"):
+        def counting(self, *args, real=getattr(FiniteDGCategory, name)):
+            count[0] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(FiniteDGCategory, name, counting)
+    cat.compose_table = CountingTables(cat.compose_table, count)
+    run()
+    monkeypatch.undo()
+    return count[0]
+
+
+def all_values_nonzero(window):
+    """The weight of Tot against a double complex with a column at every
+    object of the window: no pair of objects has a zero value."""
+    cat, j_mod = weight_J(window)
+    a = DoubleComplex({c: K0 for c in range(-window, window + 1)}, {})
+    return cat, CauchyData(j_mod, double_complex_as_left_module(cat, a), [], {})
+
+
+class TestLinearGrowth:
+    WINDOWS = (8, 16)
+
+    def test_cauchy_naturality_reads_grow_linearly(self, monkeypatch):
+        # the pair scan read hom (2w + 1)^3 times on the window w
+        reads = []
+        for w in self.WINDOWS:
+            cat, cd = all_values_nonzero(w)
+            reads.append(index_reads(monkeypatch, cat, lambda: cauchy_naturality_failures(cd)))
+        assert 0 < reads[1] <= 2 * reads[0]
+
+    def test_representable_reads_grow_linearly(self, monkeypatch):
+        # the pair scan looked up (2w + 1)^2 composition tables
+        for side in (RIGHT, LEFT):
+            reads = []
+            for w in self.WINDOWS:
+                cat = ell_op_window_category(w)
+                reads.append(index_reads(monkeypatch, cat, lambda: representable(cat, 0, side)))
+            assert 0 < reads[1] <= 2 * reads[0]
+
+
+def object_pair_loops(source: str):
+    """Lines of the loops over some `.objects` that hold another loop over
+    some `.objects`, as a nested for statement or a later comprehension
+    clause."""
+    def iterates_objects(loop):
+        return any(isinstance(a, ast.Attribute) and a.attr == "objects"
+                   for a in ast.walk(loop.iter))
+
+    def object_loops(nodes):
+        return [n for node in nodes for n in ast.walk(node)
+                if isinstance(n, (ast.For, ast.comprehension)) and iterates_objects(n)]
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For) and iterates_objects(node):
+            inside = node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            first = next((i for i, g in enumerate(node.generators) if iterates_objects(g)), None)
+            if first is None:
+                continue
+            inside = node.generators[first + 1:] + [
+                getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
+        else:
+            continue
+        if object_loops(inside):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestNoObjectPairLoops:
+    def test_dgcat_has_no_object_pair_loop(self):
+        assert object_pair_loops(Path(dgcat.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("source", [
+        "for u in cat.objects:\n    for v in cat.objects:\n        pass\n",
+        "for u in cat.objects:\n    if u:\n        xs = [v for v in base.objects]\n",
+        "pairs = {(u, v) for u in cat.objects for v in self.base.objects}\n",
+        "xs = [[v for v in cat.objects] for u in enumerate(cat.objects)]\n",
+    ])
+    def test_the_check_finds_pair_loops(self, source):
+        assert object_pair_loops(source) == [1]
+
+    def test_the_check_passes_loops_over_the_hom_index(self):
+        source = ("for u in cat.objects:\n    for v, h in cat.homs_in(u):\n        pass\n"
+                  "for u, v, h in cat.nonzero_homs():\n    for x in cat.objects:\n        pass\n")
+        assert object_pair_loops(source) == []
+
+
+def thin_category(objects, arrows):
+    """Objects in the given order, hom Z in degree 0 on each arrow and each
+    identity, and composition 1 (x) 1 = 1; `arrows` must be closed under
+    composition."""
+    homs = {(x, x): K0 for x in objects}
+    homs.update({arrow: K0 for arrow in arrows})
+    table = ChainMap(TensorSpace(K0, K0).complex, K0, 0, {0: IntMatrix.from_rows([[1]])})
+    tables = {(a, b, c): table for a, b, c in itertools.product(objects, repeat=3)
+              if (a, b) in homs and (b, c) in homs}
+    return FiniteDGCategory(objects, homs, tables, {x: Elt(K0, 0, (1,)) for x in objects})
+
+
+# a span and a cospan, whose pairs are reached through one side only, and a
+# chain; objects listed out of name order
+THIN = {
+    "span": (("b", "s", "a"), [("s", "a"), ("s", "b")]),
+    "cospan": (("t", "b", "a"), [("a", "t"), ("b", "t")]),
+    "chain": (("c", "a", "b"), [("a", "b"), ("b", "c"), ("a", "c")]),
+}
+
+
+@st.composite
+def thin_cauchy_data(draw):
+    """Representable M and N over a thin category, with eps drawn at random
+    on the pairs whose values and hom are nonzero (some left out)."""
+    cat = thin_category(*THIN[draw(st.sampled_from(sorted(THIN)))])
+    m = representable(cat, draw(st.sampled_from(cat.objects)), RIGHT)
+    n = representable(cat, draw(st.sampled_from(cat.objects)), LEFT)
+    if draw(st.booleans()):
+        n = direct_sum_modules(n, representable(cat, draw(st.sampled_from(cat.objects)), LEFT))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    eps = {}
+    for u, v in itertools.product(cat.objects, repeat=2):
+        src = TensorSpace(n.value(u), m.value(v)).complex
+        target = cat.hom(v, u)
+        if src.is_zero() or target.is_zero() or rng.random() < 0.2:
+            continue
+        comps = {d: IntMatrix(target.rank(d), src.rank(d),
+                              [rng.randint(-1, 1) for _ in range(target.rank(d) * src.rank(d))])
+                 for d in src.degrees() if target.rank(d)}
+        eps[(u, v)] = Proto(src, target, 0, comps)
+    return CauchyData(m, n, [], eps)
+
+
+class TestThinCategories:
+    def test_thin_categories_are_lawful(self):
+        for objects, arrows in THIN.values():
+            assert thin_category(objects, arrows).validate() == []
+
+    @settings(max_examples=120, deadline=None)
+    @given(thin_cauchy_data())
+    def test_cauchy_failures_equal_the_reference(self, cd):
+        assert cauchy_naturality_failures(cd) == reference_cauchy_naturality_failures(cd)
+
+    def test_pair_reached_through_a_span_only(self):
+        # (a, b) is joined by s -> a, s -> b alone: its V equation compares
+        # eps_{a,s}(n (x) m.f) with eps_{a,b}(n (x) m) o f, and hom(b, a) = 0
+        cat = thin_category(*THIN["span"])
+        m, n = representable(cat, "b", RIGHT), representable(cat, "a", LEFT)
+        src = TensorSpace(n.value("a"), m.value("s")).complex
+        cd = CauchyData(m, n, [], {("a", "s"): Proto(src, K0, 0, {0: IntMatrix.from_rows([[1]])})})
+        failures = cauchy_naturality_failures(cd)
+        assert "eps naturality in V fails at (a,s->b)" in failures
+        assert failures == reference_cauchy_naturality_failures(cd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(thin_cauchy_data())
+    def test_counit_system_equals_the_reference(self, cd):
+        solve_against_the_reference(cd.m, cd.n, [])

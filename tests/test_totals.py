@@ -6,11 +6,20 @@ differentials element by element.  They now compare matrices under a
 relabelling of coordinates.  The reference_* functions below are the
 per-basis versions; the tests check that both give the same verdicts and
 that the relabelling and the stacked DG differential are what the
-per-basis code computes.
+per-basis code computes.  The DG hom calculus on double complexes
+(`DGHomElement` and the reference_dg_* operations) lives here only: the
+package computes with the relabelled matrices, and the calculus is the
+oracle they are checked against.
+
+The totalization weight, the diagram of a double complex and the
+comparison map Phi are written block by block; reference_weight_J,
+reference_double_complex_as_left_module and reference_tot_comparison are
+the per-hom and per-basis-element constructions they replaced.
 """
 
 import random
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,19 +36,20 @@ from dgkernel.complexes import (
     identity_map,
     make_complex,
     scatter_kron,
+    functor_L,
     suspension,
+    suspension_map,
     unit_complex,
 )
+from dgkernel.dgcat import DGModule, LEFT, ell_op_window_category, weighted_colimit
+from dgkernel.monoidal import TensorSpace
 from dgkernel.rand import rand_chain_map, rand_complex, rand_double_complex, rand_proto
 from dgkernel.totals import (
-    DGHomElement,
     DoubleComplex,
     SupportExceedsWindow,
     TotSpace,
     _TotHomSpaces,
-    dg_compose,
-    dg_hom_differential,
-    dg_identity,
+    _triangular_sign,
     double_complex_as_left_module,
     embed_i,
     tot_adjunction_check,
@@ -48,10 +58,108 @@ from dgkernel.totals import (
     total_complex,
     weight_J,
 )
-from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix, inverse_unimodular
 
 K0 = unit_complex()
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+# -- the DG hom calculus ------------------------------------------------------
+
+
+@dataclass
+class DGHomElement:
+    """Degree-n family f_{p,q}: A_q -> B_p of protos of degree n - p + q,
+    finitely supported."""
+
+    source: DoubleComplex
+    target: DoubleComplex
+    degree: int
+    comps: Dict[Tuple[int, int], Proto]
+
+    def __post_init__(self):
+        cleaned = {}
+        for (p, q), f in self.comps.items():
+            if f.degree != self.degree - p + q:
+                raise ShapeMismatch(
+                    f"component ({p},{q}) has proto degree {f.degree}, "
+                    f"expected {self.degree - p + q}")
+            if f.source != self.source.column(q) or f.target != self.target.column(p):
+                raise ShapeMismatch(f"component ({p},{q}) joins the wrong columns")
+            if not f.is_zero():
+                cleaned[(p, q)] = f
+        self.comps = cleaned
+
+    def comp(self, p: int, q: int) -> Proto:
+        f = self.comps.get((p, q))
+        if f is None:
+            return Proto.zero(self.source.column(q), self.target.column(p),
+                              self.degree - p + q)
+        return f
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __add__(self, other: "DGHomElement") -> "DGHomElement":
+        if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
+            raise ShapeMismatch("elements not parallel")
+        keys = set(self.comps) | set(other.comps)
+        return DGHomElement(self.source, self.target, self.degree,
+                            {k: self.comp(*k) + other.comp(*k) for k in keys})
+
+    def __rmul__(self, c: int) -> "DGHomElement":
+        return DGHomElement(self.source, self.target, self.degree,
+                            {k: c * f for k, f in self.comps.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DGHomElement):
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.degree == other.degree and self.comps == other.comps)
+
+
+def reference_dg_identity(a: DoubleComplex) -> DGHomElement:
+    comps = {(m, m): identity_map(a.column(m)) for m in a.column_degrees()}
+    return DGHomElement(a, a, 0, comps)
+
+
+def reference_dg_hom_differential(f: DGHomElement) -> DGHomElement:
+    """d(f)_{p,q} = (-1)^p d(f_{p,q}) + delta_p o f_{p+1,q}
+    - (-1)^n f_{p,q-1} o delta_q."""
+    a, b, n = f.source, f.target, f.degree
+    sign_n = -1 if n % 2 else 1
+    p_range = set()
+    for (p, q) in f.comps:
+        p_range.update([(p, q), (p - 1, q), (p, q + 1)])
+    for p in b.column_degrees():
+        for q in a.column_degrees():
+            p_range.add((p, q))
+    comps = {}
+    for (p, q) in p_range:
+        term = Proto.zero(a.column(q), b.column(p), n - 1 - p + q)
+        term = term + ((-1 if p % 2 else 1) * d_hom(f.comp(p, q)))
+        term = term + compose(b.delta_map(p + 1), f.comp(p + 1, q))
+        term = term - sign_n * compose(f.comp(p, q - 1), a.delta_map(q))
+        if not term.is_zero():
+            comps[(p, q)] = term
+    return DGHomElement(a, b, n - 1, comps)
+
+
+def reference_dg_compose(g: DGHomElement, f: DGHomElement) -> DGHomElement:
+    """(g o f)_{p,q} = sum_r g_{p,r} o f_{r,q}."""
+    if g.source != f.target:
+        raise ShapeMismatch("dg_compose: middle double complexes differ")
+    comps: Dict[Tuple[int, int], Proto] = {}
+    for (p, r) in g.comps:
+        for (r2, q) in f.comps:
+            if r2 != r:
+                continue
+            term = compose(g.comp(p, r), f.comp(r, q))
+            if (p, q) in comps:
+                comps[(p, q)] = comps[(p, q)] + term
+            else:
+                comps[(p, q)] = term
+    return DGHomElement(f.source, g.target, g.degree + f.degree, comps)
 
 
 def rand_dg_hom(rng, a, b, n):
@@ -118,14 +226,14 @@ class TestDGHomCalculus:
         rng = random.Random(3)
         for _ in range(10):
             a = rand_double_complex(rng)
-            assert dg_hom_differential(dg_identity(a)).is_zero()
+            assert reference_dg_hom_differential(reference_dg_identity(a)).is_zero()
 
     def test_single_entry_with_zero_delta_reduces_to_inner(self):
         rng = random.Random(4)
         x, y = rand_complex(rng), rand_complex(rng)
         a, b = embed_i(x), embed_i(y)
         f = rand_dg_hom(rng, a, b, 0)
-        df = dg_hom_differential(f)
+        df = reference_dg_hom_differential(f)
         from dgkernel.complexes import d_hom
 
         assert df.comp(0, 0) == d_hom(f.comp(0, 0))
@@ -135,15 +243,15 @@ class TestDGHomCalculus:
         for _ in range(20):
             a, b = rand_double_complex(rng), rand_double_complex(rng)
             f = rand_dg_hom(rng, a, b, rng.randint(-1, 1))
-            assert dg_hom_differential(dg_hom_differential(f)).is_zero()
+            assert reference_dg_hom_differential(reference_dg_hom_differential(f)).is_zero()
 
     def test_identity_laws_and_single_entries(self):
         rng = random.Random(6)
         for _ in range(10):
             a, b = rand_double_complex(rng), rand_double_complex(rng)
             f = rand_dg_hom(rng, a, b, rng.randint(-1, 1))
-            assert dg_compose(dg_identity(b), f) == f
-            assert dg_compose(f, dg_identity(a)) == f
+            assert reference_dg_compose(reference_dg_identity(b), f) == f
+            assert reference_dg_compose(f, reference_dg_identity(a)) == f
 
     def test_leibniz(self):
         rng = random.Random(7)
@@ -152,9 +260,9 @@ class TestDGHomCalculus:
             f = rand_dg_hom(rng, a, b, rng.randint(-1, 1))
             g = rand_dg_hom(rng, b, c, rng.randint(-1, 1))
             sign = -1 if g.degree % 2 else 1
-            lhs = dg_hom_differential(dg_compose(g, f))
-            rhs = dg_compose(dg_hom_differential(g), f) + \
-                sign * dg_compose(g, dg_hom_differential(f))
+            lhs = reference_dg_hom_differential(reference_dg_compose(g, f))
+            rhs = reference_dg_compose(reference_dg_hom_differential(g), f) + \
+                sign * reference_dg_compose(g, reference_dg_hom_differential(f))
             assert lhs == rhs
 
     def test_associativity(self):
@@ -164,7 +272,8 @@ class TestDGHomCalculus:
             f = rand_dg_hom(rng, a, b, 0)
             g = rand_dg_hom(rng, b, c, 1)
             h = rand_dg_hom(rng, c, d, -1)
-            assert dg_compose(dg_compose(h, g), f) == dg_compose(h, dg_compose(g, f))
+            assert (reference_dg_compose(reference_dg_compose(h, g), f)
+                    == reference_dg_compose(h, reference_dg_compose(g, f)))
 
 
 class TestWeightJ:
@@ -218,6 +327,139 @@ class TestTotViaColimit:
             tot_via_weighted_colimit(DoubleComplex({-1: K0}, {}), window=1)
         cmp = tot_via_weighted_colimit(DoubleComplex({1: K0}, {}), window=1)
         assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot)
+
+
+# -- the totalization weight, block by block ----------------------------------
+
+
+def reference_weight_J(window: int):
+    """weight_J as built per hom: a TensorSpace for each hom and, for the
+    generator v + 1 -> v, the codifferential L Z -> S L Z shifted by v."""
+    cat = ell_op_window_category(window)
+    lz = functor_L(unit_complex())
+    values = {m: suspension(lz, m) for m in cat.objects}
+    actions = {}
+    for (u, v) in cat.homs:
+        ts = TensorSpace(values[v], cat.hom(u, v))
+        if u == v:
+            comps = {n: IntMatrix.identity(values[v].rank(n))
+                     for n in values[v].degrees() if values[v].rank(n)}
+        else:
+            codiff = suspension_map(
+                ChainMap(lz, suspension(lz, 1), 0, {0: IntMatrix.identity(1)}), v)
+            comps = {n: codiff.comp(n) for n in values[v].degrees()
+                     if values[v].rank(n) and values[u].rank(n)}
+        actions[(u, v)] = ChainMap(ts.complex, values[u], 0, comps)
+    return cat, DGModule(cat, values, actions)
+
+
+def reference_double_complex_as_left_module(cat, a: DoubleComplex) -> DGModule:
+    """The diagram of a, with every component of each action read one
+    degree at a time, zero blocks included."""
+    values = {m: a.column(m) for m in cat.objects}
+    actions = {}
+    for (u, v) in cat.homs:
+        ts = TensorSpace(cat.hom(u, v), values[u])
+        if u == v:
+            comps = {n: IntMatrix.identity(values[u].rank(n))
+                     for n in values[u].degrees() if values[u].rank(n)}
+        else:
+            delta = a.delta_map(u)
+            comps = {n: delta.comp(n) for n in values[u].degrees()
+                     if values[u].rank(n) and values[v].rank(n)}
+        actions[(u, v)] = ChainMap(ts.complex, values[v], 0, comps)
+    return DGModule(cat, values, actions, LEFT)
+
+
+def reference_tot_comparison(a: DoubleComplex, window: int):
+    """(colimit, Tot, iso, inverse) with Phi filled one tensor basis element
+    at a time, from the reference weight and diagram."""
+    cat, j_mod = reference_weight_J(window)
+    a_mod = reference_double_complex_as_left_module(cat, a)
+    wc = weighted_colimit(j_mod, a_mod)
+    colim, ts = wc.colimit, TotSpace(a)
+    tot = ts.complex
+    presented = wc.coend.presented
+    ambient = presented.ambient
+    phi_rows: Dict[int, List[List[int]]] = {
+        n: [[0] * ambient.rank(n) for _ in range(tot.rank(n))] for n in ambient.degrees()}
+    for m in cat.objects:
+        if a_mod.value(m).is_zero():
+            continue
+        t_space = wc.coend.tensor_space(m)
+        for n in t_space.complex.degrees():
+            for col_local, t in enumerate(t_space.basis(n)):
+                amb_idx = wc.coend.slot(m, n) + col_local
+                if t.left_degree == m:
+                    phi_rows[n][ts.slot(n, m, t.right_index)][amb_idx] += _triangular_sign(m)
+                else:
+                    delta = a.delta_map(m).comp(t.right_degree)
+                    for i, v in enumerate(delta.col(t.right_index)):
+                        if v:
+                            phi_rows[n][ts.slot(n, m - 1, i)][amb_idx] += \
+                                _triangular_sign(m - 1) * v
+    iso_comps, inv_comps = {}, {}
+    for n in colim.degrees():
+        if colim.rank(n) == 0:
+            continue
+        rows = phi_rows.get(n) or []
+        phi = (IntMatrix.from_rows(rows, ambient.rank(n)) if rows
+               else IntMatrix.zeros(tot.rank(n), ambient.rank(n)))
+        iso_comps[n] = phi @ presented.section(n)
+        inv_comps[n] = inverse_unimodular(iso_comps[n])
+    return colim, tot, ChainMap(colim, tot, 0, iso_comps), ChainMap(tot, colim, 0, inv_comps)
+
+
+def _window_of(a: DoubleComplex, extra: int) -> int:
+    cols = a.column_degrees()
+    return (max(abs(m) for m in cols) + 1 if cols else 1) + extra
+
+
+def _same_actions(mod: DGModule, ref: DGModule):
+    assert mod.values == ref.values
+    assert list(mod.actions) == list(ref.actions)
+    for key, act in mod.actions.items():
+        want = ref.actions[key]
+        assert isinstance(act, ChainMap)
+        assert act == want, key      # source, target, degree and stored comps
+
+
+class TestTotalizationBlocks:
+    @pytest.mark.parametrize("window", range(1, 7))
+    def test_weight_actions_equal_the_reference(self, window):
+        cat, j_mod = weight_J(window)
+        _, ref = reference_weight_J(window)
+        _same_actions(j_mod, ref)
+        assert j_mod.validate() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.integers(0, 2))
+    def test_diagram_actions_equal_the_reference(self, seed, extra):
+        a = rand_double_complex(random.Random(seed))
+        cat = ell_op_window_category(_window_of(a, extra))
+        _same_actions(double_complex_as_left_module(cat, a),
+                      reference_double_complex_as_left_module(cat, a))
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.integers(0, 2))
+    def test_comparison_equals_the_reference(self, seed, extra):
+        a = rand_double_complex(random.Random(seed))
+        window = _window_of(a, extra)
+        cmp = tot_via_weighted_colimit(a, window)
+        colim, tot, iso, inverse = reference_tot_comparison(a, window)
+        assert (cmp.colimit, cmp.tot) == (colim, tot)
+        assert cmp.iso == iso
+        assert cmp.inverse == inverse
+
+    def test_comparison_with_nonzero_delta_equals_the_reference(self):
+        for a in (_square(MUTATION_COL), _square(rand_complex(random.Random(3)))):
+            cmp = tot_via_weighted_colimit(a)
+            _, _, iso, inverse = reference_tot_comparison(a, cmp.window)
+            assert a.delta and (cmp.iso, cmp.inverse) == (iso, inverse)
+
+    def test_window_category_shares_one_composition_table(self):
+        cat = ell_op_window_category(4)
+        assert len({id(t) for t in cat.compose_table.values()}) == 1
 
 
 class TestTotAdjunction:
@@ -331,7 +573,7 @@ def reference_tot_adjunction_check(a: DoubleComplex, x: Complex) -> bool:
             back = reference_dg_hom_to_tot_proto(f, x, ts)
             if back != h:
                 return False
-            lhs = reference_dg_hom_to_tot_proto(dg_hom_differential(f), x, ts)
+            lhs = reference_dg_hom_to_tot_proto(reference_dg_hom_differential(f), x, ts)
             rhs = d_hom(h)
             if lhs != rhs:
                 return False
@@ -438,7 +680,7 @@ class TestTotAdjunctionCoordinates:
                 unit = [0] * sp.stack.dim(n)
                 unit[perm[k]] = 1
                 assert _stack_vector(sp, f) == unit
-                assert _stack_vector(sp, dg_hom_differential(f)) == [row[perm[k]] for row in dg]
+                assert _stack_vector(sp, reference_dg_hom_differential(f)) == [row[perm[k]] for row in dg]
 
     def test_fixtures_pass(self):
         a, x, w = _mutation_fixture()
