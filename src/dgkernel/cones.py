@@ -62,6 +62,22 @@ def _cone_sign() -> int:
 # -- direct sums -------------------------------------------------------------
 
 
+def _split_exactness_failures(i: Proto, j: Proto, p: Proto, q: Proto,
+                              middle: Complex) -> List[str]:
+    """p i = 0, q i = 1, p j = 1 and i q + j p = 1 for i, j into `middle`
+    and p, q out of it."""
+    failures = []
+    if not compose(p, i).is_zero():
+        failures.append("p o i != 0")
+    if compose(q, i) != identity_map(i.source):
+        failures.append("q o i != 1")
+    if compose(p, j) != identity_map(j.source):
+        failures.append("p o j != 1")
+    if compose(i, q) + compose(j, p) != identity_map(middle):
+        failures.append("i q + j p != 1")
+    return failures
+
+
 @dataclass
 class DirectSumWitness:
     """A + B with i: A ->, j: B ->, p: -> B, q: -> A satisfying
@@ -74,17 +90,7 @@ class DirectSumWitness:
     q: ChainMap
 
     def check(self) -> List[str]:
-        a, b = self.i.source, self.j.source
-        failures = []
-        if not compose(self.p, self.i).is_zero():
-            failures.append("p o i != 0")
-        if compose(self.q, self.i) != identity_map(a):
-            failures.append("q o i != 1")
-        if compose(self.p, self.j) != identity_map(b):
-            failures.append("p o j != 1")
-        total = compose(self.i, self.q) + compose(self.j, self.p)
-        if total != identity_map(self.object):
-            failures.append("i q + j p != 1")
+        failures = _split_exactness_failures(self.i, self.j, self.p, self.q, self.object)
         if not compose(self.q, self.j).is_zero():
             failures.append("q o j != 0")
         return failures
@@ -216,18 +222,7 @@ class ConeRecognitionData:
     q: Proto
 
     def check(self) -> List[str]:
-        failures = []
-        b, c = self.i.source, self.i.target
-        sa = self.p.target
-        if not compose(self.p, self.i).is_zero():
-            failures.append("p o i != 0")
-        if compose(self.q, self.i) != identity_map(b):
-            failures.append("q o i != 1")
-        if compose(self.p, self.j) != identity_map(sa):
-            failures.append("p o j != 1")
-        if compose(self.i, self.q) + compose(self.j, self.p) != identity_map(c):
-            failures.append("i q + j p != 1")
-        return failures
+        return _split_exactness_failures(self.i, self.j, self.p, self.q, self.i.target)
 
 
 @dataclass

@@ -22,6 +22,7 @@ pick up (-1)^{k|f|}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -1052,83 +1053,118 @@ class CauchyReport:
     witness: Optional[str] = None
 
 
-def verify_cauchy_data(cd: CauchyData) -> CauchyReport:
-    """The evaluated snake identity: sum_i x_i . eps(y_i (x) u) = u for
-    every basis element u of every value complex in every degree.
+# -- the Cauchy equations ------------------------------------------------------
+#
+# Each equation is (label, terms, const) and reads
+#     sum over terms (coeff, u, v, n, m, post) of coeff * post(eps_{(u,v)}(n (x) m)) = const,
+# linear in eps.  `solve_cauchy_counit` solves them for eps; the verifiers
+# evaluate them on a given eps.
+
+
+def _snake_equations(m: DGModule, eta: List[Tuple[object, Elt, Elt]]):
+    """The evaluated snake identity sum_i x_i . eps(y_i (x) u) = u, one
+    equation ("snake", x, r, i) per basis element u = e_i of M x in degree r.
 
     Every map in the snake is a degree-0 chain map, and the co-Yoneda
     isomorphism is induced by the action chain maps, so the terms are
     evaluated through `act` (the elementwise dot differs from it by the
     currying sign and would double-count it here).
     """
+    for x_obj in m.base.objects:
+        mx = m.value(x_obj)
+        for r in mx.degrees():
+            for i, u_elt in enumerate(basis_elts(mx, r)):
+                terms = [(1, e_obj, x_obj, y_i, u_elt,
+                          lambda f, e_obj=e_obj, x_i=x_i, x_obj=x_obj:
+                          m.act(x_obj, e_obj, x_i, f))
+                         for (e_obj, x_i, y_i) in eta]
+                yield ("snake", x_obj, r, i), terms, u_elt
+
+
+def _naturality_equations(m: DGModule, n_mod: DGModule):
+    """DG-naturality of eps in both variables, on basis elements:
+
+    ("U", u, u2, v): eps((g.n) (x) m) - g o eps(n (x) m) = 0 in hom(v, u2),
+    for g in hom(u, u2);
+    ("V", u, v2, v): eps(n (x) (m.f)) - (-1)^{|m||f|} eps(n (x) m) o f = 0
+    in hom(v2, u), for f in hom(v2, v).
+
+    Only nonzero target homs are visited: elsewhere both sides lie in a
+    zero group.  For fixed (u, v) the U equations follow homs_out(u) and
+    the V equations homs_in(v).
+    """
+    base = m.base
+    for u, u2, homuu2 in base.nonzero_homs():
+        for v, tgt in base.homs_in(u2):
+            nu, mv = n_mod.value(u), m.value(v)
+            if nu.is_zero() or mv.is_zero():
+                continue
+            for g in all_basis_elts(homuu2):
+                for n_elt in all_basis_elts(nu):
+                    gn = n_mod.dot(u, u2, g, n_elt)
+                    for m_elt in all_basis_elts(mv):
+                        deg = g.degree + n_elt.degree + m_elt.degree
+                        terms = [
+                            (1, u2, v, gn, m_elt, lambda f: f),
+                            (-1, u, v, n_elt, m_elt,
+                             lambda f, g=g, v=v, u=u, u2=u2:
+                             base.compose_elts(v, u, u2, g, f)),
+                        ]
+                        yield ("U", u, u2, v), terms, Elt(tgt, deg, (0,) * tgt.rank(deg))
+    for v2, v, homv2v in base.nonzero_homs():
+        for u, tgt in base.homs_out(v2):
+            nu, mv = n_mod.value(u), m.value(v)
+            if nu.is_zero() or mv.is_zero():
+                continue
+            for f in all_basis_elts(homv2v):
+                for n_elt in all_basis_elts(nu):
+                    for m_elt in all_basis_elts(mv):
+                        mf = m.dot(v2, v, m_elt, f)
+                        sign = -1 if (m_elt.degree * f.degree) % 2 else 1
+                        deg = n_elt.degree + m_elt.degree + f.degree
+                        terms = [
+                            (1, u, v2, n_elt, mf, lambda h: h),
+                            (-sign, u, v, n_elt, m_elt,
+                             lambda h, f=f, v2=v2, v=v, u=u:
+                             base.compose_elts(v2, v, u, h, f)),
+                        ]
+                        yield ("V", u, v2, v), terms, Elt(tgt, deg, (0,) * tgt.rank(deg))
+
+
+def _equation_holds(cd: CauchyData, terms, const: Elt) -> bool:
+    """One Cauchy equation evaluated on the eps of cd; every post lands in
+    the group of const, so the sides are compared in coordinates."""
+    rest = const.vec
+    for (coeff, u, v, n_elt, m_elt, post) in terms:
+        got = post(cd.eps_apply(u, v, n_elt, m_elt)).vec
+        rest = [r - coeff * g for r, g in zip(rest, got)]
+    return not any(rest)
+
+
+def verify_cauchy_data(cd: CauchyData) -> CauchyReport:
+    """The snake identity of `_snake_equations`; the witness names the
+    first basis element where it fails."""
     for (e_obj, x, y) in cd.eta:
         if x.degree + y.degree != 0:
             return CauchyReport(False, f"eta term at {e_obj} has degrees "
                                        f"({x.degree},{y.degree})")
-    base = cd.m.base
-    for x_obj in base.objects:
-        mx = cd.m.value(x_obj)
-        if mx.is_zero():
-            continue
-        for r in mx.degrees():
-            for u in basis_elts(mx, r):
-                total = Elt(mx, r, (0,) * mx.rank(r))
-                for (e_obj, x_i, y_i) in cd.eta:
-                    f = cd.eps_apply(e_obj, x_obj, y_i, u)
-                    total = total + cd.m.act(x_obj, e_obj, x_i, f)
-                if total != u:
-                    return CauchyReport(
-                        False,
-                        f"snake fails at object {x_obj}, degree {r}, "
-                        f"basis index {u.vec.index(1)}")
+    for (_, x_obj, r, i), terms, const in _snake_equations(cd.m, cd.eta):
+        if not _equation_holds(cd, terms, const):
+            return CauchyReport(
+                False, f"snake fails at object {x_obj}, degree {r}, basis index {i}")
     return CauchyReport(True)
 
 
 def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
-    """DG-naturality of eps in both variables, on basis elements.
-
-    In U: eps((g.n) (x) m) = g o eps(n (x) m).
-    In V: eps(n (x) (m.f)) = (-1)^{|m||f|} eps(n (x) m) o f.
-
-    Only the pairs (u, v) that homs u -> u2 <- v or u <- v2 -> v reach are
-    visited, in object order: elsewhere both sides of every equation lie in
-    the zero groups hom(v, u2) and hom(v2, u).
-    """
-    out = []
-    base = cd.m.base
-    where = {x: i for i, x in enumerate(base.objects)}
-    for u in base.objects:
-        nu = cd.n.value(u)
-        if nu.is_zero():
-            continue
-        reached = {v for u2, _ in base.homs_out(u) for v, _ in base.homs_in(u2)}
-        reached.update(v for v2, _ in base.homs_in(u) for v, _ in base.homs_out(v2))
-        for v in sorted(reached, key=where.__getitem__):
-            mv = cd.m.value(v)
-            if mv.is_zero():
-                continue
-            for u2, homuu2 in base.homs_out(u):
-                for g in all_basis_elts(homuu2):
-                    for n_elt in all_basis_elts(nu):
-                        gn = cd.n.dot(u, u2, g, n_elt)
-                        for m_elt in all_basis_elts(mv):
-                            lhs = cd.eps_apply(u2, v, gn, m_elt)
-                            rhs = base.compose_elts(
-                                v, u, u2, g, cd.eps_apply(u, v, n_elt, m_elt))
-                            if lhs != rhs:
-                                out.append(f"eps naturality in U fails at ({u}->{u2},{v})")
-            for v2, homv2v in base.homs_in(v):
-                for f in all_basis_elts(homv2v):
-                    for n_elt in all_basis_elts(nu):
-                        for m_elt in all_basis_elts(mv):
-                            mf = cd.m.dot(v2, v, m_elt, f)
-                            sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                            lhs = cd.eps_apply(u, v2, n_elt, mf)
-                            rhs = sign * base.compose_elts(
-                                v2, v, u, cd.eps_apply(u, v, n_elt, m_elt), f)
-                            if lhs != rhs:
-                                out.append(f"eps naturality in V fails at ({u},{v2}->{v})")
-    return out
+    """One message per failing equation of `_naturality_equations`, grouped
+    by the pair (u, v) in object order, U before V."""
+    where = {x: i for i, x in enumerate(cd.m.base.objects)}
+    failing = [label for label, terms, const in _naturality_equations(cd.m, cd.n)
+               if not _equation_holds(cd, terms, const)]
+    failing.sort(key=lambda lab: (where[lab[1]], where[lab[3]], lab[0] == "V"))
+    return [f"eps naturality in U fails at ({u}->{w},{v})" if kind == "U"
+            else f"eps naturality in V fails at ({u},{w}->{v})"
+            for kind, u, w, v in failing]
 
 
 def representable_cauchy_data(cat: FiniteDGCategory, k) -> CauchyData:
@@ -1259,10 +1295,7 @@ def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
     e = sigma.apply(b_obj, gamma_p.apply(b_obj, one_b))
     if base.compose_elts(b_obj, b_obj, b_obj, e, e) != e:
         failures.append("extracted e is not idempotent")
-    for x_obj in base.objects:
-        hom_xb = base.hom(x_obj, b_obj)
-        if hom_xb.is_zero():
-            continue
+    for x_obj, hom_xb in base.homs_in(b_obj):
         for f in all_basis_elts(hom_xb):
             lhs = sigma.apply(x_obj, gamma_p.apply(x_obj, f))
             rhs = base.compose_elts(x_obj, b_obj, b_obj, e, f)
@@ -1316,18 +1349,23 @@ def module_presentation(m: DGModule,
         for b in base.objects:
             for g in all_basis_elts(m.value(b)):
                 generators.append((b, g))
+    at_obj: Dict[object, List[Tuple[int, Elt]]] = {}
+    for j, (b_obj, g) in enumerate(generators):
+        at_obj.setdefault(b_obj, []).append((j, g))
     cells = []
     for x_obj in base.objects:
         mx = m.value(x_obj)
         if mx.is_zero():
             continue
+        # the generators that a nonzero hom out of x_obj reaches, in generator order
+        reached = sorted(((j, b_obj, g, hom_xb) for b_obj, hom_xb in base.homs_out(x_obj)
+                          for j, g in at_obj.get(b_obj, ())), key=lambda t: t[0])
         for r in mx.degrees():
             if mx.rank(r) == 0:
                 continue
             cols = []
             labels = []
-            for j, (b_obj, g) in enumerate(generators):
-                hom_xb = base.hom(x_obj, b_obj)
+            for j, b_obj, g, hom_xb in reached:
                 fdeg = r - g.degree
                 for idx, f in enumerate(basis_elts(hom_xb, fdeg)):
                     cols.append(m.dot(x_obj, b_obj, g, f).vec)
@@ -1368,27 +1406,16 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     rows: List[List[int]] = []
     rhs: List[int] = []
 
-    def eps_linear_coeffs(u, v, n_elt: Elt, m_elt: Elt):
-        """Output-basis coefficients of eps(n (x) m) as linear forms."""
-        if (u, v) not in spaces:
-            return None
-        ts, target = spaces[(u, v)]
-        d = n_elt.degree + m_elt.degree
-        if target.rank(d) == 0 or ts.dim(d) == 0:
-            return None
-        pair = ts.embed_pair(n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
-        return d, pair, target
-
-    def add_equation(lin_terms, const: Elt):
-        """sum of lin_terms (coeff, u, v, n_elt, m_elt, post) = const,
-        where post maps an eps output basis element to an Elt of const.cx."""
-        dim = const.cx.rank(const.degree)
-        block = [[0] * total for _ in range(dim)]
-        for (coeff, u, v, n_elt, m_elt, post) in lin_terms:
-            got = eps_linear_coeffs(u, v, n_elt, m_elt)
-            if got is None:
+    # each Cauchy equation gives one row per coordinate of const
+    for _, terms, const in chain(_snake_equations(m, eta),
+                                 _naturality_equations(m, n_mod)):
+        block = [[0] * total for _ in range(len(const.vec))]
+        for (coeff, u, v, n_elt, m_elt, post) in terms:
+            ts, target = spaces.get((u, v), (None, None))
+            d = n_elt.degree + m_elt.degree
+            if ts is None or target.rank(d) == 0 or ts.dim(d) == 0:
                 continue
-            d, pair, target = got
+            pair = ts.embed_pair(n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
             pair_row = IntMatrix(1, len(pair), pair)
             for o, f in enumerate(basis_elts(target, d)):
                 # coeff * post(f)_i * pair_k lands on entry (o, k) of eps_d
@@ -1396,60 +1423,6 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
                              IntMatrix.column(post(f).vec), pair_row, coeff)
         rows.extend(block)
         rhs.extend(const.vec)
-
-    # snake: sum_i act(x_i (x) eps(y_i (x) u)) = u
-    for x_obj in base.objects:
-        mx = m.value(x_obj)
-        for r in mx.degrees():
-            for u_elt in basis_elts(mx, r):
-                terms = []
-                for (e_obj, x_i, y_i) in eta:
-                    terms.append((1, e_obj, x_obj, y_i, u_elt,
-                                  lambda f, e_obj=e_obj, x_i=x_i, x_obj=x_obj:
-                                  m.act(x_obj, e_obj, x_i, f)))
-                add_equation(terms, u_elt)
-
-    # naturality in U: eps((g.n) (x) m) - g o eps(n (x) m) = 0 in hom(v, u2) != 0
-    for u, u2, homuu2 in base.nonzero_homs():
-        for v, tgt in base.homs_in(u2):
-            nu, mv = n_mod.value(u), m.value(v)
-            if nu.is_zero() or mv.is_zero():
-                continue
-            for g in all_basis_elts(homuu2):
-                for n_elt in all_basis_elts(nu):
-                    gn = n_mod.dot(u, u2, g, n_elt)
-                    for m_elt in all_basis_elts(mv):
-                        deg = g.degree + n_elt.degree + m_elt.degree
-                        zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
-                        terms = [
-                            (1, u2, v, gn, m_elt, lambda f: f),
-                            (-1, u, v, n_elt, m_elt,
-                             lambda f, g=g, v=v, u=u, u2=u2:
-                             base.compose_elts(v, u, u2, g, f)),
-                        ]
-                        add_equation(terms, zero)
-
-    # naturality in V: eps(n (x) (m.f)) - (-1)^{|m||f|} eps(n (x) m) o f = 0
-    # in hom(v2, u) != 0
-    for v2, v, homv2v in base.nonzero_homs():
-        for u, tgt in base.homs_out(v2):
-            nu, mv = n_mod.value(u), m.value(v)
-            if nu.is_zero() or mv.is_zero():
-                continue
-            for f in all_basis_elts(homv2v):
-                for n_elt in all_basis_elts(nu):
-                    for m_elt in all_basis_elts(mv):
-                        mf = m.dot(v2, v, m_elt, f)
-                        sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                        deg = n_elt.degree + m_elt.degree + f.degree
-                        zero = Elt(tgt, deg, (0,) * tgt.rank(deg))
-                        terms = [
-                            (1, u, v2, n_elt, mf, lambda h: h),
-                            (-sign, u, v, n_elt, m_elt,
-                             lambda h, f=f, v2=v2, v=v, u=u:
-                             base.compose_elts(v2, v, u, h, f)),
-                        ]
-                        add_equation(terms, zero)
 
     # chain-map property of each eps component: d o eps = eps o d_tensor,
     # one block of rows per input basis element e_k

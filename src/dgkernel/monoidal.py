@@ -277,8 +277,8 @@ def distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, Ch
 
 def sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
     """S(A (x) B) = SA (x) B as mutually inverse chain maps."""
-    src = suspension(tensor(a, b), 1)
     ts_src = TensorSpace(a, b)
+    src = suspension(ts_src.complex, 1)
     ts_tgt = TensorSpace(suspension(a, 1), b)
 
     def fwd(n, flat):

@@ -61,7 +61,7 @@ from dgkernel.dgcat import (
 from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
 from dgkernel.rand import rand_double_complex
 from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
-from dgkernel.zlinalg import FPAbGroup, IntMatrix, cokernel
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, cokernel, kernel_basis
 
 K0 = unit_complex()
 LZ = functor_L(K0)
@@ -860,6 +860,54 @@ def reference_cauchy_naturality_failures(cd):
     return out
 
 
+def reference_verify_cauchy_data(cd):
+    """(ok, witness) of `verify_cauchy_data` from the snake identity written
+    out by hand, one basis element at a time."""
+    for (e_obj, x, y) in cd.eta:
+        if x.degree + y.degree != 0:
+            return False, f"eta term at {e_obj} has degrees ({x.degree},{y.degree})"
+    for x_obj in cd.m.base.objects:
+        mx = cd.m.value(x_obj)
+        if mx.is_zero():
+            continue
+        for r in mx.degrees():
+            for u in basis_elts(mx, r):
+                total = Elt(mx, r, (0,) * mx.rank(r))
+                for (e_obj, x_i, y_i) in cd.eta:
+                    f = cd.eps_apply(e_obj, x_obj, y_i, u)
+                    total = total + cd.m.act(x_obj, e_obj, x_i, f)
+                if total != u:
+                    return False, (f"snake fails at object {x_obj}, degree {r}, "
+                                   f"basis index {u.vec.index(1)}")
+    return True, None
+
+
+def reference_module_presentation(m, generators=None):
+    """The cells of `module_presentation` from the scan that read
+    hom(x, b) for every object x and every generator at b."""
+    base = m.base
+    if generators is None:
+        generators = [(b, g) for b in base.objects for g in all_basis_elts(m.value(b))]
+    cells = []
+    for x_obj in base.objects:
+        mx = m.value(x_obj)
+        if mx.is_zero():
+            continue
+        for r in mx.degrees():
+            if mx.rank(r) == 0:
+                continue
+            cols, labels = [], []
+            for j, (b_obj, g) in enumerate(generators):
+                fdeg = r - g.degree
+                for idx, f in enumerate(basis_elts(base.hom(x_obj, b_obj), fdeg)):
+                    cols.append(m.dot(x_obj, b_obj, g, f).vec)
+                    labels.append((j, fdeg, idx))
+            gamma = IntMatrix.from_cols(cols, mx.rank(r))
+            cells.append(dgcat.PresentationCell(x_obj, r, gamma, labels, kernel_basis(gamma),
+                                                cokernel(gamma).group))
+    return cells
+
+
 def reference_counit_eps(cat, k):
     """The eps of representable_cauchy_data(cat, k), from the pair scan."""
     eps = {}
@@ -1060,6 +1108,20 @@ class TestHomIndex:
                     seen += bool(got)
         assert seen > 50
 
+    def test_module_presentations_equal_the_reference(self, cats):
+        for cat in fixture_and_window_cats(cats):
+            mods = [representable(cat, k, RIGHT) for k in cat.objects]
+            mods.append(direct_sum_modules(mods[0], suspend_module(mods[-1], 1)))
+            for m in mods:
+                assert module_presentation(m).cells == reference_module_presentation(m)
+            # explicit generators, last object first: columns keep this order
+            gens = [(b, g) for b in reversed(cat.objects) for g in all_basis_elts(mods[-1].value(b))]
+            assert module_presentation(mods[-1], gens).cells == \
+                reference_module_presentation(mods[-1], gens)
+        for w in range(1, 5):
+            j_mod = weight_J(w)[1]
+            assert module_presentation(j_mod).cells == reference_module_presentation(j_mod)
+
     def test_counit_system_equals_the_reference(self, cats):
         pairs = [(cat, k, c) for cat in fixture_and_window_cats(cats) for k in cat.objects
                  for c in (1, 2)]
@@ -1073,6 +1135,46 @@ class TestHomIndex:
                 assert list(cd.eps) == list(dict.fromkeys((u, v) for u, v, _ in keys))
             else:
                 assert cd is None
+
+
+def criterion_10_mutations(cd):
+    """The eps of acceptance criterion 10's mutations: every component
+    negated, every component doubled, and eps erased."""
+    return [{key: Proto(t.source, t.target, 0, {q: k * mm for q, mm in t.comps().items()})
+             for key, t in cd.eps.items()} for k in (-1, 2)] + [{}]
+
+
+class TestCauchyEquations:
+    """`verify_cauchy_data` evaluates the equations of `_snake_equations`;
+    its reports equal those of the snake written out by hand."""
+
+    def test_snake_reports_equal_the_reference(self, cats):
+        data = [representable_cauchy_data(cat, k)
+                for cat in fixture_and_window_cats(cats) for k in cat.objects]
+        data.append(two_term_cauchy_fixture(cats["ext"], "*"))
+        # eta terms of total degree 1, alone and after a lawful term
+        cd, one = representable_cauchy_data(cats["ext"], "*"), cats["ext"].identity("*")
+        x1 = unit_at(cd.m.value("*"), 1, 0)
+        data += [CauchyData(cd.m, cd.n, eta, cd.eps)
+                 for eta in ([("*", x1, one)], [("*", one, one), ("*", x1, one)])]
+        failed = 0
+        for cd in data:
+            for eps in [cd.eps] + criterion_10_mutations(cd) + list(eps_variants(cd)):
+                mutated = CauchyData(cd.m, cd.n, cd.eta, eps)
+                rep = verify_cauchy_data(mutated)
+                assert (rep.ok, rep.witness) == reference_verify_cauchy_data(mutated)
+                failed += not rep.ok
+        assert failed > 100
+        assert verify_cauchy_data(data[-1]).witness == "eta term at * has degrees (1,0)"
+
+    def test_snake_check_reads_no_naturality_equation(self, cats, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the snake check walked the naturality equations")
+
+        monkeypatch.setattr(dgcat, "_naturality_equations", refuse)
+        cd = representable_cauchy_data(cats["sub"], "LZ")
+        assert verify_cauchy_data(cd).ok
+        assert not verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, {})).ok
 
 
 class CountingTables(dict):
@@ -1120,6 +1222,14 @@ class TestLinearGrowth:
         for w in self.WINDOWS:
             cat, cd = all_values_nonzero(w)
             reads.append(index_reads(monkeypatch, cat, lambda: cauchy_naturality_failures(cd)))
+        assert 0 < reads[1] <= 2 * reads[0]
+
+    def test_module_presentation_reads_grow_linearly(self, monkeypatch):
+        # the scan read hom once per object and generator: 4,421 times at w = 16
+        reads = []
+        for w in self.WINDOWS:
+            cat, j_mod = weight_J(w)
+            reads.append(index_reads(monkeypatch, cat, lambda: module_presentation(j_mod)))
         assert 0 < reads[1] <= 2 * reads[0]
 
     def test_representable_reads_grow_linearly(self, monkeypatch):
