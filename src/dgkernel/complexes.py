@@ -429,21 +429,13 @@ def functor_L(x: Complex) -> Complex:
 
 
 def functor_R(x: Complex) -> Complex:
-    """Right adjoint of U: (RX)_n = X_n + X_{n-1} with the same block d."""
+    """Right adjoint of U: (RX)_n = X_n + X_{n-1} = (LX)_{n-1}, with the
+    same block d and no suspension sign."""
     if not x.has_zero_differentials():
         raise NotGraded("R is defined on graded objects (all differentials zero)")
-    ranks = {n: x.rank(n) + x.rank(n - 1)
-             for n in range(x.lo, x.hi + 2)}
-    diffs: Dict[int, IntMatrix] = {}
-    for n in range(x.lo, x.hi + 2):
-        r_top, r_bot = x.rank(n - 1), x.rank(n - 2)
-        c_left, c_right = x.rank(n), x.rank(n - 1)
-        if (r_top + r_bot) and (c_left + c_right):
-            diffs[n] = block_matrix([
-                [IntMatrix.zeros(r_top, c_left), IntMatrix.identity(r_top)],
-                [IntMatrix.zeros(r_bot, c_left), IntMatrix.zeros(r_bot, c_right)],
-            ])
-    return Complex(GradedObject(ranks), diffs, _validated=True)
+    lx = functor_L(x)
+    return Complex(lx.carrier.shift(1), {n + 1: d for n, d in lx.diffs().items()},
+                   _validated=True)
 
 
 def lu_counit(a: Complex) -> ChainMap:

@@ -118,6 +118,18 @@ def all_basis_elts(cx: Complex) -> List[Elt]:
     return out
 
 
+def _evaluate(table: Optional[ChainMap], ts: TensorSpace, target: Complex,
+              a: Elt, b: Elt) -> Elt:
+    """table(a (x) b) in target, where table is a map out of ts; no table
+    is the zero map.  The pair is embedded first, so a length mismatch
+    raises either way."""
+    pair = ts.embed_pair(a.degree, a.vec, b.degree, b.vec)
+    n = a.degree + b.degree
+    if table is None:
+        return Elt(target, n, (0,) * target.rank(n))
+    return Elt(target, n, table.comp(n).apply(pair))
+
+
 class FiniteDGCategory:
     """Objects, hom complexes, composition tables, identities.
 
@@ -175,14 +187,8 @@ class FiniteDGCategory:
 
     def compose_elts(self, a, b, c, v: Elt, u: Elt) -> Elt:
         """v o u for v in hom(b,c), u in hom(a,b)."""
-        ts = self.pair_space(a, b, c)
-        pair = ts.embed_pair(v.degree, v.vec, u.degree, u.vec)
-        table = self.compose_table.get((a, b, c))
-        n = v.degree + u.degree
-        target = self.hom(a, c)
-        if table is None:
-            return Elt(target, n, (0,) * target.rank(n))
-        return Elt(target, n, table.comp(n).apply(pair))
+        return _evaluate(self.compose_table.get((a, b, c)), self.pair_space(a, b, c),
+                         self.hom(a, c), v, u)
 
     def validate(self) -> List[str]:
         """Check d^2, chain-map composition (Leibniz), associativity, units."""
@@ -426,14 +432,8 @@ class DGModule:
 
     def act(self, u, v, a: Elt, b: Elt) -> Elt:
         """Tensor-level action on a (x) b (no sign)."""
-        ts = self.action_space(u, v)
-        pair = ts.embed_pair(a.degree, a.vec, b.degree, b.vec)
-        n = a.degree + b.degree
-        target = self.value(self.ends(u, v)[1])
-        table = self.actions.get((u, v))
-        if table is None:
-            return Elt(target, n, (0,) * target.rank(n))
-        return Elt(target, n, table.comp(n).apply(pair))
+        return _evaluate(self.actions.get((u, v)), self.action_space(u, v),
+                         self.value(self.ends(u, v)[1]), a, b)
 
     def act_by(self, u, v, f: Elt, x: Elt) -> Elt:
         """f in hom(U,V) acting on x from the module's side (no sign)."""
@@ -510,30 +510,25 @@ def representable(cat: FiniteDGCategory, k, side: str) -> DGModule:
 
 
 def suspend_module(m: DGModule, k: int) -> DGModule:
-    """Shift every value by k and reindex the actions.  On the right no
-    sign appears (the identity-shaped S(A (x) B) = SA (x) B); on the left
-    the shift crosses the hom factor and picks up (-1)^{k |f|}."""
-    values = {x: suspension(m.value(x), k) for x in m.values}
-    actions = {}
+    """Shift every value by k and reindex the actions.  The shifted action
+    domain in degree n + k has the blocks of degree n in the same places,
+    so each action matrix moves up k degrees.  On the right no sign
+    appears (the identity-shaped S(A (x) B) = SA (x) B); on the left the
+    shift crosses the hom factor, and the columns of the block of hom
+    degree p pick up (-1)^{kp}."""
+    out = DGModule(m.base, {x: suspension(m.value(x), k) for x in m.values}, {}, m.side)
     for (u, v), table in m.actions.items():
-        src, tgt = m.ends(u, v)
-        ts_old = m.action_space(u, v)
-        ts_new = action_domain(m.side, m.base.hom(u, v), values[src])
+        blocks = m.action_space(u, v).layout.blocks
         comps = {}
-        for n in ts_new.complex.degrees():
-            old_n = n - k
-            cols = []
-            for t in ts_new.basis(n):
-                # p: left degree of the same basis element before the shift
-                if m.side == RIGHT:
-                    p, sign = t.left_degree - k, 1
-                else:
-                    p, sign = t.left_degree, -1 if (k * t.left_degree) % 2 else 1
-                col = table.comp(old_n).col(ts_old.slot_at(old_n, p, t.left_index, t.right_index))
-                cols.append(col if sign == 1 else tuple(-x for x in col))
-            comps[n] = IntMatrix.from_cols(cols, values[tgt].rank(n))
-        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
-    return DGModule(m.base, values, actions, m.side)
+        for n, mat in table.comps().items():
+            if m.side == LEFT and k % 2:
+                mat = mat @ IntMatrix.diagonal([-1 if (k * p) % 2 else 1
+                                                for p, rows, cols, _ in blocks(n)
+                                                for _ in range(rows * cols)])
+            comps[n + k] = mat
+        out.actions[(u, v)] = ChainMap(out.action_space(u, v).complex,
+                                       out.value(out.ends(u, v)[1]), 0, comps)
+    return out
 
 
 def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
@@ -1018,14 +1013,8 @@ class CauchyData:
 
     def eps_apply(self, u, v, yn: Elt, xm: Elt) -> Elt:
         """eps_{U,V}(yn (x) xm) in hom(V, U)."""
-        ts = self.eps_space(u, v)
-        pair = ts.embed_pair(yn.degree, yn.vec, xm.degree, xm.vec)
-        deg = yn.degree + xm.degree
-        target = self.m.base.hom(v, u)
-        table = self.eps.get((u, v))
-        if table is None:
-            return Elt(target, deg, (0,) * target.rank(deg))
-        return Elt(target, deg, table.comp(deg).apply(pair))
+        return _evaluate(self.eps.get((u, v)), self.eps_space(u, v),
+                         self.m.base.hom(v, u), yn, xm)
 
     def eta_is_coend_cycle(self) -> bool:
         """The class of sum x_i (x) y_i is a 0-cycle of M (x)_C N."""

@@ -11,7 +11,7 @@ import re
 
 from .complexes import ChainMap, Complex, Proto
 from .dgcat import LEFT, RIGHT, CauchyData, DGModule, Elt, FiniteDGCategory, action_domain
-from .monoidal import TensorSpace
+from .monoidal import tensor
 from .totals import DoubleComplex
 from .zlinalg import IntMatrix
 
@@ -83,6 +83,36 @@ def _listed(names, objects, field: str, key: str):
         if x not in objects:
             where = "" if x == key else f" in {key!r}"
             raise InputError(f"field {field!r}: object {x!r}{where} is not listed in 'objects'")
+
+
+def _arrow(key: str, shape: str, field: str, listed) -> tuple:
+    """The objects a key such as 'A->B' names, each listed in 'objects'."""
+    parts = key.split("->")
+    if len(parts) != shape.count("->") + 1:
+        raise InputError(f"{field} key {key!r}: expected {shape!r}")
+    _listed(parts, listed, field, key)
+    return tuple(parts)
+
+
+def _chain_map_table(obj, field: str, read_key, degree_field: str, ends, what: str) -> dict:
+    """The optional table ``field``: one chain map per key, each given as
+    {degree: matrix}.  ``read_key`` reads a key, ``ends(key)`` is the
+    source and target of its map, and an invalid map is reported as
+    ``what`` followed by its key."""
+    table = obj.get(field, {})
+    if not isinstance(table, dict):
+        raise InputError(f"field {field!r}: expected dict")
+    maps = {}
+    for raw, comps in table.items():
+        key = read_key(raw)
+        if not isinstance(comps, dict):
+            raise InputError(f"field {field!r}: entry {raw!r}: expected dict")
+        mats = {_degree(n, degree_field): matrix_from_json(m) for n, m in comps.items()}
+        try:
+            maps[key] = ChainMap(*ends(key), 0, mats)
+        except Exception as exc:   # a degree key is named as read, an arrow as written
+            raise InputError(f"{what} {raw if isinstance(key, tuple) else key}: {exc}")
+    return maps
 
 
 def _require(obj, field: str, kind=None):
@@ -186,17 +216,10 @@ def double_complex_to_json(a: DoubleComplex) -> dict:
 def double_complex_from_json(obj) -> DoubleComplex:
     columns = {_degree(m, "columns key"): complex_from_json(c)
                for m, c in _require(obj, "columns", dict).items()}
-    delta = {}
-    for m, comps in obj.get("delta", {}).items():
-        m = _degree(m, "delta key")
-        src = columns.get(m, Complex.zero())
-        tgt = columns.get(m - 1, Complex.zero())
-        mats = {_degree(q, "delta comp key"): matrix_from_json(v)
-                for q, v in comps.items()}
-        try:
-            delta[m] = ChainMap(src, tgt, 0, mats)
-        except Exception as exc:
-            raise InputError(f"delta at {m}: {exc}")
+    delta = _chain_map_table(
+        obj, "delta", lambda m: _degree(m, "delta key"), "delta comp key",
+        lambda m: (columns.get(m, Complex.zero()), columns.get(m - 1, Complex.zero())),
+        "delta at")
     try:
         return DoubleComplex(columns, delta)
     except Exception as exc:
@@ -240,26 +263,16 @@ def category_from_json(obj) -> FiniteDGCategory:
         seen.add(x)
     homs = {}
     for key, val in _at_most_entries(_require(obj, "homs", dict), MAX_HOMS, "homs").items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f"homs key {key!r}: expected 'A->B'")
-        _listed(parts, seen, "homs", key)
-        homs[(parts[0], parts[1])] = complex_from_json(val)
-    tables = {}
-    for key, comps in obj.get("compose", {}).items():
-        parts = key.split("->")
-        if len(parts) != 3:
-            raise InputError(f"compose key {key!r}: expected 'A->B->C'")
-        _listed(parts, seen, "compose", key)
-        a, b, c = parts
-        src = TensorSpace(homs.get((b, c), Complex.zero()),
-                          homs.get((a, b), Complex.zero())).complex
-        tgt = homs.get((a, c), Complex.zero())
-        mats = {_degree(n, "compose degree"): matrix_from_json(m) for n, m in comps.items()}
-        try:
-            tables[(a, b, c)] = ChainMap(src, tgt, 0, mats)
-        except Exception as exc:
-            raise InputError(f"compose table {key}: {exc}")
+        homs[_arrow(key, "A->B", "homs", seen)] = complex_from_json(val)
+
+    def ends(abc):
+        a, b, c = abc
+        zero = Complex.zero()
+        return tensor(homs.get((b, c), zero), homs.get((a, b), zero)), homs.get((a, c), zero)
+
+    tables = _chain_map_table(
+        obj, "compose", lambda key: _arrow(key, "A->B->C", "compose", seen), "compose degree",
+        ends, "compose table")
     identities = {}
     for a, e in _require(obj, "identities", dict).items():
         if (a, a) not in homs:
@@ -289,19 +302,14 @@ def _read_module(obj, cat: FiniteDGCategory, side: str) -> DGModule:
         _listed([x], listed, "values", x)
         values[x] = complex_from_json(c)
     module = DGModule(cat, values, {}, side)
-    for key, comps in obj.get("actions", {}).items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f"actions key {key!r}: expected 'U->V'")
-        _listed(parts, listed, "actions", key)
-        u, v = parts
-        src, tgt = module.ends(u, v)
-        space = action_domain(side, cat.hom(u, v), module.value(src)).complex
-        mats = {_degree(n, "action degree"): matrix_from_json(m) for n, m in comps.items()}
-        try:
-            module.actions[(u, v)] = ChainMap(space, module.value(tgt), 0, mats)
-        except Exception as exc:
-            raise InputError(f"action {key}: {exc}")
+
+    def ends(uv):
+        src, tgt = module.ends(*uv)
+        return action_domain(side, cat.hom(*uv), module.value(src)).complex, module.value(tgt)
+
+    module.actions.update(_chain_map_table(
+        obj, "actions", lambda key: _arrow(key, "U->V", "actions", listed), "action degree",
+        ends, "action"))
     return module
 
 
@@ -338,19 +346,9 @@ def cauchy_data_from_json(obj) -> CauchyData:
         x = _elt_from_json(_require(term, "x"), m.value(e))
         y = _elt_from_json(_require(term, "y"), n.value(e))
         eta.append((e, x, y))
-    eps = {}
-    for key, comps in obj.get("eps", {}).items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f"eps key {key!r}: expected 'U->V'")
-        _listed(parts, listed, "eps", key)
-        u, v = parts
-        src = TensorSpace(n.value(u), m.value(v)).complex
-        mats = {_degree(nn, "eps degree"): matrix_from_json(mm) for nn, mm in comps.items()}
-        try:
-            eps[(u, v)] = ChainMap(src, cat.hom(v, u), 0, mats)
-        except Exception as exc:
-            raise InputError(f"eps {key}: {exc}")
+    eps = _chain_map_table(
+        obj, "eps", lambda key: _arrow(key, "U->V", "eps", listed), "eps degree",
+        lambda uv: (tensor(n.value(uv[0]), m.value(uv[1])), cat.hom(uv[1], uv[0])), "eps")
     return CauchyData(m, n, eta, eps)
 
 

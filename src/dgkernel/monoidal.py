@@ -7,7 +7,12 @@ the solved-for duality and decomposition witnesses for L Z and R Z.
 Basis convention for (A (x) B)_n: a complexes.BlockLayout with one block
 A_p (x) B_q per left degree p, by ascending p, and within a block the
 pair (i, j) is laid out with the left index major; all signs live in
-differentials, never in basis order.
+differentials, never in basis order.  So Z (x) A, A (x) Z and A have the
+same coordinates, and so have S(A (x) B) and SA (x) B (block p of the one
+is block p + 1 of the other, in the same place): the unitors and the shift
+isomorphism are identity matrices.  The associator and distributivity
+only reorder a basis, so each is a permutation matrix whose inverse is its
+transpose.
 """
 
 from __future__ import annotations
@@ -189,34 +194,33 @@ def symmetry(left: Complex, right: Complex) -> ChainMap:
     return _slot_chain_map(src.complex, tgt.complex, mapping)
 
 
+def _same_coordinates(src: Complex, tgt: Complex) -> Tuple[ChainMap, ChainMap]:
+    """The identity on coordinates, src -> tgt and back, for two complexes
+    whose bases are laid out alike.  Both maps are checked chain maps, so
+    the two sides must share their differentials too."""
+    if src.carrier != tgt.carrier:
+        raise ShapeMismatch(f"ranks {src.carrier.ranks()} and {tgt.carrier.ranks()} differ")
+    ids = {n: IntMatrix.identity(src.rank(n)) for n in src.degrees() if src.rank(n)}
+    return ChainMap(src, tgt, 0, ids), ChainMap(tgt, src, 0, ids)
+
+
+def _with_transpose(fwd: ChainMap) -> Tuple[ChainMap, ChainMap]:
+    """A signed-permutation isomorphism and its inverse, the transpose of
+    each component (P^-1 = P^T)."""
+    inv = {n: m.transpose() for n, m in fwd.comps().items()}
+    return fwd, ChainMap(fwd.target, fwd.source, 0, inv)
+
+
 def left_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
-    """Z (x) A = A, both directions."""
-    unit = unit_complex()
-    src = TensorSpace(unit, a)
-
-    def fwd(n, flat):
-        t = src.decompose(n, flat)
-        return t.right_index, 1
-
-    def bwd(n, flat):
-        return src.slot_at(n, 0, 0, flat), 1
-
-    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+    """Z (x) A = A, both directions: the one block Z_0 (x) A_n of each
+    degree is A_n in its own order."""
+    return _same_coordinates(tensor(unit_complex(), a), a)
 
 
 def right_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
-    """A (x) Z = A, both directions."""
-    unit = unit_complex()
-    src = TensorSpace(a, unit)
-
-    def fwd(n, flat):
-        t = src.decompose(n, flat)
-        return t.left_index, 1
-
-    def bwd(n, flat):
-        return src.slot_at(n, n, flat, 0), 1
-
-    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+    """A (x) Z = A, both directions: the one block A_n (x) Z_0 of each
+    degree is A_n in its own order."""
+    return _same_coordinates(tensor(a, unit_complex()), a)
 
 
 def associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -233,16 +237,7 @@ def associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
                              inner.right_degree, inner.right_index, t.right_index)
         return right.slot_at(n, inner.left_degree, inner.left_index, bc_flat), 1
 
-    def bwd(n, flat):
-        t = right.decompose(n, flat)
-        inner = bc.decompose(t.right_degree, t.right_index)
-        ab_flat = ab.slot_at(t.left_degree + inner.left_degree,
-                             t.left_degree, t.left_index, inner.left_index)
-        return left.slot_at(n, t.left_degree + inner.left_degree, ab_flat,
-                            inner.right_index), 1
-
-    return (_slot_chain_map(left.complex, right.complex, fwd),
-            _slot_chain_map(right.complex, left.complex, bwd))
+    return _with_transpose(_slot_chain_map(left.complex, right.complex, fwd))
 
 
 def distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -262,36 +257,14 @@ def distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, Ch
         local = bc.slot_at(n, t.left_degree, t.left_index - ra, t.right_index)
         return ac.complex.rank(n) + local, 1
 
-    def bwd(n, flat):
-        ra_n = ac.complex.rank(n)
-        if flat < ra_n:
-            t = ac.decompose(n, flat)
-            return src.slot_at(n, t.left_degree, t.left_index, t.right_index), 1
-        t = bc.decompose(n, flat - ra_n)
-        return src.slot_at(n, t.left_degree,
-                           a.rank(t.left_degree) + t.left_index, t.right_index), 1
-
-    return (_slot_chain_map(src.complex, tgt, fwd),
-            _slot_chain_map(tgt, src.complex, bwd))
+    return _with_transpose(_slot_chain_map(src.complex, tgt, fwd))
 
 
 def sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
-    """S(A (x) B) = SA (x) B as mutually inverse chain maps."""
-    ts_src = TensorSpace(a, b)
-    src = suspension(ts_src.complex, 1)
-    ts_tgt = TensorSpace(suspension(a, 1), b)
-
-    def fwd(n, flat):
-        t = ts_src.decompose(n - 1, flat)
-        return ts_tgt.slot_at(n, t.left_degree + 1, t.left_index, t.right_index), 1
-
-    def bwd(n, flat):
-        t = ts_tgt.decompose(n, flat)
-        return ts_src.slot_at(n - 1, t.left_degree - 1, t.left_index, t.right_index), 1
-
-    fwd_map = _slot_chain_map(src, ts_tgt.complex, fwd)
-    bwd_map = _slot_chain_map(ts_tgt.complex, src, bwd)
-    return fwd_map, bwd_map
+    """S(A (x) B) = SA (x) B as mutually inverse chain maps: block p of
+    S(A (x) B)_n is block p + 1 of (SA (x) B)_n, in the same place, and
+    both differentials are -d."""
+    return _same_coordinates(suspension(tensor(a, b), 1), tensor(suspension(a, 1), b))
 
 
 def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]]:
@@ -317,12 +290,10 @@ def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]
 
     # [B, SC]_n has the blocks of [B, C]_{n-1} in the same places, so the
     # plain identification is the identity on coordinates.
-    same = {n: IntMatrix.identity(s_hom.rank(n)) for n in s_hom.degrees()}
     return {
         "left": (ChainMap(s_hom, hs_left.complex, 0, left_fwd),
                  ChainMap(hs_left.complex, s_hom, 0, left_bwd)),
-        "right": (ChainMap(s_hom, hs_right.complex, 0, same),
-                  ChainMap(hs_right.complex, s_hom, 0, same)),
+        "right": _same_coordinates(s_hom, hs_right.complex),
     }
 
 

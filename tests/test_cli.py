@@ -465,6 +465,45 @@ class TestInputCaps:
         assert cx.rank(0) == jsonio.MAX_RANK
 
 
+class TestMalformedTables:
+    """The four optional chain-map tables, and each of their entries, must
+    be JSON objects; a list in their place used to end in AttributeError."""
+
+    @staticmethod
+    def _colim(f, path):
+        return ["colim", "--category", f["unit_cat.json"], "--weight", path,
+                "--diagram", f["diagram.json"]]
+
+    @pytest.mark.parametrize("source, field, entry, verb", [
+        ("dc.json", "delta", None, lambda f, p: ["tot", p]),
+        ("dc.json", "delta", "0", lambda f, p: ["tot", p]),
+        ("ext.json", "compose", None, lambda f, p: ["verify-category", p]),
+        ("ext.json", "compose", "*->*->*", lambda f, p: ["verify-category", p]),
+        ("weight.json", "actions", None, lambda f, p: TestMalformedTables._colim(f, p)),
+        ("weight.json", "actions", "*->*", lambda f, p: TestMalformedTables._colim(f, p)),
+        ("cauchy.json", "eps", None, lambda f, p: ["verify-cauchy", p]),
+        ("cauchy.json", "eps", "*->*", lambda f, p: ["verify-cauchy", p]),
+    ], ids=["delta", "delta-entry", "compose", "compose-entry", "actions",
+            "actions-entry", "eps", "eps-entry"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_a_list_in_place_of_a_table_exits_two(self, files, capsys, source, field,
+                                                  entry, verb, json_flag):
+        obj = jsonio.load(files[source])
+        if entry is None:
+            obj[field] = []
+            message = f"field {field!r}: expected dict"
+        else:
+            assert entry in obj[field]
+            obj[field][entry] = []
+            message = f"field {field!r}: entry {entry!r}: expected dict"
+        path = files["tmp"] + "/malformed_table.json"
+        jsonio.dump(obj, path)
+        assert main(json_flag + verb(files, path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+
 def per_entry_read(obj) -> IntMatrix:
     """The matrix read one entry at a time, as every entry was read before
     the one-pass read of decimal strings."""

@@ -61,7 +61,7 @@ from dgkernel.dgcat import (
 from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
 from dgkernel.rand import rand_double_complex
 from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
-from dgkernel.zlinalg import FPAbGroup, IntMatrix, cokernel, kernel_basis
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, cokernel, kernel_basis
 
 K0 = unit_complex()
 LZ = functor_L(K0)
@@ -1359,3 +1359,49 @@ class TestThinCategories:
     @given(thin_cauchy_data())
     def test_counit_system_equals_the_reference(self, cd):
         solve_against_the_reference(cd.m, cd.n, [])
+
+
+class TestOneEvaluator:
+    """compose_elts, DGModule.act and CauchyData.eps_apply read their table
+    through one evaluator: a missing table is the zero map, and the pair
+    is embedded first, so a wrong-length element raises either way."""
+
+    @staticmethod
+    def _wrong_length(cx: Complex, degree: int) -> Elt:
+        return Elt(Complex.concentrated(degree, cx.rank(degree) + 1), degree,
+                   (0,) * (cx.rank(degree) + 1))
+
+    def test_compose_elts(self):
+        cat = exterior_g_category(1)
+        bare = FiniteDGCategory(cat.objects, cat.homs, {}, cat.identities)
+        hom = cat.hom("*", "*")
+        u = unit_at(hom, 1, 0)
+        assert cat.compose_elts("*", "*", "*", cat.identity("*"), u) == u
+        assert bare.compose_elts("*", "*", "*", cat.identity("*"), u) == Elt(hom, 1, (0,))
+        for c in (cat, bare):
+            with pytest.raises(ShapeMismatch):
+                c.compose_elts("*", "*", "*", self._wrong_length(hom, 0), u)
+
+    @pytest.mark.parametrize("side", [RIGHT, LEFT])
+    def test_act(self, side):
+        cat = exterior_g_category(1)
+        m = representable(cat, "*", side)
+        bare = DGModule(cat, m.values, {}, side)
+        hom, x = cat.hom("*", "*"), unit_at(m.value("*"), 1, 0)
+        one = cat.identity("*")
+        assert m.act_by("*", "*", one, x) == x
+        assert bare.act_by("*", "*", one, x) == Elt(m.value("*"), 1, (0,))
+        for mod in (m, bare):
+            with pytest.raises(ShapeMismatch):
+                mod.act_by("*", "*", self._wrong_length(hom, 0), x)
+
+    def test_eps_apply(self):
+        cd = representable_cauchy_data(exterior_g_category(1), "*")
+        bare = CauchyData(cd.m, cd.n, cd.eta, {})
+        y, x = unit_at(cd.n.value("*"), 0, 0), unit_at(cd.m.value("*"), 1, 0)
+        hom = cd.m.base.hom("*", "*")
+        assert cd.eps_apply("*", "*", y, x) == unit_at(hom, 1, 0)
+        assert bare.eps_apply("*", "*", y, x) == Elt(hom, 1, (0,))
+        for c in (cd, bare):
+            with pytest.raises(ShapeMismatch):
+                c.eps_apply("*", "*", self._wrong_length(cd.n.value("*"), 0), x)

@@ -1,0 +1,397 @@
+"""Structural isomorphisms in coordinates against the per-basis builders
+they replaced.
+
+In the tensor basis (one block per left degree, by ascending degree, left
+index major) the unitors, S(A (x) B) = SA (x) B and S[B,C] = [B,SC] are
+identity matrices; the associator and distributivity are permutation
+matrices, so each inverse is the transpose of its forward map; R is L one
+degree up; and suspending a module by k moves each action matrix up k
+degrees, with (-1)^{kp} on the columns of hom degree p on the left.  The
+reference_* functions below are the builders that rebuilt each map one
+basis element at a time and wrote each inverse by hand; the tests check
+that both give the same maps on random inputs.
+"""
+
+import random
+from typing import Dict, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dgkernel.complexes import (
+    ChainMap,
+    Complex,
+    GradedObject,
+    HomSpace,
+    NotGraded,
+    Proto,
+    direct_sum,
+    functor_L,
+    functor_R,
+    precomposition,
+    suspension,
+    unit_complex,
+)
+from dgkernel.dgcat import (
+    LEFT,
+    RIGHT,
+    DGModule,
+    action_domain,
+    dg_subcategory_of_complexes,
+    direct_sum_modules,
+    exterior_g_category,
+    module_from_complex,
+    representable,
+    suspend_module,
+    two_object_graded_category,
+    unit_dg_category,
+)
+from dgkernel.monoidal import (
+    TensorSpace,
+    _same_coordinates,
+    _slot_chain_map,
+    associator,
+    distributivity_iso,
+    left_unitor,
+    right_unitor,
+    sten_hom_isos,
+    sten_iso,
+)
+from dgkernel.rand import rand_complex, rand_graded
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def reference_functor_R(x: Complex) -> Complex:
+    """Right adjoint of U: (RX)_n = X_n + X_{n-1} with the same block d."""
+    if not x.has_zero_differentials():
+        raise NotGraded("R is defined on graded objects (all differentials zero)")
+    ranks = {n: x.rank(n) + x.rank(n - 1)
+             for n in range(x.lo, x.hi + 2)}
+    diffs: Dict[int, IntMatrix] = {}
+    for n in range(x.lo, x.hi + 2):
+        r_top, r_bot = x.rank(n - 1), x.rank(n - 2)
+        c_left, c_right = x.rank(n), x.rank(n - 1)
+        if (r_top + r_bot) and (c_left + c_right):
+            diffs[n] = block_matrix([
+                [IntMatrix.zeros(r_top, c_left), IntMatrix.identity(r_top)],
+                [IntMatrix.zeros(r_bot, c_left), IntMatrix.zeros(r_bot, c_right)],
+            ])
+    return Complex(GradedObject(ranks), diffs, _validated=True)
+
+
+def reference_left_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
+    """Z (x) A = A, both directions."""
+    unit = unit_complex()
+    src = TensorSpace(unit, a)
+
+    def fwd(n, flat):
+        t = src.decompose(n, flat)
+        return t.right_index, 1
+
+    def bwd(n, flat):
+        return src.slot_at(n, 0, 0, flat), 1
+
+    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+
+
+def reference_right_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
+    """A (x) Z = A, both directions."""
+    unit = unit_complex()
+    src = TensorSpace(a, unit)
+
+    def fwd(n, flat):
+        t = src.decompose(n, flat)
+        return t.left_index, 1
+
+    def bwd(n, flat):
+        return src.slot_at(n, n, flat, 0), 1
+
+    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+
+
+def reference_associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
+    """(A (x) B) (x) C = A (x) (B (x) C), both directions, no signs."""
+    ab = TensorSpace(a, b)
+    bc = TensorSpace(b, c)
+    left = TensorSpace(ab.complex, c)
+    right = TensorSpace(a, bc.complex)
+
+    def fwd(n, flat):
+        t = left.decompose(n, flat)
+        inner = ab.decompose(t.left_degree, t.left_index)
+        bc_flat = bc.slot_at(inner.right_degree + t.right_degree,
+                             inner.right_degree, inner.right_index, t.right_index)
+        return right.slot_at(n, inner.left_degree, inner.left_index, bc_flat), 1
+
+    def bwd(n, flat):
+        t = right.decompose(n, flat)
+        inner = bc.decompose(t.right_degree, t.right_index)
+        ab_flat = ab.slot_at(t.left_degree + inner.left_degree,
+                             t.left_degree, t.left_index, inner.left_index)
+        return left.slot_at(n, t.left_degree + inner.left_degree, ab_flat,
+                            inner.right_index), 1
+
+    return (_slot_chain_map(left.complex, right.complex, fwd),
+            _slot_chain_map(right.complex, left.complex, bwd))
+
+
+def reference_distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
+    """(A + B) (x) C = (A (x) C) + (B (x) C) by basis reordering."""
+    ab = direct_sum([a, b])
+    src = TensorSpace(ab, c)
+    ac = TensorSpace(a, c)
+    bc = TensorSpace(b, c)
+    tgt = direct_sum([ac.complex, bc.complex])
+
+    def fwd(n, flat):
+        t = src.decompose(n, flat)
+        ra = a.rank(t.left_degree)
+        if t.left_index < ra:
+            local = ac.slot_at(n, t.left_degree, t.left_index, t.right_index)
+            return local, 1
+        local = bc.slot_at(n, t.left_degree, t.left_index - ra, t.right_index)
+        return ac.complex.rank(n) + local, 1
+
+    def bwd(n, flat):
+        ra_n = ac.complex.rank(n)
+        if flat < ra_n:
+            t = ac.decompose(n, flat)
+            return src.slot_at(n, t.left_degree, t.left_index, t.right_index), 1
+        t = bc.decompose(n, flat - ra_n)
+        return src.slot_at(n, t.left_degree,
+                           a.rank(t.left_degree) + t.left_index, t.right_index), 1
+
+    return (_slot_chain_map(src.complex, tgt, fwd),
+            _slot_chain_map(tgt, src.complex, bwd))
+
+
+def reference_sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
+    """S(A (x) B) = SA (x) B as mutually inverse chain maps."""
+    ts_src = TensorSpace(a, b)
+    src = suspension(ts_src.complex, 1)
+    ts_tgt = TensorSpace(suspension(a, 1), b)
+
+    def fwd(n, flat):
+        t = ts_src.decompose(n - 1, flat)
+        return ts_tgt.slot_at(n, t.left_degree + 1, t.left_index, t.right_index), 1
+
+    def bwd(n, flat):
+        t = ts_tgt.decompose(n, flat)
+        return ts_src.slot_at(n - 1, t.left_degree - 1, t.left_index, t.right_index), 1
+
+    fwd_map = _slot_chain_map(src, ts_tgt.complex, fwd)
+    bwd_map = _slot_chain_map(ts_tgt.complex, src, bwd)
+    return fwd_map, bwd_map
+
+
+def reference_sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]]:
+    """S[B,C] = [S^-1 B, C] = [B, SC] realized by chain isomorphisms.
+
+    Convention: S[B,C] -> [B,SC] is the plain identification; the
+    degree-n component of S[B,C] -> [S^-1 B, C] carries the sign (-1)^n.
+    """
+    hs = HomSpace(b, c)
+    s_hom = suspension(hs.complex, 1)
+    hs_left = HomSpace(suspension(b, -1), c)
+    hs_right = HomSpace(b, suspension(c, 1))
+
+    # [S^-1 B, C] is precomposition with u: S^-1 B -> B, the identity on
+    # each group, of degree 1; its inverse has degree -1.
+    ids = {q: IntMatrix.identity(b.rank(q)) for q in b.degrees() if b.rank(q)}
+    u = Proto(hs_left.source, b, 1, {q - 1: m for q, m in ids.items()})
+    u_inv = Proto(b, hs_left.source, -1, ids)
+    left_fwd = {n: precomposition(u, hs, hs_left, n - 1).scale(-1 if n % 2 else 1)
+                for n in s_hom.degrees()}
+    left_bwd = {n: precomposition(u_inv, hs_left, hs, n).scale(-1 if n % 2 else 1)
+                for n in hs_left.complex.degrees()}
+
+    # [B, SC]_n has the blocks of [B, C]_{n-1} in the same places, so the
+    # plain identification is the identity on coordinates.
+    same = {n: IntMatrix.identity(s_hom.rank(n)) for n in s_hom.degrees()}
+    return {
+        "left": (ChainMap(s_hom, hs_left.complex, 0, left_fwd),
+                 ChainMap(hs_left.complex, s_hom, 0, left_bwd)),
+        "right": (ChainMap(s_hom, hs_right.complex, 0, same),
+                  ChainMap(hs_right.complex, s_hom, 0, same)),
+    }
+
+
+def reference_suspend_module(m: DGModule, k: int) -> DGModule:
+    """Shift every value by k and reindex the actions.  On the right no
+    sign appears (the identity-shaped S(A (x) B) = SA (x) B); on the left
+    the shift crosses the hom factor and picks up (-1)^{k |f|}."""
+    values = {x: suspension(m.value(x), k) for x in m.values}
+    actions = {}
+    for (u, v), table in m.actions.items():
+        src, tgt = m.ends(u, v)
+        ts_old = m.action_space(u, v)
+        ts_new = action_domain(m.side, m.base.hom(u, v), values[src])
+        comps = {}
+        for n in ts_new.complex.degrees():
+            old_n = n - k
+            cols = []
+            for t in ts_new.basis(n):
+                # p: left degree of the same basis element before the shift
+                if m.side == RIGHT:
+                    p, sign = t.left_degree - k, 1
+                else:
+                    p, sign = t.left_degree, -1 if (k * t.left_degree) % 2 else 1
+                col = table.comp(old_n).col(ts_old.slot_at(old_n, p, t.left_index, t.right_index))
+                cols.append(col if sign == 1 else tuple(-x for x in col))
+            comps[n] = IntMatrix.from_cols(cols, values[tgt].rank(n))
+        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    return DGModule(m.base, values, actions, m.side)
+
+
+@st.composite
+def complexes(draw):
+    """A small rand_complex, or the zero complex one time in six."""
+    if draw(st.integers(0, 5)) == 0:
+        return Complex.zero()
+    return rand_complex(random.Random(draw(SEEDS)), bricks=2)
+
+
+@st.composite
+def graded(draw):
+    """A small rand_graded, or the zero complex one time in six."""
+    if draw(st.integers(0, 5)) == 0:
+        return Complex.zero()
+    return rand_graded(random.Random(draw(SEEDS)))
+
+
+@st.composite
+def modules(draw):
+    """A module on either side: a complex over Z, a representable over a
+    category with a hom in several degrees, or a sum with a suspension."""
+    side = draw(st.sampled_from([RIGHT, LEFT]))
+    kind = draw(st.sampled_from(["complex", "exterior", "two-object", "complexes"]))
+    if kind == "complex":
+        m = module_from_complex(unit_dg_category(), draw(complexes()), side)
+    elif kind == "exterior":
+        m = representable(exterior_g_category(draw(st.integers(0, 3))), "*", side)
+    elif kind == "two-object":
+        cat = two_object_graded_category(draw(st.integers(-2, 2)))
+        m = representable(cat, draw(st.sampled_from(cat.objects)), side)
+    else:
+        cat = dg_subcategory_of_complexes({"a": draw(complexes()), "b": draw(graded())})
+        m = representable(cat, draw(st.sampled_from(cat.objects)), side)
+    if draw(st.booleans()):
+        m = direct_sum_modules(m, suspend_module(m, draw(st.integers(-2, 2))))
+    return m
+
+
+SHIFTS = st.integers(-3, 3)
+
+
+def assert_same_module(got: DGModule, want: DGModule):
+    assert got.base is want.base and got.side == want.side
+    assert got.values == want.values
+    assert got.actions == want.actions
+
+
+def is_identity(f: ChainMap) -> bool:
+    return f.comps() == {n: IntMatrix.identity(f.source.rank(n))
+                         for n in f.source.degrees() if f.source.rank(n)}
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes())
+    def test_unitors(self, a):
+        assert left_unitor(a) == reference_left_unitor(a)
+        assert right_unitor(a) == reference_right_unitor(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(), complexes())
+    def test_sten_iso(self, a, b):
+        assert sten_iso(a, b) == reference_sten_iso(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), complexes(), complexes())
+    def test_associator(self, a, b, c):
+        assert associator(a, b, c) == reference_associator(a, b, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), complexes(), complexes())
+    def test_distributivity_iso(self, a, b, c):
+        assert distributivity_iso(a, b, c) == reference_distributivity_iso(a, b, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), complexes())
+    def test_sten_hom_isos(self, b, c):
+        assert sten_hom_isos(b, c) == reference_sten_hom_isos(b, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded())
+    def test_functor_R(self, x):
+        assert functor_R(x) == reference_functor_R(x)
+
+    def test_functor_R_rejects_honest_differentials(self):
+        m2 = Complex.from_ranks({1: 1, 0: 1}, {1: [[2]]})
+        for build in (functor_R, reference_functor_R):
+            with pytest.raises(NotGraded, match="R is defined"):
+                build(m2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(modules(), SHIFTS)
+    def test_suspend_module(self, m, k):
+        assert_same_module(suspend_module(m, k), reference_suspend_module(m, k))
+
+    def test_suspend_module_odd_and_even_shifts_on_an_odd_hom(self):
+        # the hom of exterior_g_category(1) has blocks of degrees 0 and 1,
+        # so on the left an odd shift flips some columns and not others
+        cat = exterior_g_category(1)
+        for side in (RIGHT, LEFT):
+            m = representable(cat, "*", side)
+            for k in range(-3, 4):
+                assert_same_module(suspend_module(m, k), reference_suspend_module(m, k))
+
+
+class TestCoordinateShape:
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), complexes(), complexes())
+    def test_inverses_are_transposes(self, a, b, c):
+        for fwd, inv in (associator(a, b, c), distributivity_iso(a, b, c)):
+            assert inv.comps() == {n: m.transpose() for n, m in fwd.comps().items()}
+            for n, m in fwd.comps().items():   # a permutation: one 1 per column
+                assert m.rows == m.cols
+                assert all(sorted(m.col(j)) == [0] * (m.rows - 1) + [1] for j in range(m.cols))
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), complexes())
+    def test_unitors_and_shift_isos_are_identities(self, a, b):
+        maps = [*left_unitor(a), *right_unitor(a), *sten_iso(a, b),
+                *sten_hom_isos(a, b)["right"]]
+        for f in maps:
+            assert f.source.carrier == f.target.carrier
+            assert is_identity(f)
+
+    def test_identity_needs_equal_ranks_in_every_degree(self):
+        # the extra degree 1 of the target holds no component of either map,
+        # so neither the shape check nor the chain-map check would see it
+        with pytest.raises(ShapeMismatch):
+            _same_coordinates(unit_complex(), Complex.from_ranks({0: 1, 1: 1}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graded())
+    def test_R_is_L_one_degree_up(self, x):
+        lx, rx = functor_L(x), functor_R(x)
+        assert rx.carrier == lx.carrier.shift(1)
+        for n in lx.degrees():
+            assert rx.diff(n + 1) == lx.diff(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(modules(), SHIFTS)
+    def test_suspension_moves_each_action_up_k_degrees(self, m, k):
+        shifted = suspend_module(m, k)
+        for (u, v), table in m.actions.items():
+            moved = shifted.actions[(u, v)].comps()
+            assert set(moved) == {n + k for n in table.comps()}
+            for n, mat in table.comps().items():
+                signs = [1] * mat.cols
+                if m.side == LEFT:
+                    for p, rows, cols, off in m.action_space(u, v).layout.blocks(n):
+                        signs[off:off + rows * cols] = [(-1) ** (k * p % 2)] * (rows * cols)
+                assert moved[n + k] == mat @ IntMatrix.diagonal(signs)
