@@ -12,7 +12,6 @@ from .zlinalg import (
     ShapeMismatch,
     SmithDecomposition,
     cokernel,
-    element_equal,
     kernel_basis,
     smith_normal_form,
     solve,

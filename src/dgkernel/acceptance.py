@@ -250,18 +250,7 @@ def criterion_6_cones(seed: int) -> CriterionResult:
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             res = mapping_cone(f)
-            j_comps, q_comps = {}, {}
-            for n in res.cone.degrees():
-                rb, ra = b.rank(n), a.rank(n - 1)
-                if ra:
-                    j_comps[n] = IntMatrix.zeros(rb, ra).vstack(IntMatrix.identity(ra))
-                if rb:
-                    q_comps[n] = IntMatrix.identity(rb).hstack(IntMatrix.zeros(rb, ra))
-            data = ConeRecognitionData(
-                res.inj, res.proj,
-                Proto(suspension(a, 1), res.cone, 0, j_comps),
-                Proto(res.cone, b, 0, q_comps))
-            rec = recognize_cone(data)
+            rec = recognize_cone(ConeRecognitionData(res.inj, res.proj, res.j, res.q))
             _check(rec.map == f, "recognition does not recover f")
             _check(compose(rec.inverse, rec.iso) == identity_map(rec.iso.source))
             cyl = cylinder_factorization(f)

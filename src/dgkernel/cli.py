@@ -55,6 +55,13 @@ def _ranks(cx) -> dict:
     return {str(n): cx.rank(n) for n in cx.degrees()}
 
 
+def _degree_zero(p, flag: str):
+    """Cones and protosplittings are built from degree-0 maps only."""
+    if p.degree != 0:
+        raise InputError(f"field 'degree': {flag} must have degree 0, got {p.degree}")
+    return p
+
+
 def _require_valid(what: str, failures: List[str]):
     """Reject a loaded category or module that breaks its axioms."""
     if failures:
@@ -95,7 +102,7 @@ def cmd_cone(args) -> int:
         cx = jsonio.complex_from_json(jsonio.load(args.map_cone_of_identity))
         f = identity_map(cx)
     elif args.f:
-        f = jsonio.proto_from_json(jsonio.load(args.f), chain_map=True)
+        f = _degree_zero(jsonio.proto_from_json(jsonio.load(args.f), chain_map=True), "--f")
     else:
         raise InputError("cone needs --f or --map-cone-of-identity")
     res = mapping_cone(f)
@@ -108,8 +115,8 @@ def cmd_cone(args) -> int:
 
 
 def cmd_cokernel_protosplit(args) -> int:
-    f = jsonio.proto_from_json(jsonio.load(args.f), chain_map=True)
-    t = jsonio.proto_from_json(jsonio.load(args.t))
+    f = _degree_zero(jsonio.proto_from_json(jsonio.load(args.f), chain_map=True), "--f")
+    t = _degree_zero(jsonio.proto_from_json(jsonio.load(args.t)), "--t")
     probes = None
     if args.probe_depth is not None:
         family = default_probe_family(f.target)

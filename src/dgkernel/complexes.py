@@ -87,9 +87,6 @@ class GradedObject:
     def is_zero(self) -> bool:
         return self.hi < self.lo
 
-    def total_rank(self) -> int:
-        return sum(self._ranks.values())
-
     def shift(self, k: int) -> "GradedObject":
         return GradedObject({n + k: r for n, r in self._ranks.items()})
 
@@ -447,6 +444,14 @@ def lu_counit(a: Complex) -> ChainMap:
             continue
         comps[n] = a.diff(n + 1).hstack(IntMatrix.identity(a.rank(n)))
     return ChainMap(lua, a, 0, comps)
+
+
+def lu_functor_map(h: ChainMap) -> ChainMap:
+    """LU on a chain map: diag(h_{n+1}, h_n)."""
+    src = functor_L(forget_U(h.source))
+    tgt = functor_L(forget_U(h.target))
+    return ChainMap(src, tgt, 0, {
+        n: block_diagonal([h.comp(n + 1), h.comp(n)]) for n in src.degrees()})
 
 
 # -- cycles, boundaries, homology ----------------------------------------
@@ -808,8 +813,9 @@ def adjunction_iso_UR(a: Complex, x: Complex) -> AdjunctionWitness:
 class CanonicalPresentation:
     """The split coequalizer LULU A => LU A -> A evaluated at A.
 
-    alpha = [d 1], beta = [[0,1,1,0],[0,0,0,1]], gamma = [[d,1,0,0],[0,0,d,1]]
-    per the standard monadicity fork for the free/forget adjunction.
+    alpha = [d 1] is the counit of A, beta = [[0,1,1,0],[0,0,0,1]] the
+    counit of LU A and gamma = [[d,1,0,0],[0,0,d,1]] = LU(alpha): the
+    standard monadicity fork for the free/forget adjunction.
     """
 
     def __init__(self, a: Complex, lulu: Complex, lu: Complex,
@@ -840,28 +846,10 @@ def default_probe_family(a: Complex) -> List[Tuple[str, Complex]]:
 
 
 def canonical_presentation(a: Complex, probes: Optional[List[Tuple[str, Complex]]] = None) -> CanonicalPresentation:
-    lu = functor_L(forget_U(a))
-    lulu = functor_L(forget_U(lu))
     alpha = lu_counit(a)
-
-    beta_comps = {}
-    gamma_comps = {}
-    for n in lu.degrees():
-        if lu.rank(n) == 0 or lulu.rank(n) == 0:
-            continue
-        r2, r1b, r1, r0 = a.rank(n + 2), a.rank(n + 1), a.rank(n + 1), a.rank(n)
-        d2 = a.diff(n + 2)   # A_{n+2} -> A_{n+1}
-        d1 = a.diff(n + 1)   # A_{n+1} -> A_n
-        beta_comps[n] = block_matrix([
-            [IntMatrix.zeros(r1, r2), IntMatrix.identity(r1b), IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
-            [IntMatrix.zeros(r0, r2), IntMatrix.zeros(r0, r1b), IntMatrix.zeros(r0, r1), IntMatrix.identity(r0)],
-        ])
-        gamma_comps[n] = block_matrix([
-            [d2, IntMatrix.identity(r1b), IntMatrix.zeros(r1, r1), IntMatrix.zeros(r1, r0)],
-            [IntMatrix.zeros(r0, r2), IntMatrix.zeros(r0, r1b), d1, IntMatrix.identity(r0)],
-        ])
-    beta = ChainMap(lulu, lu, 0, beta_comps)
-    gamma = ChainMap(lulu, lu, 0, gamma_comps)
+    beta = lu_counit(alpha.source)
+    gamma = lu_functor_map(alpha)
+    lu, lulu = alpha.source, beta.source
 
     fork = (alpha @ beta) == (alpha @ gamma)
 

@@ -5,11 +5,20 @@ recognition data, protosplittings, cokernels of protosplit chain maps
 (split degreewise through the idempotent's image), coequalizers of
 protosplit pairs, idempotent splitting, and the cone-as-cokernel
 construction.
+
+A cone Mc f = B + SA carries four structure maps: the chain maps
+inj: B -> Mc f and proj: Mc f -> SA, and the degree-0 protos
+q = inj^T: Mc f -> B and j = proj^T: SA -> Mc f, with q inj = 1,
+proj j = 1 and inj q + j proj = 1.  The maps into and out of cones
+below are composites of these and of direct-sum injections and
+projections, or blockwise diagonal (cone_functor_map); only the cone
+differential is written as a block matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -25,11 +34,13 @@ from .complexes import (
     forget_U,
     functor_L,
     identity_map,
+    lu_functor_map,  # re-exported: LU on maps, beside the counit
     suspension,
     unit_complex,
 )
 from .zlinalg import (
     IntMatrix,
+    block_diagonal,
     block_matrix,
     inverse_unimodular,
     smith_normal_form,
@@ -108,11 +119,29 @@ def direct_sum(a: Complex, b: Complex) -> DirectSumWitness:
 # -- mapping cones ------------------------------------------------------------
 
 
+def _transpose(p: Proto) -> Proto:
+    """The degree-0 proto target -> source with transposed components."""
+    return Proto(p.target, p.source, 0, {n: m.transpose() for n, m in p.comps().items()})
+
+
 @dataclass
 class ConeResult:
+    """Mc f with its four structure maps; inj and proj have 0/1 blocks,
+    so q and j are their transposes (built on first read)."""
+
     cone: Complex
     inj: ChainMap    # B -> Mc f
     proj: ChainMap   # Mc f -> SA
+
+    @cached_property
+    def q(self) -> Proto:
+        """Mc f -> B, the graded retraction of inj."""
+        return _transpose(self.inj)
+
+    @cached_property
+    def j(self) -> Proto:
+        """SA -> Mc f, the graded section of proj."""
+        return _transpose(self.proj)
 
 
 def mapping_cone(f: Proto) -> ConeResult:
@@ -180,8 +209,15 @@ class ConeHomotopyIso:
     inverse: ChainMap
 
 
+def _identity_plus(w: Proto, source: Complex, target: Complex) -> ChainMap:
+    """1 + w as a (checked) chain map source -> target, for two complexes
+    on one carrier and a degree-0 proto w between them."""
+    return ChainMap(source, target, 0, {
+        n: IntMatrix.identity(source.rank(n)) + w.comp(n) for n in source.degrees()})
+
+
 def cone_homotopy_iso(f: ChainMap, u: Proto) -> ConeHomotopyIso:
-    """[[1, u], [0, 1]]: Mc f -> Mc(f + d(u)) and its inverse."""
+    """1 + inj u proj: Mc f -> Mc(f + d(u)) and its inverse 1 - inj u proj."""
     a, b = f.source, f.target
     sa = suspension(a, 1)
     if u.source != sa or u.target != b or u.degree != 0:
@@ -190,21 +226,9 @@ def cone_homotopy_iso(f: ChainMap, u: Proto) -> ConeHomotopyIso:
     g = (f + v).as_chain_map()
     src = mapping_cone(f)
     tgt = mapping_cone(g)
-
-    def upper_triangular(w: Proto) -> Dict[int, IntMatrix]:
-        comps = {}
-        for n in src.cone.degrees():
-            rb, ra = b.rank(n), a.rank(n - 1)
-            if rb + ra == 0:
-                continue
-            comps[n] = block_matrix([
-                [IntMatrix.identity(rb), w.comp(n)],
-                [IntMatrix.zeros(ra, rb), IntMatrix.identity(ra)],
-            ])
-        return comps
-
-    iso = ChainMap(src.cone, tgt.cone, 0, upper_triangular(u))
-    inv = ChainMap(tgt.cone, src.cone, 0, upper_triangular(-1 * u))
+    w = compose(tgt.inj, compose(u, src.proj))   # [[0, u], [0, 0]]
+    iso = _identity_plus(w, src.cone, tgt.cone)
+    inv = _identity_plus(-w, tgt.cone, src.cone)
     return ConeHomotopyIso(v, g, iso, inv)
 
 
@@ -233,7 +257,9 @@ class RecognizedCone:
 
 
 def recognize_cone(data: ConeRecognitionData) -> RecognizedCone:
-    """g = q o d(j), desuspended; [i, j]: Mc g -> C inverted explicitly."""
+    """g = q o d(j), desuspended; i q_cone + j proj_cone: Mc g -> C with
+    inverse inj q + j_cone p.  (The inverse [q - q j p; p] of the block
+    form is the same map: the equations force q j p = q - q i q = 0.)"""
     failures = data.check()
     if failures:
         raise WitnessEquationsFail(failures)
@@ -247,23 +273,8 @@ def recognize_cone(data: ConeRecognitionData) -> RecognizedCone:
     g = ChainMap(a, b, 0, g_comps)
 
     cone = mapping_cone(g)
-    iso_comps = {}
-    for n in cone.cone.degrees():
-        rb, ra = b.rank(n), a.rank(n - 1)
-        if rb + ra == 0 or c.rank(n) == 0:
-            continue
-        iso_comps[n] = data.i.comp(n).hstack(data.j.comp(n))
-    iso = ChainMap(cone.cone, c, 0, iso_comps)
-
-    # inverse [q - q j p; p]: columns of the split data
-    top = compose(data.q, identity_map(c)) - compose(compose(data.q, data.j), data.p)
-    inv_comps = {}
-    for n in cone.cone.degrees():
-        rb, ra = b.rank(n), a.rank(n - 1)
-        if rb + ra == 0 or c.rank(n) == 0:
-            continue
-        inv_comps[n] = top.comp(n).vstack(data.p.comp(n))
-    inverse = ChainMap(c, cone.cone, 0, inv_comps)
+    iso = (compose(data.i, cone.q) + compose(data.j, cone.proj)).as_chain_map()
+    inverse = (compose(cone.inj, data.q) + compose(cone.j, data.p)).as_chain_map()
     if compose(inverse, iso) != identity_map(cone.cone) or \
        compose(iso, inverse) != identity_map(c):
         raise AssertionError("recognition inverse failed")  # theory guarantees this
@@ -288,42 +299,18 @@ class CylinderFactorization:
 
 def cylinder_factorization(f: ChainMap) -> CylinderFactorization:
     """i' = [-f; 1; 0], p' = [[1, f, 0], [0, 0, 1]], j' = [[1,0],[0,0],[0,1]],
-    q' = [0 1 0] on B + Mc1_A, with Mc f as the quotient."""
-    a, b = f.source, f.target
-    cone1 = mc1(a)
-    middle, injs, projs = direct_sum_complexes([b, cone1.cone])
+    q' = [0 1 0] on B + Mc1_A, with Mc f as the quotient; each is a
+    composite of the structure maps of Mc1_A, Mc f and the sum."""
+    cone1 = mc1(f.source)
+    middle, (in_b, in_c), (pr_b, pr_c) = direct_sum_complexes([f.target, cone1.cone])
     conef = mapping_cone(f)
 
-    i_comps, p_comps, j_comps, q_comps = {}, {}, {}, {}
-    for n in middle.degrees():
-        rb, ra, ra1 = b.rank(n), a.rank(n), a.rank(n - 1)
-        rcf_b, rcf_a = b.rank(n), a.rank(n - 1)
-        if middle.rank(n) == 0:
-            continue
-        if a.rank(n):
-            i_comps[n] = block_matrix([
-                [-1 * f.comp(n)],
-                [IntMatrix.identity(ra)],
-                [IntMatrix.zeros(ra1, ra)],
-            ])
-        if conef.cone.rank(n):
-            p_comps[n] = block_matrix([
-                [IntMatrix.identity(rb), f.comp(n), IntMatrix.zeros(rb, ra1)],
-                [IntMatrix.zeros(rcf_a, rb), IntMatrix.zeros(rcf_a, ra), IntMatrix.identity(ra1)],
-            ])
-            j_comps[n] = block_matrix([
-                [IntMatrix.identity(rb), IntMatrix.zeros(rb, rcf_a)],
-                [IntMatrix.zeros(ra, rb), IntMatrix.zeros(ra, rcf_a)],
-                [IntMatrix.zeros(ra1, rb), IntMatrix.identity(ra1)],
-            ])
-        if a.rank(n):
-            q_comps[n] = block_matrix([
-                [IntMatrix.zeros(ra, rb), IntMatrix.identity(ra), IntMatrix.zeros(ra, ra1)],
-            ])
-    i_prime = ChainMap(a, middle, 0, i_comps)
-    p_prime = ChainMap(middle, conef.cone, 0, p_comps)
-    j_prime = Proto(conef.cone, middle, 0, j_comps)
-    q_prime = Proto(middle, a, 0, q_comps)
+    i_prime = (compose(in_c, cone1.inj) - compose(in_b, f)).as_chain_map()
+    q_prime = compose(cone1.q, pr_c)
+    to_b = pr_b + compose(f, q_prime)
+    p_prime = (compose(conef.inj, to_b)
+               + compose(conef.j, compose(cone1.proj, pr_c))).as_chain_map()
+    j_prime = compose(in_b, conef.q) + compose(in_c, compose(cone1.j, conef.proj))
     if not compose(p_prime, i_prime).is_zero():
         raise AssertionError("p' o i' != 0")
     return CylinderFactorization(middle, i_prime, p_prime, j_prime, q_prime, conef.cone)
@@ -497,29 +484,18 @@ class Mc1LUIso:
 def mc1_iso_LU(a: Complex) -> Mc1LUIso:
     """Natural isomorphism Mc 1_{S^-1 A} = LU A.
 
-    Componentwise lower triangular: [[1, 0], [-d, 1]] with inverse
-    [[1, 0], [d, 1]]; the entries are forced by the degree bookkeeping.
+    With X = S^-1 A (so SX = A and (Mc 1_X)_n = A_{n+1} + A_n) and d the
+    degree-0 proto X -> A with components d_{n+1}, the iso is 1 - j d q
+    = [[1, 0], [-d, 1]] and its inverse 1 + j d q.
     """
     x = suspension(a, -1)
-    cone = mc1(x).cone
+    cone1 = mc1(x)
     lua = functor_L(forget_U(a))
-    iso_comps, inv_comps = {}, {}
-    for n in cone.degrees():
-        r1, r0 = a.rank(n + 1), a.rank(n)  # cone_n = X_n + X_{n-1} = A_{n+1} + A_n
-        if r1 + r0 == 0:
-            continue
-        d = a.diff(n + 1)
-        iso_comps[n] = block_matrix([
-            [IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
-            [-1 * d, IntMatrix.identity(r0)],
-        ])
-        inv_comps[n] = block_matrix([
-            [IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
-            [d, IntMatrix.identity(r0)],
-        ])
-    iso = ChainMap(cone, lua, 0, iso_comps)
-    inverse = ChainMap(lua, cone, 0, inv_comps)
-    if compose(inverse, iso) != identity_map(cone) or compose(iso, inverse) != identity_map(lua):
+    d = Proto(x, a, 0, {n - 1: m for n, m in a.diffs().items()})
+    jdq = compose(cone1.j, compose(d, cone1.q))
+    iso = _identity_plus(-jdq, cone1.cone, lua)
+    inverse = _identity_plus(jdq, lua, cone1.cone)
+    if compose(inverse, iso) != identity_map(cone1.cone) or compose(iso, inverse) != identity_map(lua):
         raise AssertionError("Mc 1 = LU comparison is not invertible")
     return Mc1LUIso(iso, inverse)
 
@@ -532,34 +508,8 @@ def cone_functor_map(square_a: ChainMap, square_b: ChainMap,
         raise ValueError("square does not commute")
     src = mapping_cone(f).cone
     tgt = mapping_cone(g).cone
-    comps = {}
-    for n in src.degrees():
-        rb, ra = f.target.rank(n), f.source.rank(n - 1)
-        rb2, ra2 = g.target.rank(n), g.source.rank(n - 1)
-        if (rb + ra) == 0 or (rb2 + ra2) == 0:
-            continue
-        comps[n] = block_matrix([
-            [square_b.comp(n), IntMatrix.zeros(rb2, ra)],
-            [IntMatrix.zeros(ra2, rb), square_a.comp(n - 1)],
-        ])
-    return ChainMap(src, tgt, 0, comps)
-
-
-def lu_functor_map(h: ChainMap) -> ChainMap:
-    """LU on a chain map: diag(h_{n+1}, h_n)."""
-    src = functor_L(forget_U(h.source))
-    tgt = functor_L(forget_U(h.target))
-    comps = {}
-    for n in src.degrees():
-        r1, r0 = h.source.rank(n + 1), h.source.rank(n)
-        s1, s0 = h.target.rank(n + 1), h.target.rank(n)
-        if (r1 + r0) == 0 or (s1 + s0) == 0:
-            continue
-        comps[n] = block_matrix([
-            [h.comp(n + 1), IntMatrix.zeros(s1, r0)],
-            [IntMatrix.zeros(s0, r1), h.comp(n)],
-        ])
-    return ChainMap(src, tgt, 0, comps)
+    return ChainMap(src, tgt, 0, {
+        n: block_diagonal([square_b.comp(n), square_a.comp(n - 1)]) for n in src.degrees()})
 
 
 @dataclass
@@ -573,30 +523,13 @@ class ConeAsCokernel:
 def cone_as_cokernel(f: ChainMap) -> ConeAsCokernel:
     """The cone of f as the cokernel of i = [-f; i_1]: A -> B + Mc1_A,
     a protosplit monomorphism (split by [0, q_1])."""
-    a, b = f.source, f.target
-    cone1 = mc1(a)
-    middle, injs, projs = direct_sum_complexes([b, cone1.cone])
-
-    # i_1 = [1; 0]: A -> Mc1_A and q_1 = [1 0]: Mc1_A -> A
-    i1 = cone1.inj
-    q1_comps = {}
-    for n in cone1.cone.degrees():
-        ra, ra1 = a.rank(n), a.rank(n - 1)
-        if a.rank(n):
-            q1_comps[n] = IntMatrix.identity(ra).hstack(IntMatrix.zeros(ra, ra1))
-    q1 = Proto(cone1.cone, a, 0, q1_comps)
-
-    i_map = (compose(injs[1], i1) - compose(injs[0], f)).as_chain_map()
-    t_map = compose(q1, projs[1])
-    result = cokernel_protosplit(i_map, t_map, verify_universal=False)
-
-    conef = mapping_cone(f)
     cyl = cylinder_factorization(f)
+    # i' = [-f; i_1] is split by q' = [0, q_1]
+    result = cokernel_protosplit(cyl.i_prime, cyl.q_prime, verify_universal=False)
     comparison = compose(cyl.p_prime, result.s).as_chain_map()
-    comparison_inv_proto = compose(result.w, cyl.j_prime)
-    comparison_inv = ChainMap(conef.cone, result.quotient, 0,
-                              comparison_inv_proto.comps(), _trusted=True)
-    if compose(comparison, comparison_inv) != identity_map(conef.cone) or \
+    comparison_inv = ChainMap(cyl.cone, result.quotient, 0,
+                              compose(result.w, cyl.j_prime).comps(), _trusted=True)
+    if compose(comparison, comparison_inv) != identity_map(cyl.cone) or \
        compose(comparison_inv, comparison) != identity_map(result.quotient):
         raise AssertionError("cokernel-to-cone comparison is not invertible")
     return ConeAsCokernel(result.quotient, result.w, comparison, comparison_inv)

@@ -161,12 +161,6 @@ def decode_map(phi: EllModuleMap) -> ChainMap:
     return ChainMap(decode(phi.source), decode(phi.target), 0, phi.components)
 
 
-def module_hom_rank(f: EllModule, g: EllModule) -> int:
-    """Rank of the group of module maps f -> g, by solving naturality."""
-    src, tgt = decode(f), decode(g)
-    return len(chain_map_basis(src, tgt, 0))
-
-
 def yoneda_rank_check(m: int, n: int) -> bool:
     """Degree-0 chain maps S^m L Z -> S^n L Z must match the hom table."""
     lz = functor_L(unit_complex())

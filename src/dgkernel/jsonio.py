@@ -10,8 +10,7 @@ import json
 import re
 
 from .complexes import ChainMap, Complex, Proto
-from .dgcat import LEFT, RIGHT, CauchyData, DGModule, Elt, FiniteDGCategory, action_domain
-from .monoidal import tensor
+from .dgcat import LEFT, RIGHT, CauchyData, DGModule, Elt, FiniteDGCategory
 from .totals import DoubleComplex
 from .zlinalg import IntMatrix
 
@@ -265,20 +264,16 @@ def category_from_json(obj) -> FiniteDGCategory:
     for key, val in _at_most_entries(_require(obj, "homs", dict), MAX_HOMS, "homs").items():
         homs[_arrow(key, "A->B", "homs", seen)] = complex_from_json(val)
 
-    def ends(abc):
-        a, b, c = abc
-        zero = Complex.zero()
-        return tensor(homs.get((b, c), zero), homs.get((a, b), zero)), homs.get((a, c), zero)
-
-    tables = _chain_map_table(
+    # the tables are read against the category's own tensor spaces
+    cat = FiniteDGCategory(objects, homs, {}, {})
+    cat.compose_table.update(_chain_map_table(
         obj, "compose", lambda key: _arrow(key, "A->B->C", "compose", seen), "compose degree",
-        ends, "compose table")
-    identities = {}
+        lambda abc: (cat.pair_space(*abc).complex, cat.hom(abc[0], abc[2])), "compose table"))
     for a, e in _require(obj, "identities", dict).items():
         if (a, a) not in homs:
             raise InputError(f"identity for unknown object {a!r}")
-        identities[a] = _elt_from_json(e, homs[(a, a)])
-    return FiniteDGCategory(objects, homs, tables, identities)
+        cat.identities[a] = _elt_from_json(e, homs[(a, a)])
+    return cat
 
 
 def module_to_json(m: DGModule) -> dict:
@@ -303,13 +298,10 @@ def _read_module(obj, cat: FiniteDGCategory, side: str) -> DGModule:
         values[x] = complex_from_json(c)
     module = DGModule(cat, values, {}, side)
 
-    def ends(uv):
-        src, tgt = module.ends(*uv)
-        return action_domain(side, cat.hom(*uv), module.value(src)).complex, module.value(tgt)
-
     module.actions.update(_chain_map_table(
         obj, "actions", lambda key: _arrow(key, "U->V", "actions", listed), "action degree",
-        ends, "action"))
+        lambda uv: (module.action_space(*uv).complex, module.value(module.ends(*uv)[1])),
+        "action"))
     return module
 
 
@@ -346,10 +338,11 @@ def cauchy_data_from_json(obj) -> CauchyData:
         x = _elt_from_json(_require(term, "x"), m.value(e))
         y = _elt_from_json(_require(term, "y"), n.value(e))
         eta.append((e, x, y))
-    eps = _chain_map_table(
+    cd = CauchyData(m, n, eta, {})
+    cd.eps.update(_chain_map_table(
         obj, "eps", lambda key: _arrow(key, "U->V", "eps", listed), "eps degree",
-        lambda uv: (tensor(n.value(uv[0]), m.value(uv[1])), cat.hom(uv[1], uv[0])), "eps")
-    return CauchyData(m, n, eta, eps)
+        lambda uv: (cd.eps_space(*uv).complex, cat.hom(uv[1], uv[0])), "eps"))
+    return cd
 
 
 def load(path: str) -> dict:

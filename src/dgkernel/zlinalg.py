@@ -581,12 +581,6 @@ def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
     return s.v_times(IntMatrix(n, w, tuple(z), _trusted=True))
 
 
-def solve_left(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with X @ m = b, or None."""
-    xt = solve_matrix(m.transpose(), b.transpose())
-    return None if xt is None else xt.transpose()
-
-
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel of m: the last n - r
     columns of V, i.e. k = V @ [0; I].
@@ -688,10 +682,6 @@ class FPAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def element_equal(group: FPAbGroup, x: Sequence[int], y: Sequence[int]) -> bool:
-    return group.element_equal(x, y)
 
 
 class CokernelData:

@@ -330,6 +330,28 @@ class TestInputCaps:
         assert captured.err == ("input error: field 'columns key': 100000000 is outside "
                                 "the supported degrees [-1024, 1024]\n")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("verb, flag, degree", [
+        ("cone", "--f", 1), ("cone", "--f", -1),
+        ("cokernel-protosplit", "--f", 1), ("cokernel-protosplit", "--t", -1),
+    ])
+    def test_maps_of_nonzero_degree_exit_two(self, files, capsys, json_flag, verb, flag, degree):
+        # cone --f used to end in a NotAChainMap traceback, and
+        # cokernel-protosplit in "FAIL: f o t o f != f" with exit 1
+        lo, hi = (0, 1) if degree == 1 else (1, 0)
+        shifted = ChainMap(Complex.concentrated(lo), Complex.concentrated(hi), degree,
+                           {lo: IntMatrix.from_rows([[1]])})
+        path = files["tmp"] + "/shifted.json"
+        jsonio.dump(jsonio.proto_to_json(shifted), path)
+        maps = {"--f": files["split_f.json"], "--t": files["split_t.json"], flag: path}
+        argv = ([verb, "--f", maps["--f"]] if verb == "cone"
+                else [verb, "--f", maps["--f"], "--t", maps["--t"]])
+        assert main(json_flag + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: field 'degree': {flag} must have degree 0, "
+                                f"got {degree}\n")
+
     @pytest.mark.parametrize("field, payload", [
         ("lo", {"lo": -1025, "hi": -1025, "ranks": [1]}),
         ("hi", {"lo": 0, "hi": 1025, "ranks": [1] * 1026}),
@@ -456,6 +478,20 @@ class TestInputCaps:
     def test_listed_objects_read_as_before(self):
         obj = jsonio.cauchy_data_to_json(representable_cauchy_data(exterior_g_category(1), "*"))
         assert jsonio.cauchy_data_to_json(jsonio.cauchy_data_from_json(obj)) == obj
+
+    def test_tables_are_read_against_their_owners_spaces(self):
+        # each compose, action and eps table is checked against the tensor
+        # space its owner evaluates it on, so no space is built twice
+        cat = dg_subcategory_of_complexes({"Z": unit_complex(), "LZ": functor_L(unit_complex())})
+        obj = jsonio.cauchy_data_to_json(representable_cauchy_data(cat, "Z"))
+        cd = jsonio.cauchy_data_from_json(obj)
+        base = cd.m.base
+        tables = ([(t, base.pair_space(*k)) for k, t in base.compose_table.items()]
+                  + [(t, mod.action_space(*k)) for mod in (cd.m, cd.n)
+                     for k, t in mod.actions.items()]
+                  + [(t, cd.eps_space(*k)) for k, t in cd.eps.items()])
+        assert base.compose_table and cd.m.actions and cd.n.actions and cd.eps
+        assert all(t.source is ts.complex for t, ts in tables)
 
     def test_cap_is_inclusive(self):
         assert jsonio.MAX_RANK == 4096

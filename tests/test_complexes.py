@@ -36,7 +36,7 @@ from dgkernel.complexes import (
     HomSpace,
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_graded, rand_proto
-from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, block_matrix
 
 K0 = unit_complex()
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -176,7 +176,7 @@ class TestHomology:
 class TestHomComplex:
     def test_unit_hom(self):
         h = hom_complex(K0, K0)
-        assert h.rank(0) == 1 and h.carrier.total_rank() == 1
+        assert h.rank(0) == 1 and sum(h.carrier.ranks().values()) == 1
 
     def test_hom_from_LZ(self):
         h = hom_complex(LZ, K0)
@@ -337,6 +337,27 @@ class TestAdjunctions:
             assert adjunction_iso_UR(a, x).verified
 
 
+def reference_fork(a):
+    """beta = [[0,1,1,0],[0,0,0,1]] and gamma = [[d,1,0,0],[0,0,d,1]]:
+    LULU A -> LU A, block by block."""
+    lu = functor_L(forget_U(a))
+    lulu = functor_L(forget_U(lu))
+    beta_comps, gamma_comps = {}, {}
+    for n in lu.degrees():
+        if lu.rank(n) == 0 or lulu.rank(n) == 0:
+            continue
+        r2, r1, r0 = a.rank(n + 2), a.rank(n + 1), a.rank(n)
+        beta_comps[n] = block_matrix([
+            [IntMatrix.zeros(r1, r2), IntMatrix.identity(r1), IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
+            [IntMatrix.zeros(r0, r2), IntMatrix.zeros(r0, r1), IntMatrix.zeros(r0, r1), IntMatrix.identity(r0)],
+        ])
+        gamma_comps[n] = block_matrix([
+            [a.diff(n + 2), IntMatrix.identity(r1), IntMatrix.zeros(r1, r1), IntMatrix.zeros(r1, r0)],
+            [IntMatrix.zeros(r0, r2), IntMatrix.zeros(r0, r1), a.diff(n + 1), IntMatrix.identity(r0)],
+        ])
+    return ChainMap(lulu, lu, 0, beta_comps), ChainMap(lulu, lu, 0, gamma_comps)
+
+
 class TestCanonicalPresentation:
     def test_unit_complex(self):
         pres = canonical_presentation(K0)
@@ -399,6 +420,14 @@ class TestCanonicalPresentation:
         for p in projs:
             assert not factors_uniquely(zero_to_zz, p, K0)
         assert factors_uniquely(zero_to_zz, identity_map(zz), K0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_fork_is_the_counit_and_LU_of_the_counit(self, seed, zero):
+        a = Complex.zero() if zero else rand_complex(random.Random(seed))
+        cp = canonical_presentation(a, probes=[])
+        assert (cp.beta, cp.gamma) == reference_fork(a)
+        assert cp.lu == functor_L(forget_U(a)) and cp.lulu == functor_L(forget_U(cp.lu))
 
     def test_counit_is_chain_map(self):
         rng = random.Random(15)

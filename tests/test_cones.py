@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgkernel.complexes import (
     ChainMap,
@@ -10,6 +11,7 @@ from dgkernel.complexes import (
     d_hom,
     direct_sum_complexes,
     functor_L,
+    forget_U,
     hom_complex,
     homology_H,
     identity_map,
@@ -43,7 +45,7 @@ from dgkernel.cones import (
     split_idempotent,
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
-from dgkernel.zlinalg import FPAbGroup, IntMatrix
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, block_matrix
 
 K0 = unit_complex()
 LZ = functor_L(K0)
@@ -64,6 +66,131 @@ def canonical_cone_witnesses(f):
     j = Proto(suspension(a, 1), res.cone, 0, j_comps)
     q = Proto(res.cone, b, 0, q_comps)
     return res, j, q
+
+
+# -- reference oracles: the maps into and out of cones written out as block
+# -- matrices, one block per summand; the package composes them from the
+# -- structure maps inj, proj, q and j
+
+def reference_upper_triangular(f, g, w):
+    """[[1, w], [0, 1]]: Mc f -> Mc g."""
+    a, b = f.source, f.target
+    src, tgt = mapping_cone(f).cone, mapping_cone(g).cone
+    comps = {}
+    for n in src.degrees():
+        rb, ra = b.rank(n), a.rank(n - 1)
+        if rb + ra == 0:
+            continue
+        comps[n] = block_matrix([
+            [IntMatrix.identity(rb), w.comp(n)],
+            [IntMatrix.zeros(ra, rb), IntMatrix.identity(ra)],
+        ])
+    return ChainMap(src, tgt, 0, comps)
+
+
+def reference_recognition(data, g):
+    """[i, j]: Mc g -> C and [q - q j p; p]: C -> Mc g."""
+    b, c = data.i.source, data.i.target
+    a = g.source
+    cone = mapping_cone(g).cone
+    top = compose(data.q, identity_map(c)) - compose(compose(data.q, data.j), data.p)
+    iso_comps, inv_comps = {}, {}
+    for n in cone.degrees():
+        if b.rank(n) + a.rank(n - 1) == 0 or c.rank(n) == 0:
+            continue
+        iso_comps[n] = data.i.comp(n).hstack(data.j.comp(n))
+        inv_comps[n] = top.comp(n).vstack(data.p.comp(n))
+    return ChainMap(cone, c, 0, iso_comps), ChainMap(c, cone, 0, inv_comps)
+
+
+def reference_cylinder(f):
+    """i' = [-f; 1; 0], p' = [[1, f, 0], [0, 0, 1]], j' = [[1,0],[0,0],[0,1]],
+    q' = [0 1 0] on B + Mc1_A."""
+    a, b = f.source, f.target
+    middle, _, _ = direct_sum_complexes([b, mc1(a).cone])
+    conef = mapping_cone(f).cone
+    i_comps, p_comps, j_comps, q_comps = {}, {}, {}, {}
+    for n in middle.degrees():
+        rb, ra, ra1 = b.rank(n), a.rank(n), a.rank(n - 1)
+        if middle.rank(n) == 0:
+            continue
+        if ra:
+            i_comps[n] = block_matrix([
+                [-1 * f.comp(n)], [IntMatrix.identity(ra)], [IntMatrix.zeros(ra1, ra)]])
+            q_comps[n] = block_matrix([
+                [IntMatrix.zeros(ra, rb), IntMatrix.identity(ra), IntMatrix.zeros(ra, ra1)]])
+        if conef.rank(n):
+            p_comps[n] = block_matrix([
+                [IntMatrix.identity(rb), f.comp(n), IntMatrix.zeros(rb, ra1)],
+                [IntMatrix.zeros(ra1, rb), IntMatrix.zeros(ra1, ra), IntMatrix.identity(ra1)],
+            ])
+            j_comps[n] = block_matrix([
+                [IntMatrix.identity(rb), IntMatrix.zeros(rb, ra1)],
+                [IntMatrix.zeros(ra, rb), IntMatrix.zeros(ra, ra1)],
+                [IntMatrix.zeros(ra1, rb), IntMatrix.identity(ra1)],
+            ])
+    return (ChainMap(a, middle, 0, i_comps), ChainMap(middle, conef, 0, p_comps),
+            Proto(conef, middle, 0, j_comps), Proto(middle, a, 0, q_comps))
+
+
+def reference_mc1_iso_LU(a):
+    """[[1, 0], [-d, 1]]: Mc 1_{S^-1 A} -> LU A and [[1, 0], [d, 1]] back."""
+    cone = mc1(suspension(a, -1)).cone
+    lua = functor_L(forget_U(a))
+    iso_comps, inv_comps = {}, {}
+    for n in cone.degrees():
+        r1, r0 = a.rank(n + 1), a.rank(n)
+        if r1 + r0 == 0:
+            continue
+        d = a.diff(n + 1)
+        iso_comps[n] = block_matrix([[IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
+                                     [-1 * d, IntMatrix.identity(r0)]])
+        inv_comps[n] = block_matrix([[IntMatrix.identity(r1), IntMatrix.zeros(r1, r0)],
+                                     [d, IntMatrix.identity(r0)]])
+    return ChainMap(cone, lua, 0, iso_comps), ChainMap(lua, cone, 0, inv_comps)
+
+
+def reference_cone_functor_map(square_a, square_b, f, g):
+    """[[b, 0], [0, S a]]: Mc f -> Mc g."""
+    src, tgt = mapping_cone(f).cone, mapping_cone(g).cone
+    comps = {}
+    for n in src.degrees():
+        rb, ra = f.target.rank(n), f.source.rank(n - 1)
+        rb2, ra2 = g.target.rank(n), g.source.rank(n - 1)
+        if rb + ra == 0 or rb2 + ra2 == 0:
+            continue
+        comps[n] = block_matrix([[square_b.comp(n), IntMatrix.zeros(rb2, ra)],
+                                 [IntMatrix.zeros(ra2, rb), square_a.comp(n - 1)]])
+    return ChainMap(src, tgt, 0, comps)
+
+
+def reference_lu_functor_map(h):
+    """[[h_{n+1}, 0], [0, h_n]]: LU A -> LU A'."""
+    src, tgt = functor_L(forget_U(h.source)), functor_L(forget_U(h.target))
+    comps = {}
+    for n in src.degrees():
+        r1, r0 = h.source.rank(n + 1), h.source.rank(n)
+        s1, s0 = h.target.rank(n + 1), h.target.rank(n)
+        if r1 + r0 == 0 or s1 + s0 == 0:
+            continue
+        comps[n] = block_matrix([[h.comp(n + 1), IntMatrix.zeros(s1, r0)],
+                                 [IntMatrix.zeros(s0, r1), h.comp(n)]])
+    return ChainMap(src, tgt, 0, comps)
+
+
+def reference_q1(a):
+    """q_1 = [1 0]: Mc1_A -> A."""
+    cone = mc1(a).cone
+    return Proto(cone, a, 0, {n: IntMatrix.identity(a.rank(n)).hstack(
+        IntMatrix.zeros(a.rank(n), a.rank(n - 1))) for n in cone.degrees() if a.rank(n)})
+
+
+def _drawn_complex(rng, zero):
+    return Complex.zero() if zero else rand_complex(rng)
+
+
+# hypothesis draws: a seed and, for each complex, whether it is zero
+SEED_AND_ZEROS = (st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 
 
 class TestDirectSum:
@@ -422,3 +549,97 @@ class TestConeAsCokernel:
             cone = mapping_cone(f).cone
             assert compose(res.comparison, res.comparison_inv) == identity_map(cone)
             assert homology_H(res.quotient) == homology_H(cone)
+
+
+class TestStructureMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_four_maps_split_the_cone(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        res = mapping_cone(f)
+        assert compose(res.q, res.inj) == identity_map(b)
+        assert compose(res.proj, res.j) == identity_map(suspension(a, 1))
+        assert compose(res.inj, res.q) + compose(res.j, res.proj) == identity_map(res.cone)
+        assert compose(res.proj, res.inj).is_zero()
+        assert compose(res.q, res.j).is_zero()
+        _, j, q = canonical_cone_witnesses(f)
+        assert (res.j, res.q) == (j, q)
+        rec = recognize_cone(ConeRecognitionData(res.inj, res.proj, res.j, res.q))
+        assert rec.map == f
+
+
+class TestComposedMapsEqualTheBlockMatrices:
+    """Every map composed from the structure maps equals the hand-built
+    block matrix it replaced, zero complexes included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_cone_homotopy_iso(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        u = rand_proto(rng, suspension(a, 1), b, 0)
+        h = cone_homotopy_iso(f, u)
+        assert h.iso == reference_upper_triangular(f, h.target_map, u)
+        assert h.inverse == reference_upper_triangular(h.target_map, f, -1 * u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_recognize_cone(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        res = mapping_cone(f)
+        for data in (cylinder_factorization(f).recognition_data(),
+                     ConeRecognitionData(res.inj, res.proj, res.j, res.q)):
+            rec = recognize_cone(data)
+            assert (rec.iso, rec.inverse) == reference_recognition(data, rec.map)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_cylinder_factorization(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        cyl = cylinder_factorization(f)
+        assert (cyl.i_prime, cyl.p_prime, cyl.j_prime, cyl.q_prime) == reference_cylinder(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_mc1_iso_LU(self, seed, za, zb):
+        a = _drawn_complex(random.Random(seed), za)
+        iso = mc1_iso_LU(a)
+        assert (iso.iso, iso.inverse) == reference_mc1_iso_LU(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+    def test_cone_functor_map_and_lu_functor_map(self, seed, za, zb, zc):
+        rng = random.Random(seed)
+        a, b, c = (_drawn_complex(rng, z) for z in (za, zb, zc))
+        f, k = rand_chain_map(rng, a, b), rand_chain_map(rng, b, c)
+        # squares k f = k f (a = 1, b = k) and 1 f = 1 f (a = f, b = 1)
+        for square in ((identity_map(a), k, f, (k @ f).as_chain_map()),
+                       (f, identity_map(b), f, identity_map(b))):
+            assert cone_functor_map(*square) == reference_cone_functor_map(*square)
+        for h in (f, k, identity_map(a)):
+            assert lu_functor_map(h) == reference_lu_functor_map(h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_cone_as_cokernel_splitting(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        q1 = reference_q1(a)
+        assert mc1(a).q == q1
+        _, _, projs = direct_sum_complexes([b, mc1(a).cone])
+        # the protosplitting [0, q_1] of i = [-f; i_1] that the cokernel reads
+        assert cylinder_factorization(f).q_prime == compose(q1, projs[1])
+        res = cone_as_cokernel(f)
+        i_ref, p_ref, j_ref, _ = reference_cylinder(f)
+        ref = cokernel_protosplit(i_ref, compose(q1, projs[1]), verify_universal=False)
+        assert (res.quotient, res.w) == (ref.quotient, ref.w)
+        assert res.comparison == compose(p_ref, ref.s)
+        assert res.comparison_inv.comps() == compose(ref.w, j_ref).comps()

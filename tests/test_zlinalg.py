@@ -24,7 +24,6 @@ from dgkernel.zlinalg import (
     rank,
     smith_normal_form,
     solve,
-    solve_left,
     solve_matrix,
     solve_with,
 )
@@ -904,8 +903,9 @@ class TestSolve:
         x = solve_matrix(m, b)
         assert x is not None and m @ x == b
         c = IntMatrix.from_rows([[5, 6]]) @ m
-        y = solve_left(m, c)
-        assert y is not None and y @ m == c
+        # a left solve X m = c is the transposed solve m^T X^T = c^T
+        yt = solve_matrix(m.transpose(), c.transpose())
+        assert yt is not None and yt.transpose() @ m == c
 
     def test_random_solvable_and_certified_none(self):
         rng = random.Random(3)
