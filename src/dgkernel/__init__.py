@@ -24,11 +24,9 @@ from .complexes import (
     Proto,
     adjunction_iso_LU,
     adjunction_iso_UR,
-    boundariesquot_Zprime,
     canonical_presentation,
     chain_map_basis,
     compose,
-    cycles_Z,
     d_hom,
     direct_sum_complexes,
     forget_U,

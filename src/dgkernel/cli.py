@@ -117,6 +117,8 @@ def cmd_cone(args) -> int:
 def cmd_cokernel_protosplit(args) -> int:
     f = _degree_zero(jsonio.proto_from_json(jsonio.load(args.f), chain_map=True), "--f")
     t = _degree_zero(jsonio.proto_from_json(jsonio.load(args.t)), "--t")
+    if t.source != f.target or t.target != f.source:
+        raise InputError("--t must go from the target of --f to its source")
     probes = None
     if args.probe_depth is not None:
         family = default_probe_family(f.target)

@@ -27,7 +27,6 @@ from .zlinalg import (
     ShapeMismatch,
     block_diagonal,
     block_matrix,
-    cokernel,
     kernel_basis,
     solve_matrix,
 )
@@ -494,24 +493,6 @@ class GradedGroups:
         return f"GradedGroups({self.describe()})"
 
 
-def cycles_Z(a: Complex) -> GradedGroups:
-    """Degreewise kernel of d (a free group in each degree)."""
-    out = {}
-    for n in a.degrees():
-        if a.rank(n):
-            out[n] = FPAbGroup.free(kernel_basis(a.diff(n)).cols)
-    return GradedGroups(out)
-
-
-def boundariesquot_Zprime(a: Complex) -> GradedGroups:
-    """Degreewise cokernel of the incoming differential."""
-    out = {}
-    for n in a.degrees():
-        if a.rank(n):
-            out[n] = cokernel(a.diff(n + 1)).group
-    return GradedGroups(out)
-
-
 def homology_H(a: Complex) -> GradedGroups:
     """Canonical homology: ker d_n / im d_{n+1}, degree by degree."""
     out = {}
@@ -618,6 +599,9 @@ class HomSpace:
 
     The degree-n basis is a BlockLayout with one block per source degree q,
     by ascending q: the entries of a component B_q -> C_{q+n}, row-major.
+    A degree-n proto is a tuple of dim(n) coordinates (`to_vector`,
+    `from_vector`), and a family of them is an IntMatrix with one such
+    column each, as `cycle_basis` returns the chain maps.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -664,19 +648,16 @@ class HomSpace:
                  for q, rows, cols, off in self.layout.blocks(n)}
         return Proto(self.source, self.target, n, comps)
 
-    def basis(self, n: int) -> List[Proto]:
-        dim = self.dim(n)
-        out = []
-        for k in range(dim):
-            vec = [0] * dim
-            vec[k] = 1
-            out.append(self.from_vector(n, vec))
-        return out
+    def from_cycle(self, n: int, vec: Sequence[int]) -> ChainMap:
+        """The chain map with coordinates vec, which must be a degree-n
+        cycle, such as K c for K = cycle_basis(n); it is not checked."""
+        return ChainMap(self.source, self.target, n, self.from_vector(n, vec)._c, _trusted=True)
 
-    def cycle_basis(self, n: int) -> List[Proto]:
-        """Z-basis of the degree-n cycles, i.e. of the degree-n chain maps."""
-        k = kernel_basis(self.complex.diff(n))
-        return [self.from_vector(n, k.col(j)) for j in range(k.cols)]
+    def cycle_basis(self, n: int) -> IntMatrix:
+        """The kernel matrix K of the degree-n hom differential: dim(n)
+        rows, and its columns, in this space's coordinates, are a Z-basis
+        of the degree-n cycles, i.e. of the degree-n chain maps."""
+        return kernel_basis(self.complex.diff(n))
 
 
 def precomposition(g: Proto, hs_from: HomSpace, hs_to: HomSpace, n: int) -> IntMatrix:
@@ -721,8 +702,9 @@ def hom_complex(source: Complex, target: Complex) -> Complex:
     return HomSpace(source, target).complex
 
 
-def chain_map_basis(source: Complex, target: Complex, degree: int = 0) -> List[Proto]:
-    """Z-basis of the group of degree-n chain maps source -> target."""
+def chain_map_basis(source: Complex, target: Complex, degree: int = 0) -> IntMatrix:
+    """The kernel matrix whose columns are a Z-basis of the degree-n chain
+    maps source -> target, in the coordinates of HomSpace(source, target)."""
     return HomSpace(source, target).cycle_basis(degree)
 
 
@@ -730,81 +712,71 @@ def chain_map_basis(source: Complex, target: Complex, degree: int = 0) -> List[P
 
 
 class AdjunctionWitness:
-    """Mutually inverse transposition maps plus their verification."""
+    """The two transposes of an adjunction in coordinates, and their check.
 
-    def __init__(self, to_chain, to_graded, verified: bool, detail: str = ""):
-        self.to_chain = to_chain
-        self.to_graded = to_graded
-        self.verified = verified
-        self.detail = detail
+    ``to_chain`` is an IntMatrix from the degree-0 coordinates of the graded
+    hom space ``graded`` to those of the chain hom space ``chain``, and
+    ``to_graded`` goes back.  Verified means to_graded to_chain = 1, every
+    column of to_chain is a chain map, and to_chain to_graded K = K for the
+    chain maps K = chain.cycle_basis(0)."""
 
-
-def _round_trips(to_chain, to_graded, graded: HomSpace,
-                 chain_source: Complex, chain_target: Complex) -> AdjunctionWitness:
-    """Both transposes with the check that each round trip is the identity,
-    on the degree-0 basis of the graded side and on a basis of the chain
-    maps chain_source -> chain_target."""
-    detail = []
-    if any(to_graded(to_chain(g)) != g for g in graded.basis(0)):
-        detail.append("graded round trip failed")
-    if any(to_chain(to_graded(f)) != f for f in chain_map_basis(chain_source, chain_target, 0)):
-        detail.append("chain round trip failed")
-    return AdjunctionWitness(to_chain, to_graded, not detail, "; ".join(detail))
+    def __init__(self, graded: HomSpace, chain: HomSpace, to_chain: List[List[int]],
+                 to_graded: List[List[int]]):
+        self.graded, self.chain = graded, chain
+        self.to_chain = IntMatrix.from_rows(to_chain, graded.dim(0), _trusted=True)
+        self.to_graded = IntMatrix.from_rows(to_graded, chain.dim(0), _trusted=True)
+        detail = []
+        if self.to_graded @ self.to_chain != IntMatrix.identity(graded.dim(0)):
+            detail.append("graded round trip failed")
+        if not (chain.complex.diff(0) @ self.to_chain).is_zero():
+            detail.append("transpose is not a chain map")
+        k = chain.cycle_basis(0)
+        if self.to_chain @ (self.to_graded @ k) != k:
+            detail.append("chain round trip failed")
+        self.verified = not detail
+        self.detail = "; ".join(detail)
 
 
 def adjunction_iso_LU(x: Complex, a: Complex) -> AdjunctionWitness:
-    """DGAb(LX, A) = GAb(X, UA): transpose both ways and verify round trips."""
+    """DGAb(LX, A) = GAb(X, UA), block by block: g goes to the chain map
+    f_n = [d g_{n+1}, g_n] on (LX)_n = X_{n+1} + X_n, and f_n to its last
+    X_n columns.  On row-major blocks vec(D G E) = (D (x) E^T) vec(G)."""
     if not x.has_zero_differentials():
         raise NotGraded("adjunction_iso_LU expects a graded X")
-    lx = functor_L(x)
-    ua = forget_U(a)
-
-    def to_chain(g: Proto) -> ChainMap:
-        # f_n = [d o g_{n+1}, g_n] on (LX)_n = X_{n+1} + X_n
-        comps = {}
-        for n in lx.degrees():
-            if lx.rank(n) == 0 or a.rank(n) == 0:
-                continue
-            comps[n] = (a.diff(n + 1) @ g.comp(n + 1)).hstack(g.comp(n))
-        return ChainMap(lx, a, 0, comps)
-
-    def to_graded(f: Proto) -> Proto:
-        comps = {}
-        for n in x.degrees():
-            if x.rank(n) == 0 or a.rank(n) == 0:
-                continue
-            left = x.rank(n + 1)
-            comps[n] = f.comp(n).select_cols(range(left, left + x.rank(n)))
-        return Proto(x, ua, 0, comps)
-
-    return _round_trips(to_chain, to_graded, HomSpace(x, ua), lx, a)
+    graded, chain = HomSpace(x, forget_U(a)), HomSpace(functor_L(x), a)
+    to_chain = [[0] * graded.dim(0) for _ in range(chain.dim(0))]
+    to_graded = [[0] * chain.dim(0) for _ in range(graded.dim(0))]
+    for n, rows, width, off in chain.layout.blocks(0):
+        top, ident = x.rank(n + 1), IntMatrix.identity(width)
+        if top and a.rank(n + 1):   # d g_{n+1}, in the first X_{n+1} columns
+            scatter_kron(to_chain, off, graded.layout.slot(0, n + 1), a.diff(n + 1),
+                         ident.select_cols(range(top)))
+        if width > top:             # g_n, in the last X_n columns
+            last, g_off = ident.select_rows(range(top, width)), graded.layout.slot(0, n)
+            scatter_kron(to_chain, off, g_off, rows, last.transpose())
+            scatter_kron(to_graded, g_off, off, rows, last)
+    return AdjunctionWitness(graded, chain, to_chain, to_graded)
 
 
 def adjunction_iso_UR(a: Complex, x: Complex) -> AdjunctionWitness:
-    """DGAb(A, RX) = GAb(UA, X): transpose both ways and verify round trips."""
+    """DGAb(A, RX) = GAb(UA, X), block by block: g goes to the chain map
+    f_n = [g_n; g_{n-1} d] into (RX)_n = X_n + X_{n-1}, and f_n to its first
+    X_n rows.  On row-major blocks vec(E G D) = (E (x) D^T) vec(G)."""
     if not x.has_zero_differentials():
         raise NotGraded("adjunction_iso_UR expects a graded X")
-    rx = functor_R(x)
-    ua = forget_U(a)
-
-    def to_chain(g: Proto) -> ChainMap:
-        # f_n = [g_n; g_{n-1} o d] into (RX)_n = X_n + X_{n-1}
-        comps = {}
-        for n in a.degrees():
-            if a.rank(n) == 0 or rx.rank(n) == 0:
-                continue
-            comps[n] = g.comp(n).vstack(g.comp(n - 1) @ a.diff(n))
-        return ChainMap(a, rx, 0, comps)
-
-    def to_graded(f: Proto) -> Proto:
-        comps = {}
-        for n in a.degrees():
-            if a.rank(n) == 0 or x.rank(n) == 0:
-                continue
-            comps[n] = f.comp(n).select_rows(range(x.rank(n)))
-        return Proto(ua, x, 0, comps)
-
-    return _round_trips(to_chain, to_graded, HomSpace(ua, x), a, rx)
+    graded, chain = HomSpace(forget_U(a), x), HomSpace(a, functor_R(x))
+    to_chain = [[0] * graded.dim(0) for _ in range(chain.dim(0))]
+    to_graded = [[0] * chain.dim(0) for _ in range(graded.dim(0))]
+    for n, height, cols, off in chain.layout.blocks(0):
+        top, ident = x.rank(n), IntMatrix.identity(height)
+        if top:                     # g_n, in the first X_n rows
+            first, g_off = ident.select_rows(range(top)), graded.layout.slot(0, n)
+            scatter_kron(to_chain, off, g_off, first.transpose(), cols)
+            scatter_kron(to_graded, g_off, off, first, cols)
+        if height > top and a.rank(n - 1):   # g_{n-1} d, in the last X_{n-1} rows
+            scatter_kron(to_chain, off, graded.layout.slot(0, n - 1),
+                         ident.select_cols(range(top, height)), a.diff(n).transpose())
+    return AdjunctionWitness(graded, chain, to_chain, to_graded)
 
 
 # -- the canonical U-split presentation ------------------------------------

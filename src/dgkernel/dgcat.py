@@ -22,7 +22,7 @@ pick up (-1)^{k|f|}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -328,44 +328,36 @@ def two_object_graded_category(arrow_degree: int = 0) -> FiniteDGCategory:
 
 def dg_subcategory_of_complexes(named: Mapping[str, Complex]) -> FiniteDGCategory:
     """Full sub-DG-category of complexes on the given objects, with hom
-    complexes and honest composition."""
+    complexes and honest composition (see _composition_table)."""
     names = tuple(named)
-    homs = {}
-    spaces = {}
-    for x in names:
-        for y in names:
-            hs = HomSpace(named[x], named[y])
-            spaces[(x, y)] = hs
-            homs[(x, y)] = hs.complex
-    tables = {}
-    for x in names:
-        for y in names:
-            for z in names:
-                hs_xy, hs_yz, hs_xz = spaces[(x, y)], spaces[(y, z)], spaces[(x, z)]
-                if hs_xy.complex.is_zero() or hs_yz.complex.is_zero() \
-                   or hs_xz.complex.is_zero():
-                    continue
-                ts = TensorSpace(hs_yz.complex, hs_xy.complex)
-                comps = {}
-                for n in ts.complex.degrees():
-                    cols = []
-                    for t in ts.basis(n):
-                        v = hs_yz.from_vector(
-                            t.left_degree, _unit_vec(hs_yz.dim(t.left_degree), t.left_index))
-                        u = hs_xy.from_vector(
-                            t.right_degree, _unit_vec(hs_xy.dim(t.right_degree), t.right_index))
-                        cols.append(hs_xz.to_vector(compose(v, u)))
-                    comps[n] = IntMatrix.from_cols(cols, hs_xz.dim(n))
-                tables[(x, y, z)] = ChainMap(ts.complex, hs_xz.complex, 0, comps)
+    spaces = {(x, y): HomSpace(named[x], named[y]) for x, y in product(names, repeat=2)}
+    homs = {key: hs.complex for key, hs in spaces.items()}
+    tables = {(x, y, z): _composition_table(spaces[(y, z)], spaces[(x, y)], spaces[(x, z)])
+              for x, y, z in product(names, repeat=3)
+              if not any(homs[key].is_zero() for key in ((x, y), (y, z), (x, z)))}
     ids = {x: Elt(homs[(x, x)], 0, spaces[(x, x)].to_vector(identity_map(named[x])))
            for x in names}
     return FiniteDGCategory(names, homs, tables, ids)
 
 
-def _unit_vec(dim, k):
-    v = [0] * dim
-    v[k] = 1
-    return tuple(v)
+def _composition_table(hs_yz: HomSpace, hs_xy: HomSpace, hs_xz: HomSpace) -> ChainMap:
+    """v (x) u |-> v o u on [Y,Z] (x) [X,Y] -> [X,Z], for u of degree r.
+    Composition is bilinear, and v_{q+r}[a,b] u_q[b,k] lands on (v o u)_q[a,k]:
+    for fixed a and b, the pairs over k place one identity block."""
+    ts = TensorSpace(hs_yz.complex, hs_xy.complex)
+    comps = {}
+    for n in ts.layout.degrees():
+        out = [[0] * ts.dim(n) for _ in range(hs_xz.dim(n))]
+        for p, _, dim_u, off in ts.layout.blocks(n):
+            for q, m, c, u_off in hs_xy.layout.blocks(n - p):
+                rows = hs_xz.target.rank(q + n)    # of v_{q+r} and of (v o u)_q
+                if rows:
+                    v_off, w_off = hs_yz.layout.slot(p, q + n - p), hs_xz.layout.slot(n, q)
+                    for a, b in product(range(rows), range(m)):
+                        scatter_kron(out, w_off + a * c,
+                                     off + (v_off + a * m + b) * dim_u + u_off + b * c, c)
+        comps[n] = IntMatrix.from_rows(out, ts.dim(n), _trusted=True)
+    return ChainMap(ts.complex, hs_xz.complex, 0, comps)
 
 
 def ell_op_window_category(window: int) -> FiniteDGCategory:
@@ -543,30 +535,35 @@ def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
         if values[src].is_zero():
             continue
         ts_new = action_domain(side, hom, values[src])
+        spaces = [m.action_space(u, v) for m in (m1, m2)]
+        tables = [m.actions.get((u, v)) or Proto.zero(ts.complex, m.value(tgt))
+                  for m, ts in zip((m1, m2), spaces)]
         comps = {}
-        for n in ts_new.complex.degrees():
-            cols = ts_new.dim(n)
-            out = [[0] * cols for _ in range(values[tgt].rank(n))]
-            for c, t in enumerate(ts_new.basis(n)):
-                if side == RIGHT:    # basis of M V (x) hom(U,V)
-                    deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
-                                              t.right_degree, t.right_index)
-                else:                # basis of hom(U,V) (x) N U
-                    f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
-                                              t.right_degree, t.right_index)
-                r1 = m1.value(src).rank(deg)
-                first = idx < r1
-                part, idx = (m1, idx) if first else (m2, idx - r1)
-                x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
-                f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
-                img = part.act_by(u, v, f, x)
-                off = 0 if first else m1.value(tgt).rank(img.degree)
-                for i, val in enumerate(img.vec):
-                    if val:
-                        out[off + i][c] = val
-            comps[n] = IntMatrix.from_rows(out, cols)
+        for n in ts_new.layout.degrees():
+            # [table 1, 0; 0, table 2], its columns taken in the order of ts_new
+            comps[n] = block_diagonal([t.comp(n) for t in tables]).select_cols(
+                _summand_columns(side, ts_new, spaces, n))
         actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
     return DGModule(base, values, actions, side)
+
+
+def _summand_columns(side: str, ts_new: TensorSpace, spaces: List[TensorSpace], n: int):
+    """The columns of the summands' action domains `spaces`, side by side,
+    in the degree-n order of ts_new, the action domain of their sum.  The
+    value indexes the rows of a block on the right, so a block of ts_new is
+    the summands' blocks in turn; on the left, each row is their rows in turn."""
+    order = []
+    for p, rows, _, _ in ts_new.layout.blocks(n):
+        runs, start = [], 0
+        for ts in spaces:
+            size, width = ts.left.rank(p) * ts.right.rank(n - p), ts.right.rank(n - p)
+            if size:
+                runs.append((start + ts.layout.slot(n, p), size if side == RIGHT else width))
+            start += ts.dim(n)
+        for i in range(1 if side == RIGHT else rows):
+            for first, run in runs:
+                order += range(first + i * run, first + (i + 1) * run)
+    return order
 
 
 @dataclass
@@ -1418,11 +1415,12 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     for (u, v), (ts, target) in spaces.items():
         for d in ts.complex.degrees():
             dims_in, dims_below = ts.dim(d), ts.dim(d - 1)
+            units = IntMatrix.identity(dims_in)
             for k in range(dims_in):
                 block = [[0] * total for _ in range(target.rank(d - 1))]
                 if target.rank(d):   # d(eps(e_k)): column k of eps_d
                     scatter_kron(block, 0, entries.slot(0, (u, v, d)), target.diff(d),
-                                 IntMatrix(1, dims_in, _unit_vec(dims_in, k)))
+                                 units.select_rows([k]))
                 if block and dims_below:   # eps(d e_k): eps_{d-1} times column k of d
                     scatter_kron(block, 0, entries.slot(0, (u, v, d - 1)), len(block),
                                  IntMatrix(1, dims_below, ts.complex.diff(d).col(k)), -1)

@@ -166,5 +166,4 @@ def yoneda_rank_check(m: int, n: int) -> bool:
     lz = functor_L(unit_complex())
     src = suspension(lz, m)
     tgt = suspension(lz, n)
-    computed = len(chain_map_basis(src, tgt, 0))
-    return computed == ell_hom_rank(m, n)
+    return chain_map_basis(src, tgt, 0).cols == ell_hom_rank(m, n)

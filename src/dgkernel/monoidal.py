@@ -28,12 +28,12 @@ from .complexes import (
     GradedObject,
     HomSpace,
     Proto,
-    chain_map_basis,
     compose,
     direct_sum,
     functor_L,
     functor_R,
     identity_map,
+    postcomposition,
     precomposition,
     scatter_kron,
     suspension,
@@ -300,44 +300,33 @@ def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]
 # -- solved-for witnesses ---------------------------------------------------
 
 
-def _combo(basis: List[Proto], coeffs) -> Proto:
-    out = Proto.zero(basis[0].source, basis[0].target, basis[0].degree)
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = out + c * b
-    return out
-
-
 def _search_iso(src: Complex, tgt: Complex, box: int = 1) -> Tuple[ChainMap, ChainMap]:
-    """Find mutually inverse chain maps src <-> tgt by exact search + solve."""
-    fwd_basis = chain_map_basis(src, tgt, 0)
-    bwd_basis = chain_map_basis(tgt, src, 0)
-    if not fwd_basis or not bwd_basis:
+    """Find mutually inverse chain maps src <-> tgt by exact search + solve:
+    for each f = K_fwd c, solve g o f = 1 for g = K_bwd x, then check f o g = 1."""
+    hs_fwd, hs_bwd = HomSpace(src, tgt), HomSpace(tgt, src)
+    k_fwd, k_bwd = hs_fwd.cycle_basis(0), hs_bwd.cycle_basis(0)
+    if not k_fwd.cols or not k_bwd.cols:
         if src.is_zero() and tgt.is_zero():
             return identity_map(src), identity_map(tgt)
         raise SearchFailed("no chain maps to search over")
-    hs_src = HomSpace(src, src)
-    hs_tgt = HomSpace(tgt, tgt)
-    id_src = hs_src.to_vector(identity_map(src))
+    hs_src, hs_tgt = HomSpace(src, src), HomSpace(tgt, tgt)
+    id_src = IntMatrix.column(hs_src.to_vector(identity_map(src)))
     id_tgt = hs_tgt.to_vector(identity_map(tgt))
 
     candidates = sorted(
-        iter_product(range(-box, box + 1), repeat=len(fwd_basis)),
+        iter_product(range(-box, box + 1), repeat=k_fwd.cols),
         key=lambda t: sum(abs(x) for x in t),
     )
     for coeffs in candidates:
         if not any(coeffs):
             continue
-        f = _combo(fwd_basis, coeffs)
-        cols = [hs_src.to_vector(compose(g, f)) for g in bwd_basis]
-        m = IntMatrix.from_cols(cols, hs_src.dim(0))
-        sol = solve_matrix(m, IntMatrix.column(id_src))
+        f = hs_fwd.from_cycle(0, k_fwd.apply(coeffs))
+        sol = solve_matrix(precomposition(f, hs_bwd, hs_src, 0) @ k_bwd, id_src)
         if sol is None:
             continue
-        g = _combo(bwd_basis, sol.col(0))
-        if hs_tgt.to_vector(compose(f, g)) == id_tgt:
-            return (ChainMap(src, tgt, 0, f.comps(), _trusted=True),
-                    ChainMap(tgt, src, 0, g.comps(), _trusted=True))
+        g = k_bwd.apply(sol.col(0))
+        if postcomposition(f, hs_bwd, hs_tgt, 0).apply(g) == id_tgt:
+            return f, hs_bwd.from_cycle(0, g)
     raise SearchFailed("exhausted the search box without finding an isomorphism")
 
 
@@ -366,21 +355,19 @@ def verify_duality_LR() -> DualityWitness:
     rl = tensor(rz, lz)
     lr = tensor(lz, rz)
 
-    units = chain_map_basis(one, rl, 0)
-    counits = chain_map_basis(lr, one, 0)
-    if not units or not counits:
+    hs_units, hs_counits = HomSpace(one, rl), HomSpace(lr, one)
+    units, counits = hs_units.cycle_basis(0), hs_counits.cycle_basis(0)
+    if not units.cols or not counits.cols:
         raise SearchFailed("empty candidate spaces for the duality")
 
-    for uc in iter_product(range(-1, 2), repeat=len(units)):
+    for uc in iter_product(range(-1, 2), repeat=units.cols):
         if not any(uc):
             continue
-        eta = _combo(units, uc)
-        eta = ChainMap(one, rl, 0, eta.comps(), _trusted=True)
-        for cc in iter_product(range(-1, 2), repeat=len(counits)):
+        eta = hs_units.from_cycle(0, units.apply(uc))
+        for cc in iter_product(range(-1, 2), repeat=counits.cols):
             if not any(cc):
                 continue
-            eps = _combo(counits, cc)
-            eps = ChainMap(lr, one, 0, eps.comps(), _trusted=True)
+            eps = hs_counits.from_cycle(0, counits.apply(cc))
             if _triangle_left(lz, rz, eta, eps) and _triangle_right(lz, rz, eta, eps):
                 return DualityWitness(eta, eps, True, True)
     raise SearchFailed("no (unit, counit) pair satisfies the triangle identities")

@@ -16,8 +16,8 @@ from .complexes import (
     ChainMap,
     Complex,
     GradedObject,
+    HomSpace,
     Proto,
-    chain_map_basis,
     direct_sum,
     direct_sum_complexes,
 )
@@ -89,14 +89,11 @@ def rand_proto(rng: random.Random, source: Complex, target: Complex, degree: int
 
 def rand_chain_map(rng: random.Random, source: Complex, target: Complex,
                    degree: int = 0, span: int = 2) -> ChainMap:
-    """Random integer combination of a basis of the chain-map group."""
-    basis = chain_map_basis(source, target, degree)
-    out = Proto.zero(source, target, degree)
-    for b in basis:
-        c = rng.randint(-span, span)
-        if c:
-            out = out + c * b
-    return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
+    """K c for the chain-map basis K, with one draw from [-span, span] per
+    column of K."""
+    hs = HomSpace(source, target)
+    k = hs.cycle_basis(degree)
+    return hs.from_cycle(degree, k.apply([rng.randint(-span, span) for _ in range(k.cols)]))
 
 
 def rand_double_complex(rng: random.Random, max_cols: int = 3):

@@ -6,6 +6,15 @@ import sys
 import pytest
 
 from dgkernel import zlinalg
+from dgkernel.zlinalg import IntMatrix
+
+
+def protos(hs, n, columns=None):
+    """One degree-n Proto of the HomSpace hs per column of `columns`, its
+    coordinates; by default one per basis element."""
+    if columns is None:
+        columns = IntMatrix.identity(hs.dim(n))
+    return [hs.from_vector(n, columns.col(j)) for j in range(columns.cols)]
 
 
 class Calls(list):

@@ -352,6 +352,19 @@ class TestInputCaps:
         assert captured.err == (f"input error: field 'degree': {flag} must have degree 0, "
                                 f"got {degree}\n")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("f, t", [("id_z.json", "id_lz.json"), ("split_f.json", "id_lz.json")])
+    def test_a_splitting_between_other_complexes_exits_two(self, files, capsys, json_flag, f, t):
+        # both ends wrong, or only the target: it used to print
+        # "FAIL: f o t o f != f" and exit 1
+        for name, cx in (("id_z.json", unit_complex()), ("id_lz.json", functor_L(unit_complex()))):
+            files[name] = files["tmp"] + "/" + name
+            jsonio.dump(jsonio.proto_to_json(identity_map(cx)), files[name])
+        assert main(json_flag + ["cokernel-protosplit", "--f", files[f], "--t", files[t]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --t must go from the target of --f to its source\n"
+
     @pytest.mark.parametrize("field, payload", [
         ("lo", {"lo": -1025, "hi": -1025, "ranks": [1]}),
         ("hi", {"lo": 0, "hi": 1025, "ranks": [1] * 1026}),

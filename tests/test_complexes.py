@@ -1,9 +1,15 @@
+import ast
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dgkernel.complexes as complexes
+from conftest import protos
 from dgkernel.complexes import (
+    AdjunctionWitness,
     ChainMap,
     Complex,
     GradedObject,
@@ -13,11 +19,9 @@ from dgkernel.complexes import (
     SquareZeroViolated,
     adjunction_iso_LU,
     adjunction_iso_UR,
-    boundariesquot_Zprime,
     canonical_presentation,
     chain_map_basis,
     compose,
-    cycles_Z,
     d_hom,
     direct_sum,
     direct_sum_complexes,
@@ -36,7 +40,7 @@ from dgkernel.complexes import (
     HomSpace,
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_graded, rand_proto
-from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, block_matrix
+from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, block_matrix, kernel_basis
 
 K0 = unit_complex()
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -163,14 +167,6 @@ class TestHomology:
         for _ in range(10):
             a = rand_complex(rng)
             assert homology_H(suspension(a)) == homology_H(a).shifted(1)
-
-    def test_cycles_and_quotient(self):
-        z = cycles_Z(M2)
-        assert z.at(0) == FPAbGroup.free(1)  # everything in degree 0 is a cycle
-        assert z.at(1).is_trivial()  # d_1 = 2 is injective
-        zp = boundariesquot_Zprime(M2)
-        assert zp.at(0) == FPAbGroup.canonical(0, [2])
-        assert zp.at(1) == FPAbGroup.free(1)
 
 
 class TestHomComplex:
@@ -322,7 +318,7 @@ class TestAdjunctions:
         rng = random.Random(11)
         for _ in range(10):
             a = rand_complex(rng)
-            assert len(chain_map_basis(LZ, a, 0)) == a.rank(0)
+            assert chain_map_basis(LZ, a, 0).cols == a.rank(0)
 
     def test_zero_graded_object(self):
         w = adjunction_iso_LU(Complex.zero(), M2)
@@ -468,3 +464,190 @@ class TestSuspensionMap:
         assert isinstance(sf, ChainMap)
         for q in a.degrees():
             assert sf.comp(q + 1) == f.comp(q)
+
+
+# -- chain maps in coordinates ----------------------------------------------
+#
+# Chain-map bases are kernel matrices, a random chain map is one K c, and
+# the adjunction transposes are matrices.  The reference_* functions are the
+# per-basis builders they replaced, kept as oracles.
+
+
+def reference_chain_map_basis(source, target, degree=0):
+    hs = HomSpace(source, target)
+    k = kernel_basis(hs.complex.diff(degree))
+    return [hs.from_vector(degree, k.col(j)) for j in range(k.cols)]
+
+
+def reference_rand_chain_map(rng, source, target, degree=0, span=2):
+    basis = reference_chain_map_basis(source, target, degree)
+    out = Proto.zero(source, target, degree)
+    for b in basis:
+        c = rng.randint(-span, span)
+        if c:
+            out = out + c * b
+    return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
+
+
+def reference_round_trips(to_chain, to_graded, graded, chain_source, chain_target):
+    detail = []
+    if any(to_graded(to_chain(g)) != g for g in protos(graded, 0)):
+        detail.append("graded round trip failed")
+    if any(to_chain(to_graded(f)) != f
+           for f in reference_chain_map_basis(chain_source, chain_target, 0)):
+        detail.append("chain round trip failed")
+    return SimpleNamespace(to_chain=to_chain, to_graded=to_graded, verified=not detail,
+                           detail="; ".join(detail))
+
+
+def reference_adjunction_iso_LU(x, a):
+    lx = functor_L(x)
+    ua = forget_U(a)
+
+    def to_chain(g):
+        # f_n = [d o g_{n+1}, g_n] on (LX)_n = X_{n+1} + X_n
+        comps = {}
+        for n in lx.degrees():
+            if lx.rank(n) == 0 or a.rank(n) == 0:
+                continue
+            comps[n] = (a.diff(n + 1) @ g.comp(n + 1)).hstack(g.comp(n))
+        return ChainMap(lx, a, 0, comps)
+
+    def to_graded(f):
+        comps = {}
+        for n in x.degrees():
+            if x.rank(n) == 0 or a.rank(n) == 0:
+                continue
+            left = x.rank(n + 1)
+            comps[n] = f.comp(n).select_cols(range(left, left + x.rank(n)))
+        return Proto(x, ua, 0, comps)
+
+    return reference_round_trips(to_chain, to_graded, HomSpace(x, ua), lx, a)
+
+
+def reference_adjunction_iso_UR(a, x):
+    rx = functor_R(x)
+    ua = forget_U(a)
+
+    def to_chain(g):
+        # f_n = [g_n; g_{n-1} o d] into (RX)_n = X_n + X_{n-1}
+        comps = {}
+        for n in a.degrees():
+            if a.rank(n) == 0 or rx.rank(n) == 0:
+                continue
+            comps[n] = g.comp(n).vstack(g.comp(n - 1) @ a.diff(n))
+        return ChainMap(a, rx, 0, comps)
+
+    def to_graded(f):
+        comps = {}
+        for n in a.degrees():
+            if a.rank(n) == 0 or x.rank(n) == 0:
+                continue
+            comps[n] = f.comp(n).select_rows(range(x.rank(n)))
+        return Proto(ua, x, 0, comps)
+
+    return reference_round_trips(to_chain, to_graded, HomSpace(ua, x), a, rx)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def maybe_zero(rng, make):
+    return make(rng) if rng.random() < 0.85 else Complex.zero()
+
+
+def small(rng):
+    return rand_complex(rng, bricks=2)
+
+
+class TestChainMapsInCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.integers(-2, 2))
+    def test_bases_equal_the_reference(self, seed, degree):
+        rng = random.Random(seed)
+        a, b = maybe_zero(rng, small), maybe_zero(rng, small)
+        hs = HomSpace(a, b)
+        k = chain_map_basis(a, b, degree)
+        assert k.rows == hs.dim(degree) and k == hs.cycle_basis(degree)
+        assert protos(hs, degree, k) == reference_chain_map_basis(a, b, degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.integers(-2, 2), st.integers(0, 3))
+    def test_random_chain_maps_equal_the_reference(self, seed, degree, span):
+        rng = random.Random(seed)
+        a, b = maybe_zero(rng, small), maybe_zero(rng, small)
+        draws, reference_draws = random.Random(seed), random.Random(seed)
+        f = rand_chain_map(draws, a, b, degree, span)
+        assert isinstance(f, ChainMap)
+        assert f == reference_rand_chain_map(reference_draws, a, b, degree, span)
+        assert draws.getstate() == reference_draws.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS)
+    def test_adjunction_transposes_equal_the_reference(self, seed):
+        rng = random.Random(seed)
+        x, a = maybe_zero(rng, rand_graded), maybe_zero(rng, rand_complex)
+        for got, want in ((adjunction_iso_LU(x, a), reference_adjunction_iso_LU(x, a)),
+                          (adjunction_iso_UR(a, x), reference_adjunction_iso_UR(a, x))):
+            assert got.verified is want.verified is True
+            for j, g in enumerate(protos(got.graded, 0)):
+                assert got.to_chain.col(j) == got.chain.to_vector(want.to_chain(g))
+            for j, f in enumerate(protos(got.chain, 0)):
+                assert got.to_graded.col(j) == got.graded.to_vector(want.to_graded(f))
+
+    @pytest.mark.parametrize("adjunction, to_chain, to_graded", [
+        # X = Z in degree 1: g_1 goes to (f_0, f_1) = (2 g_1, g_1)
+        (lambda: adjunction_iso_LU(Complex.concentrated(1), M2), [[2], [1]], [[0, 1]]),
+        # X = Z in degree 0: g_0 goes to (f_0, f_1) = (g_0, 2 g_0)
+        (lambda: adjunction_iso_UR(M2, Complex.concentrated(0)), [[1], [2]], [[1, 0]]),
+    ])
+    def test_broken_transposes_are_not_verified(self, adjunction, to_chain, to_graded):
+        w = adjunction()
+        assert w.verified and w.detail == ""
+        assert w.to_chain.to_lists() == to_chain and w.to_graded.to_lists() == to_graded
+        d_part = [[0] if x == [2] else x for x in to_chain]   # d g dropped
+        doubled = [[2 * x for x in row] for row in to_chain]
+        for bad, detail in ((d_part, "transpose is not a chain map; chain round trip failed"),
+                            (doubled, "graded round trip failed; chain round trip failed")):
+            assert AdjunctionWitness(w.graded, w.chain, bad, to_graded).detail == detail
+
+
+def per_basis_builds(source: str):
+    """Lines of the loops and comprehensions that iterate a call of an
+    attribute named basis or cycle_basis, and of the comprehensions that
+    call from_vector."""
+    def calls(node, names):
+        return any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                   and c.func.attr in names for c in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.comprehension)) \
+                and calls(node.iter, {"basis", "cycle_basis"}):
+            lines.append(node.iter.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)) \
+                and calls(node, {"from_vector"}):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestNoPerBasisBuilds:
+    def test_the_package_builds_no_proto_per_basis_element(self):
+        package = Path(complexes.__file__).parent
+        assert [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+                for line in per_basis_builds(path.read_text())] == []
+
+    @pytest.mark.parametrize("source", [
+        "for f in hs.basis(n):\n    pass\n",
+        "xs = [t for k, t in enumerate(ts.basis(n))]\n",
+        "ok = any(f == g for f in hs.cycle_basis(0))\n",
+        "fs = {j: hs.from_vector(0, k.col(j)) for j in range(k.cols)}\n",
+    ])
+    def test_the_check_finds_per_basis_builds(self, source):
+        assert per_basis_builds(source) == [1]
+
+    def test_the_check_passes_matrix_code(self):
+        source = ("k = hs.cycle_basis(0)\nf = hs.from_vector(0, k.apply(c))\n"
+                  "for q, rows, cols, off in hs.layout.blocks(n):\n    pass\n")
+        assert per_basis_builds(source) == []
+

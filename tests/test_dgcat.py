@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgkernel.dgcat as dgcat
+from conftest import protos
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
     Complex,
+    HomSpace,
     Proto,
     chain_map_basis,
     compose,
@@ -59,7 +61,7 @@ from dgkernel.dgcat import (
     weighted_colimit,
 )
 from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
-from dgkernel.rand import rand_double_complex
+from dgkernel.rand import rand_complex, rand_double_complex, rand_graded
 from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
 from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, cokernel, kernel_basis
 
@@ -711,10 +713,10 @@ class TestProtosplitQuotient:
         # all candidate sigma: degree-0 chain transformations M2 -> Z;
         # the only one is zero, so gamma' o sigma = 1 is unachievable
         candidates = chain_map_basis(M2, K0, 0)
-        assert candidates == []
+        assert candidates.cols == 0
         zero_sigma = ModuleTransform(m, rep_mod, 0,
                                      {"*": Proto.zero(M2, K0, 0)})
-        for gamma_comp in chain_map_basis(K0, M2, 0):
+        for gamma_comp in protos(HomSpace(K0, M2), 0, chain_map_basis(K0, M2, 0)):
             gamma = ModuleTransform(rep_mod, m, 0, {"*": gamma_comp})
             rep = verify_protosplit_quotient(m, "*", gamma, zero_sigma)
             assert not rep.ok
@@ -1405,3 +1407,133 @@ class TestOneEvaluator:
         for c in (cd, bare):
             with pytest.raises(ShapeMismatch):
                 c.eps_apply("*", "*", self._wrong_length(cd.n.value("*"), 0), x)
+
+
+# -- composition tables and module sums by placement ------------------------
+#
+# dg_subcategory_of_complexes used to build two Protos and one compose per
+# basis pair of each tensor complex, and direct_sum_modules one Elt and one
+# act_by per basis element of each action domain.  The reference_* functions
+# are those builders, kept as oracles: tables and actions must be equal, in
+# the same order.
+
+
+def _unit_vec(dim, k):
+    v = [0] * dim
+    v[k] = 1
+    return tuple(v)
+
+
+def reference_dg_subcategory_of_complexes(named):
+    names = tuple(named)
+    homs = {}
+    spaces = {}
+    for x in names:
+        for y in names:
+            hs = HomSpace(named[x], named[y])
+            spaces[(x, y)] = hs
+            homs[(x, y)] = hs.complex
+    tables = {}
+    for x in names:
+        for y in names:
+            for z in names:
+                hs_xy, hs_yz, hs_xz = spaces[(x, y)], spaces[(y, z)], spaces[(x, z)]
+                if hs_xy.complex.is_zero() or hs_yz.complex.is_zero() \
+                   or hs_xz.complex.is_zero():
+                    continue
+                ts = TensorSpace(hs_yz.complex, hs_xy.complex)
+                comps = {}
+                for n in ts.complex.degrees():
+                    cols = []
+                    for t in ts.basis(n):
+                        v = hs_yz.from_vector(
+                            t.left_degree, _unit_vec(hs_yz.dim(t.left_degree), t.left_index))
+                        u = hs_xy.from_vector(
+                            t.right_degree, _unit_vec(hs_xy.dim(t.right_degree), t.right_index))
+                        cols.append(hs_xz.to_vector(compose(v, u)))
+                    comps[n] = IntMatrix.from_cols(cols, hs_xz.dim(n))
+                tables[(x, y, z)] = ChainMap(ts.complex, hs_xz.complex, 0, comps)
+    ids = {x: Elt(homs[(x, x)], 0, spaces[(x, x)].to_vector(identity_map(named[x])))
+           for x in names}
+    return FiniteDGCategory(names, homs, tables, ids)
+
+
+def reference_direct_sum_modules(m1, m2):
+    if m1.side != m2.side:
+        raise ValueError("direct sum of a right and a left module")
+    base, side = m1.base, m1.side
+    values = {x: direct_sum([m1.value(x), m2.value(x)]) for x in base.objects}
+    actions = {}
+    for u, v, hom in base.nonzero_homs():
+        src, tgt = m1.ends(u, v)
+        if values[src].is_zero():
+            continue
+        ts_new = action_domain(side, hom, values[src])
+        comps = {}
+        for n in ts_new.complex.degrees():
+            cols = ts_new.dim(n)
+            out = [[0] * cols for _ in range(values[tgt].rank(n))]
+            for c, t in enumerate(ts_new.basis(n)):
+                if side == RIGHT:    # basis of M V (x) hom(U,V)
+                    deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
+                                              t.right_degree, t.right_index)
+                else:                # basis of hom(U,V) (x) N U
+                    f_deg, f_idx, deg, idx = (t.left_degree, t.left_index,
+                                              t.right_degree, t.right_index)
+                r1 = m1.value(src).rank(deg)
+                first = idx < r1
+                part, idx = (m1, idx) if first else (m2, idx - r1)
+                x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
+                f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
+                img = part.act_by(u, v, f, x)
+                off = 0 if first else m1.value(tgt).rank(img.degree)
+                for i, val in enumerate(img.vec):
+                    if val:
+                        out[off + i][c] = val
+            comps[n] = IntMatrix.from_rows(out, cols)
+        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
+    return DGModule(base, values, actions, side)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def small_complex(rng, graded=False):
+    """rand_complex (or rand_graded), or the zero complex one time in five."""
+    if rng.random() < 0.2:
+        return Complex.zero()
+    return rand_graded(rng) if graded else rand_complex(rng, bricks=2)
+
+
+class TestBuiltByPlacement:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(1, 3))
+    def test_composition_tables_equal_the_reference(self, seed, count):
+        rng = random.Random(seed)
+        named = {f"c{i}": small_complex(rng, graded=i == 2) for i in range(count)}
+        got = dg_subcategory_of_complexes(named)
+        want = reference_dg_subcategory_of_complexes(named)
+        assert got.objects == want.objects and got.homs == want.homs
+        assert list(got.compose_table.items()) == list(want.compose_table.items())
+        assert got.identities == want.identities
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.sampled_from([RIGHT, LEFT]), st.integers(-2, 2))
+    def test_direct_sums_equal_the_per_basis_reference(self, seed, side, shift):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            cat = dg_subcategory_of_complexes({"a": small_complex(rng),
+                                               "b": small_complex(rng, graded=True)})
+            m1, m2 = (representable(cat, rng.choice(cat.objects), side) for _ in range(2))
+        else:
+            cat = unit_dg_category()
+            m1 = module_from_complex(cat, small_complex(rng), side)
+            m2 = representable(cat, "*", side)
+        if rng.random() < 0.2:   # a summand without actions: the zero module
+            m2 = DGModule(cat, {}, {}, side)
+        pairs = [(m1, suspend_module(m2, shift)), (suspend_module(m2, shift), m1)]
+        for a, b in pairs:
+            got, want = direct_sum_modules(a, b), reference_direct_sum_modules(a, b)
+            assert got.values == want.values
+            assert list(got.actions.items()) == list(want.actions.items())
+

@@ -1,13 +1,18 @@
 import random
+from itertools import product as iter_product
 
 import pytest
 
+from conftest import protos
 from dgkernel.complexes import (
+    ChainMap,
     Complex,
     HomSpace,
     Proto,
+    chain_map_basis,
     compose,
     d_hom,
+    direct_sum,
     direct_sum_complexes,
     functor_L,
     functor_R,
@@ -17,7 +22,11 @@ from dgkernel.complexes import (
     unit_complex,
 )
 from dgkernel.monoidal import (
+    SearchFailed,
     TensorSpace,
+    _search_iso,
+    _triangle_left,
+    _triangle_right,
     associator,
     decompose_LZ_tensor,
     left_unitor,
@@ -30,7 +39,7 @@ from dgkernel.monoidal import (
     verify_duality_LR,
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
-from dgkernel.zlinalg import IntMatrix
+from dgkernel.zlinalg import IntMatrix, solve_matrix
 
 K0 = unit_complex()
 LZ = functor_L(K0)
@@ -249,3 +258,97 @@ class TestDualityLR:
         verify_duality_LR()
         decompose_LZ_tensor()
         assert time.time() - t0 < 1.0
+
+
+# -- solved-for witnesses from chain-map matrices ---------------------------
+#
+# The searches used to add up Protos of a chain-map basis one by one and
+# compose each candidate with each backward basis element.  The reference_*
+# functions are those searches, kept as oracles: the witnesses found must be
+# the same.
+
+
+def reference_combo(basis, coeffs):
+    out = Proto.zero(basis[0].source, basis[0].target, basis[0].degree)
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out + c * b
+    return out
+
+
+def chain_map_list(source, target):
+    return protos(HomSpace(source, target), 0, chain_map_basis(source, target, 0))
+
+
+def reference_search_iso(src, tgt, box=1):
+    fwd_basis = chain_map_list(src, tgt)
+    bwd_basis = chain_map_list(tgt, src)
+    if not fwd_basis or not bwd_basis:
+        if src.is_zero() and tgt.is_zero():
+            return identity_map(src), identity_map(tgt)
+        raise SearchFailed("no chain maps to search over")
+    hs_src = HomSpace(src, src)
+    hs_tgt = HomSpace(tgt, tgt)
+    id_src = hs_src.to_vector(identity_map(src))
+    id_tgt = hs_tgt.to_vector(identity_map(tgt))
+
+    candidates = sorted(
+        iter_product(range(-box, box + 1), repeat=len(fwd_basis)),
+        key=lambda t: sum(abs(x) for x in t),
+    )
+    for coeffs in candidates:
+        if not any(coeffs):
+            continue
+        f = reference_combo(fwd_basis, coeffs)
+        cols = [hs_src.to_vector(compose(g, f)) for g in bwd_basis]
+        m = IntMatrix.from_cols(cols, hs_src.dim(0))
+        sol = solve_matrix(m, IntMatrix.column(id_src))
+        if sol is None:
+            continue
+        g = reference_combo(bwd_basis, sol.col(0))
+        if hs_tgt.to_vector(compose(f, g)) == id_tgt:
+            return (ChainMap(src, tgt, 0, f.comps(), _trusted=True),
+                    ChainMap(tgt, src, 0, g.comps(), _trusted=True))
+    raise SearchFailed("exhausted the search box without finding an isomorphism")
+
+
+def reference_duality_LR():
+    one, rl, lr = K0, tensor(RZ, LZ), tensor(LZ, RZ)
+    units = chain_map_list(one, rl)
+    counits = chain_map_list(lr, one)
+    for uc in iter_product(range(-1, 2), repeat=len(units)):
+        if not any(uc):
+            continue
+        eta = reference_combo(units, uc)
+        eta = ChainMap(one, rl, 0, eta.comps(), _trusted=True)
+        for cc in iter_product(range(-1, 2), repeat=len(counits)):
+            if not any(cc):
+                continue
+            eps = reference_combo(counits, cc)
+            eps = ChainMap(lr, one, 0, eps.comps(), _trusted=True)
+            if _triangle_left(LZ, RZ, eta, eps) and _triangle_right(LZ, RZ, eta, eps):
+                return eta, eps
+    raise SearchFailed("no (unit, counit) pair satisfies the triangle identities")
+
+
+class TestWitnessesEqualTheReference:
+    @pytest.mark.parametrize("src, tgt", [
+        (tensor(LZ, LZ), direct_sum([LZ, suspension(LZ, -1)])),
+        (direct_sum([K0, LZ]), direct_sum([LZ, K0])),
+        (direct_sum([K0, K1]), direct_sum([K1, K0])),
+        (LZ, LZ),
+        (Complex.zero(), Complex.zero()),
+    ])
+    def test_isomorphisms(self, src, tgt):
+        assert _search_iso(src, tgt) == reference_search_iso(src, tgt)
+
+    @pytest.mark.parametrize("src, tgt", [(K0, LZ), (K0, K1), (K0, Complex.zero())])
+    def test_no_isomorphism_on_both(self, src, tgt):
+        for search in (_search_iso, reference_search_iso):
+            with pytest.raises(SearchFailed):
+                search(src, tgt)
+
+    def test_duality(self):
+        w = verify_duality_LR()
+        assert (w.unit, w.counit) == reference_duality_LR()
+
