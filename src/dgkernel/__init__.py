@@ -40,7 +40,6 @@ from .complexes import (
     unit_complex,
 )
 from .monoidal import (
-    TensorBasisIndex,
     decompose_LZ_tensor,
     symmetry,
     sten_iso,

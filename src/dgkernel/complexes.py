@@ -16,9 +16,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress
-from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .zlinalg import (
@@ -558,15 +556,6 @@ class BlockLayout:
         if where is None:
             raise ShapeMismatch(f"no block {key!r} in degree {n}")
         return where[0] + i * where[1] + j
-
-    def locate(self, n, flat: int) -> Tuple[object, int, int]:
-        """The inverse of slot: (key, i, j) of the flat index in degree n."""
-        if not 0 <= flat < self.dim(n):
-            raise IndexError(f"flat index {flat} out of range in degree {n}")
-        blocks = self._in_degree[n]
-        key, _, cols, off = blocks[bisect_right(blocks, flat, key=itemgetter(3)) - 1]
-        i, j = divmod(flat - off, cols)
-        return key, i, j
 
 
 def scatter_kron(out: List[List[int]], row_off: int, col_off: int,

@@ -1410,22 +1410,19 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
         rows.extend(block)
         rhs.extend(const.vec)
 
-    # chain-map property of each eps component: d o eps = eps o d_tensor,
-    # one block of rows per input basis element e_k
+    # chain-map property of each eps component: d o eps_d = eps_{d-1} o d,
+    # on row-major vec: (d (x) 1) vec(eps_d) - (1 (x) d^T) vec(eps_{d-1}) = 0
     for (u, v), (ts, target) in spaces.items():
         for d in ts.complex.degrees():
-            dims_in, dims_below = ts.dim(d), ts.dim(d - 1)
-            units = IntMatrix.identity(dims_in)
-            for k in range(dims_in):
-                block = [[0] * total for _ in range(target.rank(d - 1))]
-                if target.rank(d):   # d(eps(e_k)): column k of eps_d
-                    scatter_kron(block, 0, entries.slot(0, (u, v, d)), target.diff(d),
-                                 units.select_rows([k]))
-                if block and dims_below:   # eps(d e_k): eps_{d-1} times column k of d
-                    scatter_kron(block, 0, entries.slot(0, (u, v, d - 1)), len(block),
-                                 IntMatrix(1, dims_below, ts.complex.diff(d).col(k)), -1)
-                rows.extend(block)
-                rhs.extend([0] * len(block))
+            dims_in, rows_below = ts.dim(d), target.rank(d - 1)
+            block = [[0] * total for _ in range(rows_below * dims_in)]
+            if block and target.rank(d):
+                scatter_kron(block, 0, entries.slot(0, (u, v, d)), target.diff(d), dims_in)
+            if block and ts.dim(d - 1):
+                scatter_kron(block, 0, entries.slot(0, (u, v, d - 1)), rows_below,
+                             ts.complex.diff(d).transpose(), -1)
+            rows.extend(block)
+            rhs.extend([0] * len(block))
 
     if not rows:
         return CauchyData(m, n_mod, list(eta), {})

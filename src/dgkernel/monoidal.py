@@ -7,19 +7,26 @@ the solved-for duality and decomposition witnesses for L Z and R Z.
 Basis convention for (A (x) B)_n: a complexes.BlockLayout with one block
 A_p (x) B_q per left degree p, by ascending p, and within a block the
 pair (i, j) is laid out with the left index major; all signs live in
-differentials, never in basis order.  So Z (x) A, A (x) Z and A have the
-same coordinates, and so have S(A (x) B) and SA (x) B (block p of the one
-is block p + 1 of the other, in the same place): the unitors and the shift
-isomorphism are identity matrices.  The associator and distributivity
-only reorder a basis, so each is a permutation matrix whose inverse is its
-transpose.
+differentials, never in basis order.  Every structural isomorphism is
+placed from these layouts:
+
+- identities: Z (x) A, A (x) Z and A share coordinates, and so do
+  S(A (x) B) and SA (x) B (block p of the one is block p + 1 of the other,
+  in the same place) and S[B,C] and [B,SC], so the unitors and the shift
+  isomorphisms are identity matrices, and S[B,C] = [S^-1 B, C] is (-1)^n
+  times the identity in degree n;
+- permutations placed as identity runs: the associator and distributivity
+  only reorder a basis, run by run;
+- a signed permutation written entry by entry: the symmetry.
+
+Each inverse is the transpose of its forward map (P^-1 = P^T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .complexes import (
     BlockLayout,
@@ -52,16 +59,6 @@ def _tensor_sign(p: int) -> int:
     return -1 if p % 2 else 1
 
 
-@dataclass(frozen=True)
-class TensorBasisIndex:
-    """Basis element of (A (x) B)_{p+q}: left degree/index, right degree/index."""
-
-    left_degree: int
-    right_degree: int
-    left_index: int
-    right_index: int
-
-
 def tensor_layout(left: Complex, right: Complex) -> BlockLayout:
     """The basis of A (x) B without its differential: in degree n, one
     block A_p x B_{n-p} per left degree p, by ascending p."""
@@ -92,15 +89,6 @@ class TensorSpace:
 
     def slot_at(self, n: int, p: int, i: int, j: int) -> int:
         return self.layout.slot(n, p, i, j)
-
-    def basis(self, n: int) -> List[TensorBasisIndex]:
-        return [TensorBasisIndex(p, n - p, i, j)
-                for p, rows, cols, _ in self.layout.blocks(n)
-                for i in range(rows) for j in range(cols)]
-
-    def decompose(self, n: int, flat: int) -> TensorBasisIndex:
-        p, i, j = self.layout.locate(n, flat)
-        return TensorBasisIndex(p, n - p, i, j)
 
     def embed_pair(self, p: int, xa, q: int, xb) -> tuple:
         """Coordinates of (sum_i xa_i a_i) (x) (sum_j xb_j b_j) in degree p+q."""
@@ -161,37 +149,34 @@ def tensor_proto(f: Proto, g: Proto) -> Proto:
     return result
 
 
-def _slot_chain_map(src: Complex, tgt: Complex, mapping) -> ChainMap:
-    """Chain map defined by basis-slot relabelling.
-
-    ``mapping(n, flat) -> (flat', sign)`` must be a bijection degreewise;
-    the chain-map condition is validated on construction.
-    """
+def _placed(src: Complex, tgt: Complex, place) -> ChainMap:
+    """The checked degree-0 chain map src -> tgt between complexes of equal
+    ranks whose degree-n component ``place(out, n)`` writes into zero rows."""
     comps = {}
     for n in src.degrees():
-        cols = src.rank(n)
-        rows = tgt.rank(n)
-        if not cols or not rows:
-            continue
-        out = [[0] * cols for _ in range(rows)]
-        for c in range(cols):
-            r, sign = mapping(n, c)
-            out[r][c] = sign
-        comps[n] = IntMatrix.from_rows(out, cols)
+        dim = src.rank(n)
+        if dim:
+            out = [[0] * dim for _ in range(tgt.rank(n))]
+            place(out, n)
+            comps[n] = IntMatrix.from_rows(out, dim)
     return ChainMap(src, tgt, 0, comps)
 
 
 def symmetry(left: Complex, right: Complex) -> ChainMap:
-    """sigma(a (x) b) = (-1)^{pq} b (x) a."""
+    """sigma(a (x) b) = (-1)^{pq} b (x) a: element (i, j) of block p of
+    (A (x) B)_n is element (j, i) of block q = n - p of (B (x) A)_n."""
     src = TensorSpace(left, right)
     tgt = TensorSpace(right, left)
 
-    def mapping(n, flat):
-        t = src.decompose(n, flat)
-        sign = -1 if (t.left_degree * t.right_degree) % 2 else 1
-        return tgt.slot_at(n, t.right_degree, t.right_index, t.left_index), sign
+    def place(out, n):
+        for p, rows, cols, off in src.layout.blocks(n):
+            sign = -1 if (p * (n - p)) % 2 else 1
+            at = tgt.layout.slot(n, n - p)
+            for i in range(rows):
+                for j in range(cols):
+                    out[at + j * rows + i][off + i * cols + j] = sign
 
-    return _slot_chain_map(src.complex, tgt.complex, mapping)
+    return _placed(src.complex, tgt.complex, place)
 
 
 def _same_coordinates(src: Complex, tgt: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -224,40 +209,39 @@ def right_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
 
 
 def associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
-    """(A (x) B) (x) C = A (x) (B (x) C), both directions, no signs."""
-    ab = TensorSpace(a, b)
-    bc = TensorSpace(b, c)
-    left = TensorSpace(ab.complex, c)
-    right = TensorSpace(a, bc.complex)
+    """(A (x) B) (x) C = A (x) (B (x) C), both directions, no signs.  Take
+    block p of (A (x) B)_s and a row i: its pairs (j, k) of B_q x C_t run in
+    the same order on both sides, so each (s, p, i) is one identity run."""
+    ab, bc = TensorSpace(a, b), TensorSpace(b, c)
+    left, right = TensorSpace(ab.complex, c), TensorSpace(a, bc.complex)
 
-    def fwd(n, flat):
-        t = left.decompose(n, flat)
-        inner = ab.decompose(t.left_degree, t.left_index)
-        bc_flat = bc.slot_at(inner.right_degree + t.right_degree,
-                             inner.right_degree, inner.right_index, t.right_index)
-        return right.slot_at(n, inner.left_degree, inner.left_index, bc_flat), 1
+    def place(out, n):
+        for s, _, ct, off in left.layout.blocks(n):
+            for p, ra, bq, ab_off in ab.layout.blocks(s):
+                run, stride = bq * ct, bc.dim(n - p)
+                row = right.layout.slot(n, p) + bc.layout.slot(n - p, s - p)
+                for i in range(ra):
+                    scatter_kron(out, row + i * stride, off + (ab_off + i * bq) * ct, run)
 
-    return _with_transpose(_slot_chain_map(left.complex, right.complex, fwd))
+    return _with_transpose(_placed(left.complex, right.complex, place))
 
 
 def distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
-    """(A + B) (x) C = (A (x) C) + (B (x) C) by basis reordering."""
-    ab = direct_sum([a, b])
-    src = TensorSpace(ab, c)
-    ac = TensorSpace(a, c)
-    bc = TensorSpace(b, c)
-    tgt = direct_sum([ac.complex, bc.complex])
+    """(A + B) (x) C = (A (x) C) + (B (x) C), both directions: block p of
+    ((A + B) (x) C)_n is block p of (A (x) C)_n followed by block p of
+    (B (x) C)_n, two identity runs."""
+    src = TensorSpace(direct_sum([a, b]), c)
+    ac, bc = TensorSpace(a, c), TensorSpace(b, c)
 
-    def fwd(n, flat):
-        t = src.decompose(n, flat)
-        ra = a.rank(t.left_degree)
-        if t.left_index < ra:
-            local = ac.slot_at(n, t.left_degree, t.left_index, t.right_index)
-            return local, 1
-        local = bc.slot_at(n, t.left_degree, t.left_index - ra, t.right_index)
-        return ac.complex.rank(n) + local, 1
+    def place(out, n):
+        for p, _, rc, off in src.layout.blocks(n):
+            run_a, run_b = a.rank(p) * rc, b.rank(p) * rc
+            if run_a:
+                scatter_kron(out, ac.layout.slot(n, p), off, run_a)
+            if run_b:
+                scatter_kron(out, ac.dim(n) + bc.layout.slot(n, p), off + run_a, run_b)
 
-    return _with_transpose(_slot_chain_map(src.complex, tgt, fwd))
+    return _with_transpose(_placed(src.complex, direct_sum([ac.complex, bc.complex]), place))
 
 
 def sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -270,30 +254,16 @@ def sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
 def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]]:
     """S[B,C] = [S^-1 B, C] = [B, SC] realized by chain isomorphisms.
 
-    Convention: S[B,C] -> [B,SC] is the plain identification; the
-    degree-n component of S[B,C] -> [S^-1 B, C] carries the sign (-1)^n.
+    [S^-1 B, C]_n and [B, SC]_n have the blocks of [B, C]_{n-1} in the same
+    places.  S[B,C] <-> [B,SC] is the plain identification; the degree-n
+    components of S[B,C] <-> [S^-1 B, C] are (-1)^n times the identity.
     """
-    hs = HomSpace(b, c)
-    s_hom = suspension(hs.complex, 1)
-    hs_left = HomSpace(suspension(b, -1), c)
-    hs_right = HomSpace(b, suspension(c, 1))
-
-    # [S^-1 B, C] is precomposition with u: S^-1 B -> B, the identity on
-    # each group, of degree 1; its inverse has degree -1.
-    ids = {q: IntMatrix.identity(b.rank(q)) for q in b.degrees() if b.rank(q)}
-    u = Proto(hs_left.source, b, 1, {q - 1: m for q, m in ids.items()})
-    u_inv = Proto(b, hs_left.source, -1, ids)
-    left_fwd = {n: precomposition(u, hs, hs_left, n - 1).scale(-1 if n % 2 else 1)
-                for n in s_hom.degrees()}
-    left_bwd = {n: precomposition(u_inv, hs_left, hs, n).scale(-1 if n % 2 else 1)
-                for n in hs_left.complex.degrees()}
-
-    # [B, SC]_n has the blocks of [B, C]_{n-1} in the same places, so the
-    # plain identification is the identity on coordinates.
+    s_hom = suspension(HomSpace(b, c).complex, 1)
+    hom_left = HomSpace(suspension(b, -1), c).complex
+    signed = {n: m.scale(-1) if n % 2 else m for n, m in identity_map(s_hom).comps().items()}
     return {
-        "left": (ChainMap(s_hom, hs_left.complex, 0, left_fwd),
-                 ChainMap(hs_left.complex, s_hom, 0, left_bwd)),
-        "right": _same_coordinates(s_hom, hs_right.complex),
+        "left": (ChainMap(s_hom, hom_left, 0, signed), ChainMap(hom_left, s_hom, 0, signed)),
+        "right": _same_coordinates(s_hom, HomSpace(b, suspension(c, 1)).complex),
     }
 
 

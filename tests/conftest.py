@@ -2,10 +2,12 @@
 
 import contextlib
 import sys
+from typing import NamedTuple
 
 import pytest
 
 from dgkernel import zlinalg
+from dgkernel.complexes import ChainMap
 from dgkernel.zlinalg import IntMatrix
 
 
@@ -15,6 +17,42 @@ def protos(hs, n, columns=None):
     if columns is None:
         columns = IntMatrix.identity(hs.dim(n))
     return [hs.from_vector(n, columns.col(j)) for j in range(columns.cols)]
+
+
+class TensorSlot(NamedTuple):
+    """Basis element of (A (x) B)_{p+q}: left degree/index, right degree/index."""
+
+    left_degree: int
+    right_degree: int
+    left_index: int
+    right_index: int
+
+
+def tensor_basis(ts, n):
+    """The degree-n basis of the TensorSpace ts read off its layout, one
+    TensorSlot per slot: element k of the list sits at slot k."""
+    return [TensorSlot(p, n - p, i, j) for p, rows, cols, _ in ts.layout.blocks(n)
+            for i in range(rows) for j in range(cols)]
+
+
+def slot_chain_map(src, tgt, mapping) -> ChainMap:
+    """Chain map defined by basis-slot relabelling.
+
+    ``mapping(n, flat) -> (flat', sign)`` must be a bijection degreewise;
+    the chain-map condition is validated on construction.
+    """
+    comps = {}
+    for n in src.degrees():
+        cols = src.rank(n)
+        rows = tgt.rank(n)
+        if not cols or not rows:
+            continue
+        out = [[0] * cols for _ in range(rows)]
+        for c in range(cols):
+            r, sign = mapping(n, c)
+            out[r][c] = sign
+        comps[n] = IntMatrix.from_rows(out, cols)
+    return ChainMap(src, tgt, 0, comps)
 
 
 class Calls(list):

@@ -103,6 +103,40 @@ def test_criterion_fails_on_broken_delta_sign_under_python_O():
     assert lines[2].startswith("[FAIL] criterion 11") and "graded adjunction fails" in lines[2]
 
 
+UNSIGNED_SYMMETRY_UNDER_O = """
+import sys
+from dgkernel import acceptance
+from dgkernel.complexes import Proto
+from dgkernel.zlinalg import IntMatrix
+
+real = acceptance.symmetry
+
+def unsigned(a, b):
+    s = real(a, b)
+    return Proto(s.source, s.target, 0, {n: IntMatrix(m.rows, m.cols, [abs(x) for x in m.entries()])
+                                         for n, m in s.comps().items()})
+
+print("optimize", sys.flags.optimize)
+print(acceptance.criterion_4_monoidal(20260809).line())
+acceptance.symmetry = unsigned
+print(acceptance.criterion_4_monoidal(20260809).line())
+"""
+
+
+def test_criterion_fails_on_unsigned_symmetry_under_python_O():
+    # dropping the Koszul sign (-1)^{pq} of the symmetry keeps sigma^2 = 1
+    # (an unsigned permutation is still inverse to its transpose), so only
+    # the naturality check can see it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", UNSIGNED_SYMMETRY_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("[PASS] criterion  4")
+    assert lines[2].startswith("[FAIL] criterion  4") and "Koszul naturality sign fails" in lines[2]
+
+
 def test_package_has_no_assert_statements():
     import dgkernel
 

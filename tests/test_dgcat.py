@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgkernel.dgcat as dgcat
-from conftest import protos
+from conftest import protos, tensor_basis
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -786,7 +786,7 @@ def reference_direct_sum_actions(m1, m2):
             comps = {}
             for n in ts_new.complex.degrees():
                 out = [[0] * ts_new.dim(n) for _ in range(values[tgt].rank(n))]
-                for c, t in enumerate(ts_new.basis(n)):
+                for c, t in enumerate(tensor_basis(ts_new, n)):
                     if side == RIGHT:
                         deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
                                                   t.right_degree, t.right_index)
@@ -1138,6 +1138,19 @@ class TestHomIndex:
             else:
                 assert cd is None
 
+    def test_solved_counit_is_composition(self, cats):
+        # the counit system of a representable pair has one solution:
+        # composition, with a missing component read as zero
+        for cat in fixture_and_window_cats(cats):
+            for k in cat.objects:
+                one = cat.identity(k)
+                got = solve_cauchy_counit(representable(cat, k, RIGHT),
+                                          representable(cat, k, LEFT), [(k, one, one)]).eps
+                want = representable_cauchy_data(cat, k).eps
+                for key in {**got, **want}:
+                    assert (got[key].comps() if key in got else {}) == \
+                        (want[key].comps() if key in want else {})
+
 
 def criterion_10_mutations(cd):
     """The eps of acceptance criterion 10's mutations: every component
@@ -1445,7 +1458,7 @@ def reference_dg_subcategory_of_complexes(named):
                 comps = {}
                 for n in ts.complex.degrees():
                     cols = []
-                    for t in ts.basis(n):
+                    for t in tensor_basis(ts, n):
                         v = hs_yz.from_vector(
                             t.left_degree, _unit_vec(hs_yz.dim(t.left_degree), t.left_index))
                         u = hs_xy.from_vector(
@@ -1473,7 +1486,7 @@ def reference_direct_sum_modules(m1, m2):
         for n in ts_new.complex.degrees():
             cols = ts_new.dim(n)
             out = [[0] * cols for _ in range(values[tgt].rank(n))]
-            for c, t in enumerate(ts_new.basis(n)):
+            for c, t in enumerate(tensor_basis(ts_new, n)):
                 if side == RIGHT:    # basis of M V (x) hom(U,V)
                     deg, idx, f_deg, f_idx = (t.left_degree, t.left_index,
                                               t.right_degree, t.right_index)

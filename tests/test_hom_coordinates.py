@@ -16,7 +16,7 @@ from typing import Dict, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import protos
+from conftest import protos, slot_chain_map
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -55,7 +55,7 @@ from dgkernel.dgcat import (
     unit_dg_category,
     weighted_colimit,
 )
-from dgkernel.monoidal import _slot_chain_map, sten_hom_isos
+from dgkernel.monoidal import sten_hom_isos
 from dgkernel.rand import rand_complex, rand_proto
 from dgkernel import zlinalg
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch
@@ -241,10 +241,10 @@ def reference_sten_hom_isos(b, c):
         return hs.to_vector(f).index(1), 1
 
     return {
-        "left": (_slot_chain_map(s_hom, hs_left.complex, left_fwd),
-                 _slot_chain_map(hs_left.complex, s_hom, left_bwd)),
-        "right": (_slot_chain_map(s_hom, hs_right.complex, right_fwd),
-                  _slot_chain_map(hs_right.complex, s_hom, right_bwd)),
+        "left": (slot_chain_map(s_hom, hs_left.complex, left_fwd),
+                 slot_chain_map(hs_left.complex, s_hom, left_bwd)),
+        "right": (slot_chain_map(s_hom, hs_right.complex, right_fwd),
+                  slot_chain_map(hs_right.complex, s_hom, right_bwd)),
     }
 
 

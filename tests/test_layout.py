@@ -3,8 +3,8 @@
 HomSpace, TensorSpace, TotSpace and tensor_proto each used to compute their
 own block offsets and scatter their own Kronecker blocks.  The reference_*
 functions below are those hand-rolled versions; the tests check that the
-shared BlockLayout and scatter_kron give the same offsets, slots, inverse
-lookups and matrices, entry by entry.
+shared BlockLayout and scatter_kron give the same offsets, slots, bases
+and matrices, entry by entry.
 """
 
 import random
@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TensorSlot, tensor_basis
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -24,7 +25,7 @@ from dgkernel.complexes import (
     scatter_kron,
     suspension,
 )
-from dgkernel.monoidal import TensorBasisIndex, TensorSpace, sten_iso, tensor, tensor_proto
+from dgkernel.monoidal import TensorSpace, sten_iso, tensor, tensor_proto
 from dgkernel.rand import rand_complex, rand_double_complex, rand_matrix, rand_proto
 from dgkernel.totals import DoubleComplex, TotSpace, _tot_sign, total_complex
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch
@@ -77,16 +78,16 @@ def reference_slot_at(blocks, right, n, p, i, j) -> int:
 
 
 def reference_basis(blocks, left, right, n) -> list:
-    return [TensorBasisIndex(p, q, i, j) for (p, q, size, off) in blocks.get(n, [])
+    return [TensorSlot(p, q, i, j) for (p, q, size, off) in blocks.get(n, [])
             for i in range(left.rank(p)) for j in range(right.rank(q))]
 
 
-def reference_decompose(blocks, right, n, flat) -> TensorBasisIndex:
+def reference_decompose(blocks, right, n, flat) -> TensorSlot:
     for (p, q, size, off) in blocks.get(n, []):
         if off <= flat < off + size:
             rr = right.rank(q)
             k = flat - off
-            return TensorBasisIndex(p, q, k // rr, k % rr)
+            return TensorSlot(p, q, k // rr, k % rr)
     raise IndexError(f"flat index {flat} out of range in degree {n}")
 
 
@@ -183,7 +184,7 @@ def assert_same_entries(m: IntMatrix, ref: IntMatrix):
 
 
 class TestBlockLayout:
-    def test_slots_and_locate(self):
+    def test_slots(self):
         lay = BlockLayout()
         lay.add(0, "a", 2, 3)
         lay.add(0, "empty", 0, 5)
@@ -194,14 +195,8 @@ class TestBlockLayout:
         assert lay.blocks(0) == [("a", 2, 3, 0), ("b", 1, 1, 6)]
         assert lay.blocks(5) == []
         assert (lay.slot(0, "a", 1, 2), lay.slot(0, "b"), lay.slot(1, "a", 3)) == (5, 6, 3)
-        assert [lay.locate(0, k) for k in range(7)] == [
-            ("a", 0, 0), ("a", 0, 1), ("a", 0, 2), ("a", 1, 0), ("a", 1, 1), ("a", 1, 2),
-            ("b", 0, 0)]
         with pytest.raises(ShapeMismatch):
             lay.slot(0, "empty")
-        for n, flat in [(0, 7), (0, -1), (2, 0)]:
-            with pytest.raises(IndexError):
-                lay.locate(n, flat)
 
     @settings(max_examples=150, deadline=None)
     @given(SEEDS, st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
@@ -236,7 +231,7 @@ class TestSpacesAgainstReference:
 
     @settings(max_examples=80, deadline=None)
     @given(SEEDS)
-    def test_tensor_slots_and_decompose(self, seed):
+    def test_tensor_slots_and_basis(self, seed):
         rng = random.Random(seed)
         a, b = rand_complex(rng), rand_complex(rng)
         ts = TensorSpace(a, b)
@@ -248,14 +243,11 @@ class TestSpacesAgainstReference:
             for p in a.degrees():
                 for i, j in product(range(a.rank(p)), range(b.rank(n - p))):
                     assert ts.slot_at(n, p, i, j) == reference_slot_at(ref, b, n, p, i, j)
-            basis = ts.basis(n)
+            basis = tensor_basis(ts, n)
             assert basis == reference_basis(ref, a, b, n) and len(basis) == ts.dim(n)
             for flat, t in enumerate(basis):
-                assert ts.decompose(n, flat) == reference_decompose(ref, b, n, flat) == t
+                assert reference_decompose(ref, b, n, flat) == t
                 assert ts.slot_at(n, t.left_degree, t.left_index, t.right_index) == flat
-            for flat in (-1, ts.dim(n)):
-                with pytest.raises(IndexError):
-                    ts.decompose(n, flat)
 
     @settings(max_examples=80, deadline=None)
     @given(SEEDS)
@@ -268,9 +260,7 @@ class TestSpacesAgainstReference:
         for n, blocks in offsets.items():
             for m, r, _ in blocks:
                 for i in range(r):
-                    flat = ts.slot(n, m, i)
-                    assert flat == first_slot[(n, m)] + i
-                    assert ts.layout.locate(n, flat) == (m, i, 0)
+                    assert ts.slot(n, m, i) == first_slot[(n, m)] + i
 
     @settings(max_examples=80, deadline=None)
     @given(SEEDS)
@@ -307,7 +297,7 @@ class TestSpacesAgainstReference:
             want = [[0] * cols for _ in basis_below]
             for flat in range(cols):
                 t = reference_decompose(ref_tgt, b, n, flat)
-                want[basis_below.index(TensorBasisIndex(
+                want[basis_below.index(TensorSlot(
                     t.left_degree - 1, t.right_degree, t.left_index, t.right_index))][flat] = 1
             assert_same_entries(bwd.comp(n), IntMatrix.from_rows(want, cols))
 

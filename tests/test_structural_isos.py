@@ -3,10 +3,11 @@ they replaced.
 
 In the tensor basis (one block per left degree, by ascending degree, left
 index major) the unitors, S(A (x) B) = SA (x) B and S[B,C] = [B,SC] are
-identity matrices; the associator and distributivity are permutation
-matrices, so each inverse is the transpose of its forward map; R is L one
-degree up; and suspending a module by k moves each action matrix up k
-degrees, with (-1)^{kp} on the columns of hom degree p on the left.  The
+identity matrices; the symmetry is a signed permutation matrix; the
+associator and distributivity are permutation matrices, so each inverse is
+the transpose of its forward map; R is L one degree up; and suspending a
+module by k moves each action matrix up k degrees, with (-1)^{kp} on the
+columns of hom degree p on the left.  The
 reference_* functions below are the builders that rebuilt each map one
 basis element at a time and wrote each inverse by hand; the tests check
 that both give the same maps on random inputs.
@@ -18,6 +19,7 @@ from typing import Dict, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import slot_chain_map, tensor_basis
 from dgkernel.complexes import (
     ChainMap,
     Complex,
@@ -49,13 +51,13 @@ from dgkernel.dgcat import (
 from dgkernel.monoidal import (
     TensorSpace,
     _same_coordinates,
-    _slot_chain_map,
     associator,
     distributivity_iso,
     left_unitor,
     right_unitor,
     sten_hom_isos,
     sten_iso,
+    symmetry,
 )
 from dgkernel.rand import rand_complex, rand_graded
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
@@ -87,13 +89,13 @@ def reference_left_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
     src = TensorSpace(unit, a)
 
     def fwd(n, flat):
-        t = src.decompose(n, flat)
+        t = tensor_basis(src, n)[flat]
         return t.right_index, 1
 
     def bwd(n, flat):
         return src.slot_at(n, 0, 0, flat), 1
 
-    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+    return (slot_chain_map(src.complex, a, fwd), slot_chain_map(a, src.complex, bwd))
 
 
 def reference_right_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -102,13 +104,26 @@ def reference_right_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:
     src = TensorSpace(a, unit)
 
     def fwd(n, flat):
-        t = src.decompose(n, flat)
+        t = tensor_basis(src, n)[flat]
         return t.left_index, 1
 
     def bwd(n, flat):
         return src.slot_at(n, n, flat, 0), 1
 
-    return (_slot_chain_map(src.complex, a, fwd), _slot_chain_map(a, src.complex, bwd))
+    return (slot_chain_map(src.complex, a, fwd), slot_chain_map(a, src.complex, bwd))
+
+
+def reference_symmetry(left: Complex, right: Complex) -> ChainMap:
+    """sigma(a (x) b) = (-1)^{pq} b (x) a."""
+    src = TensorSpace(left, right)
+    tgt = TensorSpace(right, left)
+
+    def mapping(n, flat):
+        t = tensor_basis(src, n)[flat]
+        sign = -1 if (t.left_degree * t.right_degree) % 2 else 1
+        return tgt.slot_at(n, t.right_degree, t.right_index, t.left_index), sign
+
+    return slot_chain_map(src.complex, tgt.complex, mapping)
 
 
 def reference_associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -119,22 +134,22 @@ def reference_associator(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, 
     right = TensorSpace(a, bc.complex)
 
     def fwd(n, flat):
-        t = left.decompose(n, flat)
-        inner = ab.decompose(t.left_degree, t.left_index)
+        t = tensor_basis(left, n)[flat]
+        inner = tensor_basis(ab, t.left_degree)[t.left_index]
         bc_flat = bc.slot_at(inner.right_degree + t.right_degree,
                              inner.right_degree, inner.right_index, t.right_index)
         return right.slot_at(n, inner.left_degree, inner.left_index, bc_flat), 1
 
     def bwd(n, flat):
-        t = right.decompose(n, flat)
-        inner = bc.decompose(t.right_degree, t.right_index)
+        t = tensor_basis(right, n)[flat]
+        inner = tensor_basis(bc, t.right_degree)[t.right_index]
         ab_flat = ab.slot_at(t.left_degree + inner.left_degree,
                              t.left_degree, t.left_index, inner.left_index)
         return left.slot_at(n, t.left_degree + inner.left_degree, ab_flat,
                             inner.right_index), 1
 
-    return (_slot_chain_map(left.complex, right.complex, fwd),
-            _slot_chain_map(right.complex, left.complex, bwd))
+    return (slot_chain_map(left.complex, right.complex, fwd),
+            slot_chain_map(right.complex, left.complex, bwd))
 
 
 def reference_distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -146,7 +161,7 @@ def reference_distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[Ch
     tgt = direct_sum([ac.complex, bc.complex])
 
     def fwd(n, flat):
-        t = src.decompose(n, flat)
+        t = tensor_basis(src, n)[flat]
         ra = a.rank(t.left_degree)
         if t.left_index < ra:
             local = ac.slot_at(n, t.left_degree, t.left_index, t.right_index)
@@ -157,14 +172,14 @@ def reference_distributivity_iso(a: Complex, b: Complex, c: Complex) -> Tuple[Ch
     def bwd(n, flat):
         ra_n = ac.complex.rank(n)
         if flat < ra_n:
-            t = ac.decompose(n, flat)
+            t = tensor_basis(ac, n)[flat]
             return src.slot_at(n, t.left_degree, t.left_index, t.right_index), 1
-        t = bc.decompose(n, flat - ra_n)
+        t = tensor_basis(bc, n)[flat - ra_n]
         return src.slot_at(n, t.left_degree,
                            a.rank(t.left_degree) + t.left_index, t.right_index), 1
 
-    return (_slot_chain_map(src.complex, tgt, fwd),
-            _slot_chain_map(tgt, src.complex, bwd))
+    return (slot_chain_map(src.complex, tgt, fwd),
+            slot_chain_map(tgt, src.complex, bwd))
 
 
 def reference_sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
@@ -174,15 +189,15 @@ def reference_sten_iso(a: Complex, b: Complex) -> Tuple[ChainMap, ChainMap]:
     ts_tgt = TensorSpace(suspension(a, 1), b)
 
     def fwd(n, flat):
-        t = ts_src.decompose(n - 1, flat)
+        t = tensor_basis(ts_src, n - 1)[flat]
         return ts_tgt.slot_at(n, t.left_degree + 1, t.left_index, t.right_index), 1
 
     def bwd(n, flat):
-        t = ts_tgt.decompose(n, flat)
+        t = tensor_basis(ts_tgt, n)[flat]
         return ts_src.slot_at(n - 1, t.left_degree - 1, t.left_index, t.right_index), 1
 
-    fwd_map = _slot_chain_map(src, ts_tgt.complex, fwd)
-    bwd_map = _slot_chain_map(ts_tgt.complex, src, bwd)
+    fwd_map = slot_chain_map(src, ts_tgt.complex, fwd)
+    bwd_map = slot_chain_map(ts_tgt.complex, src, bwd)
     return fwd_map, bwd_map
 
 
@@ -232,7 +247,7 @@ def reference_suspend_module(m: DGModule, k: int) -> DGModule:
         for n in ts_new.complex.degrees():
             old_n = n - k
             cols = []
-            for t in ts_new.basis(n):
+            for t in tensor_basis(ts_new, n):
                 # p: left degree of the same basis element before the shift
                 if m.side == RIGHT:
                     p, sign = t.left_degree - k, 1
@@ -307,6 +322,11 @@ class TestAgainstTheReference:
     @given(complexes(), complexes())
     def test_sten_iso(self, a, b):
         assert sten_iso(a, b) == reference_sten_iso(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(), complexes())
+    def test_symmetry(self, a, b):
+        assert symmetry(a, b) == reference_symmetry(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(complexes(), complexes(), complexes())

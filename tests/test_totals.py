@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import protos
+from conftest import protos, tensor_basis
 import dgkernel.totals as totals
 from dgkernel.complexes import (
     ChainMap,
@@ -389,7 +389,7 @@ def reference_tot_comparison(a: DoubleComplex, window: int):
             continue
         t_space = wc.coend.tensor_space(m)
         for n in t_space.complex.degrees():
-            for col_local, t in enumerate(t_space.basis(n)):
+            for col_local, t in enumerate(tensor_basis(t_space, n)):
                 amb_idx = wc.coend.slot(m, n) + col_local
                 if t.left_degree == m:
                     phi_rows[n][ts.slot(n, m, t.right_index)][amb_idx] += _triangular_sign(m)

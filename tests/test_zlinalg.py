@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import protos
+from conftest import protos, tensor_basis
 from dgkernel import zlinalg
 from dgkernel.complexes import (Complex, GradedObject, HomSpace, SquareZeroViolated, d_hom,
                                  homology_H, make_complex)
@@ -358,7 +358,7 @@ class TestTrustedBuilds:
         ts = TensorSpace(a, b)
         for n, d in ts.complex.diffs().items():
             cols = []
-            for x in ts.basis(n):
+            for x in tensor_basis(ts, n):
                 p, q, i, j = x.left_degree, x.right_degree, x.left_index, x.right_index
                 unit_i = [int(t == i) for t in range(a.rank(p))]
                 unit_j = [int(t == j) for t in range(b.rank(q))]
