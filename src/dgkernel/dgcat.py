@@ -2,8 +2,12 @@
 them, coend tensor products, weighted colimits, and Cauchy-data
 verification.
 
-Composition and module actions are stored as degree-0 chain maps out of
-tensor complexes, so every axiom is a matrix identity.  One class,
+Composition, module actions and the Cauchy counit are stored as degree-0
+chain maps out of tensor complexes: tables.  A table with one factor fixed
+at an element a is a proto out of the other factor, the table composed
+with `TensorSpace.inserted` (a (x) - or - (x) a), so every axiom and every
+Cauchy equation is an identity of protos, checked column by column: a
+failing column names the basis element where it fails.  One class,
 `DGModule`, serves both sides; its `side` says where the hom factor sits:
 
 * a right module M has actions M V (x) hom(U,V) -> M U (weights, and the
@@ -14,14 +18,16 @@ tensor complexes, so every axiom is a matrix identity.  One class,
 The elementwise right action carries the crossing sign,
 y . f = (-1)^{|y||f|} act(y (x) f), which makes representable modules
 literal composition tables and reproduces z . (g o f) = (-1)^{nm} (z . g) . f;
-on the left nothing crosses, so f . x = act(f (x) x).  Suspension follows
-the same rule: only on the left does the shift pass the hom factor and
-pick up (-1)^{k|f|}.
+on the left nothing crosses, so f . x = act(f (x) x).  `action_proto` is
+this elementwise action of a fixed f, and `bare_action` and `orbit` read
+the table with no sign.  Suspension follows the same rule: only on the left
+does the shift pass the hom factor and pick up (-1)^{k|f|}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,12 +47,13 @@ from .complexes import (
     suspension,
     unit_complex,
 )
-from .monoidal import TensorSpace, tensor_layout
+from .monoidal import TensorSpace, tensor_layout, tensor_proto
 from .zlinalg import (
     FPAbGroup,
     IntMatrix,
     ShapeMismatch,
     block_diagonal,
+    block_matrix,
     cokernel,
     kernel_basis,
     solve_matrix,
@@ -83,6 +90,9 @@ class Elt:
                 f"element length {len(self.vec)} vs rank {self.cx.rank(self.degree)}"
             )
 
+    def __hash__(self) -> int:   # equal elements share degree and coordinates
+        return hash((self.degree, self.vec))
+
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.vec)
 
@@ -90,9 +100,6 @@ class Elt:
         if self.cx != other.cx or self.degree != other.degree:
             raise ShapeMismatch("elements not in the same degree")
         return Elt(self.cx, self.degree, tuple(a + b for a, b in zip(self.vec, other.vec)))
-
-    def __sub__(self, other: "Elt") -> "Elt":
-        return self + (-1) * other
 
     def __rmul__(self, c: int) -> "Elt":
         return Elt(self.cx, self.degree, tuple(c * x for x in self.vec))
@@ -102,32 +109,51 @@ class Elt:
 
 
 def basis_elts(cx: Complex, degree: int) -> List[Elt]:
-    out = []
     r = cx.rank(degree)
-    for i in range(r):
-        v = [0] * r
-        v[i] = 1
-        out.append(Elt(cx, degree, tuple(v)))
-    return out
+    return [Elt(cx, degree, (0,) * i + (1,) + (0,) * (r - i - 1)) for i in range(r)]
 
 
 def all_basis_elts(cx: Complex) -> List[Elt]:
-    out = []
-    for n in cx.degrees():
-        out.extend(basis_elts(cx, n))
-    return out
+    return [e for n in cx.degrees() for e in basis_elts(cx, n)]
 
 
-def _evaluate(table: Optional[ChainMap], ts: TensorSpace, target: Complex,
-              a: Elt, b: Elt) -> Elt:
-    """table(a (x) b) in target, where table is a map out of ts; no table
-    is the zero map.  The pair is embedded first, so a length mismatch
-    raises either way."""
-    pair = ts.embed_pair(a.degree, a.vec, b.degree, b.vec)
-    n = a.degree + b.degree
-    if table is None:
-        return Elt(target, n, (0,) * target.rank(n))
-    return Elt(target, n, table.comp(n).apply(pair))
+RIGHT, LEFT = "right", "left"
+
+
+def _partial(table: Optional[Proto], ts: TensorSpace, side: str, a: Elt,
+             target: Complex) -> Proto:
+    """The table out of ts with its `side` factor fixed at a: the proto
+    table o ts.inserted(...) of degree |a| out of the other factor.  No table
+    is the zero map into target; a wrong-length a raises either way."""
+    ins = ts.inserted(side, a.degree, a.vec)
+    return Proto.zero(ins.source, target, a.degree) if table is None else compose(table, ins)
+
+
+def _crossed(p: Proto, k: int) -> Proto:
+    """p with component r scaled by (-1)^{rk}: degree r crossing degree k."""
+    if k % 2 == 0:
+        return p
+    return Proto(p.source, p.target, p.degree,
+                 {r: -m if r % 2 else m for r, m in p.comps().items()})
+
+
+def _image(p: Proto, x: Elt) -> Elt:
+    return Elt(p.target, x.degree + p.degree, p.comp(x.degree).apply(x.vec))
+
+
+def _nonzero_columns(p: Proto) -> List[Tuple[int, int]]:
+    """(degree, index) of each basis element of p's source that p does not
+    kill, by degree, then index: where the identity p = 0 fails."""
+    return [(q, j) for q, m in sorted(p.comps().items())
+            for j in range(m.cols) if any(m.col(j))]
+
+
+def _unit_failures(p: Proto, cx: Complex) -> List[Tuple[int, int]]:
+    """The columns where p differs from the identity of cx; a p of nonzero
+    degree differs on every one."""
+    if p.degree:
+        return [(q, j) for q in cx.degrees() for j in range(cx.rank(q))]
+    return _nonzero_columns(p - identity_map(cx))
 
 
 class FiniteDGCategory:
@@ -157,10 +183,10 @@ class FiniteDGCategory:
         same pass files each under `homs_out(a)` and `homs_in(b)`."""
         if self._nonzero_homs is None:
             where = {x: i for i, x in enumerate(self.objects)}
-            keys = sorted((k for k, h in self.homs.items()
-                           if k[0] in where and k[1] in where and not h.is_zero()),
-                          key=lambda k: (where[k[0]], where[k[1]]))
-            self._nonzero_homs = [(a, b, self.homs[(a, b)]) for a, b in keys]
+            # (where[a], where[b]) differ for different keys, so a and b are never compared
+            keys = sorted((where[a], where[b], a, b) for (a, b), h in self.homs.items()
+                          if a in where and b in where and not h.is_zero())
+            self._nonzero_homs = [(a, b, self.homs[(a, b)]) for _, _, a, b in keys]
             for a, b, h in self._nonzero_homs:
                 self._homs_out.setdefault(a, []).append((b, h))
                 self._homs_in.setdefault(b, []).append((a, h))
@@ -185,13 +211,21 @@ class FiniteDGCategory:
     def identity(self, a) -> Elt:
         return self.identities[a]
 
-    def compose_elts(self, a, b, c, v: Elt, u: Elt) -> Elt:
-        """v o u for v in hom(b,c), u in hom(a,b)."""
-        return _evaluate(self.compose_table.get((a, b, c)), self.pair_space(a, b, c),
-                         self.hom(a, c), v, u)
+    def after(self, a, b, c, v: Elt) -> Proto:
+        """The map v o -: hom(a,b) -> hom(a,c) of degree |v|, for v in hom(b,c)."""
+        return _partial(self.compose_table.get((a, b, c)), self.pair_space(a, b, c), LEFT, v,
+                        self.hom(a, c))
+
+    def before(self, a, b, c, u: Elt) -> Proto:
+        """The map - o u: hom(b,c) -> hom(a,c) of degree |u|, for u in
+        hom(a,b), read off the table with no sign."""
+        return _partial(self.compose_table.get((a, b, c)), self.pair_space(a, b, c), RIGHT, u,
+                        self.hom(a, c))
 
     def validate(self) -> List[str]:
-        """Check d^2, chain-map composition (Leibniz), associativity, units."""
+        """Check d^2, chain-map composition (Leibniz), associativity, units.
+        The last three are identities of protos out of a hom complex, and
+        each failing column, a basis element u, gives one message."""
         failures: List[str] = []
         for (a, b), h in self.homs.items():
             for n in h.degrees():
@@ -204,41 +238,35 @@ class FiniteDGCategory:
                 continue
             if one.degree != 0 or not one.boundary().is_zero():
                 failures.append(f"identity at {a} is not a 0-cycle")
-        # Leibniz: d(v o u) = d(v) o u + (-1)^{|v|} v o d(u) on basis pairs
-        for (a, b, c), table in self.compose_table.items():
-            hab, hbc = self.hom(a, b), self.hom(b, c)
-            for v in all_basis_elts(hbc):
-                sign = -1 if v.degree % 2 else 1
-                for u in all_basis_elts(hab):
-                    lhs = self.compose_elts(a, b, c, v, u).boundary()
-                    rhs = self.compose_elts(a, b, c, v.boundary(), u) + \
-                        sign * self.compose_elts(a, b, c, v, u.boundary())
-                    if lhs != rhs:
-                        failures.append(
-                            f"Leibniz fails on hom({b},{c})_{v.degree} o hom({a},{b})_{u.degree}"
-                        )
-        # associativity on basis triples of composable nonzero homs
-        for a, b, hab in self.nonzero_homs():
+        after = lru_cache(maxsize=None)(self.after)   # v o -, built once per v
+        # Leibniz: d(v o u) = d(v) o u + (-1)^{|v|} v o d(u), i.e.
+        # d_hom(v o -) = d(v) o -, per basis element v
+        for a, b, c in self.compose_table:
+            for v in all_basis_elts(self.hom(b, c)):
+                diff = d_hom(after(a, b, c, v)) - self.after(a, b, c, v.boundary())
+                failures += [f"Leibniz fails on hom({b},{c})_{v.degree} o hom({a},{b})_{q}"
+                             for q, _ in _nonzero_columns(diff)]
+        # associativity: (w o v) o - = (w o -) o (v o -), per basis pair
+        for a, b, _ in self.nonzero_homs():
             for c, hbc in self.homs_out(b):
                 for dd, hcd in self.homs_out(c):
                     for w in all_basis_elts(hcd):
                         for v in all_basis_elts(hbc):
-                            for u in all_basis_elts(hab):
-                                lhs = self.compose_elts(
-                                    a, b, dd, self.compose_elts(b, c, dd, w, v), u)
-                                rhs = self.compose_elts(
-                                    a, c, dd, w, self.compose_elts(a, b, c, v, u))
-                                if lhs != rhs:
-                                    failures.append(
-                                        f"associativity fails at ({a},{b},{c},{dd})")
-        # units
+                            wv = _image(after(b, c, dd, w), v)
+                            diff = after(a, b, dd, wv) - \
+                                compose(after(a, c, dd, w), after(a, b, c, v))
+                            failures += [f"associativity fails at ({a},{b},{c},{dd})"] * \
+                                len(_nonzero_columns(diff))
+        # units: 1_b o - = 1 and - o 1_a = 1 on hom(a, b), column by column
         for a, b, hab in self.nonzero_homs():
             if a not in self.identities or b not in self.identities:
                 continue  # already reported above
-            for u in all_basis_elts(hab):
-                if self.compose_elts(a, b, b, self.identity(b), u) != u:
+            left = _unit_failures(self.after(a, b, b, self.identity(b)), hab)
+            right = _unit_failures(self.before(a, a, b, self.identity(a)), hab)
+            for col in sorted(set(left) | set(right)):
+                if col in left:
                     failures.append(f"left unit fails on hom({a},{b})")
-                if self.compose_elts(a, a, b, u, self.identity(a)) != u:
+                if col in right:
                     failures.append(f"right unit fails on hom({a},{b})")
         return failures
 
@@ -267,8 +295,7 @@ def one_object_category(hom: Complex, products: Mapping[Tuple[Elt, Elt], Elt],
         comps[n] = [[0] * ts.dim(n) for _ in range(hom.rank(n))]
     for (v, u), w in products.items():
         n = v.degree + u.degree
-        col = ts.embed_pair(v.degree, v.vec, u.degree, u.vec)
-        j = col.index(1)
+        j = ts.slot_at(n, v.degree, v.vec.index(1), u.vec.index(1))
         for i, x in enumerate(w.vec):
             comps[n][i][j] = x
     diffs = {n: IntMatrix.from_rows(rows, ts.dim(n)) for n, rows in comps.items()
@@ -382,9 +409,6 @@ def ell_op_window_category(window: int) -> FiniteDGCategory:
 # -- modules -------------------------------------------------------------
 
 
-RIGHT, LEFT = "right", "left"
-
-
 def action_domain(side: str, hom: Complex, value: Complex) -> TensorSpace:
     """The tensor complex an action reads: value (x) hom on the right
     side, hom (x) value on the left."""
@@ -396,7 +420,7 @@ class DGModule:
 
     side "right": actions M V (x) hom(U,V) -> M U;
     side "left":  actions hom(U,V) (x) N U -> N V.
-    `act` and `dot` take their two elements in tensor order.
+    The side is also the factor of the action domain that the hom fills.
     """
 
     def __init__(self, base: FiniteDGCategory, values: Mapping, actions: Mapping,
@@ -422,69 +446,54 @@ class DGModule:
             self._ts[(u, v)] = action_domain(self.side, self.base.hom(u, v), self.value(src))
         return self._ts[(u, v)]
 
-    def act(self, u, v, a: Elt, b: Elt) -> Elt:
-        """Tensor-level action on a (x) b (no sign)."""
-        return _evaluate(self.actions.get((u, v)), self.action_space(u, v),
-                         self.value(self.ends(u, v)[1]), a, b)
+    def bare_action(self, u, v, f: Elt) -> Proto:
+        """The table with its hom factor fixed at f in hom(U,V): the proto
+        x |-> act(x (x) f) (right) or act(f (x) x) (left), with no sign."""
+        return _partial(self.actions.get((u, v)), self.action_space(u, v), self.side, f,
+                        self.value(self.ends(u, v)[1]))
 
-    def act_by(self, u, v, f: Elt, x: Elt) -> Elt:
-        """f in hom(U,V) acting on x from the module's side (no sign)."""
-        return self.act(u, v, x, f) if self.side == RIGHT else self.act(u, v, f, x)
-
-    def dot(self, u, v, a: Elt, b: Elt) -> Elt:
-        """Elementwise action: y . f = (-1)^{|y||f|} act(y (x) f) on the
-        right, where the element crosses the hom factor; f . x = act(f (x) x)
-        on the left."""
-        if self.side == RIGHT and (a.degree * b.degree) % 2:
-            return -1 * self.act(u, v, a, b)
-        return self.act(u, v, a, b)
+    def orbit(self, u, v, x: Elt) -> Proto:
+        """The table with its value factor fixed at x: the proto out of
+        hom(U,V), f |-> act(x (x) f) (right) or act(f (x) x) (left), no sign."""
+        return _partial(self.actions.get((u, v)), self.action_space(u, v),
+                        LEFT if self.side == RIGHT else RIGHT, x,
+                        self.value(self.ends(u, v)[1]))
 
     def action_proto(self, u, v, f: Elt) -> Proto:
         """For fixed f in hom(U,V), the proto of degree |f| given by the
         elementwise action of f: N U -> N V on the left, M V -> M U on
-        the right."""
-        src_obj, tgt_obj = self.ends(u, v)
-        src, tgt = self.value(src_obj), self.value(tgt_obj)
-        comps = {}
-        for r in src.degrees():
-            if src.rank(r) == 0 or tgt.rank(r + f.degree) == 0:
-                continue
-            if self.side == RIGHT:
-                cols = [self.dot(u, v, x, f).vec for x in basis_elts(src, r)]
-            else:
-                cols = [self.dot(u, v, f, x).vec for x in basis_elts(src, r)]
-            comps[r] = IntMatrix.from_cols(cols, tgt.rank(r + f.degree))
-        return Proto(src, tgt, f.degree, comps)
+        the right, where y . f = (-1)^{|y||f|} act(y (x) f)."""
+        bare = self.bare_action(u, v, f)
+        return _crossed(bare, f.degree) if self.side == RIGHT else bare
 
     def validate(self) -> List[str]:
-        """Unit law and associativity of the action on basis elements."""
+        """Unit law and associativity of the bare actions as identities of
+        protos: 1 acts as 1, and g o f as (f acting) o (g acting) on the right,
+        (g acting) o (f acting) on the left, one message per failing column."""
         failures = []
         base = self.base
         for x_obj in base.objects:
             mx = self.value(x_obj)
             if mx.is_zero():
                 continue
-            for x in all_basis_elts(mx):
-                if self.act_by(x_obj, x_obj, base.identity(x_obj), x) != x:
-                    failures.append(f"unit law fails on value({x_obj})")
-                    break
+            if _unit_failures(self.bare_action(x_obj, x_obj, base.identity(x_obj)), mx):
+                failures.append(f"unit law fails on value({x_obj})")
+        acting = lru_cache(maxsize=None)(self.bare_action)   # built once per f
         for u, v, huv in base.nonzero_homs():
             for w, hvw in base.homs_out(v):
                 src, _ = self.ends(u, w)
                 if self.value(src).is_zero():
                     continue
                 for g in all_basis_elts(hvw):
+                    g_after = base.after(u, v, w, g)
                     for f in all_basis_elts(huv):
-                        gf = base.compose_elts(u, v, w, g, f)
-                        for x in all_basis_elts(self.value(src)):
-                            if self.side == RIGHT:     # x.(g o f) = (x.g).f
-                                twice = self.act_by(u, v, f, self.act_by(v, w, g, x))
-                            else:                      # (g o f).x = g.(f.x)
-                                twice = self.act_by(v, w, g, self.act_by(u, v, f, x))
-                            if self.act_by(u, w, gf, x) != twice:
-                                failures.append(
-                                    f"{self.side} action associativity fails "
-                                    f"at ({u},{v},{w})")
+                        if self.side == RIGHT:     # x.(g o f) = (x.g).f
+                            twice = compose(acting(u, v, f), acting(v, w, g))
+                        else:                      # (g o f).x = g.(f.x)
+                            twice = compose(acting(v, w, g), acting(u, v, f))
+                        diff = acting(u, w, _image(g_after, f)) - twice
+                        failures += [f"{self.side} action associativity fails at ({u},{v},{w})"] * \
+                            len(_nonzero_columns(diff))
         return failures
 
 
@@ -583,26 +592,25 @@ class ModuleTransform:
         return p
 
     def apply(self, x, y: Elt) -> Elt:
-        p = self.component(x)
-        tgt = self.target.value(x)
-        return Elt(tgt, y.degree + self.degree,
-                   p.comp(y.degree).apply(y.vec))
+        return _image(self.component(x), y)
 
     def naturality_failures(self) -> List[str]:
-        """theta_U(y . f) = (-1)^{|f| deg} (theta_V y) . f on basis pairs."""
+        """theta_U o (- . f) = (-1)^{|f| deg} (- . f) o theta_V per basis
+        element f of hom(U,V); one message per failing column y, in the
+        order of the pairs (y, f)."""
         out = []
         base = self.source.base
         for u, v, homuv in base.nonzero_homs():
             if self.source.value(v).is_zero():
                 continue
-            for y in all_basis_elts(self.source.value(v)):
-                for f in all_basis_elts(homuv):
-                    sign = -1 if (f.degree * self.degree) % 2 else 1
-                    lhs = self.apply(u, self.source.dot(u, v, y, f))
-                    rhs = sign * self.target.dot(u, v, self.apply(v, y), f)
-                    if lhs != rhs:
-                        out.append(f"naturality fails at ({u},{v}) on "
-                                   f"deg ({y.degree},{f.degree})")
+            failing = []
+            for k, f in enumerate(all_basis_elts(homuv)):
+                sign = -1 if (f.degree * self.degree) % 2 else 1
+                diff = compose(self.component(u), self.source.action_proto(u, v, f)) - \
+                    sign * compose(self.target.action_proto(u, v, f), self.component(v))
+                failing += [(q, j, k, f.degree) for q, j in _nonzero_columns(diff)]
+            out += [f"naturality fails at ({u},{v}) on deg ({q},{f_deg})"
+                    for q, _, _, f_deg in sorted(failing)]
         return out
 
     def is_cycle(self) -> bool:
@@ -611,11 +619,9 @@ class ModuleTransform:
 
     def compose_with(self, other: "ModuleTransform") -> "ModuleTransform":
         """self o other (other applied first)."""
-        comps = {}
-        for x in self.source.base.objects:
-            comps[x] = compose(self.component(x), other.component(x))
-        return ModuleTransform(other.source, self.target,
-                               self.degree + other.degree, comps)
+        comps = {x: compose(self.component(x), other.component(x))
+                 for x in self.source.base.objects}
+        return ModuleTransform(other.source, self.target, self.degree + other.degree, comps)
 
 
 # -- coends -------------------------------------------------------------
@@ -646,9 +652,6 @@ class PresentedComplex:
 
     def graded_groups(self) -> GradedGroups:
         return GradedGroups(self.groups)
-
-    def project(self, n: int, vec: Sequence[int]) -> tuple:
-        return self._proj[n].apply(vec)
 
     def projection(self, n: int) -> IntMatrix:
         return self._proj.get(n, IntMatrix.zeros(0, self.ambient.rank(n)))
@@ -771,15 +774,18 @@ class CoendResult:
         """The ambient slot of the summand at u's first basis element in degree n."""
         return self._layout.slot(n, u)
 
-    def class_of(self, u, y: Elt, x: Elt) -> tuple:
-        """Coordinates, on the canonical generators, of [y (x) x] from
-        the summand at u."""
-        vec = self._ts[u].embed_pair(y.degree, y.vec, x.degree, x.vec)
-        n = y.degree + x.degree
-        amb = [0] * self.presented.ambient.rank(n)
-        off = self.slot(u, n) if vec else 0
-        amb[off:off + len(vec)] = vec
-        return self.presented.project(n, amb)
+    def class_map(self, u, y: Elt) -> Dict[int, IntMatrix]:
+        """x |-> [y (x) x] onto the canonical generators, by the degree r of x:
+        the projection on the columns of the summand at u (none: zero) after
+        y (x) -."""
+        out = {}
+        if u not in self._ts:
+            return out
+        for r, ins in self._ts[u].inserted(LEFT, y.degree, y.vec).comps().items():
+            n = r + y.degree
+            off = self.slot(u, n)
+            out[r] = self.presented.projection(n).select_cols(range(off, off + ins.rows)) @ ins
+        return out
 
 
 # -- weighted colimits ----------------------------------------------------
@@ -801,15 +807,7 @@ class WeightedColimit:
     def gamma_proto(self, u, y: Elt) -> Proto:
         """The cocone component at y in M U: the proto F U -> colim
         sending x to the class of y (x) x."""
-        fu = self.f.value(u)
-        comps = {}
-        for r in fu.degrees():
-            if fu.rank(r) == 0:
-                continue
-            n = r + y.degree
-            cols = [self.coend.class_of(u, y, x) for x in basis_elts(fu, r)]
-            comps[r] = IntMatrix.from_cols(cols, self.colimit.rank(n))
-        return Proto(fu, self.colimit, y.degree, comps)
+        return Proto(self.f.value(u), self.colimit, y.degree, self.coend.class_map(u, y))
 
     def defining_iso_verified(self, probes: Sequence[Complex]) -> bool:
         for t in probes:
@@ -877,20 +875,21 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         return phis[n]
 
     # per hom basis element f, once for every degree: F(f), the rows y^T
-    # and (y.f)^T by the degree q of y (None for y.f = 0), and F(f)^* by q + n
+    # and (y.f)^T by the degree q of y (None for y.f = 0), and F(f)^* by q + n;
+    # y.f is column j of the elementwise action of f, for y the j-th basis element
     nat_terms = []
     for u, v, homuv in base.nonzero_homs():
         if u not in spaces or v not in spaces:
             continue
         mv = wc.m.value(v)
         for f in all_basis_elts(homuv):
-            rows_by_q = {}
+            act_m, rows_by_q = wc.m.action_proto(u, v, f), {}
             for q in mv.degrees():
-                rows_by_q[q] = []
-                for y in basis_elts(mv, q):
-                    yf = wc.m.dot(u, v, y, f)
-                    rows_by_q[q].append((IntMatrix.from_rows([y.vec]), yf.degree,
-                                         None if yf.is_zero() else IntMatrix.from_rows([yf.vec])))
+                yf_cols = act_m.comp(q)
+                rows_by_q[q] = [(IntMatrix.from_rows([y.vec]), q + f.degree,
+                                 IntMatrix.from_rows([yf_cols.col(j)]) if any(yf_cols.col(j))
+                                 else None)
+                                for j, y in enumerate(basis_elts(mv, q))]
             nat_terms.append((u, v, f, wc.f.action_proto(u, v, f), rows_by_q, {}))
 
     def naturality_matrix(n):
@@ -949,23 +948,19 @@ def weighted_colimit(m: DGModule, f: DGModule) -> WeightedColimit:
 
 
 def trivial_weight(cat: FiniteDGCategory) -> DGModule:
-    """The constant weight Z over a one-object category."""
+    """The constant weight Z over a one-object category: 1 . 1 = 1, and the
+    other basis elements act by zero."""
     if len(cat.objects) != 1:
         raise ValueError("trivial weight needs a one-object category")
     star = cat.objects[0]
     k0 = unit_complex()
-    hom = cat.hom(star, star)
-    ts = TensorSpace(k0, hom)
+    ts = TensorSpace(k0, cat.hom(star, star))
     comps = {}
-    for n in ts.complex.degrees():
-        if n == 0 and ts.dim(0):
-            # 1 . 1 = 1, higher basis elements act by zero unless unital
-            row = [0] * ts.dim(0)
-            one = cat.identity(star)
-            row[ts.slot_at(0, 0, 0, one.vec.index(1))] = 1
-            comps[0] = IntMatrix.from_rows([row], ts.dim(0))
-    act = ChainMap(ts.complex, k0, 0, comps)
-    return DGModule(cat, {star: k0}, {(star, star): act})
+    if ts.dim(0):
+        row = [0] * ts.dim(0)
+        row[ts.slot_at(0, 0, 0, cat.identity(star).vec.index(1))] = 1
+        comps[0] = IntMatrix.from_rows([row], ts.dim(0))
+    return DGModule(cat, {star: k0}, {(star, star): ChainMap(ts.complex, k0, 0, comps)})
 
 
 def module_from_complex(cat: FiniteDGCategory, a: Complex, side: str) -> DGModule:
@@ -1008,28 +1003,26 @@ class CauchyData:
             self._spaces[(u, v)] = TensorSpace(self.n.value(u), self.m.value(v))
         return self._spaces[(u, v)]
 
-    def eps_apply(self, u, v, yn: Elt, xm: Elt) -> Elt:
-        """eps_{U,V}(yn (x) xm) in hom(V, U)."""
-        return _evaluate(self.eps.get((u, v)), self.eps_space(u, v),
-                         self.m.base.hom(v, u), yn, xm)
+    def eps_map(self, u, v) -> Proto:
+        """eps_{U,V}: N U (x) M V -> hom(V, U); a missing component is the
+        zero map."""
+        eps = self.eps.get((u, v))
+        if eps is None:
+            return Proto.zero(self.eps_space(u, v).complex, self.m.base.hom(v, u))
+        return eps
 
     def eta_is_coend_cycle(self) -> bool:
-        """The class of sum x_i (x) y_i is a 0-cycle of M (x)_C N."""
+        """The class of sum x_i (x) y_i is a 0-cycle of M (x)_C N:
+        sum [dx_i (x) y_i] + (-1)^{|x_i|} [x_i (x) dy_i] = 0."""
         res = coend_tensor(self.m, self.n)
-        total = None
-        for (e_obj, x, y) in self.eta:
-            term = [0] * res.presented.group(-1).generator_count
-            dx = x.boundary()
-            if not dx.is_zero():
-                term = [a + b for a, b in zip(term, res.class_of(e_obj, dx, y))]
-            dy = y.boundary()
-            if not dy.is_zero():
-                sign = -1 if x.degree % 2 else 1
-                term = [a + sign * b for a, b in zip(term, res.class_of(e_obj, x, dy))]
-            total = term if total is None else [a + b for a, b in zip(total, term)]
-        if total is None:
-            return True
         g = res.presented.group(-1)
+        total = [0] * g.generator_count
+        for (e_obj, x, y) in self.eta:
+            sign = -1 if x.degree % 2 else 1
+            for coeff, a, b in ((1, x.boundary(), y), (sign, x, y.boundary())):
+                cls = res.class_map(e_obj, a).get(b.degree)
+                if cls is not None:
+                    total = [t + coeff * c for t, c in zip(total, cls.apply(b.vec))]
         return g.element_equal(tuple(total), (0,) * g.generator_count)
 
 
@@ -1041,116 +1034,103 @@ class CauchyReport:
 
 # -- the Cauchy equations ------------------------------------------------------
 #
-# Each equation is (label, terms, const) and reads
-#     sum over terms (coeff, u, v, n, m, post) of coeff * post(eps_{(u,v)}(n (x) m)) = const,
-# linear in eps.  `solve_cauchy_counit` solves them for eps; the verifiers
-# evaluate them on a given eps.
+# Each equation is (label, terms, const) with terms (coeff, (u, v), post, pre)
+# and reads sum coeff * post o eps_(u,v) o pre = const, an identity of protos
+# out of one domain, linear in eps; column j of degree q is the equation at
+# the j-th basis element of degree q.  `solve_cauchy_counit` solves them for
+# eps; the verifiers evaluate them on a given eps, column by column.
+# * snake at x: sum_i (x_i . -) o eps_(e_i,x) o (y_i (x) -) = 1 on M x;
+# * U, per basis g of hom(u,u2): eps_(u2,v) o ((g . -) (x) 1) = (g o -) o eps_(u,v);
+# * V, per basis f of hom(v2,v): eps_(u,v2) o (1 (x) (- . f)) = (- . f) o eps_(u,v).
+# The crossing signs of V sit in its maps: - . f (on M and on hom(-, u)) is
+# (-1)^{|y||f|} on y, and 1 (x) (- . f) is (-1)^{|f||n|} on n (x) m (Koszul),
+# so at n (x) m it is (-1)^{|f||n|} times eps(n (x) m.f) = (-1)^{|m||f|} eps(n (x) m) o f.
 
 
-def _snake_equations(m: DGModule, eta: List[Tuple[object, Elt, Elt]]):
-    """The evaluated snake identity sum_i x_i . eps(y_i (x) u) = u, one
-    equation ("snake", x, r, i) per basis element u = e_i of M x in degree r.
-
-    Every map in the snake is a degree-0 chain map, and the co-Yoneda
-    isomorphism is induced by the action chain maps, so the terms are
-    evaluated through `act` (the elementwise dot differs from it by the
-    currying sign and would double-count it here).
-    """
-    for x_obj in m.base.objects:
+def _snake_equations(cd: CauchyData):
+    """("snake", x) per object x with M x nonzero.  Every map in the snake
+    is a degree-0 chain map, and the co-Yoneda isomorphism is induced by
+    the action chain maps, so x_i acts through the bare table (the
+    elementwise dot differs from it by the currying sign and would count
+    it twice).  A term whose hom(x, e_i) is zero is left out."""
+    m, base = cd.m, cd.m.base
+    for x_obj in base.objects:
         mx = m.value(x_obj)
-        for r in mx.degrees():
-            for i, u_elt in enumerate(basis_elts(mx, r)):
-                terms = [(1, e_obj, x_obj, y_i, u_elt,
-                          lambda f, e_obj=e_obj, x_i=x_i, x_obj=x_obj:
-                          m.act(x_obj, e_obj, x_i, f))
-                         for (e_obj, x_i, y_i) in eta]
-                yield ("snake", x_obj, r, i), terms, u_elt
+        if mx.is_zero():
+            continue
+        terms = [(1, (e_obj, x_obj), m.orbit(x_obj, e_obj, x_i),
+                  cd.eps_space(e_obj, x_obj).inserted(LEFT, y_i.degree, y_i.vec))
+                 for (e_obj, x_i, y_i) in cd.eta if not base.hom(x_obj, e_obj).is_zero()]
+        yield ("snake", x_obj), terms, identity_map(mx)
 
 
-def _naturality_equations(m: DGModule, n_mod: DGModule):
-    """DG-naturality of eps in both variables, on basis elements:
-
-    ("U", u, u2, v): eps((g.n) (x) m) - g o eps(n (x) m) = 0 in hom(v, u2),
-    for g in hom(u, u2);
-    ("V", u, v2, v): eps(n (x) (m.f)) - (-1)^{|m||f|} eps(n (x) m) o f = 0
-    in hom(v2, u), for f in hom(v2, v).
-
-    Only nonzero target homs are visited: elsewhere both sides lie in a
-    zero group.  For fixed (u, v) the U equations follow homs_out(u) and
-    the V equations homs_in(v).
-    """
-    base = m.base
+def _naturality_equations(cd: CauchyData):
+    """DG-naturality of eps in both variables, ("U", u, u2, v) and ("V", u,
+    v2, v) with const zero, only where the target hom is nonzero (elsewhere
+    both sides lie in a zero group): for fixed (u, v) the U equations follow
+    homs_out(u), the V equations homs_in(v).  A term into a zero hom is left out."""
+    m, n_mod, base = cd.m, cd.n, cd.m.base
     for u, u2, homuu2 in base.nonzero_homs():
         for v, tgt in base.homs_in(u2):
             nu, mv = n_mod.value(u), m.value(v)
             if nu.is_zero() or mv.is_zero():
                 continue
             for g in all_basis_elts(homuu2):
-                for n_elt in all_basis_elts(nu):
-                    gn = n_mod.dot(u, u2, g, n_elt)
-                    for m_elt in all_basis_elts(mv):
-                        deg = g.degree + n_elt.degree + m_elt.degree
-                        terms = [
-                            (1, u2, v, gn, m_elt, lambda f: f),
-                            (-1, u, v, n_elt, m_elt,
-                             lambda f, g=g, v=v, u=u, u2=u2:
-                             base.compose_elts(v, u, u2, g, f)),
-                        ]
-                        yield ("U", u, u2, v), terms, Elt(tgt, deg, (0,) * tgt.rank(deg))
+                pre = tensor_proto(n_mod.action_proto(u, u2, g), identity_map(mv),
+                                   cd.eps_space(u, v), cd.eps_space(u2, v))
+                terms = [(1, (u2, v), identity_map(tgt), pre)]
+                if not base.hom(v, u).is_zero():
+                    terms.append((-1, (u, v), base.after(v, u, u2, g), identity_map(pre.source)))
+                yield ("U", u, u2, v), terms, Proto.zero(pre.source, tgt, g.degree)
     for v2, v, homv2v in base.nonzero_homs():
         for u, tgt in base.homs_out(v2):
             nu, mv = n_mod.value(u), m.value(v)
             if nu.is_zero() or mv.is_zero():
                 continue
             for f in all_basis_elts(homv2v):
-                for n_elt in all_basis_elts(nu):
-                    for m_elt in all_basis_elts(mv):
-                        mf = m.dot(v2, v, m_elt, f)
-                        sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                        deg = n_elt.degree + m_elt.degree + f.degree
-                        terms = [
-                            (1, u, v2, n_elt, mf, lambda h: h),
-                            (-sign, u, v, n_elt, m_elt,
-                             lambda h, f=f, v2=v2, v=v, u=u:
-                             base.compose_elts(v2, v, u, h, f)),
-                        ]
-                        yield ("V", u, v2, v), terms, Elt(tgt, deg, (0,) * tgt.rank(deg))
+                pre = tensor_proto(identity_map(nu), m.action_proto(v2, v, f),
+                                   cd.eps_space(u, v), cd.eps_space(u, v2))
+                terms = [(1, (u, v2), identity_map(tgt), pre)]
+                if not base.hom(v, u).is_zero():
+                    terms.append((-1, (u, v), _crossed(base.before(v2, v, u, f), f.degree),
+                                  identity_map(pre.source)))
+                yield ("V", u, v2, v), terms, Proto.zero(pre.source, tgt, f.degree)
 
 
-def _equation_holds(cd: CauchyData, terms, const: Elt) -> bool:
-    """One Cauchy equation evaluated on the eps of cd; every post lands in
-    the group of const, so the sides are compared in coordinates."""
-    rest = const.vec
-    for (coeff, u, v, n_elt, m_elt, post) in terms:
-        got = post(cd.eps_apply(u, v, n_elt, m_elt)).vec
-        rest = [r - coeff * g for r, g in zip(rest, got)]
-    return not any(rest)
+def _residual(cd: CauchyData, terms, const: Proto) -> Proto:
+    """sum coeff * post o eps_(u,v) o pre - const: the equation fails at its nonzero columns."""
+    out = -const
+    for coeff, (u, v), post, pre in terms:
+        out = out + coeff * compose(post, compose(cd.eps_map(u, v), pre))
+    return out
 
 
 def verify_cauchy_data(cd: CauchyData) -> CauchyReport:
     """The snake identity of `_snake_equations`; the witness names the
-    first basis element where it fails."""
+    first basis element (column) where it fails."""
     for (e_obj, x, y) in cd.eta:
         if x.degree + y.degree != 0:
             return CauchyReport(False, f"eta term at {e_obj} has degrees "
                                        f"({x.degree},{y.degree})")
-    for (_, x_obj, r, i), terms, const in _snake_equations(cd.m, cd.eta):
-        if not _equation_holds(cd, terms, const):
+    for (_, x_obj), terms, const in _snake_equations(cd):
+        failing = _nonzero_columns(_residual(cd, terms, const))
+        if failing:
+            r, i = failing[0]
             return CauchyReport(
                 False, f"snake fails at object {x_obj}, degree {r}, basis index {i}")
     return CauchyReport(True)
 
 
 def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
-    """One message per failing equation of `_naturality_equations`, grouped
+    """One message per failing column of `_naturality_equations`, grouped
     by the pair (u, v) in object order, U before V."""
     where = {x: i for i, x in enumerate(cd.m.base.objects)}
-    failing = [label for label, terms, const in _naturality_equations(cd.m, cd.n)
-               if not _equation_holds(cd, terms, const)]
-    failing.sort(key=lambda lab: (where[lab[1]], where[lab[3]], lab[0] == "V"))
+    failing = [(where[label[1]], where[label[3]], label[0] == "V", k, label)
+               for k, (label, terms, const) in enumerate(_naturality_equations(cd))
+               for _ in _nonzero_columns(_residual(cd, terms, const))]
     return [f"eps naturality in U fails at ({u}->{w},{v})" if kind == "U"
             else f"eps naturality in V fails at ({u},{w}->{v})"
-            for kind, u, w, v in failing]
+            for *_, (kind, u, w, v) in sorted(failing)]
 
 
 def representable_cauchy_data(cat: FiniteDGCategory, k) -> CauchyData:
@@ -1203,38 +1183,18 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
 
     tau_comps, xhat_comps = {}, {}
     for x_obj in base.objects:
-        mx = cd.m.value(x_obj)
-        tx = total.value(x_obj)
-        stack = BlockLayout()   # tx degreewise: one block per summand
-        for i, s in enumerate(summands):
-            for r in s.value(x_obj).degrees():
-                stack.add(r, i, s.value(x_obj).rank(r))
-        tau_c, xhat_c = {}, {}
-        for r in mx.degrees():
-            if mx.rank(r) and tx.rank(r):
-                cols = []
-                for u in basis_elts(mx, r):
-                    vec = [0] * tx.rank(r)
-                    for i, (e_obj, x_i, y_i) in enumerate(cd.eta):
-                        f = cd.eps_apply(e_obj, x_obj, y_i, u)
-                        for idx, val in enumerate(f.vec):
-                            vec[stack.slot(r, i, idx)] = val
-                    cols.append(tuple(vec))
-                tau_c[r] = IntMatrix.from_cols(cols, tx.rank(r))
-        for r in tx.degrees():
-            if tx.rank(r) and mx.rank(r):
-                cols = []
-                for i, (e_obj, x_i, y_i) in enumerate(cd.eta):
-                    he = base.hom(x_obj, e_obj)
-                    inner_deg = r - x_i.degree
-                    for f in basis_elts(he, inner_deg):
-                        # Yoneda transpose of x_i out of the shifted
-                        # representable: the (-1)^{m|f|} twist cancels the
-                        # currying sign, leaving the bare action.
-                        cols.append(cd.m.act(x_obj, e_obj, x_i, f).vec)
-                xhat_c[r] = IntMatrix.from_cols(cols, mx.rank(r))
-        tau_comps[x_obj] = Proto(mx, tx, 0, tau_c)
-        xhat_comps[x_obj] = Proto(tx, mx, 0, xhat_c)
+        mx, tx = cd.m.value(x_obj), total.value(x_obj)
+        # per eta term: eps_(e_i,x) o (y_i (x) -), and x_i . - through the bare table
+        # (the Yoneda transpose of x_i: the (-1)^{m|f|} twist cancels the currying sign)
+        pieces = [(compose(cd.eps_map(e_obj, x_obj),
+                           cd.eps_space(e_obj, x_obj).inserted(LEFT, y_i.degree, y_i.vec)),
+                   cd.m.orbit(x_obj, e_obj, x_i)) for (e_obj, x_i, y_i) in cd.eta]
+        # tau stacks the pieces into the summands, xhat sets them side by side
+        degrees = [r for r in mx.degrees() if mx.rank(r) and tx.rank(r)]
+        tau_comps[x_obj] = Proto(mx, tx, 0, {
+            r: block_matrix([[t.comp(r)] for t, _ in pieces]) for r in degrees})
+        xhat_comps[x_obj] = Proto(tx, mx, 0, {
+            r: block_matrix([[o.comp(r - o.degree) for _, o in pieces]]) for r in degrees})
 
     tau = ModuleTransform(cd.m, total, 0, tau_comps)
     xhat = ModuleTransform(total, cd.m, 0, xhat_comps)
@@ -1279,15 +1239,13 @@ def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
 
     one_b = base.identity(b_obj)
     e = sigma.apply(b_obj, gamma_p.apply(b_obj, one_b))
-    if base.compose_elts(b_obj, b_obj, b_obj, e, e) != e:
+    if _image(base.after(b_obj, b_obj, b_obj, e), e) != e:
         failures.append("extracted e is not idempotent")
-    for x_obj, hom_xb in base.homs_in(b_obj):
-        for f in all_basis_elts(hom_xb):
-            lhs = sigma.apply(x_obj, gamma_p.apply(x_obj, f))
-            rhs = base.compose_elts(x_obj, b_obj, b_obj, e, f)
-            if lhs != rhs:
-                failures.append(f"sigma o gamma' != hom(-, e) at {x_obj}")
-                break
+    for x_obj, _ in base.homs_in(b_obj):
+        diff = compose(sigma.component(x_obj), gamma_p.component(x_obj)) - \
+            base.after(x_obj, b_obj, b_obj, e)
+        if _nonzero_columns(diff):
+            failures.append(f"sigma o gamma' != hom(-, e) at {x_obj}")
     return ProtosplitQuotientReport(not failures, e, failures)
 
 
@@ -1344,19 +1302,21 @@ def module_presentation(m: DGModule,
         if mx.is_zero():
             continue
         # the generators that a nonzero hom out of x_obj reaches, in generator order
-        reached = sorted(((j, b_obj, g, hom_xb) for b_obj, hom_xb in base.homs_out(x_obj)
-                          for j, g in at_obj.get(b_obj, ())), key=lambda t: t[0])
+        # (j comes first and differs between entries, so only j is compared)
+        reached = sorted((j, b_obj, g, hom_xb) for b_obj, hom_xb in base.homs_out(x_obj)
+                         for j, g in at_obj.get(b_obj, ()))
+        # g . - on hom(x, b), with the crossing sign (-1)^{|g||f|} on f
+        orbits = [(j, hom_xb, _crossed(m.orbit(x_obj, b_obj, g), g.degree))
+                  for j, b_obj, g, hom_xb in reached]
         for r in mx.degrees():
             if mx.rank(r) == 0:
                 continue
-            cols = []
-            labels = []
-            for j, b_obj, g, hom_xb in reached:
-                fdeg = r - g.degree
-                for idx, f in enumerate(basis_elts(hom_xb, fdeg)):
-                    cols.append(m.dot(x_obj, b_obj, g, f).vec)
-                    labels.append((j, fdeg, idx))
-            gamma = IntMatrix.from_cols(cols, mx.rank(r))
+            blocks, labels = [], []
+            for j, hom_xb, orbit in orbits:
+                fdeg = r - orbit.degree
+                blocks.append(orbit.comp(fdeg))
+                labels += [(j, fdeg, idx) for idx in range(hom_xb.rank(fdeg))]
+            gamma = block_matrix([blocks]) if blocks else IntMatrix.zeros(mx.rank(r), 0)
             cells.append(PresentationCell(
                 x_obj, r, gamma, labels, kernel_basis(gamma), cokernel(gamma).group))
     return ModulePresentation(generators, cells)
@@ -1372,47 +1332,47 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
 
     Returns valid CauchyData or None; mirrors the solved-for policy used
     for the monoidal duality witnesses (signs are a consequence, never an
-    input).
+    input).  An eta term of nonzero total degree has no counit: None.
     """
+    if any(x.degree + y.degree for _, x, y in eta):
+        return None
     base = m.base
-    spaces: Dict[Tuple, Tuple[TensorSpace, Complex]] = {}
+    cd = CauchyData(m, n_mod, list(eta), {})
+    targets: Dict[Tuple, Complex] = {}
     # the unknowns: one block per (u, v, d), the matrix of eps_{(u,v)} in degree d
     entries = BlockLayout()
     for u in base.objects:
         for v, target in base.homs_in(u):
-            nu, mv = n_mod.value(u), m.value(v)
-            if nu.is_zero() or mv.is_zero():
+            if n_mod.value(u).is_zero() or m.value(v).is_zero():
                 continue
-            ts = TensorSpace(nu, mv)
+            ts = cd.eps_space(u, v)
             for d in ts.complex.degrees():
                 entries.add(0, (u, v, d), target.rank(d), ts.dim(d))
-            spaces[(u, v)] = (ts, target)
+            targets[(u, v)] = target
+    offsets = {key: off for key, _, _, off in entries.blocks(0)}
     total = entries.dim(0)
 
     rows: List[List[int]] = []
     rhs: List[int] = []
-
-    # each Cauchy equation gives one row per coordinate of const
-    for _, terms, const in chain(_snake_equations(m, eta),
-                                 _naturality_equations(m, n_mod)):
-        block = [[0] * total for _ in range(len(const.vec))]
-        for (coeff, u, v, n_elt, m_elt, post) in terms:
-            ts, target = spaces.get((u, v), (None, None))
-            d = n_elt.degree + m_elt.degree
-            if ts is None or target.rank(d) == 0 or ts.dim(d) == 0:
-                continue
-            pair = ts.embed_pair(n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
-            pair_row = IntMatrix(1, len(pair), pair)
-            for o, f in enumerate(basis_elts(target, d)):
-                # coeff * post(f)_i * pair_k lands on entry (o, k) of eps_d
-                scatter_kron(block, 0, entries.slot(0, (u, v, d), o),
-                             IntMatrix.column(post(f).vec), pair_row, coeff)
-        rows.extend(block)
-        rhs.extend(const.vec)
+    # each Cauchy equation gives, in each degree q of its domain, the rows of
+    # sum coeff * post_d eps_d pre_q = const_q, d = q + |pre|; on row-major
+    # vec, vec(P E Q) = (P (x) Q^T) vec(E)
+    for _, terms, const in chain(_snake_equations(cd), _naturality_equations(cd)):
+        for q in const.source.degrees():
+            block = [[0] * total for _ in range(const.target.rank(q + const.degree)
+                                                * const.source.rank(q))]
+            for coeff, (u, v), post, pre in terms:
+                off = offsets.get((u, v, q + pre.degree))
+                if off is not None:
+                    scatter_kron(block, 0, off, post.comp(q + pre.degree),
+                                 pre.comp(q).transpose(), coeff)
+            rows.extend(block)
+            rhs.extend(const.comp(q).entries())
 
     # chain-map property of each eps component: d o eps_d = eps_{d-1} o d,
     # on row-major vec: (d (x) 1) vec(eps_d) - (1 (x) d^T) vec(eps_{d-1}) = 0
-    for (u, v), (ts, target) in spaces.items():
+    for (u, v), target in targets.items():
+        ts = cd.eps_space(u, v)
         for d in ts.complex.degrees():
             dims_in, rows_below = ts.dim(d), target.rank(d - 1)
             block = [[0] * total for _ in range(rows_below * dims_in)]
@@ -1425,15 +1385,15 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
             rhs.extend([0] * len(block))
 
     if not rows:
-        return CauchyData(m, n_mod, list(eta), {})
+        return cd
     a = IntMatrix.from_rows(rows, total)
     sol = solve_matrix(a, IntMatrix.column(rhs))
     if sol is None:
         return None
     vec = sol.col(0)
-    comps: Dict[Tuple, Dict[int, IntMatrix]] = {key: {} for key in spaces}
+    comps: Dict[Tuple, Dict[int, IntMatrix]] = {key: {} for key in targets}
     for (u, v, d), rows_d, cols_d, off in entries.blocks(0):
         comps[(u, v)][d] = IntMatrix(rows_d, cols_d, vec[off:off + rows_d * cols_d])
-    eps = {key: ChainMap(ts.complex, target, 0, comps[key])
-           for key, (ts, target) in spaces.items()}
-    return CauchyData(m, n_mod, list(eta), eps)
+    cd.eps = {key: ChainMap(cd.eps_space(*key).complex, target, 0, comps[key])
+              for key, target in targets.items()}
+    return cd

@@ -90,19 +90,28 @@ class TensorSpace:
     def slot_at(self, n: int, p: int, i: int, j: int) -> int:
         return self.layout.slot(n, p, i, j)
 
-    def embed_pair(self, p: int, xa, q: int, xb) -> tuple:
-        """Coordinates of (sum_i xa_i a_i) (x) (sum_j xb_j b_j) in degree p+q."""
-        n = p + q
-        vec = [0] * self.dim(n)
-        rl, rr = self.left.rank(p), self.right.rank(q)
-        if len(xa) != rl or len(xb) != rr:
-            raise ShapeMismatch("element lengths do not match ranks")
-        for i in range(rl):
-            if xa[i]:
-                for j in range(rr):
-                    if xb[j]:
-                        vec[self.slot_at(n, p, i, j)] += xa[i] * xb[j]
-        return tuple(vec)
+    def inserted(self, side: str, p: int, vec) -> Proto:
+        """The degree-p proto x |-> a (x) x from B when a, with coordinates
+        vec in degree p, fills the "left" factor, x |-> x (x) a from A when
+        it fills the "right" one: a (x) 1 (or 1 (x) a) in each degree, with
+        no sign.  A table out of this space with one factor fixed at a is
+        the table composed with it."""
+        fixed, other = (self.left, self.right) if side == "left" else (self.right, self.left)
+        if len(vec) != fixed.rank(p):
+            raise ShapeMismatch(f"element length {len(vec)} vs rank {fixed.rank(p)}")
+        comps = {}
+        for q in other.degrees():
+            width, rows = other.rank(q), self.dim(p + q)
+            if width and rows and any(vec):
+                # a_k (x) x_t is (k, t) of block p; x_t (x) a_k is (t, k) of block q
+                off, sk, st = ((self.layout.slot(p + q, p), width, 1) if side == "left"
+                               else (self.layout.slot(p + q, q), 1, len(vec)))
+                e = [0] * (rows * width)
+                for k, a in enumerate(vec):
+                    for t in range(width if a else 0):
+                        e[(off + k * sk + t * st) * width + t] = a
+                comps[q] = IntMatrix(rows, width, tuple(e), _trusted=True)
+        return Proto(other, self.complex, p, comps)
 
     def _differential(self, n: int) -> IntMatrix:
         # d(a (x) b) = da (x) b + (-1)^p a (x) db.  Only stored differentials
@@ -123,10 +132,12 @@ def tensor(left: Complex, right: Complex) -> Complex:
     return TensorSpace(left, right).complex
 
 
-def tensor_proto(f: Proto, g: Proto) -> Proto:
-    """f (x) g acting by (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b)."""
-    src = TensorSpace(f.source, g.source)
-    tgt = TensorSpace(f.target, g.target)
+def tensor_proto(f: Proto, g: Proto, src: TensorSpace = None, tgt: TensorSpace = None) -> Proto:
+    """f (x) g acting by (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b), out
+    of src and into tgt, the tensor spaces of the sources and targets (built
+    here unless given)."""
+    src = src or TensorSpace(f.source, g.source)
+    tgt = tgt or TensorSpace(f.target, g.target)
     deg = f.degree + g.degree
     comps: Dict[int, IntMatrix] = {}
     for n in src.complex.degrees():

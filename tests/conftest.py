@@ -8,7 +8,8 @@ import pytest
 
 from dgkernel import zlinalg
 from dgkernel.complexes import ChainMap
-from dgkernel.zlinalg import IntMatrix
+from dgkernel.dgcat import RIGHT, Elt
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch
 
 
 def protos(hs, n, columns=None):
@@ -53,6 +54,71 @@ def slot_chain_map(src, tgt, mapping) -> ChainMap:
             out[r][c] = sign
         comps[n] = IntMatrix.from_rows(out, cols)
     return ChainMap(src, tgt, 0, comps)
+
+
+# -- the elementwise evaluator -------------------------------------------------
+#
+# The package reads its tables as protos (a table with one factor fixed is
+# a proto out of the other); these are the elementwise readers it had
+# before, kept as oracles.
+
+
+def embed_pair(ts, p: int, xa, q: int, xb) -> tuple:
+    """Coordinates of (sum_i xa_i a_i) (x) (sum_j xb_j b_j) in degree p+q."""
+    n = p + q
+    vec = [0] * ts.dim(n)
+    rl, rr = ts.left.rank(p), ts.right.rank(q)
+    if len(xa) != rl or len(xb) != rr:
+        raise ShapeMismatch("element lengths do not match ranks")
+    for i in range(rl):
+        if xa[i]:
+            for j in range(rr):
+                if xb[j]:
+                    vec[ts.slot_at(n, p, i, j)] += xa[i] * xb[j]
+    return tuple(vec)
+
+
+def _evaluate(table, ts, target, a: Elt, b: Elt) -> Elt:
+    """table(a (x) b) in target, where table is a map out of ts; no table
+    is the zero map.  The pair is embedded first, so a length mismatch
+    raises either way."""
+    pair = embed_pair(ts, a.degree, a.vec, b.degree, b.vec)
+    n = a.degree + b.degree
+    if table is None:
+        return Elt(target, n, (0,) * target.rank(n))
+    return Elt(target, n, table.comp(n).apply(pair))
+
+
+def compose_elts(cat, a, b, c, v: Elt, u: Elt) -> Elt:
+    """v o u for v in hom(b,c), u in hom(a,b)."""
+    return _evaluate(cat.compose_table.get((a, b, c)), cat.pair_space(a, b, c),
+                     cat.hom(a, c), v, u)
+
+
+def act(mod, u, v, a: Elt, b: Elt) -> Elt:
+    """Tensor-level action on a (x) b (no sign)."""
+    return _evaluate(mod.actions.get((u, v)), mod.action_space(u, v),
+                     mod.value(mod.ends(u, v)[1]), a, b)
+
+
+def act_by(mod, u, v, f: Elt, x: Elt) -> Elt:
+    """f in hom(U,V) acting on x from the module's side (no sign)."""
+    return act(mod, u, v, x, f) if mod.side == RIGHT else act(mod, u, v, f, x)
+
+
+def dot(mod, u, v, a: Elt, b: Elt) -> Elt:
+    """Elementwise action: y . f = (-1)^{|y||f|} act(y (x) f) on the
+    right, where the element crosses the hom factor; f . x = act(f (x) x)
+    on the left."""
+    if mod.side == RIGHT and (a.degree * b.degree) % 2:
+        return -1 * act(mod, u, v, a, b)
+    return act(mod, u, v, a, b)
+
+
+def eps_apply(cd, u, v, yn: Elt, xm: Elt) -> Elt:
+    """eps_{U,V}(yn (x) xm) in hom(V, U)."""
+    return _evaluate(cd.eps.get((u, v)), cd.eps_space(u, v),
+                     cd.m.base.hom(v, u), yn, xm)
 
 
 class Calls(list):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgkernel.dgcat as dgcat
-from conftest import protos, tensor_basis
+from dgkernel.dgcat import _image
+from conftest import (act, act_by, compose_elts, dot, embed_pair, eps_apply, protos,
+                      tensor_basis)
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -63,6 +65,7 @@ from dgkernel.dgcat import (
 from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
 from dgkernel.rand import rand_complex, rand_double_complex, rand_graded
 from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
+from dgkernel import zlinalg
 from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, cokernel, kernel_basis
 
 K0 = unit_complex()
@@ -96,16 +99,16 @@ def reference_scan_failures(cat):
         for w in all_basis_elts(cat.hom(c, dd)):
             for v in all_basis_elts(cat.hom(b, c)):
                 for u in all_basis_elts(cat.hom(a, b)):
-                    if cat.compose_elts(a, b, dd, cat.compose_elts(b, c, dd, w, v), u) != \
-                            cat.compose_elts(a, c, dd, w, cat.compose_elts(a, b, c, v, u)):
+                    if compose_elts(cat, a, b, dd, compose_elts(cat, b, c, dd, w, v), u) != \
+                            compose_elts(cat, a, c, dd, w, compose_elts(cat, a, b, c, v, u)):
                         failures.append(f"associativity fails at ({a},{b},{c},{dd})")
     for a, b in itertools.product(cat.objects, repeat=2):
         if cat.hom(a, b).is_zero() or a not in cat.identities or b not in cat.identities:
             continue
         for u in all_basis_elts(cat.hom(a, b)):
-            if cat.compose_elts(a, b, b, cat.identity(b), u) != u:
+            if compose_elts(cat, a, b, b, cat.identity(b), u) != u:
                 failures.append(f"left unit fails on hom({a},{b})")
-            if cat.compose_elts(a, a, b, u, cat.identity(a)) != u:
+            if compose_elts(cat, a, a, b, u, cat.identity(a)) != u:
                 failures.append(f"right unit fails on hom({a},{b})")
     return failures
 
@@ -120,11 +123,11 @@ def reference_module_scan_failures(mod):
             continue
         for g in all_basis_elts(base.hom(v, w)):
             for f in all_basis_elts(base.hom(u, v)):
-                gf = base.compose_elts(u, v, w, g, f)
+                gf = compose_elts(base, u, v, w, g, f)
                 for x in all_basis_elts(mod.value(src)):
-                    twice = (mod.act_by(u, v, f, mod.act_by(v, w, g, x)) if mod.side == RIGHT
-                             else mod.act_by(v, w, g, mod.act_by(u, v, f, x)))
-                    if mod.act_by(u, w, gf, x) != twice:
+                    twice = (act_by(mod, u, v, f, act_by(mod, v, w, g, x)) if mod.side == RIGHT
+                             else act_by(mod, v, w, g, act_by(mod, u, v, f, x)))
+                    if act_by(mod, u, w, gf, x) != twice:
                         failures.append(f"{mod.side} action associativity fails at ({u},{v},{w})")
     return failures
 
@@ -244,30 +247,29 @@ class TestModules:
             for f in all_basis_elts(cat.hom("*", "*")):
                 p = m.action_proto("*", "*", f)
                 for x in all_basis_elts(src):
-                    want = m.dot("*", "*", x, f) if side == RIGHT else m.dot("*", "*", f, x)
+                    want = dot(m, "*", "*", x, f) if side == RIGHT else dot(m, "*", "*", f, x)
                     assert p.comp(x.degree).apply(x.vec) == want.vec
 
     def test_paper_sign_rule_for_dot(self, cats):
-        # z . (g o f) = (-1)^{|g||f|} (z . g) . f on all basis triples
+        # z . (g o f) = (-1)^{|g||f|} (z . g) . f for every z, as protos:
+        # (- . (g o f)) = (-1)^{|g||f|} (- . f) o (- . g), on all basis pairs
+        seen = 0
         for name in ("ext", "sub"):
             cat = cats[name]
             for k in cat.objects:
                 m = representable(cat, k, RIGHT)
-                for w in cat.objects:
-                    for v in cat.objects:
-                        for u in cat.objects:
-                            if m.value(w).is_zero() or cat.hom(v, w).is_zero() \
-                               or cat.hom(u, v).is_zero():
-                                continue
-                            for z in all_basis_elts(m.value(w)):
-                                for g in all_basis_elts(cat.hom(v, w)):
-                                    for f in all_basis_elts(cat.hom(u, v)):
-                                        sign = -1 if (g.degree * f.degree) % 2 else 1
-                                        lhs = m.dot(u, w, z,
-                                                    cat.compose_elts(u, v, w, g, f))
-                                        rhs = sign * m.dot(
-                                            u, v, m.dot(v, w, z, g), f)
-                                        assert lhs == rhs
+                for u, v, huv in cat.nonzero_homs():
+                    for w, hvw in cat.homs_out(v):
+                        if m.value(w).is_zero():
+                            continue
+                        for g in all_basis_elts(hvw):
+                            for f in all_basis_elts(huv):
+                                sign = -1 if (g.degree * f.degree) % 2 else 1
+                                gf = compose_elts(cat, u, v, w, g, f)
+                                assert m.action_proto(u, w, gf) == sign * compose(
+                                    m.action_proto(u, v, f), m.action_proto(v, w, g))
+                                seen += sign == -1
+        assert seen
 
 
 def twisted_x2_pair():
@@ -605,6 +607,19 @@ class TestCauchyData:
         assert verify_cauchy_data(cd).ok
         assert cauchy_naturality_failures(cd) == []
 
+    def test_counit_solver_rejects_an_eta_term_of_nonzero_degree(self, cats):
+        # the modules of the two-term sum, with x the second basis element of
+        # degree 1 and y the second of degree 0: eta has total degree 1
+        cat = cats["ext"]
+        m1, n1 = representable(cat, "*", RIGHT), representable(cat, "*", LEFT)
+        mm = direct_sum_modules(m1, suspend_module(m1, 1))
+        nn = direct_sum_modules(n1, suspend_module(n1, -1))
+        x, y = unit_at(mm.value("*"), 1, 1), unit_at(nn.value("*"), 0, 1)
+        assert solve_cauchy_counit(mm, nn, [("*", x, y)]) is None
+        one = cat.identity("*")
+        assert solve_cauchy_counit(m1, n1, [("*", one, one), ("*", unit_at(m1.value("*"), 1, 0),
+                                                              one)]) is None
+
 
 def two_term_cauchy_fixture(cat, obj):
     m1 = representable(cat, obj, RIGHT)
@@ -667,7 +682,7 @@ def postcompose_transform(cat, m_from, m_to, b_from, b_to, elt):
         for r in src.degrees():
             if src.rank(r) == 0:
                 continue
-            cols = [cat.compose_elts(x, b_from, b_to, elt, f).vec
+            cols = [compose_elts(cat, x, b_from, b_to, elt, f).vec
                     for f in basis_elts(src, r)]
             rows = tgt.rank(r + elt.degree)
             mats[r] = IntMatrix(rows, len(cols),
@@ -698,12 +713,12 @@ class TestProtosplitQuotient:
         hom_zz_z = cat.hom("ZZ", "Z")
         incl = unit_at(hom_z_zz, 0, 0)      # first coordinate inclusion
         proj = unit_at(hom_zz_z, 0, 0)      # first coordinate projection
-        assert cat.compose_elts("Z", "ZZ", "Z", proj, incl) == cat.identity("Z")
+        assert compose_elts(cat, "Z", "ZZ", "Z", proj, incl) == cat.identity("Z")
         sigma = postcompose_transform(cat, m, b, "Z", "ZZ", incl)
         gamma = postcompose_transform(cat, b, m, "ZZ", "Z", proj)
         rep = verify_protosplit_quotient(m, "ZZ", gamma, sigma)
         assert rep.ok, rep.failures
-        e0 = cat.compose_elts("ZZ", "Z", "ZZ", incl, proj)
+        e0 = compose_elts(cat, "ZZ", "Z", "ZZ", incl, proj)
         assert rep.idempotent == e0
 
     def test_torsion_module_is_not_a_retract(self):
@@ -797,7 +812,7 @@ def reference_direct_sum_actions(m1, m2):
                     first = idx < r1
                     part, idx = (m1, idx) if first else (m2, idx - r1)
                     x = unit_at(part.value(src), deg, idx)
-                    img = part.act_by(u, v, unit_at(hom, f_deg, f_idx), x)
+                    img = act_by(part, u, v, unit_at(hom, f_deg, f_idx), x)
                     off = 0 if first else m1.value(tgt).rank(img.degree)
                     for i, val in enumerate(img.vec):
                         if val:
@@ -817,8 +832,8 @@ def reference_transform_naturality_failures(tr):
             for y in all_basis_elts(tr.source.value(v)):
                 for f in all_basis_elts(homuv):
                     sign = -1 if (f.degree * tr.degree) % 2 else 1
-                    lhs = tr.apply(u, tr.source.dot(u, v, y, f))
-                    rhs = sign * tr.target.dot(u, v, tr.apply(v, y), f)
+                    lhs = tr.apply(u, dot(tr.source, u, v, y, f))
+                    rhs = sign * dot(tr.target, u, v, tr.apply(v, y), f)
                     if lhs != rhs:
                         out.append(f"naturality fails at ({u},{v}) on "
                                    f"deg ({y.degree},{f.degree})")
@@ -838,11 +853,11 @@ def reference_cauchy_naturality_failures(cd):
                     continue
                 for g in all_basis_elts(homuu2):
                     for n_elt in all_basis_elts(nu):
-                        gn = cd.n.dot(u, u2, g, n_elt)
+                        gn = dot(cd.n, u, u2, g, n_elt)
                         for m_elt in all_basis_elts(mv):
-                            lhs = cd.eps_apply(u2, v, gn, m_elt)
-                            rhs = base.compose_elts(
-                                v, u, u2, g, cd.eps_apply(u, v, n_elt, m_elt))
+                            lhs = eps_apply(cd, u2, v, gn, m_elt)
+                            rhs = compose_elts(base, 
+                                v, u, u2, g, eps_apply(cd, u, v, n_elt, m_elt))
                             if lhs != rhs:
                                 out.append(f"eps naturality in U fails at ({u}->{u2},{v})")
             for v2 in base.objects:
@@ -852,11 +867,11 @@ def reference_cauchy_naturality_failures(cd):
                 for f in all_basis_elts(homv2v):
                     for n_elt in all_basis_elts(nu):
                         for m_elt in all_basis_elts(mv):
-                            mf = cd.m.dot(v2, v, m_elt, f)
+                            mf = dot(cd.m, v2, v, m_elt, f)
                             sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                            lhs = cd.eps_apply(u, v2, n_elt, mf)
-                            rhs = sign * base.compose_elts(
-                                v2, v, u, cd.eps_apply(u, v, n_elt, m_elt), f)
+                            lhs = eps_apply(cd, u, v2, n_elt, mf)
+                            rhs = sign * compose_elts(base, 
+                                v2, v, u, eps_apply(cd, u, v, n_elt, m_elt), f)
                             if lhs != rhs:
                                 out.append(f"eps naturality in V fails at ({u},{v2}->{v})")
     return out
@@ -876,8 +891,8 @@ def reference_verify_cauchy_data(cd):
             for u in basis_elts(mx, r):
                 total = Elt(mx, r, (0,) * mx.rank(r))
                 for (e_obj, x_i, y_i) in cd.eta:
-                    f = cd.eps_apply(e_obj, x_obj, y_i, u)
-                    total = total + cd.m.act(x_obj, e_obj, x_i, f)
+                    f = eps_apply(cd, e_obj, x_obj, y_i, u)
+                    total = total + act(cd.m, x_obj, e_obj, x_i, f)
                 if total != u:
                     return False, (f"snake fails at object {x_obj}, degree {r}, "
                                    f"basis index {u.vec.index(1)}")
@@ -902,7 +917,7 @@ def reference_module_presentation(m, generators=None):
             for j, (b_obj, g) in enumerate(generators):
                 fdeg = r - g.degree
                 for idx, f in enumerate(basis_elts(base.hom(x_obj, b_obj), fdeg)):
-                    cols.append(m.dot(x_obj, b_obj, g, f).vec)
+                    cols.append(dot(m, x_obj, b_obj, g, f).vec)
                     labels.append((j, fdeg, idx))
             gamma = IntMatrix.from_cols(cols, mx.rank(r))
             cells.append(dgcat.PresentationCell(x_obj, r, gamma, labels, kernel_basis(gamma),
@@ -947,7 +962,7 @@ def reference_counit_system(m, n_mod, eta):
             d = n_elt.degree + m_elt.degree
             if target.rank(d) == 0 or ts.dim(d) == 0:
                 continue
-            pair = ts.embed_pair(n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
+            pair = embed_pair(ts, n_elt.degree, n_elt.vec, m_elt.degree, m_elt.vec)
             for o, f in enumerate(basis_elts(target, d)):
                 scatter_kron(block, 0, entries.slot(0, (u, v, d), o),
                              IntMatrix.column(post(f).vec), IntMatrix(1, len(pair), pair), coeff)
@@ -963,7 +978,7 @@ def reference_counit_system(m, n_mod, eta):
             for u_elt in basis_elts(mx, r):
                 add_equation([(1, e_obj, x_obj, y_i, u_elt,
                                lambda f, e_obj=e_obj, x_i=x_i, x_obj=x_obj:
-                               m.act(x_obj, e_obj, x_i, f))
+                               act(m, x_obj, e_obj, x_i, f))
                               for (e_obj, x_i, y_i) in eta], u_elt)
     for u, u2, v in itertools.product(base.objects, repeat=3):
         homuu2, nu, mv = base.hom(u, u2), n_mod.value(u), m.value(v)
@@ -971,11 +986,11 @@ def reference_counit_system(m, n_mod, eta):
             continue
         for g in all_basis_elts(homuu2):
             for n_elt in all_basis_elts(nu):
-                gn = n_mod.dot(u, u2, g, n_elt)
+                gn = dot(n_mod, u, u2, g, n_elt)
                 for m_elt in all_basis_elts(mv):
                     add_equation([(1, u2, v, gn, m_elt, lambda f: f),
                                   (-1, u, v, n_elt, m_elt,
-                                   lambda f, g=g, v=v, u=u, u2=u2: base.compose_elts(v, u, u2, g, f))],
+                                   lambda f, g=g, v=v, u=u, u2=u2: compose_elts(base, v, u, u2, g, f))],
                                  zero(base.hom(v, u2), g.degree + n_elt.degree + m_elt.degree))
     for v2, v, u in itertools.product(base.objects, repeat=3):
         homv2v, nu, mv = base.hom(v2, v), n_mod.value(u), m.value(v)
@@ -985,18 +1000,32 @@ def reference_counit_system(m, n_mod, eta):
             for n_elt in all_basis_elts(nu):
                 for m_elt in all_basis_elts(mv):
                     sign = -1 if (m_elt.degree * f.degree) % 2 else 1
-                    add_equation([(1, u, v2, n_elt, m.dot(v2, v, m_elt, f), lambda h: h),
+                    add_equation([(1, u, v2, n_elt, dot(m, v2, v, m_elt, f), lambda h: h),
                                   (-sign, u, v, n_elt, m_elt,
-                                   lambda h, f=f, v2=v2, v=v, u=u: base.compose_elts(v2, v, u, h, f))],
+                                   lambda h, f=f, v2=v2, v=v, u=u: compose_elts(base, v2, v, u, h, f))],
                                  zero(base.hom(v2, u), n_elt.degree + m_elt.degree + f.degree))
     # the chain-map rows that follow do not depend on how the pairs were found
-    return [key for key, _, _, _ in entries.blocks(0)], total, rows, rhs
+    return entries, rows, rhs
+
+
+def signed_rows(rows, rhs):
+    """The rows of a system with their right-hand sides, each negated if
+    its first nonzero entry is negative, sorted: the rows as a multiset up
+    to the sign of each."""
+    out = []
+    for row, b in zip(rows, rhs):
+        row = list(row) + [b]
+        out.append(row if next((x for x in row if x), 1) > 0 else [-x for x in row])
+    return sorted(out)
 
 
 def solve_against_the_reference(m, n_mod, eta):
     """solve_cauchy_counit(m, n_mod, eta), checking that the system it
-    solves starts with the reference's rows and right-hand side on the
-    same unknowns; returns the result and the reference's unknowns."""
+    solves has the reference's unknowns, and the reference's equation rows
+    and right-hand side up to order and the sign of each row, followed by
+    the chain-map rows; and that the reference's rows with those chain-map
+    rows solve to the same eps.  Returns the result and the reference's
+    unknowns."""
     systems = []
     real = dgcat.solve_matrix
 
@@ -1009,14 +1038,20 @@ def solve_against_the_reference(m, n_mod, eta):
         cd = solve_cauchy_counit(m, n_mod, eta)
     finally:
         dgcat.solve_matrix = real
-    keys, total, rows, rhs = reference_counit_system(m, n_mod, eta)
+    entries, rows, rhs = reference_counit_system(m, n_mod, eta)
+    keys = [key for key, _, _, _ in entries.blocks(0)]
     if not rows:
         assert systems == []
         return cd, keys
     (a, b), = systems
-    assert a.cols == total
-    assert a.to_lists()[:len(rows)] == rows
-    assert list(b.col(0))[:len(rhs)] == rhs
+    assert a.cols == entries.dim(0)
+    got_rows, got_rhs, n = a.to_lists(), list(b.col(0)), len(rows)
+    assert signed_rows(got_rows[:n], got_rhs[:n]) == signed_rows(rows, rhs)
+    ref = zlinalg.solve_matrix(IntMatrix.from_rows(rows + got_rows[n:], a.cols),
+                               IntMatrix.column(rhs + got_rhs[n:]))
+    assert (cd is None) == (ref is None)
+    for (u, v, d), r, c, off in entries.blocks(0) if ref is not None else ():
+        assert cd.eps[(u, v)].comp(d) == IntMatrix(r, c, ref.col(0)[off:off + r * c])
     return cd, keys
 
 
@@ -1305,6 +1340,51 @@ class TestNoObjectPairLoops:
         assert object_pair_loops(source) == []
 
 
+ELEMENTWISE_READERS = {"_evaluate", "compose_elts", "act", "act_by", "dot", "eps_apply",
+                       "embed_pair"}
+
+
+def elementwise_readers(package: Path):
+    """(file, qualified name) of each definition in the package named like
+    one of the elementwise readers, and (file, line) of each lambda in
+    dgcat.py.  `ell.EllModule.act` is the matrix by which the generator of
+    the category ell acts on a presheaf, not an element reader."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in [None] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            body = tree.body if cls is None else cls.body
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name in ELEMENTWISE_READERS:
+                    name = node.name if cls is None else f"{cls.name}.{node.name}"
+                    if (path.name, name) != ("ell.py", "EllModule.act"):
+                        found.append((path.name, name))
+        if path.name == "dgcat.py":
+            found += [(path.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Lambda)]
+    return found
+
+
+class TestNoElementwiseReaders:
+    """Tables are read as protos (a table with one factor fixed), never one
+    element at a time; the elementwise readers live in tests/conftest.py as
+    oracles."""
+
+    def test_src_defines_no_elementwise_reader(self):
+        assert elementwise_readers(Path(dgcat.__file__).parent) == []
+
+    def test_the_check_finds_readers_and_lambdas(self, tmp_path):
+        (tmp_path / "dgcat.py").write_text(
+            "class DGModule:\n    def dot(self):\n        return lambda f: f\n"
+            "def _evaluate():\n    pass\n")
+        (tmp_path / "ell.py").write_text(
+            "class EllModule:\n    def act(self):\n        pass\n"
+            "class Other:\n    def act(self):\n        pass\n")
+        assert elementwise_readers(tmp_path) == [
+            ("dgcat.py", "_evaluate"), ("dgcat.py", "DGModule.dot"), ("dgcat.py", 3),
+            ("ell.py", "Other.act")]
+
+
 def thin_category(objects, arrows):
     """Objects in the given order, hom Z in degree 0 on each arrow and each
     identity, and composition 1 (x) 1 = 1; `arrows` must be closed under
@@ -1377,9 +1457,11 @@ class TestThinCategories:
 
 
 class TestOneEvaluator:
-    """compose_elts, DGModule.act and CauchyData.eps_apply read their table
-    through one evaluator: a missing table is the zero map, and the pair
-    is embedded first, so a wrong-length element raises either way."""
+    """The readers of the tables: `after` and `before` (composition),
+    `bare_action` and `orbit` (module actions) and `eps_map` (the counit).
+    Each fixes one factor of its table through `TensorSpace.inserted`: a
+    missing table is the zero map, and a wrong-length element raises
+    ShapeMismatch from `inserted` either way."""
 
     @staticmethod
     def _wrong_length(cx: Complex, degree: int) -> Elt:
@@ -1390,12 +1472,16 @@ class TestOneEvaluator:
         cat = exterior_g_category(1)
         bare = FiniteDGCategory(cat.objects, cat.homs, {}, cat.identities)
         hom = cat.hom("*", "*")
-        u = unit_at(hom, 1, 0)
-        assert cat.compose_elts("*", "*", "*", cat.identity("*"), u) == u
-        assert bare.compose_elts("*", "*", "*", cat.identity("*"), u) == Elt(hom, 1, (0,))
+        u, one = unit_at(hom, 1, 0), cat.identity("*")
+        for read in (cat.after, cat.before):
+            assert read("*", "*", "*", one) == identity_map(hom)
+            assert read("*", "*", "*", u).comp(0).col(0) == u.vec
+        for read in (bare.after, bare.before):
+            assert read("*", "*", "*", one) == Proto.zero(hom, hom, 0)
         for c in (cat, bare):
-            with pytest.raises(ShapeMismatch):
-                c.compose_elts("*", "*", "*", self._wrong_length(hom, 0), u)
+            for read in (c.after, c.before):
+                with pytest.raises(ShapeMismatch, match="element length"):
+                    read("*", "*", "*", self._wrong_length(hom, 0))
 
     @pytest.mark.parametrize("side", [RIGHT, LEFT])
     def test_act(self, side):
@@ -1404,22 +1490,28 @@ class TestOneEvaluator:
         bare = DGModule(cat, m.values, {}, side)
         hom, x = cat.hom("*", "*"), unit_at(m.value("*"), 1, 0)
         one = cat.identity("*")
-        assert m.act_by("*", "*", one, x) == x
-        assert bare.act_by("*", "*", one, x) == Elt(m.value("*"), 1, (0,))
+        assert m.bare_action("*", "*", one) == identity_map(m.value("*"))
+        assert _image(m.orbit("*", "*", x), one) == x
+        assert bare.bare_action("*", "*", one).is_zero()
+        assert bare.orbit("*", "*", x).is_zero()
         for mod in (m, bare):
-            with pytest.raises(ShapeMismatch):
-                mod.act_by("*", "*", self._wrong_length(hom, 0), x)
+            with pytest.raises(ShapeMismatch, match="element length"):
+                mod.bare_action("*", "*", self._wrong_length(hom, 0))
+            with pytest.raises(ShapeMismatch, match="element length"):
+                mod.orbit("*", "*", self._wrong_length(m.value("*"), 1))
 
     def test_eps_apply(self):
         cd = representable_cauchy_data(exterior_g_category(1), "*")
         bare = CauchyData(cd.m, cd.n, cd.eta, {})
         y, x = unit_at(cd.n.value("*"), 0, 0), unit_at(cd.m.value("*"), 1, 0)
         hom = cd.m.base.hom("*", "*")
-        assert cd.eps_apply("*", "*", y, x) == unit_at(hom, 1, 0)
-        assert bare.eps_apply("*", "*", y, x) == Elt(hom, 1, (0,))
-        for c in (cd, bare):
-            with pytest.raises(ShapeMismatch):
-                c.eps_apply("*", "*", self._wrong_length(cd.n.value("*"), 0), x)
+        ts = cd.eps_space("*", "*")
+        assert _image(compose(cd.eps_map("*", "*"), ts.inserted(LEFT, 0, y.vec)), x) == \
+            unit_at(hom, 1, 0)
+        assert cd.eps_map("*", "*") is cd.eps[("*", "*")]
+        assert bare.eps_map("*", "*") == Proto.zero(ts.complex, hom, 0)
+        with pytest.raises(ShapeMismatch, match="element length"):
+            ts.inserted(LEFT, 0, self._wrong_length(cd.n.value("*"), 0).vec)
 
 
 # -- composition tables and module sums by placement ------------------------
@@ -1498,7 +1590,7 @@ def reference_direct_sum_modules(m1, m2):
                 part, idx = (m1, idx) if first else (m2, idx - r1)
                 x = Elt(part.value(src), deg, _unit_vec(part.value(src).rank(deg), idx))
                 f = Elt(hom, f_deg, _unit_vec(hom.rank(f_deg), f_idx))
-                img = part.act_by(u, v, f, x)
+                img = act_by(part, u, v, f, x)
                 off = 0 if first else m1.value(tgt).rank(img.degree)
                 for i, val in enumerate(img.vec):
                     if val:
@@ -1550,3 +1642,189 @@ class TestBuiltByPlacement:
             assert got.values == want.values
             assert list(got.actions.items()) == list(want.actions.items())
 
+
+
+# -- tables read as protos ------------------------------------------------------
+#
+# The axiom checks, gamma_proto and the graded-case retraction used to read
+# their tables one basis element at a time.  The reference_* functions below
+# are that code, kept as oracles: reports and maps must be equal on the
+# fixtures and on every one-entry mutation of their tables.
+
+
+def reference_validate(cat):
+    failures = []
+    for (a, b), h in cat.homs.items():
+        for n in h.degrees():
+            if not (h.diff(n) @ h.diff(n + 1)).is_zero():
+                failures.append(f"d^2 != 0 on hom({a},{b}) at degree {n + 1}")
+    for a in cat.objects:
+        one = cat.identities.get(a)
+        if one is None:
+            failures.append(f"missing identity at {a}")
+            continue
+        if one.degree != 0 or not one.boundary().is_zero():
+            failures.append(f"identity at {a} is not a 0-cycle")
+    for (a, b, c), table in cat.compose_table.items():
+        hab, hbc = cat.hom(a, b), cat.hom(b, c)
+        for v in all_basis_elts(hbc):
+            sign = -1 if v.degree % 2 else 1
+            for u in all_basis_elts(hab):
+                lhs = compose_elts(cat, a, b, c, v, u).boundary()
+                rhs = compose_elts(cat, a, b, c, v.boundary(), u) + \
+                    sign * compose_elts(cat, a, b, c, v, u.boundary())
+                if lhs != rhs:
+                    failures.append(
+                        f"Leibniz fails on hom({b},{c})_{v.degree} o hom({a},{b})_{u.degree}")
+    return failures + reference_scan_failures(cat)
+
+
+def reference_module_validate(mod):
+    failures = []
+    for x_obj in mod.base.objects:
+        mx = mod.value(x_obj)
+        if mx.is_zero():
+            continue
+        for x in all_basis_elts(mx):
+            if act_by(mod, x_obj, x_obj, mod.base.identity(x_obj), x) != x:
+                failures.append(f"unit law fails on value({x_obj})")
+                break
+    return failures + reference_module_scan_failures(mod)
+
+
+def reference_action_proto(mod, u, v, f):
+    src_obj, tgt_obj = mod.ends(u, v)
+    src, tgt = mod.value(src_obj), mod.value(tgt_obj)
+    comps = {}
+    for r in src.degrees():
+        if src.rank(r) == 0 or tgt.rank(r + f.degree) == 0:
+            continue
+        if mod.side == RIGHT:
+            cols = [dot(mod, u, v, x, f).vec for x in basis_elts(src, r)]
+        else:
+            cols = [dot(mod, u, v, f, x).vec for x in basis_elts(src, r)]
+        comps[r] = IntMatrix.from_cols(cols, tgt.rank(r + f.degree))
+    return Proto(src, tgt, f.degree, comps)
+
+
+def reference_gamma_proto(wc, u, y):
+    fu, coend = wc.f.value(u), wc.coend
+    comps = {}
+    for r in fu.degrees():
+        if fu.rank(r) == 0:
+            continue
+        n, cols = r + y.degree, []
+        for x in basis_elts(fu, r):
+            vec = embed_pair(coend.tensor_space(u), y.degree, y.vec, x.degree, x.vec)
+            amb = [0] * coend.presented.ambient.rank(n)
+            off = coend.slot(u, n) if vec else 0
+            amb[off:off + len(vec)] = vec
+            cols.append(coend.presented.projection(n).apply(amb))
+        comps[r] = IntMatrix.from_cols(cols, wc.colimit.rank(n))
+    return Proto(fu, wc.colimit, y.degree, comps)
+
+
+def reference_retraction(cd, summands):
+    """The components of tau and xhat at each object, one basis element at
+    a time."""
+    base, out = cd.m.base, {}
+    for x_obj in base.objects:
+        mx = cd.m.value(x_obj)
+        stack = BlockLayout()
+        for i, s in enumerate(summands):
+            for r in s.value(x_obj).degrees():
+                stack.add(r, i, s.value(x_obj).rank(r))
+        tx_rank = [sum(s.value(x_obj).rank(r) for s in summands) for r in mx.degrees()]
+        tau_c, xhat_c = {}, {}
+        for r, rank in zip(mx.degrees(), tx_rank):
+            if not (mx.rank(r) and rank):
+                continue
+            cols = []
+            for u in basis_elts(mx, r):
+                vec = [0] * rank
+                for i, (e_obj, x_i, y_i) in enumerate(cd.eta):
+                    for idx, val in enumerate(eps_apply(cd, e_obj, x_obj, y_i, u).vec):
+                        vec[stack.slot(r, i, idx)] = val
+                cols.append(tuple(vec))
+            tau_c[r] = IntMatrix.from_cols(cols, rank)
+            xhat_c[r] = IntMatrix.from_cols(
+                [act(cd.m, x_obj, e_obj, x_i, f).vec for e_obj, x_i, _ in cd.eta
+                 for f in basis_elts(base.hom(x_obj, e_obj), r - x_i.degree)], mx.rank(r))
+        out[x_obj] = (tau_c, xhat_c)
+    return out
+
+
+def one_entry_mutations(tables):
+    """Each table dict with one entry of one component raised by 1, one
+    mutation per entry of every table."""
+    for key, table in tables.items():
+        for n, mat in table.comps().items():
+            for t in range(mat.rows * mat.cols):
+                entries = list(mat.entries())
+                entries[t] += 1
+                comps = {**table.comps(), n: IntMatrix(mat.rows, mat.cols, entries)}
+                yield {**tables, key: Proto(table.source, table.target, 0, comps)}
+
+
+class TestTablesReadAsProtos:
+    def test_category_reports_equal_the_reference(self, cats):
+        failed = 0
+        for cat in list(cats.values()) + [broken_window_category(2)]:
+            assert cat.validate() == reference_validate(cat)
+            for tables in one_entry_mutations(cat.compose_table):
+                bad = FiniteDGCategory(cat.objects, cat.homs, tables, cat.identities)
+                got = bad.validate()
+                assert got == reference_validate(bad)
+                failed += any(f.startswith("Leibniz") for f in got)
+        assert failed > 20
+
+    def test_module_reports_equal_the_reference(self, cats):
+        mods = [weight_J(2)[1], representable(cats["sub"], "Z", RIGHT),
+                representable(cats["sub"], "Z", LEFT)]
+        for name in ("ext", "T2"):
+            cat = cats[name]
+            for side in (RIGHT, LEFT):
+                m = representable(cat, cat.objects[-1], side)
+                mods += [m, direct_sum_modules(m, suspend_module(m, 1))]
+        failed = 0
+        for mod in mods:
+            for actions in [mod.actions] + list(one_entry_mutations(mod.actions)):
+                bad = DGModule(mod.base, mod.values, actions, mod.side)
+                got = bad.validate()
+                assert got == reference_module_validate(bad)
+                failed += bool(got)
+                for u, v, hom in bad.base.nonzero_homs():
+                    for f in all_basis_elts(hom):
+                        assert bad.action_proto(u, v, f) == reference_action_proto(bad, u, v, f)
+                if bad.side == RIGHT:
+                    assert module_presentation(bad).cells == reference_module_presentation(bad)
+        assert failed > 50
+
+    def test_gamma_protos_equal_the_reference(self, cats):
+        cat, seen = unit_dg_category(), 0
+        colimits = [weighted_colimit(trivial_weight(cat), module_from_complex(cat, a, LEFT))
+                    for a in (K0, LZ, M2, rand_complex(random.Random(3), bricks=3))]
+        for name in ("T2", "ext"):
+            for k, k2 in itertools.product(cats[name].objects, repeat=2):
+                colimits.append(weighted_colimit(representable(cats[name], k, RIGHT),
+                                                 representable(cats[name], k2, LEFT)))
+        for wc in colimits:
+            for u in wc.m.base.objects:
+                for y in all_basis_elts(wc.m.value(u)):
+                    assert wc.gamma_proto(u, y) == reference_gamma_proto(wc, u, y)
+                    seen += 1
+        assert seen > 10
+
+    def test_retractions_equal_the_reference(self, cats):
+        data = [representable_cauchy_data(cats[name], k)
+                for name in ("I", "ext", "C2", "T2") for k in cats[name].objects]
+        data.append(two_term_cauchy_fixture(cats["ext"], "*"))
+        for cd in data:
+            ret = g_retraction_from_cauchy(cd)
+            summands = [suspend_module(representable(cd.m.base, e, RIGHT), x.degree)
+                        for e, x, _ in cd.eta]
+            for x_obj, (tau_c, xhat_c) in reference_retraction(cd, summands).items():
+                assert ret.tau.component(x_obj).comps() == \
+                    {r: m for r, m in tau_c.items() if not m.is_zero()}
+                assert ret.xhat.component(x_obj).comps() == \
+                    {r: m for r, m in xhat_c.items() if not m.is_zero()}

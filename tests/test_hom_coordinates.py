@@ -16,7 +16,7 @@ from typing import Dict, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import protos, slot_chain_map
+from conftest import dot, protos, slot_chain_map
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -125,7 +125,7 @@ def reference_verify_weighted_colimit_iso(wc, t) -> bool:
                     act_f = wc.f.action_proto(u, v, f)
                     for y in all_basis_elts(mv):
                         sign = -1 if (f.degree * y.degree) % 2 else 1
-                        yf = wc.m.dot(u, v, y, f)
+                        yf = dot(wc.m, u, v, y, f)
                         out_deg = y.degree + f.degree + n
                         dim_out = hs_out_u.dim(out_deg)
                         if dim_out == 0:

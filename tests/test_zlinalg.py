@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import protos, tensor_basis
+from conftest import embed_pair, protos, tensor_basis
 from dgkernel import zlinalg
 from dgkernel.complexes import (Complex, GradedObject, HomSpace, SquareZeroViolated, d_hom,
                                  homology_H, make_complex)
@@ -367,7 +367,7 @@ class TestTrustedBuilds:
                          (-1 if p % 2 else 1, p, unit_i, q - 1, b.diff(q).col(j))]
                 for sign, lp, xa, rq, xb in terms:
                     if a.rank(lp) and b.rank(rq):
-                        for t, v in enumerate(ts.embed_pair(lp, xa, rq, xb)):
+                        for t, v in enumerate(embed_pair(ts, lp, xa, rq, xb)):
                             col[t] += sign * v
                 cols.append(col)
             assert_same_build(d, ts.dim(n - 1), ts.dim(n),
