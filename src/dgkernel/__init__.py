@@ -20,7 +20,6 @@ from .complexes import (
     ChainMap,
     Complex,
     GradedGroups,
-    GradedObject,
     Proto,
     adjunction_iso_LU,
     adjunction_iso_UR,

@@ -2,7 +2,9 @@
 
 Degree-indexed families of free groups with square-zero boundary maps,
 protomorphisms between them, the internal hom complex, and the shift /
-forget / free / cofree functors with their adjunction transposes.
+forget / free / cofree functors with their adjunction transposes.  A
+graded object is a complex with zero differentials: the forgetful functor
+U is `forget_U`, and its adjoints L and R take such complexes.
 
 Conventions, fixed once and used everywhere:
 
@@ -51,73 +53,30 @@ def _hom_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-class GradedObject:
-    """Finitely supported family of free-group ranks, zero outside [lo, hi].
+class Complex:
+    """Bounded chain complex of finitely generated free abelian groups.
 
-    ``hi == lo - 1`` encodes the zero object.
+    The ranks are zero outside [lo, hi]; ``hi == lo - 1`` encodes the zero
+    complex.  A graded object is a complex with zero differentials: U is
+    `forget_U`, and L, R and the adjunction isomorphisms take one.
     """
 
-    __slots__ = ("lo", "hi", "_ranks")
+    __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d")
 
-    def __init__(self, ranks: Mapping[int, int]):
+    def __init__(self, ranks: Mapping[int, int], diffs: Mapping[int, IntMatrix], _validated: bool = False):
         cleaned = {int(n): int(r) for n, r in ranks.items() if r}
         for n, r in cleaned.items():
             if r < 0:
                 raise ValueError(f"negative rank {r} at degree {n}")
-        if cleaned:
-            self.lo = min(cleaned)
-            self.hi = max(cleaned)
-        else:
-            self.lo, self.hi = 0, -1
+        self.lo, self.hi = (min(cleaned), max(cleaned)) if cleaned else (0, -1)
         self._ranks = {n: cleaned.get(n, 0) for n in range(self.lo, self.hi + 1)}
-
-    @classmethod
-    def zero(cls) -> "GradedObject":
-        return cls({})
-
-    def rank(self, n: int) -> int:
-        return self._ranks.get(n, 0)
-
-    def degrees(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def is_zero(self) -> bool:
-        return self.hi < self.lo
-
-    def shift(self, k: int) -> "GradedObject":
-        return GradedObject({n + k: r for n, r in self._ranks.items()})
-
-    def ranks(self) -> Dict[int, int]:
-        return dict(self._ranks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedObject):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi and self._ranks == other._ranks
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, tuple(sorted(self._ranks.items()))))
-
-    def __repr__(self) -> str:
-        return f"GradedObject({self._ranks!r})"
-
-
-class Complex:
-    """Bounded chain complex of finitely generated free abelian groups."""
-
-    __slots__ = ("carrier", "_d", "_zero_d")
-
-    def __init__(self, carrier: GradedObject, diffs: Mapping[int, IntMatrix], _validated: bool = False):
-        self.carrier = carrier
         self._zero_d: Dict[int, IntMatrix] = {}
         stored: Dict[int, IntMatrix] = {}
         for n, m in diffs.items():
             n = int(n)
-            want = (carrier.rank(n - 1), carrier.rank(n))
+            want = (self.rank(n - 1), self.rank(n))
             if m.shape != want:
-                raise ShapeMismatch(
-                    f"d_{n} has shape {m.shape}, expected {want}"
-                )
+                raise ShapeMismatch(f"d_{n} has shape {m.shape}, expected {want}")
             if m.rows and m.cols and not m.is_zero():
                 stored[n] = m
         self._d = stored
@@ -131,16 +90,6 @@ class Complex:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_ranks(cls, ranks: Mapping[int, int], diffs: Mapping[int, object] | None = None) -> "Complex":
-        carrier = GradedObject(ranks)
-        conv: Dict[int, IntMatrix] = {}
-        for n, m in (diffs or {}).items():
-            if not isinstance(m, IntMatrix):
-                m = IntMatrix.from_rows(m, cols=carrier.rank(int(n)))
-            conv[int(n)] = m
-        return cls(carrier, conv)
-
-    @classmethod
     def zero(cls) -> "Complex":
         """The zero complex.  One instance is shared: a Complex is never
         mutated after construction."""
@@ -148,26 +97,22 @@ class Complex:
 
     @classmethod
     def concentrated(cls, degree: int, rank: int = 1) -> "Complex":
-        return cls(GradedObject({degree: rank}), {})
+        return cls({degree: rank}, {})
 
     # -- structure ------------------------------------------------------
 
     def rank(self, n: int) -> int:
-        return self.carrier._ranks.get(n, 0)
+        return self._ranks.get(n, 0)
 
-    @property
-    def lo(self) -> int:
-        return self.carrier.lo
-
-    @property
-    def hi(self) -> int:
-        return self.carrier.hi
+    def ranks(self) -> Dict[int, int]:
+        """The rank of every degree in [lo, hi], zeros included."""
+        return dict(self._ranks)
 
     def degrees(self) -> range:
-        return self.carrier.degrees()
+        return range(self.lo, self.hi + 1)
 
     def is_zero(self) -> bool:
-        return self.carrier.is_zero()
+        return self.hi < self.lo
 
     def diff(self, n: int) -> IntMatrix:
         """d_n; a zero d_n is not stored, and every read of it returns one
@@ -186,29 +131,36 @@ class Complex:
         return not self._d
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Complex):
             return NotImplemented
-        return self.carrier == other.carrier and self._d == other._d
+        # dense in [lo, hi], so equal rank tables have equal lo and hi
+        return self._ranks == other._ranks and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.carrier, tuple(sorted(self._d.items(), key=lambda kv: kv[0]))))
+        return hash((tuple(self._ranks.items()), tuple(sorted(self._d.items()))))
 
     def __repr__(self) -> str:
-        return f"Complex(ranks={self.carrier.ranks()!r}, diffs={{{', '.join(f'{n}: ...' for n in sorted(self._d))}}})"
+        return f"Complex(ranks={self._ranks!r}, diffs={{{', '.join(f'{n}: ...' for n in sorted(self._d))}}})"
 
 
-_ZERO_COMPLEX = Complex(GradedObject.zero(), {})
+_ZERO_COMPLEX = Complex({}, {})
 
 
-def make_complex(ranks: Mapping[int, int] | GradedObject, diffs: Mapping[int, object] | None = None) -> Complex:
-    """Validated complex from ranks and boundary matrices.
+def make_complex(ranks: Mapping[int, int], diffs: Mapping[int, object] | None = None) -> Complex:
+    """Validated complex from ranks and boundary matrices; a differential
+    may be an IntMatrix or a list of rows, ``rank(n)`` wide.
 
-    Raises ShapeMismatch for misshapen matrices and SquareZeroViolated
-    (with the offending degree) when d o d != 0.
+    Raises ValueError for a negative rank, ShapeMismatch for misshapen
+    matrices and SquareZeroViolated (with the offending degree) when
+    d o d != 0.
     """
-    if isinstance(ranks, GradedObject):
-        ranks = ranks.ranks()
-    return Complex.from_ranks(ranks, diffs)
+    conv: Dict[int, IntMatrix] = {}
+    for n, m in (diffs or {}).items():
+        n = int(n)
+        conv[n] = m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m, cols=ranks.get(n, 0))
+    return Complex(ranks, conv)
 
 
 def unit_complex() -> Complex:
@@ -387,7 +339,7 @@ def suspension(a: Complex, k: int = 1) -> Complex:
     sign = -1 if k % 2 else 1
     ranks = {n + k: a.rank(n) for n in a.degrees()}
     diffs = {n + k: sign * a.diff(n) for n in a.diffs()}
-    return Complex(GradedObject(ranks), diffs, _validated=True)
+    return Complex(ranks, diffs, _validated=True)
 
 
 def suspension_map(f: Proto, k: int = 1) -> Proto:
@@ -401,7 +353,7 @@ def suspension_map(f: Proto, k: int = 1) -> Proto:
 
 def forget_U(a: Complex) -> Complex:
     """Forget the differentials (replace them by 0)."""
-    return Complex(a.carrier, {}, _validated=True)
+    return Complex(a.ranks(), {}, _validated=True)
 
 
 def functor_L(x: Complex) -> Complex:
@@ -419,7 +371,7 @@ def functor_L(x: Complex) -> Complex:
                 [IntMatrix.zeros(r_top, c_left), IntMatrix.identity(r_top)],
                 [IntMatrix.zeros(r_bot, c_left), IntMatrix.zeros(r_bot, c_right)],
             ])
-    return Complex(GradedObject(ranks), diffs, _validated=True)
+    return Complex(ranks, diffs, _validated=True)
 
 
 def functor_R(x: Complex) -> Complex:
@@ -428,8 +380,8 @@ def functor_R(x: Complex) -> Complex:
     if not x.has_zero_differentials():
         raise NotGraded("R is defined on graded objects (all differentials zero)")
     lx = functor_L(x)
-    return Complex(lx.carrier.shift(1), {n + 1: d for n, d in lx.diffs().items()},
-                   _validated=True)
+    ranks = {n + 1: r for n, r in lx.ranks().items()}
+    return Complex(ranks, {n + 1: d for n, d in lx.diffs().items()}, _validated=True)
 
 
 def lu_counit(a: Complex) -> ChainMap:
@@ -604,7 +556,7 @@ class HomSpace:
         # f_q d acts on the row-major entries of f_q as 1 (x) d^T, d: B_{q+1} -> B_q
         source_d_t = {q - 1: d.transpose() for q, d in source.diffs().items()}
         diffs = {n: self._differential(n, source_d_t) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(GradedObject(lay.dims()), diffs)
+        self.complex = Complex(lay.dims(), diffs)
 
     def _differential(self, n: int, source_d_t: Dict[int, IntMatrix]) -> IntMatrix:
         # (df)_q = d f_q - (-1)^n f_{q-1} d.  Only stored differentials are
@@ -865,7 +817,7 @@ def direct_sum(summands: Sequence[Complex]) -> Complex:
     for s in summands:
         for n in s.degrees():
             ranks[n] = ranks.get(n, 0) + s.rank(n)
-    return Complex(GradedObject(ranks), {
+    return Complex(ranks, {
         n: block_diagonal([s.diff(n) for s in summands])
         for n in ranks if ranks[n] and ranks.get(n - 1)}, _validated=True)
 
@@ -873,7 +825,7 @@ def direct_sum(summands: Sequence[Complex]) -> Complex:
 def direct_sum_complexes(summands: Sequence[Complex]) -> Tuple[Complex, List[ChainMap], List[ChainMap]]:
     """Block direct sum with injection and projection chain maps."""
     total = direct_sum(summands)
-    ranks = total.carrier.ranks()
+    ranks = total.ranks()
     # summand i sits in rows before .. before + r of the identity on the sum
     identities = {n: IntMatrix.identity(r) for n, r in ranks.items() if r}
     injs, projs = [], []

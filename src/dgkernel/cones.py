@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import (
     ChainMap,
     Complex,
-    GradedObject,
     NotAChainMap,
     Proto,
     compose,
@@ -166,7 +165,7 @@ def mapping_cone(f: Proto) -> ConeResult:
             [b.diff(n), f.comp(n - 1)],
             [IntMatrix.zeros(a.rank(n - 2), b.rank(n)), sign * a.diff(n - 1)],
         ])
-    cone = Complex(GradedObject(ranks), diffs)
+    cone = Complex(ranks, diffs)
     inj_comps = {}
     proj_comps = {}
     for n in range(lo, hi + 1):
@@ -373,7 +372,7 @@ def _split_degreewise(e: Proto) -> Tuple[Complex, Dict[int, IntMatrix], Dict[int
     for n in a.degrees():
         if ranks.get(n) and ranks.get(n - 1):
             diffs[n] = retractions[n - 1] @ a.diff(n) @ sections[n]
-    p = Complex(GradedObject(ranks), diffs)
+    p = Complex(ranks, diffs)
     return (p, {n: m for n, m in retractions.items() if m.rows},
             {n: m for n, m in sections.items() if m.cols})
 

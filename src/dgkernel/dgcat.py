@@ -308,7 +308,7 @@ def one_object_category(hom: Complex, products: Mapping[Tuple[Elt, Elt], Elt],
 def exterior_g_category(generator_degree: int = 1) -> FiniteDGCategory:
     """One object; hom has basis 1 (degree 0) and u (given degree), u o u = 0."""
     k = generator_degree
-    hom = Complex.from_ranks({0: 1, k: 1})
+    hom = Complex({0: 1, k: 1}, {})
     one = Elt(hom, 0, (1,))
     u = Elt(hom, k, (1,))
     zero2k = Elt(hom, 2 * k, (0,) * hom.rank(2 * k))
@@ -318,7 +318,7 @@ def exterior_g_category(generator_degree: int = 1) -> FiniteDGCategory:
 
 def group_like_category(g_squared_units: int) -> FiniteDGCategory:
     """One object; hom = Z.1 + Z.g in degree 0 with g o g = c . 1."""
-    hom = Complex.from_ranks({0: 2})
+    hom = Complex({0: 2}, {})
     one = Elt(hom, 0, (1, 0))
     g = Elt(hom, 0, (0, 1))
     products = {(one, one): one, (one, g): g, (g, one): g,
@@ -697,7 +697,7 @@ class PresentedComplex:
             raise TorsionInPresentation(torsion)
         ranks = {n: g.free_rank for n, g in self.groups.items()}
         diffs = {n: m for n, m in self.diffs.items()}
-        return Complex.from_ranks(ranks, diffs)
+        return Complex(ranks, diffs)
 
 
 def _require_dual_sides(m: DGModule, n_mod: DGModule):

@@ -120,7 +120,7 @@ def decode(f: EllModule) -> Complex:
     """Presheaf -> complex, inverse to encode (bit-exact round trips)."""
     ranks = dict(f.values)
     diffs = {m + 1: mat for m, mat in f.action.items()}
-    return Complex.from_ranks(ranks, diffs)
+    return Complex(ranks, diffs)
 
 
 @dataclass

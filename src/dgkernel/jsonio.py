@@ -54,6 +54,9 @@ def _int(value, field: str) -> int:
 
 
 def _at_most_max_rank(n: int, field: str) -> int:
+    """A rank, row count or column count: in [0, MAX_RANK]."""
+    if n < 0:
+        raise InputError(f"field {field!r}: expected a non-negative integer, got {n}")
     if n > MAX_RANK:
         raise InputError(f"field {field!r}: {n} exceeds the largest supported rank {MAX_RANK}")
     return n
@@ -131,10 +134,8 @@ def matrix_to_json(m: IntMatrix) -> dict:
 def matrix_from_json(obj) -> IntMatrix:
     rows = _int(_require(obj, "rows"), "rows")
     cols = _int(_require(obj, "cols"), "cols")
-    for field, n in (("rows", rows), ("cols", cols)):
-        if n < 0:
-            raise InputError(f"field {field!r}: expected a non-negative integer, got {n}")
-        _at_most_max_rank(n, field)
+    _at_most_max_rank(rows, "rows")
+    _at_most_max_rank(cols, "cols")
     data = _require(obj, "data", list)
     if len(data) != rows * cols:
         raise InputError(f"field 'data': expected {rows * cols} entries, got {len(data)}")
@@ -175,7 +176,7 @@ def complex_from_json(obj) -> Complex:
     for key, mat in _require(obj, "diffs", dict).items() if "diffs" in obj else []:
         diffs[_degree(key, "diffs key")] = matrix_from_json(mat)
     try:
-        return Complex.from_ranks(ranks, diffs)
+        return Complex(ranks, diffs)
     except Exception as exc:
         raise InputError(f"invalid complex: {exc}")
 

@@ -32,7 +32,6 @@ from .complexes import (
     BlockLayout,
     ChainMap,
     Complex,
-    GradedObject,
     HomSpace,
     Proto,
     compose,
@@ -82,7 +81,7 @@ class TensorSpace:
         self.right = right
         self.layout = lay = tensor_layout(left, right)
         diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(GradedObject(lay.dims()), diffs)
+        self.complex = Complex(lay.dims(), diffs)
 
     def dim(self, n: int) -> int:
         return self.complex.rank(n)
@@ -194,8 +193,8 @@ def _same_coordinates(src: Complex, tgt: Complex) -> Tuple[ChainMap, ChainMap]:
     """The identity on coordinates, src -> tgt and back, for two complexes
     whose bases are laid out alike.  Both maps are checked chain maps, so
     the two sides must share their differentials too."""
-    if src.carrier != tgt.carrier:
-        raise ShapeMismatch(f"ranks {src.carrier.ranks()} and {tgt.carrier.ranks()} differ")
+    if src.ranks() != tgt.ranks():
+        raise ShapeMismatch(f"ranks {src.ranks()} and {tgt.ranks()} differ")
     ids = {n: IntMatrix.identity(src.rank(n)) for n in src.degrees() if src.rank(n)}
     return ChainMap(src, tgt, 0, ids), ChainMap(tgt, src, 0, ids)
 

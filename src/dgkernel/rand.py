@@ -15,11 +15,11 @@ from typing import List
 from .complexes import (
     ChainMap,
     Complex,
-    GradedObject,
     HomSpace,
     Proto,
     direct_sum,
     direct_sum_complexes,
+    make_complex,
 )
 from .zlinalg import IntMatrix, inverse_unimodular
 
@@ -52,7 +52,7 @@ def rand_graded(rng: random.Random, lo: int = -2, hi: int = 2, max_rank: int = 2
     ranks = {start + i: rng.randint(0, max_rank) for i in range(width)}
     if not any(ranks.values()):
         ranks[start] = 1
-    return Complex.from_ranks(ranks)
+    return Complex(ranks, {})
 
 
 def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3) -> Complex:
@@ -65,7 +65,7 @@ def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3)
             parts.append(Complex.concentrated(deg, rng.randint(1, 2)))
         else:
             k = rng.choice((0, 1, 1, 2, 2, 3, -1, -2))
-            parts.append(Complex.from_ranks({deg + 1: 1, deg: 1}, {deg + 1: [[k]]}))
+            parts.append(make_complex({deg + 1: 1, deg: 1}, {deg + 1: [[k]]}))
     total = direct_sum(parts)
     # conjugate by unimodular basis changes degreewise
     t = {n: rand_unimodular(rng, total.rank(n)) for n in total.degrees()}
@@ -74,7 +74,7 @@ def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3)
     for n in total.degrees():
         if total.rank(n) and total.rank(n - 1):
             diffs[n] = t[n - 1] @ total.diff(n) @ t_inv[n]
-    return Complex(GradedObject({n: total.rank(n) for n in total.degrees()}), diffs)
+    return Complex(total.ranks(), diffs)
 
 
 def rand_proto(rng: random.Random, source: Complex, target: Complex, degree: int = 0,

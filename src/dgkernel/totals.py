@@ -14,7 +14,6 @@ from .complexes import (
     BlockLayout,
     ChainMap,
     Complex,
-    GradedObject,
     HomSpace,
     _nonzero_entries,
     compose,
@@ -117,7 +116,7 @@ class TotSpace:
                 for m in cols:
                     lay.add(n, m, a.entry_rank(m, n - m))
         diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(GradedObject(lay.dims()), diffs)
+        self.complex = Complex(lay.dims(), diffs)
 
     def slot(self, n: int, m: int, i: int) -> int:
         return self.layout.slot(n, m, i)

@@ -308,7 +308,9 @@ class TestInputCaps:
         ({"lo": 0, "hi": 1, "ranks": [1, 1],
           "diffs": {"1": {"rows": 0, "cols": 4097, "data": []}}},
          "field 'cols': 4097 exceeds the largest supported rank 4096"),
-    ], ids=["rank", "rows", "cols"])
+        ({"lo": 0, "hi": 1, "ranks": [1, -1], "diffs": {}},
+         "field 'ranks': expected a non-negative integer, got -1"),
+    ], ids=["rank", "rows", "cols", "negative rank"])
     def test_oversized_input_exits_two(self, files, capsys, payload, message):
         # a rank of 10^9 used to reach kernel_basis as a 10^9-column matrix
         path = files["tmp"] + "/oversized.json"

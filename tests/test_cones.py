@@ -482,7 +482,7 @@ class TestCoequalizerPair:
             u, v, t_pair = pair_from_protosplit_map(f, t)
             res1 = coequalizer_protosplit_pair(u, v, t_pair, verify_universal=False)
             res2 = cokernel_protosplit(f, t, verify_universal=False)
-            assert res1.quotient.carrier == res2.quotient.carrier
+            assert res1.quotient.ranks() == res2.quotient.ranks()
             assert homology_H(res1.quotient) == homology_H(res2.quotient)
 
     def test_pair_equations_enforced(self):
@@ -521,14 +521,14 @@ class TestMc1IsoLU:
         rng = random.Random(21)
         for _ in range(10):
             a = rand_complex(rng)
-            assert hom_complex(LZ, a).carrier == mc1(a).cone.carrier
+            assert hom_complex(LZ, a).ranks() == mc1(a).cone.ranks()
 
 
 class TestConeAsCokernel:
     def test_identity_case_matches_contractible_cone(self):
         res = cone_as_cokernel(identity_map(K0))
         cone = mc1(K0).cone
-        assert res.quotient.carrier == cone.carrier
+        assert res.quotient.ranks() == cone.ranks()
         assert homology_H(res.quotient).is_trivial()
 
     def test_zero_map_gives_sum(self):
@@ -537,7 +537,7 @@ class TestConeAsCokernel:
         f = ChainMap(a, b, 0, {})
         res = cone_as_cokernel(f)
         expected, _, _ = direct_sum_complexes([b, suspension(a, 1)])
-        assert res.quotient.carrier == expected.carrier
+        assert res.quotient.ranks() == expected.ranks()
         assert homology_H(res.quotient) == homology_H(expected)
 
     def test_comparison_is_chain_iso(self):

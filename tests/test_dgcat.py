@@ -531,7 +531,7 @@ class TestWeightedColimit:
         for a in (K0, LZ, M2):
             wc = weighted_colimit(trivial_weight(cat),
                                   module_from_complex(cat, a, LEFT))
-            assert wc.colimit.carrier == a.carrier
+            assert wc.colimit.ranks() == a.ranks()
             assert homology_H(wc.colimit) == homology_H(a)
             assert wc.defining_iso_verified([K0, suspension(K0, 1)])
 
@@ -543,7 +543,7 @@ class TestWeightedColimit:
                 for k2 in cat.objects:
                     f = representable(cat, k2, LEFT)
                     wc = weighted_colimit(m, f)
-                    assert wc.colimit.carrier == f.value(k).carrier
+                    assert wc.colimit.ranks() == f.value(k).ranks()
                     assert wc.defining_iso_verified([K0])
 
     def test_zero_diagram(self):
@@ -1383,6 +1383,36 @@ class TestNoElementwiseReaders:
         assert elementwise_readers(tmp_path) == [
             ("dgcat.py", "_evaluate"), ("dgcat.py", "DGModule.dot"), ("dgcat.py", 3),
             ("ell.py", "Other.act")]
+
+
+def graded_object_types(package: Path):
+    """(file, name, line) of each `GradedObject` class, `from_ranks`
+    definition and `.carrier` read in the package: a graded object is a
+    complex with zero differentials, and a Complex keeps its own ranks."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "GradedObject" \
+                    or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name == "from_ranks":
+                found.append((path.name, node.name, node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr == "carrier":
+                found.append((path.name, "carrier", node.lineno))
+    return found
+
+
+class TestGradedObjectsAreComplexes:
+    def test_src_has_one_graded_representation(self):
+        assert graded_object_types(Path(dgcat.__file__).parent) == []
+
+    def test_the_check_finds_the_second_representation(self, tmp_path):
+        (tmp_path / "complexes.py").write_text(
+            "class GradedObject:\n    pass\n"
+            "class Complex:\n    @classmethod\n    def from_ranks(cls):\n"
+            "        return cls.carrier\n")
+        assert graded_object_types(tmp_path) == [
+            ("complexes.py", "GradedObject", 1), ("complexes.py", "from_ranks", 5),
+            ("complexes.py", "carrier", 6)]
 
 
 def thin_category(objects, arrows):

@@ -226,7 +226,7 @@ class TestSpacesAgainstReference:
         hs = HomSpace(a, b)
         ref = reference_hom_summands(a, b)
         assert {n: hs.layout.blocks(n) for n in hs.layout.degrees()} == ref
-        assert {n: r for n, r in hs.complex.carrier.ranks().items() if r} == {
+        assert {n: r for n, r in hs.complex.ranks().items() if r} == {
             n: sum(r * c for _, r, c, _ in s) for n, s in ref.items()}
 
     @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import embed_pair, protos, tensor_basis
 from dgkernel import zlinalg
-from dgkernel.complexes import (Complex, GradedObject, HomSpace, SquareZeroViolated, d_hom,
+from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, d_hom,
                                  homology_H, make_complex)
 from dgkernel.monoidal import TensorSpace
 from dgkernel.rand import rand_complex
@@ -503,11 +503,29 @@ class TestZeroComplexAndSquareZero:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(-5, 5), max_size=4))
     def test_shared_zero_equals_fresh_zero(self, degrees):
-        fresh = Complex(GradedObject({n: 0 for n in degrees}), {})
+        fresh = Complex({n: 0 for n in degrees}, {})
         assert Complex.zero() is Complex.zero()
         assert Complex.zero() == fresh
         assert hash(Complex.zero()) == hash(fresh)
         assert Complex.zero().is_zero() and Complex.zero().diffs() == {}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 3), st.integers(0, 2), max_size=4),
+           st.lists(st.integers(-5, 5), max_size=3))
+    @example({0: 1}, [5])
+    def test_zero_ranks_leave_the_complex_unchanged(self, ranks, zero_degrees):
+        padded = dict.fromkeys(zero_degrees, 0)
+        padded.update(ranks)
+        a, b = Complex(padded, {}), Complex(ranks, {})
+        assert a == b and hash(a) == hash(b)
+        assert a.ranks() == b.ranks() and (a.lo, a.hi) == (b.lo, b.hi)
+        assert {n: r for n, r in a.ranks().items() if r} == {n: r for n, r in ranks.items() if r}
+
+    @pytest.mark.parametrize("build", [lambda r: Complex(r, {}), make_complex],
+                             ids=["Complex", "make_complex"])
+    def test_negative_rank_raises(self, build):
+        with pytest.raises(ValueError, match="^negative rank -1 at degree 1$"):
+            build({0: 2, 1: -1})
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2, 2), st.lists(st.integers(0, 2), min_size=1, max_size=5),
@@ -520,19 +538,17 @@ class TestZeroComplexAndSquareZero:
             rows, cols = r[n - 1], r[n]
             diffs[n] = IntMatrix(rows, cols, data.draw(st.lists(
                 entries, min_size=rows * cols, max_size=rows * cols)))
-        carrier = GradedObject(r)
 
         def d(n):
-            return diffs.get(n) or IntMatrix.zeros(carrier.rank(n - 1), carrier.rank(n))
+            return diffs.get(n) or IntMatrix.zeros(r.get(n - 1, 0), r.get(n, 0))
 
-        # reference: every product d_n d_{n+1} over the support, zero or not
-        expected = next((n + 1 for n in carrier.degrees() if not (d(n) @ d(n + 1)).is_zero()),
-                        None)
+        # reference: every product d_n d_{n+1} over the degrees of r, zero or not
+        expected = next((n + 1 for n in sorted(r) if not (d(n) @ d(n + 1)).is_zero()), None)
         if expected is None:
-            Complex(carrier, diffs)
+            Complex(r, diffs)
         else:
             with pytest.raises(SquareZeroViolated) as info:
-                Complex(carrier, diffs)
+                Complex(r, diffs)
             assert info.value.degree == expected
 
 
