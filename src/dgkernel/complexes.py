@@ -53,6 +53,11 @@ def _hom_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: a degree or a rank."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Complex:
     """Bounded chain complex of finitely generated free abelian groups.
 
@@ -64,16 +69,21 @@ class Complex:
     __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d")
 
     def __init__(self, ranks: Mapping[int, int], diffs: Mapping[int, IntMatrix], _validated: bool = False):
-        cleaned = {int(n): int(r) for n, r in ranks.items() if r}
-        for n, r in cleaned.items():
+        for n, r in ranks.items():
+            if not _is_int(n):
+                raise ValueError(f"degree {n!r} is not an integer")
+            if not _is_int(r):
+                raise ValueError(f"rank {r!r} at degree {n} is not an integer")
             if r < 0:
                 raise ValueError(f"negative rank {r} at degree {n}")
+        cleaned = {n: r for n, r in ranks.items() if r}
         self.lo, self.hi = (min(cleaned), max(cleaned)) if cleaned else (0, -1)
         self._ranks = {n: cleaned.get(n, 0) for n in range(self.lo, self.hi + 1)}
         self._zero_d: Dict[int, IntMatrix] = {}
         stored: Dict[int, IntMatrix] = {}
         for n, m in diffs.items():
-            n = int(n)
+            if not _is_int(n):
+                raise ValueError(f"degree {n!r} is not an integer")
             want = (self.rank(n - 1), self.rank(n))
             if m.shape != want:
                 raise ShapeMismatch(f"d_{n} has shape {m.shape}, expected {want}")
@@ -152,13 +162,12 @@ def make_complex(ranks: Mapping[int, int], diffs: Mapping[int, object] | None = 
     """Validated complex from ranks and boundary matrices; a differential
     may be an IntMatrix or a list of rows, ``rank(n)`` wide.
 
-    Raises ValueError for a negative rank, ShapeMismatch for misshapen
-    matrices and SquareZeroViolated (with the offending degree) when
-    d o d != 0.
+    Raises ValueError for a negative rank, or for a degree or rank that
+    is not an int (a bool is not), ShapeMismatch for misshapen matrices
+    and SquareZeroViolated (with the offending degree) when d o d != 0.
     """
     conv: Dict[int, IntMatrix] = {}
     for n, m in (diffs or {}).items():
-        n = int(n)
         conv[n] = m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m, cols=ranks.get(n, 0))
     return Complex(ranks, conv)
 

@@ -339,8 +339,8 @@ class SmithDecomposition:
         self._V = V
         self.shape = source.shape
         self._row_ops = self._col_ops = None
-        self.diagonal = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
-        self.rank = sum(1 for d in self.diagonal if d != 0)
+        self.diagonal = D._e[::D.cols + 1][:min(D.rows, D.cols)]
+        self.rank = len(self.diagonal) - self.diagonal.count(0)
 
     @classmethod
     def _recorded(cls, D: IntMatrix, row_ops: list, col_ops: list):
@@ -386,7 +386,13 @@ class SmithDecomposition:
 def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> IntMatrix:
     """b after recorded row operations on an n-row operand, last first if
     backwards: (dst, src, c) adds c * row src to row dst, (i, j) swaps two
-    rows, (k,) negates row k.  An empty record returns b itself."""
+    rows, (k,) negates row k.  An empty record returns b itself.
+
+    The record comes from smith_normal_form, where a dead row stays zero
+    and only the pivot row's nonzeros move.  The replay skips the same
+    kind of work: an addition whose source row is all zero changes nothing
+    and is skipped.  The operands of kernel_basis ([0; I]) and _solve
+    have many such rows."""
     if b.rows != n:
         raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
     if not ops:
@@ -395,30 +401,15 @@ def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> In
     for op in reversed(ops) if backwards else ops:
         if len(op) == 3:
             dst, src, c = op
-            t[dst] = [x + c * y for x, y in zip(t[dst], t[src])]
+            ts = t[src]
+            if any(ts):
+                t[dst] = [x + c * y for x, y in zip(t[dst], ts)]
         elif len(op) == 2:
             i, j = op
             t[i], t[j] = t[j], t[i]
         else:
             t[op[0]] = [-x for x in t[op[0]]]
     return IntMatrix.from_rows(t, b.cols, _trusted=True)
-
-
-def _find_pivot(a, k, m, n):
-    # Nonzero entry of least absolute value in the trailing submatrix,
-    # ties broken by lowest (row, col).
-    best = None
-    for i in range(k, m):
-        ai = a[i]
-        for j in range(k, n):
-            v = ai[j]
-            if v:
-                av = abs(v)
-                if best is None or av < best[0]:
-                    best = (av, i, j)
-                    if av == 1:
-                        return best
-    return best
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -433,6 +424,25 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     At step k every row and column before k is already clear outside the
     diagonal, so operations touch only the trailing submatrix.
 
+    The loop skips work on entries it can prove zero, and makes the
+    choices and writes the record of the plain dense elimination exactly
+    (tests/test_zlinalg.py keeps that elimination as its oracle).  At step
+    k the rows from k on are zero left of column k, so a row's entries are
+    those of its part of the trailing block, and:
+    - A dead row stays zero.  A row operation adds to row i only when
+      a_ik != 0, and a column operation adds c * a_ik = 0 to a zero row,
+      so a row the pivot scan finds zero is zero for good.  Its mark moves
+      with it in row swaps; the pivot scan, the column swap and the
+      divisibility scan pass it by, and both elimination loops, which
+      touch only rows with a_ik != 0, never reach it.
+    - Only the pivot row's nonzeros move: adding c * row k to row i
+      changes row i only in the columns where row k is nonzero.
+    - A row's least nonzero |entry| changes only when an operation adds
+      to the row (a column swap permutes its entries), so least[i] keeps
+      it between pivot scans, 0 marks a dead row and None a row changed
+      since its last scan; the pivot scan reads the kept value of every
+      other row instead of scanning it.
+
     Each matrix is factored once: the decomposition is stored on m, and a
     later call with the same object returns it (IntMatrix is immutable).
     So the number of calls is not the number of factorizations; a call on
@@ -443,44 +453,78 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         return s
     rows, cols = m.rows, m.cols
     a = m.to_lists()
+    least = [None] * rows   # least nonzero |entry| of row i; 0: dead; None: not known
     row_ops = []   # (dst, src, c): row_dst += c * row_src; (i, j): swap; (k,): negate
     col_ops = []   # col_dst += c * col_src as (src, dst, c), its row op on V @ b; (i, j): swap
 
     for k in range(min(rows, cols)):
         while True:
-            piv = _find_pivot(a, k, rows, cols)
-            if piv is None:
+            # The pivot (pi, pj): a nonzero entry of least absolute value in
+            # the trailing block, ties broken by lowest (row, col).  A row
+            # not known is scanned, which gives its column too; for a kept
+            # row, pj is None until the row is chosen.
+            best = 0
+            for i in range(k, rows):
+                v, vj = least[i], None
+                if v is None:
+                    ai = a[i]
+                    v = 0
+                    for j in range(k, cols):
+                        x = ai[j]
+                        if x:
+                            if x < 0:
+                                x = -x
+                            if not v or x < v:
+                                v, vj = x, j
+                                if x == 1:
+                                    break
+                    least[i] = v
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, vj
+                    if v == 1:
+                        break
+            if not best:
                 break
-            _, pi, pj = piv
+            ap = a[pi]
+            if pj is None:   # the first column holding +-best
+                pj = ap.index(best) if best in ap else cols
+                if -best in ap:
+                    pj = min(pj, ap.index(-best))
             if pi != k:
-                a[k], a[pi] = a[pi], a[k]
+                a[k], a[pi] = ap, a[k]
+                least[k], least[pi] = least[pi], least[k]
                 row_ops.append((k, pi))
             if pj != k:
                 for i in range(k, rows):
-                    ai = a[i]
-                    ai[k], ai[pj] = ai[pj], ai[k]
+                    if least[i] != 0:
+                        ai = a[i]
+                        ai[k], ai[pj] = ai[pj], ai[k]
                 col_ops.append((k, pj))
             ak = a[k]
             pivot = ak[k]
+            nz = [(j, ak[j]) for j in range(k, cols) if ak[j]]   # nz[0] is the pivot
             clean = True
             for i in range(k + 1, rows):
                 ai = a[i]
                 if ai[k]:
                     c = -(ai[k] // pivot)
-                    for j in range(k, cols):
-                        ai[j] += c * ak[j]
+                    for j, x in nz:
+                        ai[j] += c * x
                     row_ops.append((i, k, c))
+                    least[i] = None
                     if ai[k]:
                         clean = False
             # Each column operation adds a multiple of column k, which none
             # of them changes, so all multipliers are known before any runs.
+            # They add to the rows with a_ik != 0: row k and rows the loop
+            # above has already marked.
             qs = []
-            for j in range(k + 1, cols):
-                if ak[j]:
-                    c = -(ak[j] // pivot)
-                    qs.append((j, c))
-                    col_ops.append((k, j, c))
+            for j, x in nz[1:]:
+                c = -(x // pivot)
+                qs.append((j, c))
+                col_ops.append((k, j, c))
             if qs:
+                least[k] = None
                 for i in range(k, rows):
                     ai = a[i]
                     aik = ai[k]
@@ -495,10 +539,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 break  # a unit divides everything
             # Pivot must divide the whole trailing submatrix so the
             # divisibility chain holds; drag an offending row up if not.
+            # Below row k a row is zero up to column k (the step is clean),
+            # so its nonzero entries are those of the trailing block.
             bad_row = None
+            rem = pivot.__rmod__   # rem(x) == x % pivot
             for i in range(k + 1, rows):
-                ai = a[i]
-                if any(ai[j] % pivot for j in range(k + 1, cols)):
+                if least[i] != 0 and any(map(rem, filter(None, a[i]))):
                     bad_row = i
                     break
             if bad_row is None:
@@ -507,7 +553,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             for j in range(k, cols):
                 ak[j] += ab[j]
             row_ops.append((k, bad_row, 1))
-        if piv is None:
+            least[k] = None
+        if not best:
             break
 
     # Normalize signs on the diagonal.

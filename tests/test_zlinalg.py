@@ -1,15 +1,20 @@
+import ast
 import gc
+import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import embed_pair, protos, tensor_basis
 from dgkernel import zlinalg
-from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, d_hom,
-                                 homology_H, make_complex)
+from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, canonical_presentation,
+                                 compose, d_hom, direct_sum, direct_sum_complexes, homology_H,
+                                 identity_map, make_complex)
+from dgkernel.cones import cokernel_protosplit
 from dgkernel.monoidal import TensorSpace
-from dgkernel.rand import rand_complex
+from dgkernel.rand import rand_complex, rand_unimodular
 from dgkernel.zlinalg import (
     CokernelData,
     FPAbGroup,
@@ -527,6 +532,26 @@ class TestZeroComplexAndSquareZero:
         with pytest.raises(ValueError, match="^negative rank -1 at degree 1$"):
             build({0: 2, 1: -1})
 
+    @pytest.mark.parametrize("build", [lambda r: Complex(r, {}), make_complex],
+                             ids=["Complex", "make_complex"])
+    @pytest.mark.parametrize("ranks, message", [
+        ({0: 2.5, 1: True}, "^rank 2.5 at degree 0 is not an integer$"),
+        ({0: 2, 1: True}, "^rank True at degree 1 is not an integer$"),
+        ({0: 2, 1: 0.0}, "^rank 0.0 at degree 1 is not an integer$"),
+        ({0: 1, 1.0: 1}, "^degree 1.0 is not an integer$"),
+        ({False: 1}, "^degree False is not an integer$"),
+    ], ids=["float rank", "bool rank", "zero float rank", "float degree", "bool degree"])
+    def test_non_integer_rank_or_degree_raises(self, build, ranks, message):
+        with pytest.raises(ValueError, match=message):
+            build(ranks)
+
+    @pytest.mark.parametrize("degree", [1.0, True, "1"])
+    def test_non_integer_differential_degree_raises(self, degree):
+        d = IntMatrix.from_rows([[2]])
+        with pytest.raises(ValueError, match=f"^degree {degree!r} is not an integer$"):
+            Complex({0: 1, 1: 1}, {degree: d})
+        assert Complex({0: 1, 1: 1}, {1: d}).diff(1) == d
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2, 2), st.lists(st.integers(0, 2), min_size=1, max_size=5),
            st.data())
@@ -894,6 +919,317 @@ class TestKernelBasisDecomposition:
         assert all(fresh is False for m, fresh in calls if any(m is k for k in kernels))
         assert h.at(0) == cokernel(d).group
         assert h.at(1) == FPAbGroup.free(c1 - rank(d))
+
+
+def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """The plain dense elimination: every pivot step scans every cell of
+    the trailing block, and row operations run over whole rows.  It writes
+    its record as smith_normal_form does, which must make the same choices:
+    the same D and the same row and column operations, in order.  Nothing
+    is stored on m."""
+    rows, cols = m.rows, m.cols
+    a = m.to_lists()
+    row_ops = []
+    col_ops = []
+
+    for k in range(min(rows, cols)):
+        while True:
+            piv = _reference_find_pivot(a, k, rows, cols)
+            if piv is None:
+                break
+            _, pi, pj = piv
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                row_ops.append((k, pi))
+            if pj != k:
+                for i in range(k, rows):
+                    ai = a[i]
+                    ai[k], ai[pj] = ai[pj], ai[k]
+                col_ops.append((k, pj))
+            ak = a[k]
+            pivot = ak[k]
+            clean = True
+            for i in range(k + 1, rows):
+                ai = a[i]
+                if ai[k]:
+                    c = -(ai[k] // pivot)
+                    for j in range(k, cols):
+                        ai[j] += c * ak[j]
+                    row_ops.append((i, k, c))
+                    if ai[k]:
+                        clean = False
+            qs = []
+            for j in range(k + 1, cols):
+                if ak[j]:
+                    c = -(ak[j] // pivot)
+                    qs.append((j, c))
+                    col_ops.append((k, j, c))
+            if qs:
+                for i in range(k, rows):
+                    ai = a[i]
+                    aik = ai[k]
+                    if aik:
+                        for j, c in qs:
+                            ai[j] += c * aik
+                if any(ak[j] for j, _ in qs):
+                    clean = False
+            if not clean:
+                continue
+            if pivot == 1 or pivot == -1:
+                break
+            bad_row = None
+            for i in range(k + 1, rows):
+                ai = a[i]
+                if any(ai[j] % pivot for j in range(k + 1, cols)):
+                    bad_row = i
+                    break
+            if bad_row is None:
+                break
+            ab = a[bad_row]
+            for j in range(k, cols):
+                ak[j] += ab[j]
+            row_ops.append((k, bad_row, 1))
+        if piv is None:
+            break
+
+    for k in range(min(rows, cols)):
+        if a[k][k] < 0:
+            a[k][k] = -a[k][k]
+            row_ops.append((k,))
+
+    return SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), row_ops, col_ops)
+
+
+def assert_same_elimination(s: SmithDecomposition, m: IntMatrix):
+    dense = dense_smith_normal_form(m)
+    assert s.D == dense.D
+    assert s._row_ops == dense._row_ops
+    assert s._col_ops == dense._col_ops
+
+
+SPARSE_VALUES = (1, -1, 1, -1, 2, -2, 3, -4, 6, 12)
+
+
+def zero_rows(m: IntMatrix) -> int:
+    return sum(1 for i in range(m.rows) if not any(m.row(i)))
+
+
+@st.composite
+def sparse_matrices(draw, max_side=40, max_long=130, max_short=30):
+    """Sparse matrices shaped like hom-space differentials: up to
+    max_side x max_side, tall up to max_long x max_short or wide, 0-15%
+    nonzero entries (units, and non-units so that the divisibility scan
+    runs), with zero rows and zero columns forced in."""
+    shape = draw(st.sampled_from(["square", "tall", "wide"]))
+    if shape == "square":
+        rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    else:
+        rows, cols = draw(st.integers(0, max_long)), draw(st.integers(0, max_short))
+        if shape == "wide":
+            rows, cols = cols, rows
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.15]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    e = [rng.choice(SPARSE_VALUES) if rng.random() < density else 0 for _ in range(rows * cols)]
+    dead_rows = rng.sample(range(rows), draw(st.integers(0, rows // 2)))
+    dead_cols = rng.sample(range(cols), draw(st.integers(0, cols // 2)))
+    for i in dead_rows:
+        e[i * cols:(i + 1) * cols] = [0] * cols
+    for j in dead_cols:
+        e[j::cols] = [0] * rows
+    return IntMatrix(rows, cols, e)
+
+
+EXPLICIT_MATRICES = [
+    IntMatrix.zeros(0, 5), IntMatrix.zeros(5, 0), IntMatrix.zeros(0, 0), IntMatrix.zeros(1, 7),
+    IntMatrix.zeros(7, 1), IntMatrix.zeros(6, 6), IntMatrix.zeros(130, 30),
+    IntMatrix.from_rows([[0, 0, 4, 0, -6, 0, 2]]),
+    IntMatrix.from_rows([[0], [0], [-4], [0], [6], [0], [2]]),
+    IntMatrix.from_rows([[0, 3, 0, -3, 0]]), IntMatrix.from_rows([[-5]]),
+    IntMatrix.from_rows([[0, 0, 0], [0, 4, 6], [0, 0, 0], [0, 6, 9]]),
+    rand_matrix(random.Random(41), 24, 24)]
+
+
+def brick_complex(rng: random.Random, pairs, singles, ops: int = 12) -> Complex:
+    """A dense complex: the direct sum of pairs[d] two-term bricks
+    Z --k--> Z from degree d and singles[d] copies of Z in degree d, in
+    random order, conjugated by random unimodular basis changes."""
+    parts = [make_complex({d: 1, d - 1: 1}, {d: [[rng.choice((1, -1, 2, -2, 3))]]})
+             for d, count in pairs.items() for _ in range(count)]
+    parts += [Complex.concentrated(d) for d, count in singles.items() for _ in range(count)]
+    rng.shuffle(parts)
+    total = direct_sum(parts)
+    t = {n: rand_unimodular(rng, total.rank(n), ops) for n in total.degrees()}
+    return Complex(total.ranks(), {
+        n: t[n - 1] @ total.diff(n) @ inverse_unimodular(t[n])
+        for n in total.degrees() if total.rank(n) and total.rank(n - 1)})
+
+
+def fresh_eliminations(made) -> list:
+    """(operand, decomposition) of each elimination recorded by
+    ``zlinalg_calls("smith_normal_form", "kernel_basis")``, once each; a
+    decomposition that a kernel basis was born with was not eliminated.
+    Calls of smith_normal_form do not nest, so its operands and results
+    pair up in order."""
+    operands = [args[0] for name, args in made.operands if name == "smith_normal_form"]
+    results = [r for r in made if isinstance(r, SmithDecomposition)]
+    derived = {id(getattr(k, "_snf", None)) for k in made if isinstance(k, IntMatrix)}
+    seen, out = set(), []
+    for m, s in zip(operands, results):
+        if id(s) not in derived and id(s) not in seen:
+            seen.add(id(s))
+            out.append((m, s))
+    return out
+
+
+class TestSameChoicesAsTheDenseElimination:
+    """smith_normal_form skips dead rows and zero entries; it must still
+    write the record of the dense elimination, operation for operation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_matrices(self, m):
+        assert_same_elimination(smith_normal_form(m), m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_small_matrices(self, m):
+        assert_same_elimination(smith_normal_form(m), m)
+
+    @pytest.mark.parametrize("m", EXPLICIT_MATRICES,
+                             ids=lambda m: f"{m.rows}x{m.cols}{' zero' if m.is_zero() else ''}")
+    def test_explicit_matrices(self, m):
+        twin = IntMatrix(m.rows, m.cols, m.entries())
+        assert_same_elimination(smith_normal_form(twin), m)
+
+    def test_canonical_presentation_operands(self, zlinalg_calls):
+        a = brick_complex(random.Random(12), {2: 2, 1: 1, 0: 1}, {2: 1, 1: 1, 0: 1, -1: 1})
+        assert [a.rank(n) for n in (2, 1, 0, -1)] == [3, 4, 3, 2]
+        with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
+            cp = canonical_presentation(a)
+        assert cp.fork_commutes is True and cp.coequalizer_verified is True
+        fresh = fresh_eliminations(made)
+        assert len(fresh) >= 10 and sum(1 for m, _ in fresh if zero_rows(m)) >= 5
+        for m, s in fresh:
+            assert_same_elimination(s, m)
+
+    def test_cokernel_protosplit_operands(self, zlinalg_calls):
+        rng = random.Random(13)
+        a = brick_complex(rng, {2: 1, 0: 1}, {1: 1, 0: 1})
+        b = brick_complex(rng, {2: 1, 1: 1, 0: 1}, {2: 1, 1: 1, 0: 1, -1: 1})
+        total, injs, projs = direct_sum_complexes([a, b])
+        with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
+            res = cokernel_protosplit(injs[0], compose(identity_map(a), projs[0]))
+        assert res.quotient.ranks() == b.ranks()
+        fresh = fresh_eliminations(made)
+        assert len(fresh) >= 10 and sum(1 for m, _ in fresh if zero_rows(m)) >= 5
+        for m, s in fresh:
+            assert_same_elimination(s, m)
+
+
+@st.composite
+def sparse_unimodular_matrices(draw, max_dim=30):
+    """A permutation matrix after a few elementary row operations."""
+    n = draw(st.integers(0, max_dim))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.sample(range(n), n)
+    a = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, n)) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return IntMatrix.from_rows(a, n)
+
+
+class TestReplayOverZeroRows:
+    """The record replay skips additions from an all-zero row; on operands
+    with zero rows the products must still equal the reference's, and U
+    and V must stay unbuilt."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(max_side=24, max_long=50, max_short=16), st.integers(0, 2**32 - 1))
+    def test_u_times_and_v_times(self, m, seed):
+        rng = random.Random(seed)
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        for rows, product, transform in ((m.rows, s.u_times, ref.U), (m.cols, s.v_times, ref.V)):
+            b = rand_matrix(rng, rows, 3, -3, 3).to_lists()
+            for i in rng.sample(range(rows), rows // 2):
+                b[i] = [0, 0, 0]
+            b = IntMatrix.from_rows(b, 3)
+            assert product(b) == transform @ b
+        assert unbuilt(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(max_side=24, max_long=50, max_short=16))
+    def test_kernel_basis(self, zlinalg_calls, m):
+        ref = reference_smith_normal_form(m)
+        with zlinalg_calls("smith_normal_form") as made:
+            k = kernel_basis(m)
+        assert len(made) == 1 and unbuilt(made[0])
+        assert k == ref.V.select_cols(range(ref.rank, m.cols))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(max_side=24, max_long=50, max_short=16), st.integers(0, 3),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_solve_matrix(self, zlinalg_calls, m, width, solvable, seed):
+        rng = random.Random(seed)
+        if solvable:
+            b = m @ rand_matrix(rng, m.cols, width, -2, 2)
+        else:
+            b = rand_matrix(rng, m.rows, width, -2, 2)
+        ref = reference_smith_normal_form(m)
+        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        with zlinalg_calls("smith_normal_form") as made:
+            x = solve_matrix(m, b)
+        assert len(made) == 1 and unbuilt(made[0])
+        if any(c is None for c in cols):
+            assert x is None and not solvable
+        else:
+            assert x == IntMatrix.from_cols(cols, m.cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_unimodular_matrices())
+    def test_inverse_unimodular(self, zlinalg_calls, m):
+        ref = reference_smith_normal_form(m)
+        with zlinalg_calls("smith_normal_form") as made:
+            inv = inverse_unimodular(m)
+        assert len(made) == 1 and made[0]._V is None
+        assert inv == ref.V @ ref.U
+        assert m @ inv == IntMatrix.identity(m.rows)
+
+
+def smith_record_writers(source: str):
+    """(functions that append an operation to a Smith record, module-level
+    names bound to a number) in the source: one elimination writes every
+    record, and no size or density threshold picks between two of them."""
+    tree = ast.parse(source)
+    writers = sorted({
+        fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("row_ops", "col_ops")})
+    numbers = [
+        (target.id, node.lineno) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant) and type(node.value.value) in (int, float)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)]
+    return writers, numbers
+
+
+class TestOneElimination:
+    def test_zlinalg_has_one_elimination_and_no_threshold(self):
+        source = Path(zlinalg.__file__).read_text()
+        assert smith_record_writers(source) == (["smith_normal_form"], [])
+        assert "environ" not in source and "getenv" not in source
+        assert list(inspect.signature(smith_normal_form).parameters) == ["m"]
+
+    def test_the_check_finds_a_dense_fallback_and_its_threshold(self):
+        source = ("SPARSE_BELOW: float = 0.2\nMIN_ROWS = 64\nNAME = 'x'\n"
+                  "def smith_normal_form(m):\n    row_ops = []\n    row_ops.append((0, 1))\n"
+                  "def _dense(m):\n    col_ops = []\n    col_ops.append((0, 1))\n")
+        assert smith_record_writers(source) == (["_dense", "smith_normal_form"],
+                                                [("SPARSE_BELOW", 1), ("MIN_ROWS", 2)])
 
 
 class TestSolve:
