@@ -47,8 +47,7 @@ from .monoidal import (
     verify_duality_LR,
 )
 from .cones import (
-    ConeRecognitionData,
-    DirectSumWitness,
+    SplitSequence,
     coequalizer_protosplit_pair,
     cokernel_protosplit,
     cone_as_cokernel,

@@ -107,10 +107,10 @@ def cmd_cone(args) -> int:
         raise InputError("cone needs --f or --map-cone-of-identity")
     res = mapping_cone(f)
     if args.out:
-        jsonio.dump(jsonio.complex_to_json(res.cone), args.out)
-    groups = homology_H(res.cone)
-    lines = [f"cone ranks: {_ranks(res.cone)}"] + _homology_lines(groups)
-    _emit(args, {"ranks": _ranks(res.cone), "homology": _homology_report(groups)}, lines)
+        jsonio.dump(jsonio.complex_to_json(res.middle), args.out)
+    groups = homology_H(res.middle)
+    lines = [f"cone ranks: {_ranks(res.middle)}"] + _homology_lines(groups)
+    _emit(args, {"ranks": _ranks(res.middle), "homology": _homology_report(groups)}, lines)
     return 0
 
 

@@ -183,12 +183,15 @@ class Proto:
     __slots__ = ("source", "target", "degree", "_c")
 
     def __init__(self, source: Complex, target: Complex, degree: int, comps: Mapping[int, IntMatrix]):
+        if not _is_int(degree):
+            raise ValueError(f"degree {degree!r} is not an integer")
         self.source = source
         self.target = target
-        self.degree = n = int(degree)
+        self.degree = n = degree
         stored: Dict[int, IntMatrix] = {}
         for q, m in comps.items():
-            q = int(q)
+            if not _is_int(q):
+                raise ValueError(f"component degree {q!r} is not an integer")
             if m.rows != target.rank(q + n) or m.cols != source.rank(q):
                 raise ShapeMismatch(f"component at {q} has shape {m.shape}, "
                                     f"expected {(target.rank(q + n), source.rank(q))}")

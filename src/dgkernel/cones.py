@@ -1,15 +1,19 @@
 """Mapping cones and absolute colimits.
 
-Direct sums with their equational witnesses, cones with homotopy and
-recognition data, protosplittings, cokernels of protosplit chain maps
-(split degreewise through the idempotent's image), coequalizers of
-protosplit pairs, idempotent splitting, and the cone-as-cokernel
-construction.
+Direct sums, cones and the cylinder as split sequences, cone homotopy
+isomorphisms and recognition, protosplittings, cokernels of protosplit
+chain maps (split degreewise through the idempotent's image),
+coequalizers of protosplit pairs, idempotent splitting, and the
+cone-as-cokernel construction.
 
-A cone Mc f = B + SA carries four structure maps: the chain maps
-inj: B -> Mc f and proj: Mc f -> SA, and the degree-0 protos
-q = inj^T: Mc f -> B and j = proj^T: SA -> Mc f, with q inj = 1,
-proj j = 1 and inj q + j proj = 1.  The maps into and out of cones
+A split sequence (SplitSequence) is four maps around a middle object:
+the chain maps i: first -> middle and p: middle -> second, and the
+degree-0 maps q: middle -> first and j: second -> middle, with p i = 0,
+q i = 1, p j = 1 and i q + j p = 1 (so q j = 0).  A direct sum A + B is
+one with i, j the injections and p, q the projections.  A cone
+Mc f = B + SA is one with i: B -> Mc f and p: Mc f -> SA chain maps of
+0/1 blocks and q = i^T, j = p^T; recognize_cone turns any split
+sequence B -> C -> SA back into a cone.  The maps into and out of cones
 below are composites of these and of direct-sum injections and
 projections, or blockwise diagonal (cone_functor_map); only the cone
 differential is written as a block matrix.
@@ -18,7 +22,6 @@ differential is written as a block matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -69,53 +72,49 @@ def _cone_sign() -> int:
     return -1
 
 
-# -- direct sums -------------------------------------------------------------
-
-
-def _split_exactness_failures(i: Proto, j: Proto, p: Proto, q: Proto,
-                              middle: Complex) -> List[str]:
-    """p i = 0, q i = 1, p j = 1 and i q + j p = 1 for i, j into `middle`
-    and p, q out of it."""
-    failures = []
-    if not compose(p, i).is_zero():
-        failures.append("p o i != 0")
-    if compose(q, i) != identity_map(i.source):
-        failures.append("q o i != 1")
-    if compose(p, j) != identity_map(j.source):
-        failures.append("p o j != 1")
-    if compose(i, q) + compose(j, p) != identity_map(middle):
-        failures.append("i q + j p != 1")
-    return failures
+# -- split sequences: direct sums and mapping cones -----------------------
 
 
 @dataclass
-class DirectSumWitness:
-    """A + B with i: A ->, j: B ->, p: -> B, q: -> A satisfying
-    p i = 0, q i = 1, p j = 1, i q + j p = 1 (hence q j = 0)."""
+class SplitSequence:
+    """first -i-> middle -p-> second with degree-0 maps q: middle -> first
+    and j: second -> middle satisfying p i = 0, q i = 1, p j = 1 and
+    i q + j p = 1 (hence q j = 0).  For a direct sum all four are chain
+    maps; for a cone and the cylinder only i and p are."""
 
-    object: Complex
-    i: ChainMap
-    j: ChainMap
-    p: ChainMap
-    q: ChainMap
+    i: Proto
+    j: Proto
+    p: Proto
+    q: Proto
+
+    @property
+    def middle(self) -> Complex:
+        return self.i.target
 
     def check(self) -> List[str]:
-        failures = _split_exactness_failures(self.i, self.j, self.p, self.q, self.object)
-        if not compose(self.q, self.j).is_zero():
+        i, j, p, q = self.i, self.j, self.p, self.q
+        failures = []
+        if not compose(p, i).is_zero():
+            failures.append("p o i != 0")
+        if compose(q, i) != identity_map(i.source):
+            failures.append("q o i != 1")
+        if compose(p, j) != identity_map(j.source):
+            failures.append("p o j != 1")
+        if compose(i, q) + compose(j, p) != identity_map(self.middle):
+            failures.append("i q + j p != 1")
+        if not compose(q, j).is_zero():
             failures.append("q o j != 0")
         return failures
 
 
-def direct_sum(a: Complex, b: Complex) -> DirectSumWitness:
-    total, injs, projs = direct_sum_complexes([a, b])
-    w = DirectSumWitness(total, injs[0], injs[1], projs[1], projs[0])
+def direct_sum(a: Complex, b: Complex) -> SplitSequence:
+    """A + B with i: A ->, j: B ->, p: -> B and q: -> A."""
+    _, injs, projs = direct_sum_complexes([a, b])
+    w = SplitSequence(injs[0], injs[1], projs[1], projs[0])
     failures = w.check()
     if failures:  # structural bug if this ever fires
         raise WitnessEquationsFail(failures)
     return w
-
-
-# -- mapping cones ------------------------------------------------------------
 
 
 def _transpose(p: Proto) -> Proto:
@@ -123,28 +122,10 @@ def _transpose(p: Proto) -> Proto:
     return Proto(p.target, p.source, 0, {n: m.transpose() for n, m in p.comps().items()})
 
 
-@dataclass
-class ConeResult:
-    """Mc f with its four structure maps; inj and proj have 0/1 blocks,
-    so q and j are their transposes (built on first read)."""
-
-    cone: Complex
-    inj: ChainMap    # B -> Mc f
-    proj: ChainMap   # Mc f -> SA
-
-    @cached_property
-    def q(self) -> Proto:
-        """Mc f -> B, the graded retraction of inj."""
-        return _transpose(self.inj)
-
-    @cached_property
-    def j(self) -> Proto:
-        """SA -> Mc f, the graded section of proj."""
-        return _transpose(self.proj)
-
-
-def mapping_cone(f: Proto) -> ConeResult:
-    """(Mc f)_n = B_n + A_{n-1} with d = [[d, f], [0, -d]]."""
+def mapping_cone(f: Proto) -> SplitSequence:
+    """(Mc f)_n = B_n + A_{n-1} with d = [[d, f], [0, -d]], as the split
+    sequence B -> Mc f -> SA; i and p have 0/1 blocks, so q and j are
+    their transposes."""
     if not d_hom(f).is_zero() or f.degree != 0:
         raise NotAChainMap("mapping cone needs a degree-0 chain map")
     a, b = f.source, f.target
@@ -166,20 +147,20 @@ def mapping_cone(f: Proto) -> ConeResult:
             [IntMatrix.zeros(a.rank(n - 2), b.rank(n)), sign * a.diff(n - 1)],
         ])
     cone = Complex(ranks, diffs)
-    inj_comps = {}
-    proj_comps = {}
+    i_comps = {}
+    p_comps = {}
     for n in range(lo, hi + 1):
         rb, ra = b.rank(n), a.rank(n - 1)
         if rb:
-            inj_comps[n] = IntMatrix.identity(rb).vstack(IntMatrix.zeros(ra, rb))
+            i_comps[n] = IntMatrix.identity(rb).vstack(IntMatrix.zeros(ra, rb))
         if ra:
-            proj_comps[n] = IntMatrix.zeros(ra, rb).hstack(IntMatrix.identity(ra))
-    inj = ChainMap(b, cone, 0, inj_comps)
-    proj = ChainMap(cone, sa, 0, proj_comps)
-    return ConeResult(cone, inj, proj)
+            p_comps[n] = IntMatrix.zeros(ra, rb).hstack(IntMatrix.identity(ra))
+    i = ChainMap(b, cone, 0, i_comps)
+    p = ChainMap(cone, sa, 0, p_comps)
+    return SplitSequence(i, _transpose(p), p, _transpose(i))
 
 
-def mc1(a: Complex) -> ConeResult:
+def mc1(a: Complex) -> SplitSequence:
     """Mapping cone of the identity of A."""
     return mapping_cone(identity_map(a))
 
@@ -216,7 +197,7 @@ def _identity_plus(w: Proto, source: Complex, target: Complex) -> ChainMap:
 
 
 def cone_homotopy_iso(f: ChainMap, u: Proto) -> ConeHomotopyIso:
-    """1 + inj u proj: Mc f -> Mc(f + d(u)) and its inverse 1 - inj u proj."""
+    """1 + i u p: Mc f -> Mc(f + d(u)) and its inverse 1 - i u p."""
     a, b = f.source, f.target
     sa = suspension(a, 1)
     if u.source != sa or u.target != b or u.degree != 0:
@@ -225,27 +206,13 @@ def cone_homotopy_iso(f: ChainMap, u: Proto) -> ConeHomotopyIso:
     g = (f + v).as_chain_map()
     src = mapping_cone(f)
     tgt = mapping_cone(g)
-    w = compose(tgt.inj, compose(u, src.proj))   # [[0, u], [0, 0]]
-    iso = _identity_plus(w, src.cone, tgt.cone)
-    inv = _identity_plus(-w, tgt.cone, src.cone)
+    w = compose(tgt.i, compose(u, src.p))   # [[0, u], [0, 0]]
+    iso = _identity_plus(w, src.middle, tgt.middle)
+    inv = _identity_plus(-w, tgt.middle, src.middle)
     return ConeHomotopyIso(v, g, iso, inv)
 
 
 # -- cone recognition ---------------------------------------------------------
-
-
-@dataclass
-class ConeRecognitionData:
-    """i: B -> C and p: C -> SA chain maps; j: SA -> C, q: C -> B
-    degree-0 protos satisfying the four split-exactness equations."""
-
-    i: ChainMap
-    p: ChainMap
-    j: Proto
-    q: Proto
-
-    def check(self) -> List[str]:
-        return _split_exactness_failures(self.i, self.j, self.p, self.q, self.i.target)
 
 
 @dataclass
@@ -255,10 +222,11 @@ class RecognizedCone:
     inverse: ChainMap
 
 
-def recognize_cone(data: ConeRecognitionData) -> RecognizedCone:
-    """g = q o d(j), desuspended; i q_cone + j proj_cone: Mc g -> C with
-    inverse inj q + j_cone p.  (The inverse [q - q j p; p] of the block
-    form is the same map: the equations force q j p = q - q i q = 0.)"""
+def recognize_cone(data: SplitSequence) -> RecognizedCone:
+    """A split sequence B -> C -> SA is a cone: g = q o d(j), desuspended;
+    i q_cone + j p_cone: Mc g -> C with inverse i_cone q + j_cone p.
+    (The inverse [q - q j p; p] of the block form is the same map: the
+    equations force q j p = q - q i q = 0.)"""
     failures = data.check()
     if failures:
         raise WitnessEquationsFail(failures)
@@ -272,47 +240,30 @@ def recognize_cone(data: ConeRecognitionData) -> RecognizedCone:
     g = ChainMap(a, b, 0, g_comps)
 
     cone = mapping_cone(g)
-    iso = (compose(data.i, cone.q) + compose(data.j, cone.proj)).as_chain_map()
-    inverse = (compose(cone.inj, data.q) + compose(cone.j, data.p)).as_chain_map()
-    if compose(inverse, iso) != identity_map(cone.cone) or \
+    iso = (compose(data.i, cone.q) + compose(data.j, cone.p)).as_chain_map()
+    inverse = (compose(cone.i, data.q) + compose(cone.j, data.p)).as_chain_map()
+    if compose(inverse, iso) != identity_map(cone.middle) or \
        compose(iso, inverse) != identity_map(c):
         raise AssertionError("recognition inverse failed")  # theory guarantees this
     return RecognizedCone(g, iso, inverse)
 
 
-@dataclass
-class CylinderFactorization:
-    """0 -> A -> B + Mc1_A -> Mc f -> 0 with its graded splittings."""
-
-    middle: Complex
-    i_prime: ChainMap     # A -> middle
-    p_prime: ChainMap     # middle -> Mc f
-    j_prime: Proto        # Mc f -> middle (graded)
-    q_prime: Proto        # middle -> A (graded)
-    cone: Complex
-
-    def recognition_data(self) -> ConeRecognitionData:
-        # roles: "B" = A, "C" = middle, "SA" = Mc f
-        return ConeRecognitionData(self.i_prime, self.p_prime, self.j_prime, self.q_prime)
-
-
-def cylinder_factorization(f: ChainMap) -> CylinderFactorization:
-    """i' = [-f; 1; 0], p' = [[1, f, 0], [0, 0, 1]], j' = [[1,0],[0,0],[0,1]],
-    q' = [0 1 0] on B + Mc1_A, with Mc f as the quotient; each is a
-    composite of the structure maps of Mc1_A, Mc f and the sum."""
+def cylinder_factorization(f: ChainMap) -> SplitSequence:
+    """0 -> A -> B + Mc1_A -> Mc f -> 0 split by i = [-f; 1; 0],
+    p = [[1, f, 0], [0, 0, 1]], j = [[1,0],[0,0],[0,1]], q = [0 1 0];
+    each is a composite of the structure maps of Mc1_A, Mc f and the sum."""
     cone1 = mc1(f.source)
-    middle, (in_b, in_c), (pr_b, pr_c) = direct_sum_complexes([f.target, cone1.cone])
+    _, (in_b, in_c), (pr_b, pr_c) = direct_sum_complexes([f.target, cone1.middle])
     conef = mapping_cone(f)
 
-    i_prime = (compose(in_c, cone1.inj) - compose(in_b, f)).as_chain_map()
-    q_prime = compose(cone1.q, pr_c)
-    to_b = pr_b + compose(f, q_prime)
-    p_prime = (compose(conef.inj, to_b)
-               + compose(conef.j, compose(cone1.proj, pr_c))).as_chain_map()
-    j_prime = compose(in_b, conef.q) + compose(in_c, compose(cone1.j, conef.proj))
-    if not compose(p_prime, i_prime).is_zero():
-        raise AssertionError("p' o i' != 0")
-    return CylinderFactorization(middle, i_prime, p_prime, j_prime, q_prime, conef.cone)
+    i = (compose(in_c, cone1.i) - compose(in_b, f)).as_chain_map()
+    q = compose(cone1.q, pr_c)
+    to_b = pr_b + compose(f, q)
+    p = (compose(conef.i, to_b) + compose(conef.j, compose(cone1.p, pr_c))).as_chain_map()
+    j = compose(in_b, conef.q) + compose(in_c, compose(cone1.j, conef.p))
+    if not compose(p, i).is_zero():
+        raise AssertionError("p o i != 0")
+    return SplitSequence(i, j, p, q)
 
 
 # -- protosplittings and their colimits ---------------------------------------
@@ -492,9 +443,9 @@ def mc1_iso_LU(a: Complex) -> Mc1LUIso:
     lua = functor_L(forget_U(a))
     d = Proto(x, a, 0, {n - 1: m for n, m in a.diffs().items()})
     jdq = compose(cone1.j, compose(d, cone1.q))
-    iso = _identity_plus(-jdq, cone1.cone, lua)
-    inverse = _identity_plus(jdq, lua, cone1.cone)
-    if compose(inverse, iso) != identity_map(cone1.cone) or compose(iso, inverse) != identity_map(lua):
+    iso = _identity_plus(-jdq, cone1.middle, lua)
+    inverse = _identity_plus(jdq, lua, cone1.middle)
+    if compose(inverse, iso) != identity_map(cone1.middle) or compose(iso, inverse) != identity_map(lua):
         raise AssertionError("Mc 1 = LU comparison is not invertible")
     return Mc1LUIso(iso, inverse)
 
@@ -505,8 +456,8 @@ def cone_functor_map(square_a: ChainMap, square_b: ChainMap,
     (a: A -> A', b: B -> B'); blockwise diag(b, S a)."""
     if compose(g, square_a) != compose(square_b, f):
         raise ValueError("square does not commute")
-    src = mapping_cone(f).cone
-    tgt = mapping_cone(g).cone
+    src = mapping_cone(f).middle
+    tgt = mapping_cone(g).middle
     return ChainMap(src, tgt, 0, {
         n: block_diagonal([square_b.comp(n), square_a.comp(n - 1)]) for n in src.degrees()})
 
@@ -523,12 +474,13 @@ def cone_as_cokernel(f: ChainMap) -> ConeAsCokernel:
     """The cone of f as the cokernel of i = [-f; i_1]: A -> B + Mc1_A,
     a protosplit monomorphism (split by [0, q_1])."""
     cyl = cylinder_factorization(f)
-    # i' = [-f; i_1] is split by q' = [0, q_1]
-    result = cokernel_protosplit(cyl.i_prime, cyl.q_prime, verify_universal=False)
-    comparison = compose(cyl.p_prime, result.s).as_chain_map()
-    comparison_inv = ChainMap(cyl.cone, result.quotient, 0,
-                              compose(result.w, cyl.j_prime).comps(), _trusted=True)
-    if compose(comparison, comparison_inv) != identity_map(cyl.cone) or \
+    cone = cyl.p.target
+    # i = [-f; i_1] is split by q = [0, q_1]
+    result = cokernel_protosplit(cyl.i, cyl.q, verify_universal=False)
+    comparison = compose(cyl.p, result.s).as_chain_map()
+    comparison_inv = ChainMap(cone, result.quotient, 0,
+                              compose(result.w, cyl.j).comps(), _trusted=True)
+    if compose(comparison, comparison_inv) != identity_map(cone) or \
        compose(comparison_inv, comparison) != identity_map(result.quotient):
         raise AssertionError("cokernel-to-cone comparison is not invertible")
     return ConeAsCokernel(result.quotient, result.w, comparison, comparison_inv)

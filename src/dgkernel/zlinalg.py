@@ -38,12 +38,14 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int], _trusted: bool = False):
         # _trusted: entries is already a tuple of rows * cols Python ints (the
         # result of arithmetic on IntMatrix operands), so it is kept as is.
+        # Otherwise each entry must be integral (operator.index): 2.7 is
+        # rejected with TypeError, not truncated to 2.
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative dimensions {rows}x{cols}")
         if _trusted:
             e = entries
         else:
-            e = tuple(map(int, entries))
+            e = tuple(map(index, entries))
             if len(e) != rows * cols:
                 raise ShapeMismatch(
                     f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(e)}"
@@ -95,10 +97,11 @@ class IntMatrix:
         k = len(entries)
         rows = k if rows is None else rows
         cols = k if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(entries):
-            m[i][i] = int(d)
-        return cls.from_rows(m, cols)
+        if k > min(rows, cols):
+            raise ShapeMismatch(f"{k} diagonal entries do not fit a {rows}x{cols} matrix")
+        e = [0] * (rows * cols)
+        e[:k * (cols + 1):cols + 1] = entries
+        return cls(rows, cols, e)
 
     @classmethod
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -113,16 +116,25 @@ class IntMatrix:
         return self._e[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows} rows")
+        return self._row(i)
+
+    def _row(self, i: int) -> tuple:
+        # row(i) without the range check, for loops over range(self.rows)
         return self._e[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return self._e[j :: self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self._e[j :: self.cols]
 
     def entries(self) -> tuple:
         return self._e
 
     def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, c = self._e, self.cols
+        return [list(e[i * c:i * c + c]) for i in range(self.rows)]
 
     @property
     def shape(self) -> tuple:
@@ -210,7 +222,7 @@ class IntMatrix:
         for i in idx:
             if not 0 <= i < self.rows:
                 raise ShapeMismatch(f"row {i} out of range for {self.rows} rows")
-            flat.extend(self.row(i))
+            flat.extend(self._row(i))
         return IntMatrix(len(idx), self.cols, tuple(flat), _trusted=True)
 
     def select_cols(self, idx: Sequence[int]) -> "IntMatrix":
@@ -219,7 +231,7 @@ class IntMatrix:
                 raise ShapeMismatch(f"column {j} out of range for {self.cols} columns")
         flat = []
         for i in range(self.rows):
-            r = self.row(i)
+            r = self._row(i)
             flat.extend([r[j] for j in idx])
         return IntMatrix(self.rows, len(idx), tuple(flat), _trusted=True)
 
@@ -228,8 +240,8 @@ class IntMatrix:
             raise ShapeMismatch("hstack needs equal row counts")
         flat = []
         for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
+            flat.extend(self._row(i))
+            flat.extend(other._row(i))
         return IntMatrix(self.rows, self.cols + other.cols, tuple(flat), _trusted=True)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
@@ -271,7 +283,7 @@ def block_matrix(blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     for r in blocks:
         for i in range(r[0].rows):
             for b in r:
-                flat.extend(b.row(i))
+                flat.extend(b._row(i))
     return IntMatrix(sum(row_heights), sum(col_widths), tuple(flat), _trusted=True)
 
 
@@ -283,7 +295,7 @@ def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
         pad_left, pad_right = (0,) * left, (0,) * (cols - left - b.cols)
         for i in range(b.rows):
             flat += pad_left
-            flat += b.row(i)
+            flat += b._row(i)
             flat += pad_right
         left += b.cols
     return IntMatrix(sum(b.rows for b in blocks), cols, tuple(flat), _trusted=True)
@@ -392,12 +404,14 @@ def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> In
     and only the pivot row's nonzeros move.  The replay skips the same
     kind of work: an addition whose source row is all zero changes nothing
     and is skipped.  The operands of kernel_basis ([0; I]) and _solve
-    have many such rows."""
+    have many such rows.  The rows start as slices of b, and only a row
+    that an operation changes becomes a new list."""
     if b.rows != n:
         raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
     if not ops:
         return b
-    t = b.to_lists()
+    e, w = b._e, b.cols
+    t = [e[i * w:i * w + w] for i in range(n)]
     for op in reversed(ops) if backwards else ops:
         if len(op) == 3:
             dst, src, c = op
@@ -675,7 +689,9 @@ class FPAbGroup:
 
     @classmethod
     def canonical(cls, free_rank: int, torsion: Sequence[int] = ()) -> "FPAbGroup":
-        torsion = tuple(int(t) for t in torsion)
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
+        torsion = tuple(map(index, torsion))
         for t, t2 in zip(torsion, torsion[1:]):
             if t <= 1 or t2 % t:
                 raise ValueError(f"not an invariant-factor chain: {torsion}")

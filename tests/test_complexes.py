@@ -83,6 +83,24 @@ class TestMakeComplex:
         with pytest.raises(ShapeMismatch):
             make_complex({1: 2, 0: 1}, {1: [[1]]})
 
+    def test_non_integral_differential_entry_raises(self):
+        # d_1 = [[0.9]] used to be read as d_1 = 0
+        with pytest.raises(TypeError):
+            make_complex({1: 1, 0: 1}, {1: [[0.9]]})
+
+    @pytest.mark.parametrize("degree, comps, message", [
+        (0.5, {0: [[1]]}, "^degree 0.5 is not an integer$"),
+        (True, {}, "^degree True is not an integer$"),
+        (0, {0.0: [[1]]}, "^component degree 0.0 is not an integer$"),
+        (0, {False: [[1]]}, "^component degree False is not an integer$"),
+    ], ids=["float degree", "bool degree", "float component", "bool component"])
+    def test_proto_rejects_non_integer_degrees(self, degree, comps, message):
+        # Proto(Z, Z, 0.5, {0.0: I}) used to be the degree-0 identity
+        comps = {q: IntMatrix.from_rows(m) for q, m in comps.items()}
+        with pytest.raises(ValueError, match=message):
+            Proto(K0, K0, degree, comps)
+        assert Proto(K0, K0, 0, {0: IntMatrix.identity(1)}) == identity_map(K0)
+
     def test_zero_complex(self):
         z = Complex.zero()
         assert z.is_zero()

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +22,12 @@ from dgkernel.complexes import (
     suspension_map,
     unit_complex,
 )
+import dgkernel.cones
 from dgkernel.cones import (
-    ConeRecognitionData,
     NotIdempotent,
     NotProtosplit,
     PairEquationsFail,
+    SplitSequence,
     WitnessEquationsFail,
     coequalizer_protosplit_pair,
     cokernel_protosplit,
@@ -57,25 +60,25 @@ def canonical_cone_witnesses(f):
     a, b = f.source, f.target
     res = mapping_cone(f)
     j_comps, q_comps = {}, {}
-    for n in res.cone.degrees():
+    for n in res.middle.degrees():
         rb, ra = b.rank(n), a.rank(n - 1)
         if ra:
             j_comps[n] = IntMatrix.zeros(rb, ra).vstack(IntMatrix.identity(ra))
         if rb:
             q_comps[n] = IntMatrix.identity(rb).hstack(IntMatrix.zeros(rb, ra))
-    j = Proto(suspension(a, 1), res.cone, 0, j_comps)
-    q = Proto(res.cone, b, 0, q_comps)
+    j = Proto(suspension(a, 1), res.middle, 0, j_comps)
+    q = Proto(res.middle, b, 0, q_comps)
     return res, j, q
 
 
 # -- reference oracles: the maps into and out of cones written out as block
 # -- matrices, one block per summand; the package composes them from the
-# -- structure maps inj, proj, q and j
+# -- structure maps i, p, q and j
 
 def reference_upper_triangular(f, g, w):
     """[[1, w], [0, 1]]: Mc f -> Mc g."""
     a, b = f.source, f.target
-    src, tgt = mapping_cone(f).cone, mapping_cone(g).cone
+    src, tgt = mapping_cone(f).middle, mapping_cone(g).middle
     comps = {}
     for n in src.degrees():
         rb, ra = b.rank(n), a.rank(n - 1)
@@ -92,7 +95,7 @@ def reference_recognition(data, g):
     """[i, j]: Mc g -> C and [q - q j p; p]: C -> Mc g."""
     b, c = data.i.source, data.i.target
     a = g.source
-    cone = mapping_cone(g).cone
+    cone = mapping_cone(g).middle
     top = compose(data.q, identity_map(c)) - compose(compose(data.q, data.j), data.p)
     iso_comps, inv_comps = {}, {}
     for n in cone.degrees():
@@ -104,11 +107,11 @@ def reference_recognition(data, g):
 
 
 def reference_cylinder(f):
-    """i' = [-f; 1; 0], p' = [[1, f, 0], [0, 0, 1]], j' = [[1,0],[0,0],[0,1]],
-    q' = [0 1 0] on B + Mc1_A."""
+    """i = [-f; 1; 0], p = [[1, f, 0], [0, 0, 1]], j = [[1,0],[0,0],[0,1]],
+    q = [0 1 0] on B + Mc1_A."""
     a, b = f.source, f.target
-    middle, _, _ = direct_sum_complexes([b, mc1(a).cone])
-    conef = mapping_cone(f).cone
+    middle, _, _ = direct_sum_complexes([b, mc1(a).middle])
+    conef = mapping_cone(f).middle
     i_comps, p_comps, j_comps, q_comps = {}, {}, {}, {}
     for n in middle.degrees():
         rb, ra, ra1 = b.rank(n), a.rank(n), a.rank(n - 1)
@@ -135,7 +138,7 @@ def reference_cylinder(f):
 
 def reference_mc1_iso_LU(a):
     """[[1, 0], [-d, 1]]: Mc 1_{S^-1 A} -> LU A and [[1, 0], [d, 1]] back."""
-    cone = mc1(suspension(a, -1)).cone
+    cone = mc1(suspension(a, -1)).middle
     lua = functor_L(forget_U(a))
     iso_comps, inv_comps = {}, {}
     for n in cone.degrees():
@@ -152,7 +155,7 @@ def reference_mc1_iso_LU(a):
 
 def reference_cone_functor_map(square_a, square_b, f, g):
     """[[b, 0], [0, S a]]: Mc f -> Mc g."""
-    src, tgt = mapping_cone(f).cone, mapping_cone(g).cone
+    src, tgt = mapping_cone(f).middle, mapping_cone(g).middle
     comps = {}
     for n in src.degrees():
         rb, ra = f.target.rank(n), f.source.rank(n - 1)
@@ -180,7 +183,7 @@ def reference_lu_functor_map(h):
 
 def reference_q1(a):
     """q_1 = [1 0]: Mc1_A -> A."""
-    cone = mc1(a).cone
+    cone = mc1(a).middle
     return Proto(cone, a, 0, {n: IntMatrix.identity(a.rank(n)).hstack(
         IntMatrix.zeros(a.rank(n), a.rank(n - 1))) for n in cone.degrees() if a.rank(n)})
 
@@ -193,6 +196,85 @@ def _drawn_complex(rng, zero):
 SEED_AND_ZEROS = (st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 
 
+# the spellings of the split sequence that SplitSequence replaced
+REMOVED_SPLIT_NAMES = {"DirectSumWitness", "ConeResult", "ConeRecognitionData",
+                       "CylinderFactorization", "recognition_data",
+                       "_split_exactness_failures"}
+
+
+def removed_split_names(package: Path):
+    """(file, name, line) of each definition of, reference to or import of
+    a removed split-sequence spelling in the package: sums, cones and the
+    cylinder are all one SplitSequence."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in REMOVED_SPLIT_NAMES:
+                found.append((path.name, name, node.lineno))
+    return found
+
+
+class TestSplitSequence:
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_sums_cones_and_cylinders_satisfy_all_five(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        for seq in (direct_sum(a, b), mapping_cone(f), cylinder_factorization(f)):
+            assert seq.check() == []
+            assert compose(seq.q, seq.j).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_a_broken_map_names_its_equations(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        for seq in (direct_sum(a, b), mapping_cone(f), cylinder_factorization(f)):
+            doubled = SplitSequence(i=seq.i, j=seq.j, p=seq.p, q=2 * seq.q)
+            flipped = SplitSequence(i=seq.i, j=-seq.j, p=seq.p, q=seq.q)
+            # 2q and -j break exactly the equations that read them, unless
+            # the complex they start or end at is zero
+            assert doubled.check() == ([] if seq.i.source.is_zero()
+                                       else ["q o i != 1", "i q + j p != 1"])
+            assert flipped.check() == ([] if seq.j.source.is_zero()
+                                       else ["p o j != 1", "i q + j p != 1"])
+
+    def test_q_j_is_checked(self):
+        w = direct_sum(K0, K0)
+        skewed = SplitSequence(i=w.i, j=w.j + w.i, p=w.p, q=w.q)
+        assert skewed.check() == ["i q + j p != 1", "q o j != 0"]
+
+    def test_direct_sum_raises_on_failing_equations(self, monkeypatch):
+        monkeypatch.setattr(SplitSequence, "check", lambda self: ["q o j != 0"])
+        with pytest.raises(WitnessEquationsFail, match="q o j != 0"):
+            direct_sum(K0, K0)
+
+    def test_src_has_one_split_sequence_type(self):
+        assert removed_split_names(Path(dgkernel.cones.__file__).parent) == []
+
+    def test_the_check_finds_the_removed_spellings(self, tmp_path):
+        (tmp_path / "cones.py").write_text(
+            "from .x import ConeResult\n"
+            "class CylinderFactorization:\n"
+            "    def recognition_data(self):\n"
+            "        return _split_exactness_failures\n")
+        assert removed_split_names(tmp_path) == [
+            ("cones.py", "CylinderFactorization", 2), ("cones.py", "ConeResult", 1),
+            ("cones.py", "recognition_data", 3), ("cones.py", "_split_exactness_failures", 4)]
+
+
 class TestDirectSum:
     def test_witness_equations(self):
         rng = random.Random(0)
@@ -202,28 +284,28 @@ class TestDirectSum:
 
     def test_sum_with_zero(self):
         w = direct_sum(M2, Complex.zero())
-        assert w.object == M2
+        assert w.middle == M2
 
     def test_rank_two_in_degree_zero(self):
         w = direct_sum(K0, K0)
-        assert w.object.rank(0) == 2
+        assert w.middle.rank(0) == 2
 
 
 class TestMappingCone:
     def test_cone_of_zero_from_zero(self):
         f = ChainMap(Complex.zero(), M2, 0, {})
-        assert mapping_cone(f).cone == M2
+        assert mapping_cone(f).middle == M2
 
     def test_cone_of_identity_on_unit(self):
         res = mc1(K0)
-        assert {n: res.cone.rank(n) for n in res.cone.degrees()} == {0: 1, 1: 1}
-        assert res.cone.diff(1) == IntMatrix.from_rows([[1]])
-        assert homology_H(res.cone).is_trivial()
+        assert {n: res.middle.rank(n) for n in res.middle.degrees()} == {0: 1, 1: 1}
+        assert res.middle.diff(1) == IntMatrix.from_rows([[1]])
+        assert homology_H(res.middle).is_trivial()
 
     def test_cone_of_multiplication_by_two(self):
         two = ChainMap(K0, K0, 0, {0: IntMatrix.from_rows([[2]])})
         res = mapping_cone(two)
-        assert homology_H(res.cone).at(0) == FPAbGroup.canonical(0, [2])
+        assert homology_H(res.middle).at(0) == FPAbGroup.canonical(0, [2])
 
     def test_rejects_non_chain_maps(self):
         from dgkernel.complexes import NotAChainMap
@@ -239,17 +321,17 @@ class TestMappingCone:
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             res = mapping_cone(f)
-            assert compose(res.proj, res.inj).is_zero()
-            assert d_hom(res.inj).is_zero() and d_hom(res.proj).is_zero()
-            for n in res.cone.degrees():
-                assert res.cone.rank(n) == b.rank(n) + a.rank(n - 1)
+            assert compose(res.p, res.i).is_zero()
+            assert d_hom(res.i).is_zero() and d_hom(res.p).is_zero()
+            for n in res.middle.degrees():
+                assert res.middle.rank(n) == b.rank(n) + a.rank(n - 1)
 
     def test_euler_characteristic(self):
         rng = random.Random(2)
         for _ in range(10):
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
-            cone = mapping_cone(f).cone
+            cone = mapping_cone(f).middle
 
             def chi(groups, degrees):
                 return sum((-1) ** n * groups.at(n).free_rank for n in degrees)
@@ -298,15 +380,15 @@ class TestRecognizeCone:
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             res, j, q = canonical_cone_witnesses(f)
-            rec = recognize_cone(ConeRecognitionData(res.inj, res.proj, j, q))
+            rec = recognize_cone(SplitSequence(i=res.i, j=j, p=res.p, q=q))
             assert rec.map == f
-            assert rec.iso == identity_map(res.cone)
+            assert rec.iso == identity_map(res.middle)
 
     def test_split_case_gives_zero_map(self):
         rng = random.Random(6)
         a, b = rand_complex(rng), rand_complex(rng)
         w = direct_sum(b, suspension(a, 1))
-        rec = recognize_cone(ConeRecognitionData(w.i, w.p, w.j, w.q))
+        rec = recognize_cone(w)
         assert rec.map.is_zero()
 
     def test_recognized_map_is_chain_map_on_twisted_data(self):
@@ -317,11 +399,11 @@ class TestRecognizeCone:
             res, j, q = canonical_cone_witnesses(f)
             u = rand_proto(rng, suspension(a, 1), b, 0)
             h = cone_homotopy_iso(f, u)
-            data = ConeRecognitionData(
-                (h.iso @ res.inj),
-                (res.proj @ h.inverse),
-                compose(h.iso, j),
-                compose(q, h.inverse),
+            data = SplitSequence(
+                i=h.iso @ res.i,
+                j=compose(h.iso, j),
+                p=res.p @ h.inverse,
+                q=compose(q, h.inverse),
             )
             rec = recognize_cone(data)
             assert d_hom(rec.map).is_zero()
@@ -333,7 +415,7 @@ class TestRecognizeCone:
         f = rand_chain_map(rng, a, b)
         res, j, q = canonical_cone_witnesses(f)
         with pytest.raises(WitnessEquationsFail) as exc:
-            recognize_cone(ConeRecognitionData(res.inj, res.proj, j, 2 * q))
+            recognize_cone(SplitSequence(i=res.i, j=j, p=res.p, q=2 * q))
         assert any("q o i" in s for s in exc.value.failures)
 
 
@@ -344,8 +426,8 @@ class TestCylinderFactorization:
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             cyl = cylinder_factorization(f)
-            assert cyl.recognition_data().check() == []
-            assert compose(cyl.p_prime, cyl.i_prime).is_zero()
+            assert cyl.check() == []
+            assert compose(cyl.p, cyl.i).is_zero()
 
     def test_middle_has_homology_of_target(self):
         rng = random.Random(10)
@@ -366,7 +448,7 @@ class TestCylinderFactorization:
         cyl = cylinder_factorization(f)
         for n in a.degrees():
             if a.rank(n):
-                assert cyl.i_prime.comp(n).select_rows(range(b.rank(n))).is_zero()
+                assert cyl.i.comp(n).select_rows(range(b.rank(n))).is_zero()
 
 
 class TestProtosplitting:
@@ -521,13 +603,13 @@ class TestMc1IsoLU:
         rng = random.Random(21)
         for _ in range(10):
             a = rand_complex(rng)
-            assert hom_complex(LZ, a).ranks() == mc1(a).cone.ranks()
+            assert hom_complex(LZ, a).ranks() == mc1(a).middle.ranks()
 
 
 class TestConeAsCokernel:
     def test_identity_case_matches_contractible_cone(self):
         res = cone_as_cokernel(identity_map(K0))
-        cone = mc1(K0).cone
+        cone = mc1(K0).middle
         assert res.quotient.ranks() == cone.ranks()
         assert homology_H(res.quotient).is_trivial()
 
@@ -546,7 +628,7 @@ class TestConeAsCokernel:
             a, b = rand_complex(rng, bricks=2), rand_complex(rng, bricks=2)
             f = rand_chain_map(rng, a, b)
             res = cone_as_cokernel(f)
-            cone = mapping_cone(f).cone
+            cone = mapping_cone(f).middle
             assert compose(res.comparison, res.comparison_inv) == identity_map(cone)
             assert homology_H(res.quotient) == homology_H(cone)
 
@@ -559,14 +641,14 @@ class TestStructureMaps:
         a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
         f = rand_chain_map(rng, a, b)
         res = mapping_cone(f)
-        assert compose(res.q, res.inj) == identity_map(b)
-        assert compose(res.proj, res.j) == identity_map(suspension(a, 1))
-        assert compose(res.inj, res.q) + compose(res.j, res.proj) == identity_map(res.cone)
-        assert compose(res.proj, res.inj).is_zero()
+        assert compose(res.q, res.i) == identity_map(b)
+        assert compose(res.p, res.j) == identity_map(suspension(a, 1))
+        assert compose(res.i, res.q) + compose(res.j, res.p) == identity_map(res.middle)
+        assert compose(res.p, res.i).is_zero()
         assert compose(res.q, res.j).is_zero()
         _, j, q = canonical_cone_witnesses(f)
         assert (res.j, res.q) == (j, q)
-        rec = recognize_cone(ConeRecognitionData(res.inj, res.proj, res.j, res.q))
+        rec = recognize_cone(res)
         assert rec.map == f
 
 
@@ -592,8 +674,7 @@ class TestComposedMapsEqualTheBlockMatrices:
         a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
         f = rand_chain_map(rng, a, b)
         res = mapping_cone(f)
-        for data in (cylinder_factorization(f).recognition_data(),
-                     ConeRecognitionData(res.inj, res.proj, res.j, res.q)):
+        for data in (cylinder_factorization(f), res):
             rec = recognize_cone(data)
             assert (rec.iso, rec.inverse) == reference_recognition(data, rec.map)
 
@@ -604,7 +685,7 @@ class TestComposedMapsEqualTheBlockMatrices:
         a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
         f = rand_chain_map(rng, a, b)
         cyl = cylinder_factorization(f)
-        assert (cyl.i_prime, cyl.p_prime, cyl.j_prime, cyl.q_prime) == reference_cylinder(f)
+        assert (cyl.i, cyl.p, cyl.j, cyl.q) == reference_cylinder(f)
 
     @settings(max_examples=40, deadline=None)
     @given(*SEED_AND_ZEROS)
@@ -634,9 +715,9 @@ class TestComposedMapsEqualTheBlockMatrices:
         f = rand_chain_map(rng, a, b)
         q1 = reference_q1(a)
         assert mc1(a).q == q1
-        _, _, projs = direct_sum_complexes([b, mc1(a).cone])
+        _, _, projs = direct_sum_complexes([b, mc1(a).middle])
         # the protosplitting [0, q_1] of i = [-f; i_1] that the cokernel reads
-        assert cylinder_factorization(f).q_prime == compose(q1, projs[1])
+        assert cylinder_factorization(f).q == compose(q1, projs[1])
         res = cone_as_cokernel(f)
         i_ref, p_ref, j_ref, _ = reference_cylinder(f)
         ref = cokernel_protosplit(i_ref, compose(q1, projs[1]), verify_universal=False)

@@ -242,6 +242,43 @@ class TestIntMatrix:
                 a.select_cols(idx)
         assert IntMatrix.zeros(0, 2).select_cols([1, 0]).shape == (0, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(1, 1, [2.7]),
+        lambda: IntMatrix.from_rows([[1, 0.5]]),
+        lambda: IntMatrix.from_cols([(1.0,)], 1),
+        lambda: IntMatrix.column(["3"]),
+        lambda: IntMatrix.diagonal([2.0]),
+    ], ids=["init", "from_rows", "from_cols", "column", "diagonal"])
+    def test_non_integral_entries_are_rejected(self, build):
+        # 2.7 used to become 2 and 0.5 to become 0 without a word
+        with pytest.raises(TypeError):
+            build()
+        assert IntMatrix(1, 2, [True, -3]).entries() == (1, -3)
+
+    def test_row_and_col_reject_out_of_range(self):
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert (m.row(1), m.col(1)) == ((3, 4), (2, 4))
+        for read, i in ((m.col, 3), (m.col, -1), (m.col, 2), (m.row, 5), (m.row, -1),
+                        (m.row, 2)):
+            with pytest.raises(IndexError):
+                read(i)
+
+    def test_row_col_and_lists_of_empty_shapes(self):
+        tall, wide = IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 3)
+        assert tall.to_lists() == [[], [], []] and wide.to_lists() == []
+        assert tall.row(2) == () and wide.col(2) == ()
+        for read in (tall.col, wide.row):
+            with pytest.raises(IndexError):
+                read(0)
+
+    def test_diagonal_rejects_entries_that_do_not_fit(self):
+        assert IntMatrix.diagonal([2, 3], rows=3, cols=2) == IntMatrix.from_rows(
+            [[2, 0], [0, 3], [0, 0]])
+        assert IntMatrix.diagonal([], rows=2, cols=0).shape == (2, 0)
+        for rows, cols in ((1, 2), (2, 1), (0, 0)):
+            with pytest.raises(ShapeMismatch, match="do not fit"):
+                IntMatrix.diagonal([2, 3], rows=rows, cols=cols)
+
     def test_determinant(self):
         assert determinant(IntMatrix.identity(4)) == 1
         assert determinant(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
@@ -1197,6 +1234,24 @@ class TestReplayOverZeroRows:
         assert inv == ref.V @ ref.U
         assert m @ inv == IntMatrix.identity(m.rows)
 
+    def test_replay_reads_row_slices(self, monkeypatch):
+        """The replay starts from row slices of its operand; it never turns
+        the operand into lists (to_lists) and back."""
+        rng = random.Random(5)
+        m = rand_matrix(rng, 6, 8, -3, 3)
+        ref = reference_smith_normal_form(m)
+        s = smith_normal_form(m)
+        b = rand_matrix(rng, 6, 2, -3, 3)
+        c = rand_matrix(rng, 8, 2, -3, 3)
+
+        def no_lists(self):
+            raise AssertionError("the replay copied its operand into lists")
+        monkeypatch.setattr(IntMatrix, "to_lists", no_lists)
+        assert s.u_times(b) == ref.U @ b
+        assert s.v_times(c) == ref.V @ c
+        assert kernel_basis(m) == ref.V.select_cols(range(ref.rank, m.cols))
+        assert solve_matrix(m, m @ c) is not None
+
 
 def smith_record_writers(source: str):
     """(functions that append an operation to a Smith record, module-level
@@ -1377,6 +1432,16 @@ class TestFPAbGroup:
                 for z in elts:
                     if g.element_equal(x, y) and g.element_equal(y, z):
                         assert g.element_equal(x, z)
+
+    def test_negative_free_rank_rejected(self):
+        # canonical(-1) used to be the trivial group, and canonical(-2, [2])
+        # an IndexError inside IntMatrix.diagonal
+        for free_rank, torsion in ((-1, ()), (-2, (2,)), (-1, (2, 4))):
+            with pytest.raises(ValueError, match=f"^negative free rank {free_rank}$"):
+                FPAbGroup.canonical(free_rank, torsion)
+        assert FPAbGroup.canonical(0, [2]).describe() == "Z/2"
+        with pytest.raises(TypeError):
+            FPAbGroup.canonical(0, [2.5])
 
     def test_length_mismatch(self):
         g = FPAbGroup.free(2)
