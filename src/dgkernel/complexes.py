@@ -53,6 +53,13 @@ def _hom_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _alternates(sign, degrees) -> bool:
+    """Whether sign(k) == -sign(k - 1) for every k in degrees.  A built
+    differential whose d o d is zero up to one cross term with coefficient
+    sign(k) + sign(k - 1) is square-zero when this holds."""
+    return all(sign(k) == -sign(k - 1) for k in degrees)
+
+
 def _is_int(x) -> bool:
     """Whether x is an int and not a bool: a degree or a rank."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -64,6 +71,13 @@ class Complex:
     The ranks are zero outside [lo, hi]; ``hi == lo - 1`` encodes the zero
     complex.  A graded object is a complex with zero differentials: U is
     `forget_U`, and L, R and the adjunction isomorphisms take one.
+
+    The constructor multiplies every stored pair of differentials to check
+    d o d = 0, unless ``_validated`` is true.  A caller that passes it
+    proves d o d = 0 itself: by construction (a shift, U, L, R, a direct
+    sum), or by `_alternates`, when the only term of d o d that its
+    square-zero inputs leave is a cross term whose Koszul coefficient
+    sign(k) + sign(k - 1) vanishes (the hom, tensor and Tot spaces).
     """
 
     __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d")
@@ -568,7 +582,9 @@ class HomSpace:
         # f_q d acts on the row-major entries of f_q as 1 (x) d^T, d: B_{q+1} -> B_q
         source_d_t = {q - 1: d.transpose() for q, d in source.diffs().items()}
         diffs = {n: self._differential(n, source_d_t) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(lay.dims(), diffs)
+        # D D f = d d f - (s(n) + s(n-1)) d f d + s(n) s(n-1) f d d, and d d = 0
+        # in source and target, so only the cross term d f d can survive
+        self.complex = Complex(lay.dims(), diffs, _validated=_alternates(_hom_sign, diffs))
 
     def _differential(self, n: int, source_d_t: Dict[int, IntMatrix]) -> IntMatrix:
         # (df)_q = d f_q - (-1)^n f_{q-1} d.  Only stored differentials are

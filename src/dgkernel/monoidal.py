@@ -34,6 +34,7 @@ from .complexes import (
     Complex,
     HomSpace,
     Proto,
+    _alternates,
     compose,
     direct_sum,
     functor_L,
@@ -81,7 +82,9 @@ class TensorSpace:
         self.right = right
         self.layout = lay = tensor_layout(left, right)
         diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(lay.dims(), diffs)
+        # d d (a (x) b) = (t(p) + t(p-1)) da (x) db once d d = 0 in both factors
+        self.complex = Complex(lay.dims(), diffs,
+                               _validated=_alternates(_tensor_sign, left.degrees()))
 
     def dim(self, n: int) -> int:
         return self.complex.rank(n)

@@ -15,6 +15,7 @@ from .complexes import (
     ChainMap,
     Complex,
     HomSpace,
+    _alternates,
     _nonzero_entries,
     compose,
     d_hom,
@@ -116,7 +117,9 @@ class TotSpace:
                 for m in cols:
                     lay.add(n, m, a.entry_rank(m, n - m))
         diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
-        self.complex = Complex(lay.dims(), diffs)
+        # d d x = (s(m) + s(m-1)) delta d x for x in column m, since d d = 0,
+        # delta delta = 0 and delta d = d delta (checked by DoubleComplex)
+        self.complex = Complex(lay.dims(), diffs, _validated=_alternates(_tot_sign, cols))
 
     def slot(self, n: int, m: int, i: int) -> int:
         return self.layout.slot(n, m, i)

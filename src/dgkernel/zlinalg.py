@@ -40,6 +40,8 @@ class IntMatrix:
         # result of arithmetic on IntMatrix operands), so it is kept as is.
         # Otherwise each entry must be integral (operator.index): 2.7 is
         # rejected with TypeError, not truncated to 2.
+        if type(rows) is not int or type(cols) is not int:   # rejects bools too
+            raise ValueError(f"matrix dimensions must be ints, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative dimensions {rows}x{cols}")
         if _trusted:
@@ -84,7 +86,9 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols), _trusted=True)
+        # a float dimension reaches the constructor's check, not (0,) * 2.0
+        ints = type(rows) is type(cols) is int
+        return cls(rows, cols, (0,) * (rows * cols) if ints else (), _trusted=True)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -689,6 +693,8 @@ class FPAbGroup:
 
     @classmethod
     def canonical(cls, free_rank: int, torsion: Sequence[int] = ()) -> "FPAbGroup":
+        if type(free_rank) is not int:
+            raise ValueError(f"free rank {free_rank!r} is not an integer")
         if free_rank < 0:
             raise ValueError(f"negative free rank {free_rank}")
         torsion = tuple(map(index, torsion))

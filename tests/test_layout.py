@@ -7,16 +7,20 @@ shared BlockLayout and scatter_kron give the same offsets, slots, bases
 and matrices, entry by entry.
 """
 
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TensorSlot, tensor_basis
+from dgkernel import complexes
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
+    Complex,
     HomSpace,
     SquareZeroViolated,
     hom_complex,
@@ -324,3 +328,114 @@ def test_flipped_sign_breaks_its_own_builder(monkeypatch, name, build, degree):
     with pytest.raises(SquareZeroViolated) as raised:
         build()
     assert raised.value.degree == degree
+
+
+# -- square-zero by the sign rule ---------------------------------------------
+
+BUILDERS = {
+    "hom": ("dgkernel.complexes", "_hom_sign", lambda a, b, dc: HomSpace(a, b).complex),
+    "tensor": ("dgkernel.monoidal", "_tensor_sign", lambda a, b, dc: TensorSpace(a, b).complex),
+    "tot": ("dgkernel.totals", "_tot_sign", lambda a, b, dc: TotSpace(dc).complex),
+}
+
+# two constants, and the flipped alternating sign, which keeps d o d = 0
+SIGNS = (lambda k: 1, lambda k: -1, lambda k: 1 if k % 2 else -1)
+
+
+def raised_degree(build):
+    """The degree of the SquareZeroViolated that build() raises, or None."""
+    try:
+        build()
+    except SquareZeroViolated as e:
+        return e.degree
+    return None
+
+
+class TestSquareZeroBySignRule:
+    """HomSpace, TensorSpace and TotSpace prove d o d = 0 by `_alternates`
+    and skip the product check of the Complex constructor, which stays here
+    as the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS)
+    def test_each_builder_passes_the_product_check(self, seed):
+        rng = random.Random(seed)
+        a, b, dc = rand_complex(rng), rand_complex(rng), rand_double_complex(rng)
+        for _, _, build in BUILDERS.values():
+            c = build(a, b, dc)
+            assert Complex(c.ranks(), c.diffs()) == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS)
+    def test_a_patched_sign_raises_where_the_product_check_does(self, seed):
+        # a sign that does not alternate leaves the product check on; the
+        # oracle builds the same differential with no check and runs it
+        rng = random.Random(seed)
+        a, b, dc = rand_complex(rng), rand_complex(rng), rand_double_complex(rng)
+        for module, name, build in BUILDERS.values():
+            for sign in SIGNS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(f"{module}.{name}", sign)
+                    got = raised_degree(lambda: build(a, b, dc))
+                    mp.setattr(f"{module}._alternates", lambda sign, degrees: True)
+                    unchecked = build(a, b, dc)
+                assert got == raised_degree(lambda: Complex(unchecked.ranks(), unchecked.diffs()))
+
+    @pytest.mark.parametrize("build", [b for _, _, b in BUILDERS.values()], ids=BUILDERS.keys())
+    def test_the_builders_multiply_no_matrices(self, monkeypatch, build):
+        dc = _battery_double_complex()
+
+        def product(a, b):
+            raise AssertionError("a builder multiplied two matrices")
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", product)
+        assert not build(M2, M2, dc).has_zero_differentials()
+
+
+def validated_complex_calls(package: Path):
+    """(file, enclosing function) of each call in the package that passes
+    ``_validated``, or a third positional argument to Complex: each one
+    skips the product check of d o d = 0, so its caller must prove it."""
+    found = []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if any(k.arg == "_validated" for k in child.keywords) \
+                        or callee == "Complex" and len(child.args) > 2:
+                    found.append((name, ".".join(scope)))
+            visit(child, scope, name)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    return found
+
+
+class TestValidatedSites:
+    def test_each_unchecked_complex_is_a_known_site(self):
+        # shift, U, L, R and direct sums are square-zero by construction;
+        # the three space builders by the sign rule
+        assert validated_complex_calls(Path(complexes.__file__).parent) == [
+            ("complexes.py", "suspension"),
+            ("complexes.py", "forget_U"),
+            ("complexes.py", "functor_L"),
+            ("complexes.py", "functor_R"),
+            ("complexes.py", "HomSpace.__init__"),
+            ("complexes.py", "direct_sum"),
+            ("monoidal.py", "TensorSpace.__init__"),
+            ("totals.py", "TotSpace.__init__"),
+        ]
+
+    def test_the_check_finds_a_new_site(self, tmp_path):
+        (tmp_path / "cones.py").write_text(
+            "def cone(r, d):\n    return Complex(r, d, _validated=True)\n"
+            "class Space:\n    def __init__(self, r, d):\n"
+            "        self.complex = dgkernel.Complex(r, d, True)\n"
+            "def checked(r, d):\n    return Complex(r, d)\n")
+        assert validated_complex_calls(tmp_path) == [
+            ("cones.py", "cone"), ("cones.py", "Space.__init__")]

@@ -2,6 +2,7 @@ import ast
 import gc
 import inspect
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,17 @@ class TestIntMatrix:
     def test_entry_count_validated(self):
         with pytest.raises(ShapeMismatch):
             IntMatrix(2, 2, (1, 2, 3))
+
+    @pytest.mark.parametrize("rows, cols", [(True, 1), (2.0, 1), (1, 1.0), (1, False)])
+    def test_non_int_dimensions_rejected(self, rows, cols):
+        # zeros(True, 1) used to have shape (True, 1), and IntMatrix(2.0, 1, ...)
+        # failed later in to_lists with a bare TypeError
+        named = re.escape(f"matrix dimensions must be ints, got {rows!r} x {cols!r}")
+        for build in (lambda: IntMatrix.zeros(rows, cols), lambda: IntMatrix(rows, cols, [1, 2]),
+                      lambda: IntMatrix(rows, cols, (0,), _trusted=True)):
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                build()
+        assert IntMatrix.zeros(1, 0).shape == (1, 0)
 
     def test_product_and_transpose(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -1442,6 +1454,12 @@ class TestFPAbGroup:
         assert FPAbGroup.canonical(0, [2]).describe() == "Z/2"
         with pytest.raises(TypeError):
             FPAbGroup.canonical(0, [2.5])
+
+    @pytest.mark.parametrize("free_rank", [1.5, 2.0, True])
+    def test_non_int_free_rank_rejected(self, free_rank):
+        # canonical(1.5) used to die with "can't multiply sequence by non-int"
+        with pytest.raises(ValueError, match=f"^free rank {free_rank!r} is not an integer$"):
+            FPAbGroup.canonical(free_rank)
 
     def test_length_mismatch(self):
         g = FPAbGroup.free(2)
