@@ -14,7 +14,6 @@ from .zlinalg import (
     cokernel,
     kernel_basis,
     smith_normal_form,
-    solve,
 )
 from .complexes import (
     ChainMap,

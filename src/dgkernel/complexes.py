@@ -438,7 +438,10 @@ class GradedGroups:
     __slots__ = ("_g",)
 
     def __init__(self, groups: Mapping[int, FPAbGroup]):
-        self._g = {int(n): g for n, g in groups.items() if not g.is_trivial()}
+        for n in groups:
+            if not _is_int(n):
+                raise ValueError(f"degree {n!r} is not an integer")
+        self._g = {n: g for n, g in groups.items() if not g.is_trivial()}
 
     def at(self, n: int) -> FPAbGroup:
         return self._g.get(n, FPAbGroup.zero())

@@ -1042,6 +1042,8 @@ class CauchyReport:
 # * snake at x: sum_i (x_i . -) o eps_(e_i,x) o (y_i (x) -) = 1 on M x;
 # * U, per basis g of hom(u,u2): eps_(u2,v) o ((g . -) (x) 1) = (g o -) o eps_(u,v);
 # * V, per basis f of hom(v2,v): eps_(u,v2) o (1 (x) (- . f)) = (- . f) o eps_(u,v).
+# Both U and V are identities out of N u (x) M v, and their labels end in
+# the (degree, index) of g or f.
 # The crossing signs of V sit in its maps: - . f (on M and on hom(-, u)) is
 # (-1)^{|y||f|} on y, and 1 (x) (- . f) is (-1)^{|f||n|} on n (x) m (Koszul),
 # so at n (x) m it is (-1)^{|f||n|} times eps(n (x) m.f) = (-1)^{|m||f|} eps(n (x) m) o f.
@@ -1065,9 +1067,10 @@ def _snake_equations(cd: CauchyData):
 
 
 def _naturality_equations(cd: CauchyData):
-    """DG-naturality of eps in both variables, ("U", u, u2, v) and ("V", u,
-    v2, v) with const zero, only where the target hom is nonzero (elsewhere
-    both sides lie in a zero group): for fixed (u, v) the U equations follow
+    """DG-naturality of eps in both variables, ("U", u, u2, v, g) and ("V",
+    u, v2, v, f) with const zero, g and f the (degree, index) of a hom
+    basis element, only where the target hom is nonzero (elsewhere both
+    sides lie in a zero group): for fixed (u, v) the U equations follow
     homs_out(u), the V equations homs_in(v).  A term into a zero hom is left out."""
     m, n_mod, base = cd.m, cd.n, cd.m.base
     for u, u2, homuu2 in base.nonzero_homs():
@@ -1081,7 +1084,8 @@ def _naturality_equations(cd: CauchyData):
                 terms = [(1, (u2, v), identity_map(tgt), pre)]
                 if not base.hom(v, u).is_zero():
                     terms.append((-1, (u, v), base.after(v, u, u2, g), identity_map(pre.source)))
-                yield ("U", u, u2, v), terms, Proto.zero(pre.source, tgt, g.degree)
+                yield (("U", u, u2, v, (g.degree, g.vec.index(1))), terms,
+                       Proto.zero(pre.source, tgt, g.degree))
     for v2, v, homv2v in base.nonzero_homs():
         for u, tgt in base.homs_out(v2):
             nu, mv = n_mod.value(u), m.value(v)
@@ -1094,7 +1098,8 @@ def _naturality_equations(cd: CauchyData):
                 if not base.hom(v, u).is_zero():
                     terms.append((-1, (u, v), _crossed(base.before(v2, v, u, f), f.degree),
                                   identity_map(pre.source)))
-                yield ("V", u, v2, v), terms, Proto.zero(pre.source, tgt, f.degree)
+                yield (("V", u, v2, v, (f.degree, f.vec.index(1))), terms,
+                       Proto.zero(pre.source, tgt, f.degree))
 
 
 def _residual(cd: CauchyData, terms, const: Proto) -> Proto:
@@ -1123,14 +1128,17 @@ def verify_cauchy_data(cd: CauchyData) -> CauchyReport:
 
 def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
     """One message per failing column of `_naturality_equations`, grouped
-    by the pair (u, v) in object order, U before V."""
+    by the pair (u, v) in object order, U before V.  Each names the hom
+    basis element (g or f) and the basis element of N u (x) M v where the
+    equation fails, by degree and index."""
     where = {x: i for i, x in enumerate(cd.m.base.objects)}
-    failing = [(where[label[1]], where[label[3]], label[0] == "V", k, label)
+    failing = [(where[label[1]], where[label[3]], label[0] == "V", k, q, j, label)
                for k, (label, terms, const) in enumerate(_naturality_equations(cd))
-               for _ in _nonzero_columns(_residual(cd, terms, const))]
-    return [f"eps naturality in U fails at ({u}->{w},{v})" if kind == "U"
-            else f"eps naturality in V fails at ({u},{w}->{v})"
-            for *_, (kind, u, w, v) in sorted(failing)]
+               for q, j in _nonzero_columns(_residual(cd, terms, const))]
+    return [(f"eps naturality in U fails at ({u}->{w},{v}): hom({u},{w})" if kind == "U"
+             else f"eps naturality in V fails at ({u},{w}->{v}): hom({w},{v})")
+            + f" basis (degree {hd}, index {hi}), N {u} (x) M {v} basis (degree {q}, index {j})"
+            for *_, q, j, (kind, u, w, v, (hd, hi)) in sorted(failing)]
 
 
 def representable_cauchy_data(cat: FiniteDGCategory, k) -> CauchyData:

@@ -15,6 +15,7 @@ from typing import Dict, Mapping
 from .complexes import (
     ChainMap,
     Complex,
+    _is_int,
     chain_map_basis,
     functor_L,
     suspension,
@@ -76,10 +77,19 @@ class EllModule:
     generator acting by a matrix values[m+1] -> values[m]."""
 
     def __init__(self, values: Mapping[int, int], action: Mapping[int, IntMatrix]):
-        self.values = {int(n): int(r) for n, r in values.items() if r}
+        for n, r in values.items():
+            if not _is_int(n):
+                raise ValueError(f"index {n!r} is not an integer")
+            if not _is_int(r):
+                raise ValueError(f"rank {r!r} at {n} is not an integer")
+            if r < 0:
+                raise ValueError(f"negative rank {r} at {n}")
+        for m in action:
+            if not _is_int(m):
+                raise ValueError(f"action index {m!r} is not an integer")
+        self.values = {n: r for n, r in values.items() if r}
         self.action = {}
         for m, mat in action.items():
-            m = int(m)
             want = (self.value_rank(m), self.value_rank(m + 1))
             if mat.shape != want:
                 raise ShapeMismatch(f"action at {m} has shape {mat.shape}, expected {want}")

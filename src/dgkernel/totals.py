@@ -16,6 +16,7 @@ from .complexes import (
     Complex,
     HomSpace,
     _alternates,
+    _is_int,
     _nonzero_entries,
     compose,
     d_hom,
@@ -52,10 +53,12 @@ class DoubleComplex:
     degree-0 chain maps delta_m: A_m -> A_{m-1} with delta o delta = 0."""
 
     def __init__(self, columns: Mapping[int, Complex], delta: Mapping[int, ChainMap]):
-        self.columns = {int(m): c for m, c in columns.items() if not c.is_zero()}
+        for m in [*columns, *delta]:
+            if not _is_int(m):
+                raise ValueError(f"column index {m!r} is not an integer")
+        self.columns = {m: c for m, c in columns.items() if not c.is_zero()}
         self.delta = {}
         for m, d in delta.items():
-            m = int(m)
             if d.degree != 0:
                 raise ShapeMismatch(f"delta_{m} must have degree 0")
             if d.source != self.column(m) or d.target != self.column(m - 1):

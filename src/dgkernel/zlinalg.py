@@ -3,9 +3,11 @@
 Smith normal form, integer solving, kernels, cokernels, and finitely
 presented abelian groups.  Every morphism in the rest of the package is
 ultimately a dense matrix of arbitrary-precision Python integers, and
-every homological computation reduces to the routines here.  Smith normal
-form records its row and column operations; solving, kernels and inverses
-apply that record to their operand and never form the transforms U or V.
+every homological computation reduces to the routines here.  A Smith
+decomposition has one form: D and the record of the row and column
+operations that reach it, with no explicit transforms.  Solving
+(solve_matrix, the one solver), kernels and inverses apply that record to
+their operand and never form U or V.
 A matrix keeps its decomposition, so calling smith_normal_form again on
 the same object costs a lookup: calls are not factorizations.  A kernel
 basis is born with its decomposition, derived from its parent's record
@@ -336,46 +338,32 @@ class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D in Smith normal form.
 
     D is canonical for M; U and V are not, and must never be compared
-    across implementations.  The decomposition keeps the shape of M, not M
-    itself, so that M can hold its decomposition without a reference cycle.
+    across implementations.  The decomposition keeps D and the record of
+    row and column operations that takes M to D, not M itself, so that M
+    can hold its decomposition without a reference cycle.
 
-    :func:`smith_normal_form` computes D alone and records its row and
-    column operations; :meth:`u_times` and :meth:`v_times` apply the record
-    to an operand, and the `U` and `V` properties apply it to the identity
-    once, on first read.  Explicit U and V may be given instead; then there
-    is no record and the two methods multiply by the matrices.
+    The record is the only form of a decomposition: :meth:`u_times` and
+    :meth:`v_times` apply it to an operand, and the `U` and `V` properties
+    apply it to the identity once, on first read.
     """
 
-    __slots__ = ("_U", "D", "_V", "shape", "diagonal", "rank", "_row_ops", "_col_ops")
+    __slots__ = ("_U", "D", "_V", "diagonal", "rank", "_row_ops", "_col_ops")
 
-    def __init__(self, U: Optional[IntMatrix], D: IntMatrix, V: Optional[IntMatrix],
-                 source: IntMatrix):
-        self._U = U
+    def __init__(self, D: IntMatrix, row_ops: list, col_ops: list):
+        self._U = self._V = None
         self.D = D
-        self._V = V
-        self.shape = source.shape
-        self._row_ops = self._col_ops = None
+        self._row_ops = row_ops
+        self._col_ops = col_ops
         self.diagonal = D._e[::D.cols + 1][:min(D.rows, D.cols)]
         self.rank = len(self.diagonal) - self.diagonal.count(0)
 
-    @classmethod
-    def _recorded(cls, D: IntMatrix, row_ops: list, col_ops: list):
-        s = cls(None, D, None, D)   # D has the shape of its source
-        s._row_ops = row_ops
-        s._col_ops = col_ops
-        return s
-
     def u_times(self, b: IntMatrix) -> IntMatrix:
         """U @ b: the row operations, in order, on the rows of b."""
-        if self._row_ops is None:
-            return self._U @ b
         return _ops_applied(b, self._row_ops, self.D.rows)
 
     def v_times(self, b: IntMatrix) -> IntMatrix:
         """V @ b: the column operations, last first, as row operations on
         the rows of b (V is I times one elementary matrix per operation)."""
-        if self._col_ops is None:
-            return self._V @ b
         return _ops_applied(b, self._col_ops, self.D.cols, backwards=True)
 
     @property
@@ -581,13 +569,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[k][k] = -a[k][k]
             row_ops.append((k,))
 
-    s = m._snf = SmithDecomposition._recorded(IntMatrix.from_rows(a, cols, _trusted=True),
-                                              row_ops, col_ops)
+    s = m._snf = SmithDecomposition(IntMatrix.from_rows(a, cols, _trusted=True), row_ops, col_ops)
     return s
-
-
-def rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -598,19 +581,6 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     if s.D != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular")
     return s.v_times(s.U)
-
-
-def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """One integer solution x of m @ x = b, or None if there is none."""
-    if len(b) != m.rows:
-        raise ShapeMismatch(f"rhs length {len(b)} vs {m.rows} rows")
-    return solve_with(smith_normal_form(m), b)
-
-
-def solve_with(s: SmithDecomposition, b: Sequence[int]) -> Optional[tuple]:
-    """Like :func:`solve` but reusing a precomputed decomposition."""
-    x = _solve(s, IntMatrix.column(b))
-    return None if x is None else x.entries()
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -625,7 +595,7 @@ def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
     C = U b from r on vanish and row i < r is divisible by D[i, i]; then
     X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below.  When D
     is the identity, Z is C itself."""
-    n, w = s.shape[1], b.cols
+    n, w = s.D.cols, b.cols
     if not w:
         return IntMatrix.zeros(n, 0)
     cm = s.u_times(b)
@@ -654,8 +624,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     a lookup: V^-1 k = [0; I], and swapping row i with row r + i brings
     that to D = [I; 0].  U is V^-1 then those swaps, recorded as the
     parent's column operations in forward order, each inverted, as row
-    operations; V is the identity.  A parent with explicit U and V and no
-    record leaves a nonempty k without a decomposition."""
+    operations; V is the identity."""
     s = smith_normal_form(m)
     n, r = m.cols, s.rank
     if r == n:
@@ -663,12 +632,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
         row_ops = []   # every U takes an n x 0 matrix to D
     else:
         k = s.v_times(IntMatrix.zeros(r, n - r).vstack(IntMatrix.identity(n - r)))
-        if s._col_ops is None:
-            return k
         row_ops = [op if len(op) == 2 else (op[0], op[1], -op[2]) for op in s._col_ops]
         if r:
             row_ops += [(i, r + i) for i in range(n - r)]
-    k._snf = SmithDecomposition._recorded(
+    k._snf = SmithDecomposition(
         IntMatrix.identity(n - r).vstack(IntMatrix.zeros(r, n - r)), row_ops, [])
     return k
 
@@ -730,7 +697,7 @@ class FPAbGroup:
         if len(x) != self.generator_count or len(y) != self.generator_count:
             raise ShapeMismatch("element length differs from generator count")
         diff = [a - b for a, b in zip(x, y)]
-        return solve_with(self._snf, diff) is not None
+        return _solve(self._snf, IntMatrix.column(diff)) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FPAbGroup):

@@ -57,7 +57,7 @@ real = zlinalg.smith_normal_form
 
 def broken(m):
     s = real(m)
-    return zlinalg.SmithDecomposition(s.U, s.D.scale(2), s.V, m)
+    return zlinalg.SmithDecomposition(s.D.scale(2), s._row_ops, s._col_ops)
 
 print("optimize", sys.flags.optimize)
 print(acceptance.criterion_1_snf(20260809).line())

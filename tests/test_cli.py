@@ -756,8 +756,8 @@ class TestGoldenOutput:
 
     # stdout of `--json verify-cauchy --naturality` on Cauchy data over a
     # two-object DG-category whose eps lacks its LZ->LZ component: pins the
-    # order of the naturality failure list
-    NATURALITY_DIGEST = "d2e537412742091dbaaa5600ea02f5e4b16f6f4e07af71cec5d117888f48d472"
+    # order of the naturality failure list and the basis elements each names
+    NATURALITY_DIGEST = "0fd9da64bcbabf06e7e43cce031b63c15baf768d072c75933a75ad59976802a5"
 
     def test_naturality_failure_list_digest(self, files, capsys):
         cat = dg_subcategory_of_complexes({"Z": unit_complex(), "LZ": functor_L(unit_complex())})
@@ -768,6 +768,7 @@ class TestGoldenOutput:
         assert main(["--json", "verify-cauchy", path, "--naturality"]) == 1
         out = capsys.readouterr().out
         assert out.count("eps naturality in") == 16
+        assert len(set(json.loads(out)["naturality_failures"])) == 16   # no two alike
         assert hashlib.sha256(out.encode()).hexdigest() == self.NATURALITY_DIGEST
 
     def test_tensor_m2_differential(self, files, capsys):

@@ -12,6 +12,7 @@ from dgkernel.complexes import (
     AdjunctionWitness,
     ChainMap,
     Complex,
+    GradedGroups,
     NotAChainMap,
     NotGraded,
     Proto,
@@ -184,6 +185,14 @@ class TestHomology:
         for _ in range(10):
             a = rand_complex(rng)
             assert homology_H(suspension(a)) == homology_H(a).shifted(1)
+
+    def test_graded_groups_reject_a_non_integer_degree(self):
+        # int(2.5) used to file the group at degree 2
+        with pytest.raises(ValueError, match=r"^degree 2\.5 is not an integer$"):
+            GradedGroups({2.5: FPAbGroup.free(1)})
+        with pytest.raises(ValueError, match="^degree True is not an integer$"):
+            GradedGroups({True: FPAbGroup.free(1)})
+        assert GradedGroups({2: FPAbGroup.free(1)}).support() == [2]
 
 
 class TestHomComplex:

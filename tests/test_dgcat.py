@@ -842,16 +842,30 @@ def reference_transform_naturality_failures(tr):
 
 def reference_cauchy_naturality_failures(cd):
     out, base = [], cd.m.base
+
+    def failed(where, hom, h, u, v, slots):
+        # one message per failing basis element of N u (x) M v, by (degree, index)
+        out.extend(f"eps naturality in {where}: {hom} basis (degree {h.degree}, index "
+                   f"{h.vec.index(1)}), N {u} (x) M {v} basis (degree {q}, index {j})"
+                   for q, j in sorted(slots))
+
     for u in base.objects:
         for v in base.objects:
             nu, mv = cd.n.value(u), cd.m.value(v)
             if nu.is_zero() or mv.is_zero():
                 continue
+            ts = cd.eps_space(u, v)
+
+            def slot(n_elt, m_elt):
+                q = n_elt.degree + m_elt.degree
+                return q, ts.slot_at(q, n_elt.degree, n_elt.vec.index(1), m_elt.vec.index(1))
+
             for u2 in base.objects:
                 homuu2 = base.hom(u, u2)
                 if homuu2.is_zero():
                     continue
                 for g in all_basis_elts(homuu2):
+                    slots = []
                     for n_elt in all_basis_elts(nu):
                         gn = dot(cd.n, u, u2, g, n_elt)
                         for m_elt in all_basis_elts(mv):
@@ -859,12 +873,14 @@ def reference_cauchy_naturality_failures(cd):
                             rhs = compose_elts(base, 
                                 v, u, u2, g, eps_apply(cd, u, v, n_elt, m_elt))
                             if lhs != rhs:
-                                out.append(f"eps naturality in U fails at ({u}->{u2},{v})")
+                                slots.append(slot(n_elt, m_elt))
+                    failed(f"U fails at ({u}->{u2},{v})", f"hom({u},{u2})", g, u, v, slots)
             for v2 in base.objects:
                 homv2v = base.hom(v2, v)
                 if homv2v.is_zero():
                     continue
                 for f in all_basis_elts(homv2v):
+                    slots = []
                     for n_elt in all_basis_elts(nu):
                         for m_elt in all_basis_elts(mv):
                             mf = dot(cd.m, v2, v, m_elt, f)
@@ -873,7 +889,8 @@ def reference_cauchy_naturality_failures(cd):
                             rhs = sign * compose_elts(base, 
                                 v2, v, u, eps_apply(cd, u, v, n_elt, m_elt), f)
                             if lhs != rhs:
-                                out.append(f"eps naturality in V fails at ({u},{v2}->{v})")
+                                slots.append(slot(n_elt, m_elt))
+                    failed(f"V fails at ({u},{v2}->{v})", f"hom({v2},{v})", f, u, v, slots)
     return out
 
 
@@ -1477,7 +1494,8 @@ class TestThinCategories:
         src = TensorSpace(n.value("a"), m.value("s")).complex
         cd = CauchyData(m, n, [], {("a", "s"): Proto(src, K0, 0, {0: IntMatrix.from_rows([[1]])})})
         failures = cauchy_naturality_failures(cd)
-        assert "eps naturality in V fails at (a,s->b)" in failures
+        assert "eps naturality in V fails at (a,s->b): hom(s,b) basis (degree 0, index 0), " \
+            "N a (x) M b basis (degree 0, index 0)" in failures
         assert failures == reference_cauchy_naturality_failures(cd)
 
     @settings(max_examples=60, deadline=None)

@@ -78,6 +78,22 @@ class TestEncodeDecode:
             f = encode(a)
             assert encode(decode(f)) == f
 
+    def test_non_integer_values_rejected(self):
+        # int() used to read {0.7: 2.9, 1: True} as {0: 2, 1: 1}
+        with pytest.raises(ValueError, match=r"^index 0\.7 is not an integer$"):
+            EllModule({0.7: 2.9, 1: True}, {})
+        with pytest.raises(ValueError, match=r"^rank 2\.9 at 0 is not an integer$"):
+            EllModule({0: 2.9}, {})
+        with pytest.raises(ValueError, match="^rank True at 1 is not an integer$"):
+            EllModule({1: True}, {})
+        with pytest.raises(ValueError, match=r"^action index 0\.5 is not an integer$"):
+            EllModule({0: 1}, {0.5: IntMatrix.zeros(1, 0)})
+
+    def test_negative_value_rejected(self):
+        # accepted before, to fail only later in decode
+        with pytest.raises(ValueError, match="^negative rank -1 at 0$"):
+            EllModule({0: -1}, {})
+
     def test_two_step_action_rejected(self):
         with pytest.raises(ValueError):
             EllModule({0: 1, 1: 1, 2: 1},

@@ -189,6 +189,16 @@ class TestDoubleComplex:
         with pytest.raises(Exception):
             DoubleComplex({1: m2, 0: m2}, {1: bad})
 
+    def test_non_integer_column_index_rejected(self):
+        # int() used to merge 1.5 and True into one column at 1
+        col = make_complex({0: 1})
+        with pytest.raises(ValueError, match=r"^column index 1\.5 is not an integer$"):
+            DoubleComplex({1.5: col, True: col}, {})
+        with pytest.raises(ValueError, match="^column index True is not an integer$"):
+            DoubleComplex({True: col}, {})
+        with pytest.raises(ValueError, match=r"^column index 1\.0 is not an integer$"):
+            DoubleComplex({1: col, 0: col}, {1.0: identity_map(col)})
+
     def test_embed_single_column(self):
         x = rand_complex(random.Random(0))
         a = embed_i(x)

@@ -4,6 +4,7 @@ import inspect
 import random
 import re
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,11 +29,8 @@ from dgkernel.zlinalg import (
     determinant,
     inverse_unimodular,
     kernel_basis,
-    rank,
     smith_normal_form,
-    solve,
     solve_matrix,
-    solve_with,
 )
 
 
@@ -53,7 +51,17 @@ def _reference_find_pivot(a, k, m, n):
     return best
 
 
-def reference_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+class ReferenceSmith(NamedTuple):
+    """The eager elimination's result: explicit U and V with U M V = D."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    rank: int
+    diagonal: tuple
+
+
+def reference_smith_normal_form(m: IntMatrix) -> ReferenceSmith:
     """The eager Smith normal form that updates U and V with every row and
     column operation: the reference the recorded elimination must match
     bit for bit."""
@@ -133,12 +141,27 @@ def reference_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             for j in range(rows):
                 u[k][j] = -u[k][j]
 
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, rows),
-        IntMatrix.from_rows(a, cols),
-        IntMatrix.from_rows(v, cols),
-        m,
-    )
+    diagonal = tuple(a[k][k] for k in range(min(rows, cols)))
+    return ReferenceSmith(IntMatrix.from_rows(u, rows), IntMatrix.from_rows(a, cols),
+                          IntMatrix.from_rows(v, cols), len(diagonal) - diagonal.count(0),
+                          diagonal)
+
+
+def reference_solve(ref: ReferenceSmith, b: IntMatrix) -> Optional[IntMatrix]:
+    """X with M X = b from the explicit transforms, or None: C = U b must
+    vanish from row r = rank on, and row i < r must be divisible by
+    D[i, i]; then X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero
+    below.  It runs no solver of the package."""
+    c, r = (ref.U @ b).to_lists(), ref.rank
+    if any(any(row) for row in c[r:]):
+        return None
+    z = []
+    for row, d in zip(c, ref.diagonal[:r]):
+        if any(x % d for x in row):
+            return None
+        z.append([x // d for x in row])
+    z += [[0] * b.cols for _ in range(ref.V.rows - r)]
+    return ref.V @ IntMatrix.from_rows(z, b.cols)
 
 
 @st.composite
@@ -158,6 +181,10 @@ def int_matrices(draw, max_dim=6):
     entries = st.integers(-12, 12) if kind == "dense" else st.sampled_from([0, 0, 0, 1, -2, 6])
     return IntMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
                                                max_size=rows * cols)))
+
+
+FULL_RANK = IntMatrix.from_rows([[2, 1], [0, 3], [5, 5]])
+RANK_DEFICIENT = IntMatrix.from_rows([[2, 4], [1, 2], [3, 6]])   # rank 1
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -525,7 +552,6 @@ class TestFactorOnce:
     def test_same_object_same_decomposition(self, m):
         s = smith_normal_form(m)
         assert smith_normal_form(m) is s
-        assert rank(m) == s.rank
         twin = IntMatrix(m.rows, m.cols, m.entries())
         t = smith_normal_form(twin)
         assert t is not s and t.D == s.D
@@ -538,7 +564,7 @@ class TestFactorOnce:
     def test_decomposition_holds_no_reference_to_its_matrix(self, m):
         s = smith_normal_form(m)
         s.U, s.V   # the built transforms are held too
-        assert s.shape == m.shape
+        assert s.D.shape == m.shape
         assert all(x is not m for x in _reachable(s).values())
 
     def test_memo_reuse_changes_no_result(self):
@@ -727,13 +753,45 @@ class TestRecordedTransforms:
             b = IntMatrix(m.rows, width, data.draw(st.lists(
                 st.integers(-4, 4), min_size=m.rows * width, max_size=m.rows * width)))
         ref = reference_smith_normal_form(m)
-        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        cols = [reference_solve(ref, IntMatrix.column(b.col(j))) for j in range(width)]
         x = solve_matrix(m, b)
         if any(c is None for c in cols):
             assert x is None
         else:
-            assert x == IntMatrix.from_cols(cols, m.cols)
+            assert x == IntMatrix.from_cols([c.entries() for c in cols], m.cols)
             assert m @ x == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(IntMatrix.zeros(3, 2), 0, False, 0)
+    @example(IntMatrix.zeros(0, 2), 0, True, 0)
+    @example(FULL_RANK, 0, False, 0)
+    @example(RANK_DEFICIENT, 2, True, 0)
+    @example(RANK_DEFICIENT, 2, False, 0)
+    @example(RANK_DEFICIENT.transpose(), 1, False, 3)
+    def test_solve_matrix_equals_the_reference_solve(self, m, width, solvable, seed):
+        # solvable, unsolvable, zero-width and rank-deficient operands
+        rng = random.Random(seed)
+        if solvable:
+            b = m @ rand_matrix(rng, m.cols, width, -4, 4)
+        else:
+            b = rand_matrix(rng, m.rows, width, -4, 4)
+        x = reference_solve(reference_smith_normal_form(m), b)
+        assert solve_matrix(m, b) == x
+        if x is not None:
+            assert m @ x == b
+        assert x is not None or not solvable
+
+    def test_the_reference_solve_on_known_answers(self):
+        odd = IntMatrix.column([3])
+        assert reference_solve(reference_smith_normal_form(IntMatrix.from_rows([[2]])), odd) is None
+        ref = reference_smith_normal_form(RANK_DEFICIENT)
+        assert ref.rank == 1
+        assert reference_solve(ref, IntMatrix.column([1, 0, 0])) is None   # not in the image
+        assert reference_solve(ref, IntMatrix.column([1, 1, 3])) is None    # nor is this
+        x = reference_solve(ref, IntMatrix.column([6, 3, 9]))
+        assert x is not None and RANK_DEFICIENT @ x == IntMatrix.column([6, 3, 9])
+        assert reference_solve(ref, IntMatrix.zeros(3, 0)) == IntMatrix.zeros(2, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(int_matrices())
@@ -769,9 +827,6 @@ def unimodular_matrices(draw, max_dim=5):
     return IntMatrix.from_rows(a, n)
 
 
-FULL_RANK = IntMatrix.from_rows([[2, 1], [0, 3], [5, 5]])
-
-
 class TestAppliedRecord:
     """Solvers, kernels and inverses apply the operation record to their
     operand instead of building U or V, and agree with the reference."""
@@ -804,14 +859,14 @@ class TestAppliedRecord:
         else:
             b = rand_matrix(rng, m.rows, width, -4, 4)
         ref = reference_smith_normal_form(m)
-        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        cols = [reference_solve(ref, IntMatrix.column(b.col(j))) for j in range(width)]
         with zlinalg_calls("smith_normal_form") as made:
             x = solve_matrix(m, b)
         assert len(made) == 1 and unbuilt(made[0])
         if any(col is None for col in cols):
             assert x is None
         else:
-            assert x == IntMatrix.from_cols(cols, m.cols)
+            assert x == IntMatrix.from_cols([c.entries() for c in cols], m.cols)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
@@ -819,12 +874,14 @@ class TestAppliedRecord:
     @example(IntMatrix.zeros(2, 3))
     @example(FULL_RANK)
     def test_solve_with_equals_reference_unbuilt(self, m):
+        # one column against a kept decomposition, as FPAbGroup.element_equal solves
         rng = random.Random(repr(m))
         ref = reference_smith_normal_form(m)
         s = smith_normal_form(m)
         for b in (m.apply([rng.randint(-4, 4) for _ in range(m.cols)]),
                   [rng.randint(-4, 4) for _ in range(m.rows)]):
-            assert solve_with(s, b) == solve_with(ref, b)
+            b = IntMatrix.column(b)
+            assert zlinalg._solve(s, b) == reference_solve(ref, b)
         assert unbuilt(s)
 
     @settings(max_examples=200, deadline=None)
@@ -851,24 +908,6 @@ class TestAppliedRecord:
         assert len(made) == 1 and made[0]._V is None
         assert inv == ref.V @ ref.U
         assert m @ inv == IntMatrix.identity(m.rows)
-
-    @settings(max_examples=150, deadline=None)
-    @given(int_matrices())
-    def test_explicit_decomposition_solves(self, m):
-        # No record: the explicit U and V are multiplied by as given.
-        ref = reference_smith_normal_form(m)
-        s = SmithDecomposition(ref.U, ref.D, ref.V, m)
-        rng = random.Random(repr(m))
-        x0 = [rng.randint(-4, 4) for _ in range(m.cols)]
-        x = solve_with(s, m.apply(x0))
-        assert x is not None and m.apply(x) == m.apply(x0)
-        assert x == solve_with(smith_normal_form(m), m.apply(x0))
-        if m.rows:
-            b = [0] * m.rows
-            b[0] = 1
-            assert (solve_with(s, b) is None) == (solve(m, b) is None)
-        assert s.u_times(IntMatrix.identity(m.rows)) == ref.U
-        assert s.v_times(IntMatrix.identity(m.cols)) == ref.V
 
 
 def kernel_operands(k: IntMatrix, width: int, solvable: bool, seed: int) -> IntMatrix:
@@ -925,23 +964,8 @@ class TestKernelBasisDecomposition:
         if solvable:
             assert x is not None and k @ x == b
         for j in range(width):
-            assert solve(k, b.col(j)) == solve(twin, b.col(j))
-
-    @settings(max_examples=200, deadline=None)
-    @given(int_matrices(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
-    @parent_examples(2, True, 0)
-    @parent_examples(2, False, 0)
-    def test_parent_with_explicit_transforms_gives_a_correct_kernel(self, m, width, solvable, seed):
-        # no record to derive from: the kernel is still V @ [0; I]
-        ref = reference_smith_normal_form(m)
-        parent = IntMatrix(m.rows, m.cols, m.entries())
-        parent._snf = SmithDecomposition(ref.U, ref.D, ref.V, parent)
-        k = kernel_basis(parent)
-        assert k == ref.V.select_cols(range(ref.rank, m.cols))
-        assert (m @ k).is_zero()
-        twin = IntMatrix(k.rows, k.cols, k.entries())
-        b = kernel_operands(k, width, solvable, seed)
-        assert solve_matrix(k, b) == solve_matrix(twin, b)
+            col = IntMatrix.column(b.col(j))
+            assert solve_matrix(k, col) == solve_matrix(twin, col)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -967,7 +991,7 @@ class TestKernelBasisDecomposition:
         kernels = [m for m, _ in calls[1::3]]
         assert all(fresh is False for m, fresh in calls if any(m is k for k in kernels))
         assert h.at(0) == cokernel(d).group
-        assert h.at(1) == FPAbGroup.free(c1 - rank(d))
+        assert h.at(1) == FPAbGroup.free(c1 - smith_normal_form(d).rank)
 
 
 def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -1046,7 +1070,7 @@ def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[k][k] = -a[k][k]
             row_ops.append((k,))
 
-    return SmithDecomposition._recorded(IntMatrix.from_rows(a, cols), row_ops, col_ops)
+    return SmithDecomposition(IntMatrix.from_rows(a, cols), row_ops, col_ops)
 
 
 def assert_same_elimination(s: SmithDecomposition, m: IntMatrix):
@@ -1227,14 +1251,14 @@ class TestReplayOverZeroRows:
         else:
             b = rand_matrix(rng, m.rows, width, -2, 2)
         ref = reference_smith_normal_form(m)
-        cols = [solve_with(ref, b.col(j)) for j in range(width)]
+        cols = [reference_solve(ref, IntMatrix.column(b.col(j))) for j in range(width)]
         with zlinalg_calls("smith_normal_form") as made:
             x = solve_matrix(m, b)
         assert len(made) == 1 and unbuilt(made[0])
         if any(c is None for c in cols):
             assert x is None and not solvable
         else:
-            assert x == IntMatrix.from_cols(cols, m.cols)
+            assert x == IntMatrix.from_cols([c.entries() for c in cols], m.cols)
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_unimodular_matrices())
@@ -1299,23 +1323,84 @@ class TestOneElimination:
                                                 [("SPARSE_BELOW", 1), ("MIN_ROWS", 2)])
 
 
+REMOVED_SOLVERS = ("solve", "solve_with", "rank")
+
+
+def smith_sites(package: Path):
+    """(file, enclosing function) of each call to SmithDecomposition in the
+    package, and (file, name) of each module-level name among
+    REMOVED_SOLVERS, bound by a def, an assignment or an import: the
+    operation record is the one form of a decomposition, and solve_matrix
+    the one solver."""
+    built, solvers = [], []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == "SmithDecomposition":
+                    built.append((name, ".".join(scope)))
+            visit(child, scope, name)
+
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, (), path.name)
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            solvers += [(path.name, x) for x in names if x in REMOVED_SOLVERS]
+    return built, solvers
+
+
+class TestOneDecompositionOneSolve:
+    def test_the_record_is_built_in_two_places_and_no_second_solver_exists(self):
+        assert smith_sites(Path(zlinalg.__file__).parent) == (
+            [("zlinalg.py", "smith_normal_form"), ("zlinalg.py", "kernel_basis")], [])
+        assert list(inspect.signature(SmithDecomposition).parameters) == \
+            ["D", "row_ops", "col_ops"]
+
+    def test_the_check_finds_a_new_site_and_a_second_solver(self, tmp_path):
+        (tmp_path / "extra.py").write_text(
+            "from .zlinalg import rank\n"
+            "def explicit(u, d, v, m):\n    return zlinalg.SmithDecomposition(u, d, v, m)\n"
+            "def solve(m, b):\n    return None\n"
+            "solve_with = solve\n"
+            "class Complex:\n    def rank(self, n):\n        return 0\n")
+        assert smith_sites(tmp_path) == ([("extra.py", "explicit")],
+                                         [("extra.py", "rank"), ("extra.py", "solve"),
+                                          ("extra.py", "solve_with")])
+
+
 class TestSolve:
     def test_even_target(self):
-        assert solve(IntMatrix.from_rows([[2]]), [4]) == (2,)
+        assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.column([4])) == \
+            IntMatrix.column([2])
 
     def test_parity_obstruction(self):
-        assert solve(IntMatrix.from_rows([[2]]), [3]) is None
+        assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
 
     def test_back_substitution(self):
         # x2 = 2 from the second row, then x1 = 3 - x2 = 1.
-        assert solve(IntMatrix.from_rows([[1, 1], [0, 2]]), [3, 4]) == (1, 2)
+        assert solve_matrix(IntMatrix.from_rows([[1, 1], [0, 2]]), IntMatrix.column([3, 4])) == \
+            IntMatrix.column([1, 2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            solve(IntMatrix.from_rows([[1, 1]]), [1, 2])
+            solve_matrix(IntMatrix.from_rows([[1, 1]]), IntMatrix.column([1, 2]))
 
     def test_inconsistent_free_part(self):
-        assert solve(IntMatrix.zeros(2, 2), [0, 1]) is None
+        assert solve_matrix(IntMatrix.zeros(2, 2), IntMatrix.column([0, 1])) is None
 
     def test_solve_matrix_and_left(self):
         m = IntMatrix.from_rows([[1, 2], [0, 3]])
@@ -1332,9 +1417,9 @@ class TestSolve:
         for _ in range(40):
             m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             x0 = [rng.randint(-3, 3) for _ in range(m.cols)]
-            b = m.apply(x0)
-            x = solve(m, b)
-            assert x is not None and m.apply(x) == b
+            b = IntMatrix.column(m.apply(x0))
+            x = solve_matrix(m, b)
+            assert x is not None and m @ x == b
 
 
 class TestKernel:
@@ -1361,8 +1446,8 @@ class TestKernel:
             m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             k = kernel_basis(m)
             assert (m @ k).is_zero()
-            assert rank(k) == k.cols  # full column rank
-            assert rank(m) + k.cols == m.cols
+            assert smith_normal_form(k).rank == k.cols  # full column rank
+            assert smith_normal_form(m).rank + k.cols == m.cols
             # every integer kernel vector is an integer combination of K's columns
             for _ in range(3):
                 coeffs = [rng.randint(-2, 2) for _ in range(k.cols)]
@@ -1395,7 +1480,7 @@ class TestCokernel:
             for j in range(proj_im.cols):
                 assert g.element_equal(proj_im.col(j), zero)
             # projection is onto: solve for preimages of each generator
-            assert rank(c.projection) == g.generator_count
+            assert smith_normal_form(c.projection).rank == g.generator_count
 
 
 class TestFPAbGroup:
