@@ -45,10 +45,10 @@ from .dgcat import (
     LEFT,
     RIGHT,
     CauchyData,
+    basis_elts,
     coend_tensor,
     dg_subcategory_of_complexes,
     direct_sum_modules,
-    Elt,
     exterior_g_category,
     g_retraction_from_cauchy,
     group_like_category,
@@ -338,19 +338,16 @@ def _g_case_fixtures():
     sm = suspend_module(m1, 1)
     sn = suspend_module(n1, -1)
 
-    def unit_at(cx, deg, idx):
-        return Elt(cx, deg, tuple(1 if i == idx else 0 for i in range(cx.rank(deg))))
-
-    cd_shift = solve_cauchy_counit(sm, sn, [("*", unit_at(sm.value("*"), 1, 0),
-                                             unit_at(sn.value("*"), -1, 0))])
+    cd_shift = solve_cauchy_counit(sm, sn, [("*", basis_elts(sm.value("*"), 1)[0],
+                                             basis_elts(sn.value("*"), -1)[0])])
     _check(cd_shift is not None, "no counit for the shifted representable")
     out.append(cd_shift)
     mm = direct_sum_modules(m1, sm)
     nn = direct_sum_modules(n1, sn)
-    x1 = unit_at(mm.value("*"), 0, 0)
-    y1 = unit_at(nn.value("*"), 0, 0)
-    x2 = unit_at(mm.value("*"), 1, m1.value("*").rank(1))
-    y2 = unit_at(nn.value("*"), -1, n1.value("*").rank(-1))
+    x1 = basis_elts(mm.value("*"), 0)[0]
+    y1 = basis_elts(nn.value("*"), 0)[0]
+    x2 = basis_elts(mm.value("*"), 1)[m1.value("*").rank(1)]
+    y2 = basis_elts(nn.value("*"), -1)[n1.value("*").rank(-1)]
     cd_sum = solve_cauchy_counit(mm, nn, [("*", x1, y1), ("*", x2, y2)])
     _check(cd_sum is not None, "no counit for the 2-term sum")
     out.append(cd_sum)

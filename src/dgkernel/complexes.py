@@ -368,15 +368,6 @@ def suspension(a: Complex, k: int = 1) -> Complex:
     return Complex(ranks, diffs, _validated=True)
 
 
-def suspension_map(f: Proto, k: int = 1) -> Proto:
-    """Shift a protomorphism: (S^k f)_n = f_{n-k}, same degree, no sign."""
-    comps = {q + k: m for q, m in f.comps().items()}
-    out = Proto(suspension(f.source, k), suspension(f.target, k), f.degree, comps)
-    if isinstance(f, ChainMap):
-        return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
-    return out
-
-
 def forget_U(a: Complex) -> Complex:
     """Forget the differentials (replace them by 0)."""
     return Complex(a.ranks(), {}, _validated=True)

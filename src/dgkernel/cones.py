@@ -169,16 +169,10 @@ def cone_perturbation(f: ChainMap, u: Proto) -> Proto:
     """The degree-0 proto v: A -> B with [[1,u],[0,1]]: Mc f -> Mc(f + v)
     an invertible chain map, for a degree-0 graded u: SA -> B.
 
-    v_k = -(d u_{k+1} + u_k d), i.e. minus the reindexing of d_hom(u)
-    across the SA <-> A shift.
+    v = -d_hom(u), its component from (SA)_{k+1} = A_k moved to degree k:
+    v_k = -(d u_{k+1} + u_k d).
     """
-    a, b = f.source, f.target
-    comps = {}
-    for k in a.degrees():
-        if a.rank(k) == 0 or b.rank(k) == 0:
-            continue
-        comps[k] = -1 * (b.diff(k + 1) @ u.comp(k + 1) + u.comp(k) @ a.diff(k))
-    return Proto(a, b, 0, comps)
+    return -Proto(f.source, f.target, 0, {k - 1: m for k, m in d_hom(u).comps().items()})
 
 
 @dataclass

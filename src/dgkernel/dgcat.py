@@ -22,6 +22,12 @@ on the left nothing crosses, so f . x = act(f (x) x).  `action_proto` is
 this elementwise action of a fixed f, and `bare_action` and `orbit` read
 the table with no sign.  Suspension follows the same rule: only on the left
 does the shift pass the hom factor and pick up (-1)^{k|f|}.
+
+Tables are composites of structure maps: a unit table is a unitor, as is
+the action of Z on one complex; a sum of modules acts through the injections
+i_k and projections p_k of its values, i_k o t_k o (p_k (x) 1); and the
+unknowns of a solved Cauchy counit are the degree-0 coordinates of
+HomSpace(N U (x) M V, hom(V, U)), its chain-map rows that space's differential.
 """
 
 from __future__ import annotations
@@ -41,13 +47,14 @@ from .complexes import (
     compose,
     d_hom,
     direct_sum,
+    direct_sum_complexes,
     identity_map,
     precomposition,
     scatter_kron,
     suspension,
     unit_complex,
 )
-from .monoidal import TensorSpace, tensor_layout, tensor_proto
+from .monoidal import TensorSpace, left_unitor, right_unitor, tensor_layout, tensor_proto
 from .zlinalg import (
     FPAbGroup,
     IntMatrix,
@@ -277,9 +284,7 @@ class FiniteDGCategory:
 def unit_dg_category() -> FiniteDGCategory:
     """One object with hom Z in degree 0."""
     k0 = unit_complex()
-    ts = TensorSpace(k0, k0)
-    table = ChainMap(ts.complex, k0, 0, {0: IntMatrix.from_rows([[1]])})
-    return FiniteDGCategory(("*",), {("*", "*"): k0}, {("*", "*", "*"): table},
+    return FiniteDGCategory(("*",), {("*", "*"): k0}, {("*", "*", "*"): left_unitor(k0)[0]},
                             {"*": Elt(k0, 0, (1,))})
 
 
@@ -328,27 +333,13 @@ def group_like_category(g_squared_units: int) -> FiniteDGCategory:
 
 def two_object_graded_category(arrow_degree: int = 0) -> FiniteDGCategory:
     """Objects a, b with endomorphisms Z and a single arrow a -> b in the
-    given degree; no maps back."""
+    given degree; no maps back.  Every composite is a unitor."""
     k0 = unit_complex()
     arrow = Complex.concentrated(arrow_degree)
     homs = {("a", "a"): k0, ("b", "b"): k0, ("a", "b"): arrow}
-    tables = {}
-
-    def scalar_table(left: Complex, right: Complex, target: Complex):
-        ts = TensorSpace(left, right)
-        comps = {}
-        for n in ts.complex.degrees():
-            if ts.dim(n) and target.rank(n):
-                comps[n] = IntMatrix.identity(1)
-        return ChainMap(ts.complex, target, 0, comps)
-
-    for (x, y, z) in [("a", "a", "a"), ("b", "b", "b"), ("a", "a", "b"), ("a", "b", "b")]:
-        left = homs.get((y, z), Complex.zero())
-        right = homs.get((x, y), Complex.zero())
-        tgt = homs.get((x, z), Complex.zero())
-        if left.is_zero() or right.is_zero() or tgt.is_zero():
-            continue
-        tables[(x, y, z)] = scalar_table(left, right, tgt)
+    one = left_unitor(k0)[0]
+    tables = {("a", "a", "a"): one, ("b", "b", "b"): one,
+              ("a", "a", "b"): right_unitor(arrow)[0], ("a", "b", "b"): left_unitor(arrow)[0]}
     ids = {"a": Elt(k0, 0, (1,)), "b": Elt(k0, 0, (1,))}
     return FiniteDGCategory(("a", "b"), homs, tables, ids)
 
@@ -397,9 +388,9 @@ def ell_op_window_category(window: int) -> FiniteDGCategory:
     objs = tuple(range(-window, window + 1))
     # only b in {a-1, a} and c in {b-1, b} can compose; ascending, so the
     # tables keep the order of a scan over all objects.  Every hom is Z, so
-    # every composable triple shares the one table Z (x) Z -> Z.
+    # every composable triple shares the one table, the unitor Z (x) Z -> Z.
     homs = {(u, v): k0 for u in objs for v in (u - 1, u) if v >= -window}
-    table = ChainMap(TensorSpace(k0, k0).complex, k0, 0, {0: IntMatrix.from_rows([[1]])})
+    table = left_unitor(k0)[0]
     tables = {(a, b, c): table for a in objs for b in (a - 1, a) for c in (b - 1, b)
               if (a, b) in homs and (b, c) in homs and (a, c) in homs}
     ids = {u: Elt(k0, 0, (1,)) for u in objs}
@@ -533,46 +524,28 @@ def suspend_module(m: DGModule, k: int) -> DGModule:
 
 
 def direct_sum_modules(m1: DGModule, m2: DGModule) -> DGModule:
-    """Blockwise direct sum of modules on the same side over the same base."""
+    """Direct sum of modules on one side over one base.  With injections
+    i_k, projections p_k and tables t_k of the summands, the table is
+    sum_k i_k o t_k o (p_k (x) 1) on the right, sum_k i_k o t_k o (1 (x) p_k)
+    on the left."""
     if m1.side != m2.side:
         raise ValueError("direct sum of a right and a left module")
-    base, side = m1.base, m1.side
-    values = {x: direct_sum([m1.value(x), m2.value(x)]) for x in base.objects}
-    actions = {}
+    base, side, summands = m1.base, m1.side, (m1, m2)
+    sums = {x: direct_sum_complexes([m.value(x) for m in summands]) for x in base.objects}
+    out = DGModule(base, {x: total for x, (total, _, _) in sums.items()}, {}, side)
     for u, v, hom in base.nonzero_homs():
-        src, tgt = m1.ends(u, v)
-        if values[src].is_zero():
+        src, tgt = out.ends(u, v)
+        if out.value(src).is_zero():
             continue
-        ts_new = action_domain(side, hom, values[src])
-        spaces = [m.action_space(u, v) for m in (m1, m2)]
-        tables = [m.actions.get((u, v)) or Proto.zero(ts.complex, m.value(tgt))
-                  for m, ts in zip((m1, m2), spaces)]
-        comps = {}
-        for n in ts_new.layout.degrees():
-            # [table 1, 0; 0, table 2], its columns taken in the order of ts_new
-            comps[n] = block_diagonal([t.comp(n) for t in tables]).select_cols(
-                _summand_columns(side, ts_new, spaces, n))
-        actions[(u, v)] = ChainMap(ts_new.complex, values[tgt], 0, comps)
-    return DGModule(base, values, actions, side)
-
-
-def _summand_columns(side: str, ts_new: TensorSpace, spaces: List[TensorSpace], n: int):
-    """The columns of the summands' action domains `spaces`, side by side,
-    in the degree-n order of ts_new, the action domain of their sum.  The
-    value indexes the rows of a block on the right, so a block of ts_new is
-    the summands' blocks in turn; on the left, each row is their rows in turn."""
-    order = []
-    for p, rows, _, _ in ts_new.layout.blocks(n):
-        runs, start = [], 0
-        for ts in spaces:
-            size, width = ts.left.rank(p) * ts.right.rank(n - p), ts.right.rank(n - p)
-            if size:
-                runs.append((start + ts.layout.slot(n, p), size if side == RIGHT else width))
-            start += ts.dim(n)
-        for i in range(1 if side == RIGHT else rows):
-            for first, run in runs:
-                order += range(first + i * run, first + (i + 1) * run)
-    return order
+        ts, one = out.action_space(u, v), identity_map(hom)
+        table = Proto.zero(ts.complex, out.value(tgt))
+        for m, p, i in zip(summands, sums[src][2], sums[tgt][1]):
+            t = m.actions.get((u, v))
+            if t is not None:
+                factors = (p, one) if side == RIGHT else (one, p)
+                table += compose(i, compose(t, tensor_proto(*factors, ts, m.action_space(u, v))))
+        out.actions[(u, v)] = ChainMap(ts.complex, out.value(tgt), 0, table.comps())
+    return out
 
 
 @dataclass
@@ -971,12 +944,7 @@ def module_from_complex(cat: FiniteDGCategory, a: Complex, side: str) -> DGModul
     hom = cat.hom(star, star)
     if hom != unit_complex():
         raise ValueError("hom must be Z in degree 0")
-    ts = action_domain(side, hom, a)
-    comps = {}
-    for n in ts.complex.degrees():
-        if ts.dim(n) and a.rank(n):
-            comps[n] = IntMatrix.identity(a.rank(n))
-    act = ChainMap(ts.complex, a, 0, comps)
+    act = (right_unitor(a) if side == RIGHT else left_unitor(a))[0]
     return DGModule(cat, {star: a}, {(star, star): act}, side)
 
 
@@ -1346,19 +1314,19 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
         return None
     base = m.base
     cd = CauchyData(m, n_mod, list(eta), {})
-    targets: Dict[Tuple, Complex] = {}
-    # the unknowns: one block per (u, v, d), the matrix of eps_{(u,v)} in degree d
-    entries = BlockLayout()
+    # the unknowns: the degree-0 coordinates of HomSpace(N u (x) M v, hom(v, u))
+    # for each (u, v), stacked; its block d is the matrix of eps_{(u,v)} in degree d
+    spaces: Dict[Tuple, Tuple[HomSpace, int]] = {}
+    offsets: Dict[Tuple, int] = {}
+    total = 0
     for u in base.objects:
         for v, target in base.homs_in(u):
             if n_mod.value(u).is_zero() or m.value(v).is_zero():
                 continue
-            ts = cd.eps_space(u, v)
-            for d in ts.complex.degrees():
-                entries.add(0, (u, v, d), target.rank(d), ts.dim(d))
-            targets[(u, v)] = target
-    offsets = {key: off for key, _, _, off in entries.blocks(0)}
-    total = entries.dim(0)
+            hs = HomSpace(cd.eps_space(u, v).complex, target)
+            spaces[(u, v)] = (hs, total)
+            offsets.update(((u, v, d), total + off) for d, _, _, off in hs.layout.blocks(0))
+            total += hs.dim(0)
 
     rows: List[List[int]] = []
     rhs: List[int] = []
@@ -1377,20 +1345,14 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
             rows.extend(block)
             rhs.extend(const.comp(q).entries())
 
-    # chain-map property of each eps component: d o eps_d = eps_{d-1} o d,
-    # on row-major vec: (d (x) 1) vec(eps_d) - (1 (x) d^T) vec(eps_{d-1}) = 0
-    for (u, v), target in targets.items():
-        ts = cd.eps_space(u, v)
-        for d in ts.complex.degrees():
-            dims_in, rows_below = ts.dim(d), target.rank(d - 1)
-            block = [[0] * total for _ in range(rows_below * dims_in)]
-            if block and target.rank(d):
-                scatter_kron(block, 0, entries.slot(0, (u, v, d)), target.diff(d), dims_in)
-            if block and ts.dim(d - 1):
-                scatter_kron(block, 0, entries.slot(0, (u, v, d - 1)), rows_below,
-                             ts.complex.diff(d).transpose(), -1)
-            rows.extend(block)
-            rhs.extend([0] * len(block))
+    # each eps component is a chain map: the hom differential kills it
+    for hs, off in spaces.values():
+        block = [[0] * total for _ in range(hs.dim(-1))]
+        d0 = hs.complex.diffs().get(0)
+        if d0 is not None:
+            scatter_kron(block, 0, off, d0)
+        rows.extend(block)
+        rhs.extend([0] * len(block))
 
     if not rows:
         return cd
@@ -1399,9 +1361,6 @@ def solve_cauchy_counit(m: DGModule, n_mod: DGModule,
     if sol is None:
         return None
     vec = sol.col(0)
-    comps: Dict[Tuple, Dict[int, IntMatrix]] = {key: {} for key in targets}
-    for (u, v, d), rows_d, cols_d, off in entries.blocks(0):
-        comps[(u, v)][d] = IntMatrix(rows_d, cols_d, vec[off:off + rows_d * cols_d])
-    cd.eps = {key: ChainMap(cd.eps_space(*key).complex, target, 0, comps[key])
-              for key, target in targets.items()}
+    for key, (hs, off) in spaces.items():
+        cd.eps[key] = hs.from_vector(0, vec[off:off + hs.dim(0)]).as_chain_map()
     return cd

@@ -77,6 +77,13 @@ def _degree(value, field: str) -> int:
     return n
 
 
+def _name(value, field: str) -> str:
+    """An object name: a JSON string; str() would read true as 'True'."""
+    if not isinstance(value, str):
+        raise InputError(f"field {field!r}: expected an object name (a string), got {value!r}")
+    return value
+
+
 def _listed(names, objects, field: str, key: str):
     """Every object a key names must be listed in 'objects': the checks and
     constructions visit the listed objects only, so an unlisted one would be
@@ -254,8 +261,8 @@ def category_to_json(cat: FiniteDGCategory) -> dict:
 
 
 def category_from_json(obj) -> FiniteDGCategory:
-    objects = [str(x) for x in _at_most_entries(_require(obj, "objects", list),
-                                                MAX_OBJECTS, "objects")]
+    objects = [_name(x, "objects") for x in _at_most_entries(_require(obj, "objects", list),
+                                                              MAX_OBJECTS, "objects")]
     seen = set()
     for x in objects:
         if x in seen:
@@ -334,7 +341,7 @@ def cauchy_data_from_json(obj) -> CauchyData:
     listed = set(cat.objects)
     eta = []
     for term in _require(obj, "eta", list):
-        e = str(_require(term, "object"))
+        e = _name(_require(term, "object"), "object")
         _listed([e], listed, "eta", e)
         x = _elt_from_json(_require(term, "x"), m.value(e))
         y = _elt_from_json(_require(term, "y"), n.value(e))

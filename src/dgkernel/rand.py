@@ -46,15 +46,6 @@ def rand_unimodular(rng: random.Random, n: int, ops: int = 6) -> IntMatrix:
     return IntMatrix.from_rows(m, n)
 
 
-def rand_graded(rng: random.Random, lo: int = -2, hi: int = 2, max_rank: int = 2) -> Complex:
-    width = rng.randint(1, 3)
-    start = rng.randint(lo, hi - width + 1) if hi - width + 1 >= lo else lo
-    ranks = {start + i: rng.randint(0, max_rank) for i in range(width)}
-    if not any(ranks.values()):
-        ranks[start] = 1
-    return Complex(ranks, {})
-
-
 def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3) -> Complex:
     """Random bounded complex with exact d^2 = 0 and mixed homology."""
     parts: List[Complex] = []

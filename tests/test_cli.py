@@ -477,6 +477,43 @@ class TestInputCaps:
         assert captured.err == ("input error: field 'values': object 'ghost' "
                                 "is not listed in 'objects'\n")
 
+    @staticmethod
+    def _renamed(obj, name):
+        """obj with its one object '*' renamed to str(name)."""
+        return json.loads(json.dumps(obj).replace("*", str(name)))
+
+    @pytest.mark.parametrize("name", [True, 7], ids=["bool", "int"])
+    def test_an_object_name_that_is_not_a_string_exits_two(self, files, capsys, name):
+        # [true] used to be read as the object 'True' and [7] as '7', and the
+        # category verified with exit 0
+        obj = self._renamed(jsonio.category_to_json(unit_dg_category()), name)
+        obj["objects"] = [name]
+        path = files["tmp"] + "/named_cat.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-category", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'objects': expected an object name "
+                                f"(a string), got {name!r}\n")
+
+    def test_an_eta_object_that_is_not_a_string_exits_two(self, files, capsys):
+        # "object": 7 used to be read as the listed object '7', exit 0
+        obj = self._renamed(jsonio.load(files["cauchy.json"]), 7)
+        obj["eta"][0]["object"] = 7
+        path = files["tmp"] + "/named_cauchy.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-cauchy", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'object': expected an object name "
+                                "(a string), got 7\n")
+
+    def test_string_names_still_read(self, files, capsys):
+        obj = self._renamed(jsonio.load(files["cauchy.json"]), 7)
+        path = files["tmp"] + "/string_cauchy.json"
+        jsonio.dump(obj, path)
+        assert main(["verify-cauchy", path]) == 0
+
     @pytest.mark.parametrize("field, mutate", [
         ("compose", lambda o: o["category"]["compose"].update({"*->ghost->*": {}})),
         ("values", lambda o: o["M"]["values"].update({"ghost": o["M"]["values"]["*"]})),

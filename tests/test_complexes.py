@@ -35,16 +35,22 @@ from dgkernel.complexes import (
     lu_counit,
     make_complex,
     suspension,
-    suspension_map,
     unit_complex,
     HomSpace,
 )
-from dgkernel.rand import rand_chain_map, rand_complex, rand_graded, rand_proto
+from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
 from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, block_matrix, kernel_basis
 
 K0 = unit_complex()
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
+
+
 LZ = functor_L(K0)
+
+
+def graded_complex(rng):
+    """A random graded object: a complex with its differentials forgotten."""
+    return forget_U(rand_complex(rng, bricks=1))
 
 
 def mc1(a):
@@ -159,7 +165,7 @@ class TestForgetAndAdjoints:
     def test_R_equals_L_after_shift(self):
         rng = random.Random(2)
         for _ in range(20):
-            x = rand_graded(rng)
+            x = graded_complex(rng)
             assert functor_R(x) == functor_L(suspension(x, 1))
 
 
@@ -353,7 +359,7 @@ class TestAdjunctions:
     def test_round_trips_random(self):
         rng = random.Random(12)
         for _ in range(50):
-            x = rand_graded(rng)
+            x = graded_complex(rng)
             a = rand_complex(rng)
             assert adjunction_iso_LU(x, a).verified
             assert adjunction_iso_UR(a, x).verified
@@ -493,17 +499,6 @@ class TestDirectSum:
         assert len(injs) == len(projs) == k
 
 
-class TestSuspensionMap:
-    def test_shifts_components(self):
-        rng = random.Random(16)
-        a, b = rand_complex(rng), rand_complex(rng)
-        f = rand_chain_map(rng, a, b)
-        sf = suspension_map(f, 1)
-        assert isinstance(sf, ChainMap)
-        for q in a.degrees():
-            assert sf.comp(q + 1) == f.comp(q)
-
-
 # -- chain maps in coordinates ----------------------------------------------
 #
 # Chain-map bases are kernel matrices, a random chain map is one K c, and
@@ -624,7 +619,7 @@ class TestChainMapsInCoordinates:
     @given(SEEDS)
     def test_adjunction_transposes_equal_the_reference(self, seed):
         rng = random.Random(seed)
-        x, a = maybe_zero(rng, rand_graded), maybe_zero(rng, rand_complex)
+        x, a = maybe_zero(rng, graded_complex), maybe_zero(rng, rand_complex)
         for got, want in ((adjunction_iso_LU(x, a), reference_adjunction_iso_LU(x, a)),
                           (adjunction_iso_UR(a, x), reference_adjunction_iso_UR(a, x))):
             assert got.verified is want.verified is True

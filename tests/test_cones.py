@@ -19,7 +19,6 @@ from dgkernel.complexes import (
     identity_map,
     make_complex,
     suspension,
-    suspension_map,
     unit_complex,
 )
 import dgkernel.cones
@@ -34,6 +33,7 @@ from dgkernel.cones import (
     cone_as_cokernel,
     cone_functor_map,
     cone_homotopy_iso,
+    cone_perturbation,
     cylinder_factorization,
     direct_sum,
     idempotent_of,
@@ -186,6 +186,17 @@ def reference_q1(a):
     cone = mc1(a).middle
     return Proto(cone, a, 0, {n: IntMatrix.identity(a.rank(n)).hstack(
         IntMatrix.zeros(a.rank(n), a.rank(n - 1))) for n in cone.degrees() if a.rank(n)})
+
+
+def reference_cone_perturbation(f, u):
+    """v_k = -(d u_{k+1} + u_k d), one degree at a time, as cone_perturbation
+    computed it before it became -d_hom(u) moved down a degree."""
+    a, b = f.source, f.target
+    comps = {}
+    for k in a.degrees():
+        if a.rank(k) and b.rank(k):
+            comps[k] = -1 * (b.diff(k + 1) @ u.comp(k + 1) + u.comp(k) @ a.diff(k))
+    return Proto(a, b, 0, comps)
 
 
 def _drawn_complex(rng, zero):
@@ -371,6 +382,27 @@ class TestConeHomotopyIso:
             assert compose(h.inverse, h.iso) == identity_map(h.iso.source)
             assert compose(h.iso, h.inverse) == identity_map(h.iso.target)
             assert d_hom(h.perturbation).is_zero()  # f and f+v are both chain maps
+
+
+class TestConePerturbation:
+    @settings(max_examples=60, deadline=None)
+    @given(*SEED_AND_ZEROS)
+    def test_equals_the_reference(self, seed, za, zb):
+        rng = random.Random(seed)
+        a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
+        f = rand_chain_map(rng, a, b)
+        u = rand_proto(rng, suspension(a, 1), b, 0)
+        v = cone_perturbation(f, u)
+        assert v == reference_cone_perturbation(f, u)
+        assert d_hom(v).is_zero()
+
+    def test_known_answer(self):
+        # u_1: (S M2)_1 = (M2)_0 -> (M2)_1 is [[1]], and d = [[2]], so
+        # d u + u d is 2 in both degrees of M2
+        u = Proto(suspension(M2, 1), M2, 0, {1: IntMatrix.from_rows([[1]])})
+        v = cone_perturbation(identity_map(M2), u)
+        assert v == -2 * identity_map(M2)
+        assert v == reference_cone_perturbation(identity_map(M2), u)
 
 
 class TestRecognizeCone:
@@ -591,7 +623,8 @@ class TestMc1IsoLU:
         for _ in range(10):
             a, a2 = rand_complex(rng), rand_complex(rng)
             h = rand_chain_map(rng, a, a2)
-            sh = suspension_map(h, -1)
+            sh = ChainMap(suspension(a, -1), suspension(a2, -1), 0,
+                          {q - 1: m for q, m in h.comps().items()})
             cone_h = cone_functor_map(
                 sh, sh, identity_map(suspension(a, -1)), identity_map(suspension(a2, -1))
             )

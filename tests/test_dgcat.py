@@ -20,6 +20,7 @@ from dgkernel.complexes import (
     compose,
     direct_sum,
     direct_sum_complexes,
+    forget_U,
     functor_L,
     homology_H,
     identity_map,
@@ -63,7 +64,7 @@ from dgkernel.dgcat import (
     weighted_colimit,
 )
 from dgkernel.monoidal import TensorSpace, associator, tensor, tensor_proto
-from dgkernel.rand import rand_complex, rand_double_complex, rand_graded
+from dgkernel.rand import rand_complex, rand_double_complex
 from dgkernel.totals import DoubleComplex, double_complex_as_left_module, weight_J
 from dgkernel import zlinalg
 from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, cokernel, kernel_basis
@@ -1652,10 +1653,10 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def small_complex(rng, graded=False):
-    """rand_complex (or rand_graded), or the zero complex one time in five."""
+    """rand_complex (or its graded object), or the zero complex one time in five."""
     if rng.random() < 0.2:
         return Complex.zero()
-    return rand_graded(rng) if graded else rand_complex(rng, bricks=2)
+    return forget_U(rand_complex(rng, bricks=1)) if graded else rand_complex(rng, bricks=2)
 
 
 class TestBuiltByPlacement:

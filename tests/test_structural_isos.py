@@ -13,13 +13,16 @@ basis element at a time and wrote each inverse by hand; the tests check
 that both give the same maps on random inputs.
 """
 
+import ast
 import random
+from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import slot_chain_map, tensor_basis
+from dgkernel import dgcat
 from dgkernel.complexes import (
     ChainMap,
     Complex,
@@ -27,6 +30,7 @@ from dgkernel.complexes import (
     NotGraded,
     Proto,
     direct_sum,
+    forget_U,
     functor_L,
     functor_R,
     precomposition,
@@ -58,7 +62,7 @@ from dgkernel.monoidal import (
     sten_iso,
     symmetry,
 )
-from dgkernel.rand import rand_complex, rand_graded
+from dgkernel.rand import rand_complex
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -269,10 +273,10 @@ def complexes(draw):
 
 @st.composite
 def graded(draw):
-    """A small rand_graded, or the zero complex one time in six."""
+    """A small random graded object, or the zero complex one time in six."""
     if draw(st.integers(0, 5)) == 0:
         return Complex.zero()
-    return rand_graded(random.Random(draw(SEEDS)))
+    return forget_U(rand_complex(random.Random(draw(SEEDS)), bricks=1))
 
 
 @st.composite
@@ -414,3 +418,80 @@ class TestCoordinateShape:
                     for p, rows, cols, off in m.action_space(u, v).layout.blocks(n):
                         signs[off:off + rows * cols] = [(-1) ** (k * p % 2)] * (rows * cols)
                 assert moved[n + k] == mat @ IntMatrix.diagonal(signs)
+
+
+class TestUnitTablesAreUnitors:
+    def test_unit_and_two_object_categories(self):
+        k0 = unit_complex()
+        one = left_unitor(k0)[0]
+        assert unit_dg_category().compose_table == {("*", "*", "*"): one}
+        for k in range(-1, 3):
+            arrow = Complex.concentrated(k)
+            cat = two_object_graded_category(k)
+            assert cat.compose_table == {
+                ("a", "a", "a"): one, ("b", "b", "b"): one,
+                ("a", "a", "b"): right_unitor(arrow)[0], ("a", "b", "b"): left_unitor(arrow)[0]}
+            assert cat.validate() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes())
+    def test_a_complex_as_a_module_acts_by_a_unitor(self, a):
+        cat = unit_dg_category()
+        for side, unitor in ((RIGHT, right_unitor), (LEFT, left_unitor)):
+            m = module_from_complex(cat, a, side)
+            assert m.actions == {("*", "*"): unitor(a)[0]}
+            assert m.validate() == []
+
+
+# builders that a structure map replaced
+REMOVED_TABLE_BUILDERS = {"_summand_columns", "scalar_table", "suspension_map", "rand_graded"}
+
+
+def hand_built_structure(package: Path):
+    """What hand-built structure would leave in the package: (file, name)
+    of each def, class, assignment or import of a removed builder; (file,
+    line) of each .diff( call in solve_cauchy_counit, whose chain-map rows
+    are the hom differential of its HomSpace; and (file, calls d_hom) for
+    each cone_perturbation, which is -d_hom(u) moved down a degree."""
+    defined, diffs, perturbations = [], [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.alias):
+                names = [node.asname or node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, x) for x in names if x in REMOVED_TABLE_BUILDERS]
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = [c.func for c in ast.walk(node) if isinstance(c, ast.Call)]
+            if node.name == "solve_cauchy_counit":
+                diffs += [(path.name, f.lineno) for f in called
+                          if isinstance(f, ast.Attribute) and f.attr == "diff"]
+            if node.name == "cone_perturbation":
+                perturbations.append((path.name, any(
+                    getattr(f, "id", getattr(f, "attr", None)) == "d_hom" for f in called)))
+    return sorted(defined), diffs, perturbations
+
+
+class TestStructureMapsNotTables:
+    def test_the_package_builds_no_table_by_hand(self):
+        assert hand_built_structure(Path(dgcat.__file__).parent) == (
+            [], [], [("cones.py", True)])
+
+    def test_the_check_finds_a_planted_case(self, tmp_path):
+        (tmp_path / "planted.py").write_text(
+            "from .rand import rand_graded\n"
+            "def scalar_table(l, r, t):\n    return None\n"
+            "suspension_map = None\n"
+            "def solve_cauchy_counit(m, n, eta):\n"
+            "    def _summand_columns():\n        pass\n"
+            "    return ts.complex.diff(0)\n"
+            "def cone_perturbation(f, u):\n    return -f\n")
+        assert hand_built_structure(tmp_path) == (
+            [("planted.py", "_summand_columns"), ("planted.py", "rand_graded"),
+             ("planted.py", "scalar_table"), ("planted.py", "suspension_map")],
+            [("planted.py", 8)], [("planted.py", False)])

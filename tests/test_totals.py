@@ -39,7 +39,6 @@ from dgkernel.complexes import (
     scatter_kron,
     functor_L,
     suspension,
-    suspension_map,
     unit_complex,
 )
 from dgkernel.dgcat import DGModule, LEFT, ell_op_window_category, weighted_colimit
@@ -356,8 +355,8 @@ def reference_weight_J(window: int):
             comps = {n: IntMatrix.identity(values[v].rank(n))
                      for n in values[v].degrees() if values[v].rank(n)}
         else:
-            codiff = suspension_map(
-                ChainMap(lz, suspension(lz, 1), 0, {0: IntMatrix.identity(1)}), v)
+            codiff = ChainMap(values[v], suspension(lz, v + 1), 0,
+                              {v: IntMatrix.identity(1)})
             comps = {n: codiff.comp(n) for n in values[v].degrees()
                      if values[v].rank(n) and values[u].rank(n)}
         actions[(u, v)] = ChainMap(ts.complex, values[u], 0, comps)
