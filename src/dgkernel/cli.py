@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -19,11 +20,12 @@ from . import jsonio
 from .acceptance import run_all
 from .complexes import (
     default_probe_family,
+    factors_uniquely,
     homology_H,
     hom_complex,
     identity_map,
 )
-from .cones import NotProtosplit, cokernel_protosplit, mapping_cone
+from .cones import NotProtosplit, WitnessEquationsFail, cokernel_protosplit, mapping_cone
 from .dgcat import (
     TorsionInPresentation,
     cauchy_naturality_failures,
@@ -75,32 +77,27 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def cmd_tensor(args) -> int:
-    a = jsonio.complex_from_json(jsonio.load(args.left))
-    b = jsonio.complex_from_json(jsonio.load(args.right))
-    t = tensor(a, b)
+def _two_complexes(args, label: str, build, first: str, second: str) -> int:
+    cx = build(jsonio.complex_from_json(jsonio.load(first)),
+               jsonio.complex_from_json(jsonio.load(second)))
     if args.out:
-        jsonio.dump(jsonio.complex_to_json(t), args.out)
-    _emit(args, {"ranks": _ranks(t)},
-          [f"tensor ranks: {_ranks(t)}"] + ([f"written to {args.out}"] if args.out else []))
+        jsonio.dump(jsonio.complex_to_json(cx), args.out)
+    _emit(args, {"ranks": _ranks(cx)},
+          [f"{label} ranks: {_ranks(cx)}"] + ([f"written to {args.out}"] if args.out else []))
     return 0
+
+
+def cmd_tensor(args) -> int:
+    return _two_complexes(args, "tensor", tensor, args.left, args.right)
 
 
 def cmd_hom(args) -> int:
-    a = jsonio.complex_from_json(jsonio.load(args.source))
-    b = jsonio.complex_from_json(jsonio.load(args.target))
-    h = hom_complex(a, b)
-    if args.out:
-        jsonio.dump(jsonio.complex_to_json(h), args.out)
-    _emit(args, {"ranks": _ranks(h)},
-          [f"hom ranks: {_ranks(h)}"] + ([f"written to {args.out}"] if args.out else []))
-    return 0
+    return _two_complexes(args, "hom", hom_complex, args.source, args.target)
 
 
 def cmd_cone(args) -> int:
     if args.map_cone_of_identity:
-        cx = jsonio.complex_from_json(jsonio.load(args.map_cone_of_identity))
-        f = identity_map(cx)
+        f = identity_map(jsonio.complex_from_json(jsonio.load(args.map_cone_of_identity)))
     elif args.f:
         f = _degree_zero(jsonio.proto_from_json(jsonio.load(args.f), chain_map=True), "--f")
     else:
@@ -119,18 +116,21 @@ def cmd_cokernel_protosplit(args) -> int:
     t = _degree_zero(jsonio.proto_from_json(jsonio.load(args.t)), "--t")
     if t.source != f.target or t.target != f.source:
         raise InputError("--t must go from the target of --f to its source")
-    probes = None
+    probes = []
     if args.probe_depth is not None:
         family = default_probe_family(f.target)
         if not 1 <= args.probe_depth <= len(family):
             raise InputError(f"--probe-depth must be between 1 and {len(family)}, "
                              f"got {args.probe_depth}")
-        probes = [cx for _, cx in family[: args.probe_depth]]
+        probes = family[: args.probe_depth]
     try:
-        res = cokernel_protosplit(f, t, probes=probes)
-    except NotProtosplit as exc:
-        _emit(args, {"verified": False, "witness": str(exc)},
-              [f"FAIL: {exc}"])
+        res = cokernel_protosplit(f, t)
+        witness = next((f"a map into {name} killing f does not factor uniquely through w"
+                        for name, target in probes if not factors_uniquely(f, res.w, target)), "")
+    except (NotProtosplit, WitnessEquationsFail) as exc:
+        witness = str(exc)
+    if witness:
+        _emit(args, {"verified": False, "witness": witness}, [f"FAIL: {witness}"])
         return 1
     if args.out:
         jsonio.dump(jsonio.complex_to_json(res.quotient), args.out)
@@ -267,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="serialized chain map")
     p.add_argument("--t", required=True, help="serialized protosplitting")
     p.add_argument("--probe-depth", type=int, default=None,
-                   help="number of probe targets for the universal property")
+                   help="also sample the universal property on the first N of A, SA, "
+                        "S^-1A, Z, LZ for A the target of --f (an extra check: the "
+                        "cokernel's equations prove it for every target)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cokernel_protosplit)
 
@@ -313,10 +315,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: send the flush at exit to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

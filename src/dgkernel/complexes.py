@@ -18,8 +18,9 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .zlinalg import (
     FPAbGroup,
@@ -412,6 +413,14 @@ def lu_counit(a: Complex) -> ChainMap:
     return ChainMap(lua, a, 0, comps)
 
 
+def lu_unit(a: Complex) -> Proto:
+    """The unit U A -> U L U A, [0; 1] in each degree: a degree-0 proto
+    A -> LU A, not a chain map."""
+    return Proto(a, functor_L(forget_U(a)), 0, {
+        n: IntMatrix.zeros(a.rank(n + 1), a.rank(n)).vstack(IntMatrix.identity(a.rank(n)))
+        for n in a.degrees() if a.rank(n)})
+
+
 def lu_functor_map(h: ChainMap) -> ChainMap:
     """LU on a chain map: diag(h_{n+1}, h_n)."""
     src = functor_L(forget_U(h.source))
@@ -745,31 +754,33 @@ def adjunction_iso_UR(a: Complex, x: Complex) -> AdjunctionWitness:
 # -- the canonical U-split presentation ------------------------------------
 
 
+@dataclass
 class CanonicalPresentation:
     """The split coequalizer LULU A => LU A -> A evaluated at A.
 
     alpha = [d 1] is the counit of A, beta = [[0,1,1,0],[0,0,0,1]] the
     counit of LU A and gamma = [[d,1,0,0],[0,0,d,1]] = LU(alpha): the
-    standard monadicity fork for the free/forget adjunction.
+    standard monadicity fork for the free/forget adjunction, split by the
+    units s: A -> LU A and t: LU A -> LULU A.  `coequalizer_verified` rests
+    on the split-fork identities alone, with no target sampled: if g beta =
+    g gamma then g = g gamma t = (g s) alpha, d(g s) = d(g s) alpha s =
+    d(g) s = 0, and x alpha = 0 forces x = x alpha s = 0.  `failures` names
+    the identities that fail, [] when `coequalizer_verified`.
     """
 
-    def __init__(self, a: Complex, lulu: Complex, lu: Complex,
-                 alpha: ChainMap, beta: ChainMap, gamma: ChainMap,
-                 fork_commutes: bool, coequalizer_verified: bool,
-                 probe_names: List[str]):
-        self.complex = a
-        self.lulu = lulu
-        self.lu = lu
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.fork_commutes = fork_commutes
-        self.coequalizer_verified = coequalizer_verified
-        self.probe_names = probe_names
+    complex: Complex
+    lulu: Complex
+    lu: Complex
+    alpha: ChainMap
+    beta: ChainMap
+    gamma: ChainMap
+    fork_commutes: bool
+    coequalizer_verified: bool
+    failures: List[str]
 
 
 def default_probe_family(a: Complex) -> List[Tuple[str, Complex]]:
-    """Fixed probe targets for universal-property checks: the complex
+    """Fixed probe targets for sampling a universal property: the complex
     itself, its shifts, the unit, and L Z."""
     return [
         ("A", a),
@@ -780,25 +791,26 @@ def default_probe_family(a: Complex) -> List[Tuple[str, Complex]]:
     ]
 
 
-def canonical_presentation(a: Complex, probes: Optional[List[Tuple[str, Complex]]] = None) -> CanonicalPresentation:
+def canonical_presentation(a: Complex) -> CanonicalPresentation:
+    """The canonical presentation of A, verified by its split-fork equations
+    alpha beta = alpha gamma, alpha s = 1, beta t = 1 and gamma t = s alpha;
+    no target is sampled.  They prove the coequalizer property for every T:
+    a chain map g: LU A -> T with g beta = g gamma is g beta t = g gamma t
+    = (g s) alpha, g s is a chain map (d(g s) = d(g s) alpha s = d(g) s = 0),
+    and x alpha = 0 forces x = x alpha s = 0."""
     alpha = lu_counit(a)
     beta = lu_counit(alpha.source)
     gamma = lu_functor_map(alpha)
     lu, lulu = alpha.source, beta.source
+    s, t = lu_unit(a), lu_unit(lu)
 
     fork = (alpha @ beta) == (alpha @ gamma)
-
-    if probes is None:
-        probes = default_probe_family(a)
-    names = [name for name, _ in probes]
-    coeq_ok = fork
-    # a coequalizer of (beta, gamma) is a cokernel of beta - gamma
-    fork_difference = beta - gamma
-    for _, t in probes:
-        if not factors_uniquely(fork_difference, alpha, t):
-            coeq_ok = False
-            break
-    return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma, fork, coeq_ok, names)
+    failures = [name for name, holds in (
+        ("alpha beta != alpha gamma", fork),
+        ("alpha s != 1", alpha @ s == identity_map(a)),
+        ("beta t != 1", beta @ t == identity_map(lu)),
+        ("gamma t != s alpha", gamma @ t == s @ alpha)) if not holds]
+    return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma, fork, not failures, failures)
 
 
 def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:

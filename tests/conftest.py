@@ -1,15 +1,25 @@
 """Shared fixtures."""
 
 import contextlib
+import os
 import sys
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
-from dgkernel import zlinalg
+from dgkernel import cones, zlinalg
 from dgkernel.complexes import ChainMap
 from dgkernel.dgcat import RIGHT, Elt
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch
+
+# Property tests draw the same examples on every run (derandomize, and no
+# example database replaying earlier failures), so that a run's result
+# depends only on the commit.  HYPOTHESIS_PROFILE=explore searches afresh;
+# neither profile changes any test's max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 def protos(hs, n, columns=None):
@@ -170,3 +180,22 @@ def zlinalg_calls():
     call of the named zlinalg functions made inside the block.  Session
     scoped, so hypothesis tests may use it: each ``with`` records afresh."""
     return _recording
+
+
+@pytest.fixture()
+def section_off_by_one_entry(monkeypatch):
+    """Patch cones._split_degreewise so that the section in its lowest
+    degree has its first nonzero entry doubled: one wrong entry, which
+    breaks w s = 1 whenever that section is one column with one nonzero
+    entry, as in the split inclusion Z -> Z + Z and the free-cover example."""
+    real = cones._split_degreewise
+
+    def broken(e):
+        p, retractions, sections = real(e)
+        n = min(sections)
+        rows = sections[n].to_lists()
+        i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        rows[i][j] *= 2
+        return p, retractions, {**sections, n: IntMatrix.from_rows(rows, sections[n].cols)}
+
+    monkeypatch.setattr(cones, "_split_degreewise", broken)

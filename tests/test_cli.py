@@ -280,6 +280,45 @@ class TestVerbs:
                      "--t", files["split_t.json"], "--probe-depth", str(depth)]) == 0
         assert "universal property verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("depth", [None, 1, 5])
+    def test_probe_depth_samples_the_first_targets(self, files, capsys, monkeypatch, depth):
+        # without the flag the verdict rests on the cokernel's equations alone
+        sampled = []
+        real = cli.factors_uniquely
+
+        def recorded(k, w, t):
+            sampled.append(t)
+            return real(k, w, t)
+
+        monkeypatch.setattr(cli, "factors_uniquely", recorded)
+        argv = ["cokernel-protosplit", "--f", files["split_f.json"], "--t", files["split_t.json"]]
+        assert main(argv + ([] if depth is None else ["--probe-depth", str(depth)])) == 0
+        lz = functor_L(unit_complex())
+        family = [lz, suspension(lz, 1), suspension(lz, -1), unit_complex(), lz]
+        assert sampled == family[: depth or 0]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_probe_depth_names_the_failing_target(self, files, capsys, monkeypatch, fmt):
+        lz = functor_L(unit_complex())
+        monkeypatch.setattr(cli, "factors_uniquely", lambda k, w, t: t != suspension(lz, 1))
+        argv = ["cokernel-protosplit", "--f", files["split_f.json"],
+                "--t", files["split_t.json"], "--probe-depth", "3"]
+        assert main((["--json"] if fmt == "json" else []) + argv) == 1
+        captured = capsys.readouterr()
+        witness = "a map into SA killing f does not factor uniquely through w"
+        assert witness in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_broken_cokernel_equation_exits_one_with_its_name(self, files, capsys,
+                                                              section_off_by_one_entry, fmt):
+        argv = ["cokernel-protosplit", "--f", files["split_f.json"], "--t", files["split_t.json"]]
+        assert main((["--json"] if fmt == "json" else []) + argv) == 1
+        captured = capsys.readouterr()
+        assert "w o s != 1" in captured.out and captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out) == {
+                "verified": False, "witness": "witness equations failed: w o s != 1, s o w != e"}
+
     @pytest.mark.parametrize("matrix, message", [
         ({"rows": -1, "cols": -1, "data": ["0"]}, "field 'rows': expected a non-negative"),
         ({"rows": 1, "cols": -2, "data": []}, "field 'cols': expected a non-negative"),
@@ -732,6 +771,23 @@ class TestOneParserPerProcess:
                              text=True, env=env, check=True).stdout
         assert out.split() == ["0", "1"]
         assert cli._parser() is cli._parser()
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("make", [lambda f: ["homology", f["m2.json"]],
+                                      lambda f: ["--json", "tot", f["dc.json"]]],
+                             ids=["text", "json"])
+    def test_no_traceback_when_the_reader_has_gone(self, files, make):
+        # the read end is closed before the process writes anything, as
+        # when `dgkernel ... | head -c 50` outlives its reader
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-m", "dgkernel.cli"] + make(files),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""   # no BrokenPipeError traceback, nor anything else
 
 
 class TestDeterminism:

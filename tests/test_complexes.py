@@ -39,7 +39,8 @@ from dgkernel.complexes import (
     HomSpace,
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
-from dgkernel.zlinalg import FPAbGroup, IntMatrix, ShapeMismatch, block_matrix, kernel_basis
+from dgkernel.zlinalg import (FPAbGroup, IntMatrix, ShapeMismatch, block_diagonal, block_matrix,
+                              kernel_basis)
 
 K0 = unit_complex()
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -405,7 +406,7 @@ class TestCanonicalPresentation:
         rng = random.Random(13)
         for _ in range(10):
             a = rand_complex(rng)
-            pres = canonical_presentation(a, probes=[("A", a)])
+            pres = canonical_presentation(a)
             assert pres.fork_commutes
             assert (pres.alpha @ pres.beta) == (pres.alpha @ pres.gamma)
 
@@ -414,6 +415,49 @@ class TestCanonicalPresentation:
         for _ in range(3):
             a = rand_complex(rng, bricks=2)
             assert canonical_presentation(a).coequalizer_verified
+
+    @pytest.mark.parametrize("call, named", [(0, "alpha s != 1"), (1, "beta t != 1")],
+                             ids=["s", "t"])
+    def test_one_wrong_entry_in_a_unit_is_caught(self, monkeypatch, call, named):
+        # s = lu_unit(A) is built first, t = lu_unit(LU A) second; every
+        # entry of each is changed in turn
+        real = complexes.lu_unit
+        unit = real((M2, functor_L(forget_U(M2)))[call])
+        entries = [(n, i, j) for n in unit.source.degrees()
+                   for i in range(unit.comp(n).rows) for j in range(unit.comp(n).cols)]
+        seen = set()
+        for n, i, j in entries:
+            made = []
+
+            def wrong(a, n=n, i=i, j=j):
+                u = real(a)
+                made.append(u)
+                if len(made) - 1 != call:
+                    return u
+                rows = u.comp(n).to_lists()
+                rows[i][j] += 1
+                return Proto(u.source, u.target, 0,
+                             {**u.comps(), n: IntMatrix.from_rows(rows, u.comp(n).cols)})
+
+            monkeypatch.setattr(complexes, "lu_unit", wrong)
+            cp = canonical_presentation(M2)
+            assert cp.fork_commutes and not cp.coequalizer_verified, (n, i, j)
+            assert cp.failures and set(cp.failures) <= {named, "gamma t != s alpha"}
+            seen.update(cp.failures)
+        assert len(entries) >= 3 and named in seen
+
+    @pytest.mark.parametrize("a", [M2, rand_complex(random.Random(17))], ids=["M2", "random"])
+    def test_gamma_without_the_LU_placement_is_caught(self, monkeypatch, a):
+        def unplaced(h):
+            # the blocks of LU(h) in U's order: h_n above h_{n+1}
+            src, tgt = functor_L(forget_U(h.source)), functor_L(forget_U(h.target))
+            return Proto(src, tgt, 0, {n: block_diagonal([h.comp(n), h.comp(n + 1)])
+                                       for n in src.degrees()})
+
+        monkeypatch.setattr(complexes, "lu_functor_map", unplaced)
+        cp = canonical_presentation(a)
+        assert not cp.coequalizer_verified
+        assert "gamma t != s alpha" in cp.failures
 
     def test_factors_uniquely_detects_both_failures(self):
         zero_to_k0 = ChainMap(Complex.zero(), K0, 0, {})
@@ -433,10 +477,11 @@ class TestCanonicalPresentation:
             built.append((source, target))
             init(self, source, target)
 
-        monkeypatch.setattr(HomSpace, "__init__", recording)
         a = make_complex({1: 1, 0: 1}, {1: [[2]]})
-        cp = canonical_presentation(a, probes=[("A", a), ("LZ", LZ)])
-        assert cp.coequalizer_verified
+        cp = canonical_presentation(a)
+        monkeypatch.setattr(HomSpace, "__init__", recording)
+        # the triples (k, w, T) of the presentation sampled on A and L Z
+        assert all(factors_uniquely(cp.beta - cp.gamma, cp.alpha, t) for t in (a, LZ))
         assert built and len(built) == len(set(built))
 
     def test_factors_uniquely_checks_every_killer(self):
@@ -465,7 +510,7 @@ class TestCanonicalPresentation:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_fork_is_the_counit_and_LU_of_the_counit(self, seed, zero):
         a = Complex.zero() if zero else rand_complex(random.Random(seed))
-        cp = canonical_presentation(a, probes=[])
+        cp = canonical_presentation(a)
         assert (cp.beta, cp.gamma) == reference_fork(a)
         assert cp.lu == functor_L(forget_U(a)) and cp.lulu == functor_L(forget_U(cp.lu))
 

@@ -572,18 +572,25 @@ class TestCokernelProtosplit:
         with pytest.raises(NotProtosplit):
             cokernel_protosplit(two, t)
 
+    def test_wrong_section_entry_names_the_broken_equations(self, section_off_by_one_entry):
+        w = direct_sum(K0, K0)
+        with pytest.raises(WitnessEquationsFail) as exc:
+            cokernel_protosplit(w.i, compose(identity_map(K0), w.q))
+        assert exc.value.failures == ["w o s != 1", "s o w != e"]
+        assert "w o s != 1" in str(exc.value)
+
 
 class TestCoequalizerPair:
     def test_equal_pair_gives_target(self):
         a, b = rand_complex(random.Random(16), bricks=2), rand_complex(random.Random(17), bricks=2)
         total, injs, projs = direct_sum_complexes([a, b])
-        res = coequalizer_protosplit_pair(projs[1], projs[1], injs[1], verify_universal=False)
+        res = coequalizer_protosplit_pair(projs[1], projs[1], injs[1])
         assert res.quotient == b
 
     def test_idempotent_case_splits(self):
         w = direct_sum(K0, K0)
         e = compose(w.i, w.q).as_chain_map()
-        res = split_chain_idempotent_via_pair(e, verify_universal=False)
+        res = split_chain_idempotent_via_pair(e)
         assert res.quotient == K0
 
     def test_reverse_reduction_agrees(self):
@@ -594,8 +601,8 @@ class TestCoequalizerPair:
             total, injs, projs = direct_sum_complexes([a, b])
             f, t = injs[0], compose(identity_map(a), projs[0])
             u, v, t_pair = pair_from_protosplit_map(f, t)
-            res1 = coequalizer_protosplit_pair(u, v, t_pair, verify_universal=False)
-            res2 = cokernel_protosplit(f, t, verify_universal=False)
+            res1 = coequalizer_protosplit_pair(u, v, t_pair)
+            res2 = cokernel_protosplit(f, t)
             assert res1.quotient.ranks() == res2.quotient.ranks()
             assert homology_H(res1.quotient) == homology_H(res2.quotient)
 
@@ -604,7 +611,7 @@ class TestCoequalizerPair:
         a, b = rand_complex(rng), rand_complex(rng)
         u = rand_chain_map(rng, a, b)
         with pytest.raises(PairEquationsFail):
-            coequalizer_protosplit_pair(u, u, Proto.zero(b, a), verify_universal=False)
+            coequalizer_protosplit_pair(u, u, Proto.zero(b, a))
 
 
 class TestMc1IsoLU:
@@ -753,7 +760,7 @@ class TestComposedMapsEqualTheBlockMatrices:
         assert cylinder_factorization(f).q == compose(q1, projs[1])
         res = cone_as_cokernel(f)
         i_ref, p_ref, j_ref, _ = reference_cylinder(f)
-        ref = cokernel_protosplit(i_ref, compose(q1, projs[1]), verify_universal=False)
+        ref = cokernel_protosplit(i_ref, compose(q1, projs[1]))
         assert (res.quotient, res.w) == (ref.quotient, ref.w)
         assert res.comparison == compose(p_ref, ref.s)
         assert res.comparison_inv.comps() == compose(ref.w, j_ref).comps()

@@ -38,7 +38,7 @@ from dgkernel.complexes import (
     suspension,
     unit_complex,
 )
-from dgkernel.cones import cokernel_protosplit
+from dgkernel.cones import cokernel_protosplit, cylinder_factorization
 from dgkernel.dgcat import (
     LEFT,
     RIGHT,
@@ -56,7 +56,7 @@ from dgkernel.dgcat import (
     weighted_colimit,
 )
 from dgkernel.monoidal import sten_hom_isos
-from dgkernel.rand import rand_complex, rand_proto
+from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
 from dgkernel import zlinalg
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch
 
@@ -327,14 +327,14 @@ def factor_cases():
     rng = random.Random(21)
     for _ in range(3):
         a = rand_complex(rng, bricks=2)
-        cp = canonical_presentation(a, probes=[])
+        cp = canonical_presentation(a)
         for _, t in default_probe_family(a):
             yield cp.beta - cp.gamma, cp.alpha, t
     for _ in range(3):
         a, b = rand_complex(rng, bricks=2), rand_complex(rng, bricks=2)
         total, injs, projs = direct_sum_complexes([a, b])
         f = injs[0]
-        res = cokernel_protosplit(f, compose(identity_map(a), projs[0]), verify_universal=False)
+        res = cokernel_protosplit(f, compose(identity_map(a), projs[0]))
         for t in (a, total, suspension(total, 1), suspension(total, -1), K0, LZ):
             yield f, res.w, t
     zero_to_k0 = ChainMap(Complex.zero(), K0, 0, {})
@@ -354,6 +354,50 @@ class TestFactorsUniquelyGate:
                    for k, w, t in factor_cases()]
         assert {ok for ok, _ in answers} == {True, False}
         assert all(calls for _, calls in answers)
+
+
+def protosplit_pair(rng, kind):
+    """A random protosplit chain map f with its protosplitting t.
+
+    "sum": f = u (inj_A proj_A): A + K -> A + B, neither mono nor epi, with
+    t = (inj_A proj_A) u^-1 a chain map, where u = 1 + inj_B h proj_A is a
+    unipotent automorphism of A + B for a random chain map h: A -> B.
+    "cylinder": the protosplit mono i: A -> B + Mc 1_A of the cylinder of a
+    random f: A -> B, with its splitting q, a graded map only."""
+    a, b = rand_complex(rng, bricks=2), rand_complex(rng, bricks=2)
+    if kind == "cylinder":
+        cyl = cylinder_factorization(rand_chain_map(rng, a, b))
+        return cyl.i, cyl.q
+    src, src_injs, src_projs = direct_sum_complexes([a, rand_complex(rng, bricks=1)])
+    tgt, injs, projs = direct_sum_complexes([a, b])
+    h = injs[1] @ rand_chain_map(rng, a, b) @ projs[0]
+    u, u_inv = identity_map(tgt) + h, identity_map(tgt) - h
+    return u @ injs[0] @ src_projs[0], src_injs[0] @ projs[0] @ u_inv
+
+
+class TestEquationsAgreeWithSampling:
+    """The split-fork and cokernel equations prove the universal property
+    for every target; the per-basis reference samples it on the probe
+    families that the verifiers used to run, and must agree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS, st.sampled_from(["sum", "cylinder"]))
+    def test_protosplit_cokernels(self, seed, kind):
+        f, t = protosplit_pair(random.Random(seed), kind)
+        res = cokernel_protosplit(f, t)   # raises unless the equations hold
+        b = f.target
+        for target in (f.source, b, suspension(b, 1), suspension(b, -1), K0, LZ):
+            assert reference_factors_uniquely(f, res.w, target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS, st.booleans())
+    def test_canonical_presentations(self, seed, zero):
+        a = Complex.zero() if zero else rand_complex(random.Random(seed), bricks=2)
+        cp = canonical_presentation(a)
+        sampled = all(reference_factors_uniquely(cp.beta - cp.gamma, cp.alpha, t)
+                      for _, t in default_probe_family(a))
+        assert cp.coequalizer_verified is sampled is True
+        assert cp.failures == []
 
 
 class TestStenHomGate:

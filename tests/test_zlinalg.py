@@ -12,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import embed_pair, protos, tensor_basis
 from dgkernel import zlinalg
 from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, canonical_presentation,
-                                 compose, d_hom, direct_sum, direct_sum_complexes, homology_H,
-                                 identity_map, make_complex)
+                                 compose, d_hom, default_probe_family, direct_sum,
+                                 direct_sum_complexes, factors_uniquely, functor_L, homology_H,
+                                 identity_map, make_complex, suspension, unit_complex)
 from dgkernel.cones import cokernel_protosplit
 from dgkernel.monoidal import TensorSpace
 from dgkernel.rand import rand_complex, rand_unimodular
@@ -1179,7 +1180,12 @@ class TestSameChoicesAsTheDenseElimination:
         assert [a.rank(n) for n in (2, 1, 0, -1)] == [3, 4, 3, 2]
         with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
             cp = canonical_presentation(a)
+            # the presentation sampled on the probe family: beta - gamma is
+            # killed, and every killer must factor through alpha
+            sampled = [factors_uniquely(cp.beta - cp.gamma, cp.alpha, t)
+                       for _, t in default_probe_family(a)]
         assert cp.fork_commutes is True and cp.coequalizer_verified is True
+        assert sampled == [True] * 5
         fresh = fresh_eliminations(made)
         assert len(fresh) >= 10 and sum(1 for m, _ in fresh if zero_rows(m)) >= 5
         for m, s in fresh:
@@ -1192,7 +1198,12 @@ class TestSameChoicesAsTheDenseElimination:
         total, injs, projs = direct_sum_complexes([a, b])
         with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
             res = cokernel_protosplit(injs[0], compose(identity_map(a), projs[0]))
+            # the cokernel sampled on A, B, S B, S^-1 B, Z and L Z
+            sampled = [factors_uniquely(injs[0], res.w, t)
+                       for t in (a, total, suspension(total, 1), suspension(total, -1),
+                                 unit_complex(), functor_L(unit_complex()))]
         assert res.quotient.ranks() == b.ranks()
+        assert sampled == [True] * 6
         fresh = fresh_eliminations(made)
         assert len(fresh) >= 10 and sum(1 for m, _ in fresh if zero_rows(m)) >= 5
         for m, s in fresh:
