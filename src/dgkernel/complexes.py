@@ -483,8 +483,8 @@ def homology_H(a: Complex) -> GradedGroups:
             continue
         # boundaries expressed in kernel coordinates; solvable since d d = 0
         x = solve_matrix(k, a.diff(n + 1))
-        if x is None:
-            raise AssertionError("boundaries do not lie in the cycles; d^2 != 0?")
+        if x is None:   # boundaries leave the cycles: d_n d_{n+1} != 0
+            raise SquareZeroViolated(n + 1)
         out[n] = FPAbGroup(x)
     return GradedGroups(out)
 

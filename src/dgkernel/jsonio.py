@@ -37,7 +37,8 @@ MAX_OBJECTS = 1024
 MAX_HOMS = 4096
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
-_DECIMAL_LIST = re.compile(r"[-+]?[0-9]+(?:,[-+]?[0-9]+)*")
+# deletes the characters of a decimal list; any other character is left
+_DECIMAL_CHARS = str.maketrans("", "", "0123456789,+-")
 
 
 def _int(value, field: str) -> int:
@@ -146,15 +147,16 @@ def matrix_from_json(obj) -> IntMatrix:
     data = _require(obj, "data", list)
     if len(data) != rows * cols:
         raise InputError(f"field 'data': expected {rows * cols} entries, got {len(data)}")
-    # One pass when every entry is a decimal string: join them and match
-    # once; the comma count rules out an entry that holds a comma itself.
+    # One pass when every entry is a decimal string: join them and check
+    # that only digits, signs and commas remain (no space, underscore or
+    # non-ASCII digit), on which int() accepts exactly [-+]?[0-9]+.
     # Anything else, or a string too long for int(), takes the per-entry
     # path, which raises the error naming the first bad entry.
     try:
         text = ",".join(data)
     except TypeError:   # an entry is not a string
         text = None
-    if text is not None and text.count(",") == len(data) - 1 and _DECIMAL_LIST.fullmatch(text):
+    if text is not None and not text.translate(_DECIMAL_CHARS):
         try:
             return IntMatrix(rows, cols, tuple(map(int, data)), _trusted=True)
         except ValueError:

@@ -7,7 +7,8 @@ every homological computation reduces to the routines here.  A Smith
 decomposition has one form: D and the record of the row and column
 operations that reach it, with no explicit transforms.  Solving
 (solve_matrix, the one solver), kernels and inverses apply that record to
-their operand and never form U or V.
+their operand and never form U or V; a replay costs the nonzeros of its
+source rows, not the operand's width.
 A matrix keeps its decomposition, so calling smith_normal_form again on
 the same object costs a lookup: calls are not factorizations.  A kernel
 basis is born with its decomposition, derived from its parent's record
@@ -389,33 +390,43 @@ class SmithDecomposition:
 
 def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> IntMatrix:
     """b after recorded row operations on an n-row operand, last first if
-    backwards: (dst, src, c) adds c * row src to row dst, (i, j) swaps two
-    rows, (k,) negates row k.  An empty record returns b itself.
+    backwards: (dst, src, c) adds c * row src to row dst (dst != src),
+    (i, j) swaps two rows, (k,) negates row k.  An empty record or a
+    zero-width b returns b itself.
 
-    The record comes from smith_normal_form, where a dead row stays zero
-    and only the pivot row's nonzeros move.  The replay skips the same
-    kind of work: an addition whose source row is all zero changes nothing
-    and is skipped.  The operands of kernel_basis ([0; I]) and _solve
-    have many such rows.  The rows start as slices of b, and only a row
-    that an operation changes becomes a new list."""
+    A replay costs the nonzeros of its source rows, not the operand's
+    width: each row is a dict of its nonzero columns, an addition visits
+    the nonzeros of row src and drops entries that cancel, and the dense
+    result is written once, at the end."""
     if b.rows != n:
         raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
-    if not ops:
-        return b
     e, w = b._e, b.cols
-    t = [e[i * w:i * w + w] for i in range(n)]
+    if not (ops and w):
+        return b
+    t = [{} for _ in range(n)]
+    for p in compress(range(n * w), e):
+        i, j = divmod(p, w)
+        t[i][j] = e[p]
     for op in reversed(ops) if backwards else ops:
         if len(op) == 3:
             dst, src, c = op
-            ts = t[src]
-            if any(ts):
-                t[dst] = [x + c * y for x, y in zip(t[dst], ts)]
+            td = t[dst]
+            for j, y in t[src].items():
+                x = td.get(j, 0) + c * y
+                if x:
+                    td[j] = x
+                else:
+                    td.pop(j, None)
         elif len(op) == 2:
             i, j = op
             t[i], t[j] = t[j], t[i]
         else:
-            t[op[0]] = [-x for x in t[op[0]]]
-    return IntMatrix.from_rows(t, b.cols, _trusted=True)
+            t[op[0]] = {j: -x for j, x in t[op[0]].items()}
+    out = [0] * (n * w)
+    for i, r in enumerate(t):
+        for j, x in r.items():
+            out[i * w + j] = x
+    return IntMatrix(n, w, tuple(out), _trusted=True)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -593,27 +604,27 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 def _solve(s: SmithDecomposition, b: IntMatrix) -> Optional[IntMatrix]:
     """With U m V = D of rank r: m X = b has a solution iff the rows of
     C = U b from r on vanish and row i < r is divisible by D[i, i]; then
-    X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below.  When D
-    is the identity, Z is C itself."""
+    X = V Z with Z[i] = C[i] / D[i, i] for i < r and zero below.  Unit
+    factors come first, and only the rows of the others are divided.  A Z
+    equal to C is passed on as C, with any decomposition C holds."""
     n, w = s.D.cols, b.cols
     if not w:
         return IntMatrix.zeros(n, 0)
     cm = s.u_times(b)
-    r = s.rank
-    if r == n == b.rows and all(d == 1 for d in s.diagonal):
-        return s.v_times(cm)
-    c = cm.entries()
+    c, r = cm._e, s.rank
     if any(c[r * w:]):
         return None
-    z = []
-    for i, d in enumerate(s.diagonal[:r]):
+    units = s.diagonal.count(1)
+    divided = []
+    for i in range(units, r):
+        d = s.diagonal[i]
         for x in c[i * w:(i + 1) * w]:
             q, rem = divmod(x, d)
             if rem:
                 return None
-            z.append(q)
-    z.extend([0] * ((n - r) * w))
-    return s.v_times(IntMatrix(n, w, tuple(z), _trusted=True))
+            divided.append(q)
+    z = c[:units * w] + tuple(divided) + (0,) * ((n - r) * w)
+    return s.v_times(cm if z == c else IntMatrix(n, w, z, _trusted=True))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

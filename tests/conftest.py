@@ -2,14 +2,16 @@
 
 import contextlib
 import os
+import random
 import sys
+from itertools import combinations
 from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
 from dgkernel import cones, zlinalg
-from dgkernel.complexes import ChainMap
+from dgkernel.complexes import ChainMap, Complex, make_complex
 from dgkernel.dgcat import RIGHT, Elt
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch
 
@@ -44,6 +46,30 @@ def tensor_basis(ts, n):
     TensorSlot per slot: element k of the list sits at slot k."""
     return [TensorSlot(p, n - p, i, j) for p, rows, cols, _ in ts.layout.blocks(n)
             for i in range(rows) for j in range(cols)]
+
+
+def simplex_skeleton(rng: random.Random, vertices: int, k: int) -> Complex:
+    """The simplicial chain complex of the k-skeleton of the simplex on
+    `vertices` vertices, with the simplices of each degree in a seeded
+    order and each simplex given a seeded orientation: sparse +-1
+    boundaries.  It is a wedge of C(vertices - 1, k + 1) k-spheres, so its
+    homology is Z in degree 0 and Z^C(vertices - 1, k + 1) in degree k."""
+    cells, sign = [], []
+    for i in range(k + 1):
+        cs = list(combinations(range(vertices), i + 1))
+        rng.shuffle(cs)
+        cells.append(cs)
+        sign.append({c: rng.choice((1, -1)) for c in cs})
+    diffs = {}
+    for i in range(1, k + 1):
+        row = {c: r for r, c in enumerate(cells[i - 1])}
+        m = [[0] * len(cells[i]) for _ in cells[i - 1]]
+        for col, c in enumerate(cells[i]):
+            for j in range(len(c)):
+                face = c[:j] + c[j + 1:]
+                m[row[face]][col] = (-1) ** j * sign[i][c] * sign[i - 1][face]
+        diffs[i] = m
+    return make_complex({i: len(cs) for i, cs in enumerate(cells)}, diffs)
 
 
 def slot_chain_map(src, tgt, mapping) -> ChainMap:

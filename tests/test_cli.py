@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import simplex_skeleton
 from dgkernel import cli, jsonio
 from dgkernel.cli import main
 from dgkernel.complexes import (
@@ -38,7 +40,7 @@ from dgkernel.monoidal import TensorSpace
 from dgkernel.totals import TotComparison
 from dgkernel.jsonio import module_to_json
 from dgkernel.rand import rand_complex, rand_double_complex
-from dgkernel.zlinalg import IntMatrix
+from dgkernel.zlinalg import FPAbGroup, IntMatrix
 
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
 
@@ -667,8 +669,13 @@ class TestMatrixRead:
         (["\u0661"], "\u0661"), (["1,2"], "1,2"), ([""], ""), (["+"], "+"),
         (["1", 2, "x", 4], "x"), (["1", "2", "3", "1,"], "1,"), (["7", "1,", "2"], "1,"),
         ([LONG_DIGITS], LONG_DIGITS), (["1", "2", LONG_DIGITS, "x"], LONG_DIGITS),
+        # int() accepts the first four; each sits among decimal strings
+        (["1", " 2", "-3"], " 2"), (["1", "2 ", "-3"], "2 "), (["1", "1_0", "-3"], "1_0"),
+        (["1", "\u0661", "-3"], "\u0661"), (["1", "+-1", "-3"], "+-1"), (["1", "", "-3"], ""),
     ], ids=["true", "float", "space", "underscore", "arabic-indic", "comma", "empty",
-            "sign", "mixed", "trailing-comma", "comma-pair", "long", "long-then-bad"])
+            "sign", "mixed", "trailing-comma", "comma-pair", "long", "long-then-bad",
+            "among-leading-space", "among-trailing-space", "among-underscore",
+            "among-arabic-indic", "among-two-signs", "among-empty"])
     def test_bad_entries_keep_their_message(self, files, capsys, data, bad):
         bad_path = files["tmp"] + "/bad_matrix.json"
         jsonio.dump({"lo": 0, "hi": 1, "ranks": [len(data), 1],
@@ -677,6 +684,25 @@ class TestMatrixRead:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: field 'data': expected an integer, got {bad!r}\n"
+
+
+class TestSkeletonHomology:
+    """The k-skeleton of the simplex on v vertices is a wedge of
+    C(v - 1, k + 1) k-spheres: sparse +-1 boundaries, read through
+    homology_H and through the homology verb."""
+
+    @pytest.mark.parametrize("vertices, k", [(6, 3), (8, 5)])
+    def test_wedge_of_spheres(self, files, capsys, vertices, k):
+        a = simplex_skeleton(random.Random(vertices * 10 + k), vertices, k)
+        spheres = comb(vertices - 1, k + 1)
+        h = homology_H(a)
+        assert h.support() == [0, k]
+        assert h.at(0) == FPAbGroup.free(1) and h.at(k) == FPAbGroup.free(spheres)
+        path = files["tmp"] + "/skeleton.json"
+        jsonio.dump(jsonio.complex_to_json(a), path)
+        assert main(["--json", "homology", path]) == 0
+        assert json.loads(capsys.readouterr().out)["homology"] == {
+            "H_0": "Z", f"H_{k}": f"Z^{spheres}"}
 
 
 HOMOLOGY_VERBS = {

@@ -193,6 +193,17 @@ class TestHomology:
             a = rand_complex(rng)
             assert homology_H(suspension(a)) == homology_H(a).shifted(1)
 
+    def test_boundaries_outside_the_cycles_raise_square_zero(self):
+        # d_1 d_2 = 1: the boundary e_1 of d_2 is not in ker d_1 = <e_2>
+        ranks = {2: 1, 1: 2, 0: 1}
+        diffs = {2: IntMatrix.from_rows([[1], [0]]), 1: IntMatrix.from_rows([[1, 0]])}
+        with pytest.raises(SquareZeroViolated) as raised:
+            homology_H(Complex(ranks, diffs, _validated=True))
+        assert raised.value.degree == 2
+        with pytest.raises(SquareZeroViolated) as checked:
+            Complex(ranks, diffs)
+        assert checked.value.degree == raised.value.degree
+
     def test_graded_groups_reject_a_non_integer_degree(self):
         # int(2.5) used to file the group at degree 2
         with pytest.raises(ValueError, match=r"^degree 2\.5 is not an integer$"):

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import embed_pair, protos, tensor_basis
+from conftest import embed_pair, protos, simplex_skeleton, tensor_basis
 from dgkernel import zlinalg
 from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, canonical_presentation,
                                  compose, d_hom, default_probe_family, direct_sum,
@@ -1299,6 +1299,137 @@ class TestReplayOverZeroRows:
         assert kernel_basis(m) == ref.V.select_cols(range(ref.rank, m.cols))
         assert solve_matrix(m, m @ c) is not None
 
+
+def dense_ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> IntMatrix:
+    """The dense replay the sparse one must match bit for bit: every row a
+    slice of b, and an addition rebuilds its whole destination row."""
+    if b.rows != n:
+        raise ShapeMismatch(f"transform is {n}x{n}, operand has {b.rows} rows")
+    if not ops:
+        return b
+    e, w = b._e, b.cols
+    t = [e[i * w:i * w + w] for i in range(n)]
+    for op in reversed(ops) if backwards else ops:
+        if len(op) == 3:
+            dst, src, c = op
+            ts = t[src]
+            if any(ts):
+                t[dst] = [x + c * y for x, y in zip(t[dst], ts)]
+        elif len(op) == 2:
+            i, j = op
+            t[i], t[j] = t[j], t[i]
+        else:
+            t[op[0]] = [-x for x in t[op[0]]]
+    return IntMatrix.from_rows(t, b.cols, _trusted=True)
+
+
+def assert_replays_agree(b: IntMatrix, ops: list):
+    for backwards in (False, True):
+        got = zlinalg._ops_applied(b, ops, b.rows, backwards)
+        assert got == dense_ops_applied(b, ops, b.rows, backwards)
+        assert type(got.entries()) is tuple and all(type(x) is int for x in got.entries())
+
+
+def sparse_operand(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    """rows x cols, a third of the rows zero and the rest mostly zero."""
+    e = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rows * cols)]
+    for i in rng.sample(range(rows), rows // 3):
+        e[i * cols:(i + 1) * cols] = [0] * cols
+    return IntMatrix(rows, cols, e)
+
+
+@st.composite
+def cancelling_records(draw, max_rows=8, max_ops=30):
+    """(operand, record): entries and multipliers in {-1, 0, 1}, so that
+    additions often cancel a row to zero and that row is later a source."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(0, 5))
+    b = IntMatrix(rows, cols, draw(st.lists(st.integers(-1, 1), min_size=rows * cols,
+                                            max_size=rows * cols)))
+    row = st.integers(0, rows - 1)
+    pair = st.tuples(row, row).filter(lambda p: p[0] != p[1]) if rows > 1 else st.nothing()
+    op = st.one_of(st.tuples(row), st.tuples(row, row),
+                   st.builds(lambda p, c: p + (c,), pair, st.sampled_from((-1, 1, 0))))
+    return b, draw(st.lists(op, max_size=max_ops))
+
+
+class TestSparseReplay:
+    """The replay keeps rows as dicts of their nonzeros; it must write what
+    the dense replay writes, for every record and operand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_matrices(max_side=24, max_long=50, max_short=16), st.integers(0, 2**32 - 1))
+    def test_records_of_sparse_matrices(self, m, seed):
+        rng = random.Random(seed)
+        s = smith_normal_form(m)
+        for rows, ops in ((m.rows, s._row_ops), (m.cols, s._col_ops)):
+            assert_replays_agree(sparse_operand(rng, rows, rng.randint(0, 6)), ops)
+            assert_replays_agree(IntMatrix.identity(rows), ops)
+
+    @pytest.mark.parametrize("vertices, k", [(6, 3), (7, 4), (8, 5)])
+    def test_records_of_skeleton_boundaries(self, vertices, k):
+        rng = random.Random(vertices * 10 + k)
+        a = simplex_skeleton(rng, vertices, k)
+        for n, d in sorted(a.diffs().items()):
+            s = smith_normal_form(d)
+            r = s.rank
+            kernel_operand = IntMatrix.zeros(r, d.cols - r).vstack(IntMatrix.identity(d.cols - r))
+            assert_replays_agree(kernel_operand, s._col_ops)
+            assert_replays_agree(sparse_operand(rng, d.rows, 40), s._row_ops)
+            up = a.diff(n + 1)
+            if up.cols:
+                k_n = kernel_basis(d)
+                assert_replays_agree(up, k_n._snf._row_ops)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cancelling_records())
+    def test_hand_made_records(self, case):
+        assert_replays_agree(*case)
+
+    def test_a_cancelled_row_is_later_a_source(self):
+        b = IntMatrix.from_rows([[1, 0, 2], [1, 0, 2], [0, 3, 0], [0, 0, 0]])
+        ops = [(1, 0, -1),   # row 1 cancels to zero
+               (2, 1, 5),    # adds nothing
+               (1, 2, 1), (0, 1), (3,), (3, 0, 2), (2,), (2, 3), (0, 3, -1)]
+        assert_replays_agree(b, ops)
+        assert zlinalg._ops_applied(b, ops[:2], 4) == IntMatrix.from_rows(
+            [[1, 0, 2], [0, 0, 0], [0, 3, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("rows, cols", [(3, 0), (0, 0), (3, 4), (1, 7)])
+    def test_zero_width_and_all_zero_operands(self, rows, cols):
+        b = IntMatrix.zeros(rows, cols)
+        ops = [(0, 1, 3), (1, 2), (2,)] if rows == 3 else []
+        assert zlinalg._ops_applied(b, ops, rows) == b
+        assert_replays_agree(b, ops)
+        if not cols:
+            assert zlinalg._ops_applied(b, ops, rows) is b
+
+
+class TestSolveOnePath:
+    """_solve divides only the rows whose invariant factor is not 1, and
+    needs no second branch for a unit diagonal."""
+
+    D = IntMatrix.diagonal([1, 1, 3], rows=4, cols=3)   # rank 3, one zero row
+
+    def test_unit_diagonals(self):
+        s = SmithDecomposition(IntMatrix.identity(3), [(1, 0, 2), (0, 2)], [(0, 1, -1)])
+        b = IntMatrix.from_rows([[5, 0], [-7, 1], [2, 2]])
+        x = zlinalg._solve(s, b)
+        assert x == s.V @ s.U @ b
+        # an empty record passes the right-hand side itself through
+        k = kernel_basis(IntMatrix.zeros(0, 3))
+        assert solve_matrix(k, b) is b
+
+    def test_a_nonzero_row_at_rank_gives_none(self):
+        s = SmithDecomposition(self.D, [], [])
+        assert zlinalg._solve(s, IntMatrix.column([1, 1, 3, 1])) is None
+        assert zlinalg._solve(s, IntMatrix.column([4, -5, 6, 0])) == IntMatrix.column([4, -5, 2])
+
+    def test_a_remainder_only_in_a_non_unit_row(self):
+        s = SmithDecomposition(self.D, [], [])
+        # rows 0 and 1 are not multiples of 3, and need not be
+        assert zlinalg._solve(s, IntMatrix.from_rows([[2, 1], [5, 1], [3, 4], [0, 0]])) is None
+        assert zlinalg._solve(s, IntMatrix.from_rows([[2, 1], [5, 1], [3, 6], [0, 0]])) == \
+            IntMatrix.from_rows([[2, 1], [5, 1], [1, 2]])
 
 def smith_record_writers(source: str):
     """(functions that append an operation to a Smith record, module-level
