@@ -31,6 +31,7 @@ from .complexes import (
     hom_complex,
     homology_H,
     identity_map,
+    inverse_failures,
     make_complex,
     suspension,
     unit_complex,
@@ -212,12 +213,10 @@ def criterion_4_monoidal(seed: int) -> CriterionResult:
             rhs = sign * compose(tensor_proto(g, f), s1)
             _check(lhs == rhs, "Koszul naturality sign fails")
             fwd, bwd = sten_iso(a, b)
-            _check(compose(bwd, fwd) == identity_map(fwd.source), "sten iso not split")
-            _check(compose(fwd, bwd) == identity_map(fwd.target), "sten iso not split")
+            _check(not inverse_failures(fwd, bwd), "sten iso not split")
             isos = sten_hom_isos(a, b)
             for name, (ff, gg) in isos.items():
-                _check(compose(gg, ff) == identity_map(ff.source), f"hom iso {name}")
-                _check(compose(ff, gg) == identity_map(ff.target), f"hom iso {name}")
+                _check(not inverse_failures(ff, gg), f"hom iso {name}")
 
     return _run(4, "monoidal identities: symmetry, Koszul naturality, shift isos", check)
 
@@ -228,8 +227,7 @@ def criterion_5_duality(seed: int) -> CriterionResult:
         w = verify_duality_LR()
         _check(w.triangle_left and w.triangle_right, "triangle identities fail")
         iso, inv = decompose_LZ_tensor()
-        _check(compose(inv, iso) == identity_map(iso.source), "decomposition not split")
-        _check(compose(iso, inv) == identity_map(iso.target), "decomposition not split")
+        _check(not inverse_failures(iso, inv), "decomposition not split")
         _check(time.time() - t0 < 1.0, "solver exceeded 1 s")
 
     return _run(5, "duality unit/counit and free-cover tensor decomposition", check)
@@ -243,14 +241,13 @@ def criterion_6_cones(seed: int) -> CriterionResult:
             f = rand_chain_map(rng, a, b)
             u = rand_proto(rng, suspension(a, 1), b, 0)
             h = cone_homotopy_iso(f, u)
-            _check(compose(h.inverse, h.iso) == identity_map(h.iso.source))
-            _check(compose(h.iso, h.inverse) == identity_map(h.iso.target))
+            _check(not inverse_failures(h.iso, h.inverse))
         for _ in range(20):
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             rec = recognize_cone(mapping_cone(f))
             _check(rec.map == f, "recognition does not recover f")
-            _check(compose(rec.inverse, rec.iso) == identity_map(rec.iso.source))
+            _check(not inverse_failures(rec.iso, rec.inverse))
             cyl = cylinder_factorization(f)
             _check(cyl.check() == [], "cylinder witnesses fail")
             _check(homology_H(cyl.middle) == homology_H(b),
@@ -415,10 +412,7 @@ def criterion_11_totalization(seed: int) -> CriterionResult:
         fixtures += [rand_double_complex(rng) for _ in range(6)]
         for a in fixtures:
             cmp = tot_via_weighted_colimit(a)
-            _check(compose(cmp.inverse, cmp.iso) == identity_map(cmp.colimit),
-                   "comparison not split")
-            _check(compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot),
-                   "comparison not split")
+            _check(not inverse_failures(cmp.iso, cmp.inverse), "comparison not split")
         for _ in range(20):
             a = rand_double_complex(rng)
             x = rand_complex(rng)

@@ -24,6 +24,7 @@ from .complexes import (
     homology_H,
     hom_complex,
     identity_map,
+    inverse_failures,
 )
 from .cones import NotProtosplit, WitnessEquationsFail, cokernel_protosplit, mapping_cone
 from .dgcat import (
@@ -154,8 +155,7 @@ def cmd_tot(args) -> int:
             cmp = tot_via_weighted_colimit(a, window=args.window)
         except SupportExceedsWindow as exc:
             raise InputError(f"--window: {exc}")
-        ok = ((cmp.iso @ cmp.inverse) == identity_map(cmp.tot)
-              and (cmp.inverse @ cmp.iso) == identity_map(cmp.colimit))
+        ok = not inverse_failures(cmp.iso, cmp.inverse)
         payload["colim_comparison"] = ok
         lines.append(f"colim comparison iso: {'ok' if ok else 'FAIL'}")
         if not ok:

@@ -49,6 +49,14 @@ class NotAChainMap(ValueError):
     """A protomorphism failed the cycle condition d_hom(f) = 0."""
 
 
+class WitnessEquationsFail(ValueError):
+    """A construction failed its own equations; `failures` names each."""
+
+    def __init__(self, failures: Sequence[str]):
+        self.failures = list(failures)
+        super().__init__("witness equations failed: " + ", ".join(failures))
+
+
 def _hom_sign(n: int) -> int:
     # Koszul sign in the hom differential: (df)_q = d f_q - (-1)^n f_{q-1} d.
     return -1 if n % 2 else 1
@@ -356,6 +364,24 @@ def compose(g: Proto, f: Proto) -> Proto:
         if gm is not None:
             comps[q] = gm @ m
     return Proto(f.source, g.target, fd + g.degree, comps)
+
+
+def failed_equations(*equations) -> List[str]:
+    """The name of each (name, lhs, rhs) whose sides differ or are not parallel, in order."""
+    return [name for name, lhs, rhs in equations if lhs != rhs]
+
+
+def require(failures: Sequence[str]) -> None:
+    """Raise WitnessEquationsFail naming the failures, if there are any."""
+    if failures:
+        raise WitnessEquationsFail(failures)
+
+
+def inverse_failures(iso: Proto, inverse: Proto) -> List[str]:
+    """Which of inverse o iso = 1 and iso o inverse = 1 fail."""
+    return failed_equations(
+        ("inverse o iso != 1", compose(inverse, iso), identity_map(iso.source)),
+        ("iso o inverse != 1", compose(iso, inverse), identity_map(iso.target)))
 
 
 # -- shift and forgetful functors ---------------------------------------
@@ -697,14 +723,11 @@ class AdjunctionWitness:
         self.graded, self.chain = graded, chain
         self.to_chain = IntMatrix.from_rows(to_chain, graded.dim(0), _trusted=True)
         self.to_graded = IntMatrix.from_rows(to_graded, chain.dim(0), _trusted=True)
-        detail = []
-        if self.to_graded @ self.to_chain != IntMatrix.identity(graded.dim(0)):
-            detail.append("graded round trip failed")
-        if not (chain.complex.diff(0) @ self.to_chain).is_zero():
-            detail.append("transpose is not a chain map")
-        k = chain.cycle_basis(0)
-        if self.to_chain @ (self.to_graded @ k) != k:
-            detail.append("chain round trip failed")
+        g, d0, k = graded.dim(0), chain.complex.diff(0), chain.cycle_basis(0)
+        detail = failed_equations(
+            ("graded round trip failed", self.to_graded @ self.to_chain, IntMatrix.identity(g)),
+            ("transpose is not a chain map", d0 @ self.to_chain, IntMatrix.zeros(d0.rows, g)),
+            ("chain round trip failed", self.to_chain @ (self.to_graded @ k), k))
         self.verified = not detail
         self.detail = "; ".join(detail)
 
@@ -804,13 +827,13 @@ def canonical_presentation(a: Complex) -> CanonicalPresentation:
     lu, lulu = alpha.source, beta.source
     s, t = lu_unit(a), lu_unit(lu)
 
-    fork = (alpha @ beta) == (alpha @ gamma)
-    failures = [name for name, holds in (
-        ("alpha beta != alpha gamma", fork),
-        ("alpha s != 1", alpha @ s == identity_map(a)),
-        ("beta t != 1", beta @ t == identity_map(lu)),
-        ("gamma t != s alpha", gamma @ t == s @ alpha)) if not holds]
-    return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma, fork, not failures, failures)
+    failures = failed_equations(
+        ("alpha beta != alpha gamma", alpha @ beta, alpha @ gamma),
+        ("alpha s != 1", alpha @ s, identity_map(a)),
+        ("beta t != 1", beta @ t, identity_map(lu)),
+        ("gamma t != s alpha", gamma @ t, s @ alpha))
+    return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma,
+                                 "alpha beta != alpha gamma" not in failures, not failures, failures)
 
 
 def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:

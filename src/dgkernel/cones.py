@@ -22,20 +22,24 @@ differential is written as a block matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import (
     ChainMap,
     Complex,
     NotAChainMap,
     Proto,
+    WitnessEquationsFail,  # re-exported: the failure of every check below
     compose,
     d_hom,
     direct_sum_complexes,
+    failed_equations,
     forget_U,
     functor_L,
     identity_map,
+    inverse_failures,
     lu_functor_map,  # re-exported: LU on maps, beside the counit
+    require,
     suspension,
 )
 from .zlinalg import (
@@ -45,12 +49,6 @@ from .zlinalg import (
     inverse_unimodular,
     smith_normal_form,
 )
-
-
-class WitnessEquationsFail(ValueError):
-    def __init__(self, failures: Sequence[str]):
-        self.failures = list(failures)
-        super().__init__("witness equations failed: " + ", ".join(failures))
 
 
 class NotProtosplit(ValueError):
@@ -91,21 +89,19 @@ class SplitSequence:
 
     def check(self) -> List[str]:
         i, j, p, q = self.i, self.j, self.p, self.q
-        return [name for name, holds in (
-            ("p o i != 0", compose(p, i).is_zero()),
-            ("q o i != 1", compose(q, i) == identity_map(i.source)),
-            ("p o j != 1", compose(p, j) == identity_map(j.source)),
-            ("i q + j p != 1", compose(i, q) + compose(j, p) == identity_map(self.middle)),
-            ("q o j != 0", compose(q, j).is_zero())) if not holds]
+        return failed_equations(
+            ("p o i != 0", compose(p, i), Proto.zero(i.source, p.target)),
+            ("q o i != 1", compose(q, i), identity_map(i.source)),
+            ("p o j != 1", compose(p, j), identity_map(j.source)),
+            ("i q + j p != 1", compose(i, q) + compose(j, p), identity_map(self.middle)),
+            ("q o j != 0", compose(q, j), Proto.zero(j.source, q.target)))
 
 
 def direct_sum(a: Complex, b: Complex) -> SplitSequence:
     """A + B with i: A ->, j: B ->, p: -> B and q: -> A."""
     _, injs, projs = direct_sum_complexes([a, b])
     w = SplitSequence(injs[0], injs[1], projs[1], projs[0])
-    failures = w.check()
-    if failures:  # structural bug if this ever fires
-        raise WitnessEquationsFail(failures)
+    require(w.check())  # structural bug if this ever fires
     return w
 
 
@@ -213,12 +209,8 @@ def recognize_cone(data: SplitSequence) -> RecognizedCone:
     i q_cone + j p_cone: Mc g -> C with inverse i_cone q + j_cone p.
     (The inverse [q - q j p; p] of the block form is the same map: the
     equations force q j p = q - q i q = 0.)"""
-    failures = data.check()
-    if failures:
-        raise WitnessEquationsFail(failures)
-    b, c = data.i.source, data.i.target
-    sa = data.p.target
-    a = suspension(sa, -1)
+    require(data.check())
+    b, a = data.i.source, suspension(data.p.target, -1)
 
     dj = d_hom(data.j)                    # degree -1 proto SA -> C
     g_shift = compose(data.q, dj)         # degree -1 proto SA -> B
@@ -228,9 +220,7 @@ def recognize_cone(data: SplitSequence) -> RecognizedCone:
     cone = mapping_cone(g)
     iso = (compose(data.i, cone.q) + compose(data.j, cone.p)).as_chain_map()
     inverse = (compose(cone.i, data.q) + compose(cone.j, data.p)).as_chain_map()
-    if compose(inverse, iso) != identity_map(cone.middle) or \
-       compose(iso, inverse) != identity_map(c):
-        raise AssertionError("recognition inverse failed")  # theory guarantees this
+    require(inverse_failures(iso, inverse))  # theory guarantees this
     return RecognizedCone(g, iso, inverse)
 
 
@@ -247,8 +237,7 @@ def cylinder_factorization(f: ChainMap) -> SplitSequence:
     to_b = pr_b + compose(f, q)
     p = (compose(conef.i, to_b) + compose(conef.j, compose(cone1.p, pr_c))).as_chain_map()
     j = compose(in_b, conef.q) + compose(in_c, compose(cone1.j, conef.p))
-    if not compose(p, i).is_zero():
-        raise AssertionError("p o i != 0")
+    require(failed_equations(("p o i != 0", compose(p, i), Proto.zero(i.source, p.target))))
     return SplitSequence(i, j, p, q)
 
 
@@ -267,10 +256,8 @@ def idempotent_of(f: ChainMap, t: Proto) -> Proto:
     if not is_protosplitting(f, t):
         raise NotProtosplit("f o t o f != f")
     e = identity_map(f.target) - compose(f, t)
-    if compose(e, e) != e:
-        raise AssertionError("e o e != e")
-    if not compose(e, f).is_zero():
-        raise AssertionError("e o f != 0")
+    require(failed_equations(("e o e != e", compose(e, e), e),
+                             ("e o f != 0", compose(e, f), Proto.zero(f.source, f.target))))
     return e
 
 
@@ -322,8 +309,8 @@ def split_idempotent(e: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     p, r_comps, s_comps = _split_degreewise(e)
     r = ChainMap(a, p, 0, r_comps)
     s = ChainMap(p, a, 0, s_comps)
-    if compose(s, r) != e or compose(r, s) != identity_map(p):
-        raise AssertionError("idempotent splitting fails s r = e, r s = 1")
+    require(failed_equations(("s o r != e", compose(s, r), e),
+                             ("r o s != 1", compose(r, s), identity_map(p))))
     return p, r, s
 
 
@@ -346,12 +333,10 @@ def cokernel_protosplit(f: ChainMap, t: Proto) -> ProtosplitCokernel:
     c, w_comps, s_comps = _split_degreewise(e)
     w = ChainMap(f.target, c, 0, w_comps)
     s = Proto(c, f.target, 0, s_comps)
-    failures = [name for name, holds in (
-        ("w o f != 0", compose(w, f).is_zero()),
-        ("w o s != 1", compose(w, s) == identity_map(c)),
-        ("s o w != e", compose(s, w) == e)) if not holds]
-    if failures:
-        raise WitnessEquationsFail(failures)
+    require(failed_equations(
+        ("w o f != 0", compose(w, f), Proto.zero(f.source, c)),
+        ("w o s != 1", compose(w, s), identity_map(c)),
+        ("s o w != e", compose(s, w), e)))
     return ProtosplitCokernel(c, w, s, e)
 
 
@@ -408,8 +393,7 @@ def mc1_iso_LU(a: Complex) -> Mc1LUIso:
     jdq = compose(cone1.j, compose(d, cone1.q))
     iso = _identity_plus(-jdq, cone1.middle, lua)
     inverse = _identity_plus(jdq, lua, cone1.middle)
-    if compose(inverse, iso) != identity_map(cone1.middle) or compose(iso, inverse) != identity_map(lua):
-        raise AssertionError("Mc 1 = LU comparison is not invertible")
+    require(inverse_failures(iso, inverse))
     return Mc1LUIso(iso, inverse)
 
 
@@ -443,7 +427,5 @@ def cone_as_cokernel(f: ChainMap) -> ConeAsCokernel:
     comparison = compose(cyl.p, result.s).as_chain_map()
     comparison_inv = ChainMap(cone, result.quotient, 0,
                               compose(result.w, cyl.j).comps(), _trusted=True)
-    if compose(comparison, comparison_inv) != identity_map(cone) or \
-       compose(comparison_inv, comparison) != identity_map(result.quotient):
-        raise AssertionError("cokernel-to-cone comparison is not invertible")
+    require(inverse_failures(comparison, comparison_inv))
     return ConeAsCokernel(result.quotient, result.w, comparison, comparison_inv)

@@ -283,9 +283,9 @@ def sten_hom_isos(b: Complex, c: Complex) -> Dict[str, Tuple[ChainMap, ChainMap]
 # -- solved-for witnesses ---------------------------------------------------
 
 
-def _search_iso(src: Complex, tgt: Complex, box: int = 1) -> Tuple[ChainMap, ChainMap]:
-    """Find mutually inverse chain maps src <-> tgt by exact search + solve:
-    for each f = K_fwd c, solve g o f = 1 for g = K_bwd x, then check f o g = 1."""
+def _search_iso(src: Complex, tgt: Complex) -> Tuple[ChainMap, ChainMap]:
+    """Find mutually inverse chain maps src <-> tgt by exact search + solve: for
+    each f = K_fwd c, c in [-1, 1]^k, solve g o f = 1 for g = K_bwd x, then check f o g = 1."""
     hs_fwd, hs_bwd = HomSpace(src, tgt), HomSpace(tgt, src)
     k_fwd, k_bwd = hs_fwd.cycle_basis(0), hs_bwd.cycle_basis(0)
     if not k_fwd.cols or not k_bwd.cols:
@@ -297,7 +297,7 @@ def _search_iso(src: Complex, tgt: Complex, box: int = 1) -> Tuple[ChainMap, Cha
     id_tgt = hs_tgt.to_vector(identity_map(tgt))
 
     candidates = sorted(
-        iter_product(range(-box, box + 1), repeat=k_fwd.cols),
+        iter_product(range(-1, 2), repeat=k_fwd.cols),
         key=lambda t: sum(abs(x) for x in t),
     )
     for coeffs in candidates:

@@ -247,8 +247,6 @@ def tot_via_weighted_colimit(a: DoubleComplex,
             continue
         sect = presented.section(n)
         mat = phi.get(n, IntMatrix.zeros(tot.rank(n), ambient.rank(n))) @ sect
-        if mat.rows != mat.cols:
-            raise AssertionError("colimit and Tot ranks differ")
         iso_comps[n] = mat
         inv_comps[n] = inverse_unimodular(mat)
     iso = ChainMap(colim, tot, 0, iso_comps)

@@ -225,3 +225,12 @@ def section_off_by_one_entry(monkeypatch):
         return p, retractions, {**sections, n: IntMatrix.from_rows(rows, sections[n].cols)}
 
     monkeypatch.setattr(cones, "_split_degreewise", broken)
+
+
+@pytest.fixture()
+def doubled_identity(monkeypatch):
+    """Patch cones.identity_map to build twice the identity, so that
+    idempotent_of builds e = 2 - f t: with f = 0 that breaks e e = e
+    alone, with f = t = 1 it breaks e f = 0 alone (e = 1)."""
+    real = cones.identity_map
+    monkeypatch.setattr(cones, "identity_map", lambda a: 2 * real(a))

@@ -1,0 +1,59 @@
+"""The names the benchmark reaches into the program by.
+
+The traced benchmark run (bench/tracing.py) wraps entry points it names by
+string, and the `universal` workload reads fields of canonical_presentation's
+result.  A change that drops or renames one of them would first fail in a
+benchmark run; these tests make it fail here.  bench/tracing.py is loaded
+from its file and only read.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import dgkernel
+from dgkernel import acceptance
+from dgkernel.complexes import make_complex
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_every_traced_function_resolves(tracing):
+    missing = [f"{mod}.{attr}" for mod, attr in tracing.FUNCTIONS
+               if not callable(getattr(importlib.import_module(f"dgkernel.{mod}"), attr, None))]
+    assert missing == []
+
+
+def test_every_traced_method_is_defined_on_its_class(tracing):
+    missing = [name for mod, cls, attr, name in tracing.METHODS
+               if attr not in vars(getattr(importlib.import_module(f"dgkernel.{mod}"), cls))]
+    assert missing == []
+
+
+def test_one_traced_span_per_criterion(tracing):
+    criteria = [name for name, fn in vars(acceptance).items()
+                if name.startswith("criterion_") and callable(fn)]
+    assert len(criteria) == tracing.CRITERIA
+
+
+@pytest.mark.parametrize("ranks, diffs", [({0: 1}, {}), ({1: 1, 0: 1}, {1: [[2]]})],
+                         ids=["Z", "M2"])
+def test_canonical_presentation_answers_the_universal_workload(ranks, diffs):
+    # the workload's check reads both flags with `is True`
+    cp = dgkernel.canonical_presentation(make_complex(ranks, diffs))
+    assert cp.fork_commutes is True and cp.coequalizer_verified is True

@@ -321,6 +321,20 @@ class TestVerbs:
             assert json.loads(captured.out) == {
                 "verified": False, "witness": "witness equations failed: w o s != 1, s o w != e"}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_broken_idempotent_equation_exits_one_with_its_name(self, capsys, tmp_path,
+                                                                doubled_identity, fmt):
+        # f = t = 0, so e = 2 - f t breaks e e = e alone
+        zero = str(tmp_path / "zero.json")
+        jsonio.dump(jsonio.proto_to_json(Proto.zero(M2, M2)), zero)
+        argv = ["cokernel-protosplit", "--f", zero, "--t", zero]
+        assert main((["--json"] if fmt == "json" else []) + argv) == 1
+        captured = capsys.readouterr()
+        assert "e o e != e" in captured.out and captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out) == {
+                "verified": False, "witness": "witness equations failed: e o e != e"}
+
     @pytest.mark.parametrize("matrix, message", [
         ({"rows": -1, "cols": -1, "data": ["0"]}, "field 'rows': expected a non-negative"),
         ({"rows": 1, "cols": -2, "data": []}, "field 'cols': expected a non-negative"),

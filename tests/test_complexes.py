@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgkernel.complexes as complexes
+from dgkernel import cones
 from conftest import protos
 from dgkernel.complexes import (
     AdjunctionWitness,
@@ -17,6 +18,7 @@ from dgkernel.complexes import (
     NotGraded,
     Proto,
     SquareZeroViolated,
+    WitnessEquationsFail,
     adjunction_iso_LU,
     adjunction_iso_UR,
     canonical_presentation,
@@ -26,14 +28,17 @@ from dgkernel.complexes import (
     direct_sum,
     direct_sum_complexes,
     factors_uniquely,
+    failed_equations,
     forget_U,
     functor_L,
     functor_R,
     hom_complex,
     homology_H,
     identity_map,
+    inverse_failures,
     lu_counit,
     make_complex,
+    require,
     suspension,
     unit_complex,
     HomSpace,
@@ -740,3 +745,51 @@ class TestNoPerBasisBuilds:
                   "for q, rows, cols, off in hs.layout.blocks(n):\n    pass\n")
         assert per_basis_builds(source) == []
 
+
+class TestNamedEquations:
+    def test_names_each_failing_equation_in_order(self):
+        one, two = identity_map(M2), 2 * identity_map(M2)
+        assert failed_equations(("a", one, two), ("b", one, one), ("c", two, one)) == ["a", "c"]
+        assert failed_equations() == []
+
+    def test_matrices_and_sides_that_are_not_parallel(self):
+        i2 = IntMatrix.identity(2)
+        shapes = IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 2)
+        assert failed_equations(("square", i2 @ i2, i2), ("shape", *shapes)) == ["shape"]
+        zero = Proto.zero(M2, M2)
+        assert failed_equations(("ends", zero, Proto.zero(K0, K0)),
+                                ("degree", zero, Proto.zero(M2, M2, 1))) == ["ends", "degree"]
+
+    def test_require_raises_only_on_failures(self):
+        require([])
+        with pytest.raises(WitnessEquationsFail, match="witness equations failed: a, b") as exc:
+            require(["a", "b"])
+        assert exc.value.failures == ["a", "b"]
+
+    def test_one_failure_type(self):
+        assert cones.WitnessEquationsFail is WitnessEquationsFail
+        assert issubclass(WitnessEquationsFail, ValueError)
+
+    def test_inverse_failures_checks_both_sides(self):
+        # iso: Z^2 -> Z, inverse: Z -> Z^2 with iso o inverse = 1 only
+        big, small = Complex.concentrated(0, 2), Complex.concentrated(0, 1)
+        iso = ChainMap(big, small, 0, {0: IntMatrix.from_rows([[1, 0]])})
+        inverse = ChainMap(small, big, 0, {0: IntMatrix.from_rows([[1], [0]])})
+        assert inverse_failures(iso, inverse) == ["inverse o iso != 1"]
+        assert inverse_failures(inverse, iso) == ["iso o inverse != 1"]
+        assert inverse_failures(identity_map(M2), identity_map(M2)) == []
+        assert inverse_failures(2 * identity_map(M2), identity_map(M2)) == [
+            "inverse o iso != 1", "iso o inverse != 1"]
+
+    def test_canonical_presentation_reports_a_broken_fork(self, monkeypatch):
+        real = complexes.lu_counit
+        made = []
+
+        def doubled_second(a):
+            made.append(real(a))
+            return 2 * made[-1] if len(made) == 2 else made[-1]
+
+        monkeypatch.setattr(complexes, "lu_counit", doubled_second)
+        cp = canonical_presentation(M2)
+        assert cp.fork_commutes is False and cp.coequalizer_verified is False
+        assert cp.failures == ["alpha beta != alpha gamma", "beta t != 1"]

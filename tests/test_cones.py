@@ -1,5 +1,6 @@
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -764,3 +765,92 @@ class TestComposedMapsEqualTheBlockMatrices:
         assert (res.quotient, res.w) == (ref.quotient, ref.w)
         assert res.comparison == compose(p_ref, ref.s)
         assert res.comparison_inv.comps() == compose(ref.w, j_ref).comps()
+
+
+class TestABrokenBuilderNamesItsEquation:
+    """Each construction checks its own equations: one builder patched to
+    break one equation, and WitnessEquationsFail names exactly that one.
+    The components of the isos below are square, and a one-sided inverse
+    of a square integer matrix is two-sided, so a broken inverse pair
+    fails on both sides."""
+
+    BOTH_SIDES = ["inverse o iso != 1", "iso o inverse != 1"]
+
+    def failures(self, build, *args):
+        with pytest.raises(WitnessEquationsFail) as exc:
+            build(*args)
+        return exc.value.failures
+
+    def test_recognize_cone_inverse(self, monkeypatch):
+        # the cone of 0: M2 -> Z splits, so q stays a chain map when negated
+        data = mapping_cone(Proto.zero(M2, K0).as_chain_map())
+        real = dgkernel.cones.mapping_cone
+
+        def negated_q(g):
+            cone = real(g)
+            return replace(cone, q=-cone.q)
+
+        monkeypatch.setattr(dgkernel.cones, "mapping_cone", negated_q)
+        assert self.failures(recognize_cone, data) == self.BOTH_SIDES
+
+    def test_cylinder_p_i(self, monkeypatch):
+        # twice the projection onto B makes p i = -i_cone f, a nonzero chain map
+        real = dgkernel.cones.direct_sum_complexes
+
+        def doubled_first_projection(summands):
+            total, injs, projs = real(summands)
+            return total, injs, [2 * projs[0]] + projs[1:]
+
+        monkeypatch.setattr(dgkernel.cones, "direct_sum_complexes", doubled_first_projection)
+        assert self.failures(cylinder_factorization, identity_map(M2)) == ["p o i != 0"]
+
+    def test_idempotent_e_e(self, doubled_identity):
+        zero = Proto.zero(M2, M2)
+        assert self.failures(idempotent_of, zero.as_chain_map(), zero) == ["e o e != e"]
+
+    def test_idempotent_e_f(self, doubled_identity):
+        one = identity_map(M2)
+        assert self.failures(idempotent_of, one, one) == ["e o f != 0"]
+
+    def projection(self):
+        w = direct_sum(K0, K0)
+        return compose(w.i, w.q).as_chain_map()   # diag(1, 0) on Z + Z
+
+    def test_split_idempotent_s_r(self, monkeypatch):
+        # s + [0; 1]: still r s = 1, as r = [+-1 0]
+        real = dgkernel.cones._split_degreewise
+
+        def skewed(e):
+            p, r, s = real(e)
+            return p, r, {0: s[0] + IntMatrix.from_rows([[0], [1]])}
+
+        monkeypatch.setattr(dgkernel.cones, "_split_degreewise", skewed)
+        assert self.failures(split_idempotent, self.projection()) == ["s o r != e"]
+
+    def test_split_idempotent_r_s(self, monkeypatch):
+        # one more basis element of P, on which r and s are zero: s r = e still
+        real = dgkernel.cones._split_degreewise
+
+        def widened(e):
+            p, r, s = real(e)
+            return (Complex({0: p.rank(0) + 1}, {}), {0: r[0].vstack(IntMatrix.zeros(1, 2))},
+                    {0: s[0].hstack(IntMatrix.zeros(2, 1))})
+
+        monkeypatch.setattr(dgkernel.cones, "_split_degreewise", widened)
+        assert self.failures(split_idempotent, self.projection()) == ["r o s != 1"]
+
+    def test_mc1_iso_LU(self, monkeypatch):
+        real = dgkernel.cones._identity_plus
+        monkeypatch.setattr(dgkernel.cones, "_identity_plus",
+                            lambda w, source, target: real(w, source, target).scale(2))
+        assert self.failures(mc1_iso_LU, M2) == self.BOTH_SIDES
+
+    def test_cone_as_cokernel(self, monkeypatch):
+        real = dgkernel.cones.cylinder_factorization
+
+        def doubled_j(f):
+            cyl = real(f)
+            return replace(cyl, j=2 * cyl.j)
+
+        monkeypatch.setattr(dgkernel.cones, "cylinder_factorization", doubled_j)
+        assert self.failures(cone_as_cokernel, identity_map(M2)) == self.BOTH_SIDES

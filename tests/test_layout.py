@@ -439,3 +439,101 @@ class TestValidatedSites:
             "def checked(r, d):\n    return Complex(r, d)\n")
         assert validated_complex_calls(tmp_path) == [
             ("cones.py", "cone"), ("cones.py", "Space.__init__")]
+
+
+def equation_check_sites(package: Path):
+    """(file, enclosing function, kind) of each check in the package that
+    does not go through the one equation checker: a `raise AssertionError`
+    or an `assert` statement (outside acceptance._check, which raises the
+    suite's failures), a hand-rolled failure list
+    `[name for name, holds in ... if not holds]`, and an inverse pair
+    `x o y == 1`, `y o x == 1` written out in one function; and each
+    definition of failed_equations, the checker itself."""
+    found = []
+
+    def hand_rolled(node):
+        if not (isinstance(node, ast.ListComp) and len(node.generators) == 1):
+            return False
+        gen = node.generators[0]
+        names = [e.id for e in getattr(gen.target, "elts", ()) if isinstance(e, ast.Name)]
+        return (len(names) == 2 and isinstance(node.elt, ast.Name) and node.elt.id == names[0]
+                and any(isinstance(c, ast.UnaryOp) and isinstance(c.op, ast.Not)
+                        and isinstance(c.operand, ast.Name) and c.operand.id == names[1]
+                        for c in gen.ifs))
+
+    def called(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    def product_is_identity(node):
+        """(x, y) of a comparison `compose(x, y)` or `x @ y` with an identity_map."""
+        if not (isinstance(node, ast.Compare) and len(node.comparators) == 1
+                and called(node.comparators[0], "identity_map")):
+            return None
+        lhs = node.left
+        if called(lhs, "compose") and len(lhs.args) == 2:
+            return tuple(ast.dump(a) for a in lhs.args)
+        if isinstance(lhs, ast.BinOp) and isinstance(lhs.op, ast.MatMult):
+            return ast.dump(lhs.left), ast.dump(lhs.right)
+        return None
+
+    def kind(node):
+        if isinstance(node, ast.Assert):
+            return "assert"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                return "raise AssertionError"
+        if hand_rolled(node):
+            return "failure list"
+        return None
+
+    def visit(node, scope, name, products):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                if child.name == "failed_equations":
+                    found.append((name, ".".join(inner), "checker"))
+                own = set()
+                visit(child, inner, name, own)
+                if any((y, x) in own for x, y in own if x != y):
+                    found.append((name, ".".join(inner), "inverse pair"))
+                continue
+            what = kind(child)
+            if what and (name, scope, what) != ("acceptance.py", ("_check",), "raise AssertionError"):
+                found.append((name, ".".join(scope), what))
+            pair = product_is_identity(child)
+            if pair:
+                products.add(pair)
+            visit(child, scope, name, products)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name, set())
+    return found
+
+
+class TestEquationSites:
+    def test_one_equation_checker_and_no_other_check(self):
+        assert equation_check_sites(Path(complexes.__file__).parent) == [
+            ("complexes.py", "failed_equations", "checker")]
+
+    def test_the_check_finds_a_new_site(self, tmp_path):
+        (tmp_path / "acceptance.py").write_text(
+            "def _check(ok, msg):\n    if not ok:\n        raise AssertionError(msg)\n"
+            "def criterion(x):\n    assert x, 'x'\n"
+            "def iso(f, g):\n    def check():\n"
+            "        _check(compose(g, f) == identity_map(f.source))\n"
+            "        _check(f @ g == identity_map(f.target))\n"
+            "    return compose(f, f) == identity_map(f.source)\n")
+        (tmp_path / "cones.py").write_text(
+            "class Sum:\n    def check(self, p, i):\n"
+            "        return [n for n, ok in (('p o i != 0', p @ i),) if not ok]\n"
+            "def split(e):\n    if e @ e != e:\n        raise AssertionError('e o e != e')\n"
+            "    raise AssertionError\n"
+            "def failed_equations(*eqs):\n    return [n for n, lhs, rhs in eqs if lhs != rhs]\n")
+        assert equation_check_sites(tmp_path) == [
+            ("acceptance.py", "criterion", "assert"),
+            ("acceptance.py", "iso.check", "inverse pair"),
+            ("cones.py", "Sum.check", "failure list"),
+            ("cones.py", "split", "raise AssertionError"),
+            ("cones.py", "split", "raise AssertionError"),
+            ("cones.py", "failed_equations", "checker")]
