@@ -146,15 +146,17 @@ def cmd_tot(args) -> int:
     if args.window is not None and not 1 <= args.window <= top:
         raise InputError(f"--window must be between 1 and {top}, got {args.window}")
     a = jsonio.double_complex_from_json(jsonio.load(args.double_complex))
-    tot = total_complex(a)
-    groups = homology_H(tot)
-    payload = {"ranks": _ranks(tot), "homology": _homology_report(groups)}
-    lines = [f"Tot ranks: {_ranks(tot)}"] + _homology_lines(groups)
-    if args.compare_colim:
+    cmp = None
+    if args.compare_colim:   # the comparison builds Tot A itself
         try:
             cmp = tot_via_weighted_colimit(a, window=args.window)
         except SupportExceedsWindow as exc:
             raise InputError(f"--window: {exc}")
+    tot = cmp.tot if cmp is not None else total_complex(a)
+    groups = homology_H(tot)
+    payload = {"ranks": _ranks(tot), "homology": _homology_report(groups)}
+    lines = [f"Tot ranks: {_ranks(tot)}"] + _homology_lines(groups)
+    if cmp is not None:
         ok = not inverse_failures(cmp.iso, cmp.inverse)
         payload["colim_comparison"] = ok
         lines.append(f"colim comparison iso: {'ok' if ok else 'FAIL'}")

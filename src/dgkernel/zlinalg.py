@@ -469,118 +469,124 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     if s is not None:
         return s
     rows, cols = m.rows, m.cols
-    a = m.to_lists()
-    least = [None] * rows   # least nonzero |entry| of row i; 0: dead; None: not known
     row_ops = []   # (dst, src, c): row_dst += c * row_src; (i, j): swap; (k,): negate
     col_ops = []   # col_dst += c * col_src as (src, dst, c), its row op on V @ b; (i, j): swap
+    if not any(m._e):
+        # zero is its own Smith form: the record is empty, and D is a new
+        # matrix on m's entries, so that the decomposition holds no reference to m
+        D = IntMatrix(rows, cols, m._e, _trusted=True)
+    else:
+        a = m.to_lists()
+        least = [None] * rows   # least nonzero |entry| of row i; 0: dead; None: not known
 
-    for k in range(min(rows, cols)):
-        while True:
-            # The pivot (pi, pj): a nonzero entry of least absolute value in
-            # the trailing block, ties broken by lowest (row, col).  A row
-            # not known is scanned, which gives its column too; for a kept
-            # row, pj is None until the row is chosen.
-            best = 0
-            for i in range(k, rows):
-                v, vj = least[i], None
-                if v is None:
+        for k in range(min(rows, cols)):
+            while True:
+                # The pivot (pi, pj): a nonzero entry of least absolute value in
+                # the trailing block, ties broken by lowest (row, col).  A row
+                # not known is scanned, which gives its column too; for a kept
+                # row, pj is None until the row is chosen.
+                best = 0
+                for i in range(k, rows):
+                    v, vj = least[i], None
+                    if v is None:
+                        ai = a[i]
+                        v = 0
+                        for j in range(k, cols):
+                            x = ai[j]
+                            if x:
+                                if x < 0:
+                                    x = -x
+                                if not v or x < v:
+                                    v, vj = x, j
+                                    if x == 1:
+                                        break
+                        least[i] = v
+                    if v and (not best or v < best):
+                        best, pi, pj = v, i, vj
+                        if v == 1:
+                            break
+                if not best:
+                    break
+                ap = a[pi]
+                if pj is None:   # the first column holding +-best
+                    pj = ap.index(best) if best in ap else cols
+                    if -best in ap:
+                        pj = min(pj, ap.index(-best))
+                if pi != k:
+                    a[k], a[pi] = ap, a[k]
+                    least[k], least[pi] = least[pi], least[k]
+                    row_ops.append((k, pi))
+                if pj != k:
+                    for i in range(k, rows):
+                        if least[i] != 0:
+                            ai = a[i]
+                            ai[k], ai[pj] = ai[pj], ai[k]
+                    col_ops.append((k, pj))
+                ak = a[k]
+                pivot = ak[k]
+                nz = [(j, ak[j]) for j in range(k, cols) if ak[j]]   # nz[0] is the pivot
+                clean = True
+                for i in range(k + 1, rows):
                     ai = a[i]
-                    v = 0
-                    for j in range(k, cols):
-                        x = ai[j]
-                        if x:
-                            if x < 0:
-                                x = -x
-                            if not v or x < v:
-                                v, vj = x, j
-                                if x == 1:
-                                    break
-                    least[i] = v
-                if v and (not best or v < best):
-                    best, pi, pj = v, i, vj
-                    if v == 1:
+                    if ai[k]:
+                        c = -(ai[k] // pivot)
+                        for j, x in nz:
+                            ai[j] += c * x
+                        row_ops.append((i, k, c))
+                        least[i] = None
+                        if ai[k]:
+                            clean = False
+                # Each column operation adds a multiple of column k, which none
+                # of them changes, so all multipliers are known before any runs.
+                # They add to the rows with a_ik != 0: row k and rows the loop
+                # above has already marked.
+                qs = []
+                for j, x in nz[1:]:
+                    c = -(x // pivot)
+                    qs.append((j, c))
+                    col_ops.append((k, j, c))
+                if qs:
+                    least[k] = None
+                    for i in range(k, rows):
+                        ai = a[i]
+                        aik = ai[k]
+                        if aik:
+                            for j, c in qs:
+                                ai[j] += c * aik
+                    if any(ak[j] for j, _ in qs):
+                        clean = False
+                if not clean:
+                    continue  # leftover remainders give a strictly smaller pivot
+                if pivot == 1 or pivot == -1:
+                    break  # a unit divides everything
+                # Pivot must divide the whole trailing submatrix so the
+                # divisibility chain holds; drag an offending row up if not.
+                # Below row k a row is zero up to column k (the step is clean),
+                # so its nonzero entries are those of the trailing block.
+                bad_row = None
+                rem = pivot.__rmod__   # rem(x) == x % pivot
+                for i in range(k + 1, rows):
+                    if least[i] != 0 and any(map(rem, filter(None, a[i]))):
+                        bad_row = i
                         break
+                if bad_row is None:
+                    break
+                ab = a[bad_row]
+                for j in range(k, cols):
+                    ak[j] += ab[j]
+                row_ops.append((k, bad_row, 1))
+                least[k] = None
             if not best:
                 break
-            ap = a[pi]
-            if pj is None:   # the first column holding +-best
-                pj = ap.index(best) if best in ap else cols
-                if -best in ap:
-                    pj = min(pj, ap.index(-best))
-            if pi != k:
-                a[k], a[pi] = ap, a[k]
-                least[k], least[pi] = least[pi], least[k]
-                row_ops.append((k, pi))
-            if pj != k:
-                for i in range(k, rows):
-                    if least[i] != 0:
-                        ai = a[i]
-                        ai[k], ai[pj] = ai[pj], ai[k]
-                col_ops.append((k, pj))
-            ak = a[k]
-            pivot = ak[k]
-            nz = [(j, ak[j]) for j in range(k, cols) if ak[j]]   # nz[0] is the pivot
-            clean = True
-            for i in range(k + 1, rows):
-                ai = a[i]
-                if ai[k]:
-                    c = -(ai[k] // pivot)
-                    for j, x in nz:
-                        ai[j] += c * x
-                    row_ops.append((i, k, c))
-                    least[i] = None
-                    if ai[k]:
-                        clean = False
-            # Each column operation adds a multiple of column k, which none
-            # of them changes, so all multipliers are known before any runs.
-            # They add to the rows with a_ik != 0: row k and rows the loop
-            # above has already marked.
-            qs = []
-            for j, x in nz[1:]:
-                c = -(x // pivot)
-                qs.append((j, c))
-                col_ops.append((k, j, c))
-            if qs:
-                least[k] = None
-                for i in range(k, rows):
-                    ai = a[i]
-                    aik = ai[k]
-                    if aik:
-                        for j, c in qs:
-                            ai[j] += c * aik
-                if any(ak[j] for j, _ in qs):
-                    clean = False
-            if not clean:
-                continue  # leftover remainders give a strictly smaller pivot
-            if pivot == 1 or pivot == -1:
-                break  # a unit divides everything
-            # Pivot must divide the whole trailing submatrix so the
-            # divisibility chain holds; drag an offending row up if not.
-            # Below row k a row is zero up to column k (the step is clean),
-            # so its nonzero entries are those of the trailing block.
-            bad_row = None
-            rem = pivot.__rmod__   # rem(x) == x % pivot
-            for i in range(k + 1, rows):
-                if least[i] != 0 and any(map(rem, filter(None, a[i]))):
-                    bad_row = i
-                    break
-            if bad_row is None:
-                break
-            ab = a[bad_row]
-            for j in range(k, cols):
-                ak[j] += ab[j]
-            row_ops.append((k, bad_row, 1))
-            least[k] = None
-        if not best:
-            break
 
-    # Normalize signs on the diagonal.
-    for k in range(min(rows, cols)):
-        if a[k][k] < 0:
-            a[k][k] = -a[k][k]
-            row_ops.append((k,))
+        # Normalize signs on the diagonal.
+        for k in range(min(rows, cols)):
+            if a[k][k] < 0:
+                a[k][k] = -a[k][k]
+                row_ops.append((k,))
 
-    s = m._snf = SmithDecomposition(IntMatrix.from_rows(a, cols, _trusted=True), row_ops, col_ops)
+        D = IntMatrix.from_rows(a, cols, _trusted=True)
+    s = m._snf = SmithDecomposition(D, row_ops, col_ops)
     return s
 
 

@@ -2,9 +2,10 @@
 
 The traced benchmark run (bench/tracing.py) wraps entry points it names by
 string, and the `universal` workload reads fields of canonical_presentation's
-result.  A change that drops or renames one of them would first fail in a
-benchmark run; these tests make it fail here.  bench/tracing.py is loaded
-from its file and only read.
+result and the verdict of a weighted colimit's defining_iso_verified.  A
+change that drops or renames one of them, or answers a truthy value other
+than True, would first fail in a benchmark run; these tests make it fail
+here.  bench/tracing.py is loaded from its file and only read.
 """
 
 import importlib
@@ -16,7 +17,8 @@ import pytest
 
 import dgkernel
 from dgkernel import acceptance
-from dgkernel.complexes import make_complex
+from dgkernel.complexes import make_complex, suspension, unit_complex
+from dgkernel.dgcat import LEFT, module_from_complex, trivial_weight, unit_dg_category
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,9 +53,21 @@ def test_one_traced_span_per_criterion(tracing):
     assert len(criteria) == tracing.CRITERIA
 
 
-@pytest.mark.parametrize("ranks, diffs", [({0: 1}, {}), ({1: 1, 0: 1}, {1: [[2]]})],
-                         ids=["Z", "M2"])
+COMPLEXES = pytest.mark.parametrize("ranks, diffs", [({0: 1}, {}), ({1: 1, 0: 1}, {1: [[2]]})],
+                                    ids=["Z", "M2"])
+
+
+@COMPLEXES
 def test_canonical_presentation_answers_the_universal_workload(ranks, diffs):
     # the workload's check reads both flags with `is True`
     cp = dgkernel.canonical_presentation(make_complex(ranks, diffs))
     assert cp.fork_commutes is True and cp.coequalizer_verified is True
+
+
+@COMPLEXES
+def test_weighted_colimit_answers_the_universal_workload(ranks, diffs):
+    # the workload's CallJob.check accepts only `result is True`
+    cat = unit_dg_category()
+    diagram = module_from_complex(cat, make_complex(ranks, diffs), LEFT)
+    wc = dgkernel.weighted_colimit(trivial_weight(cat), diagram)
+    assert wc.defining_iso_verified([unit_complex(), suspension(unit_complex(), 1)]) is True

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import simplex_skeleton
-from dgkernel import cli, jsonio
+from dgkernel import cli, jsonio, totals
 from dgkernel.cli import main
 from dgkernel.complexes import (
     ChainMap,
@@ -759,6 +759,22 @@ class TestHomologyOncePerReport:
         if verb in ("homology", "tot") or verb.startswith("cone"):
             assert lines != []
             assert dict(ln.split(" = ") for ln in lines if ln != "H = 0") == report
+
+
+class TestTotOncePerReport:
+    def test_compare_colim_reports_the_comparisons_tot(self, files, capsys, monkeypatch):
+        # --compare-colim reads ranks, homology and --out from the Tot that
+        # the comparison built, and builds no second one
+        real, built, reports, written = totals.TotSpace, [], [], []
+        monkeypatch.setattr(totals, "TotSpace", lambda a: built.append(a) or real(a))
+        for flags in ([], ["--compare-colim"]):
+            out = f"{files['tmp']}/tot{len(flags)}.json"
+            assert main(["--json", "tot", files["dc.json"], "--out", out] + flags) == 0
+            assert len(built) == len(reports) + 1
+            reports.append(json.loads(capsys.readouterr().out))
+            written.append(Path(out).read_text())
+        assert reports[1].pop("colim_comparison") is True
+        assert reports[0] == reports[1] and written[0] == written[1]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -309,6 +309,28 @@ class TestWeightedColimitGate:
             lambda: reference_verify_weighted_colimit_iso(wc, K0))
         assert not ok and calls
 
+    def test_a_cocone_that_is_not_a_chain_map_fails_on_both(self):
+        # gamma'(y) = gamma(y) o (1 + N), N = [[0, 1], [0, 0]] in degree 1:
+        # 1 + N is invertible, so Phi stays degreewise bijective (and, with
+        # only the identity acting, natural), but d(1 + N) = d N != 0
+        cat = unit_dg_category()
+        a = make_complex({1: 2, 0: 1}, {1: [[1, 0]]})
+        wc = weighted_colimit(trivial_weight(cat), module_from_complex(cat, a, LEFT))
+        shear = Proto(a, a, 0, {1: IntMatrix.from_rows([[1, 1], [0, 1]]),
+                                0: IntMatrix.identity(1)})
+        unshear = Proto(a, a, 0, {1: IntMatrix.from_rows([[1, -1], [0, 1]]),
+                                  0: IntMatrix.identity(1)})
+        assert compose(shear, unshear) == identity_map(a) == compose(unshear, shear)
+        assert not d_hom(shear).is_zero()
+        probes = (K0, suspension(K0, 1), a)
+        assert all(wc.defining_iso_verified([t]) for t in probes)
+        real = wc.gamma_proto
+        wc.gamma_proto = lambda u, y: compose(real(u, y), shear) if y.degree == 0 else real(u, y)
+        for t in probes:
+            assert _verify_weighted_colimit_iso(wc, t) is False
+            assert reference_verify_weighted_colimit_iso(wc, t) is False
+            assert wc.defining_iso_verified([t]) is False
+
     def test_zero_colimit_with_nonzero_thetas(self):
         # [colim, T]_0 = 0 but Theta_0 = Z: the reference solved against a
         # 0 x 0 phi and raised; the coordinate version answers False.

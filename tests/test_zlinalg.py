@@ -580,6 +580,33 @@ class TestFactorOnce:
                     cokernel(fresh).projection) == first
 
 
+class TestZeroMatrices:
+    """An all-zero matrix is its own Smith form: no elimination runs, the
+    record is empty, and D is a new matrix on m's entries, so the
+    decomposition holds no reference to m."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+    def test_zero_matrix_is_factored_without_elimination(self, rows, cols, width):
+        m = IntMatrix(rows, cols, [0] * (rows * cols))
+        s = smith_normal_form(m)
+        assert s.D == m and s.D is not m and s.D.entries() is m.entries()
+        assert s._row_ops == [] and s._col_ops == [] and s.rank == 0
+        assert (s.U, s.V) == (IntMatrix.identity(rows), IntMatrix.identity(cols))
+        assert all(x is not m for x in _reachable(s).values())
+        assert_same_elimination(s, m)
+        ref = reference_smith_normal_form(m)
+        assert (s.U, s.D, s.V) == (ref.U, ref.D, ref.V)
+        k = kernel_basis(m)
+        assert k == IntMatrix.identity(cols)
+        assert smith_normal_form(k) is getattr(k, "_snf")
+        zeros = IntMatrix.zeros(rows, width)
+        assert solve_matrix(m, zeros) == IntMatrix.zeros(cols, width) == reference_solve(ref, zeros)
+        if rows and width:
+            b = IntMatrix(rows, width, [1] + [0] * (rows * width - 1))
+            assert solve_matrix(m, b) is None and reference_solve(ref, b) is None
+
+
 class TestZeroComplexAndSquareZero:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(-5, 5), max_size=4))
