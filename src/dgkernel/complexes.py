@@ -86,7 +86,7 @@ class Complex:
     proves d o d = 0 itself: by construction (a shift, U, L, R, a direct
     sum), or by `_alternates`, when the only term of d o d that its
     square-zero inputs leave is a cross term whose Koszul coefficient
-    sign(k) + sign(k - 1) vanishes (the hom, tensor and Tot spaces).
+    sign(k) + sign(k - 1) vanishes (`LazySpace.complex`, on first read).
     """
 
     __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d")
@@ -590,8 +590,33 @@ def _nonzero_entries(m: Union[IntMatrix, int]) -> Tuple[int, int, List[Tuple[int
     return m.rows, c, [(t // c, t % c, e[t]) for t in compress(range(len(e)), e)]
 
 
-class HomSpace:
-    """Basis-indexed model of the internal hom [B, C].
+class LazySpace:
+    """A basis-indexed space (hom, tensor or Tot) that builds its complex on
+    the first read of `complex` and returns that object on every read, so
+    what is known about its differentials (their Smith forms) is kept.
+    `dim(n)` reads `layout`, from ranks alone.  A subclass adds each d_n to
+    zero rows outs[n] in `_differentials(outs)` and proves d o d = 0 in
+    `_square_zero()`."""
+
+    _built = None
+
+    def dim(self, n: int) -> int:
+        return self.layout.dim(n)
+
+    @property
+    def complex(self) -> Complex:
+        if self._built is None:
+            lay = self.layout
+            outs = {n: [[0] * lay.dim(n) for _ in range(lay.dim(n - 1))]
+                    for n in lay.degrees() if lay.dim(n - 1)}
+            self._differentials(outs)
+            diffs = {n: IntMatrix.from_rows(out, lay.dim(n), _trusted=True) for n, out in outs.items()}
+            self._built = Complex(lay.dims(), diffs, _validated=self._square_zero())
+        return self._built
+
+
+class HomSpace(LazySpace):
+    """Basis-indexed model of the internal hom [B, C], built lazily (`LazySpace`).
 
     The degree-n basis is a BlockLayout with one block per source degree q,
     by ascending q: the entries of a component B_q -> C_{q+n}, row-major.
@@ -608,28 +633,24 @@ class HomSpace:
             for n in range(target.lo - source.hi, target.hi - source.lo + 1):
                 for q in source.degrees():
                     lay.add(n, q, target.rank(q + n), source.rank(q))
-        # f_q d acts on the row-major entries of f_q as 1 (x) d^T, d: B_{q+1} -> B_q
-        source_d_t = {q - 1: d.transpose() for q, d in source.diffs().items()}
-        diffs = {n: self._differential(n, source_d_t) for n in lay.degrees() if lay.dim(n - 1)}
+
+    def _square_zero(self) -> bool:
         # D D f = d d f - (s(n) + s(n-1)) d f d + s(n) s(n-1) f d d, and d d = 0
         # in source and target, so only the cross term d f d can survive
-        self.complex = Complex(lay.dims(), diffs, _validated=_alternates(_hom_sign, diffs))
+        return _alternates(_hom_sign, self.layout.degrees())
 
-    def _differential(self, n: int, source_d_t: Dict[int, IntMatrix]) -> IntMatrix:
-        # (df)_q = d f_q - (-1)^n f_{q-1} d.  Only stored differentials are
-        # nonzero, and each one's target block exists.
-        lay, sign, target_d = self.layout, _hom_sign(n), self.target.diffs()
-        cols_n = lay.dim(n)
-        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
-        for q, rows, cols, off in lay.blocks(n):
-            if q + n in target_d:   # d f_q
-                scatter_kron(out, lay.slot(n - 1, q), off, target_d[q + n], cols)
-            if q in source_d_t:     # f_q d
-                scatter_kron(out, lay.slot(n - 1, q + 1), off, rows, source_d_t[q], -sign)
-        return IntMatrix.from_rows(out, cols_n, _trusted=True)
-
-    def dim(self, n: int) -> int:
-        return self.complex.rank(n)
+    def _differentials(self, outs: Dict[int, List[List[int]]]) -> None:
+        # (df)_q = d f_q - (-1)^n f_{q-1} d, and f_q d acts on the row-major
+        # entries of f_q as 1 (x) d^T, d: B_{q+1} -> B_q.  Only stored
+        # differentials are nonzero, and each one's target block exists.
+        lay, target_d = self.layout, self.target.diffs()
+        source_d_t = {q - 1: d.transpose() for q, d in self.source.diffs().items()}
+        for n, out in outs.items():
+            for q, rows, cols, off in lay.blocks(n):
+                if q + n in target_d:   # d f_q
+                    scatter_kron(out, lay.slot(n - 1, q), off, target_d[q + n], cols)
+                if q in source_d_t:     # f_q d
+                    scatter_kron(out, lay.slot(n - 1, q + 1), off, rows, source_d_t[q], -_hom_sign(n))
 
     def to_vector(self, f: Proto) -> tuple:
         if f.source != self.source or f.target != self.target:

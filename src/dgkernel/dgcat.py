@@ -54,7 +54,7 @@ from .complexes import (
     suspension,
     unit_complex,
 )
-from .monoidal import TensorSpace, left_unitor, right_unitor, tensor_layout, tensor_proto
+from .monoidal import TensorSpace, left_unitor, right_unitor, tensor_proto
 from .zlinalg import (
     FPAbGroup,
     IntMatrix,
@@ -704,7 +704,7 @@ def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
         mv_h = m.action_space(u, v)
         acts = [act.comps() if act is not None else {}
                 for act in (m.actions.get((u, v)), n_mod.actions.get((u, v)))]
-        homs[(u, v)] = (mv_h, tensor_layout(hom, nu), *acts)
+        homs[(u, v)] = (mv_h, TensorSpace(hom, nu).layout, *acts)
         for pq in mv_h.layout.degrees():
             for s in nu.degrees():
                 q_lay.add(pq + s, (u, v, pq), mv_h.dim(pq), nu.rank(s))
@@ -782,25 +782,27 @@ class WeightedColimit:
         return Proto(self.f.value(u), self.colimit, y.degree, self.coend.class_map(u, y))
 
     def defining_iso_verified(self, probes: Sequence[Complex]) -> bool:
-        for t in probes:
-            if not _verify_weighted_colimit_iso(self, t):
-                return False
-        return True
+        """[colim, T] = DG-Mod(M, [F-, T]) for each probe T.  First, once for
+        all probes, the cocone components gamma_U(y), for y a basis element
+        of a nonzero M U, are built and checked to form a chain map:
+        d gamma_U(y) = gamma_U(dy), summed from them by the coordinates of dy."""
+        gammas = {}
+        for u in self.m.base.objects:
+            mu, fu = self.m.value(u), self.f.value(u)
+            if mu.is_zero():
+                continue
+            gammas[u] = pairs = [(y, self.gamma_proto(u, y)) for y in all_basis_elts(mu)]
+            at = {(z.degree, z.vec.index(1)): gamma for z, gamma in pairs}
+            for y, gamma in pairs:
+                dy = y.boundary()
+                d_gamma = sum((c * at[dy.degree, i] for i, c in enumerate(dy.vec) if c),
+                              Proto.zero(fu, self.colimit, dy.degree))
+                if d_hom(gamma) != d_gamma:
+                    return False
+        return all(_verify_weighted_colimit_iso(self, t, gammas) for t in probes)
 
 
-def _theta_spaces(wc: WeightedColimit, t: Complex):
-    out = {}
-    for u in wc.m.base.objects:
-        mu, fu = wc.m.value(u), wc.f.value(u)
-        if mu.is_zero():
-            continue
-        hs_out = HomSpace(fu, t)
-        hs_theta = HomSpace(mu, hs_out.complex)
-        out[u] = (hs_out, hs_theta)
-    return out
-
-
-def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
+def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex, gammas=None) -> bool:
     """The canonical map Phi: [colim, T] -> (protonatural M => [F-, T]),
     theta_U(y) = h o gamma_U(y), is a degreewise group isomorphism commuting
     with the differentials.  A degree-n theta is one vector with a block per
@@ -810,29 +812,29 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
     * N_n phi_n = 0 and every solution of N_n theta = 0 is phi_n x, for N_n
       with rows theta_U(y.f) - (-1)^{|f||y|} theta_V(y) o F(f).
 
-    Phi commutes with the differentials once the cocone is a chain map,
-    d gamma_U(y) = gamma_U(dy) for each basis element y of M U: by the
-    Leibniz rule D_theta(Phi h)(y) - Phi(dh)(y) = (-1)^n h o (d gamma_U(y) -
-    gamma_U(dy)).  That equation is checked once, after the degree loop.
+    Phi commutes with the differentials once the cocone `gammas` is a chain
+    map, by the Leibniz rule D_theta(Phi h)(y) - Phi(dh)(y) = (-1)^n h o
+    (d gamma_U(y) - gamma_U(dy)); `defining_iso_verified` checks that.  Only
+    layouts are read, and theta maps into the ranks of [F U, T] alone.
     """
-    base = wc.m.base
-    spaces = _theta_spaces(wc, t)
+    if gammas is None:
+        return wc.defining_iso_verified([t])
     hs_lhs = HomSpace(wc.colimit, t)
+    spaces = {}
+    for u in gammas:
+        hs_out = HomSpace(wc.f.value(u), t)
+        spaces[u] = hs_out, HomSpace(wc.m.value(u), Complex(hs_out.layout.dims(), {}))
 
-    lhs_lo = hs_lhs.complex.lo - 1
-    lhs_hi = hs_lhs.complex.hi + 1
-    for (hs_out, hs_theta) in spaces.values():
-        if not hs_theta.complex.is_zero():
-            lhs_lo = min(lhs_lo, hs_theta.complex.lo - 1)
-            lhs_hi = max(lhs_hi, hs_theta.complex.hi + 1)
+    # the degrees of [colim, T] and of each theta space, one beyond each end
+    lhs = hs_lhs.layout.degrees()
+    thetas = [n for _, th in spaces.values() for n in th.layout.degrees()]
+    lhs_lo = min([min(lhs, default=0), *thetas]) - 1
+    lhs_hi = max([max(lhs, default=-1), *thetas]) + 1
 
     theta = BlockLayout()   # the stacked theta vector: one block per object
     for n in range(lhs_lo, lhs_hi + 1):
         for u, (_, hs_theta) in spaces.items():
             theta.add(n, u, hs_theta.dim(n))
-
-    gammas = {u: [(y, wc.gamma_proto(u, y)) for y in all_basis_elts(wc.m.value(u))]
-              for u in spaces}
 
     def phi_matrix(n):
         """Matrix of h |-> theta: entry i of theta_U(y), for y the j-th basis
@@ -850,7 +852,7 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
     # and (y.f)^T by the degree q of y (None for y.f = 0), and F(f)^* by q + n;
     # y.f is column j of the elementwise action of f, for y the j-th basis element
     nat_terms = []
-    for u, v, homuv in base.nonzero_homs():
+    for u, v, homuv in wc.m.base.nonzero_homs():
         if u not in spaces or v not in spaces:
             continue
         mv = wc.m.value(v)
@@ -904,11 +906,9 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex) -> bool:
         # surjectivity onto the solution space
         sols = kernel_basis(nat) if nat.rows else IntMatrix.identity(theta.dim(n))
         for j in range(sols.cols):
-            if solve_matrix(phi, IntMatrix.column(sols.col(j))) is None:
+            if solve_matrix(phi, IntMatrix(sols.rows, 1, sols.col(j), _trusted=True)) is None:
                 return False
-    # differentials correspond for every T: the cocone is a chain map
-    return all(d_hom(gamma) == wc.gamma_proto(u, y.boundary())
-               for u in spaces for y, gamma in gammas[u])
+    return True
 
 
 def weighted_colimit(m: DGModule, f: DGModule) -> WeightedColimit:

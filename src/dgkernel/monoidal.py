@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import (
     BlockLayout,
     ChainMap,
     Complex,
     HomSpace,
+    LazySpace,
     Proto,
     _alternates,
     compose,
@@ -59,19 +60,8 @@ def _tensor_sign(p: int) -> int:
     return -1 if p % 2 else 1
 
 
-def tensor_layout(left: Complex, right: Complex) -> BlockLayout:
-    """The basis of A (x) B without its differential: in degree n, one
-    block A_p x B_{n-p} per left degree p, by ascending p."""
-    lay = BlockLayout()
-    if not (left.is_zero() or right.is_zero()):
-        for n in range(left.lo + right.lo, left.hi + right.hi + 1):
-            for p in left.degrees():
-                lay.add(n, p, left.rank(p), right.rank(n - p))
-    return lay
-
-
-class TensorSpace:
-    """Basis-indexed model of A (x) B.
+class TensorSpace(LazySpace):
+    """Basis-indexed model of A (x) B, built lazily (`LazySpace`).
 
     The degree-n basis is a BlockLayout with one block per left degree p,
     by ascending p: the pairs (i, j) of A_p (x) B_{n-p}, left index major.
@@ -80,14 +70,15 @@ class TensorSpace:
     def __init__(self, left: Complex, right: Complex):
         self.left = left
         self.right = right
-        self.layout = lay = tensor_layout(left, right)
-        diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
-        # d d (a (x) b) = (t(p) + t(p-1)) da (x) db once d d = 0 in both factors
-        self.complex = Complex(lay.dims(), diffs,
-                               _validated=_alternates(_tensor_sign, left.degrees()))
+        self.layout = lay = BlockLayout()
+        if not (left.is_zero() or right.is_zero()):
+            for n in range(left.lo + right.lo, left.hi + right.hi + 1):
+                for p in left.degrees():
+                    lay.add(n, p, left.rank(p), right.rank(n - p))
 
-    def dim(self, n: int) -> int:
-        return self.complex.rank(n)
+    def _square_zero(self) -> bool:
+        # d d (a (x) b) = (t(p) + t(p-1)) da (x) db once d d = 0 in both factors
+        return _alternates(_tensor_sign, self.left.degrees())
 
     def slot_at(self, n: int, p: int, i: int, j: int) -> int:
         return self.layout.slot(n, p, i, j)
@@ -115,18 +106,16 @@ class TensorSpace:
                 comps[q] = IntMatrix(rows, width, tuple(e), _trusted=True)
         return Proto(other, self.complex, p, comps)
 
-    def _differential(self, n: int) -> IntMatrix:
+    def _differentials(self, outs: Dict[int, List[List[int]]]) -> None:
         # d(a (x) b) = da (x) b + (-1)^p a (x) db.  Only stored differentials
         # are nonzero, and each one's target block exists.
         lay, left_d, right_d = self.layout, self.left.diffs(), self.right.diffs()
-        cols_n = lay.dim(n)
-        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
-        for p, rl, rr, off in lay.blocks(n):
-            if p in left_d:
-                scatter_kron(out, lay.slot(n - 1, p - 1), off, left_d[p], rr)
-            if n - p in right_d:
-                scatter_kron(out, lay.slot(n - 1, p), off, rl, right_d[n - p], _tensor_sign(p))
-        return IntMatrix.from_rows(out, cols_n, _trusted=True)
+        for n, out in outs.items():
+            for p, rl, rr, off in lay.blocks(n):
+                if p in left_d:
+                    scatter_kron(out, lay.slot(n - 1, p - 1), off, left_d[p], rr)
+                if n - p in right_d:
+                    scatter_kron(out, lay.slot(n - 1, p), off, rl, right_d[n - p], _tensor_sign(p))
 
 
 def tensor(left: Complex, right: Complex) -> Complex:

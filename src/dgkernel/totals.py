@@ -15,6 +15,7 @@ from .complexes import (
     ChainMap,
     Complex,
     HomSpace,
+    LazySpace,
     _alternates,
     _is_int,
     _nonzero_entries,
@@ -104,10 +105,10 @@ def embed_i(x: Complex) -> DoubleComplex:
     return DoubleComplex({0: x}, {})
 
 
-class TotSpace:
-    """Basis bookkeeping for Tot A: the degree-n basis is a BlockLayout
-    with one block per column m, by ascending m, holding the basis of
-    A_{m, n-m} in order."""
+class TotSpace(LazySpace):
+    """Basis bookkeeping for Tot A, built lazily (`LazySpace`): the degree-n
+    basis is a BlockLayout with one block per column m, by ascending m,
+    holding the basis of A_{m, n-m} in order."""
 
     def __init__(self, a: DoubleComplex):
         self.a = a
@@ -119,27 +120,26 @@ class TotSpace:
             for n in range(lo, hi + 1):
                 for m in cols:
                     lay.add(n, m, a.entry_rank(m, n - m))
-        diffs = {n: self._differential(n) for n in lay.degrees() if lay.dim(n - 1)}
+
+    def _square_zero(self) -> bool:
         # d d x = (s(m) + s(m-1)) delta d x for x in column m, since d d = 0,
         # delta delta = 0 and delta d = d delta (checked by DoubleComplex)
-        self.complex = Complex(lay.dims(), diffs, _validated=_alternates(_tot_sign, cols))
+        return _alternates(_tot_sign, self.a.column_degrees())
 
     def slot(self, n: int, m: int, i: int) -> int:
         return self.layout.slot(n, m, i)
 
-    def _differential(self, n: int) -> IntMatrix:
+    def _differentials(self, outs: Dict[int, List[List[int]]]) -> None:
         # d(x) = delta(x) + (-1)^m d(x) for x in column m.  Only stored maps
         # are nonzero, and each one's target block exists.
         lay = self.layout
-        cols_n = lay.dim(n)
-        out = [[0] * cols_n for _ in range(lay.dim(n - 1))]
-        for m, _, _, off in lay.blocks(n):
-            delta, d = self.a.delta_map(m).comps(), self.a.column(m).diffs()
-            if n - m in delta:   # delta_m: A_{m,n-m} -> A_{m-1,n-m}
-                scatter_kron(out, lay.slot(n - 1, m - 1), off, delta[n - m])
-            if n - m in d:       # d of column m: A_{m,n-m} -> A_{m,n-m-1}
-                scatter_kron(out, lay.slot(n - 1, m), off, d[n - m], sign=_tot_sign(m))
-        return IntMatrix.from_rows(out, cols_n, _trusted=True)
+        for n, out in outs.items():
+            for m, _, _, off in lay.blocks(n):
+                delta, d = self.a.delta_map(m).comps(), self.a.column(m).diffs()
+                if n - m in delta:   # delta_m: A_{m,n-m} -> A_{m-1,n-m}
+                    scatter_kron(out, lay.slot(n - 1, m - 1), off, delta[n - m])
+                if n - m in d:       # d of column m: A_{m,n-m} -> A_{m,n-m-1}
+                    scatter_kron(out, lay.slot(n - 1, m), off, d[n - m], sign=_tot_sign(m))
 
 
 def total_complex(a: DoubleComplex) -> Complex:

@@ -5,7 +5,8 @@ string, and the `universal` workload reads fields of canonical_presentation's
 result and the verdict of a weighted colimit's defining_iso_verified.  A
 change that drops or renames one of them, or answers a truthy value other
 than True, would first fail in a benchmark run; these tests make it fail
-here.  bench/tracing.py is loaded from its file and only read.
+here.  bench/tracing.py and bench/workloads.py are loaded from their files
+and only read.
 """
 
 import importlib
@@ -23,9 +24,8 @@ from dgkernel.dgcat import LEFT, module_from_complex, trivial_weight, unit_dg_ca
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -33,6 +33,11 @@ def tracing():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _bench_module("tracing")
 
 
 def test_every_traced_function_resolves(tracing):
@@ -71,3 +76,21 @@ def test_weighted_colimit_answers_the_universal_workload(ranks, diffs):
     diagram = module_from_complex(cat, make_complex(ranks, diffs), LEFT)
     wc = dgkernel.weighted_colimit(trivial_weight(cat), diagram)
     assert wc.defining_iso_verified([unit_complex(), suspension(unit_complex(), 1)]) is True
+
+
+# Smith normal form calls of the first job of each class in cycle 0 of the
+# `universal` pool at seed 20260810.  Building the hom, tensor and Tot
+# spaces' differentials on first read, and the weighted colimit's cocone
+# once per call, must move none of them.
+UNIVERSAL_SNF_CALLS = {"weighted_colimit": 158, "tot": 36}
+
+
+@pytest.mark.parametrize("kind", UNIVERSAL_SNF_CALLS)
+def test_universal_job_snf_calls_are_pinned(kind, tmp_path, zlinalg_calls):
+    workloads = _bench_module("workloads")
+    job = next(j for j in workloads.build("universal", 20260810, 0, 1)[0] if j.kind == kind)
+    job.write(str(tmp_path))
+    with zlinalg_calls("smith_normal_form") as made:
+        result = job.run(dgkernel)
+    assert job.check(result) == ""
+    assert len(made) == UNIVERSAL_SNF_CALLS[kind]

@@ -42,7 +42,6 @@ from dgkernel.cones import cokernel_protosplit, cylinder_factorization
 from dgkernel.dgcat import (
     LEFT,
     RIGHT,
-    _theta_spaces,
     _verify_weighted_colimit_iso,
     all_basis_elts,
     dg_subcategory_of_complexes,
@@ -66,9 +65,22 @@ M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def reference_theta_spaces(wc, t):
+    """([F U, T], [M U, [F U, T]]) for each U with M U nonzero: the theta
+    space into the hom complex itself, whose differential the reference
+    reads (dgcat's verifier needs only its layout, from the ranks)."""
+    out = {}
+    for u in wc.m.base.objects:
+        mu, fu = wc.m.value(u), wc.f.value(u)
+        if not mu.is_zero():
+            hs_out = HomSpace(fu, t)
+            out[u] = (hs_out, HomSpace(mu, hs_out.complex))
+    return out
+
+
 def reference_verify_weighted_colimit_iso(wc, t) -> bool:
     base = wc.m.base
-    spaces = _theta_spaces(wc, t)
+    spaces = reference_theta_spaces(wc, t)
     hs_lhs = HomSpace(wc.colimit, t)
 
     lhs_lo = hs_lhs.complex.lo - 1
@@ -330,6 +342,31 @@ class TestWeightedColimitGate:
             assert _verify_weighted_colimit_iso(wc, t) is False
             assert reference_verify_weighted_colimit_iso(wc, t) is False
             assert wc.defining_iso_verified([t]) is False
+
+    def test_a_cocone_that_is_not_a_chain_map_fails_with_no_probes(self):
+        # the chain-map equation is checked once per call, before any probe
+        cat = unit_dg_category()
+        a = make_complex({1: 2, 0: 1}, {1: [[1, 0]]})
+        wc = weighted_colimit(trivial_weight(cat), module_from_complex(cat, a, LEFT))
+        shear = Proto(a, a, 0, {1: IntMatrix.from_rows([[1, 1], [0, 1]]),
+                                0: IntMatrix.identity(1)})
+        assert wc.defining_iso_verified([]) is True
+        real = wc.gamma_proto
+        wc.gamma_proto = lambda u, y: compose(real(u, y), shear) if y.degree == 0 else real(u, y)
+        assert wc.defining_iso_verified([]) is False
+
+    @pytest.mark.parametrize("probes", [[], [K0], [K0, suspension(K0, 1), M2]],
+                             ids=["none", "one", "three"])
+    def test_the_cocone_is_built_once_per_call(self, probes):
+        # one gamma_proto per basis element of each M U, whatever the probes
+        for wc in list(co_yoneda_colimits())[::5]:
+            calls = []
+            real = wc.gamma_proto
+            wc.gamma_proto = lambda u, y: calls.append((u, y)) or real(u, y)
+            assert wc.defining_iso_verified(probes) is True
+            assert sorted(calls, key=repr) == sorted(
+                ((u, y) for u in wc.m.base.objects for y in all_basis_elts(wc.m.value(u))),
+                key=repr)
 
     def test_zero_colimit_with_nonzero_thetas(self):
         # [colim, T]_0 = 0 but Theta_0 = Z: the reference solved against a

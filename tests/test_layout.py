@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TensorSlot, tensor_basis
+from conftest import TensorSlot, protos, tensor_basis
 from dgkernel import complexes
 from dgkernel.complexes import (
     BlockLayout,
@@ -23,6 +23,7 @@ from dgkernel.complexes import (
     Complex,
     HomSpace,
     SquareZeroViolated,
+    d_hom,
     hom_complex,
     identity_map,
     make_complex,
@@ -306,6 +307,90 @@ class TestSpacesAgainstReference:
             assert_same_entries(bwd.comp(n), IntMatrix.from_rows(want, cols))
 
 
+# -- spaces build their complex on first read -----------------------------------
+
+
+def eager_hom_complex(a, b) -> Complex:
+    """[A, B] built column by column: d_hom of each degree-n basis proto."""
+    hs = HomSpace(a, b)
+    diffs = {n: IntMatrix.from_cols([hs.to_vector(d_hom(h)) for h in protos(hs, n)], hs.dim(n - 1))
+             for n in hs.layout.degrees()}
+    return Complex(hs.layout.dims(), diffs)
+
+
+def eager_tensor_complex(a, b) -> Complex:
+    """A (x) B built pair by pair on the reference blocks:
+    d(x (x) y) = dx (x) y + (-1)^p x (x) dy."""
+    ref, ranks, diffs = reference_tensor_blocks(a, b), {}, {}
+    for n in ref:
+        below = len(reference_basis(ref, a, b, n - 1))
+        cols = []
+        for t in reference_basis(ref, a, b, n):
+            col = [0] * below
+            for i, x in enumerate(a.diff(t.left_degree).col(t.left_index)):
+                col[reference_slot_at(ref, b, n - 1, t.left_degree - 1, i, t.right_index)] += x
+            sign = -1 if t.left_degree % 2 else 1
+            for j, y in enumerate(b.diff(t.right_degree).col(t.right_index)):
+                col[reference_slot_at(ref, b, n - 1, t.left_degree, t.left_index, j)] += sign * y
+            cols.append(col)
+        ranks[n], diffs[n] = len(cols), IntMatrix.from_cols(cols, below)
+    return Complex(ranks, diffs)
+
+
+def eager_tot_complex(a) -> Complex:
+    offsets, _ = reference_tot_offsets(a)
+    return Complex({n: sum(r for _, r, _ in blocks) for n, blocks in offsets.items()},
+                   {n: reference_tot_differential(a, n) for n in offsets})
+
+
+def maybe_zero_complex(rng):
+    return Complex.zero() if rng.random() < 0.15 else rand_complex(rng)
+
+
+SPACES = {
+    "hom": lambda a, b, dc: HomSpace(a, b),
+    "tensor": lambda a, b, dc: TensorSpace(a, b),
+    "tot": lambda a, b, dc: TotSpace(dc),
+}
+
+
+class TestLazySpaces:
+    """HomSpace, TensorSpace and TotSpace build their differentials on the
+    first read of `complex` (LazySpace), and only then."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS)
+    def test_the_complex_equals_an_eager_build(self, seed):
+        rng = random.Random(seed)
+        a, b, dc = maybe_zero_complex(rng), maybe_zero_complex(rng), rand_double_complex(rng)
+        for got, want in ((HomSpace(a, b).complex, eager_hom_complex(a, b)),
+                          (TensorSpace(a, b).complex, eager_tensor_complex(a, b)),
+                          (TotSpace(dc).complex, eager_tot_complex(dc))):
+            assert got == want
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            assert got.ranks() == want.ranks()
+            for n in range(got.lo, got.hi + 2):
+                assert_same_entries(got.diff(n), want.diff(n))
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_no_differential_before_the_first_read(self, monkeypatch, name):
+        dc = _battery_double_complex()
+        space = SPACES[name](M2, M2, dc)
+        built = []
+        real = type(space)._differentials
+        monkeypatch.setattr(type(space), "_differentials",
+                            lambda self, outs: built.append(sorted(outs)) or real(self, outs))
+        dims = {n: space.dim(n) for n in range(-3, 4)}
+        assert built == [] and any(dims.values())
+        c = space.complex
+        assert built and not c.has_zero_differentials()
+        assert dims == {n: c.rank(n) for n in dims}
+        # one build: later reads return the same object, so a Smith form
+        # stored on one of its differentials is found again
+        assert space.complex is c and space.complex is c
+        assert len(built) == 1
+
+
 def _battery_double_complex() -> DoubleComplex:
     col = make_complex({1: 1, 0: 1}, {1: [[1]]})
     return DoubleComplex({1: col, 0: col},
@@ -416,19 +501,47 @@ def validated_complex_calls(package: Path):
     return found
 
 
+def square_zero_proofs(package: Path):
+    """(file, class, what it returns) of each `_square_zero` method in the
+    package: the name of the function its one return statement calls."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_square_zero":
+                        ret = [n.value for n in ast.walk(fn) if isinstance(n, ast.Return)]
+                        callee = (getattr(ret[0].func, "id", None)
+                                  if len(ret) == 1 and isinstance(ret[0], ast.Call) else None)
+                        found.append((path.name, cls.name, callee))
+    return found
+
+
 class TestValidatedSites:
     def test_each_unchecked_complex_is_a_known_site(self):
         # shift, U, L, R and direct sums are square-zero by construction;
-        # the three space builders by the sign rule
+        # the hom, tensor and Tot spaces by the sign rule, at the one site
+        # that builds a space's complex on its first read
         assert validated_complex_calls(Path(complexes.__file__).parent) == [
             ("complexes.py", "suspension"),
             ("complexes.py", "forget_U"),
             ("complexes.py", "functor_L"),
             ("complexes.py", "functor_R"),
-            ("complexes.py", "HomSpace.__init__"),
+            ("complexes.py", "LazySpace.complex"),
             ("complexes.py", "direct_sum"),
-            ("monoidal.py", "TensorSpace.__init__"),
-            ("totals.py", "TotSpace.__init__"),
+        ]
+
+    def test_the_lazy_site_proves_square_zero_by_the_sign_rule(self):
+        # the site passes _validated=self._square_zero(), and each space's
+        # _square_zero returns what _alternates answers
+        lazy = next(n for n in ast.walk(ast.parse(Path(complexes.__file__).read_text()))
+                    if isinstance(n, ast.ClassDef) and n.name == "LazySpace")
+        assert [ast.unparse(k.value) for n in ast.walk(lazy) if isinstance(n, ast.Call)
+                for k in n.keywords if k.arg == "_validated"] == ["self._square_zero()"]
+        assert square_zero_proofs(Path(complexes.__file__).parent) == [
+            ("complexes.py", "HomSpace", "_alternates"),
+            ("monoidal.py", "TensorSpace", "_alternates"),
+            ("totals.py", "TotSpace", "_alternates"),
         ]
 
     def test_the_check_finds_a_new_site(self, tmp_path):
