@@ -22,15 +22,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .zlinalg import (
-    FPAbGroup,
-    IntMatrix,
-    ShapeMismatch,
-    block_diagonal,
-    block_matrix,
-    kernel_basis,
-    solve_matrix,
-)
+from .zlinalg import (FPAbGroup, IntMatrix, ShapeMismatch, block_diagonal, block_matrix,
+                      kernel_basis, smith_normal_form, solve_matrix)
 
 
 class SquareZeroViolated(ValueError):
@@ -499,19 +492,23 @@ class GradedGroups:
 
 
 def homology_H(a: Complex) -> GradedGroups:
-    """Canonical homology: ker d_n / im d_{n+1}, degree by degree."""
+    """Canonical homology Z_n / B_n, read off the Smith forms of d_n and
+    d_{n+1}: free rank c_n - rk d_n - rk d_{n+1}, torsion the invariant
+    factors > 1 of d_{n+1}.  C_n / Z_n embeds in the free C_{n-1}, so Z_n
+    is a direct summand of C_n and Z_n / B_n has the torsion of
+    C_n / B_n = coker d_{n+1}.  Raises SquareZeroViolated at the lowest
+    n + 1 with d_n d_{n+1} != 0."""
     out = {}
     for n in a.degrees():
         if a.rank(n) == 0:
             continue
-        k = kernel_basis(a.diff(n))
-        if k.cols == 0:
-            continue
-        # boundaries expressed in kernel coordinates; solvable since d d = 0
-        x = solve_matrix(k, a.diff(n + 1))
-        if x is None:   # boundaries leave the cycles: d_n d_{n+1} != 0
+        d = a.diff(n + 1)
+        if not (a.diff(n) @ d).is_zero():
             raise SquareZeroViolated(n + 1)
-        out[n] = FPAbGroup(x)
+        cycles = a.rank(n) - smith_normal_form(a.diff(n)).rank
+        if cycles:
+            t = smith_normal_form(d)
+            out[n] = FPAbGroup.canonical(cycles - t.rank, [f for f in t.invariant_factors if f > 1])
     return GradedGroups(out)
 
 

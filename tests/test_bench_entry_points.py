@@ -6,9 +6,12 @@ result and the verdict of a weighted colimit's defining_iso_verified.  A
 change that drops or renames one of them, or answers a truthy value other
 than True, would first fail in a benchmark run; these tests make it fail
 here.  bench/tracing.py and bench/workloads.py are loaded from their files
-and only read.
+and only read.  The traced run's self-check pins the suite's SNF calls in
+bench/worker.py, which is parsed, never run, and compared with the tests'
+own pin, so the two cannot drift apart.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -20,6 +23,8 @@ import dgkernel
 from dgkernel import acceptance
 from dgkernel.complexes import make_complex, suspension, unit_complex
 from dgkernel.dgcat import LEFT, module_from_complex, trivial_weight, unit_dg_category
+
+from test_acceptance import SUITE_SNF_CALLS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -85,12 +90,38 @@ def test_weighted_colimit_answers_the_universal_workload(ranks, diffs):
 UNIVERSAL_SNF_CALLS = {"weighted_colimit": 158, "tot": 36}
 
 
-@pytest.mark.parametrize("kind", UNIVERSAL_SNF_CALLS)
-def test_universal_job_snf_calls_are_pinned(kind, tmp_path, zlinalg_calls):
+def _first_job_snf_calls(workload, kind, directory, zlinalg_calls):
     workloads = _bench_module("workloads")
-    job = next(j for j in workloads.build("universal", 20260810, 0, 1)[0] if j.kind == kind)
-    job.write(str(tmp_path))
+    job = next(j for j in workloads.build(workload, 20260810, 0, 1)[0] if j.kind == kind)
+    job.write(str(directory))
     with zlinalg_calls("smith_normal_form") as made:
         result = job.run(dgkernel)
     assert job.check(result) == ""
+    return made
+
+
+@pytest.mark.parametrize("kind", UNIVERSAL_SNF_CALLS)
+def test_universal_job_snf_calls_are_pinned(kind, tmp_path, zlinalg_calls):
+    made = _first_job_snf_calls("universal", kind, tmp_path, zlinalg_calls)
     assert len(made) == UNIVERSAL_SNF_CALLS[kind]
+
+
+# (calls, distinct decompositions) of the first job of each class in cycle 0
+# of the `homology` pool at seed 20260810.  Homology makes three calls per
+# degree with cycles: on d_n, on d_{n+1} and on the canonical presentation;
+# d_{n+1}'s decomposition is read back, not recomputed, as the next degree's
+# d_n.
+HOMOLOGY_SNF_CALLS = {"skeleton(8,5)": (22, 17), "dense(40)": (6, 5)}
+
+
+@pytest.mark.parametrize("kind", HOMOLOGY_SNF_CALLS)
+def test_homology_job_snf_calls_are_pinned(kind, tmp_path, zlinalg_calls):
+    made = _first_job_snf_calls("homology", kind, tmp_path, zlinalg_calls)
+    assert (len(made), len({id(s) for s in made})) == HOMOLOGY_SNF_CALLS[kind]
+
+
+def test_the_suite_snf_pin_has_one_value():
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    pinned = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SELF_CHECK_SNF_CALLS"]]
+    assert pinned == [SUITE_SNF_CALLS]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dgkernel.complexes as complexes
 from dgkernel import cones
-from conftest import protos
+from conftest import protos, simplex_skeleton
 from dgkernel.complexes import (
     AdjunctionWitness,
     ChainMap,
@@ -45,7 +45,7 @@ from dgkernel.complexes import (
 )
 from dgkernel.rand import rand_chain_map, rand_complex, rand_proto
 from dgkernel.zlinalg import (FPAbGroup, IntMatrix, ShapeMismatch, block_diagonal, block_matrix,
-                              kernel_basis)
+                              kernel_basis, solve_matrix)
 
 K0 = unit_complex()
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -209,6 +209,17 @@ class TestHomology:
             Complex(ranks, diffs)
         assert checked.value.degree == raised.value.degree
 
+    def test_an_injective_differential_does_not_hide_a_square_zero_violation(self):
+        # ker d_1 = 0, so degree 1 has no cycles, yet d_1 d_2 = 1
+        ranks = {2: 1, 1: 1, 0: 1}
+        diffs = {2: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])}
+        with pytest.raises(SquareZeroViolated) as raised:
+            homology_H(Complex(ranks, diffs, _validated=True))
+        assert raised.value.degree == 2
+        with pytest.raises(SquareZeroViolated) as checked:
+            Complex(ranks, diffs)
+        assert checked.value.degree == 2
+
     def test_graded_groups_reject_a_non_integer_degree(self):
         # int(2.5) used to file the group at degree 2
         with pytest.raises(ValueError, match=r"^degree 2\.5 is not an integer$"):
@@ -216,6 +227,51 @@ class TestHomology:
         with pytest.raises(ValueError, match="^degree True is not an integer$"):
             GradedGroups({True: FPAbGroup.free(1)})
         assert GradedGroups({2: FPAbGroup.free(1)}).support() == [2]
+
+
+def reference_homology(a):
+    """ker d_n / im d_{n+1} the long way: a kernel basis k of d_n, the
+    boundaries solved in its coordinates, and the group that solution
+    presents.  The groups are those of homology_H, not the presentations:
+    here generator_count is dim Z_n, while homology_H presents each group
+    canonically, with free rank + number of torsion factors generators."""
+    out = {}
+    for n in a.degrees():
+        k = kernel_basis(a.diff(n))
+        if k.cols:
+            out[n] = FPAbGroup(solve_matrix(k, a.diff(n + 1)))
+    return GradedGroups(out)
+
+
+def torsion_bricks(bricks):
+    """The direct sum of Z --k--> Z placed with its target in degree n,
+    for each (n, k)."""
+    return direct_sum([make_complex({n + 1: 1, n: 1}, {n + 1: [[k]]}) for n, k in bricks])
+
+
+class TestHomologyAgainstReference:
+    def assert_matches_reference(self, a):
+        h, want = homology_H(a), reference_homology(a)
+        assert h == want and h.describe() == want.describe()
+        for n in h.support():
+            g = h.at(n)
+            assert g.generator_count == g.free_rank + len(g.torsion)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_random_complexes(self, seed, bricks):
+        self.assert_matches_reference(rand_complex(random.Random(seed), bricks=bricks))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-6, 6)), min_size=1, max_size=4))
+    def test_two_term_torsion_bricks(self, bricks):
+        self.assert_matches_reference(torsion_bricks(bricks))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_simplex_skeletons(self, vertices, k, seed):
+        a = simplex_skeleton(random.Random(seed), vertices, min(k, vertices - 1))
+        self.assert_matches_reference(a)
 
 
 class TestHomComplex:

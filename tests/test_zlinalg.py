@@ -659,13 +659,7 @@ class TestZeroComplexAndSquareZero:
     @given(st.integers(-2, 2), st.lists(st.integers(0, 2), min_size=1, max_size=5),
            st.data())
     def test_square_zero_violation_reports_lowest_degree(self, lo, ranks, data):
-        r = {lo + i: k for i, k in enumerate(ranks)}
-        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
-        diffs = {}
-        for n in range(lo + 1, lo + len(ranks)):
-            rows, cols = r[n - 1], r[n]
-            diffs[n] = IntMatrix(rows, cols, data.draw(st.lists(
-                entries, min_size=rows * cols, max_size=rows * cols)))
+        r, diffs = drawn_differentials(lo, ranks, data)
 
         def d(n):
             return diffs.get(n) or IntMatrix.zeros(r.get(n - 1, 0), r.get(n, 0))
@@ -678,6 +672,39 @@ class TestZeroComplexAndSquareZero:
             with pytest.raises(SquareZeroViolated) as info:
                 Complex(r, diffs)
             assert info.value.degree == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2, 2), st.lists(st.integers(0, 2), min_size=1, max_size=5),
+           st.data())
+    def test_homology_of_unchecked_differentials_reports_the_constructor_degree(
+            self, lo, ranks, data):
+        r, diffs = drawn_differentials(lo, ranks, data)
+        try:
+            Complex(r, diffs)
+        except SquareZeroViolated as checked:
+            expected = checked.degree
+        else:
+            expected = None
+        a = Complex(r, diffs, _validated=True)
+        if expected is None:
+            homology_H(a)
+        else:
+            with pytest.raises(SquareZeroViolated) as info:
+                homology_H(a)
+            assert info.value.degree == expected
+
+
+def drawn_differentials(lo, ranks, data):
+    """Ranks from degree lo up and a differential of small entries between
+    each pair of neighbouring degrees, square-zero or not."""
+    r = {lo + i: k for i, k in enumerate(ranks)}
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    diffs = {}
+    for n in range(lo + 1, lo + len(ranks)):
+        rows, cols = r[n - 1], r[n]
+        diffs[n] = IntMatrix(rows, cols, data.draw(st.lists(
+            entries, min_size=rows * cols, max_size=rows * cols)))
+    return r, diffs
 
 
 class TestSmithNormalForm:
@@ -997,27 +1024,20 @@ class TestKernelBasisDecomposition:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_homology_eliminates_each_differential_once(self, c0, extra, seed):
+    def test_homology_eliminates_each_differential_once(self, zlinalg_calls, c0, extra, seed):
         # Z^c1 -> Z^c0, dense, with a nonzero kernel in degree 1
         c1 = c0 + extra
         d = rand_matrix(random.Random(seed), c0, c1)
         a = make_complex({1: c1, 0: c0}, {1: d.to_lists()})
-        calls = []
-        real = zlinalg.smith_normal_form
-
-        def recording(m):
-            calls.append((m, getattr(m, "_snf", None) is None))
-            return real(m)
-
-        zlinalg.smith_normal_form = recording
-        try:
+        with zlinalg_calls("smith_normal_form") as made:
             h = homology_H(a)
-        finally:
-            zlinalg.smith_normal_form = real
-        assert len(calls) == 6   # kernel_basis, solve_matrix, FPAbGroup per degree
-        assert [fresh for m, fresh in calls if m == d] == [True, False]
-        kernels = [m for m, _ in calls[1::3]]
-        assert all(fresh is False for m, fresh in calls if any(m is k for k in kernels))
+        # per degree n: d_n, d_{n+1}, then the canonical presentation; no
+        # call is on a kernel basis
+        d0, d1, p0, d1_again, d2, p1 = [args[0] for _, args in made.operands]
+        assert d0 is a.diff(0) and d1 is d1_again is a.diff(1) and d2 is a.diff(2)
+        assert (p0, p1) == (h.at(0).presentation, h.at(1).presentation)
+        # d_1 is eliminated in degree 0 and read back in degree 1
+        assert made[3] is made[1] and len({id(s) for s in made}) == 5
         assert h.at(0) == cokernel(d).group
         assert h.at(1) == FPAbGroup.free(c1 - smith_normal_form(d).rank)
 
