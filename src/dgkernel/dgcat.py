@@ -28,6 +28,14 @@ the action of Z on one complex; a sum of modules acts through the injections
 i_k and projections p_k of its values, i_k o t_k o (p_k (x) 1); and the
 unknowns of a solved Cauchy counit are the degree-0 coordinates of
 HomSpace(N U (x) M V, hom(V, U)), its chain-map rows that space's differential.
+
+The coend M (x)_C N is one object, `Coend`: in each degree n of the ambient
+sum P of the M U (x) N U, the cokernel of the relations (its group, the
+projection onto canonical generators and a section), and the differential
+they induce.  It keeps P's layout as well.  `tensor_space(u)` is the summand
+M U (x) N U, `slot(u, n)` reads where that summand's degree-n block starts in
+P, and `class_map(u, y)` reads the projection on the block's columns after
+y (x) -: x |-> [y (x) x], the cocone of a weighted colimit.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .complexes import (
     BlockLayout,
     ChainMap,
     Complex,
-    GradedGroups,
     HomSpace,
     Proto,
     compose,
@@ -599,77 +606,79 @@ class ModuleTransform:
 # -- coends -------------------------------------------------------------
 
 
-class PresentedComplex:
-    """Degreewise cokernel of relations R_n: Q_n -> P_n, one matrix per degree
-    of the ambient P, with the induced differential on canonical generators."""
+class Coend:
+    """M (x)_C N, presented: the cokernel of the relations R_n: Q_n -> P_n
+    in each degree of the ambient P, the sum of the tensor spaces
+    M U (x) N U laid out by `layout`, with the induced differential on the
+    canonical generators."""
 
-    def __init__(self, ambient: Complex, relations: Mapping[int, IntMatrix]):
+    def __init__(self, ambient: Complex, relations: Mapping[int, IntMatrix],
+                 spaces: Mapping[object, TensorSpace], layout: BlockLayout):
         self.ambient = ambient
         self.relations = dict(relations)
-        self.groups: Dict[int, FPAbGroup] = {}
-        self._proj: Dict[int, IntMatrix] = {}
-        self._sect: Dict[int, IntMatrix] = {}
-        self.diffs: Dict[int, IntMatrix] = {}
-        for n in ambient.degrees():
-            cok = cokernel(self.relations[n])
-            self.groups[n] = cok.group
-            self._proj[n] = cok.projection
-            self._sect[n] = cok.section
-        for n in ambient.degrees():
-            if n - 1 in self._proj:
-                self.diffs[n] = self._proj[n - 1] @ ambient.diff(n) @ self._sect[n]
+        self._cok = {n: cokernel(self.relations[n]) for n in ambient.degrees()}
+        self._diffs = {n: self._cok[n - 1].projection @ ambient.diff(n) @ cok.section
+                       for n, cok in self._cok.items() if n - 1 in self._cok}
+        self._ts = spaces
+        self._layout = layout
 
     def group(self, n: int) -> FPAbGroup:
-        return self.groups.get(n, FPAbGroup.zero())
-
-    def graded_groups(self) -> GradedGroups:
-        return GradedGroups(self.groups)
+        zero = FPAbGroup.zero()   # on every read: the suite's SNF pins count its call
+        return self._cok[n].group if n in self._cok else zero
 
     def projection(self, n: int) -> IntMatrix:
-        return self._proj.get(n, IntMatrix.zeros(0, self.ambient.rank(n)))
+        if n in self._cok:
+            return self._cok[n].projection
+        return IntMatrix.zeros(0, self.ambient.rank(n))
 
     def section(self, n: int) -> IntMatrix:
-        return self._sect.get(n, IntMatrix.zeros(self.ambient.rank(n), 0))
+        if n in self._cok:
+            return self._cok[n].section
+        return IntMatrix.zeros(self.ambient.rank(n), 0)
 
     def diff(self, n: int) -> IntMatrix:
-        m = self.diffs.get(n)
-        if m is None:
-            g_rows = self.group(n - 1).generator_count if n - 1 in self.groups else 0
-            g_cols = self.group(n).generator_count if n in self.groups else 0
-            return IntMatrix.zeros(g_rows, g_cols)
-        return m
+        if n in self._diffs:
+            return self._diffs[n]
+        return IntMatrix.zeros(self.projection(n - 1).rows, self.section(n).cols)
 
     def verify_differential(self) -> bool:
-        """d factors through the quotient and squares to zero on it."""
-        for n in self.ambient.degrees():
-            if n - 1 not in self._proj:
-                continue
-            lhs = self._proj[n - 1] @ self.ambient.diff(n)
-            rhs = self.diff(n) @ self._proj[n]
-            g = self.group(n - 1)
-            zero = (0,) * g.generator_count
-            for j in range(lhs.cols):
-                delta = tuple(a - b for a, b in zip(lhs.col(j), rhs.col(j)))
-                if not g.element_equal(delta, zero):
-                    return False
-            if n - 2 in self._proj:
-                sq = self.diff(n - 1) @ self.diff(n)
-                g2 = self.group(n - 2)
-                zero2 = (0,) * g2.generator_count
-                for j in range(sq.cols):
-                    if not g2.element_equal(sq.col(j), zero2):
-                        return False
+        """d factors through the quotient and squares to zero on it: per
+        degree, the columns of proj d - d' proj and of d' d' are relations."""
+        for n, d in self._diffs.items():
+            factors = self.projection(n - 1) @ self.ambient.diff(n) - d @ self.projection(n)
+            if not self.group(n - 1).presents_zero(factors):
+                return False
+            if n - 1 in self._diffs and not self.group(n - 2).presents_zero(self.diff(n - 1) @ d):
+                return False
         return True
 
     def free_model(self) -> Complex:
         """A free complex carried by the canonical generators; only valid
         when the presentation is degreewise torsion-free."""
-        torsion = {n: g for n, g in self.groups.items() if not g.is_free()}
+        torsion = {n: c.group for n, c in self._cok.items() if not c.group.is_free()}
         if torsion:
             raise TorsionInPresentation(torsion)
-        ranks = {n: g.free_rank for n, g in self.groups.items()}
-        diffs = {n: m for n, m in self.diffs.items()}
-        return Complex(ranks, diffs)
+        return Complex({n: c.group.free_rank for n, c in self._cok.items()}, self._diffs)
+
+    def tensor_space(self, u) -> TensorSpace:
+        return self._ts[u]
+
+    def slot(self, u, n: int) -> int:
+        """The ambient slot of the summand at u's first basis element in degree n."""
+        return self._layout.slot(n, u)
+
+    def class_map(self, u, y: Elt) -> Dict[int, IntMatrix]:
+        """x |-> [y (x) x] onto the canonical generators, by the degree r of x:
+        the projection on the columns of the summand at u (none: zero) after
+        y (x) -."""
+        out = {}
+        if u not in self._ts:
+            return out
+        for r, ins in self._ts[u].inserted(LEFT, y.degree, y.vec).comps().items():
+            n = r + y.degree
+            off = self.slot(u, n)
+            out[r] = self.projection(n).select_cols(range(off, off + ins.rows)) @ ins
+        return out
 
 
 def _require_dual_sides(m: DGModule, n_mod: DGModule):
@@ -677,9 +686,10 @@ def _require_dual_sides(m: DGModule, n_mod: DGModule):
         raise ValueError(f"expected a right and a left module, got {m.side} and {n_mod.side}")
 
 
-def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
-    """M (x)_C N: the sum P of M U (x) N U modulo R = rho - lambda: Q -> P,
-    for Q the sum of (M V (x) hom(U,V)) (x) N U over the nonzero homs.
+def coend_tensor(m: DGModule, n_mod: DGModule) -> Coend:
+    """M (x)_C N as one `Coend`: the sum P of M U (x) N U modulo
+    R = rho - lambda: Q -> P, for Q the sum of (M V (x) hom(U,V)) (x) N U
+    over the nonzero homs, cokernel by cokernel in the degrees of P.
 
     P has a block per object with both values nonzero, in object order, laid
     out as TensorSpace(M U, N U).  Q is a layout only: per hom, in
@@ -724,40 +734,7 @@ def coend_tensor(m: DGModule, n_mod: DGModule) -> "CoendResult":
                                  off + off_p * ns, mv_p,
                                  act_n[n - p].select_cols(range(first, first + hom_r * ns)), -1)
         relations[n] = IntMatrix.from_rows(out, q_lay.dim(n), _trusted=True)
-    return CoendResult(PresentedComplex(ambient, relations), m, n_mod, spaces, p_lay)
-
-
-class CoendResult:
-    def __init__(self, presented: PresentedComplex, m: DGModule, n_mod: DGModule,
-                 spaces: Mapping[object, TensorSpace], layout: BlockLayout):
-        self.presented = presented
-        self.m = m
-        self.n = n_mod
-        self._ts = spaces
-        self._layout = layout
-
-    def graded_groups(self) -> GradedGroups:
-        return self.presented.graded_groups()
-
-    def tensor_space(self, u) -> TensorSpace:
-        return self._ts[u]
-
-    def slot(self, u, n: int) -> int:
-        """The ambient slot of the summand at u's first basis element in degree n."""
-        return self._layout.slot(n, u)
-
-    def class_map(self, u, y: Elt) -> Dict[int, IntMatrix]:
-        """x |-> [y (x) x] onto the canonical generators, by the degree r of x:
-        the projection on the columns of the summand at u (none: zero) after
-        y (x) -."""
-        out = {}
-        if u not in self._ts:
-            return out
-        for r, ins in self._ts[u].inserted(LEFT, y.degree, y.vec).comps().items():
-            n = r + y.degree
-            off = self.slot(u, n)
-            out[r] = self.presented.projection(n).select_cols(range(off, off + ins.rows)) @ ins
-        return out
+    return Coend(ambient, relations, spaces, p_lay)
 
 
 # -- weighted colimits ----------------------------------------------------
@@ -774,7 +751,7 @@ class WeightedColimit:
         self.m = m
         self.f = f
         self.coend = coend_tensor(m, f)
-        self.colimit = self.coend.presented.free_model()
+        self.colimit = self.coend.free_model()
 
     def gamma_proto(self, u, y: Elt) -> Proto:
         """The cocone component at y in M U: the proto F U -> colim
@@ -802,7 +779,7 @@ class WeightedColimit:
         return all(_verify_weighted_colimit_iso(self, t, gammas) for t in probes)
 
 
-def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex, gammas=None) -> bool:
+def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex, gammas: Mapping) -> bool:
     """The canonical map Phi: [colim, T] -> (protonatural M => [F-, T]),
     theta_U(y) = h o gamma_U(y), is a degreewise group isomorphism commuting
     with the differentials.  A degree-n theta is one vector with a block per
@@ -812,13 +789,12 @@ def _verify_weighted_colimit_iso(wc: WeightedColimit, t: Complex, gammas=None) -
     * N_n phi_n = 0 and every solution of N_n theta = 0 is phi_n x, for N_n
       with rows theta_U(y.f) - (-1)^{|f||y|} theta_V(y) o F(f).
 
-    Phi commutes with the differentials once the cocone `gammas` is a chain
-    map, by the Leibniz rule D_theta(Phi h)(y) - Phi(dh)(y) = (-1)^n h o
-    (d gamma_U(y) - gamma_U(dy)); `defining_iso_verified` checks that.  Only
-    layouts are read, and theta maps into the ranks of [F U, T] alone.
+    Phi commutes with the differentials once the cocone `gammas`, the pairs
+    (y, gamma_U(y)) by U, is a chain map, by the Leibniz rule
+    D_theta(Phi h)(y) - Phi(dh)(y) = (-1)^n h o (d gamma_U(y) - gamma_U(dy));
+    `defining_iso_verified` checks that.  Only layouts are read, and theta
+    maps into the ranks of [F U, T] alone.
     """
-    if gammas is None:
-        return wc.defining_iso_verified([t])
     hs_lhs = HomSpace(wc.colimit, t)
     spaces = {}
     for u in gammas:
@@ -978,7 +954,7 @@ class CauchyData:
         """The class of sum x_i (x) y_i is a 0-cycle of M (x)_C N:
         sum [dx_i (x) y_i] + (-1)^{|x_i|} [x_i (x) dy_i] = 0."""
         res = coend_tensor(self.m, self.n)
-        g = res.presented.group(-1)
+        g = res.group(-1)
         total = [0] * g.generator_count
         for (e_obj, x, y) in self.eta:
             sign = -1 if x.degree % 2 else 1

@@ -223,8 +223,7 @@ def tot_via_weighted_colimit(a: DoubleComplex,
     # Phi: ambient sum of S^m L Z (x) A_m -> Tot, constant on relation
     # classes.  Block p of the summand at m goes into column m for p = m and
     # through delta_m (stored components only) into column m - 1 for p = m - 1.
-    presented = wc.coend.presented
-    ambient = presented.ambient
+    ambient = wc.coend.ambient
     phi_rows = {n: [[0] * ambient.rank(n) for _ in range(tot.rank(n))]
                 for n in ambient.degrees()}
     for m in cols:
@@ -245,8 +244,7 @@ def tot_via_weighted_colimit(a: DoubleComplex,
     for n in colim.degrees():
         if colim.rank(n) == 0:
             continue
-        sect = presented.section(n)
-        mat = phi.get(n, IntMatrix.zeros(tot.rank(n), ambient.rank(n))) @ sect
+        mat = phi.get(n, IntMatrix.zeros(tot.rank(n), ambient.rank(n))) @ wc.coend.section(n)
         iso_comps[n] = mat
         inv_comps[n] = inverse_unimodular(mat)
     iso = ChainMap(colim, tot, 0, iso_comps)

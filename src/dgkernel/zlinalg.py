@@ -709,12 +709,18 @@ class FPAbGroup:
     def is_free(self) -> bool:
         return not self.torsion
 
+    def presents_zero(self, m: IntMatrix) -> bool:
+        """Whether every column of m is a relation: one solve against the
+        stored decomposition."""
+        if m.rows != self.generator_count:
+            raise ShapeMismatch("row count differs from generator count")
+        return _solve(self._snf, m) is not None
+
     def element_equal(self, x: Sequence[int], y: Sequence[int]) -> bool:
         """Whether x and y present the same element (x - y a relation)."""
         if len(x) != self.generator_count or len(y) != self.generator_count:
             raise ShapeMismatch("element length differs from generator count")
-        diff = [a - b for a, b in zip(x, y)]
-        return _solve(self._snf, IntMatrix.column(diff)) is not None
+        return self.presents_zero(IntMatrix.column([a - b for a, b in zip(x, y)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FPAbGroup):

@@ -414,8 +414,8 @@ class TestCoend:
         cat = unit_dg_category()
         res = coend_tensor(representable(cat, "*", RIGHT),
                            representable(cat, "*", LEFT))
-        assert res.presented.group(0) == FPAbGroup.free(1)
-        assert res.presented.verify_differential()
+        assert res.group(0) == FPAbGroup.free(1)
+        assert res.verify_differential()
 
     def test_co_yoneda_on_all_fixtures(self, cats):
         for name, cat in cats.items():
@@ -426,25 +426,25 @@ class TestCoend:
                     res = coend_tensor(m, n)
                     want = n.value(k)
                     for deg in want.degrees():
-                        assert res.presented.group(deg) == FPAbGroup.free(want.rank(deg)), \
+                        assert res.group(deg) == FPAbGroup.free(want.rank(deg)), \
                             (name, k, k2, deg)
-                    assert res.presented.verify_differential()
+                    assert res.verify_differential()
 
     def test_twisted_action_gives_mod_two(self):
         res = coend_tensor(*twisted_x2_pair())
-        assert res.presented.group(0) == FPAbGroup.canonical(0, [2])
+        assert res.group(0) == FPAbGroup.canonical(0, [2])
 
     def test_lawful_torsion_coend(self):
         m, n = lawful_x4_pair()
         assert m.validate() == [] and n.validate() == []
         res = coend_tensor(m, n)
-        assert res.presented.group(0) == FPAbGroup.canonical(0, [4])
+        assert res.group(0) == FPAbGroup.canonical(0, [4])
 
     def test_induced_differential_squares_to_zero(self):
         cat = dg_subcategory_of_complexes({"Z": K0, "M2": M2})
         res = coend_tensor(representable(cat, "M2", RIGHT),
                            representable(cat, "Z", LEFT))
-        assert res.presented.verify_differential()
+        assert res.verify_differential()
 
 
 class TestCoendInCoordinates:
@@ -459,7 +459,7 @@ class TestCoendInCoordinates:
             ambient, rel = reference_coend_relations(m, n)
             ref = {d: cokernel(rel.comp(d)) for d in ambient.degrees()}
         with zlinalg_calls("smith_normal_form") as made:
-            pres = coend_tensor(m, n).presented
+            pres = coend_tensor(m, n)
         assert pres.ambient == ambient
         assert list(pres.relations) == list(ambient.degrees())
         for d in ambient.degrees():
@@ -483,7 +483,7 @@ class TestCoendInCoordinates:
             for d in ambient.degrees():
                 cokernel(rel.comp(d))
         with zlinalg_calls("smith_normal_form") as made:
-            pres = coend_tensor(m, n).presented
+            pres = coend_tensor(m, n)
         assert len(made) == len(made_ref)
         assert [args for _, args in made.operands] == [args for _, args in made_ref.operands]
         with zlinalg_calls("cokernel", "inverse_unimodular") as made:
@@ -524,6 +524,52 @@ class TestCoendInCoordinates:
             assert cat.nonzero_homs() == scan
             for u in cat.objects:
                 assert cat.homs_out(u) == [(v, h) for a, v, h in scan if a == u]
+
+
+# the wrapper and the presented complex that `Coend` replaced, and the
+# attribute by which readers reached from one to the other
+REMOVED_COEND_NAMES = {"CoendResult", "PresentedComplex"}
+
+
+def split_coend_names(package: Path):
+    """(file, name, line) of each definition of, reference to or import of
+    a removed coend class, and of each `.presented` attribute, in the
+    package: the coend is one object."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in REMOVED_COEND_NAMES or isinstance(node, ast.Attribute) \
+                    and name == "presented":
+                found.append((path.name, name, node.lineno))
+    return found
+
+
+class TestOneCoendObject:
+    def test_coend_tensor_returns_the_coend(self):
+        assert isinstance(coend_tensor(*twisted_x2_pair()), dgcat.Coend)
+
+    def test_src_has_one_coend_object(self):
+        assert split_coend_names(Path(dgcat.__file__).parent) == []
+
+    def test_the_check_finds_the_removed_spellings(self, tmp_path):
+        (tmp_path / "dgcat.py").write_text(
+            "from .x import PresentedComplex\n"
+            "class CoendResult:\n"
+            "    def group(self, n):\n"
+            "        return self.presented.group(n)\n")
+        assert split_coend_names(tmp_path) == [
+            ("dgcat.py", "CoendResult", 2), ("dgcat.py", "PresentedComplex", 1),
+            ("dgcat.py", "presented", 4)]
 
 
 class TestWeightedColimit:
@@ -1765,10 +1811,10 @@ def reference_gamma_proto(wc, u, y):
         n, cols = r + y.degree, []
         for x in basis_elts(fu, r):
             vec = embed_pair(coend.tensor_space(u), y.degree, y.vec, x.degree, x.vec)
-            amb = [0] * coend.presented.ambient.rank(n)
+            amb = [0] * coend.ambient.rank(n)
             off = coend.slot(u, n) if vec else 0
             amb[off:off + len(vec)] = vec
-            cols.append(coend.presented.projection(n).apply(amb))
+            cols.append(coend.projection(n).apply(amb))
         comps[r] = IntMatrix.from_cols(cols, wc.colimit.rank(n))
     return Proto(fu, wc.colimit, y.degree, comps)
 

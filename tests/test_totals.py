@@ -389,8 +389,7 @@ def reference_tot_comparison(a: DoubleComplex, window: int):
     wc = weighted_colimit(j_mod, a_mod)
     colim, ts = wc.colimit, TotSpace(a)
     tot = ts.complex
-    presented = wc.coend.presented
-    ambient = presented.ambient
+    ambient = wc.coend.ambient
     phi_rows: Dict[int, List[List[int]]] = {
         n: [[0] * ambient.rank(n) for _ in range(tot.rank(n))] for n in ambient.degrees()}
     for m in cat.objects:
@@ -415,7 +414,7 @@ def reference_tot_comparison(a: DoubleComplex, window: int):
         rows = phi_rows.get(n) or []
         phi = (IntMatrix.from_rows(rows, ambient.rank(n)) if rows
                else IntMatrix.zeros(tot.rank(n), ambient.rank(n)))
-        iso_comps[n] = phi @ presented.section(n)
+        iso_comps[n] = phi @ wc.coend.section(n)
         inv_comps[n] = inverse_unimodular(iso_comps[n])
     return colim, tot, ChainMap(colim, tot, 0, iso_comps), ChainMap(tot, colim, 0, inv_comps)
 

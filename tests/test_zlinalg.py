@@ -1740,6 +1740,26 @@ class TestFPAbGroup:
         with pytest.raises(ShapeMismatch):
             g.element_equal([1], [1, 0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices(max_dim=5), st.integers(0, 4), st.booleans(), st.data())
+    def test_presents_zero_agrees_with_element_equal_column_by_column(
+            self, pres, width, perturb, data):
+        # m: combinations of the relations, with every column perhaps moved
+        g = FPAbGroup(pres)
+        rows, k = pres.rows, pres.cols
+        m = pres @ IntMatrix(k, width, data.draw(st.lists(
+            st.integers(-3, 3), min_size=k * width, max_size=k * width)))
+        if perturb:
+            m = m + IntMatrix(rows, width, data.draw(st.lists(
+                st.integers(-2, 2), min_size=rows * width, max_size=rows * width)))
+        zero = (0,) * rows
+        by_column = [g.element_equal(m.col(j), zero) for j in range(width)]
+        assert g.presents_zero(m) == all(by_column)
+        assert [g.presents_zero(m.select_cols([j])) for j in range(width)] == by_column
+        assert g.presents_zero(IntMatrix.zeros(rows, 0))
+        with pytest.raises(ShapeMismatch):
+            g.presents_zero(IntMatrix.zeros(rows + 1, width))
+
 
 class TestUnimodularInverse:
     def test_round_trip(self):
