@@ -35,7 +35,7 @@ from .dgcat import (
 )
 from .jsonio import InputError
 from .monoidal import tensor
-from .totals import SupportExceedsWindow, tot_via_weighted_colimit, total_complex
+from .totals import tot_via_weighted_colimit, total_complex
 
 
 def _emit(args, payload: dict, text_lines: List[str]):
@@ -142,22 +142,15 @@ def cmd_cokernel_protosplit(args) -> int:
 
 
 def cmd_tot(args) -> int:
-    top = jsonio.MAX_DEGREE + 1
-    if args.window is not None and not 1 <= args.window <= top:
-        raise InputError(f"--window must be between 1 and {top}, got {args.window}")
     a = jsonio.double_complex_from_json(jsonio.load(args.double_complex))
-    cmp = None
-    if args.compare_colim:   # the comparison builds Tot A itself
-        try:
-            cmp = tot_via_weighted_colimit(a, window=args.window)
-        except SupportExceedsWindow as exc:
-            raise InputError(f"--window: {exc}")
-    tot = cmp.tot if cmp is not None else total_complex(a)
+    # the comparison builds Tot A itself
+    cmp = tot_via_weighted_colimit(a) if args.compare_colim else None
+    tot = cmp[0].target if cmp is not None else total_complex(a)
     groups = homology_H(tot)
     payload = {"ranks": _ranks(tot), "homology": _homology_report(groups)}
     lines = [f"Tot ranks: {_ranks(tot)}"] + _homology_lines(groups)
     if cmp is not None:
-        ok = not inverse_failures(cmp.iso, cmp.inverse)
+        ok = not inverse_failures(*cmp)
         payload["colim_comparison"] = ok
         lines.append(f"colim comparison iso: {'ok' if ok else 'FAIL'}")
         if not ok:
@@ -277,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tot", help="total complex of a double complex")
     p.add_argument("double_complex")
-    p.add_argument("--window", type=int, default=None)
     p.add_argument("--compare-colim", action="store_true",
                    help="also compute the weighted colimit and compare")
     p.add_argument("--out")

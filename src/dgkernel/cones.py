@@ -373,14 +373,9 @@ def split_chain_idempotent_via_pair(e: ChainMap) -> ProtosplitCokernel:
 # -- Mc 1 = LU and the cone as a cokernel -------------------------------------
 
 
-@dataclass
-class Mc1LUIso:
-    iso: ChainMap       # Mc 1_{S^-1 A} -> LU A
-    inverse: ChainMap
-
-
-def mc1_iso_LU(a: Complex) -> Mc1LUIso:
-    """Natural isomorphism Mc 1_{S^-1 A} = LU A.
+def mc1_iso_LU(a: Complex) -> Tuple[ChainMap, ChainMap]:
+    """Natural isomorphism Mc 1_{S^-1 A} = LU A, as (iso, inverse) with
+    iso: Mc 1_{S^-1 A} -> LU A.
 
     With X = S^-1 A (so SX = A and (Mc 1_X)_n = A_{n+1} + A_n) and d the
     degree-0 proto X -> A with components d_{n+1}, the iso is 1 - j d q
@@ -394,7 +389,7 @@ def mc1_iso_LU(a: Complex) -> Mc1LUIso:
     iso = _identity_plus(-jdq, cone1.middle, lua)
     inverse = _identity_plus(jdq, lua, cone1.middle)
     require(inverse_failures(iso, inverse))
-    return Mc1LUIso(iso, inverse)
+    return iso, inverse
 
 
 def cone_functor_map(square_a: ChainMap, square_b: ChainMap,

@@ -24,7 +24,6 @@ Each inverse is the transpose of its forward map (P^-1 = P^T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Tuple
 
@@ -310,17 +309,9 @@ def decompose_LZ_tensor() -> Tuple[ChainMap, ChainMap]:
     return _search_iso(src, tgt)
 
 
-@dataclass
-class DualityWitness:
-    unit: ChainMap
-    counit: ChainMap
-    triangle_left: bool
-    triangle_right: bool
-
-
-def verify_duality_LR() -> DualityWitness:
-    """Unit and counit for the duality L Z -| R Z, solved over Z and
-    checked against both triangle identities."""
+def verify_duality_LR() -> Tuple[ChainMap, ChainMap]:
+    """(unit, counit) for the duality L Z -| R Z, solved over Z: the
+    first pair found that satisfies both triangle identities."""
     lz = functor_L(unit_complex())
     rz = functor_R(unit_complex())
     one = unit_complex()
@@ -341,7 +332,7 @@ def verify_duality_LR() -> DualityWitness:
                 continue
             eps = hs_counits.from_cycle(0, counits.apply(cc))
             if _triangle_left(lz, rz, eta, eps) and _triangle_right(lz, rz, eta, eps):
-                return DualityWitness(eta, eps, True, True)
+                return eta, eps
     raise SearchFailed("no (unit, counit) pair satisfies the triangle identities")
 
 

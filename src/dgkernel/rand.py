@@ -87,8 +87,8 @@ def rand_chain_map(rng: random.Random, source: Complex, target: Complex,
     return hs.from_cycle(degree, k.apply([rng.randint(-span, span) for _ in range(k.cols)]))
 
 
-def rand_double_complex(rng: random.Random, max_cols: int = 3):
-    """Random double complex data: (columns dict, delta dict).
+def rand_double_complex(rng: random.Random):
+    """A random DoubleComplex of one, two or three columns.
 
     delta o delta = 0 is arranged structurally: either at most two
     nonzero columns, or an inject/project pair through a direct sum.

@@ -7,8 +7,7 @@ adjunction between totalization and the single-column embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .complexes import (
     BlockLayout,
@@ -38,10 +37,6 @@ from .dgcat import (
 )
 from .monoidal import TensorSpace
 from .zlinalg import IntMatrix, ShapeMismatch, inverse_unimodular
-
-
-class SupportExceedsWindow(ValueError):
-    pass
 
 
 def _tot_sign(m: int) -> int:
@@ -187,32 +182,18 @@ def _triangular_sign(m: int) -> int:
     return -1 if (m * (m + 1) // 2) % 2 else 1
 
 
-@dataclass
-class TotComparison:
-    colimit: Complex
-    tot: Complex
-    iso: ChainMap        # colimit -> Tot
-    inverse: ChainMap
-    window: int
+def tot_via_weighted_colimit(a: DoubleComplex) -> Tuple[ChainMap, ChainMap]:
+    """Compute colim(J, A) as a coend and return mutually inverse chain
+    maps (colim(J, A) -> Tot A, Tot A -> colim(J, A)).
 
-
-def tot_via_weighted_colimit(a: DoubleComplex,
-                             window: Optional[int] = None) -> TotComparison:
-    """Compute colim(J, A) as a coend and produce an explicit chain
-    isomorphism to Tot A.
-
+    The window is max |m| + 1 over the columns m: the lower slot of column
+    m reaches object m - 1, so the lowest column has an object below it.
     The comparison sends the class of (slot p of S^m L Z) (x) x to x in
     column m (p = m) or to delta_m(x) in column m-1 (p = m-1), twisted by
     the triangular sign needed to match the alternating inner sign of Tot.
     """
     cols = a.column_degrees()
-    if window is None:
-        window = (max(abs(m) for m in cols) + 1) if cols else 1
-    # the lower slot of column m reaches object m - 1, so the lowest column
-    # needs an object below it
-    if cols and (min(cols) <= -window or max(cols) > window):
-        raise SupportExceedsWindow(f"columns {cols} do not fit window {window}: "
-                                   f"they must lie in [{1 - window}, {window}]")
+    window = (max(abs(m) for m in cols) + 1) if cols else 1
     cat, j_mod = weight_J(window)
     a_mod = double_complex_as_left_module(cat, a)
     wc = weighted_colimit(j_mod, a_mod)
@@ -247,9 +228,7 @@ def tot_via_weighted_colimit(a: DoubleComplex,
         mat = phi.get(n, IntMatrix.zeros(tot.rank(n), ambient.rank(n))) @ wc.coend.section(n)
         iso_comps[n] = mat
         inv_comps[n] = inverse_unimodular(mat)
-    iso = ChainMap(colim, tot, 0, iso_comps)
-    inverse = ChainMap(tot, colim, 0, inv_comps)
-    return TotComparison(colim, tot, iso, inverse, window)
+    return ChainMap(colim, tot, 0, iso_comps), ChainMap(tot, colim, 0, inv_comps)
 
 
 # -- the totalization adjunction ----------------------------------------------

@@ -1,10 +1,12 @@
 """Shared fixtures."""
 
+import ast
 import contextlib
 import os
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -22,6 +24,28 @@ from dgkernel.zlinalg import IntMatrix, ShapeMismatch
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+
+
+def removed_names(package: Path, names, attrs=()):
+    """(file, name, line) of each definition of, reference to or import of
+    one of ``names``, and of each attribute ``.x`` with x in ``attrs``, in
+    the package's modules, which are parsed with ast, never imported."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names or isinstance(node, ast.Attribute) and name in attrs:
+                found.append((path.name, name, node.lineno))
+    return found
 
 
 def protos(hs, n, columns=None):

@@ -138,6 +138,22 @@ def test_criterion_fails_on_unsigned_symmetry_under_python_O():
     assert lines[2].startswith("[FAIL] criterion  4") and "Koszul naturality sign fails" in lines[2]
 
 
+def test_criterion_fails_on_a_duality_pair_that_breaks_a_triangle(monkeypatch):
+    # criterion 5 computes both triangle identities on the returned pair
+    from dgkernel import acceptance
+
+    real = acceptance.verify_duality_LR
+    assert acceptance.criterion_5_duality(SEED).passed
+
+    def doubled_unit():
+        unit, counit = real()
+        return 2 * unit, counit
+
+    monkeypatch.setattr(acceptance, "verify_duality_LR", doubled_unit)
+    line = acceptance.criterion_5_duality(SEED).line()
+    assert line.startswith("[FAIL] criterion  5") and "triangle identities fail" in line
+
+
 def test_package_has_no_assert_statements():
     import dgkernel
 

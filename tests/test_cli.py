@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import simplex_skeleton
 from dgkernel import cli, jsonio, totals
 from dgkernel.cli import main
+from dgkernel.cones import cokernel_protosplit, mapping_cone
 from dgkernel.complexes import (
     ChainMap,
     Complex,
@@ -37,7 +38,6 @@ from dgkernel.dgcat import (
     unit_dg_category,
 )
 from dgkernel.monoidal import TensorSpace
-from dgkernel.totals import TotComparison
 from dgkernel.jsonio import module_to_json
 from dgkernel.rand import rand_complex, rand_double_complex
 from dgkernel.zlinalg import FPAbGroup, IntMatrix
@@ -183,7 +183,7 @@ class TestVerbs:
         iso = ChainMap(colim, tot, 0, {0: IntMatrix.from_rows([[1, 0]])})
         inverse = ChainMap(tot, colim, 0, {0: IntMatrix.from_rows([[1], [0]])})
         monkeypatch.setattr("dgkernel.cli.tot_via_weighted_colimit",
-                            lambda a, window=None: TotComparison(colim, tot, iso, inverse, 1))
+                            lambda a: (iso, inverse))
         assert main(["tot", files["dc.json"], "--compare-colim"]) == 1
         assert "comparison iso: FAIL" in capsys.readouterr().out
 
@@ -240,41 +240,6 @@ class TestVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--probe-depth" in captured.err
-
-    @pytest.mark.parametrize("window", [-3, 0, 1026])
-    @pytest.mark.parametrize("dc", ["empty", "dc.json"])
-    def test_window_out_of_range_exits_two(self, files, capsys, window, dc):
-        # --window -3 used to exit 0 on an empty double complex, and on a
-        # non-empty one the error named the columns, not the flag
-        files["empty"] = files["tmp"] + "/empty_dc.json"
-        jsonio.dump({"columns": {}, "delta": {}}, files["empty"])
-        assert main(["tot", files[dc], "--compare-colim", "--window", str(window)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"input error: --window must be between 1 and 1025, "
-                                f"got {window}\n")
-
-    @pytest.mark.parametrize("window", [2, 1025])
-    def test_window_in_range_reaches_the_comparison(self, files, capsys, monkeypatch, window):
-        seen = []
-        real = cli.tot_via_weighted_colimit
-
-        def recorded(a, window=None):
-            seen.append(window)
-            return real(a, window=2)
-
-        monkeypatch.setattr("dgkernel.cli.tot_via_weighted_colimit", recorded)
-        assert main(["tot", files["dc.json"], "--compare-colim", "--window", str(window)]) == 0
-        assert seen == [window]
-        assert "colim comparison iso: ok" in capsys.readouterr().out
-
-    def test_window_too_small_for_the_columns_exits_two(self, files, capsys):
-        # columns -1..1 need objects -2..1; window 1 used to end in a traceback
-        assert main(["tot", files["dc.json"], "--compare-colim", "--window", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("input error: --window: columns [-1, 0, 1] do not fit "
-                                "window 1: they must lie in [0, 1]\n")
 
     @pytest.mark.parametrize("depth", [1, 5])
     def test_probe_depth_in_range(self, files, capsys, depth):
@@ -647,6 +612,99 @@ class TestMalformedTables:
         assert captured.err == f"input error: {message}\n"
 
 
+ONE = {"rows": 1, "cols": 1, "data": ["1"]}
+
+
+def _edited(source, verb, edit):
+    """argv running verb on the JSON of files[source], or on source() if
+    source is callable, after edit(obj) on it."""
+    def make(f):
+        obj = source() if callable(source) else jsonio.load(f[source])
+        edit(obj)
+        path = f["tmp"] + "/edited.json"
+        jsonio.dump(obj, path)
+        return verb + [path]
+    return make
+
+
+def _set(path, value):
+    """An edit setting obj[k1][k2]... = value for path = (k1, k2, ...)."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _bump_first_entry(obj):
+    mat = obj["compose"]["m->m->m"]["0"]
+    mat["data"][0] = str(int(mat["data"][0]) + 1)
+
+
+def _rename_key(table, old, new):
+    def edit(obj):
+        obj[table][new] = obj[table].pop(old)
+    return edit
+
+
+def _square_nonzero_dc(obj):
+    col = jsonio.complex_to_json(unit_complex())
+    obj.clear()
+    obj.update({"columns": {"1": col, "0": col, "-1": col},
+                "delta": {"1": {"0": ONE}, "0": {"0": ONE}}})
+
+
+def _square_nonzero_complex(obj):
+    obj.clear()
+    obj.update({"lo": 0, "hi": 2, "ranks": [1, 1, 1], "diffs": {"1": ONE, "2": ONE}})
+
+
+class TestInputErrorsAndWrites:
+    """Input errors that end in exit 2 with their message, and the --out
+    writes of cone and cokernel-protosplit.  An empty err marks a write:
+    the run exits 0 and the file holds the complex the case names."""
+
+    @pytest.mark.parametrize("make, err, written", [
+        (_edited("m2.json", ["homology"], _square_nonzero_complex),
+         "invalid complex: d^2 != 0 at degree 2", None),
+        (_edited("dc.json", ["tot"], _square_nonzero_dc),
+         "invalid double complex: delta_0 o delta_1 != 0", None),
+        (_edited("id_m2.json", ["cone", "--f"], _set(("comps", "0", "data"), ["2"])),
+         "invalid protomorphism: degree-0 proto is not a cycle", None),
+        (_edited("ext.json", ["verify-category"],
+                 _set(("identities", "*", "vec"), ["1", "0", "0"])),
+         "invalid element: element length 3 vs rank 1", None),
+        (_edited("ext.json", ["verify-category"], _rename_key("identities", "*", "ghost")),
+         "identity for unknown object 'ghost'", None),
+        (_edited("ext.json", ["verify-category"], _rename_key("homs", "*->*", "*")),
+         "homs key '*': expected 'A->B'", None),
+        (_edited(lambda: jsonio.category_to_json(dg_subcategory_of_complexes({"m": M2})),
+                 ["verify-category"], _bump_first_entry),
+         "compose table m->m->m: degree-0 proto is not a cycle", None),
+        (lambda f: ["cone"], "cone needs --f or --map-cone-of-identity", None),
+        (lambda f: ["cone", "--map-cone-of-identity", f["k0.json"], "--out",
+                    f["tmp"] + "/cone_out.json"], "",
+         lambda f: mapping_cone(identity_map(unit_complex())).middle),
+        (lambda f: ["cokernel-protosplit", "--f", f["split_f.json"], "--t", f["split_t.json"],
+                    "--out", f["tmp"] + "/coker_out.json"], "",
+         lambda f: cokernel_protosplit(
+             jsonio.proto_from_json(jsonio.load(f["split_f.json"]), chain_map=True),
+             jsonio.proto_from_json(jsonio.load(f["split_t.json"]))).quotient),
+    ], ids=["complex-d-squared", "double-complex-delta-squared", "protomorphism",
+            "element-length", "identity-of-unlisted-object", "homs-key-shape",
+            "compose-not-a-chain-map", "cone-without-a-map", "cone-out",
+            "cokernel-protosplit-out"])
+    def test_exit_code_message_and_written_file(self, files, capsys, make, err, written):
+        argv = make(files)
+        assert main(argv) == (2 if err else 0)
+        captured = capsys.readouterr()
+        if err:
+            assert (captured.out, captured.err) == ("", f"input error: {err}\n")
+        else:
+            assert captured.err == ""
+            assert jsonio.complex_from_json(jsonio.load(argv[-1])) == written(files)
+
+
 def per_entry_read(obj) -> IntMatrix:
     """The matrix read one entry at a time, as every entry was read before
     the one-pass read of decimal strings."""
@@ -811,7 +869,10 @@ class TestOneParserPerProcess:
 
     def test_bad_argument_still_exits_two(self, files, capsys):
         assert main(["homology", files["m2.json"]]) == 0
-        for argv in (["tot", files["dc.json"], "--window", "abc"], ["no-such-verb"]):
+        # tot has no --window option: argparse rejects it
+        for argv in (["tot", files["dc.json"], "--window", "abc"],
+                     ["tot", files["dc.json"], "--compare-colim", "--window", "2"],
+                     ["no-such-verb"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import dgkernel.dgcat as dgcat
 from dgkernel.dgcat import _image
 from conftest import (act, act_by, compose_elts, dot, embed_pair, eps_apply, protos,
-                      tensor_basis)
+                      removed_names, tensor_basis)
 from dgkernel.complexes import (
     BlockLayout,
     ChainMap,
@@ -32,6 +32,7 @@ from dgkernel.complexes import (
 from dgkernel.dgcat import (
     CauchyData,
     CauchyDataInvalid,
+    Coend,
     LEFT,
     RIGHT,
     DGModule,
@@ -447,6 +448,30 @@ class TestCoend:
         assert res.verify_differential()
 
 
+    def test_a_corrupted_induced_differential_is_caught(self):
+        cat = dg_subcategory_of_complexes({"Z": K0, "M2": M2})
+        res = coend_tensor(representable(cat, "M2", RIGHT), representable(cat, "M2", LEFT))
+        assert res.verify_differential()
+        d = res.diff(1)
+        assert not d.is_zero() and res.group(0).is_free()
+        res._diffs[1] = d + IntMatrix.from_rows([[1]] + [[0]] * (d.rows - 1))
+        assert not res.verify_differential()   # d no longer factors through the quotient
+
+    def test_a_differential_that_factors_but_does_not_square_to_zero(self):
+        # Relations that are not a subcomplex: x in degree 1 with 2x = 0 and
+        # d x = y free in degree 0.  A corrupted d' (z -> 2x) still factors,
+        # as 2x is a relation, but d' d' z = 2y is not.  The relations of a
+        # coend are a subcomplex, so on one the factor checks imply d' d' = 0.
+        amb = Complex({2: 1, 1: 1, 0: 1}, {1: IntMatrix.from_rows([[1]])})
+        co = Coend(amb, {2: IntMatrix.zeros(1, 0), 1: IntMatrix.from_rows([[2]]),
+                         0: IntMatrix.zeros(1, 0)}, {}, BlockLayout())
+        assert co.verify_differential()
+        co._diffs[2] = IntMatrix.from_rows([[2]])
+        factors = co.projection(1) @ amb.diff(2) - co.diff(2) @ co.projection(2)
+        assert co.group(1).presents_zero(factors)
+        assert not co.verify_differential()
+
+
 class TestCoendInCoordinates:
     """`coend_tensor` writes each relation matrix in coordinates; the Proto
     construction it replaced is the oracle."""
@@ -535,23 +560,7 @@ def split_coend_names(package: Path):
     """(file, name, line) of each definition of, reference to or import of
     a removed coend class, and of each `.presented` attribute, in the
     package: the coend is one object."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-            elif isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in REMOVED_COEND_NAMES or isinstance(node, ast.Attribute) \
-                    and name == "presented":
-                found.append((path.name, name, node.lineno))
-    return found
+    return removed_names(package, REMOVED_COEND_NAMES, {"presented"})
 
 
 class TestOneCoendObject:
@@ -782,6 +791,57 @@ class TestProtosplitQuotient:
             gamma = ModuleTransform(rep_mod, m, 0, {"*": gamma_comp})
             rep = verify_protosplit_quotient(m, "*", gamma, zero_sigma)
             assert not rep.ok
+
+
+class TestProtosplitQuotientFailures:
+    """One mutation of a valid witness per message of
+    verify_protosplit_quotient."""
+
+    @staticmethod
+    def identity_witness(cat, k):
+        m = representable(cat, k, RIGHT)
+        return m, ModuleTransform(m, m, 0, {x: identity_map(m.value(x)) for x in cat.objects})
+
+    def failures(self, m, b_obj, gamma_p, sigma):
+        rep = verify_protosplit_quotient(m, b_obj, gamma_p, sigma)
+        assert not rep.ok
+        return rep.failures
+
+    def test_degree_not_zero(self):
+        m, ident = self.identity_witness(unit_dg_category(), "*")
+        assert self.failures(m, "*", ident, ModuleTransform(m, m, 1, {})) == [
+            "transformations must have degree 0"]
+
+    def test_not_a_chain_transformation(self):
+        # hom(M2, M2) has a differential; id + a degree-0 corner does not
+        # commute with it
+        m, ident = self.identity_witness(dg_subcategory_of_complexes({"M2": M2}), "M2")
+        h = m.value("M2")
+        bent = ModuleTransform(m, m, 0, {"M2": identity_map(h) + Proto(
+            h, h, 0, {0: IntMatrix.from_rows([[1, 0], [0, 0]])})})
+        assert "gamma' is not a chain transformation" in self.failures(m, "M2", bent, ident)
+
+    def test_not_natural(self):
+        # sigma doubled at Z only no longer commutes with hom(Z, ZZ)
+        sq, _, _ = direct_sum_complexes([K0, K0])
+        m, ident = self.identity_witness(dg_subcategory_of_complexes({"Z": K0, "ZZ": sq}), "Z")
+        lopsided = ModuleTransform(m, m, 0, {"Z": 2 * identity_map(m.value("Z")),
+                                             "ZZ": identity_map(m.value("ZZ"))})
+        assert self.failures(m, "Z", ident, lopsided)[0] == (
+            "sigma: naturality fails at (Z,ZZ) on deg (0,0)")
+
+    @pytest.mark.parametrize("unit, message", [
+        (2, "extracted e is not idempotent"),
+        (0, "sigma o gamma' != hom(-, e) at *"),
+    ])
+    def test_a_wrong_identity_of_b(self, unit, message):
+        # e is read off sigma gamma'(1_B): with 1_B replaced by 2 it is 2,
+        # and 2 o 2 != 2; with 1_B replaced by 0 it is 0, idempotent, but
+        # sigma gamma' is the identity, not 0 o -
+        cat = unit_dg_category()
+        m, ident = self.identity_witness(cat, "*")
+        cat.identities["*"] = Elt(K0, 0, (unit,))
+        assert message in self.failures(m, "*", ident, ident)
 
 
 class TestModulePresentation:

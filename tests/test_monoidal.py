@@ -243,13 +243,17 @@ class TestDecomposeLZ:
 
 class TestDualityLR:
     def test_triangles(self):
-        w = verify_duality_LR()
-        assert w.triangle_left and w.triangle_right
+        eta, eps = verify_duality_LR()
+        assert _triangle_left(LZ, RZ, eta, eps)
+        assert _triangle_right(LZ, RZ, eta, eps)
+        # and the checks can fail: a doubled unit doubles both composites
+        assert not _triangle_left(LZ, RZ, 2 * eta, eps)
+        assert not _triangle_right(LZ, RZ, 2 * eta, eps)
 
     def test_unit_is_cycle(self):
-        w = verify_duality_LR()
-        assert d_hom(w.unit).is_zero()
-        assert d_hom(w.counit).is_zero()
+        eta, eps = verify_duality_LR()
+        assert d_hom(eta).is_zero()
+        assert d_hom(eps).is_zero()
 
     def test_solver_is_fast(self):
         import time
@@ -349,6 +353,5 @@ class TestWitnessesEqualTheReference:
                 search(src, tgt)
 
     def test_duality(self):
-        w = verify_duality_LR()
-        assert (w.unit, w.counit) == reference_duality_LR()
+        assert verify_duality_LR() == reference_duality_LR()
 

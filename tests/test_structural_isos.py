@@ -13,6 +13,7 @@ basis element at a time and wrote each inverse by hand; the tests check
 that both give the same maps on random inputs.
 """
 
+import argparse
 import ast
 import random
 from pathlib import Path
@@ -21,8 +22,9 @@ from typing import Dict, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import slot_chain_map, tensor_basis
-from dgkernel import dgcat
+from conftest import removed_names, slot_chain_map, tensor_basis
+from dgkernel import cli, dgcat
+from dgkernel.cones import mc1_iso_LU
 from dgkernel.complexes import (
     ChainMap,
     Complex,
@@ -33,6 +35,7 @@ from dgkernel.complexes import (
     forget_U,
     functor_L,
     functor_R,
+    make_complex,
     precomposition,
     suspension,
     unit_complex,
@@ -61,8 +64,10 @@ from dgkernel.monoidal import (
     sten_hom_isos,
     sten_iso,
     symmetry,
+    verify_duality_LR,
 )
 from dgkernel.rand import rand_complex
+from dgkernel.totals import embed_i, tot_via_weighted_colimit
 from dgkernel.zlinalg import IntMatrix, ShapeMismatch, block_matrix
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -495,3 +500,68 @@ class TestStructureMapsNotTables:
             [("planted.py", "_summand_columns"), ("planted.py", "rand_graded"),
              ("planted.py", "scalar_table"), ("planted.py", "suspension_map")],
             [("planted.py", 8)], [("planted.py", False)])
+
+
+# records that wrapped a construction's maps, and the error of the Tot
+# comparison's window option; each construction now returns its pair
+REMOVED_RECORDS = {"TotComparison", "SupportExceedsWindow", "Mc1LUIso", "DualityWitness"}
+
+
+def parameters_of(package: Path, function: str):
+    """(file, parameter names) of each definition of ``function`` in the
+    package, read with ast."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function:
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                          *(x for x in (a.vararg, a.kwarg) if x)]
+                found.append((path.name, [x.arg for x in params]))
+    return found
+
+
+def option_strings(parser: argparse.ArgumentParser):
+    """Every option string of the parser and of each of its subcommands."""
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= option_strings(sub)
+    return out
+
+
+class TestConstructionsReturnTheirMaps:
+    def test_each_returns_a_pair_of_chain_maps(self):
+        a = make_complex({1: 1, 0: 1}, {1: [[2]]})
+        for pair in (mc1_iso_LU(a), verify_duality_LR(),
+                     tot_via_weighted_colimit(embed_i(a))):
+            assert isinstance(pair, tuple) and len(pair) == 2
+            assert all(isinstance(f, ChainMap) for f in pair)
+
+    def test_the_removed_records_stay_out(self):
+        assert removed_names(Path(dgcat.__file__).parent, REMOVED_RECORDS) == []
+
+    def test_the_comparison_takes_the_double_complex_only(self):
+        assert parameters_of(Path(dgcat.__file__).parent, "tot_via_weighted_colimit") == [
+            ("totals.py", ["a"])]
+
+    def test_tot_has_no_window_option(self):
+        options = option_strings(cli.build_parser())
+        assert "--compare-colim" in options and "--window" not in options
+
+    def test_the_checks_find_a_planted_case(self, tmp_path):
+        (tmp_path / "totals.py").write_text(
+            "from .cones import Mc1LUIso\n"
+            "class TotComparison:\n    pass\n"
+            "def tot_via_weighted_colimit(a, window=None):\n"
+            "    raise SupportExceedsWindow(w.DualityWitness)\n")
+        assert removed_names(tmp_path, REMOVED_RECORDS) == [
+            ("totals.py", "TotComparison", 2), ("totals.py", "Mc1LUIso", 1),
+            ("totals.py", "SupportExceedsWindow", 5), ("totals.py", "DualityWitness", 5)]
+        assert parameters_of(tmp_path, "tot_via_weighted_colimit") == [
+            ("totals.py", ["a", "window"])]
+        planted = argparse.ArgumentParser()
+        planted.add_subparsers().add_parser("tot").add_argument("--window")
+        assert "--window" in option_strings(planted)

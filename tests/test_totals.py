@@ -46,7 +46,6 @@ from dgkernel.monoidal import TensorSpace
 from dgkernel.rand import rand_chain_map, rand_complex, rand_double_complex, rand_proto
 from dgkernel.totals import (
     DoubleComplex,
-    SupportExceedsWindow,
     TotSpace,
     _TotHomSpaces,
     _triangular_sign,
@@ -305,38 +304,35 @@ class TestTotViaColimit:
     def test_single_column_identity_shaped(self):
         rng = random.Random(9)
         x = rand_complex(rng)
-        cmp = tot_via_weighted_colimit(embed_i(x))
-        assert compose(cmp.inverse, cmp.iso) == identity_map(cmp.colimit)
-        assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot)
+        iso, inverse = tot_via_weighted_colimit(embed_i(x))
+        assert compose(inverse, iso) == identity_map(iso.source)
+        assert compose(iso, inverse) == identity_map(iso.target)
 
     def test_square_same_homology(self):
         col = make_complex({1: 1, 0: 1}, {1: [[1]]})
         a = DoubleComplex({1: col, 0: col}, {1: identity_map(col)})
-        cmp = tot_via_weighted_colimit(a)
-        assert homology_H(cmp.colimit) == homology_H(cmp.tot)
-        assert homology_H(cmp.tot).is_trivial()
+        iso, _ = tot_via_weighted_colimit(a)
+        assert homology_H(iso.source) == homology_H(iso.target)
+        assert homology_H(iso.target).is_trivial()
 
     def test_rank_agreement_and_iso_random(self):
         rng = random.Random(10)
         for _ in range(10):
             a = rand_double_complex(rng)
-            cmp = tot_via_weighted_colimit(a)
-            for n in cmp.tot.degrees():
-                assert cmp.colimit.rank(n) == cmp.tot.rank(n)
-            assert compose(cmp.inverse, cmp.iso) == identity_map(cmp.colimit)
-            assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot)
-
-    def test_window_guard(self):
-        with pytest.raises(SupportExceedsWindow):
-            tot_via_weighted_colimit(DoubleComplex({3: K0}, {}), window=1)
+            iso, inverse = tot_via_weighted_colimit(a)
+            colim, tot = iso.source, iso.target
+            for n in tot.degrees():
+                assert colim.rank(n) == tot.rank(n)
+            assert compose(inverse, iso) == identity_map(colim)
+            assert compose(iso, inverse) == identity_map(tot)
 
     def test_lowest_column_needs_an_object_below_it(self):
-        # the lower slot of column -1 reaches object -2: window 1 used to be
-        # accepted and then fail inside the comparison
-        with pytest.raises(SupportExceedsWindow, match=r"must lie in \[0, 1\]"):
-            tot_via_weighted_colimit(DoubleComplex({-1: K0}, {}), window=1)
-        cmp = tot_via_weighted_colimit(DoubleComplex({1: K0}, {}), window=1)
-        assert compose(cmp.iso, cmp.inverse) == identity_map(cmp.tot)
+        # the lower slot of column m reaches object m - 1, which the default
+        # window max |m| + 1 always holds
+        for lowest in (-1, 1):
+            iso, inverse = tot_via_weighted_colimit(DoubleComplex({lowest: K0}, {}))
+            assert compose(iso, inverse) == identity_map(iso.target)
+            assert compose(inverse, iso) == identity_map(iso.source)
 
 
 # -- the totalization weight, block by block ----------------------------------
@@ -453,18 +449,18 @@ class TestTotalizationBlocks:
     @given(SEEDS, st.integers(0, 2))
     def test_comparison_equals_the_reference(self, seed, extra):
         a = rand_double_complex(random.Random(seed))
-        window = _window_of(a, extra)
-        cmp = tot_via_weighted_colimit(a, window)
-        colim, tot, iso, inverse = reference_tot_comparison(a, window)
-        assert (cmp.colimit, cmp.tot) == (colim, tot)
-        assert cmp.iso == iso
-        assert cmp.inverse == inverse
+        # the reference over a window larger than the default by extra: the
+        # window does not change the answer
+        iso, inverse = tot_via_weighted_colimit(a)
+        colim, tot, ref_iso, ref_inverse = reference_tot_comparison(a, _window_of(a, extra))
+        assert (iso.source, iso.target) == (colim, tot)
+        assert iso == ref_iso
+        assert inverse == ref_inverse
 
     def test_comparison_with_nonzero_delta_equals_the_reference(self):
         for a in (_square(MUTATION_COL), _square(rand_complex(random.Random(3)))):
-            cmp = tot_via_weighted_colimit(a)
-            _, _, iso, inverse = reference_tot_comparison(a, cmp.window)
-            assert a.delta and (cmp.iso, cmp.inverse) == (iso, inverse)
+            _, _, iso, inverse = reference_tot_comparison(a, _window_of(a, 0))
+            assert a.delta and tot_via_weighted_colimit(a) == (iso, inverse)
 
     def test_window_category_shares_one_composition_table(self):
         cat = ell_op_window_category(4)
