@@ -80,9 +80,12 @@ class Complex:
     sum), or by `_alternates`, when the only term of d o d that its
     square-zero inputs leave is a cross term whose Koszul coefficient
     sign(k) + sign(k - 1) vanishes (`LazySpace.complex`, on first read).
+    ``_multiplied`` records that the constructor ran the products, so that
+    `homology_H` does not run them again; a ``_validated`` complex is still
+    checked there.
     """
 
-    __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d")
+    __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d", "_multiplied")
 
     def __init__(self, ranks: Mapping[int, int], diffs: Mapping[int, IntMatrix], _validated: bool = False):
         for n, r in ranks.items():
@@ -106,6 +109,7 @@ class Complex:
             if m.rows and m.cols and not m.is_zero():
                 stored[n] = m
         self._d = stored
+        self._multiplied = not _validated
         if not _validated:
             # a missing differential is zero, so only stored pairs can fail
             for n in sorted(stored):
@@ -497,13 +501,14 @@ def homology_H(a: Complex) -> GradedGroups:
     factors > 1 of d_{n+1}.  C_n / Z_n embeds in the free C_{n-1}, so Z_n
     is a direct summand of C_n and Z_n / B_n has the torsion of
     C_n / B_n = coker d_{n+1}.  Raises SquareZeroViolated at the lowest
-    n + 1 with d_n d_{n+1} != 0."""
+    n + 1 with d_n d_{n+1} != 0; a complex whose constructor multiplied
+    its differentials has passed that check already."""
     out = {}
     for n in a.degrees():
         if a.rank(n) == 0:
             continue
         d = a.diff(n + 1)
-        if not (a.diff(n) @ d).is_zero():
+        if not a._multiplied and not (a.diff(n) @ d).is_zero():
             raise SquareZeroViolated(n + 1)
         cycles = a.rank(n) - smith_normal_form(a.diff(n)).rank
         if cycles:

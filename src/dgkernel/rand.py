@@ -21,7 +21,7 @@ from .complexes import (
     direct_sum_complexes,
     make_complex,
 )
-from .zlinalg import IntMatrix, inverse_unimodular
+from .zlinalg import IntMatrix, born_factored, inverse_unimodular
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int = -3, hi: int = 3) -> IntMatrix:
@@ -29,8 +29,11 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int = -3, hi: int 
 
 
 def rand_unimodular(rng: random.Random, n: int, ops: int = 6) -> IntMatrix:
-    """Product of elementary row operations; determinant +-1."""
+    """Product of elementary row operations; determinant +-1.  The matrix
+    is born with its Smith decomposition (D = I, U = its inverse: each
+    operation undone, last first), so inverting it replays that record."""
     m = IntMatrix.identity(n).to_lists()
+    undo = []   # the inverse operations, in the order they are drawn
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         kind = rng.randrange(3)
@@ -38,12 +41,16 @@ def rand_unimodular(rng: random.Random, n: int, ops: int = 6) -> IntMatrix:
             c = rng.choice((-2, -1, 1, 2))
             for t in range(n):
                 m[i][t] += c * m[j][t]
+            undo.append((i, j, -c))
         elif kind == 1:
             m[i], m[j] = m[j], m[i]
+            undo.append((i, j))
         else:
             for t in range(n):
                 m[i][t] = -m[i][t]
-    return IntMatrix.from_rows(m, n)
+            undo.append((i,))
+    undo.reverse()
+    return born_factored(IntMatrix.from_rows(m, n), IntMatrix.identity(n), undo)
 
 
 def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3) -> Complex:

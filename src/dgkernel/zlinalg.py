@@ -10,9 +10,13 @@ operations that reach it, with no explicit transforms.  Solving
 their operand and never form U or V; a replay costs the nonzeros of its
 source rows, not the operand's width.
 A matrix keeps its decomposition, so calling smith_normal_form again on
-the same object costs a lookup: calls are not factorizations.  A kernel
-basis is born with its decomposition, derived from its parent's record
-(V^-1 k = [0; I]), so solving against it eliminates nothing.  Products
+the same object costs a lookup: calls are not factorizations.  Some
+matrices are born with their decomposition (`born_factored`), read off
+the record that built them, so factoring, solving against or inverting
+them eliminates nothing: a kernel basis (V^-1 k = [0; I]), the U and V
+of a decomposition and `rand.rand_unimodular`'s output (D = I, the
+building operations inverted, last first), and the diagonal presentation
+of `FPAbGroup.canonical` (D = the presentation, an empty record).  Products
 skip zero entries of both operands, so a sparse product costs its nonzero
 terms, not rows x inner x cols.
 
@@ -345,7 +349,10 @@ class SmithDecomposition:
 
     The record is the only form of a decomposition: :meth:`u_times` and
     :meth:`v_times` apply it to an operand, and the `U` and `V` properties
-    apply it to the identity once, on first read.
+    apply it to the identity once, on first read.  U and V are born with
+    their own decomposition (see `born_factored`): D = I and the record
+    that undoes theirs, so inverting either replays a record instead of
+    eliminating.
     """
 
     __slots__ = ("_U", "D", "_V", "diagonal", "rank", "_row_ops", "_col_ops")
@@ -369,14 +376,19 @@ class SmithDecomposition:
 
     @property
     def U(self) -> IntMatrix:
+        """The row operations on I; U^-1 undoes them, last first."""
         if self._U is None:
-            self._U = self.u_times(IntMatrix.identity(self.D.rows))
+            self._U = _born_transform(self.u_times, self.D.rows,
+                                      [_inverse_op(op) for op in reversed(self._row_ops)])
         return self._U
 
     @property
     def V(self) -> IntMatrix:
+        """The column operations, last first, on I; V^-1 undoes them in
+        forward order."""
         if self._V is None:
-            self._V = self.v_times(IntMatrix.identity(self.D.cols))
+            self._V = _born_transform(self.v_times, self.D.cols,
+                                      [_inverse_op(op) for op in self._col_ops])
         return self._V
 
     @property
@@ -386,6 +398,33 @@ class SmithDecomposition:
 
     def __repr__(self) -> str:
         return f"SmithDecomposition(diagonal={list(self.diagonal)})"
+
+
+def _inverse_op(op: tuple) -> tuple:
+    """The operation that undoes a recorded one: an addition with the
+    opposite multiplier; a swap and a negation undo themselves."""
+    return (op[0], op[1], -op[2]) if len(op) == 3 else op
+
+
+def born_factored(m: IntMatrix, D: IntMatrix, row_ops: list) -> IntMatrix:
+    """m, freshly built, holding the decomposition U m = D (V = I) that its
+    construction recorded: row_ops, in smith_normal_form's form, take m to
+    D.  smith_normal_form(m) then returns it without eliminating.  D must
+    be m's Smith form, and a new matrix, so that the decomposition holds
+    no reference to m."""
+    if getattr(m, "_snf", None) is not None:
+        raise ValueError("matrix already holds a decomposition")
+    m._snf = SmithDecomposition(D, row_ops, [])
+    return m
+
+
+def _born_transform(times, n: int, undo: list) -> IntMatrix:
+    """times(I), born with D = I and the record undo that takes it back to
+    I.  The identity the record replayed on is D, unless the replay
+    returned it unchanged."""
+    i = IntMatrix.identity(n)
+    t = times(i)
+    return born_factored(t, IntMatrix.identity(n) if t is i else i, undo)
 
 
 def _ops_applied(b: IntMatrix, ops: list, n: int, backwards: bool = False) -> IntMatrix:
@@ -591,13 +630,15 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix (via U @ M @ V = I)."""
+    """Integer inverse of a unimodular matrix: with U M V = I, M^-1 = V U,
+    the record applied to the identity.  A matrix born with its
+    decomposition (U, V, `rand.rand_unimodular`) is inverted by replay."""
     if not m.is_square():
         raise ShapeMismatch("inverse of a non-square matrix")
     s = smith_normal_form(m)
-    if s.D != IntMatrix.identity(m.rows):
+    if s.diagonal.count(1) != m.rows:
         raise ValueError("matrix is not unimodular")
-    return s.v_times(s.U)
+    return s.v_times(s.u_times(IntMatrix.identity(m.rows)))
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -649,12 +690,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
         row_ops = []   # every U takes an n x 0 matrix to D
     else:
         k = s.v_times(IntMatrix.zeros(r, n - r).vstack(IntMatrix.identity(n - r)))
-        row_ops = [op if len(op) == 2 else (op[0], op[1], -op[2]) for op in s._col_ops]
+        row_ops = [_inverse_op(op) for op in s._col_ops]
         if r:
             row_ops += [(i, r + i) for i in range(n - r)]
-    k._snf = SmithDecomposition(
-        IntMatrix.identity(n - r).vstack(IntMatrix.zeros(r, n - r)), row_ops, [])
-    return k
+    return born_factored(k, IntMatrix.identity(n - r).vstack(IntMatrix.zeros(r, n - r)), row_ops)
 
 
 class FPAbGroup:
@@ -689,7 +728,8 @@ class FPAbGroup:
             raise ValueError(f"invariant factors must exceed 1: {torsion}")
         gens = free_rank + len(torsion)
         pres = IntMatrix.diagonal(torsion, rows=gens, cols=len(torsion))
-        return cls(pres)
+        # already in Smith form: elimination would record no operation
+        return cls(born_factored(pres, IntMatrix(gens, len(torsion), pres._e, _trusted=True), []))
 
     @classmethod
     def free(cls, n: int) -> "FPAbGroup":

@@ -184,16 +184,21 @@ def eps_apply(cd, u, v, yn: Elt, xm: Elt) -> Elt:
 class Calls(list):
     """The result of every recorded call, in the order the calls return;
     ``operands`` holds (function name, arguments) of each call, in the
-    order the calls are made."""
+    order the calls are made; ``eliminated`` holds each operand of
+    smith_normal_form that held no decomposition when the call was made,
+    so that the call eliminated it."""
 
     def __init__(self):
         super().__init__()
         self.operands = []
+        self.eliminated = []
 
 
 def _recorder(name, real, calls: Calls):
     def recorded(*args, **kwargs):
         calls.operands.append((name, args))
+        if name == "smith_normal_form" and getattr(args[0], "_snf", None) is None:
+            calls.eliminated.append(args[0])
         calls.append(real(*args, **kwargs))
         return calls[-1]
 

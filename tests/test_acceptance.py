@@ -30,10 +30,22 @@ def test_suite_is_deterministic():
     assert lines1 == lines2
 
 
-SUITE_SNF_CALLS = 4776   # pinned by the benchmark's traced self-check as well
-SUITE_FACTORIZATIONS = 4513   # distinct decompositions returned; a kernel basis
-                              # brings its own, derived without elimination, and
-                              # homology reads d_{n+1}'s back as the next degree's d_n
+# Three counts of the suite's Smith normal form work:
+# - calls: every smith_normal_form call (pinned by the benchmark's traced
+#   self-check as well);
+# - factorizations: distinct decompositions returned.  A repeat call on the
+#   same matrix object returns its stored one: homology reads d_{n+1}'s back
+#   as the next degree's d_n;
+# - eliminations: calls whose operand held no decomposition, so that the call
+#   ran the elimination.  A matrix born with its decomposition (a kernel
+#   basis, a U or V, a rand_unimodular matrix, a canonical presentation)
+#   counts as a factorization but not as an elimination.  Counted in a fresh
+#   process, as `dgkernel suite` runs: the zero differentials of the module's
+#   K0 keep their decompositions, so a second run in one process eliminates
+#   two fewer.
+SUITE_SNF_CALLS = 4776
+SUITE_FACTORIZATIONS = 4513
+SUITE_ELIMINATIONS = 1226
 
 
 def test_suite_snf_call_count_is_pinned(zlinalg_calls):
@@ -48,6 +60,27 @@ def test_suite_factorization_count_is_pinned(zlinalg_calls):
     with zlinalg_calls("smith_normal_form") as made:
         assert all(r.passed for r in run_all(SEED))
     assert len({id(s) for s in made}) == SUITE_FACTORIZATIONS
+
+
+ELIMINATIONS_IN_A_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import _recording
+from dgkernel.acceptance import run_all
+
+with _recording("smith_normal_form") as made:
+    assert all(r.passed for r in run_all(int(sys.argv[2])))
+print(len(made), len(made.eliminated))
+"""
+
+
+def test_suite_elimination_count_is_pinned():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", ELIMINATIONS_IN_A_FRESH_PROCESS,
+                          str(tests), str(SEED)],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == [str(SUITE_SNF_CALLS), str(SUITE_ELIMINATIONS)]
 
 
 BROKEN_SNF_UNDER_O = """

@@ -220,6 +220,24 @@ class TestHomology:
             Complex(ranks, diffs)
         assert checked.value.degree == 2
 
+    def test_a_complex_checked_by_its_constructor_is_not_multiplied_again(self, monkeypatch):
+        checked = rand_complex(random.Random(13))
+        assert sorted(checked.diffs()) == [0, 1]   # one stored pair, multiplied once
+        trusted = Complex(checked.ranks(), checked.diffs(), _validated=True)
+        products = []
+        real = IntMatrix.__matmul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        h = homology_H(checked)
+        assert products == []
+        # a _validated complex is still checked, one product per nonzero degree
+        assert homology_H(trusted) == h
+        assert len(products) == sum(1 for n in trusted.degrees() if trusted.rank(n))
+
     def test_graded_groups_reject_a_non_integer_degree(self):
         # int(2.5) used to file the group at degree 2
         with pytest.raises(ValueError, match=r"^degree 2\.5 is not an integer$"):

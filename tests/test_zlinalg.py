@@ -1187,19 +1187,11 @@ def brick_complex(rng: random.Random, pairs, singles, ops: int = 12) -> Complex:
 
 def fresh_eliminations(made) -> list:
     """(operand, decomposition) of each elimination recorded by
-    ``zlinalg_calls("smith_normal_form", "kernel_basis")``, once each; a
-    decomposition that a kernel basis was born with was not eliminated.
-    Calls of smith_normal_form do not nest, so its operands and results
-    pair up in order."""
-    operands = [args[0] for name, args in made.operands if name == "smith_normal_form"]
-    results = [r for r in made if isinstance(r, SmithDecomposition)]
-    derived = {id(getattr(k, "_snf", None)) for k in made if isinstance(k, IntMatrix)}
-    seen, out = set(), []
-    for m, s in zip(operands, results):
-        if id(s) not in derived and id(s) not in seen:
-            seen.add(id(s))
-            out.append((m, s))
-    return out
+    ``zlinalg_calls("smith_normal_form")``: each call whose operand held no
+    decomposition.  A matrix born with its decomposition (a kernel basis,
+    a U or V, a canonical presentation, a rand_unimodular matrix) was not
+    eliminated, and a later call on an eliminated matrix is a lookup."""
+    return [(m, m._snf) for m in made.eliminated]
 
 
 class TestSameChoicesAsTheDenseElimination:
@@ -1225,7 +1217,7 @@ class TestSameChoicesAsTheDenseElimination:
     def test_canonical_presentation_operands(self, zlinalg_calls):
         a = brick_complex(random.Random(12), {2: 2, 1: 1, 0: 1}, {2: 1, 1: 1, 0: 1, -1: 1})
         assert [a.rank(n) for n in (2, 1, 0, -1)] == [3, 4, 3, 2]
-        with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
+        with zlinalg_calls("smith_normal_form") as made:
             cp = canonical_presentation(a)
             # the presentation sampled on the probe family: beta - gamma is
             # killed, and every killer must factor through alpha
@@ -1243,7 +1235,7 @@ class TestSameChoicesAsTheDenseElimination:
         a = brick_complex(rng, {2: 1, 0: 1}, {1: 1, 0: 1})
         b = brick_complex(rng, {2: 1, 1: 1, 0: 1}, {2: 1, 1: 1, 0: 1, -1: 1})
         total, injs, projs = direct_sum_complexes([a, b])
-        with zlinalg_calls("smith_normal_form", "kernel_basis") as made:
+        with zlinalg_calls("smith_normal_form") as made:
             res = cokernel_protosplit(injs[0], compose(identity_map(a), projs[0]))
             # the cokernel sampled on A, B, S B, S^-1 B, Z and L Z
             sampled = [factors_uniquely(injs[0], res.w, t)
@@ -1554,8 +1546,10 @@ def smith_sites(package: Path):
 
 class TestOneDecompositionOneSolve:
     def test_the_record_is_built_in_two_places_and_no_second_solver_exists(self):
+        # the elimination, and the one constructor of a matrix born with its
+        # decomposition
         assert smith_sites(Path(zlinalg.__file__).parent) == (
-            [("zlinalg.py", "smith_normal_form"), ("zlinalg.py", "kernel_basis")], [])
+            [("zlinalg.py", "born_factored"), ("zlinalg.py", "smith_normal_form")], [])
         assert list(inspect.signature(SmithDecomposition).parameters) == \
             ["D", "row_ops", "col_ops"]
 
@@ -1774,3 +1768,92 @@ class TestUnimodularInverse:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             inverse_unimodular(IntMatrix.from_rows([[2]]))
+        for m in (IntMatrix.zeros(2, 2), IntMatrix.from_rows([[1, 2], [2, 4]]),
+                  IntMatrix.diagonal([1, 3])):
+            with pytest.raises(ValueError, match="not unimodular"):
+                inverse_unimodular(m)
+        with pytest.raises(ShapeMismatch):
+            inverse_unimodular(IntMatrix.zeros(2, 3))
+
+
+@st.composite
+def operation_records(draw, max_dim=6, max_ops=12):
+    """(n, record): additions with multipliers in [-3, 3], swaps and
+    negations on n rows, in the form smith_normal_form records them."""
+    n = draw(st.integers(0, max_dim))
+    if n == 0:
+        return n, []
+    row = st.integers(0, n - 1)
+    ops = [st.tuples(row)]
+    if n > 1:
+        pair = st.tuples(row, row).filter(lambda p: p[0] != p[1])
+        ops += [pair, st.builds(lambda p, c: p + (c,), pair, st.integers(-3, 3))]
+    return n, draw(st.lists(st.one_of(ops), max_size=max_ops))
+
+
+def fresh_copy(m: IntMatrix) -> IntMatrix:
+    """An equal matrix that holds no decomposition."""
+    return IntMatrix(m.rows, m.cols, m.entries())
+
+
+def assert_inverted_by_replay(zlinalg_calls, m: IntMatrix):
+    """inverse_unimodular(m) looks up the decomposition m was born with and
+    eliminates nothing, and equals the inverse by a fresh elimination."""
+    assert m._snf is not None
+    with zlinalg_calls("smith_normal_form") as made:
+        inv = inverse_unimodular(m)
+    assert made == [m._snf] and made.eliminated == []
+    with zlinalg_calls("smith_normal_form") as made:
+        assert inverse_unimodular(fresh_copy(m)) == inv
+    assert len(made) == 1 and len(made.eliminated) == 1
+    assert m @ inv == IntMatrix.identity(m.rows) == inv @ m
+
+
+class TestBornFactored:
+    """U, V, rand_unimodular matrices and canonical presentations are born
+    with their decomposition; inverting or factoring them must give what a
+    fresh elimination of an equal matrix gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    @example(IntMatrix.zeros(0, 0))
+    @example(IntMatrix.zeros(3, 2))
+    @example(FULL_RANK)
+    def test_transforms_of_an_elimination(self, zlinalg_calls, m):
+        s = smith_normal_form(m)
+        for t in (s.U, s.V):
+            assert_inverted_by_replay(zlinalg_calls, t)
+            assert smith_normal_form(t).D == smith_normal_form(fresh_copy(t)).D
+
+    @settings(max_examples=200, deadline=None)
+    @given(operation_records(), operation_records())
+    def test_transforms_of_random_records(self, zlinalg_calls, rows, cols):
+        (n, row_ops), (c, col_ops) = rows, cols
+        col_ops = [op for op in col_ops if len(op) > 1]   # no column negations are recorded
+        s = SmithDecomposition(IntMatrix.zeros(n, c), row_ops, col_ops)
+        assert_inverted_by_replay(zlinalg_calls, s.U)
+        assert_inverted_by_replay(zlinalg_calls, s.V)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 12))
+    def test_rand_unimodular(self, zlinalg_calls, seed, n, ops):
+        assert_inverted_by_replay(zlinalg_calls, rand_unimodular(random.Random(seed), n, ops))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.lists(st.integers(2, 4), max_size=4))
+    def test_canonical_presentation(self, free_rank, steps):
+        torsion = [steps[0]] if steps else []
+        for k in steps[1:]:
+            torsion.append(torsion[-1] * (k - 1))   # each divides the next
+        g = FPAbGroup.canonical(free_rank, torsion)
+        p = g.presentation
+        s = smith_normal_form(p)
+        assert s is g._snf and s.D == p and s.D is not p
+        assert_same_elimination(s, fresh_copy(p))
+        assert (g.free_rank, g.torsion) == (free_rank, tuple(torsion))
+
+    def test_a_matrix_is_born_once(self):
+        m = IntMatrix.identity(2)
+        smith_normal_form(m)
+        with pytest.raises(ValueError, match="already holds"):
+            zlinalg.born_factored(m, IntMatrix.identity(2), [])
