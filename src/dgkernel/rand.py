@@ -1,26 +1,19 @@
 """Seeded generators for random fixtures.
 
 Used by the test suite and by the CLI `suite` verb, so runs are
-reproducible from a single integer seed.  Random complexes are built
-from elementary bricks (concentrated summands and two-term complexes)
-and then conjugated by unimodular basis changes, which preserves d^2 = 0
+reproducible from a single integer seed.  A random complex writes its
+bricks (Z or Z^2 in one degree, Z --k--> Z) straight into the plain
+differential and conjugates it degreewise by unimodular t: each two-term
+brick has one nonzero differential, so d d = 0, and t d t^-1 keeps that
 while producing dense matrices and interesting homology.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Dict
 
-from .complexes import (
-    ChainMap,
-    Complex,
-    HomSpace,
-    Proto,
-    direct_sum,
-    direct_sum_complexes,
-    make_complex,
-)
+from .complexes import ChainMap, Complex, HomSpace, Proto, direct_sum_complexes
 from .zlinalg import IntMatrix, born_factored, inverse_unimodular
 
 
@@ -29,9 +22,12 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int = -3, hi: int 
 
 
 def rand_unimodular(rng: random.Random, n: int, ops: int = 6) -> IntMatrix:
-    """Product of elementary row operations; determinant +-1.  The matrix
-    is born with its Smith decomposition (D = I, U = its inverse: each
-    operation undone, last first), so inverting it replays that record."""
+    """Product of ops elementary row operations (none if n < 2);
+    determinant +-1.  The matrix is born with its Smith decomposition
+    (D = I, U = its inverse: each operation undone, last first), so
+    inverting it replays that record."""
+    if n < 0:
+        raise ValueError(f"rand_unimodular needs a size n >= 0, got n={n}")
     m = IntMatrix.identity(n).to_lists()
     undo = []   # the inverse operations, in the order they are drawn
     for _ in range(ops if n > 1 else 0):
@@ -39,40 +35,49 @@ def rand_unimodular(rng: random.Random, n: int, ops: int = 6) -> IntMatrix:
         kind = rng.randrange(3)
         if kind == 0:
             c = rng.choice((-2, -1, 1, 2))
-            for t in range(n):
-                m[i][t] += c * m[j][t]
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
             undo.append((i, j, -c))
         elif kind == 1:
             m[i], m[j] = m[j], m[i]
             undo.append((i, j))
         else:
-            for t in range(n):
-                m[i][t] = -m[i][t]
+            m[i] = [-x for x in m[i]]
             undo.append((i,))
     undo.reverse()
-    return born_factored(IntMatrix.from_rows(m, n), IntMatrix.identity(n), undo)
+    # trusted: n rows of n ints, each made from the identity's ints by
+    # int arithmetic
+    return born_factored(IntMatrix.from_rows(m, n, _trusted=True), IntMatrix.identity(n), undo)
 
 
 def rand_complex(rng: random.Random, lo: int = -2, hi: int = 3, bricks: int = 3) -> Complex:
-    """Random bounded complex with exact d^2 = 0 and mixed homology."""
-    parts: List[Complex] = []
+    """Random bounded complex with exact d^2 = 0 and mixed homology.  No
+    brick complex or direct sum is built; the constructor still checks
+    d d = 0, as generators are a boundary that validates.  t^-1 comes from
+    `inverse_unimodular`: one Smith form lookup per degree."""
+    if hi <= lo:
+        raise ValueError(f"rand_complex needs lo < hi, got lo={lo}, hi={hi}")
+    if bricks < 1:
+        raise ValueError(f"rand_complex needs bricks >= 1, got bricks={bricks}")
+    ranks: Dict[int, int] = {}
+    cells = []   # (n, row, col, k): entry k of the plain d_n
     for _ in range(rng.randint(1, bricks)):
         deg = rng.randint(lo, hi - 1)
-        kind = rng.randrange(3)
-        if kind == 0:
-            parts.append(Complex.concentrated(deg, rng.randint(1, 2)))
+        if rng.randrange(3) == 0:
+            ranks[deg] = ranks.get(deg, 0) + rng.randint(1, 2)
         else:
             k = rng.choice((0, 1, 1, 2, 2, 3, -1, -2))
-            parts.append(make_complex({deg + 1: 1, deg: 1}, {deg + 1: [[k]]}))
-    total = direct_sum(parts)
+            row, col = ranks.get(deg, 0), ranks.get(deg + 1, 0)
+            ranks[deg], ranks[deg + 1] = row + 1, col + 1
+            if k:
+                cells.append((deg + 1, row, col, k))
     # conjugate by unimodular basis changes degreewise
-    t = {n: rand_unimodular(rng, total.rank(n)) for n in total.degrees()}
+    t = {n: rand_unimodular(rng, ranks.get(n, 0)) for n in range(min(ranks), max(ranks) + 1)}
     t_inv = {n: inverse_unimodular(m) for n, m in t.items()}
-    diffs = {}
-    for n in total.degrees():
-        if total.rank(n) and total.rank(n - 1):
-            diffs[n] = t[n - 1] @ total.diff(n) @ t_inv[n]
-    return Complex(total.ranks(), diffs)
+    plain: Dict[int, list] = {}
+    for n, row, col, k in cells:
+        plain.setdefault(n, [0] * (ranks[n - 1] * ranks[n]))[row * ranks[n] + col] = k
+    return Complex(ranks, {n: t[n - 1] @ IntMatrix(ranks[n - 1], ranks[n], tuple(e), _trusted=True)
+                           @ t_inv[n] for n, e in plain.items()})
 
 
 def rand_proto(rng: random.Random, source: Complex, target: Complex, degree: int = 0,

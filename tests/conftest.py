@@ -15,7 +15,8 @@ from hypothesis import settings
 from dgkernel import cones, zlinalg
 from dgkernel.complexes import ChainMap, Complex, make_complex
 from dgkernel.dgcat import RIGHT, Elt
-from dgkernel.zlinalg import IntMatrix, ShapeMismatch
+from dgkernel.rand import rand_unimodular
+from dgkernel.zlinalg import IntMatrix, ShapeMismatch, inverse_unimodular
 
 # Property tests draw the same examples on every run (derandomize, and no
 # example database replaying earlier failures), so that a run's result
@@ -94,6 +95,18 @@ def simplex_skeleton(rng: random.Random, vertices: int, k: int) -> Complex:
                 m[row[face]][col] = (-1) ** j * sign[i][c] * sign[i - 1][face]
         diffs[i] = m
     return make_complex({i: len(cs) for i, cs in enumerate(cells)}, diffs)
+
+
+def conjugated(rng: random.Random, total: Complex, ops: int = 6) -> Complex:
+    """total with each d_n replaced by t_{n-1} d_n t_n^-1: one
+    rand_unimodular t_n (of ops operations) per degree of total, drawn in
+    ascending order, each inverted by inverse_unimodular.  The brick
+    complexes of the tests, and the reference rand_complex, are built this
+    way from a direct sum of bricks."""
+    t = {n: rand_unimodular(rng, total.rank(n), ops) for n in total.degrees()}
+    t_inv = {n: inverse_unimodular(m) for n, m in t.items()}
+    return Complex(total.ranks(), {n: t[n - 1] @ total.diff(n) @ t_inv[n]
+                                   for n in total.degrees() if total.rank(n) and total.rank(n - 1)})
 
 
 def slot_chain_map(src, tgt, mapping) -> ChainMap:

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import embed_pair, protos, simplex_skeleton, tensor_basis
+from conftest import conjugated, embed_pair, protos, simplex_skeleton, tensor_basis
 from dgkernel import zlinalg
 from dgkernel.complexes import (Complex, HomSpace, SquareZeroViolated, canonical_presentation,
                                  compose, d_hom, default_probe_family, direct_sum,
@@ -1178,11 +1178,7 @@ def brick_complex(rng: random.Random, pairs, singles, ops: int = 12) -> Complex:
              for d, count in pairs.items() for _ in range(count)]
     parts += [Complex.concentrated(d) for d, count in singles.items() for _ in range(count)]
     rng.shuffle(parts)
-    total = direct_sum(parts)
-    t = {n: rand_unimodular(rng, total.rank(n), ops) for n in total.degrees()}
-    return Complex(total.ranks(), {
-        n: t[n - 1] @ total.diff(n) @ inverse_unimodular(t[n])
-        for n in total.degrees() if total.rank(n) and total.rank(n - 1)})
+    return conjugated(rng, direct_sum(parts), ops)
 
 
 def fresh_eliminations(made) -> list:
