@@ -737,9 +737,9 @@ class AdjunctionWitness:
 
     ``to_chain`` is an IntMatrix from the degree-0 coordinates of the graded
     hom space ``graded`` to those of the chain hom space ``chain``, and
-    ``to_graded`` goes back.  Verified means to_graded to_chain = 1, every
-    column of to_chain is a chain map, and to_chain to_graded K = K for the
-    chain maps K = chain.cycle_basis(0)."""
+    ``to_graded`` goes back.  ``detail`` names the failing checks, "" when
+    to_graded to_chain = 1, every column of to_chain is a chain map, and
+    to_chain to_graded K = K for the chain maps K = chain.cycle_basis(0)."""
 
     def __init__(self, graded: HomSpace, chain: HomSpace, to_chain: List[List[int]],
                  to_graded: List[List[int]]):
@@ -751,7 +751,6 @@ class AdjunctionWitness:
             ("graded round trip failed", self.to_graded @ self.to_chain, IntMatrix.identity(g)),
             ("transpose is not a chain map", d0 @ self.to_chain, IntMatrix.zeros(d0.rows, g)),
             ("chain round trip failed", self.to_chain @ (self.to_graded @ k), k))
-        self.verified = not detail
         self.detail = "; ".join(detail)
 
 
@@ -811,12 +810,10 @@ class CanonicalPresentation:
     on the split-fork identities alone, with no target sampled: if g beta =
     g gamma then g = g gamma t = (g s) alpha, d(g s) = d(g s) alpha s =
     d(g) s = 0, and x alpha = 0 forces x = x alpha s = 0.  `failures` names
-    the identities that fail, [] when `coequalizer_verified`.
+    the identities that fail, [] when `coequalizer_verified`.  A, LU A and
+    LULU A are alpha.target, alpha.source and beta.source.
     """
 
-    complex: Complex
-    lulu: Complex
-    lu: Complex
     alpha: ChainMap
     beta: ChainMap
     gamma: ChainMap
@@ -845,9 +842,8 @@ def canonical_presentation(a: Complex) -> CanonicalPresentation:
     = (g s) alpha, g s is a chain map (d(g s) = d(g s) alpha s = d(g) s = 0),
     and x alpha = 0 forces x = x alpha s = 0."""
     alpha = lu_counit(a)
-    beta = lu_counit(alpha.source)
-    gamma = lu_functor_map(alpha)
-    lu, lulu = alpha.source, beta.source
+    lu = alpha.source
+    beta, gamma = lu_counit(lu), lu_functor_map(alpha)
     s, t = lu_unit(a), lu_unit(lu)
 
     failures = failed_equations(
@@ -855,8 +851,8 @@ def canonical_presentation(a: Complex) -> CanonicalPresentation:
         ("alpha s != 1", alpha @ s, identity_map(a)),
         ("beta t != 1", beta @ t, identity_map(lu)),
         ("gamma t != s alpha", gamma @ t, s @ alpha))
-    return CanonicalPresentation(a, lulu, lu, alpha, beta, gamma,
-                                 "alpha beta != alpha gamma" not in failures, not failures, failures)
+    return CanonicalPresentation(alpha, beta, gamma, "alpha beta != alpha gamma" not in failures,
+                                 not failures, failures)
 
 
 def factors_uniquely(k: Proto, w: ChainMap, t: Complex) -> bool:

@@ -163,14 +163,6 @@ def cone_perturbation(f: ChainMap, u: Proto) -> Proto:
     return -Proto(f.source, f.target, 0, {k - 1: m for k, m in d_hom(u).comps().items()})
 
 
-@dataclass
-class ConeHomotopyIso:
-    perturbation: Proto      # v: A -> B, a degree-0 chain map
-    target_map: ChainMap     # f + v
-    iso: ChainMap            # Mc f -> Mc (f+v)
-    inverse: ChainMap
-
-
 def _identity_plus(w: Proto, source: Complex, target: Complex) -> ChainMap:
     """1 + w as a (checked) chain map source -> target, for two complexes
     on one carrier and a degree-0 proto w between them."""
@@ -178,20 +170,18 @@ def _identity_plus(w: Proto, source: Complex, target: Complex) -> ChainMap:
         n: IntMatrix.identity(source.rank(n)) + w.comp(n) for n in source.degrees()})
 
 
-def cone_homotopy_iso(f: ChainMap, u: Proto) -> ConeHomotopyIso:
-    """1 + i u p: Mc f -> Mc(f + d(u)) and its inverse 1 - i u p."""
+def cone_homotopy_iso(f: ChainMap, u: Proto) -> Tuple[ChainMap, ChainMap]:
+    """(iso, inverse) with iso = 1 + i u p: Mc f -> Mc(f + v) and inverse
+    = 1 - i u p, where v = cone_perturbation(f, u)."""
     a, b = f.source, f.target
     sa = suspension(a, 1)
     if u.source != sa or u.target != b or u.degree != 0:
         raise ValueError("u must be a degree-0 proto SA -> B")
-    v = cone_perturbation(f, u)
-    g = (f + v).as_chain_map()
     src = mapping_cone(f)
-    tgt = mapping_cone(g)
+    tgt = mapping_cone((f + cone_perturbation(f, u)).as_chain_map())
     w = compose(tgt.i, compose(u, src.p))   # [[0, u], [0, 0]]
-    iso = _identity_plus(w, src.middle, tgt.middle)
-    inv = _identity_plus(-w, tgt.middle, src.middle)
-    return ConeHomotopyIso(v, g, iso, inv)
+    return (_identity_plus(w, src.middle, tgt.middle),
+            _identity_plus(-w, tgt.middle, src.middle))
 
 
 # -- cone recognition ---------------------------------------------------------
@@ -314,17 +304,11 @@ def split_idempotent(e: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     return p, r, s
 
 
-@dataclass
-class ProtosplitCokernel:
-    quotient: Complex
-    w: ChainMap        # B -> C, the cokernel chain map
-    s: Proto           # C -> B with w s = 1, s w = e
-    idempotent: Proto  # e = 1 - f t
-
-
-def cokernel_protosplit(f: ChainMap, t: Proto) -> ProtosplitCokernel:
-    """Cokernel of a protosplit chain map, split degreewise through the
-    idempotent e = 1 - f t, verified by its equations w f = 0, w s = 1 and
+def cokernel_protosplit(f: ChainMap, t: Proto) -> Tuple[ChainMap, Proto]:
+    """Cokernel of a protosplit chain map f: A -> B, as (w, s): the chain
+    map w: B -> C onto the quotient C = w.target and the degree-0 section
+    s: C -> B.  It is split degreewise through the idempotent e = 1 - f t
+    (so e = s w) and verified by its equations w f = 0, w s = 1 and
     s w = e (WitnessEquationsFail names those that fail); no target is
     sampled.  They prove the universal property for every T: a chain map
     g: B -> T with g f = 0 is g (s w + f t) = (g s) w, g s is a chain map
@@ -337,11 +321,12 @@ def cokernel_protosplit(f: ChainMap, t: Proto) -> ProtosplitCokernel:
         ("w o f != 0", compose(w, f), Proto.zero(f.source, c)),
         ("w o s != 1", compose(w, s), identity_map(c)),
         ("s o w != e", compose(s, w), e)))
-    return ProtosplitCokernel(c, w, s, e)
+    return w, s
 
 
-def coequalizer_protosplit_pair(u: ChainMap, v: ChainMap, t: Proto) -> ProtosplitCokernel:
-    """Coequalizer of a protosplit parallel pair via the cokernel of u - v.
+def coequalizer_protosplit_pair(u: ChainMap, v: ChainMap, t: Proto) -> Tuple[ChainMap, Proto]:
+    """Coequalizer of a protosplit parallel pair via the cokernel of u - v,
+    as its (w, s).
 
     Requires u t = 1 and v t u = v t v; then u - v is protosplit by t.
     """
@@ -364,8 +349,9 @@ def pair_from_protosplit_map(f: ChainMap, t: Proto):
     return projs[1], v, injs[1] - compose(injs[0], t)
 
 
-def split_chain_idempotent_via_pair(e: ChainMap) -> ProtosplitCokernel:
-    """Idempotent splitting as the coequalizer of (1, e) split by 1."""
+def split_chain_idempotent_via_pair(e: ChainMap) -> Tuple[ChainMap, Proto]:
+    """Idempotent splitting as the coequalizer of (1, e) split by 1: (w, s)
+    with w s = 1 and s w = 1 - (1 - e) = e."""
     one = identity_map(e.source)
     return coequalizer_protosplit_pair(one, e, one)
 
@@ -406,9 +392,8 @@ def cone_functor_map(square_a: ChainMap, square_b: ChainMap,
 
 @dataclass
 class ConeAsCokernel:
-    quotient: Complex
-    w: ChainMap            # B + Mc1_A -> quotient
-    comparison: ChainMap   # quotient -> Mc f, a chain isomorphism
+    w: ChainMap            # B + Mc1_A -> C, the cokernel onto C = w.target
+    comparison: ChainMap   # C -> Mc f, a chain isomorphism
     comparison_inv: ChainMap
 
 
@@ -418,9 +403,8 @@ def cone_as_cokernel(f: ChainMap) -> ConeAsCokernel:
     cyl = cylinder_factorization(f)
     cone = cyl.p.target
     # i = [-f; i_1] is split by q = [0, q_1]
-    result = cokernel_protosplit(cyl.i, cyl.q)
-    comparison = compose(cyl.p, result.s).as_chain_map()
-    comparison_inv = ChainMap(cone, result.quotient, 0,
-                              compose(result.w, cyl.j).comps(), _trusted=True)
+    w, s = cokernel_protosplit(cyl.i, cyl.q)
+    comparison = compose(cyl.p, s).as_chain_map()
+    comparison_inv = ChainMap(cone, w.target, 0, compose(w, cyl.j).comps(), _trusted=True)
     require(inverse_failures(comparison, comparison_inv))
-    return ConeAsCokernel(result.quotient, result.w, comparison, comparison_inv)
+    return ConeAsCokernel(w, comparison, comparison_inv)

@@ -642,11 +642,13 @@ class Coend:
         return IntMatrix.zeros(self.projection(n - 1).rows, self.section(n).cols)
 
     def verify_differential(self) -> bool:
-        """d factors through the quotient and squares to zero on it: per
-        degree, the columns of proj d - d' proj and of d' d' are relations."""
+        """The relations are a subcomplex, d factors through the quotient and
+        squares to zero on it: per degree, the columns of proj d R, of
+        proj d - d' proj and of d' d' are relations."""
         for n, d in self._diffs.items():
-            factors = self.projection(n - 1) @ self.ambient.diff(n) - d @ self.projection(n)
-            if not self.group(n - 1).presents_zero(factors):
+            below, pd = self.group(n - 1), self.projection(n - 1) @ self.ambient.diff(n)
+            if not (below.presents_zero(pd @ self.relations[n])
+                    and below.presents_zero(pd - d @ self.projection(n))):
                 return False
             if n - 1 in self._diffs and not self.group(n - 2).presents_zero(self.diff(n - 1) @ d):
                 return False
@@ -965,12 +967,6 @@ class CauchyData:
         return g.element_equal(tuple(total), (0,) * g.generator_count)
 
 
-@dataclass
-class CauchyReport:
-    ok: bool
-    witness: Optional[str] = None
-
-
 # -- the Cauchy equations ------------------------------------------------------
 #
 # Each equation is (label, terms, const) with terms (coeff, (u, v), post, pre)
@@ -1049,20 +1045,19 @@ def _residual(cd: CauchyData, terms, const: Proto) -> Proto:
     return out
 
 
-def verify_cauchy_data(cd: CauchyData) -> CauchyReport:
-    """The snake identity of `_snake_equations`; the witness names the
-    first basis element (column) where it fails."""
+def verify_cauchy_data(cd: CauchyData) -> Optional[str]:
+    """The snake identity of `_snake_equations`: None when it holds, else a
+    witness naming an eta term of nonzero total degree or the first basis
+    element (column) where the snake fails."""
     for (e_obj, x, y) in cd.eta:
         if x.degree + y.degree != 0:
-            return CauchyReport(False, f"eta term at {e_obj} has degrees "
-                                       f"({x.degree},{y.degree})")
+            return f"eta term at {e_obj} has degrees ({x.degree},{y.degree})"
     for (_, x_obj), terms, const in _snake_equations(cd):
         failing = _nonzero_columns(_residual(cd, terms, const))
         if failing:
             r, i = failing[0]
-            return CauchyReport(
-                False, f"snake fails at object {x_obj}, degree {r}, basis index {i}")
-    return CauchyReport(True)
+            return f"snake fails at object {x_obj}, degree {r}, basis index {i}"
+    return None
 
 
 def cauchy_naturality_failures(cd: CauchyData) -> List[str]:
@@ -1118,7 +1113,7 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
         raise CauchyDataInvalid("base category has nonzero hom differentials")
     if not all(v.has_zero_differentials() for v in cd.m.values.values()):
         raise CauchyDataInvalid("module values carry differentials")
-    if not verify_cauchy_data(cd).ok:
+    if verify_cauchy_data(cd) is not None:
         raise CauchyDataInvalid("snake identity fails")
 
     terms = [(e_obj, x.degree) for (e_obj, x, _) in cd.eta]
@@ -1156,9 +1151,8 @@ def g_retraction_from_cauchy(cd: CauchyData) -> GRetraction:
 
 @dataclass
 class ProtosplitQuotientReport:
-    ok: bool
     idempotent: Optional[Elt]
-    failures: List[str]
+    failures: List[str]     # [] when the witness holds
 
 
 def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
@@ -1170,7 +1164,7 @@ def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
     failures = []
     if gamma_p.degree != 0 or sigma.degree != 0:
         failures.append("transformations must have degree 0")
-        return ProtosplitQuotientReport(False, None, failures)
+        return ProtosplitQuotientReport(None, failures)
     for name, tr in (("gamma'", gamma_p), ("sigma", sigma)):
         if not tr.is_cycle():
             failures.append(f"{name} is not a chain transformation")
@@ -1182,7 +1176,7 @@ def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
                for x in base.objects):
         failures.append("gamma' o sigma != 1_M")
     if failures:
-        return ProtosplitQuotientReport(False, None, failures)
+        return ProtosplitQuotientReport(None, failures)
 
     one_b = base.identity(b_obj)
     e = sigma.apply(b_obj, gamma_p.apply(b_obj, one_b))
@@ -1193,7 +1187,7 @@ def verify_protosplit_quotient(m: DGModule, b_obj, gamma_p: ModuleTransform,
             base.after(x_obj, b_obj, b_obj, e)
         if _nonzero_columns(diff):
             failures.append(f"sigma o gamma' != hom(-, e) at {x_obj}")
-    return ProtosplitQuotientReport(not failures, e, failures)
+    return ProtosplitQuotientReport(e, failures)
 
 
 # -- cokernel presentations of modules ---------------------------------------

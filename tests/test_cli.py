@@ -231,49 +231,20 @@ class TestVerbs:
         assert captured.err.startswith("input error: ")
         assert argv(files)[-1] in captured.err   # names the path
 
-    @pytest.mark.parametrize("depth", [0, -1, 6])
+    @pytest.mark.parametrize("depth", [0, -1, 6, 1, 5])
     def test_probe_depth_out_of_range_exits_two(self, files, capsys, depth):
-        # depth 0 used to check no probe and still report the property verified
+        # cokernel-protosplit has no --probe-depth option: its equations prove
+        # the universal property for every target, so argparse rejects each
+        # depth, 1 and 5 included, and nothing is computed
         argv = ["cokernel-protosplit", "--f", files["split_f.json"],
                 "--t", files["split_t.json"], "--probe-depth", str(depth)]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--probe-depth" in captured.err
-
-    @pytest.mark.parametrize("depth", [1, 5])
-    def test_probe_depth_in_range(self, files, capsys, depth):
-        assert main(["cokernel-protosplit", "--f", files["split_f.json"],
-                     "--t", files["split_t.json"], "--probe-depth", str(depth)]) == 0
-        assert "universal property verified" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("depth", [None, 1, 5])
-    def test_probe_depth_samples_the_first_targets(self, files, capsys, monkeypatch, depth):
-        # without the flag the verdict rests on the cokernel's equations alone
-        sampled = []
-        real = cli.factors_uniquely
-
-        def recorded(k, w, t):
-            sampled.append(t)
-            return real(k, w, t)
-
-        monkeypatch.setattr(cli, "factors_uniquely", recorded)
-        argv = ["cokernel-protosplit", "--f", files["split_f.json"], "--t", files["split_t.json"]]
-        assert main(argv + ([] if depth is None else ["--probe-depth", str(depth)])) == 0
-        lz = functor_L(unit_complex())
-        family = [lz, suspension(lz, 1), suspension(lz, -1), unit_complex(), lz]
-        assert sampled == family[: depth or 0]
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_probe_depth_names_the_failing_target(self, files, capsys, monkeypatch, fmt):
-        lz = functor_L(unit_complex())
-        monkeypatch.setattr(cli, "factors_uniquely", lambda k, w, t: t != suspension(lz, 1))
-        argv = ["cokernel-protosplit", "--f", files["split_f.json"],
-                "--t", files["split_t.json"], "--probe-depth", "3"]
-        assert main((["--json"] if fmt == "json" else []) + argv) == 1
-        captured = capsys.readouterr()
-        witness = "a map into SA killing f does not factor uniquely through w"
-        assert witness in captured.out and captured.err == ""
+        assert captured.err.startswith("usage: dgkernel")
+        assert "unrecognized arguments: --probe-depth" in captured.err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_broken_cokernel_equation_exits_one_with_its_name(self, files, capsys,
@@ -689,7 +660,7 @@ class TestInputErrorsAndWrites:
                     "--out", f["tmp"] + "/coker_out.json"], "",
          lambda f: cokernel_protosplit(
              jsonio.proto_from_json(jsonio.load(f["split_f.json"]), chain_map=True),
-             jsonio.proto_from_json(jsonio.load(f["split_t.json"]))).quotient),
+             jsonio.proto_from_json(jsonio.load(f["split_t.json"])))[0].target),
     ], ids=["complex-d-squared", "double-complex-delta-squared", "protomorphism",
             "element-length", "identity-of-unlisted-object", "homs-key-shape",
             "compose-not-a-chain-map", "cone-without-a-map", "cone-out",
@@ -850,7 +821,7 @@ class TestOneParserPerProcess:
         lambda f: ["--json", "tot", f["dc.json"], "--compare-colim"],
         lambda f: ["verify-category", f["ext_bad.json"]],
         lambda f: ["cokernel-protosplit", "--f", f["split_f.json"],
-                   "--t", f["split_t.json"], "--probe-depth", "0"],
+                   "--t", f["split_f.json"]],   # --t does not go back
         lambda f: ["--json", "hom", f["m2.json"], f["k0.json"]],
         lambda f: ["homology", f["m2.json"]],
     ]
@@ -950,6 +921,8 @@ class TestGoldenOutput:
         ("colim", "--category", "unit_cat.json", "--weight", "weight.json",
          "--diagram", "diagram.json"):
             "20d79317fe2dd7c0b5a31a36a028abe2ea566bcffa6bec3e59ba98bee0bfbdba",
+        ("cokernel-protosplit", "--f", "split_f.json", "--t", "split_t.json"):
+            "0b0202f2a7fa025d4ff1cfb22bafbc8608593dbf10e15bee48cf9bc47610c713",
     }
 
     def _run(self, files, capsys, argv) -> str:
@@ -980,6 +953,16 @@ class TestGoldenOutput:
         assert out.count("eps naturality in") == 16
         assert len(set(json.loads(out)["naturality_failures"])) == 16   # no two alike
         assert hashlib.sha256(out.encode()).hexdigest() == self.NATURALITY_DIGEST
+
+    # stdout of `--json verify-cauchy` on the sign-flipped eps of
+    # cauchy_bad.json: pins the snake witness and the report around it
+    SNAKE_FAILURE_DIGEST = "cbe20fd75f88298cb0299fbd8dcdc100e2020e05f37dc3b82b8ff84f97ba9298"
+
+    def test_snake_failure_report_digest(self, files, capsys):
+        assert main(["--json", "verify-cauchy", files["cauchy_bad.json"]]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["witness"] == "snake fails at object *, degree 0, basis index 0"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SNAKE_FAILURE_DIGEST
 
     def test_tensor_m2_differential(self, files, capsys):
         out = self._run(files, capsys, ["tensor", "m2.json", "m2.json"])

@@ -357,9 +357,10 @@ class TestConeHomotopyIso:
         rng = random.Random(3)
         a, b = rand_complex(rng), rand_complex(rng)
         f = rand_chain_map(rng, a, b)
-        h = cone_homotopy_iso(f, Proto.zero(suspension(a, 1), b, 0))
-        assert h.iso == identity_map(h.iso.source)
-        assert h.perturbation.is_zero()
+        zero = Proto.zero(suspension(a, 1), b, 0)
+        iso, _ = cone_homotopy_iso(f, zero)
+        assert iso == identity_map(iso.source)
+        assert cone_perturbation(f, zero).is_zero()
 
     def test_unit_rank_one_case(self):
         # f = 0: K(-1) -> K(0) with u = [[1]]: SA = K0 -> B = K0;
@@ -367,11 +368,11 @@ class TestConeHomotopyIso:
         a = Complex.concentrated(-1)
         f = ChainMap(a, K0, 0, {})
         u = Proto(suspension(a, 1), K0, 0, {0: IntMatrix.from_rows([[1]])})
-        h = cone_homotopy_iso(f, u)
-        assert h.perturbation.is_zero()
-        assert h.iso.comp(0) == IntMatrix.from_rows([[1, 1], [0, 1]])
-        assert compose(h.inverse, h.iso) == identity_map(h.iso.source)
-        assert compose(h.iso, h.inverse) == identity_map(h.iso.target)
+        iso, inverse = cone_homotopy_iso(f, u)
+        assert cone_perturbation(f, u).is_zero()
+        assert iso.comp(0) == IntMatrix.from_rows([[1, 1], [0, 1]])
+        assert compose(inverse, iso) == identity_map(iso.source)
+        assert compose(iso, inverse) == identity_map(iso.target)
 
     def test_invertible_both_ways_random(self):
         rng = random.Random(4)
@@ -379,10 +380,12 @@ class TestConeHomotopyIso:
             a, b = rand_complex(rng), rand_complex(rng)
             f = rand_chain_map(rng, a, b)
             u = rand_proto(rng, suspension(a, 1), b, 0)
-            h = cone_homotopy_iso(f, u)
-            assert compose(h.inverse, h.iso) == identity_map(h.iso.source)
-            assert compose(h.iso, h.inverse) == identity_map(h.iso.target)
-            assert d_hom(h.perturbation).is_zero()  # f and f+v are both chain maps
+            iso, inverse = cone_homotopy_iso(f, u)
+            assert compose(inverse, iso) == identity_map(iso.source)
+            assert compose(iso, inverse) == identity_map(iso.target)
+            v = cone_perturbation(f, u)
+            assert d_hom(v).is_zero()  # f and f+v are both chain maps
+            assert iso.target == mapping_cone((f + v).as_chain_map()).middle
 
 
 class TestConePerturbation:
@@ -431,12 +434,12 @@ class TestRecognizeCone:
             f = rand_chain_map(rng, a, b)
             res, j, q = canonical_cone_witnesses(f)
             u = rand_proto(rng, suspension(a, 1), b, 0)
-            h = cone_homotopy_iso(f, u)
+            iso, inverse = cone_homotopy_iso(f, u)
             data = SplitSequence(
-                i=h.iso @ res.i,
-                j=compose(h.iso, j),
-                p=res.p @ h.inverse,
-                q=compose(q, h.inverse),
+                i=iso @ res.i,
+                j=compose(iso, j),
+                p=res.p @ inverse,
+                q=compose(q, inverse),
             )
             rec = recognize_cone(data)
             assert d_hom(rec.map).is_zero()
@@ -532,22 +535,22 @@ class TestSplitIdempotent:
 class TestCokernelProtosplit:
     def test_identity_gives_zero(self):
         a = rand_complex(random.Random(14))
-        res = cokernel_protosplit(identity_map(a), identity_map(a))
-        assert res.quotient.is_zero()
+        w, _ = cokernel_protosplit(identity_map(a), identity_map(a))
+        assert w.target.is_zero()
 
     def test_split_inclusion_into_square(self):
-        w = direct_sum(K0, K0)
-        res = cokernel_protosplit(w.i, compose(identity_map(K0), w.q))
-        assert res.quotient == K0
-        assert res.w.comp(0) == IntMatrix.from_rows([[0, 1]])
+        ds = direct_sum(K0, K0)
+        w, _ = cokernel_protosplit(ds.i, compose(identity_map(K0), ds.q))
+        assert w.target == K0
+        assert w.comp(0) == IntMatrix.from_rows([[0, 1]])
 
     def test_shifted_free_cover_example(self):
         # f: S^-1 LZ -> LZ concentrated in degree -1; the cokernel is Z.
         slz = suspension(LZ, -1)
         f = ChainMap(slz, LZ, 0, {-1: IntMatrix.from_rows([[1]])})
         t = Proto(LZ, slz, 0, {-1: IntMatrix.from_rows([[1]])})
-        res = cokernel_protosplit(f, t)
-        assert res.quotient == K0
+        w, _ = cokernel_protosplit(f, t)
+        assert w.target == K0
 
     def test_equations_and_universal_property(self):
         rng = random.Random(15)
@@ -557,14 +560,15 @@ class TestCokernelProtosplit:
             total, injs, projs = direct_sum_complexes([a, b])
             f = injs[0]
             t = compose(identity_map(a), projs[0])
-            res = cokernel_protosplit(f, t)
-            assert compose(res.w, f).is_zero()
-            assert compose(res.w, res.s) == identity_map(res.quotient)
-            assert compose(res.s, res.w) == res.idempotent
+            w, s = cokernel_protosplit(f, t)
+            c = w.target
+            assert compose(w, f).is_zero()
+            assert compose(w, s) == identity_map(c)
+            assert compose(s, w) == identity_map(total) - compose(f, t)
             # w is a chain map compatible with the induced differential
-            for n in res.quotient.degrees():
-                lhs = res.quotient.diff(n) @ res.w.comp(n)
-                rhs = res.w.comp(n - 1) @ total.diff(n)
+            for n in c.degrees():
+                lhs = c.diff(n) @ w.comp(n)
+                rhs = w.comp(n - 1) @ total.diff(n)
                 assert lhs == rhs
 
     def test_rejects_bad_splitting(self):
@@ -585,14 +589,15 @@ class TestCoequalizerPair:
     def test_equal_pair_gives_target(self):
         a, b = rand_complex(random.Random(16), bricks=2), rand_complex(random.Random(17), bricks=2)
         total, injs, projs = direct_sum_complexes([a, b])
-        res = coequalizer_protosplit_pair(projs[1], projs[1], injs[1])
-        assert res.quotient == b
+        w, _ = coequalizer_protosplit_pair(projs[1], projs[1], injs[1])
+        assert w.target == b
 
     def test_idempotent_case_splits(self):
-        w = direct_sum(K0, K0)
-        e = compose(w.i, w.q).as_chain_map()
-        res = split_chain_idempotent_via_pair(e)
-        assert res.quotient == K0
+        ds = direct_sum(K0, K0)
+        e = compose(ds.i, ds.q).as_chain_map()
+        w, s = split_chain_idempotent_via_pair(e)
+        assert w.target == K0
+        assert compose(s, w) == e and compose(w, s) == identity_map(K0)
 
     def test_reverse_reduction_agrees(self):
         rng = random.Random(18)
@@ -602,10 +607,10 @@ class TestCoequalizerPair:
             total, injs, projs = direct_sum_complexes([a, b])
             f, t = injs[0], compose(identity_map(a), projs[0])
             u, v, t_pair = pair_from_protosplit_map(f, t)
-            res1 = coequalizer_protosplit_pair(u, v, t_pair)
-            res2 = cokernel_protosplit(f, t)
-            assert res1.quotient.ranks() == res2.quotient.ranks()
-            assert homology_H(res1.quotient) == homology_H(res2.quotient)
+            c1 = coequalizer_protosplit_pair(u, v, t_pair)[0].target
+            c2 = cokernel_protosplit(f, t)[0].target
+            assert c1.ranks() == c2.ranks()
+            assert homology_H(c1) == homology_H(c2)
 
     def test_pair_equations_enforced(self):
         rng = random.Random(19)
@@ -649,19 +654,19 @@ class TestMc1IsoLU:
 
 class TestConeAsCokernel:
     def test_identity_case_matches_contractible_cone(self):
-        res = cone_as_cokernel(identity_map(K0))
+        quotient = cone_as_cokernel(identity_map(K0)).w.target
         cone = mc1(K0).middle
-        assert res.quotient.ranks() == cone.ranks()
-        assert homology_H(res.quotient).is_trivial()
+        assert quotient.ranks() == cone.ranks()
+        assert homology_H(quotient).is_trivial()
 
     def test_zero_map_gives_sum(self):
         rng = random.Random(22)
         a, b = rand_complex(rng, bricks=2), rand_complex(rng, bricks=2)
         f = ChainMap(a, b, 0, {})
-        res = cone_as_cokernel(f)
+        quotient = cone_as_cokernel(f).w.target
         expected, _, _ = direct_sum_complexes([b, suspension(a, 1)])
-        assert res.quotient.ranks() == expected.ranks()
-        assert homology_H(res.quotient) == homology_H(expected)
+        assert quotient.ranks() == expected.ranks()
+        assert homology_H(quotient) == homology_H(expected)
 
     def test_comparison_is_chain_iso(self):
         rng = random.Random(23)
@@ -671,7 +676,8 @@ class TestConeAsCokernel:
             res = cone_as_cokernel(f)
             cone = mapping_cone(f).middle
             assert compose(res.comparison, res.comparison_inv) == identity_map(cone)
-            assert homology_H(res.quotient) == homology_H(cone)
+            assert res.comparison.source == res.w.target
+            assert homology_H(res.w.target) == homology_H(cone)
 
 
 class TestStructureMaps:
@@ -704,9 +710,10 @@ class TestComposedMapsEqualTheBlockMatrices:
         a, b = _drawn_complex(rng, za), _drawn_complex(rng, zb)
         f = rand_chain_map(rng, a, b)
         u = rand_proto(rng, suspension(a, 1), b, 0)
-        h = cone_homotopy_iso(f, u)
-        assert h.iso == reference_upper_triangular(f, h.target_map, u)
-        assert h.inverse == reference_upper_triangular(h.target_map, f, -1 * u)
+        iso, inverse = cone_homotopy_iso(f, u)
+        g = (f + cone_perturbation(f, u)).as_chain_map()
+        assert iso == reference_upper_triangular(f, g, u)
+        assert inverse == reference_upper_triangular(g, f, -1 * u)
 
     @settings(max_examples=40, deadline=None)
     @given(*SEED_AND_ZEROS)
@@ -760,10 +767,10 @@ class TestComposedMapsEqualTheBlockMatrices:
         assert cylinder_factorization(f).q == compose(q1, projs[1])
         res = cone_as_cokernel(f)
         i_ref, p_ref, j_ref, _ = reference_cylinder(f)
-        ref = cokernel_protosplit(i_ref, compose(q1, projs[1]))
-        assert (res.quotient, res.w) == (ref.quotient, ref.w)
-        assert res.comparison == compose(p_ref, ref.s)
-        assert res.comparison_inv.comps() == compose(ref.w, j_ref).comps()
+        ref_w, ref_s = cokernel_protosplit(i_ref, compose(q1, projs[1]))
+        assert res.w == ref_w
+        assert res.comparison == compose(p_ref, ref_s)
+        assert res.comparison_inv.comps() == compose(ref_w, j_ref).comps()
 
 
 class TestABrokenBuilderNamesItsEquation:

@@ -459,13 +459,14 @@ class TestCoend:
 
     def test_a_differential_that_factors_but_does_not_square_to_zero(self):
         # Relations that are not a subcomplex: x in degree 1 with 2x = 0 and
-        # d x = y free in degree 0.  A corrupted d' (z -> 2x) still factors,
-        # as 2x is a relation, but d' d' z = 2y is not.  The relations of a
-        # coend are a subcomplex, so on one the factor checks imply d' d' = 0.
+        # d x = y free in degree 0, so d(2x) = 2y is not a relation and the
+        # check refuses the relations themselves.  A corrupted d' (z -> 2x)
+        # still factors, as 2x is a relation, but d' d' z = 2y is not.  On
+        # relations that are a subcomplex the factor checks imply d' d' = 0.
         amb = Complex({2: 1, 1: 1, 0: 1}, {1: IntMatrix.from_rows([[1]])})
         co = Coend(amb, {2: IntMatrix.zeros(1, 0), 1: IntMatrix.from_rows([[2]]),
                          0: IntMatrix.zeros(1, 0)}, {}, BlockLayout())
-        assert co.verify_differential()
+        assert not co.verify_differential()
         co._diffs[2] = IntMatrix.from_rows([[2]])
         factors = co.projection(1) @ amb.diff(2) - co.diff(2) @ co.projection(2)
         assert co.group(1).presents_zero(factors)
@@ -624,7 +625,7 @@ class TestCauchyData:
         for name, cat in cats.items():
             for k in cat.objects:
                 cd = representable_cauchy_data(cat, k)
-                assert verify_cauchy_data(cd).ok, (name, k)
+                assert verify_cauchy_data(cd) is None, (name, k)
                 assert cauchy_naturality_failures(cd) == [], (name, k)
                 assert cd.eta_is_coend_cycle(), (name, k)
 
@@ -632,16 +633,15 @@ class TestCauchyData:
         cat = unit_dg_category()
         m = DGModule(cat, {"*": Complex.zero()}, {})
         n = DGModule(cat, {"*": Complex.zero()}, {}, LEFT)
-        assert verify_cauchy_data(CauchyData(m, n, [], {})).ok
+        assert verify_cauchy_data(CauchyData(m, n, [], {})) is None
 
     def test_sign_mutation_detected_with_witness(self, cats):
         cd = representable_cauchy_data(cats["ext"], "*")
         bad_eps = {k: Proto(v.source, v.target, 0,
                             {q: -1 * mm for q, mm in v.comps().items()})
                    for k, v in cd.eps.items()}
-        rep = verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, bad_eps))
-        assert not rep.ok
-        assert rep.witness is not None and "snake fails" in rep.witness
+        witness = verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, bad_eps))
+        assert witness is not None and "snake fails" in witness
 
     def test_counit_solver_matches_representable(self, cats):
         cat = cats["ext"]
@@ -650,7 +650,7 @@ class TestCauchyData:
         one = cat.identity("*")
         cd = solve_cauchy_counit(m, n, [("*", one, one)])
         assert cd is not None
-        assert verify_cauchy_data(cd).ok
+        assert verify_cauchy_data(cd) is None
         assert cauchy_naturality_failures(cd) == []
 
     def test_counit_solver_shifted_representable(self, cats):
@@ -660,7 +660,7 @@ class TestCauchyData:
         cd = solve_cauchy_counit(m, n, [("*", unit_at(m.value("*"), 1, 0),
                                          unit_at(n.value("*"), -1, 0))])
         assert cd is not None
-        assert verify_cauchy_data(cd).ok
+        assert verify_cauchy_data(cd) is None
         assert cauchy_naturality_failures(cd) == []
 
     def test_counit_solver_rejects_an_eta_term_of_nonzero_degree(self, cats):
@@ -756,7 +756,7 @@ class TestProtosplitQuotient:
                 ident = ModuleTransform(m, m, 0, {
                     x: identity_map(m.value(x)) for x in cat.objects})
                 rep = verify_protosplit_quotient(m, k, ident, ident)
-                assert rep.ok, (name, k, rep.failures)
+                assert rep.failures == [], (name, k)
                 assert rep.idempotent == cat.identity(k)
 
     def test_split_idempotent_recovered(self):
@@ -773,7 +773,7 @@ class TestProtosplitQuotient:
         sigma = postcompose_transform(cat, m, b, "Z", "ZZ", incl)
         gamma = postcompose_transform(cat, b, m, "ZZ", "Z", proj)
         rep = verify_protosplit_quotient(m, "ZZ", gamma, sigma)
-        assert rep.ok, rep.failures
+        assert rep.failures == []
         e0 = compose_elts(cat, "ZZ", "Z", "ZZ", incl, proj)
         assert rep.idempotent == e0
 
@@ -789,8 +789,7 @@ class TestProtosplitQuotient:
                                      {"*": Proto.zero(M2, K0, 0)})
         for gamma_comp in protos(HomSpace(K0, M2), 0, chain_map_basis(K0, M2, 0)):
             gamma = ModuleTransform(rep_mod, m, 0, {"*": gamma_comp})
-            rep = verify_protosplit_quotient(m, "*", gamma, zero_sigma)
-            assert not rep.ok
+            assert verify_protosplit_quotient(m, "*", gamma, zero_sigma).failures
 
 
 class TestProtosplitQuotientFailures:
@@ -803,9 +802,9 @@ class TestProtosplitQuotientFailures:
         return m, ModuleTransform(m, m, 0, {x: identity_map(m.value(x)) for x in cat.objects})
 
     def failures(self, m, b_obj, gamma_p, sigma):
-        rep = verify_protosplit_quotient(m, b_obj, gamma_p, sigma)
-        assert not rep.ok
-        return rep.failures
+        failures = verify_protosplit_quotient(m, b_obj, gamma_p, sigma).failures
+        assert failures
+        return failures
 
     def test_degree_not_zero(self):
         m, ident = self.identity_witness(unit_dg_category(), "*")
@@ -1002,11 +1001,11 @@ def reference_cauchy_naturality_failures(cd):
 
 
 def reference_verify_cauchy_data(cd):
-    """(ok, witness) of `verify_cauchy_data` from the snake identity written
-    out by hand, one basis element at a time."""
+    """The witness of `verify_cauchy_data`, None when the snake holds, from
+    the snake identity written out by hand, one basis element at a time."""
     for (e_obj, x, y) in cd.eta:
         if x.degree + y.degree != 0:
-            return False, f"eta term at {e_obj} has degrees ({x.degree},{y.degree})"
+            return f"eta term at {e_obj} has degrees ({x.degree},{y.degree})"
     for x_obj in cd.m.base.objects:
         mx = cd.m.value(x_obj)
         if mx.is_zero():
@@ -1018,9 +1017,9 @@ def reference_verify_cauchy_data(cd):
                     f = eps_apply(cd, e_obj, x_obj, y_i, u)
                     total = total + act(cd.m, x_obj, e_obj, x_i, f)
                 if total != u:
-                    return False, (f"snake fails at object {x_obj}, degree {r}, "
-                                   f"basis index {u.vec.index(1)}")
-    return True, None
+                    return (f"snake fails at object {x_obj}, degree {r}, "
+                            f"basis index {u.vec.index(1)}")
+    return None
 
 
 def reference_module_presentation(m, generators=None):
@@ -1292,7 +1291,7 @@ class TestHomIndex:
             eta = [(k, c * one, one)]
             cd, keys = solve_against_the_reference(m, n, eta)
             if c == 1:
-                assert cd is not None and verify_cauchy_data(cd).ok
+                assert cd is not None and verify_cauchy_data(cd) is None
                 assert list(cd.eps) == list(dict.fromkeys((u, v) for u, v, _ in keys))
             else:
                 assert cd is None
@@ -1335,11 +1334,11 @@ class TestCauchyEquations:
         for cd in data:
             for eps in [cd.eps] + criterion_10_mutations(cd) + list(eps_variants(cd)):
                 mutated = CauchyData(cd.m, cd.n, cd.eta, eps)
-                rep = verify_cauchy_data(mutated)
-                assert (rep.ok, rep.witness) == reference_verify_cauchy_data(mutated)
-                failed += not rep.ok
+                witness = verify_cauchy_data(mutated)
+                assert witness == reference_verify_cauchy_data(mutated)
+                failed += witness is not None
         assert failed > 100
-        assert verify_cauchy_data(data[-1]).witness == "eta term at * has degrees (1,0)"
+        assert verify_cauchy_data(data[-1]) == "eta term at * has degrees (1,0)"
 
     def test_snake_check_reads_no_naturality_equation(self, cats, monkeypatch):
         def refuse(*args):
@@ -1347,8 +1346,8 @@ class TestCauchyEquations:
 
         monkeypatch.setattr(dgcat, "_naturality_equations", refuse)
         cd = representable_cauchy_data(cats["sub"], "LZ")
-        assert verify_cauchy_data(cd).ok
-        assert not verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, {})).ok
+        assert verify_cauchy_data(cd) is None
+        assert verify_cauchy_data(CauchyData(cd.m, cd.n, cd.eta, {})) is not None
 
 
 class CountingTables(dict):

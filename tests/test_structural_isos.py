@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import removed_names, slot_chain_map, tensor_basis
 from dgkernel import cli, dgcat
-from dgkernel.cones import mc1_iso_LU
+from dgkernel.cones import cokernel_protosplit, cone_homotopy_iso, mc1_iso_LU
 from dgkernel.complexes import (
     ChainMap,
     Complex,
@@ -35,6 +35,7 @@ from dgkernel.complexes import (
     forget_U,
     functor_L,
     functor_R,
+    identity_map,
     make_complex,
     precomposition,
     suspension,
@@ -565,3 +566,36 @@ class TestConstructionsReturnTheirMaps:
         planted = argparse.ArgumentParser()
         planted.add_subparsers().add_parser("tot").add_argument("--window")
         assert "--window" in option_strings(planted)
+
+
+# records that stored a result twice (a map beside its end, a bool beside
+# its witness) and the option that sampled the protosplit cokernel's
+# universal property on top of the equations that prove it
+REMOVED_RESTATEMENTS = {"ProtosplitCokernel", "ConeHomotopyIso", "CauchyReport", "probe_depth"}
+
+
+class TestEachResultStoredOnce:
+    def test_cokernel_and_cone_iso_return_their_maps(self):
+        a = make_complex({1: 1, 0: 1}, {1: [[2]]})
+        f = identity_map(a)
+        w, s = cokernel_protosplit(f, f)
+        assert isinstance(w, ChainMap) and type(s) is Proto and w.target.is_zero()
+        pair = cone_homotopy_iso(f, Proto.zero(suspension(a, 1), a, 0))
+        assert isinstance(pair, tuple) and all(isinstance(g, ChainMap) for g in pair)
+
+    def test_the_removed_records_and_option_stay_out(self):
+        assert removed_names(Path(dgcat.__file__).parent, REMOVED_RESTATEMENTS) == []
+        assert "--probe-depth" not in option_strings(cli.build_parser())
+
+    def test_the_checks_find_a_planted_case(self, tmp_path):
+        (tmp_path / "cli.py").write_text(
+            "from .cones import ProtosplitCokernel\n"
+            "def cmd(args):\n"
+            "    return ConeHomotopyIso(args.probe_depth)\n"
+            "class CauchyReport:\n    pass\n")
+        assert removed_names(tmp_path, REMOVED_RESTATEMENTS) == [
+            ("cli.py", "CauchyReport", 4), ("cli.py", "ProtosplitCokernel", 1),
+            ("cli.py", "ConeHomotopyIso", 3), ("cli.py", "probe_depth", 3)]
+        planted = argparse.ArgumentParser()
+        planted.add_subparsers().add_parser("cokernel-protosplit").add_argument("--probe-depth")
+        assert "--probe-depth" in option_strings(planted)
