@@ -74,43 +74,45 @@ class Complex:
     complex.  A graded object is a complex with zero differentials: U is
     `forget_U`, and L, R and the adjunction isomorphisms take one.
 
-    The constructor multiplies every stored pair of differentials to check
-    d o d = 0, unless ``_validated`` is true.  A caller that passes it
-    proves d o d = 0 itself: by construction (a shift, U, L, R, a direct
-    sum), or by `_alternates`, when the only term of d o d that its
-    square-zero inputs leave is a cross term whose Koszul coefficient
-    sign(k) + sign(k - 1) vanishes (`LazySpace.complex`, on first read).
+    One rule for `Complex`, `Proto` and `ChainMap`: a build checks int
+    degrees and ranks, shapes, and here d o d = 0 (a product per stored pair
+    of differentials), unless ``_trusted`` says the caller proved them: by
+    construction (a shift, U, L, R, a direct sum, a cone), or by
+    `_alternates`, when the only term of d o d that its square-zero inputs
+    leave is a cross term whose Koszul coefficient sign(k) + sign(k - 1)
+    vanishes (`LazySpace.complex`).  Input from outside is checked.
     ``_multiplied`` records that the constructor ran the products, so that
-    `homology_H` does not run them again; a ``_validated`` complex is still
-    checked there.
+    `homology_H` does not run them again; it checks a trusted complex.
     """
 
     __slots__ = ("lo", "hi", "_ranks", "_d", "_zero_d", "_multiplied")
 
-    def __init__(self, ranks: Mapping[int, int], diffs: Mapping[int, IntMatrix], _validated: bool = False):
-        for n, r in ranks.items():
-            if not _is_int(n):
-                raise ValueError(f"degree {n!r} is not an integer")
-            if not _is_int(r):
-                raise ValueError(f"rank {r!r} at degree {n} is not an integer")
-            if r < 0:
-                raise ValueError(f"negative rank {r} at degree {n}")
+    def __init__(self, ranks: Mapping[int, int], diffs: Mapping[int, IntMatrix], _trusted: bool = False):
+        if not _trusted:
+            for n, r in ranks.items():
+                if not _is_int(n):
+                    raise ValueError(f"degree {n!r} is not an integer")
+                if not _is_int(r):
+                    raise ValueError(f"rank {r!r} at degree {n} is not an integer")
+                if r < 0:
+                    raise ValueError(f"negative rank {r} at degree {n}")
         cleaned = {n: r for n, r in ranks.items() if r}
         self.lo, self.hi = (min(cleaned), max(cleaned)) if cleaned else (0, -1)
         self._ranks = {n: cleaned.get(n, 0) for n in range(self.lo, self.hi + 1)}
         self._zero_d: Dict[int, IntMatrix] = {}
         stored: Dict[int, IntMatrix] = {}
         for n, m in diffs.items():
-            if not _is_int(n):
-                raise ValueError(f"degree {n!r} is not an integer")
-            want = (self.rank(n - 1), self.rank(n))
-            if m.shape != want:
-                raise ShapeMismatch(f"d_{n} has shape {m.shape}, expected {want}")
+            if not _trusted:
+                if not _is_int(n):
+                    raise ValueError(f"degree {n!r} is not an integer")
+                want = (self.rank(n - 1), self.rank(n))
+                if m.shape != want:
+                    raise ShapeMismatch(f"d_{n} has shape {m.shape}, expected {want}")
             if m.rows and m.cols and not m.is_zero():
                 stored[n] = m
         self._d = stored
-        self._multiplied = not _validated
-        if not _validated:
+        self._multiplied = not _trusted
+        if not _trusted:
             # a missing differential is zero, so only stored pairs can fail
             for n in sorted(stored):
                 up = stored.get(n + 1)
@@ -198,16 +200,22 @@ def unit_complex() -> Complex:
 
 
 class Proto:
-    """Degree-n protomorphism: a family f_q: source_q -> target_{q+n}."""
+    """Degree-n protomorphism: a family f_q: source_q -> target_{q+n}; zero
+    components are not stored.  The rule of `Complex` holds: a build checks
+    int degrees and the shapes unless ``_trusted`` (`compose`, `d_hom`, sums)."""
 
     __slots__ = ("source", "target", "degree", "_c")
 
-    def __init__(self, source: Complex, target: Complex, degree: int, comps: Mapping[int, IntMatrix]):
-        if not _is_int(degree):
-            raise ValueError(f"degree {degree!r} is not an integer")
+    def __init__(self, source: Complex, target: Complex, degree: int, comps: Mapping[int, IntMatrix],
+                 _trusted: bool = False):
         self.source = source
         self.target = target
         self.degree = n = degree
+        if _trusted:
+            self._c = {q: m for q, m in comps.items() if not m.is_zero()}
+            return
+        if not _is_int(degree):
+            raise ValueError(f"degree {degree!r} is not an integer")
         stored: Dict[int, IntMatrix] = {}
         for q, m in comps.items():
             if not _is_int(q):
@@ -244,13 +252,17 @@ class Proto:
         if self.source != other.source or self.target != other.target or self.degree != other.degree:
             raise ShapeMismatch("protos not parallel")
 
+    def _kind(self, other: "Proto") -> type:
+        """The class of a sum or composite of self and other."""
+        return Proto
+
     def __add__(self, other: "Proto") -> "Proto":
         self._compatible(other)
         comps = dict(self._c)
         for q, m in other._c.items():
             mine = comps.get(q)
             comps[q] = m if mine is None else mine + m
-        return Proto(self.source, self.target, self.degree, comps)
+        return self._kind(other)(self.source, self.target, self.degree, comps, _trusted=True)
 
     def __sub__(self, other: "Proto") -> "Proto":
         self._compatible(other)
@@ -258,13 +270,15 @@ class Proto:
         for q, m in other._c.items():
             mine = comps.get(q)
             comps[q] = -m if mine is None else mine - m
-        return Proto(self.source, self.target, self.degree, comps)
+        return self._kind(other)(self.source, self.target, self.degree, comps, _trusted=True)
 
     def __neg__(self) -> "Proto":
-        return Proto(self.source, self.target, self.degree, {q: -m for q, m in self._c.items()})
+        return type(self)(self.source, self.target, self.degree,
+                          {q: -m for q, m in self._c.items()}, _trusted=True)
 
     def scale(self, c: int) -> "Proto":
-        return Proto(self.source, self.target, self.degree, {q: m.scale(c) for q, m in self._c.items()})
+        return type(self)(self.source, self.target, self.degree,
+                          {q: m.scale(c) for q, m in self._c.items()}, _trusted=True)
 
     def __rmul__(self, c: int) -> "Proto":
         if not isinstance(c, int):
@@ -272,7 +286,7 @@ class Proto:
         return self.scale(c)
 
     def __matmul__(self, other: "Proto") -> "Proto":
-        return compose(self, other)
+        return _composite(self, other, self._kind(other))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Proto):
@@ -292,40 +306,43 @@ class Proto:
 
 
 class ChainMap(Proto):
-    """A protomorphism killed by the hom differential."""
+    """A protomorphism killed by the hom differential.  The rule of `Complex`
+    holds: a build runs `_is_cycle` unless ``_trusted``.  Sums, composites
+    and multiples of chain maps are chain maps, built trusted."""
 
     __slots__ = ()
 
     def __init__(self, source, target, degree=0, comps=(), _trusted: bool = False):
-        comps = comps if comps != () else {}
-        super().__init__(source, target, degree, comps)
-        if not _trusted and not d_hom(self).is_zero():
+        super().__init__(source, target, degree, comps if comps != () else {}, _trusted)
+        if not _trusted and not _is_cycle(self):
             raise NotAChainMap(f"degree-{degree} proto is not a cycle")
 
-    def __matmul__(self, other: Proto) -> Proto:
-        out = compose(self, other)
-        if isinstance(other, ChainMap):
-            return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
-        return out
-
-    def __add__(self, other: Proto) -> Proto:
-        out = Proto.__add__(self, other)
-        if isinstance(other, ChainMap):
-            return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
-        return out
-
-    def __neg__(self) -> "ChainMap":
-        out = Proto.__neg__(self)
-        return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
-
-    def scale(self, c: int) -> "ChainMap":
-        out = Proto.scale(self, c)
-        return ChainMap(out.source, out.target, out.degree, out.comps(), _trusted=True)
+    def _kind(self, other: Proto) -> type:
+        return ChainMap if isinstance(other, ChainMap) else Proto
 
 
 def identity_map(a: Complex) -> ChainMap:
     comps = {n: IntMatrix.identity(a.rank(n)) for n in a.degrees() if a.rank(n)}
     return ChainMap(a, a, 0, comps, _trusted=True)
+
+
+def _is_cycle(f: Proto) -> bool:
+    """Whether d_hom(f) = 0: d f_q = (-1)^n f_{q-1} d in each degree q,
+    stopping at the first difference.  Builds no Proto; only stored
+    components and differentials are multiplied."""
+    n, c, db, da = f.degree, f._c, f.target._d, f.source._d
+    plus = _hom_sign(n) != 1
+    for q in c.keys() | {k + 1 for k in c}:
+        m, d, m1, d1 = c.get(q), db.get(q + n), c.get(q - 1), da.get(q)
+        lhs = d @ m if m is not None and d is not None else None
+        rhs = m1 @ d1 if m1 is not None and d1 is not None else None
+        if lhs is None or rhs is None:   # one side is zero: the other must be
+            other = lhs if rhs is None else rhs
+            if other is not None and not other.is_zero():
+                return False
+        elif not ((lhs + rhs).is_zero() if plus else lhs == rhs):
+            return False
+    return True
 
 
 def d_hom(f: Proto) -> Proto:
@@ -347,11 +364,11 @@ def d_hom(f: Proto) -> Proto:
             t = -(m @ d) if sign == 1 else m @ d
             prev = comps.get(q + 1)
             comps[q + 1] = t if prev is None else prev + t
-    return Proto(a, b, n - 1, comps)
+    return Proto(a, b, n - 1, comps, _trusted=True)
 
 
-def compose(g: Proto, f: Proto) -> Proto:
-    """g o f; degrees add.  Only pairs of stored components are multiplied."""
+def _composite(g: Proto, f: Proto, kind: type) -> Proto:
+    """g o f built as a `kind`; only pairs of stored components are multiplied."""
     if g.source != f.target:
         raise ShapeMismatch("compose: target of f differs from source of g")
     gc, fd = g._c, f.degree
@@ -360,7 +377,12 @@ def compose(g: Proto, f: Proto) -> Proto:
         gm = gc.get(q + fd)
         if gm is not None:
             comps[q] = gm @ m
-    return Proto(f.source, g.target, fd + g.degree, comps)
+    return kind(f.source, g.target, fd + g.degree, comps, _trusted=True)
+
+
+def compose(g: Proto, f: Proto) -> Proto:
+    """g o f, a Proto; degrees add.  ``g @ f`` is a ChainMap when both are."""
+    return _composite(g, f, Proto)
 
 
 def failed_equations(*equations) -> List[str]:
@@ -389,12 +411,12 @@ def suspension(a: Complex, k: int = 1) -> Complex:
     sign = -1 if k % 2 else 1
     ranks = {n + k: a.rank(n) for n in a.degrees()}
     diffs = {n + k: sign * a.diff(n) for n in a.diffs()}
-    return Complex(ranks, diffs, _validated=True)
+    return Complex(ranks, diffs, _trusted=True)
 
 
 def forget_U(a: Complex) -> Complex:
     """Forget the differentials (replace them by 0)."""
-    return Complex(a.ranks(), {}, _validated=True)
+    return Complex(a.ranks(), {}, _trusted=True)
 
 
 def functor_L(x: Complex) -> Complex:
@@ -412,7 +434,7 @@ def functor_L(x: Complex) -> Complex:
                 [IntMatrix.zeros(r_top, c_left), IntMatrix.identity(r_top)],
                 [IntMatrix.zeros(r_bot, c_left), IntMatrix.zeros(r_bot, c_right)],
             ])
-    return Complex(ranks, diffs, _validated=True)
+    return Complex(ranks, diffs, _trusted=True)
 
 
 def functor_R(x: Complex) -> Complex:
@@ -422,7 +444,7 @@ def functor_R(x: Complex) -> Complex:
         raise NotGraded("R is defined on graded objects (all differentials zero)")
     lx = functor_L(x)
     ranks = {n + 1: r for n, r in lx.ranks().items()}
-    return Complex(ranks, {n + 1: d for n, d in lx.diffs().items()}, _validated=True)
+    return Complex(ranks, {n + 1: d for n, d in lx.diffs().items()}, _trusted=True)
 
 
 def lu_counit(a: Complex) -> ChainMap:
@@ -613,7 +635,7 @@ class LazySpace:
                     for n in lay.degrees() if lay.dim(n - 1)}
             self._differentials(outs)
             diffs = {n: IntMatrix.from_rows(out, lay.dim(n), _trusted=True) for n, out in outs.items()}
-            self._built = Complex(lay.dims(), diffs, _validated=self._square_zero())
+            self._built = Complex(lay.dims(), diffs, _trusted=self._square_zero())
         return self._built
 
 
@@ -895,7 +917,7 @@ def direct_sum(summands: Sequence[Complex]) -> Complex:
             ranks[n] = ranks.get(n, 0) + s.rank(n)
     return Complex(ranks, {
         n: block_diagonal([s.diff(n) for s in summands])
-        for n in ranks if ranks[n] and ranks.get(n - 1)}, _validated=True)
+        for n in ranks if ranks[n] and ranks.get(n - 1)}, _trusted=True)
 
 
 def direct_sum_complexes(summands: Sequence[Complex]) -> Tuple[Complex, List[ChainMap], List[ChainMap]]:

@@ -30,6 +30,7 @@ from .complexes import (
     NotAChainMap,
     Proto,
     WitnessEquationsFail,  # re-exported: the failure of every check below
+    _is_cycle,
     compose,
     d_hom,
     direct_sum_complexes,
@@ -107,14 +108,19 @@ def direct_sum(a: Complex, b: Complex) -> SplitSequence:
 
 def _transpose(p: Proto) -> Proto:
     """The degree-0 proto target -> source with transposed components."""
-    return Proto(p.target, p.source, 0, {n: m.transpose() for n, m in p.comps().items()})
+    # a degree-0 component source_n -> target_n transposes to target_n -> source_n
+    return Proto(p.target, p.source, 0, {n: m.transpose() for n, m in p._c.items()}, _trusted=True)
 
 
 def mapping_cone(f: Proto) -> SplitSequence:
     """(Mc f)_n = B_n + A_{n-1} with d = [[d, f], [0, -d]], as the split
     sequence B -> Mc f -> SA; i and p have 0/1 blocks, so q and j are
     their transposes."""
-    if not d_hom(f).is_zero() or f.degree != 0:
+    # A ChainMap f has d f = f d, so with the cone sign -1 the cone's d o d
+    # = [[d d, d f - f d], [0, d d]] is 0, and i and p commute with d by
+    # their 0/1 blocks.  Under any other cone sign every check runs.
+    trusted = isinstance(f, ChainMap) and f.degree == 0 and _cone_sign() == -1
+    if f.degree != 0 or not (trusted or _is_cycle(f)):
         raise NotAChainMap("mapping cone needs a degree-0 chain map")
     a, b = f.source, f.target
     sa = suspension(a, 1)
@@ -134,7 +140,7 @@ def mapping_cone(f: Proto) -> SplitSequence:
             [b.diff(n), f.comp(n - 1)],
             [IntMatrix.zeros(a.rank(n - 2), b.rank(n)), sign * a.diff(n - 1)],
         ])
-    cone = Complex(ranks, diffs)
+    cone = Complex(ranks, diffs, _trusted=trusted)
     i_comps = {}
     p_comps = {}
     for n in range(lo, hi + 1):
@@ -143,8 +149,8 @@ def mapping_cone(f: Proto) -> SplitSequence:
             i_comps[n] = IntMatrix.identity(rb).vstack(IntMatrix.zeros(ra, rb))
         if ra:
             p_comps[n] = IntMatrix.zeros(ra, rb).hstack(IntMatrix.identity(ra))
-    i = ChainMap(b, cone, 0, i_comps)
-    p = ChainMap(cone, sa, 0, p_comps)
+    i = ChainMap(b, cone, 0, i_comps, _trusted=trusted)
+    p = ChainMap(cone, sa, 0, p_comps, _trusted=trusted)
     return SplitSequence(i, _transpose(p), p, _transpose(i))
 
 

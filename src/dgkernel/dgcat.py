@@ -51,6 +51,7 @@ from .complexes import (
     Complex,
     HomSpace,
     Proto,
+    _is_cycle,
     compose,
     d_hom,
     direct_sum,
@@ -594,7 +595,7 @@ class ModuleTransform:
 
     def is_cycle(self) -> bool:
         """Chain transformation: every component killed by d_hom."""
-        return all(d_hom(self.component(x)).is_zero() for x in self.source.base.objects)
+        return all(_is_cycle(self.component(x)) for x in self.source.base.objects)
 
     def compose_with(self, other: "ModuleTransform") -> "ModuleTransform":
         """self o other (other applied first)."""

@@ -144,10 +144,9 @@ def tensor_proto(f: Proto, g: Proto, src: TensorSpace = None, tgt: TensorSpace =
             scatter_kron(out, tgt.layout.slot(n + deg, p + f.degree), off, fp, gq,
                          -1 if (g.degree * p) % 2 else 1)
         comps[n] = IntMatrix.from_rows(out, cols, _trusted=True)
-    result = Proto(src.complex, tgt.complex, deg, comps)
-    if isinstance(f, ChainMap) and isinstance(g, ChainMap):
-        return ChainMap(result.source, result.target, deg, result.comps(), _trusted=True)
-    return result
+    # f (x) g of chain maps is a chain map, by the Koszul sign above
+    kind = ChainMap if isinstance(f, ChainMap) and isinstance(g, ChainMap) else Proto
+    return kind(src.complex, tgt.complex, deg, comps, _trusted=True)
 
 
 def _placed(src: Complex, tgt: Complex, place) -> ChainMap:

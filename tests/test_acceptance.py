@@ -171,6 +171,29 @@ def test_criterion_fails_on_unsigned_symmetry_under_python_O():
     assert lines[2].startswith("[FAIL] criterion  4") and "Koszul naturality sign fails" in lines[2]
 
 
+SIGN_BATTERY_UNDER_O = """
+import sys
+from dgkernel import acceptance
+
+print("optimize", sys.flags.optimize)
+print(acceptance.criterion_12_mutation_sensitivity(20260809).line())
+"""
+
+
+def test_criterion_12_passes_under_python_O():
+    # with assert statements stripped, each flipped sign must still make
+    # the builder it breaks raise: the trusted builds (the cone of a chain
+    # map, the hom, tensor and Tot spaces) check again under any sign
+    # other than the right one
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", SIGN_BATTERY_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("[PASS] criterion 12")
+
+
 def test_criterion_fails_on_a_duality_pair_that_breaks_a_triangle(monkeypatch):
     # criterion 5 computes both triangle identities on the returned pair
     from dgkernel import acceptance

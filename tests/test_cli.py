@@ -39,7 +39,7 @@ from dgkernel.dgcat import (
 )
 from dgkernel.monoidal import TensorSpace
 from dgkernel.jsonio import module_to_json
-from dgkernel.rand import rand_complex, rand_double_complex
+from dgkernel.rand import rand_chain_map, rand_complex, rand_double_complex
 from dgkernel.zlinalg import FPAbGroup, IntMatrix
 
 M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
@@ -66,6 +66,8 @@ def files(tmp_path):
     write("split_t.json", jsonio.proto_to_json(t))
     write("dc.json", jsonio.double_complex_to_json(
         rand_double_complex(random.Random(5))))
+    r5 = rand_complex(random.Random(5))
+    write("cm_r5.json", jsonio.proto_to_json(rand_chain_map(random.Random(3), r5, r5)))
     ext = exterior_g_category(1)
     write("ext.json", jsonio.category_to_json(ext))
     write("cauchy.json", jsonio.cauchy_data_to_json(
@@ -923,6 +925,11 @@ class TestGoldenOutput:
             "20d79317fe2dd7c0b5a31a36a028abe2ea566bcffa6bec3e59ba98bee0bfbdba",
         ("cokernel-protosplit", "--f", "split_f.json", "--t", "split_t.json"):
             "0b0202f2a7fa025d4ff1cfb22bafbc8608593dbf10e15bee48cf9bc47610c713",
+        # the cone of a chain map is built trusted: these pin its matrices
+        ("cone", "--map-cone-of-identity", "r5.json"):
+            "e48449b4b7a51eaa7551ef428b42bc9eee15b2924bd2175cd0e8c6bccc8456ce",
+        ("cone", "--f", "cm_r5.json"):
+            "0518c0c2f24a7a925b25a5539aac1733de409f9051aaa63fc324fe378c087283",
     }
 
     def _run(self, files, capsys, argv) -> str:

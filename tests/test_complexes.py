@@ -203,7 +203,7 @@ class TestHomology:
         ranks = {2: 1, 1: 2, 0: 1}
         diffs = {2: IntMatrix.from_rows([[1], [0]]), 1: IntMatrix.from_rows([[1, 0]])}
         with pytest.raises(SquareZeroViolated) as raised:
-            homology_H(Complex(ranks, diffs, _validated=True))
+            homology_H(Complex(ranks, diffs, _trusted=True))
         assert raised.value.degree == 2
         with pytest.raises(SquareZeroViolated) as checked:
             Complex(ranks, diffs)
@@ -214,7 +214,7 @@ class TestHomology:
         ranks = {2: 1, 1: 1, 0: 1}
         diffs = {2: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[1]])}
         with pytest.raises(SquareZeroViolated) as raised:
-            homology_H(Complex(ranks, diffs, _validated=True))
+            homology_H(Complex(ranks, diffs, _trusted=True))
         assert raised.value.degree == 2
         with pytest.raises(SquareZeroViolated) as checked:
             Complex(ranks, diffs)
@@ -223,7 +223,7 @@ class TestHomology:
     def test_a_complex_checked_by_its_constructor_is_not_multiplied_again(self, monkeypatch):
         checked = rand_complex(random.Random(13))
         assert sorted(checked.diffs()) == [0, 1]   # one stored pair, multiplied once
-        trusted = Complex(checked.ranks(), checked.diffs(), _validated=True)
+        trusted = Complex(checked.ranks(), checked.diffs(), _trusted=True)
         products = []
         real = IntMatrix.__matmul__
 
@@ -234,7 +234,7 @@ class TestHomology:
         monkeypatch.setattr(IntMatrix, "__matmul__", counted)
         h = homology_H(checked)
         assert products == []
-        # a _validated complex is still checked, one product per nonzero degree
+        # a _trusted complex is still checked, one product per nonzero degree
         assert homology_H(trusted) == h
         assert len(products) == sum(1 for n in trusted.degrees() if trusted.rank(n))
 

@@ -30,6 +30,7 @@ from dgkernel.complexes import (
     scatter_kron,
     suspension,
 )
+from dgkernel.cones import mapping_cone
 from dgkernel.monoidal import TensorSpace, sten_iso, tensor, tensor_proto
 from dgkernel.rand import rand_complex, rand_double_complex, rand_matrix, rand_proto
 from dgkernel.totals import DoubleComplex, TotSpace, _tot_sign, total_complex
@@ -404,12 +405,14 @@ M2 = make_complex({1: 1, 0: 1}, {1: [[2]]})
     ("dgkernel.complexes._hom_sign", lambda: hom_complex(M2, M2), 1),
     ("dgkernel.monoidal._tensor_sign", lambda: tensor(M2, M2), 2),
     ("dgkernel.totals._tot_sign", lambda: total_complex(_battery_double_complex()), 2),
-], ids=["hom", "tensor", "tot"])
+    ("dgkernel.cones._cone_sign", lambda: mapping_cone(identity_map(M2)), 2),
+], ids=["hom", "tensor", "tot", "cone"])
 def test_flipped_sign_breaks_its_own_builder(monkeypatch, name, build, degree):
-    # each sign is looked up when the differential is built, and each
-    # builder's Complex checks d o d = 0
+    # each sign is looked up when the differential is built, and a builder
+    # that trusts its d o d = 0 under the right sign checks it under any
+    # other: the cone of a chain map too
     build()
-    monkeypatch.setattr(name, lambda k: 1)
+    monkeypatch.setattr(name, lambda *k: 1)
     with pytest.raises(SquareZeroViolated) as raised:
         build()
     assert raised.value.degree == degree
@@ -477,23 +480,34 @@ class TestSquareZeroBySignRule:
         assert not build(M2, M2, dc).has_zero_differentials()
 
 
-def validated_complex_calls(package: Path):
-    """(file, enclosing function) of each call in the package that passes
-    ``_validated``, or a third positional argument to Complex: each one
-    skips the product check of d o d = 0, so its caller must prove it."""
+def trusted_sites(package: Path):
+    """(file, enclosing function, callee, what) of each place in the package
+    that skips a check of `Complex`, `Proto` or `ChainMap`: a call passing
+    ``_trusted`` (what is its value's source), a third positional argument
+    to Complex or a fifth to Proto or ChainMap (what is "positional"), and
+    each ``isinstance(x, ChainMap)`` test, which lets a map's type stand in
+    for its chain-map check (callee "isinstance", what "ChainMap").  The
+    ``_trusted`` of `IntMatrix` (calls to it, and inside its class) is a
+    different flag and is not listed."""
     found = []
+    positional = {"Complex": 2, "Proto": 4, "ChainMap": 4}
 
     def visit(node, scope, name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + (child.name,), name)
+                if not (isinstance(child, ast.ClassDef) and child.name == "IntMatrix"):
+                    visit(child, scope + (child.name,), name)
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if any(k.arg == "_validated" for k in child.keywords) \
-                        or callee == "Complex" and len(child.args) > 2:
-                    found.append((name, ".".join(scope)))
+                callee = ast.unparse(child.func)
+                flag = [ast.unparse(k.value) for k in child.keywords if k.arg == "_trusted"]
+                if callee == "isinstance" and len(child.args) == 2 \
+                        and ast.unparse(child.args[1]) == "ChainMap":
+                    found.append((name, ".".join(scope), callee, "ChainMap"))
+                elif flag and callee.split(".")[0] != "IntMatrix":
+                    found.append((name, ".".join(scope), callee, flag[0]))
+                elif len(child.args) > positional.get(callee.split(".")[-1], len(child.args)):
+                    found.append((name, ".".join(scope), callee, "positional"))
             visit(child, scope, name)
 
     for path in sorted(package.glob("*.py")):
@@ -517,27 +531,85 @@ def square_zero_proofs(package: Path):
     return found
 
 
-class TestValidatedSites:
-    def test_each_unchecked_complex_is_a_known_site(self):
-        # shift, U, L, R and direct sums are square-zero by construction;
-        # the hom, tensor and Tot spaces by the sign rule, at the one site
-        # that builds a space's complex on its first read
-        assert validated_complex_calls(Path(complexes.__file__).parent) == [
-            ("complexes.py", "suspension"),
-            ("complexes.py", "forget_U"),
-            ("complexes.py", "functor_L"),
-            ("complexes.py", "functor_R"),
-            ("complexes.py", "LazySpace.complex"),
-            ("complexes.py", "direct_sum"),
-        ]
+# Every build that skips a check, with the proof its caller gives.  A new
+# trusted site fails the guard until it is listed here with its reason.
+TRUSTED_SITES = [
+    ("acceptance.py", "_sign_battery_fails", "ChainMap", "True",
+     "criterion 12's battery: an identity's components are a chain map"),
+    ("complexes.py", "Proto.__add__", "self._kind(other)", "True",
+     "parallel summands keep their shapes; a sum of chain maps is one"),
+    ("complexes.py", "Proto.__sub__", "self._kind(other)", "True",
+     "parallel summands keep their shapes; a difference of chain maps is one"),
+    ("complexes.py", "Proto.__neg__", "type(self)", "True",
+     "-f has f's shapes, and is a chain map when f is"),
+    ("complexes.py", "Proto.scale", "type(self)", "True",
+     "c f has f's shapes, and is a chain map when f is"),
+    ("complexes.py", "ChainMap._kind", "isinstance", "ChainMap",
+     "sums and composites of chain maps are chain maps"),
+    ("complexes.py", "identity_map", "ChainMap", "True",
+     "identities have the ranks' shapes and commute with d"),
+    ("complexes.py", "d_hom", "Proto", "True",
+     "d f_q and f_{q-1} d have the shape of (df)_q"),
+    ("complexes.py", "_composite", "kind", "True",
+     "g_{q+|f|} f_q has the shape of (g f)_q; kind is ChainMap only for two chain maps"),
+    ("complexes.py", "suspension", "Complex", "True",
+     "(-1)^k d squares to zero when d does"),
+    ("complexes.py", "forget_U", "Complex", "True",
+     "zero differentials"),
+    ("complexes.py", "functor_L", "Complex", "True",
+     "the block d = [[0, 1], [0, 0]] squares to zero"),
+    ("complexes.py", "functor_R", "Complex", "True",
+     "L X's differentials, shifted"),
+    ("complexes.py", "LazySpace.complex", "Complex", "self._square_zero()",
+     "the sign rule: only a Koszul cross term can survive, and it vanishes"),
+    ("complexes.py", "HomSpace.from_cycle", "ChainMap", "True",
+     "the caller passes a cycle, such as a column of cycle_basis"),
+    ("complexes.py", "direct_sum", "Complex", "True",
+     "a block diagonal of square-zero differentials"),
+    ("complexes.py", "direct_sum_complexes", "ChainMap", "True",
+     "the injections are identity columns, chain maps into the block sum"),
+    ("complexes.py", "direct_sum_complexes", "ChainMap", "True",
+     "the projections are identity rows, chain maps out of the block sum"),
+    ("cones.py", "_transpose", "Proto", "True",
+     "a degree-0 component transposes to the swapped ends"),
+    ("cones.py", "mapping_cone", "isinstance", "ChainMap",
+     "a ChainMap f has d f = f d, which the cone's d o d needs"),
+    ("cones.py", "mapping_cone", "Complex", "trusted",
+     "[[d, f], [0, -d]] squares to zero for a chain map f, under the cone sign -1"),
+    ("cones.py", "mapping_cone", "ChainMap", "trusted",
+     "i's 0/1 blocks commute with the cone's d, under the cone sign -1"),
+    ("cones.py", "mapping_cone", "ChainMap", "trusted",
+     "p's 0/1 blocks commute with the cone's d, under the cone sign -1"),
+    ("cones.py", "cone_as_cokernel", "ChainMap", "True",
+     "inverse to a chain map, which require(inverse_failures) checks next"),
+    ("monoidal.py", "tensor_proto", "isinstance", "ChainMap",
+     "f (x) g of chain maps is a chain map, by the Koszul sign"),
+    ("monoidal.py", "tensor_proto", "isinstance", "ChainMap",
+     "the same test, on g"),
+    ("monoidal.py", "tensor_proto", "kind", "True",
+     "each block is placed at its slots of the two tensor spaces"),
+    ("totals.py", "DoubleComplex.__init__", "isinstance", "ChainMap",
+     "a ChainMap delta was checked when it was built; the delta delta = 0 check stays"),
+    ("totals.py", "DoubleComplex.delta_map", "ChainMap", "True",
+     "the zero map"),
+    ("totals.py", "weight_J", "ChainMap", "True",
+     "identities of S^v L Z, and the map onto the lower slot, a cycle"),
+    ("totals.py", "double_complex_as_left_module", "ChainMap", "True",
+     "hom is Z in degree 0, so the action is an identity or a delta of a checked double complex"),
+]
+
+
+class TestTrustedSites:
+    def test_each_trusted_build_is_a_known_site(self):
+        assert trusted_sites(Path(complexes.__file__).parent) == [s[:4] for s in TRUSTED_SITES]
+        assert all(reason for *_, reason in TRUSTED_SITES)
 
     def test_the_lazy_site_proves_square_zero_by_the_sign_rule(self):
-        # the site passes _validated=self._square_zero(), and each space's
+        # the site passes _trusted=self._square_zero(), and each space's
         # _square_zero returns what _alternates answers
-        lazy = next(n for n in ast.walk(ast.parse(Path(complexes.__file__).read_text()))
-                    if isinstance(n, ast.ClassDef) and n.name == "LazySpace")
-        assert [ast.unparse(k.value) for n in ast.walk(lazy) if isinstance(n, ast.Call)
-                for k in n.keywords if k.arg == "_validated"] == ["self._square_zero()"]
+        assert [site for site in trusted_sites(Path(complexes.__file__).parent)
+                if site[1].startswith("LazySpace")] == [
+            ("complexes.py", "LazySpace.complex", "Complex", "self._square_zero()")]
         assert square_zero_proofs(Path(complexes.__file__).parent) == [
             ("complexes.py", "HomSpace", "_alternates"),
             ("monoidal.py", "TensorSpace", "_alternates"),
@@ -546,12 +618,20 @@ class TestValidatedSites:
 
     def test_the_check_finds_a_new_site(self, tmp_path):
         (tmp_path / "cones.py").write_text(
-            "def cone(r, d):\n    return Complex(r, d, _validated=True)\n"
+            "def cone(r, d):\n    return Complex(r, d, _trusted=True)\n"
             "class Space:\n    def __init__(self, r, d):\n"
             "        self.complex = dgkernel.Complex(r, d, True)\n"
-            "def checked(r, d):\n    return Complex(r, d)\n")
-        assert validated_complex_calls(tmp_path) == [
-            ("cones.py", "cone"), ("cones.py", "Space.__init__")]
+            "        self.map = Proto(r, r, 0, d, ok)\n"
+            "def lift(f):\n    return isinstance(f, ChainMap) or ChainMap(f.a, f.b, 0, {}, _trusted=f.ok)\n"
+            "class IntMatrix:\n    def zeros(cls, r):\n        return cls(r, r, (), _trusted=True)\n"
+            "def checked(r, d):\n    return Complex(r, d), ChainMap(r, r, 0, d), isinstance(d, Proto), "
+            "IntMatrix.from_rows(d, _trusted=True), IntMatrix(1, 1, d, _trusted=True)\n")
+        assert trusted_sites(tmp_path) == [
+            ("cones.py", "cone", "Complex", "True"),
+            ("cones.py", "Space.__init__", "dgkernel.Complex", "positional"),
+            ("cones.py", "Space.__init__", "Proto", "positional"),
+            ("cones.py", "lift", "isinstance", "ChainMap"),
+            ("cones.py", "lift", "ChainMap", "f.ok")]
 
 
 def equation_check_sites(package: Path):

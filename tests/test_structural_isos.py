@@ -89,7 +89,7 @@ def reference_functor_R(x: Complex) -> Complex:
                 [IntMatrix.zeros(r_top, c_left), IntMatrix.identity(r_top)],
                 [IntMatrix.zeros(r_bot, c_left), IntMatrix.zeros(r_bot, c_right)],
             ])
-    return Complex(ranks, diffs, _validated=True)
+    return Complex(ranks, diffs, _trusted=True)
 
 
 def reference_left_unitor(a: Complex) -> Tuple[ChainMap, ChainMap]:

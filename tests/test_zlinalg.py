@@ -685,7 +685,7 @@ class TestZeroComplexAndSquareZero:
             expected = checked.degree
         else:
             expected = None
-        a = Complex(r, diffs, _validated=True)
+        a = Complex(r, diffs, _trusted=True)
         if expected is None:
             homology_H(a)
         else:
